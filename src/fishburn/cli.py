@@ -74,7 +74,6 @@ class RunConfig:
     fmt: str = "table"
     output: Optional[str] = None
     digits: int = 12
-    offline: bool = True
     full: bool = False
     profile: bool = False
 
@@ -171,14 +170,6 @@ def _json_text(payload: dict) -> str:
 # Asymptotic-form resolution shared by `asymptote` and `converge`
 
 
-def _first_odd(lam: LambdaSpec) -> Optional[int]:
-    limit = len(lam.weights) if lam.tag == "custom" else 199
-    for i in range(1, limit + 1, 2):
-        if lam.weight(i):
-            return i
-    return None
-
-
 def _resolve_form(family: str, lam: LambdaSpec) -> Tuple[AsymptoticForm, str]:
     """Leading-order form for the family counts, with a regime label."""
     lam1, lam2 = lam.weight(1), lam.weight(2)
@@ -197,7 +188,7 @@ def _resolve_form(family: str, lam: LambdaSpec) -> Tuple[AsymptoticForm, str]:
         raise ValueError(
             "entries of value 2 must be allowed when 1s are barred"
         )
-    first_odd = _first_odd(lam)
+    first_odd = lam.smallest_odd_entry()
     if first_odd is None:
         raise ValueError(
             "every allowed entry value is even, so odd sizes are empty and "
@@ -876,8 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="self-contained correctness battery (offline)")
     p.add_argument("--full", action="store_true",
                    help="add the slower asymptotic and trend checks")
-    p.add_argument("--offline", action="store_true", default=True,
-                   help="never touch the network (always on)")
 
     return parser
 

@@ -284,21 +284,6 @@ def _poisson_table(rate, step: int, tail) -> Dict[Fraction, mp.mpf]:
         term = term * rate / k
 
 
-def _first_odd_value(spec: LambdaSpec) -> Optional[int]:
-    """Smallest odd value the multiset allows (None if purely even)."""
-    if spec.tag == "even+":
-        return None
-    if spec.tag == "custom":
-        for i in range(1, len(spec.weights) + 1, 2):
-            if spec.weight(i):
-                return i
-        return None
-    for i in range(1, 200, 2):
-        if spec.weight(i):
-            return i
-    return None
-
-
 def _uncovered(family: str, stat: str, lam: LambdaSpec, why: str) -> ValueError:
     return ValueError(
         f"no covered limit law for {family}/{stat} with entries "
@@ -412,7 +397,7 @@ def limit_law_for(family: str, stat: str, lam: LambdaSpec, n: int) -> LimitLaw:
         if stat == "ones":
             raise _uncovered(family, stat, lam, "no 1 entries exist in this regime")
 
-        first_odd = _first_odd_value(lam)
+        first_odd = lam.smallest_odd_entry()
         if first_odd == 3:
             lam3 = lam.weight(3)
             tau = lam3 * mp.pi / (2 * mp.sqrt(3) * _mpf(lam2) ** mp.mpf("1.5"))
@@ -564,7 +549,7 @@ def parity_report(
         raise ValueError("the value 2 must be allowed")
     if stat != "twos":
         raise ValueError("the tracked statistic is the 2s count, stat='twos'")
-    first_odd = _first_odd_value(lam)
+    first_odd = lam.smallest_odd_entry()
     gap = None if first_odd is None else (first_odd - 1) // 2
     rows: List[ParityEntry] = []
     for n in ns:

@@ -10,6 +10,16 @@ arithmetic is exact; nothing in this module touches floating point.
 Prefactors of the shape d(z)^k are folded into the factors themselves
 (d^k * prod f_j == prod (d*f_j)), which keeps the kernel's adaptive
 truncation effective and avoids maintaining full-order dpart powers.
+
+Running powers.  Most j-th factors need first * step^(j-1) for fixed series;
+``_powers`` carries that power between calls, one product per step truncated
+to the kernel's room (none on the first step).  A marked atom (B, A, Bi) is
+never folded into the power: it multiplies the unmarked power afresh at each
+step, because a monomial-marked power fills every v-degree of every
+z-coefficient, and products on those dense polynomials cost more than the
+ones saved.  The row, Andrews, direct and self-dual sums are written once for
+both carriers: a weight series gives the counting series, a marked atom its
+statistic refinement.
 """
 
 from __future__ import annotations
@@ -130,6 +140,15 @@ class LambdaSpec:
             return None
         return {"all": 1, "01": 1, "012": 1, "odd": 1, "even+": 2, "no1": 2}[self.tag]
 
+    def smallest_odd_entry(self) -> Optional[int]:
+        """Smallest odd value with nonzero multiplicity (None if all are even)."""
+        if self.tag == "custom":
+            for i in range(1, len(self.weights) + 1, 2):
+                if self.weights[i - 1]:
+                    return i
+            return None
+        return {"all": 1, "01": 1, "012": 1, "odd": 1, "even+": None, "no1": 3}[self.tag]
+
     def describe(self) -> str:
         if self.tag == "custom":
             return ",".join(str(w) for w in self.weights) if self.weights else "empty"
@@ -157,20 +176,74 @@ def _as_series(lam: LambdaLike, order: int) -> TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
+# Running powers and the carrier-generic sums
+# ---------------------------------------------------------------------------
+
+Series = Union[TruncatedSeries, BivariateSeries]
+
+
+def _one(like: Series, room: int) -> Series:
+    """The series 1 at order `room`, in the carrier (and marking cap) of `like`."""
+    if isinstance(like, BivariateSeries):
+        return BivariateSeries.one(room, like.cap)
+    return TruncatedSeries.one(room)
+
+
+def _powers(first: Series, step: Series) -> Callable[[int], Series]:
+    """room -> first * step^(j-1) on the j-th call, truncated at `room`.
+
+    Each call after the first does one truncated product; the rooms must not
+    grow from call to call, as sum_product guarantees.
+    """
+    p = None
+
+    def power(room):
+        nonlocal p
+        p = first.truncate(room) if p is None else p.truncate(room) * step.truncate(room)
+        return p
+
+    return power
+
+
+def _row_sum(L: Series, order: int) -> Series:
+    """sum_k prod_{1<=j<=k} (L^j - 1)."""
+    power = _powers(L, L)
+    return sum_product(lambda j, room: power(room) - _one(L, room), order)
+
+
+def _andrews_sum(L: Series, order: int) -> Series:
+    """L * sum_k prod_{1<=j<=k} [L (L^j - 1)^2]."""
+    power = _powers(L, L)
+
+    def factor(j, room):
+        f = power(room) - _one(L, room)
+        return L.truncate(room) * (f * f)
+
+    return L * sum_product(factor, order)
+
+
+def _direct_sum(L: Series, order: int) -> Series:
+    """sum_k prod_{1<=j<=k} (1 - L^{-j})."""
+    Li = L.inv()
+    power = _powers(Li, Li)
+    return sum_product(lambda j, room: _one(L, room) - power(room), order)
+
+
+def _self_dual_sum(L: Series, L2: Series, order: int) -> Series:
+    """L * sum_k prod_{1<=j<=k} [L (L2^j - 1)]."""
+    power = _powers(L2, L2)
+    return L * sum_product(
+        lambda j, room: L.truncate(room) * (power(room) - _one(L, room)), order
+    )
+
+
+# ---------------------------------------------------------------------------
 # Univariate family series
 # ---------------------------------------------------------------------------
 
 def row_fishburn_gf(lam: LambdaLike, order: int) -> TruncatedSeries:
     """sum_k prod_{1<=j<=k} (L(z)^j - 1)."""
-    L = _as_series(lam, order)
-    st = [TruncatedSeries.one(order)]
-
-    def factor(j, room):
-        p = st[0].truncate(room) * L.truncate(room)
-        st[0] = p
-        return p - TruncatedSeries.one(room)
-
-    return sum_product(factor, order)
+    return _row_sum(_as_series(lam, order), order)
 
 
 def fishburn_gf(lam: LambdaLike, order: int, form: str = "andrews") -> TruncatedSeries:
@@ -184,40 +257,16 @@ def fishburn_gf(lam: LambdaLike, order: int, form: str = "andrews") -> Truncated
         raise ValueError("empty entry multiset: the weight series is identically 1")
     L = _as_series(lam, order)
     if form == "direct":
-        Li = L.inv()
-        st = [TruncatedSeries.one(order)]
-
-        def factor(j, room):
-            p = st[0].truncate(room) * Li.truncate(room)
-            st[0] = p
-            return TruncatedSeries.one(room) - p
-
-        return sum_product(factor, order)
+        return _direct_sum(L, order)
     if form == "andrews":
-        st = [TruncatedSeries.one(order)]
-
-        def factor(j, room):
-            p = st[0].truncate(room) * L.truncate(room)
-            st[0] = p
-            f = p - TruncatedSeries.one(room)
-            return L.truncate(room) * (f * f)
-
-        return L * sum_product(factor, order)
+        return _andrews_sum(L, order)
     raise ValueError(f"unknown form {form!r}; expected 'direct' or 'andrews'")
 
 
 def self_dual_gf(lam: LambdaLike, order: int) -> TruncatedSeries:
     """L(z) * sum_k prod_{1<=j<=k} [L(z) * (L(z^2)^j - 1)]."""
     L = _as_series(lam, order)
-    L2 = L.substitute_power(2)
-    st = [TruncatedSeries.one(order)]
-
-    def factor(j, room):
-        p = st[0].truncate(room) * L2.truncate(room)
-        st[0] = p
-        return L.truncate(room) * (p - TruncatedSeries.one(room))
-
-    return L * sum_product(factor, order)
+    return _self_dual_sum(L, L.substitute_power(2), order)
 
 
 def family_gf(family: str, lam: LambdaLike, order: int) -> TruncatedSeries:
@@ -276,179 +325,102 @@ def lambda_atom(
     return BivariateSeries(rows, order, marker.cap)
 
 
-def _lift(f: TruncatedSeries, cap) -> BivariateSeries:
-    return BivariateSeries.from_univariate(f, cap)
-
-
 # ---------------------------------------------------------------------------
 # Statistic-marking series
 # ---------------------------------------------------------------------------
-
-def _bv_one(order, cap):
-    return BivariateSeries.one(order, cap)
-
 
 def _row_first_row(spec, order, marker):
     # 1 + sum_k (B^{k+1} - 1) prod_j (L^j - 1)  with B = L(vz); the B^{k+1}
     # part is folded as B * sum_k prod_j [B (L^j - 1)] minus the plain series.
     cap = marker.cap
     B = lambda_atom(spec, order, marker, "size")
-    Lb = _lift(lambda_series(spec, order), cap)
-    st = [_bv_one(order, cap)]
-
-    def factor(j, room):
-        p = st[0].truncate(room) * Lb.truncate(room)
-        st[0] = p
-        return B.truncate(room) * (p - _bv_one(room, cap))
-
-    marked = B * sum_product(factor, order, bivariate=True, cap=cap)
-    plain = _lift(row_fishburn_gf(spec, order), cap)
-    return _lift(TruncatedSeries.one(order), cap) + marked - plain
+    Lb = BivariateSeries.from_univariate(lambda_series(spec, order), cap)
+    power = _powers(Lb, Lb)
+    marked = B * sum_product(
+        lambda j, room: B.truncate(room) * (power(room) - _one(B, room)), order
+    )
+    plain = BivariateSeries.from_univariate(row_fishburn_gf(spec, order), cap)
+    return _one(B, order) + marked - plain
 
 
 def _row_diagonal(spec, order, marker):
     # sum_k prod_{1<=j<=k} (B L^{j-1} - 1)
-    cap = marker.cap
     B = lambda_atom(spec, order, marker, "size")
-    Lb = _lift(lambda_series(spec, order), cap)
-    st = [_bv_one(order, cap)]
-
-    def factor(j, room):
-        p = st[0].truncate(room)
-        st[0] = p * Lb.truncate(room)
-        return B.truncate(room) * p - _bv_one(room, cap)
-
-    return sum_product(factor, order, bivariate=True, cap=cap)
-
-
-def _bv_row(B, order, cap):
-    # sum_k prod_{1<=j<=k} (B^j - 1)
-    st = [_bv_one(order, cap)]
-
-    def factor(j, room):
-        p = st[0].truncate(room) * B.truncate(room)
-        st[0] = p
-        return p - _bv_one(room, cap)
-
-    return sum_product(factor, order, bivariate=True, cap=cap)
-
-
-def _bv_fishburn_andrews(B, order, cap):
-    # B * sum_k prod_j [B (B^j - 1)^2]
-    st = [_bv_one(order, cap)]
-
-    def factor(j, room):
-        p = st[0].truncate(room) * B.truncate(room)
-        st[0] = p
-        f = p - _bv_one(room, cap)
-        return B.truncate(room) * (f * f)
-
-    return B * sum_product(factor, order, bivariate=True, cap=cap)
-
-
-def _bv_fishburn_direct(B, order, cap):
-    # sum_k prod_j (1 - B^{-j})
-    Bi = B.inv()
-    st = [_bv_one(order, cap)]
-
-    def factor(j, room):
-        p = st[0].truncate(room) * Bi.truncate(room)
-        st[0] = p
-        return _bv_one(room, cap) - p
-
-    return sum_product(factor, order, bivariate=True, cap=cap)
+    Lb = BivariateSeries.from_univariate(lambda_series(spec, order), marker.cap)
+    power = _powers(_one(B, order), Lb)
+    return sum_product(
+        lambda j, room: B.truncate(room) * power(room) - _one(B, room), order
+    )
 
 
 def _fishburn_first_row(spec, order, marker, form):
     cap = marker.cap
     B = lambda_atom(spec, order, marker, "size")
     L = lambda_series(spec, order)
-    Lb = _lift(L, cap)
     if form == "direct":
         # sum_k prod_j (1 - B^{-1} L^{1-j})
         Bi = B.inv()
-        Li = _lift(L.inv(), cap)
-        st = [_bv_one(order, cap)]
-
-        def factor(j, room):
-            p = st[0].truncate(room)  # L^{-(j-1)}
-            st[0] = p * Li.truncate(room)
-            return _bv_one(room, cap) - Bi.truncate(room) * p
-
-        return sum_product(factor, order, bivariate=True, cap=cap)
-    # product form: B * sum_k prod_j [L (B L^{j-1} - 1)(L^j - 1)]
-    st = [_bv_one(order, cap)]
+        power = _powers(_one(B, order), BivariateSeries.from_univariate(L.inv(), cap))
+        return sum_product(
+            lambda j, room: _one(B, room) - Bi.truncate(room) * power(room), order
+        )
+    # product form: B * sum_k prod_j [L (B L^{j-1} - 1)(L^j - 1)]; the factor
+    # needs L^{j-1} and L^j together, so it keeps its own running power.
+    Lb = BivariateSeries.from_univariate(L, cap)
+    st = [_one(B, order)]
 
     def factor(j, room):
         pjm1 = st[0].truncate(room)
         pj = pjm1 * Lb.truncate(room)
         st[0] = pj
-        f1 = B.truncate(room) * pjm1 - _bv_one(room, cap)
-        f2 = pj - _bv_one(room, cap)
+        f1 = B.truncate(room) * pjm1 - _one(B, room)
+        f2 = pj - _one(B, room)
         return Lb.truncate(room) * (f1 * f2)
 
-    return B * sum_product(factor, order, bivariate=True, cap=cap)
+    return B * sum_product(factor, order)
 
 
 def _fishburn_diagonal(spec, order, marker, form):
     cap = marker.cap
     B = lambda_atom(spec, order, marker, "size")
     L = lambda_series(spec, order)
-    Lb = _lift(L, cap)
     if form == "direct":
         # B + (B - 1)^2 sum_k prod_j (B - L^{-j})
-        Li = _lift(L.inv(), cap)
-        st = [_bv_one(order, cap)]
-
-        def factor(j, room):
-            p = st[0].truncate(room) * Li.truncate(room)  # L^{-j}
-            st[0] = p
-            return B.truncate(room) - p
-
-        tail = sum_product(factor, order, bivariate=True, cap=cap)
-        bm1 = B - _bv_one(order, cap)
+        Li = BivariateSeries.from_univariate(L.inv(), cap)
+        power = _powers(Li, Li)
+        tail = sum_product(lambda j, room: B.truncate(room) - power(room), order)
+        bm1 = B - _one(B, order)
         return B + (bm1 * bm1) * tail
     # product form: B * sum_k prod_j [L (B L^{j-1} - 1)^2]
-    st = [_bv_one(order, cap)]
+    Lb = BivariateSeries.from_univariate(L, cap)
+    power = _powers(_one(B, order), Lb)
 
     def factor(j, room):
-        pjm1 = st[0].truncate(room)
-        st[0] = pjm1 * Lb.truncate(room)
-        f = B.truncate(room) * pjm1 - _bv_one(room, cap)
+        f = B.truncate(room) * power(room) - _one(B, room)
         return Lb.truncate(room) * (f * f)
 
-    return B * sum_product(factor, order, bivariate=True, cap=cap)
+    return B * sum_product(factor, order)
 
 
 def _self_dual_stat(spec, order, marker, stat):
-    cap = marker.cap
     if stat == "ones":
         B1 = lambda_atom(spec, order, marker, "ones")
-        B2 = lambda_atom(spec, order, marker, "ones-sq")
-        st = [_bv_one(order, cap)]
-
-        def factor(j, room):
-            p = st[0].truncate(room) * B2.truncate(room)
-            st[0] = p
-            return B1.truncate(room) * (p - _bv_one(room, cap))
-
-        return B1 * sum_product(factor, order, bivariate=True, cap=cap)
+        return _self_dual_sum(B1, lambda_atom(spec, order, marker, "ones-sq"), order)
     # first_row / diagonal: B(vz) * sum_k prod_j [L (A L2^{j-1} - 1)]
+    cap = marker.cap
     inner = "size-sq" if stat == "first_row" else "size-double"
     B = lambda_atom(spec, order, marker, "size")
     A = lambda_atom(spec, order, marker, inner)
     L = lambda_series(spec, order)
-    Lb = _lift(L, cap)
-    L2 = _lift(L.substitute_power(2), cap)
-    st = [_bv_one(order, cap)]
+    Lb = BivariateSeries.from_univariate(L, cap)
+    L2 = BivariateSeries.from_univariate(L.substitute_power(2), cap)
+    power = _powers(_one(B, order), L2)
 
     def factor(j, room):
-        pjm1 = st[0].truncate(room)
-        st[0] = pjm1 * L2.truncate(room)
-        f = A.truncate(room) * pjm1 - _bv_one(room, cap)
+        f = A.truncate(room) * power(room) - _one(B, room)
         return Lb.truncate(room) * f
 
-    return B * sum_product(factor, order, bivariate=True, cap=cap)
+    return B * sum_product(factor, order)
 
 
 def stat_gf(
@@ -476,15 +448,13 @@ def stat_gf(
     if stat == "ones" and spec.weight(1) == 0:
         raise ValueError("marking 1s requires the value 1 in the multiset")
     marker = marker if marker is not None else monomial_marker()
-    cap = marker.cap
 
     if family == "row-fishburn":
         if stat == "first_row":
             return _row_first_row(spec, order, marker)
         if stat == "diagonal":
             return _row_diagonal(spec, order, marker)
-        B = lambda_atom(spec, order, marker, stat)
-        return _bv_row(B, order, cap)
+        return _row_sum(lambda_atom(spec, order, marker, stat), order)
 
     if family == "fishburn":
         if stat == "first_row":
@@ -492,9 +462,7 @@ def stat_gf(
         if stat == "diagonal":
             return _fishburn_diagonal(spec, order, marker, form)
         B = lambda_atom(spec, order, marker, stat)
-        if form == "direct":
-            return _bv_fishburn_direct(B, order, cap)
-        return _bv_fishburn_andrews(B, order, cap)
+        return _direct_sum(B, order) if form == "direct" else _andrews_sum(B, order)
 
     # self-dual
     if stat == "twos":
@@ -532,26 +500,10 @@ def recursive_gf(kind: str, order: int) -> TruncatedSeries:
 
     if kind == "A186737":
         def phi(g):
-            base = one + x * g
-            st = [one]
-
-            def factor(j, room):
-                p = st[0].truncate(room) * base.truncate(room)
-                st[0] = p
-                return p - TruncatedSeries.one(room)
-
-            return sum_product(factor, order)
+            return _row_sum(one + x * g, order)
     elif kind == "A224885":
         def phi(g):
-            st = [one]
-
-            def factor(j, room):
-                p = st[0].truncate(room) * g.truncate(room)
-                st[0] = p
-                return p - TruncatedSeries.one(room)
-
-            s = sum_product(factor, order)
-            return one + x + s - g
+            return one + x + _row_sum(g, order) - g
     else:
         raise ValueError(f"unknown recursive kind {kind!r}")
 
@@ -589,39 +541,32 @@ def _one_minus_z(order: int) -> TruncatedSeries:
 
 def _variant_A207652(order: int) -> TruncatedSeries:
     opz = _binomial_series(order)
-    st = [TruncatedSeries.one(order)]
-
-    def factor(j, room):
-        p = st[0].truncate(room) * opz.truncate(room)
-        st[0] = p
-        return (p - TruncatedSeries.one(room)) * _indicator_inverse(j, room)
-
-    return sum_product(factor, order)
+    power = _powers(opz, opz)
+    return sum_product(
+        lambda j, room: (power(room) - TruncatedSeries.one(room))
+        * _indicator_inverse(j, room),
+        order,
+    )
 
 
 def _variant_A207653(order: int) -> TruncatedSeries:
     omz = _one_minus_z(order)
-    omz_sq = omz * omz
-    st = [None]
-
-    def factor(j, room):
-        p = omz.truncate(room) if j == 1 else st[0].truncate(room) * omz_sq.truncate(room)
-        st[0] = p  # (1-z)^{2j-1}
-        return (TruncatedSeries.one(room) - p) * _indicator_inverse(2 * j - 1, room)
-
-    return sum_product(factor, order)
+    power = _powers(omz, omz * omz)  # (1-z)^{2j-1}
+    return sum_product(
+        lambda j, room: (TruncatedSeries.one(room) - power(room))
+        * _indicator_inverse(2 * j - 1, room),
+        order,
+    )
 
 
 def _variant_A207651(order: int) -> TruncatedSeries:
     omz = _one_minus_z(order)
-    st = [TruncatedSeries.one(order)]
-
-    def factor(j, room):
-        p = st[0].truncate(room) * omz.truncate(room)
-        st[0] = p
-        return (TruncatedSeries.one(room) - p) * _indicator_inverse(j, room)
-
-    return sum_product(factor, order)
+    power = _powers(omz, omz)
+    return sum_product(
+        lambda j, room: (TruncatedSeries.one(room) - power(room))
+        * _indicator_inverse(j, room),
+        order,
+    )
 
 
 def _variant_A035378(order: int) -> TruncatedSeries:
@@ -633,47 +578,35 @@ def _variant_A035378(order: int) -> TruncatedSeries:
     2 - (z-1)^{2K+1}.
     """
     zm1 = TruncatedSeries([-1, 1] + [0] * max(0, order - 1), order)
-    zm1_sq = zm1 * zm1
     two = TruncatedSeries.constant(2, order)
-    dp = [zm1]
-
-    def dpart(K):
-        if K > 0:
-            dp[0] = dp[0] * zm1_sq
-        return two - dp[0]
-
-    st = [TruncatedSeries.one(order)]
+    odd_power = _powers(zm1, zm1 * zm1)  # (z-1)^{2K+1}
+    power = _powers(zm1, zm1)
 
     def factor(i, room):
-        a = st[0].truncate(room) * zm1.truncate(room)   # (z-1)^{2i-1}
-        b = a * zm1.truncate(room)                       # (z-1)^{2i}
-        st[0] = b
+        a = power(room)  # (z-1)^{2i-1}
+        b = power(room)  # (z-1)^{2i}
         one = TruncatedSeries.one(room)
         return (one - a) * (one - b)
 
-    return sum_product(factor, order, dpart=dpart)
+    return sum_product(factor, order, dpart=lambda K: two - odd_power(order))
 
 
 def _variant_A035378_inverted(order: int) -> TruncatedSeries:
     """sum_k (z-1)^{-k-1} prod_{1<=j<=k} (1 - (z-1)^{-j})^2, paired likewise."""
     w = -TruncatedSeries.geometric(order)  # (z-1)^{-1}
-    w_sq = w * w
-    dp = [w]
+    odd_power = _powers(w, w * w)
 
     def dpart(K):
-        if K > 0:
-            dp[0] = dp[0] * w_sq
-        p = dp[0]  # (z-1)^{-(2K+1)}
+        p = odd_power(order)  # (z-1)^{-(2K+1)}
         one = TruncatedSeries.one(order)
         q = one - p
         return p * (one + w * (q * q))
 
-    st = [TruncatedSeries.one(order)]
+    power = _powers(w, w)
 
     def factor(i, room):
-        a = st[0].truncate(room) * w.truncate(room)  # (z-1)^{-(2i-1)}
-        b = a * w.truncate(room)                     # (z-1)^{-2i}
-        st[0] = b
+        a = power(room)  # (z-1)^{-(2i-1)}
+        b = power(room)  # (z-1)^{-2i}
         one = TruncatedSeries.one(room)
         fa = one - a
         fb = one - b
@@ -689,23 +622,19 @@ def _variant_A035378_paired(order: int) -> TruncatedSeries:
     residual (-1)^j from the inverted-series factors.)
     """
     u = TruncatedSeries.geometric(order)
-    u_sq = u * u
     one_full = TruncatedSeries.one(order)
-    dp = [u]
+    odd_power = _powers(u, u * u)
 
     def dpart(K):
-        if K > 0:
-            dp[0] = dp[0] * u_sq
-        p = dp[0]  # u^{2K+1}
+        p = odd_power(order)  # u^{2K+1}
         q = one_full + p
         return p * (u * (q * q) - one_full)
 
-    st = [TruncatedSeries.one(order)]
+    power = _powers(u, u)
 
     def factor(i, room):
-        a = st[0].truncate(room) * u.truncate(room)  # u^{2i-1}
-        b = a * u.truncate(room)                     # u^{2i}
-        st[0] = b
+        a = power(room)  # u^{2i-1}
+        b = power(room)  # u^{2i}
         one = TruncatedSeries.one(room)
         fa = a + one
         fb = b - one
@@ -721,15 +650,8 @@ def _variant_A207557(order: int) -> TruncatedSeries:
     factor_j = (1+z) - (1+z)^{2-2j}.
     """
     opz = _binomial_series(order)
-    inv_sq = opz.inv().pow(2)
-    st = [TruncatedSeries.one(order)]
-
-    def factor(j, room):
-        p = st[0].truncate(room)  # (1+z)^{2-2j}
-        st[0] = p * inv_sq.truncate(room)
-        return opz.truncate(room) - p
-
-    return sum_product(factor, order)
+    power = _powers(TruncatedSeries.one(order), opz.inv().pow(2))  # (1+z)^{2-2j}
+    return sum_product(lambda j, room: opz.truncate(room) - power(room), order)
 
 
 def _variant_A207557_rf(order: int) -> TruncatedSeries:
@@ -739,12 +661,10 @@ def _variant_A207557_rf(order: int) -> TruncatedSeries:
     m = order + 1
     opz = _binomial_series(m)
     opz_sq = opz * opz
-    st = [None]
+    power = _powers(opz, opz_sq)  # (1+z)^{2j-1}
 
     def factor(j, room):
-        p = opz.truncate(room) if j == 1 else st[0].truncate(room) * opz_sq.truncate(room)
-        st[0] = p  # (1+z)^{2j-1}
-        f = p - TruncatedSeries.one(room)
+        f = power(room) - TruncatedSeries.one(room)
         return opz_sq.truncate(room) * (f * f)
 
     s = opz * sum_product(factor, m) - opz  # k >= 1 only
@@ -756,11 +676,6 @@ def _bernoulli_egf(order: int) -> TruncatedSeries:
     e = exp_linear(1, order + 1)
     num = (e - TruncatedSeries.one(order + 1)).shift_down(1)
     return num.inv()
-
-
-def _labeled_kernel(factor_of, order, prefix=None):
-    out = sum_product(factor_of, order)
-    return prefix * out if prefix is not None else out
 
 
 def _variant_A158690_form(order: int, form: int) -> TruncatedSeries:
@@ -834,30 +749,16 @@ def r_at_exp_neg(order: int) -> TruncatedSeries:
 def r_at_one_minus(order: int) -> TruncatedSeries:
     """R(1-z) via 1 + (1-z) sum_k prod_j ((1-z)^{j+1} - (1-z))."""
     omz = _one_minus_z(order)
-    st = [omz]
-
-    def factor(j, room):
-        p = st[0].truncate(room) * omz.truncate(room)  # (1-z)^{j+1}
-        st[0] = p
-        return p - omz.truncate(room)
-
-    return TruncatedSeries.one(order) + omz * sum_product(factor, order)
+    power = _powers(omz * omz, omz)  # (1-z)^{j+1}
+    return TruncatedSeries.one(order) + omz * sum_product(
+        lambda j, room: power(room) - omz.truncate(room), order
+    )
 
 
 def _power_schedule_family(order, base, step_exponent, first_exponent):
     """sum_k prod_{1<=j<=k} (base^{step*j - shift} - 1) for integer schedules."""
-    stepper = base.pow(step_exponent)
-    st = [None]
-
-    def factor(j, room):
-        if j == 1:
-            p = base.pow(first_exponent).truncate(room)
-        else:
-            p = st[0].truncate(room) * stepper.truncate(room)
-        st[0] = p
-        return p - TruncatedSeries.one(room)
-
-    return sum_product(factor, order)
+    power = _powers(base.pow(first_exponent), base.pow(step_exponent))
+    return sum_product(lambda j, room: power(room) - TruncatedSeries.one(room), order)
 
 
 def _variant_table_egf(order: int, which: str) -> TruncatedSeries:
@@ -907,14 +808,8 @@ def _variant_ordinary(order: int, which: str) -> TruncatedSeries:
         base = opz * _indicator_inverse(2, order, alternating=True)
         return _power_schedule_family(order, base, 1, 1)
     if which == "A207556":
-        st = [opz]
-
-        def factor(j, room):
-            p = st[0].truncate(room) * opz.truncate(room)  # (1+z)^{j+1}
-            st[0] = p
-            return p - opz.truncate(room)
-
-        return sum_product(factor, order)
+        power = _powers(opz * opz, opz)  # (1+z)^{j+1}
+        return sum_product(lambda j, room: power(room) - opz.truncate(room), order)
     if which == "A207569":
         return _power_schedule_family(order, opz, 2, 1)
     if which == "A207570":
@@ -1042,10 +937,8 @@ def _triangle_terms(family: str, stat: str, spec: LambdaSpec, count: int) -> lis
     return out[:count]
 
 
-_TWO_EACH = "two-of-each"  # weight series (1+z)/(1-z): every value twice
-
-
 def _two_each_series(order: int) -> TruncatedSeries:
+    """The weight series (1+z)/(1-z): every positive value twice."""
     return TruncatedSeries([1] + [2] * order, order)
 
 

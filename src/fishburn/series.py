@@ -587,7 +587,7 @@ def _bv_mul_into(a: BivariateSeries, b: BivariateSeries, order: int) -> Bivariat
 # The sum-of-finite-products kernel
 # ---------------------------------------------------------------------------
 
-def sum_product(factor, order: int, dpart=None, bivariate: bool = False, cap=None):
+def sum_product(factor, order: int, dpart=None):
     """Sum over k >= 0 of dpart(k) * prod_{1<=j<=k} factor(j), truncated.
 
     factor(j, m) must return the j-th factor as a series of order m (m shrinks
@@ -597,11 +597,16 @@ def sum_product(factor, order: int, dpart=None, bivariate: bool = False, cap=Non
     stops by k = order+1.  dpart(k), when given, is the k-dependent prefactor
     (think d(z)^{k+omega0}) at full order with nonzero constant term.
 
-    Works for both carrier types; pass bivariate=True (and the marking cap)
-    when the factors are BivariateSeries.
+    Works for both carrier types.  The first factor is always requested, as
+    factor(1, order), even when order is 0; its type (TruncatedSeries or
+    BivariateSeries) and, for a bivariate factor, its marking cap set the
+    carrier and the cap of the result.
     """
-    S = BivariateSeries if bivariate else TruncatedSeries
-    one = S.one(order, cap) if bivariate else S.one(order)
+    first = factor(1, order)
+    if isinstance(first, BivariateSeries):
+        one, mul = BivariateSeries.one(order, first.cap), _bv_mul_into
+    else:
+        one, mul = TruncatedSeries.one(order), _mul_into
     acc = one if dpart is None else dpart(0)
     prod = one
     k = 0
@@ -610,15 +615,12 @@ def sum_product(factor, order: int, dpart=None, bivariate: bool = False, cap=Non
         room = order - prod.valuation()
         if room < 1:
             break
-        f = factor(k, room)
+        f = first if k == 1 else factor(k, room)
         if f.valuation() < 1:
             raise ValueError(
                 f"factor {k} has nonzero constant term; the sum would not terminate"
             )
-        if bivariate:
-            prod = _bv_mul_into(prod, f, order)
-        else:
-            prod = _mul_into(prod, f, order)
+        prod = mul(prod, f, order)
         if prod.valuation() > order:
             break
         term = prod if dpart is None else dpart(k) * prod

@@ -407,5 +407,4 @@ class TestPlumbing:
         config = RunConfig(command="verify")
         assert config.fmt == "table"
         assert config.digits == 12
-        assert config.offline
         assert config.entries == ALL

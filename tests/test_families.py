@@ -4,7 +4,9 @@ from math import factorial
 
 from hypothesis import given, settings, strategies as st
 
+import fishburn.series as series
 from fishburn.series import (
+    BivariateSeries,
     TruncatedSeries,
     bernoulli_numbers,
     exp_linear,
@@ -131,6 +133,14 @@ class TestLambdaSpec:
         assert LambdaSpec("custom", (0, 0, 5)).smallest_entry() == 3
         assert LambdaSpec("custom", ()).smallest_entry() is None
 
+    @pytest.mark.parametrize(
+        "spec", [LambdaSpec(t) for t in ("all", "01", "012", "odd", "even+", "no1")]
+        + [LambdaSpec("custom", w) for w in ((), (0, 1), (0, 2, 0, 0, 1), (1, 1))],
+    )
+    def test_smallest_odd_entry(self, spec):
+        odd = [i for i in range(1, 200, 2) if spec.weight(i)]
+        assert spec.smallest_odd_entry() == (odd[0] if odd else None)
+
     def test_series_matches_weights(self):
         sp = LambdaSpec("custom", (2, 0, 1))
         assert lambda_series(sp, 5).coeffs == (1, 2, 0, 1, 0, 0)
@@ -221,6 +231,59 @@ class TestStatSeries:
         # 3+2 of dim 2 (first row 2 resp. 1), 6 of dim 3 (first row 1)
         g = stat_profile("row-fishburn", "first_row", ALL, 3)
         assert [int(g.coeff_vm(3, k)) for k in range(4)] == [0, 8, 3, 1]
+
+
+STAT_CASES = [
+    (fam, stat, form)
+    for fam in ("row-fishburn", "fishburn", "self-dual")
+    for stat in ("first_row", "diagonal", "ones", "twos")
+    for form in (("product", "direct") if fam == "fishburn" else ("product",))
+    if not (fam == "self-dual" and stat == "twos")
+]
+
+
+class TestOrderZero:
+    @pytest.mark.parametrize("family,stat,form", STAT_CASES)
+    @pytest.mark.parametrize("marker", [monomial_marker(), jet_marker(2)])
+    def test_stat_gf(self, family, stat, form, marker):
+        g = stat_gf(family, stat, ALL, 0, marker, form)
+        assert g == BivariateSeries.one(0, marker.cap)
+
+    @pytest.mark.parametrize("family", ["row-fishburn", "fishburn", "self-dual"])
+    def test_family_gf(self, family):
+        assert family_gf(family, ALL, 0) == TruncatedSeries.one(0)
+
+
+# Bivariate products per stat_gf(family, stat, ALL, 30) with the monomial
+# marker before the builders shared one running-power helper.  A builder that
+# needs more has started to carry a marked (dense) running power.
+BV_PRODUCTS_AT_30 = {
+    ("row-fishburn", "first_row"): 91,
+    ("row-fishburn", "diagonal"): 90,
+    ("row-fishburn", "ones"): 60,
+    ("row-fishburn", "twos"): 60,
+    ("fishburn", "first_row"): 76,
+    ("fishburn", "diagonal"): 76,
+    ("fishburn", "ones"): 61,
+    ("fishburn", "twos"): 61,
+    ("self-dual", "first_row"): 61,
+    ("self-dual", "diagonal"): 61,
+    ("self-dual", "ones"): 46,
+}
+
+
+@pytest.mark.parametrize("family,stat", sorted(BV_PRODUCTS_AT_30))
+def test_bivariate_products_do_not_grow(family, stat, monkeypatch):
+    calls = [0]
+    kernel = series._bv_mul_into
+
+    def counting(a, b, order):
+        calls[0] += 1
+        return kernel(a, b, order)
+
+    monkeypatch.setattr(series, "_bv_mul_into", counting)
+    stat_gf(family, stat, ALL, 30, monomial_marker())
+    assert 0 < calls[0] <= BV_PRODUCTS_AT_30[family, stat]
 
 
 TABLE_FIRST_ROW = {

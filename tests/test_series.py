@@ -226,6 +226,22 @@ class TestSumProduct:
         with pytest.raises(ValueError, match="nonzero constant term"):
             sum_product(lambda j, m: TruncatedSeries.one(m), 5)
 
+    def test_bivariate_carrier_and_cap_come_from_the_factors(self):
+        # sum_k (z(1+v))^k with the jet capped at v^2: z^n carries (1, n, C(n,2))
+        f = sum_product(lambda j, m: BivariateSeries([(), (1, 1)], m, 2), 6)
+        assert isinstance(f, BivariateSeries)
+        assert f.cap == 2
+        assert [f.coeff(n) for n in range(7)] == [
+            (1,), (1, 1), (1, 2, 1), (1, 3, 3), (1, 4, 6), (1, 5, 10), (1, 6, 15)
+        ]
+
+    def test_order_zero_keeps_the_carrier(self):
+        assert sum_product(lambda j, m: TruncatedSeries.zero(m), 0) == (
+            TruncatedSeries.one(0)
+        )
+        f = sum_product(lambda j, m: BivariateSeries.zero(m, 2), 0)
+        assert f == BivariateSeries.one(0, 2)
+
     def test_dpart_prefactor(self):
         # sum_k 2^k z^k = 1/(1-2z) with dpart(k)=2^k, factor z
         f = sum_product(
