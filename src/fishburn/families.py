@@ -18,8 +18,11 @@ never folded into the power: it multiplies the unmarked power afresh at each
 step, because a monomial-marked power fills every v-degree of every
 z-coefficient, and products on those dense polynomials cost more than the
 ones saved.  The row, Andrews, direct and self-dual sums are written once for
-both carriers: a weight series gives the counting series, a marked atom its
-statistic refinement.
+every carrier: a weight series gives the counting series, a marked atom its
+statistic refinement.  The marker passed to ``stat_gf`` picks the carrier of
+the refinement -- BivariateSeries for full distributions, Jet for moment
+jets -- and builds its atoms and lifted weight series; ``sum_product`` and
+``_one`` then take the carrier from the series they are handed.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from typing import Callable, Optional, Union
 
 from .series import (
     BivariateSeries,
+    Jet,
     Marker,
     TruncatedSeries,
     exp_linear,
@@ -179,13 +183,16 @@ def _as_series(lam: LambdaLike, order: int) -> TruncatedSeries:
 # Running powers and the carrier-generic sums
 # ---------------------------------------------------------------------------
 
-Series = Union[TruncatedSeries, BivariateSeries]
+Marked = Union[BivariateSeries, Jet]
+Series = Union[TruncatedSeries, Marked]
 
 
 def _one(like: Series, room: int) -> Series:
-    """The series 1 at order `room`, in the carrier (and marking cap) of `like`."""
+    """The series 1 at order `room`, in the carrier (and jet depth) of `like`."""
+    if isinstance(like, Jet):
+        return Jet.one(room, like.depth)
     if isinstance(like, BivariateSeries):
-        return BivariateSeries.one(room, like.cap)
+        return BivariateSeries.one(room)
     return TruncatedSeries.one(room)
 
 
@@ -308,7 +315,7 @@ _ATOM_KINDS = {
 
 def lambda_atom(
     spec: LambdaSpec, order: int, marker: Marker, kind: str = "size"
-) -> BivariateSeries:
+) -> Marked:
     """The weight series with entries marked in v according to `kind`."""
     try:
         z_stretch, v_exp = _ATOM_KINDS[kind]
@@ -322,7 +329,7 @@ def lambda_atom(
         if w:
             rows[i * z_stretch] = tuple(w * c for c in marker.v_power(v_exp(i)))
         i += 1
-    return BivariateSeries(rows, order, marker.cap)
+    return marker.series(rows, order)
 
 
 # ---------------------------------------------------------------------------
@@ -332,21 +339,20 @@ def lambda_atom(
 def _row_first_row(spec, order, marker):
     # 1 + sum_k (B^{k+1} - 1) prod_j (L^j - 1)  with B = L(vz); the B^{k+1}
     # part is folded as B * sum_k prod_j [B (L^j - 1)] minus the plain series.
-    cap = marker.cap
     B = lambda_atom(spec, order, marker, "size")
-    Lb = BivariateSeries.from_univariate(lambda_series(spec, order), cap)
+    Lb = marker.lift(lambda_series(spec, order))
     power = _powers(Lb, Lb)
     marked = B * sum_product(
         lambda j, room: B.truncate(room) * (power(room) - _one(B, room)), order
     )
-    plain = BivariateSeries.from_univariate(row_fishburn_gf(spec, order), cap)
+    plain = marker.lift(row_fishburn_gf(spec, order))
     return _one(B, order) + marked - plain
 
 
 def _row_diagonal(spec, order, marker):
     # sum_k prod_{1<=j<=k} (B L^{j-1} - 1)
     B = lambda_atom(spec, order, marker, "size")
-    Lb = BivariateSeries.from_univariate(lambda_series(spec, order), marker.cap)
+    Lb = marker.lift(lambda_series(spec, order))
     power = _powers(_one(B, order), Lb)
     return sum_product(
         lambda j, room: B.truncate(room) * power(room) - _one(B, room), order
@@ -354,19 +360,18 @@ def _row_diagonal(spec, order, marker):
 
 
 def _fishburn_first_row(spec, order, marker, form):
-    cap = marker.cap
     B = lambda_atom(spec, order, marker, "size")
     L = lambda_series(spec, order)
     if form == "direct":
         # sum_k prod_j (1 - B^{-1} L^{1-j})
         Bi = B.inv()
-        power = _powers(_one(B, order), BivariateSeries.from_univariate(L.inv(), cap))
+        power = _powers(_one(B, order), marker.lift(L.inv()))
         return sum_product(
             lambda j, room: _one(B, room) - Bi.truncate(room) * power(room), order
         )
     # product form: B * sum_k prod_j [L (B L^{j-1} - 1)(L^j - 1)]; the factor
     # needs L^{j-1} and L^j together, so it keeps its own running power.
-    Lb = BivariateSeries.from_univariate(L, cap)
+    Lb = marker.lift(L)
     st = [_one(B, order)]
 
     def factor(j, room):
@@ -381,18 +386,17 @@ def _fishburn_first_row(spec, order, marker, form):
 
 
 def _fishburn_diagonal(spec, order, marker, form):
-    cap = marker.cap
     B = lambda_atom(spec, order, marker, "size")
     L = lambda_series(spec, order)
     if form == "direct":
         # B + (B - 1)^2 sum_k prod_j (B - L^{-j})
-        Li = BivariateSeries.from_univariate(L.inv(), cap)
+        Li = marker.lift(L.inv())
         power = _powers(Li, Li)
         tail = sum_product(lambda j, room: B.truncate(room) - power(room), order)
         bm1 = B - _one(B, order)
         return B + (bm1 * bm1) * tail
     # product form: B * sum_k prod_j [L (B L^{j-1} - 1)^2]
-    Lb = BivariateSeries.from_univariate(L, cap)
+    Lb = marker.lift(L)
     power = _powers(_one(B, order), Lb)
 
     def factor(j, room):
@@ -407,13 +411,12 @@ def _self_dual_stat(spec, order, marker, stat):
         B1 = lambda_atom(spec, order, marker, "ones")
         return _self_dual_sum(B1, lambda_atom(spec, order, marker, "ones-sq"), order)
     # first_row / diagonal: B(vz) * sum_k prod_j [L (A L2^{j-1} - 1)]
-    cap = marker.cap
     inner = "size-sq" if stat == "first_row" else "size-double"
     B = lambda_atom(spec, order, marker, "size")
     A = lambda_atom(spec, order, marker, inner)
     L = lambda_series(spec, order)
-    Lb = BivariateSeries.from_univariate(L, cap)
-    L2 = BivariateSeries.from_univariate(L.substitute_power(2), cap)
+    Lb = marker.lift(L)
+    L2 = marker.lift(L.substitute_power(2))
     power = _powers(_one(B, order), L2)
 
     def factor(j, room):
@@ -430,10 +433,12 @@ def stat_gf(
     order: int,
     marker: Optional[Marker] = None,
     form: str = "product",
-) -> BivariateSeries:
-    """Bivariate series with z marking size and v marking the statistic.
+) -> Marked:
+    """Series with z marking size and v marking the statistic.
 
-    Setting v = 1 recovers the family series.  `form='direct'` selects the
+    The marker picks the carrier: BivariateSeries for the monomial marker
+    (the default), Jet for a jet marker.  Setting v = 1 recovers the family
+    series.  `form='direct'` selects the
     alternative (inverse-power) representation where one exists; it is only
     available for the complete family and is used to cross-check the default
     product representation.
@@ -479,7 +484,7 @@ def stat_profile(family: str, stat: str, spec: LambdaSpec, order: int) -> Bivari
 @lru_cache(maxsize=None)
 def stat_jet(
     family: str, stat: str, spec: LambdaSpec, order: int, depth: int = 2
-) -> BivariateSeries:
+) -> Jet:
     """Cached moment jet: v = 1 + eps truncated past eps^depth."""
     return stat_gf(family, stat, spec, order, jet_marker(depth))
 
@@ -532,11 +537,11 @@ def _indicator_inverse(period: int, room: int, alternating: bool = False) -> Tru
 
 
 def _binomial_series(order: int) -> TruncatedSeries:
-    return TruncatedSeries([1, 1] + [0] * max(0, order - 1), order)
+    return TruncatedSeries([1, 1][: order + 1], order)
 
 
 def _one_minus_z(order: int) -> TruncatedSeries:
-    return TruncatedSeries([1, -1] + [0] * max(0, order - 1), order)
+    return TruncatedSeries([1, -1][: order + 1], order)
 
 
 def _variant_A207652(order: int) -> TruncatedSeries:
@@ -577,7 +582,7 @@ def _variant_A035378(order: int) -> TruncatedSeries:
     (1-(z-1)^{2i-1})(1-(z-1)^{2i}) with the k-dependent prefactor
     2 - (z-1)^{2K+1}.
     """
-    zm1 = TruncatedSeries([-1, 1] + [0] * max(0, order - 1), order)
+    zm1 = TruncatedSeries([-1, 1][: order + 1], order)
     two = TruncatedSeries.constant(2, order)
     odd_power = _powers(zm1, zm1 * zm1)  # (z-1)^{2K+1}
     power = _powers(zm1, zm1)

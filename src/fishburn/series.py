@@ -1,7 +1,7 @@
 """Truncated formal power series over exact rationals.
 
 Everything downstream (generating functions, identity checks, enumeration
-cross-checks) runs on the two carrier types in this module:
+cross-checks) runs on the three carrier types in this module, one per job:
 
 * :class:`TruncatedSeries` -- a univariate series known exactly through a
   fixed order N.  Coefficients are `int` or `fractions.Fraction`; integer
@@ -9,12 +9,21 @@ cross-checks) runs on the two carrier types in this module:
   counting runs (hundreds of terms with two-hundred-digit coefficients).
 
 * :class:`BivariateSeries` -- the same thing with polynomial coefficients in
-  a marking variable v.  A "marker" decides what the atom v^i means: either a
-  genuine monomial (full distributions) or the jet (1+eps)^i truncated at a
-  small epsilon order (exact factorial moments without the full polynomial).
+  a marking variable v: full statistic distributions.
 
-Both types refuse to mix truncation orders silently: combining series of
-different orders raises, it never truncates behind your back.
+* :class:`Jet` -- a moment jet: v = 1 + eps with the eps-polynomials cut
+  after a small depth, held as depth + 1 univariate series.  It gives exact
+  factorial moments without the full polynomial, and its products run on the
+  univariate kernel.
+
+A :class:`Marker` picks the carrier of a marked series: ``monomial_marker``
+selects BivariateSeries, ``jet_marker`` selects Jet.  The marker lifts
+univariate series and builds marked atoms, so the statistic builders are
+written once for both.
+
+Every type refuses to mix truncation orders silently: combining series of
+different orders raises, it never truncates behind your back.  Combining
+different carriers, or jets of different depths, raises too.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ Coeff = Union[int, Fraction]
 __all__ = [
     "TruncatedSeries",
     "BivariateSeries",
+    "Jet",
     "Marker",
     "monomial_marker",
     "jet_marker",
@@ -50,6 +60,19 @@ def _check_same_order(a, b) -> None:
             f"mixed truncation orders: {a.order} vs {b.order}; "
             "truncate explicitly before combining"
         )
+
+
+def _power(base, k: int, one):
+    """base^k for k >= 0 by squaring from the top set bit of k, so that no
+    product by `one` is made: k = 1 costs no product and k = 2 costs one."""
+    if k == 0:
+        return one
+    result = base
+    for bit in bin(k)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * base
+    return result
 
 
 class TruncatedSeries:
@@ -83,7 +106,7 @@ class TruncatedSeries:
 
     @classmethod
     def x(cls, order: int) -> "TruncatedSeries":
-        return cls((0, 1), order)
+        return cls((0, 1)[: order + 1], order)
 
     @classmethod
     def geometric(cls, order: int) -> "TruncatedSeries":
@@ -215,15 +238,7 @@ class TruncatedSeries:
         """Integer power; negative k goes through inv()."""
         if k < 0:
             return self.inv().pow(-k)
-        result = TruncatedSeries.one(self.order)
-        base = self
-        e = k
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(self, k, TruncatedSeries.one(self.order))
 
     def __pow__(self, k: int) -> "TruncatedSeries":
         return self.pow(k)
@@ -360,38 +375,6 @@ def bernoulli_numbers(m: int) -> list[Fraction]:
 Poly = tuple  # v-polynomial, low degree first
 
 
-class Marker:
-    """How the marking variable enters: v_power(i) is the coefficient
-    polynomial representing v^i, and cap is the polynomial truncation degree
-    (None = no cap)."""
-
-    __slots__ = ("cap", "_vp")
-
-    def __init__(self, cap, vp: Callable[[int], Poly]):
-        self.cap = cap
-        self._vp = vp
-
-    def v_power(self, i: int) -> Poly:
-        return self._vp(i)
-
-
-def monomial_marker() -> Marker:
-    """v^i is the honest monomial -- full distribution polynomials."""
-    return Marker(None, lambda i: (0,) * i + (1,))
-
-
-def jet_marker(depth: int = 2) -> Marker:
-    """v = 1 + eps truncated at eps^depth: coefficient t of v^i is C(i, t).
-
-    With depth 2 the z^n coefficient of a marked GF is
-    (total, sum of m*count_m, sum of C(m,2)*count_m), enough for exact mean
-    and variance without carrying degree-n polynomials.
-    """
-    if depth < 1:
-        raise ValueError("jet depth must be >= 1")
-    return Marker(depth, lambda i: tuple(comb(i, t) for t in range(depth + 1)))
-
-
 def _poly_trim(p: Sequence[Coeff]) -> Poly:
     i = len(p)
     while i > 0 and not p[i - 1]:
@@ -412,19 +395,14 @@ def _poly_neg(p: Poly) -> Poly:
     return tuple(-c for c in p)
 
 
-def _poly_mul(p: Poly, q: Poly, cap) -> Poly:
+def _poly_mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return ()
-    top = len(p) + len(q) - 2
-    if cap is not None:
-        top = min(top, cap)
-    out = [0] * (top + 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        if not a or i > top:
+        if not a:
             continue
-        jmax = min(len(q) - 1, top - i)
-        for j in range(jmax + 1):
-            b = q[j]
+        for j, b in enumerate(q):
             if b:
                 out[i + j] += a * b
     return _poly_trim(out)
@@ -434,40 +412,37 @@ class BivariateSeries:
     """Series in z with v-polynomial coefficients, truncated at `order` in z.
 
     coeffs[n] is the v-polynomial attached to z^n (low degree first, trailing
-    zeros trimmed).  `cap`, when set, truncates every polynomial degree (the
-    jet mode); arithmetic requires both operands to share order and cap.
+    zeros trimmed).  Arithmetic requires both operands to share the order.
     """
 
-    __slots__ = ("coeffs", "order", "cap")
+    __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs: Sequence[Sequence[Coeff]], order: int, cap=None):
+    def __init__(self, coeffs: Sequence[Sequence[Coeff]], order: int):
         cs = [_poly_trim(tuple(p)) for p in coeffs]
         if len(cs) > order + 1:
             raise ValueError("more coefficients than the truncation order admits")
         cs.extend([()] * (order + 1 - len(cs)))
         self.coeffs = tuple(cs)
         self.order = order
-        self.cap = cap
 
     @classmethod
-    def zero(cls, order: int, cap=None) -> "BivariateSeries":
-        return cls((), order, cap)
+    def zero(cls, order: int) -> "BivariateSeries":
+        return cls((), order)
 
     @classmethod
-    def one(cls, order: int, cap=None) -> "BivariateSeries":
-        return cls(((1,),), order, cap)
+    def one(cls, order: int) -> "BivariateSeries":
+        return cls(((1,),), order)
 
     @classmethod
-    def from_univariate(cls, f: TruncatedSeries, cap=None) -> "BivariateSeries":
-        return cls(tuple((c,) if c else () for c in f.coeffs), f.order, cap)
+    def from_univariate(cls, f: TruncatedSeries) -> "BivariateSeries":
+        return cls(tuple((c,) if c else () for c in f.coeffs), f.order)
 
-    def _check_compat(self, other: "BivariateSeries") -> None:
-        if self.order != other.order:
+    def _check_compat(self, other) -> None:
+        if not isinstance(other, BivariateSeries):
             raise ValueError(
-                f"mixed truncation orders: {self.order} vs {other.order}"
+                f"mixed carriers: BivariateSeries vs {type(other).__name__}"
             )
-        if self.cap != other.cap:
-            raise ValueError("mixed marking caps")
+        _check_same_order(self, other)
 
     def valuation(self) -> int:
         for i, p in enumerate(self.coeffs):
@@ -487,9 +462,7 @@ class BivariateSeries:
     def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
         self._check_compat(other)
         return BivariateSeries(
-            [_poly_add(p, q) for p, q in zip(self.coeffs, other.coeffs)],
-            self.order,
-            self.cap,
+            [_poly_add(p, q) for p, q in zip(self.coeffs, other.coeffs)], self.order
         )
 
     def __sub__(self, other: "BivariateSeries") -> "BivariateSeries":
@@ -497,13 +470,10 @@ class BivariateSeries:
         return BivariateSeries(
             [_poly_add(p, _poly_neg(q)) for p, q in zip(self.coeffs, other.coeffs)],
             self.order,
-            self.cap,
         )
 
     def __neg__(self) -> "BivariateSeries":
-        return BivariateSeries(
-            [_poly_neg(p) for p in self.coeffs], self.order, self.cap
-        )
+        return BivariateSeries([_poly_neg(p) for p in self.coeffs], self.order)
 
     def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
         self._check_compat(other)
@@ -512,27 +482,15 @@ class BivariateSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BivariateSeries):
             return NotImplemented
-        return (
-            self.order == other.order
-            and self.cap == other.cap
-            and self.coeffs == other.coeffs
-        )
+        return self.order == other.order and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.order, self.cap, self.coeffs))
+        return hash((self.order, self.coeffs))
 
     def pow(self, k: int) -> "BivariateSeries":
         if k < 0:
             raise ValueError("negative bivariate powers are not needed; invert first")
-        result = BivariateSeries.one(self.order, self.cap)
-        base = self
-        e = k
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(self, k, BivariateSeries.one(self.order))
 
     def inv(self) -> "BivariateSeries":
         """Inverse when the z^0 coefficient is the constant polynomial 1."""
@@ -544,14 +502,14 @@ class BivariateSeries:
             for i in range(1, n + 1):
                 ai = self.coeffs[i]
                 if ai:
-                    s = _poly_add(s, _poly_mul(ai, out[n - i], self.cap))
+                    s = _poly_add(s, _poly_mul(ai, out[n - i]))
             out.append(_poly_neg(s))
-        return BivariateSeries(out, self.order, self.cap)
+        return BivariateSeries(out, self.order)
 
     def truncate(self, m: int) -> "BivariateSeries":
         if m > self.order:
             raise ValueError("cannot extend a truncated series; recompute instead")
-        return BivariateSeries(self.coeffs[: m + 1], m, self.cap)
+        return BivariateSeries(self.coeffs[: m + 1], m)
 
     def at_v_one(self) -> TruncatedSeries:
         """Collapse the marking variable: v = 1."""
@@ -566,12 +524,11 @@ class BivariateSeries:
 def _bv_mul_into(a: BivariateSeries, b: BivariateSeries, order: int) -> BivariateSeries:
     va, vb = a.valuation(), b.valuation()
     if va + vb > order:
-        return BivariateSeries.zero(order, a.cap)
+        return BivariateSeries.zero(order)
     if b.order < order and va + b.order < order:
         raise ValueError("factor truncated too short for this product")
     out: list[Poly] = [()] * (order + 1)
     btop = min(b.order, order)
-    cap = a.cap
     for i in range(va, order + 1 - vb):
         ai = a.coeffs[i]
         if not ai:
@@ -579,8 +536,183 @@ def _bv_mul_into(a: BivariateSeries, b: BivariateSeries, order: int) -> Bivariat
         for j in range(vb, min(btop, order - i) + 1):
             bj = b.coeffs[j]
             if bj:
-                out[i + j] = _poly_add(out[i + j], _poly_mul(ai, bj, cap))
-    return BivariateSeries(out, order, cap)
+                out[i + j] = _poly_add(out[i + j], _poly_mul(ai, bj))
+    return BivariateSeries(out, order)
+
+
+# ---------------------------------------------------------------------------
+# Moment jets
+# ---------------------------------------------------------------------------
+
+class Jet:
+    """A series in z whose coefficients are polynomials in eps cut after
+    eps^depth, held as depth + 1 univariate series of one order.
+
+    parts[t] carries the eps^t coefficients.  Marking with v = 1 + eps turns
+    v^i into sum_t C(i, t) eps^t, so the eps^t coefficient at z^n is
+    sum_m C(m, t) [v^m z^n]: factorial moments of the statistic without its
+    degree-n polynomial.  Arithmetic requires both operands to share the
+    order and the depth.
+    """
+
+    __slots__ = ("parts", "order", "depth")
+
+    def __init__(self, parts: Sequence[TruncatedSeries]):
+        parts = tuple(parts)
+        if not parts:
+            raise ValueError("a jet needs at least its eps^0 part")
+        for p in parts[1:]:
+            _check_same_order(parts[0], p)
+        self.parts = parts
+        self.order = parts[0].order
+        self.depth = len(parts) - 1
+
+    @classmethod
+    def one(cls, order: int, depth: int) -> "Jet":
+        return cls.from_univariate(TruncatedSeries.one(order), depth)
+
+    @classmethod
+    def from_univariate(cls, f: TruncatedSeries, depth: int) -> "Jet":
+        return cls((f,) + (TruncatedSeries.zero(f.order),) * depth)
+
+    def _check_compat(self, other) -> None:
+        if not isinstance(other, Jet):
+            raise ValueError(f"mixed carriers: Jet vs {type(other).__name__}")
+        _check_same_order(self, other)
+        if self.depth != other.depth:
+            raise ValueError(f"mixed jet depths: {self.depth} vs {other.depth}")
+
+    def valuation(self) -> int:
+        return min(p.valuation() for p in self.parts)
+
+    def coeff_vm(self, n: int, m: int) -> Coeff:
+        """The eps^m coefficient at z^n."""
+        if not 0 <= m <= self.depth:
+            raise IndexError(f"eps power {m} outside known range 0..{self.depth}")
+        return self.parts[m].coeff(n)
+
+    def __add__(self, other: "Jet") -> "Jet":
+        self._check_compat(other)
+        return Jet([p + q for p, q in zip(self.parts, other.parts)])
+
+    def __sub__(self, other: "Jet") -> "Jet":
+        self._check_compat(other)
+        return Jet([p - q for p, q in zip(self.parts, other.parts)])
+
+    def __mul__(self, other: "Jet") -> "Jet":
+        self._check_compat(other)
+        return _jet_mul_into(self, other, self.order)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Jet):
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self):
+        return hash(self.parts)
+
+    def inv(self) -> "Jet":
+        """Inverse when the eps^0 part is invertible, with u = 1/parts[0]:
+        c_0 = u and c_t = -u * sum_{q=1..t} parts[q] * c_{t-q}."""
+        u = self.parts[0].inv()
+        out = [u]
+        for t in range(1, self.depth + 1):
+            s = _convolve(self.parts[1 : t + 1], out[::-1], self.order)
+            out.append(-(u * s))
+        return Jet(out)
+
+    def truncate(self, m: int) -> "Jet":
+        return Jet([p.truncate(m) for p in self.parts])
+
+
+def _convolve(
+    a: Sequence[TruncatedSeries], b: Sequence[TruncatedSeries], order: int
+) -> TruncatedSeries:
+    """sum_s a[s] * b[s] at `order`, skipping zero series."""
+    acc = None
+    for x, y in zip(a, b):
+        if x.is_zero() or y.is_zero():
+            continue
+        p = _mul_into(x, y, order)
+        acc = p if acc is None else acc + p
+    return TruncatedSeries.zero(order) if acc is None else acc
+
+
+def _jet_mul_into(a: Jet, b: Jet, order: int) -> Jet:
+    """c_t = sum_{s<=t} a_s * b_{t-s}, each product truncated at `order`.
+
+    b may carry a smaller order than a, as _mul_into allows.
+    """
+    if a.depth != b.depth:
+        raise ValueError(f"mixed jet depths: {a.depth} vs {b.depth}")
+    return Jet(
+        [_convolve(a.parts[: t + 1], b.parts[t::-1], order) for t in range(a.depth + 1)]
+    )
+
+
+# ---------------------------------------------------------------------------
+# Markers: which carrier holds the marking variable
+# ---------------------------------------------------------------------------
+
+class Marker:
+    """How the marking variable v enters a marked series.
+
+    v_power(i) is the coefficient tuple that stands for v^i.  series(rows,
+    order) builds a series of the marker's carrier from one such tuple per
+    z-coefficient, and lift(f) embeds a univariate series in that carrier.
+    """
+
+    __slots__ = ("_vp", "_series", "_lift")
+
+    def __init__(
+        self,
+        vp: Callable[[int], Poly],
+        series: Callable[[Sequence[Poly], int], Union[BivariateSeries, Jet]],
+        lift: Callable[[TruncatedSeries], Union[BivariateSeries, Jet]],
+    ):
+        self._vp = vp
+        self._series = series
+        self._lift = lift
+
+    def v_power(self, i: int) -> Poly:
+        return self._vp(i)
+
+    def series(self, rows: Sequence[Poly], order: int) -> Union[BivariateSeries, Jet]:
+        return self._series(rows, order)
+
+    def lift(self, f: TruncatedSeries) -> Union[BivariateSeries, Jet]:
+        return self._lift(f)
+
+
+def monomial_marker() -> Marker:
+    """v^i is the honest monomial -- full distribution polynomials, carried
+    by BivariateSeries."""
+    return Marker(
+        lambda i: (0,) * i + (1,), BivariateSeries, BivariateSeries.from_univariate
+    )
+
+
+def jet_marker(depth: int = 2) -> Marker:
+    """v = 1 + eps truncated at eps^depth: coefficient t of v^i is C(i, t).
+
+    The carrier is Jet.  With depth 2 the z^n coefficient of a marked GF is
+    (total, sum of m*count_m, sum of C(m,2)*count_m), enough for exact mean
+    and variance without carrying degree-n polynomials.
+    """
+    if depth < 1:
+        raise ValueError("jet depth must be >= 1")
+
+    def series(rows, order):
+        return Jet(
+            TruncatedSeries([r[t] if t < len(r) else 0 for r in rows], order)
+            for t in range(depth + 1)
+        )
+
+    return Marker(
+        lambda i: tuple(comb(i, t) for t in range(depth + 1)),
+        series,
+        lambda f: Jet.from_univariate(f, depth),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -597,14 +729,16 @@ def sum_product(factor, order: int, dpart=None):
     stops by k = order+1.  dpart(k), when given, is the k-dependent prefactor
     (think d(z)^{k+omega0}) at full order with nonzero constant term.
 
-    Works for both carrier types.  The first factor is always requested, as
-    factor(1, order), even when order is 0; its type (TruncatedSeries or
-    BivariateSeries) and, for a bivariate factor, its marking cap set the
-    carrier and the cap of the result.
+    Works for every carrier type.  The first factor is always requested, as
+    factor(1, order), even when order is 0; its type (TruncatedSeries,
+    BivariateSeries or Jet) and, for a jet, its depth set the carrier of the
+    result.
     """
     first = factor(1, order)
-    if isinstance(first, BivariateSeries):
-        one, mul = BivariateSeries.one(order, first.cap), _bv_mul_into
+    if isinstance(first, Jet):
+        one, mul = Jet.one(order, first.depth), _jet_mul_into
+    elif isinstance(first, BivariateSeries):
+        one, mul = BivariateSeries.one(order), _bv_mul_into
     else:
         one, mul = TruncatedSeries.one(order), _mul_into
     acc = one if dpart is None else dpart(0)

@@ -1,12 +1,11 @@
 import pytest
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import fishburn.series as series
 from fishburn.series import (
-    BivariateSeries,
     TruncatedSeries,
     bernoulli_numbers,
     exp_linear,
@@ -33,10 +32,17 @@ from fishburn.families import (
     row_fishburn_gf,
     self_dual_gf,
     stat_gf,
+    stat_jet,
     stat_profile,
     variant_gf,
 )
-from fishburn.families import _bernoulli_egf, _two_each_series
+from fishburn.families import (
+    _VARIANT_BUILDERS,
+    _bernoulli_egf,
+    _two_each_series,
+    r_at_one_minus,
+    ramanujan_r,
+)
 
 
 # Known prefixes of the main counting sequences.
@@ -247,11 +253,40 @@ class TestOrderZero:
     @pytest.mark.parametrize("marker", [monomial_marker(), jet_marker(2)])
     def test_stat_gf(self, family, stat, form, marker):
         g = stat_gf(family, stat, ALL, 0, marker, form)
-        assert g == BivariateSeries.one(0, marker.cap)
+        assert g == marker.lift(TruncatedSeries.one(0))
 
     @pytest.mark.parametrize("family", ["row-fishburn", "fishburn", "self-dual"])
     def test_family_gf(self, family):
         assert family_gf(family, ALL, 0) == TruncatedSeries.one(0)
+
+    @pytest.mark.parametrize("kind", sorted(_VARIANT_BUILDERS))
+    def test_variant_gf(self, kind):
+        assert variant_gf(kind, 0) == variant_gf(kind, 4).truncate(0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: recursive_gf("A186737", n),
+            lambda n: recursive_gf("A224885", n),
+            ramanujan_r,
+            r_at_one_minus,
+        ],
+    )
+    def test_order_zero_constructors(self, build):
+        assert build(0) == build(4).truncate(0)
+
+    # A289312 is left out: at order 0 its weight series (1+z)/(1-z) is the
+    # constant 1, the empty multiset's, and fishburn_gf rejects it.
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "A003406", "A035378", "A186737", "A207386", "A207397", "A207556",
+            "A207557", "A207569", "A207570", "A207571", "A207651", "A207652",
+            "A207653", "A224885",
+        ],
+    )
+    def test_first_term_alone(self, name):
+        assert named_sequence(name, 1) == named_sequence(name, 5)[:1]
 
 
 # Bivariate products per stat_gf(family, stat, ALL, 30) with the monomial
@@ -284,6 +319,22 @@ def test_bivariate_products_do_not_grow(family, stat, monkeypatch):
     monkeypatch.setattr(series, "_bv_mul_into", counting)
     stat_gf(family, stat, ALL, 30, monomial_marker())
     assert 0 < calls[0] <= BV_PRODUCTS_AT_30[family, stat]
+
+
+def test_jets_make_no_bivariate_products(monkeypatch):
+    calls = {"_mul_into": 0, "_bv_mul_into": 0}
+    for name in calls:
+        kernel = getattr(series, name)
+
+        def counting(a, b, order, _name=name, _kernel=kernel):
+            calls[_name] += 1
+            return _kernel(a, b, order)
+
+        monkeypatch.setattr(series, name, counting)
+    for family, stat, form in STAT_CASES:
+        stat_gf(family, stat, ALL, 12, jet_marker(2), form)
+    assert calls["_bv_mul_into"] == 0
+    assert calls["_mul_into"] > 0
 
 
 TABLE_FIRST_ROW = {
@@ -447,6 +498,29 @@ def lambda_specs(draw):
 
 
 class TestInvariants:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(0, 2), min_size=1, max_size=4).filter(any),
+        st.sampled_from(STAT_CASES),
+        st.integers(min_value=0, max_value=10),
+    )
+    def test_jet_moments_match_profile(self, weights, case, order):
+        # eps^t at z^n of the depth-2 jet is sum_m C(m, t) [v^m z^n] profile
+        family, stat, form = case
+        assume(stat != "ones" or weights[0])
+        spec = LambdaSpec("custom", tuple(weights))
+        if form == "product":
+            jet = stat_jet(family, stat, spec, order, depth=2)
+        else:
+            jet = stat_gf(family, stat, spec, order, jet_marker(2), form)
+        prof = stat_profile(family, stat, spec, order)
+        for n in range(order + 1):
+            row = prof.coeff(n)
+            for t in range(3):
+                assert jet.coeff_vm(n, t) == sum(
+                    comb(m, t) * c for m, c in enumerate(row)
+                )
+
     @settings(max_examples=25, deadline=None)
     @given(lambda_specs(), st.integers(min_value=1, max_value=10))
     def test_row_counts_nonnegative_and_bounded(self, spec, n):

@@ -1,14 +1,16 @@
 """Unit and property tests for the truncated-series carriers."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fishburn.series as series
 from fishburn.series import (
     BivariateSeries,
+    Jet,
     TruncatedSeries,
     bernoulli_numbers,
     exp_linear,
@@ -59,6 +61,20 @@ class TestRingAxioms:
         for _ in range(abs(k)):
             expected = expected * base
         assert a.pow(k) == expected
+
+    @pytest.mark.parametrize("k,products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2)])
+    def test_pow_makes_no_product_by_one(self, k, products, monkeypatch):
+        calls = [0]
+        kernel = series._mul_into
+
+        def counting(a, b, order):
+            calls[0] += 1
+            return kernel(a, b, order)
+
+        monkeypatch.setattr(series, "_mul_into", counting)
+        a = TruncatedSeries([1, 2, -1], ORDER)
+        assert a.pow(k) is not None
+        assert calls[0] == products
 
     @given(series_st, series_st)
     @settings(max_examples=40)
@@ -178,20 +194,32 @@ class TestBivariate:
         m = jet_marker(2)
         # v^5 as a jet: (1+eps)^5 -> 1 + 5 eps + 10 eps^2
         assert m.v_power(5) == (1, 5, 10)
-        f = BivariateSeries([m.v_power(5)], 3, cap=2)
+        f = m.series([m.v_power(5)], 3)
+        assert isinstance(f, Jet) and f.depth == 2
         g = f * f  # v^10 -> 1 + 10 eps + 45 eps^2
-        assert g.coeff(0) == (1, 10, 45)
+        assert [g.coeff_vm(0, t) for t in range(3)] == [1, 10, 45]
+        with pytest.raises(IndexError):
+            g.coeff_vm(0, 3)
 
     def test_monomial_marker(self):
         m = monomial_marker()
         assert m.v_power(3) == (0, 0, 0, 1)
-        assert m.cap is None
+        # no cap: the full v-polynomial survives a product
+        f = m.series([m.v_power(3)], 3)
+        assert isinstance(f, BivariateSeries)
+        assert (f * f).coeff(0) == (0,) * 6 + (1,)
 
     def test_mixed_caps_raise(self):
-        a = BivariateSeries.one(3, cap=2)
+        a = Jet.one(3, 2)
         b = BivariateSeries.one(3)
-        with pytest.raises(ValueError, match="mixed marking caps"):
+        with pytest.raises(ValueError, match="mixed carriers"):
             a + b
+        with pytest.raises(ValueError, match="mixed carriers"):
+            b + a
+        with pytest.raises(ValueError, match="mixed jet depths"):
+            a + Jet.one(3, 3)
+        with pytest.raises(ValueError, match="mixed jet depths"):
+            a * Jet.one(3, 1)
 
     def test_inv(self):
         # 1 - v z has inverse sum v^n z^n
@@ -200,6 +228,56 @@ class TestBivariate:
         for n in range(6):
             assert g.coeff_vm(n, n) == 1
         assert (f * g) == BivariateSeries.one(5)
+
+
+poly_st = st.lists(st.integers(min_value=-3, max_value=3), max_size=4).map(tuple)
+bivariate_st = st.lists(poly_st, max_size=6).map(lambda ps: BivariateSeries(ps, 5))
+
+
+def _as_jet(f: BivariateSeries, depth: int) -> Jet:
+    """Substitute v = 1 + eps: the eps^t part at z^n is sum_m C(m, t) [v^m z^n]."""
+    return Jet(
+        TruncatedSeries(
+            [sum(comb(m, t) * c for m, c in enumerate(p)) for p in f.coeffs], f.order
+        )
+        for t in range(depth + 1)
+    )
+
+
+class TestJet:
+    @given(bivariate_st, bivariate_st, st.integers(min_value=1, max_value=3))
+    @settings(max_examples=40)
+    def test_ring_operations_commute_with_v_equals_one_plus_eps(self, a, b, depth):
+        ja, jb = _as_jet(a, depth), _as_jet(b, depth)
+        assert _as_jet(a + b, depth) == ja + jb
+        assert _as_jet(a - b, depth) == ja - jb
+        assert _as_jet(a * b, depth) == ja * jb
+
+    @given(bivariate_st, st.integers(min_value=1, max_value=3))
+    @settings(max_examples=40)
+    def test_inverse(self, a, depth):
+        a = BivariateSeries(((1,),) + a.coeffs[1:], a.order)
+        ja = _as_jet(a, depth)
+        assert ja.inv() == _as_jet(a.inv(), depth)
+        assert ja * ja.inv() == Jet.one(a.order, depth)
+
+    def test_inverse_needs_invertible_constant(self):
+        with pytest.raises(ZeroDivisionError):
+            Jet.from_univariate(TruncatedSeries.zero(3), 2).inv()
+
+    def test_truncate_and_valuation(self):
+        f = Jet([TruncatedSeries([0, 0, 1], 4), TruncatedSeries([0, 1], 4)])
+        assert f.valuation() == 1
+        assert f.truncate(2) == Jet(
+            [TruncatedSeries([0, 0, 1], 2), TruncatedSeries([0, 1], 2)]
+        )
+        assert Jet.from_univariate(TruncatedSeries.zero(4), 1).valuation() == 5
+
+    def test_mixed_orders_raise(self):
+        with pytest.raises(ValueError, match="mixed truncation orders"):
+            Jet.one(3, 2) + Jet.one(4, 2)
+        with pytest.raises(ValueError, match="mixed truncation orders"):
+            Jet([TruncatedSeries.one(3), TruncatedSeries.one(4)])
 
 
 class TestSumProduct:
@@ -227,20 +305,26 @@ class TestSumProduct:
             sum_product(lambda j, m: TruncatedSeries.one(m), 5)
 
     def test_bivariate_carrier_and_cap_come_from_the_factors(self):
-        # sum_k (z(1+v))^k with the jet capped at v^2: z^n carries (1, n, C(n,2))
-        f = sum_product(lambda j, m: BivariateSeries([(), (1, 1)], m, 2), 6)
-        assert isinstance(f, BivariateSeries)
-        assert f.cap == 2
-        assert [f.coeff(n) for n in range(7)] == [
-            (1,), (1, 1), (1, 2, 1), (1, 3, 3), (1, 4, 6), (1, 5, 10), (1, 6, 15)
+        # sum_k (z(1+eps))^k as a depth-2 jet: z^n carries (1, n, C(n,2))
+        z = TruncatedSeries.x
+        f = sum_product(lambda j, m: Jet([z(m), z(m), TruncatedSeries.zero(m)]), 6)
+        assert isinstance(f, Jet)
+        assert f.depth == 2
+        assert [tuple(f.coeff_vm(n, t) for t in range(3)) for n in range(7)] == [
+            (1, 0, 0), (1, 1, 0), (1, 2, 1), (1, 3, 3), (1, 4, 6), (1, 5, 10), (1, 6, 15)
         ]
+        g = sum_product(lambda j, m: BivariateSeries([(), (1, 1)], m), 6)
+        assert isinstance(g, BivariateSeries)
+        assert g.coeff(6) == tuple(comb(6, i) for i in range(7))
 
     def test_order_zero_keeps_the_carrier(self):
         assert sum_product(lambda j, m: TruncatedSeries.zero(m), 0) == (
             TruncatedSeries.one(0)
         )
-        f = sum_product(lambda j, m: BivariateSeries.zero(m, 2), 0)
-        assert f == BivariateSeries.one(0, 2)
+        f = sum_product(lambda j, m: Jet.from_univariate(TruncatedSeries.zero(m), 2), 0)
+        assert f == Jet.one(0, 2)
+        g = sum_product(lambda j, m: BivariateSeries.zero(m), 0)
+        assert g == BivariateSeries.one(0)
 
     def test_dpart_prefactor(self):
         # sum_k 2^k z^k = 1/(1-2z) with dpart(k)=2^k, factor z
