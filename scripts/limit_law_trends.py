@@ -16,24 +16,8 @@ import sys
 
 import mpmath as mp
 
-from fishburn import ALL, LambdaSpec, compare, distribution, limit_law_for
-
-CELLS = (
-    ("row-fishburn", "first_row", ALL),
-    ("row-fishburn", "diagonal", ALL),
-    ("row-fishburn", "ones", ALL),
-    ("row-fishburn", "twos", ALL),
-    ("fishburn", "first_row", ALL),
-    ("fishburn", "diagonal", ALL),
-    ("fishburn", "ones", ALL),
-    ("fishburn", "twos", ALL),
-    ("fishburn", "first_row", LambdaSpec("no1")),
-    ("fishburn", "diagonal", LambdaSpec("no1")),
-    ("fishburn", "twos", LambdaSpec("no1")),
-    ("self-dual", "first_row", ALL),
-    ("self-dual", "diagonal", ALL),
-    ("self-dual", "ones", ALL),
-)
+from fishburn import compare, distribution, limit_law_for
+from fishburn.checks import TREND_CELLS
 
 
 def main() -> int:
@@ -46,7 +30,7 @@ def main() -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["family", "stat", "entries", "n",
                      "sup_distance", "total_variation"])
-    for family, stat, lam in CELLS:
+    for family, stat, lam in TREND_CELLS:
         for n in sizes:
             dist = distribution(family, stat, lam, n)
             law = limit_law_for(family, stat, lam, n)

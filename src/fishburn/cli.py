@@ -20,16 +20,14 @@ import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import factorial
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import mpmath as mp
 
 from . import asymptotics, saddle
-from .asymptotics import AsymptoticForm, _mpf, named_form, ratio_sequence
+from .asymptotics import AsymptoticForm, _mpf, ratio_sequence
 from .distributions import (
-    DistributionTable,
     LimitLaw,
-    compare,
     distribution,
     histogram_rows,
     limit_law_for,
@@ -37,20 +35,12 @@ from .distributions import (
 )
 from .families import (
     ALL,
-    FAMILIES,
-    PRIMITIVE,
     STATS,
     LambdaSpec,
     canonical_family,
     family_series,
-    fishburn_numbers,
     labeled_numbers,
-    named_sequence,
-    stat_profile,
 )
-from .identities import identity_suite
-from .oeis import cross_check, fetch, fixture_ids
-from .oracle import enumerate_matrices, histogram
 
 _SERIES_BUDGET = 500
 _FORMATS = ("table", "csv", "json")
@@ -474,326 +464,20 @@ def _run_saddle(config: RunConfig) -> int:
 # verify
 
 
-_SERIES_PREFIXES = (
-    ("fishburn", ALL, (1, 1, 2, 5, 15, 53, 217)),
-    ("row-fishburn", ALL, (1, 1, 3, 12, 61, 380, 2815)),
-    ("row-fishburn", PRIMITIVE, (1, 1, 2, 7, 33, 197, 1419)),
-    ("self-dual", ALL, (1, 1, 2, 3, 7, 13, 33)),
-    ("self-dual", PRIMITIVE, (1, 1, 1, 2, 3, 6, 13)),
-)
-
-_NAMED_PREFIXES = (
-    ("A186737", (1, 1, 3, 14, 82, 563)),
-    ("A224885", (1, 1, 2, 15, 143, 1552)),
-)
-
-# (c, rho) of every catalogued form, printed to 12 significant digits.
-_PRINTED_CONSTANTS = {
-    "A022493": ("6.77875628359", "0.223643882503"),
-    "A035378": ("10.3466639274", "0.894575530012"),
-    "A138265": ("1.30847139165", "0.223643882503"),
-    "A158690": ("2.1550454655", "0.447287765006"),
-    "A158691": ("3.25126885713", "0.447287765006"),
-    "A179525": ("1.42843337862", "0.447287765006"),
-    "A186737": ("3.25126885713", "0.447287765006"),
-    "A196194": ("1.52384726242", "0.447287765006"),
-    "A207214": ("4.310090931", "0.447287765006"),
-    "A207386": ("1.42843337862", "0.447287765006"),
-    "A207397": ("0.627577111218", "0.447287765006"),
-    "A207433": ("3.25126885713", "0.447287765006"),
-    "A207434": ("1.42843337862", "0.447287765006"),
-    "A207556": ("2.85686675724", "0.447287765006"),
-    "A207557": ("1.25672658334", "0.447287765006"),
-    "A207569": ("0.897723361069", "0.894575530012"),
-    "A207570": ("0.615706688706", "1.34186329502"),
-    "A207571": ("1.3000916313", "1.34186329502"),
-    "A207651": ("6.77875628359", "0.223643882503"),
-    "A207652": ("1.42843337862", "0.447287765006"),
-    "A207653": ("3.25126885713", "0.447287765006"),
-    "A209832": ("1.55939360247", "0.894575530012"),
-    "A214687": ("2.20531558169", "0.894575530012"),
-    "A215066": ("1.10265779084", "0.894575530012"),
-    "A224885": ("7.40023954883", "0.447287765006"),
-    "A289312": ("2.9782224007", "0.447287765006"),
-    "A289313": ("2.1550454655", "0.894575530012"),
-    "A289316": ("1.42843337862", "0.447287765006"),
-    "A289317": ("1.30847139165", "0.223643882503"),
-}
-
-_CENTRAL_DIGITS = {
-    "mu": "0.842765913272",
-    "xi": "0.822467033424",
-    "sigma": "0.319886359071",
-}
-
-_FIRST_ROW_TRIANGLE = (
-    (1,),
-    (1, 1),
-    (2, 2, 1),
-    (5, 6, 3, 1),
-    (15, 21, 12, 4, 1),
-    (53, 84, 54, 20, 5, 1),
-    (217, 380, 270, 110, 30, 6, 1),
-)
-
-_DIAGONAL_ROW_7 = {2: 53, 3: 183, 4: 287, 5: 267, 6: 160, 7: 64}
-
-
-def _check_series_prefixes() -> Tuple[bool, str]:
-    for family, lam, want in _SERIES_PREFIXES:
-        series = family_series(family, lam, len(want) - 1)
-        got = tuple(series.coeff(n) for n in range(len(want)))
-        if got != want:
-            return False, f"{family}[{lam.describe()}] prefix {got} != {want}"
-    for name, want in _NAMED_PREFIXES:
-        got = tuple(named_sequence(name, len(want)))
-        if got != want:
-            return False, f"{name} prefix {got} != {want}"
-    count = len(_SERIES_PREFIXES) + len(_NAMED_PREFIXES)
-    return True, f"{count} sequence prefixes exact"
-
-
-def _check_oracle() -> Tuple[bool, str]:
-    cells = 0
-    for family in FAMILIES:
-        for lam in (ALL, PRIMITIVE):
-            gf = family_series(family, lam, 7)
-            for n in range(1, 8):
-                matrices = enumerate_matrices(family, lam, n)
-                if len(matrices) != gf.coeff(n):
-                    return False, (
-                        f"{family}[{lam.describe()}] count at n={n}: "
-                        f"{len(matrices)} != {gf.coeff(n)}"
-                    )
-                for stat in STATS:
-                    if family == "self-dual" and stat == "twos":
-                        continue
-                    got = histogram(matrices, stat)
-                    poly = stat_profile(family, stat, lam, 7).coeff(n)
-                    want = {v: c for v, c in enumerate(poly) if c}
-                    if got != want:
-                        return False, (
-                            f"{family}/{stat}[{lam.describe()}] histogram "
-                            f"mismatch at n={n}"
-                        )
-                    cells += 1
-    return True, f"{cells} histograms match brute-force enumeration (n <= 7)"
-
-
-def _check_identities() -> Tuple[bool, str]:
-    reports = identity_suite()
-    bad = [name for name, report in reports if not report.ok]
-    if bad:
-        return False, "failed: " + ", ".join(bad)
-    return True, f"{len(reports)} series identities exact"
-
-
-def _check_triangles() -> Tuple[bool, str]:
-    totals = fishburn_numbers(7)
-    for n, want in enumerate(_FIRST_ROW_TRIANGLE, start=1):
-        dist = distribution("fishburn", "first_row", ALL, n)
-        if dist.counts != want or dist.support != tuple(range(1, n + 1)):
-            return False, f"first-row triangle row {n}: {dist.counts} != {want}"
-        if dist.total != totals[n]:
-            return False, f"row {n} total {dist.total} != {totals[n]}"
-    diag = distribution("fishburn", "diagonal", ALL, 7)
-    got = dict(zip(diag.support, diag.counts))
-    if got != _DIAGONAL_ROW_7 or diag.total != 1014:
-        return False, f"diagonal row 7: {got} != {_DIAGONAL_ROW_7}"
-    return True, "both refined triangles exact through n = 7 (row sums 1014)"
-
-
-def _agree(x, y, tol="1e-12") -> bool:
-    x, y = _mpf(x), _mpf(y)
-    scale = max(abs(x), abs(y), mp.mpf(1))
-    return abs(x - y) <= mp.mpf(tol) * scale
-
-
-def _check_constants() -> Tuple[bool, str]:
-    with mp.workdps(30):
-        for name in sorted(_PRINTED_CONSTANTS):
-            c_str, rho_str = _PRINTED_CONSTANTS[name]
-            form = named_form(name)
-            got = (mp.nstr(form.c, 12), mp.nstr(form.rho, 12))
-            if got != (c_str, rho_str):
-                return False, f"{name}: (c, rho) = {got} != {(c_str, rho_str)}"
-        central = saddle.optimum()
-        for key, want in _CENTRAL_DIGITS.items():
-            got = mp.nstr(getattr(central, key), 12)
-            if got != want:
-                return False, f"{key} = {got} != {want}"
-        # Coherence of the central constants with their defining equations.
-        if not _agree(mp.e ** (central.mu * central.xi), 2):
-            return False, "exp(mu*xi) != 2"
-        if not _agree(saddle.I_func(central.mu * central.xi), central.xi):
-            return False, "I(mu*xi) != xi"
-        if not _agree(central.sigma ** 2,
-                      72 * mp.pi ** -4 * central.tau_aux):
-            return False, "sigma^2 != 72 pi^-4 tau_aux"
-        sd = asymptotics.constants_self_dual(1, 1)
-        closed = (6 / mp.pi ** mp.mpf("1.5")
-                  * mp.exp(mp.pi ** 2 / 24 - mp.mpf(1) / 4
-                           + 3 * mp.log(2) ** 2 / (2 * mp.pi ** 2)))
-        if mp.nstr(sd.c, 12) != "1.36195103905" or not _agree(sd.c, closed):
-            return False, f"self-dual c = {mp.nstr(sd.c, 12)}"
-        primitive = asymptotics.constants_self_dual(1, 0)
-        if mp.nstr(primitive.c, 3) != "0.299":
-            return False, f"primitive self-dual c = {mp.nstr(primitive.c, 3)}"
-    count = len(_PRINTED_CONSTANTS) + len(_CENTRAL_DIGITS) + 2
-    return True, f"{count} printed constants reproduced to their shown digits"
-
-
-def _check_limit_moments() -> Tuple[bool, str]:
-    law = limit_law_for("row-fishburn", "first_row", ALL, 10)
-    with mp.workdps(30):
-        log2 = mp.log(2)
-        checks = (
-            ("rate", law.rate, log2),
-            ("mean", law.mean(), 2 * log2),
-            ("variance", law.variance(), 2 * log2 * (1 - log2)),
-        )
-        for name, got, want in checks:
-            if not _agree(got, want):
-                return False, f"first-row {name}: {mp.nstr(_mpf(got), 15)}"
-        pmf1 = law.pmf(Fraction(1))
-        if abs(pmf1 - log2) > mp.mpf("1e-12"):
-            return False, f"P(X = 1) = {mp.nstr(pmf1, 15)} != log 2"
-    return True, "zero-truncated Poisson(log 2) moments exact to 12 digits"
-
-
-def _check_fixtures() -> Tuple[bool, str]:
-    ids = fixture_ids()
-    for name in ids:
-        seq = fetch(name, mode="offline")
-        count = min(len(seq.values), 36)
-        computed = named_sequence(name, count)
-        report = cross_check(computed, seq, start=seq.offset)
-        if not report.ok:
-            return False, str(report)
-    return True, f"{len(ids)} stored sequences match recomputation"
-
-
-def _check_convergence() -> Tuple[bool, str]:
-    counts = fishburn_numbers(200)
-    report = ratio_sequence(counts, asymptotics.constants_fishburn(1, 1),
-                            [100, 150, 200])
-    gap = abs(report.extrapolated_limit - 1)
-    ok = gap < mp.mpf("1e-3")
-    return ok, f"|extrapolated ratio - 1| = {mp.nstr(gap, 6)}"
-
-
-def _check_refined_decay() -> Tuple[bool, str]:
-    labeled = labeled_numbers(100)
-
-    def err(n: int) -> mp.mpf:
-        exact = Fraction(labeled[n], factorial(n))
-        return abs(asymptotics.refined_a158690(n, 3) / _mpf(exact) - 1)
-
-    ratio = err(100) / err(50)
-    ok = mp.mpf("0.06") <= ratio <= mp.mpf("0.25")
-    return ok, f"err(100)/err(50) = {mp.nstr(ratio, 6)}"
-
-
-def _saddle_clauses() -> List[Tuple[str, bool, str]]:
-    """The four saddle-channel clauses of the acceptance battery, with the
-    same bounds; residuals are checked over every k that an_approx sums."""
-    labeled = labeled_numbers(200)
-    rel = {}
-    worst = mp.mpf(0)
-    for n in (50, 100, 200):
-        exact = Fraction(labeled[n], factorial(n))
-        rel[n] = abs(saddle.an_approx(n) / _mpf(exact) - 1)
-        for k in saddle._summation_range(n):
-            state = saddle.solve_saddle(n, k)
-            worst = max(worst, abs(state.upsilon[0] - n) / n)
-    tail = saddle.window_tail(120)
-    return [
-        ("|an_approx/a_n - 1| <= 0.05 at n=100",
-         rel[100] <= mp.mpf("0.05"), mp.nstr(rel[100], 4)),
-        ("relative error at n=200 strictly below n=50",
-         rel[200] < rel[50],
-         f"rel(50)={mp.nstr(rel[50], 4)}, rel(200)={mp.nstr(rel[200], 4)}"),
-        ("window tail mass <= 1e-3 at n=120",
-         tail <= Fraction(1, 1000), mp.nstr(_mpf(tail), 4)),
-        ("saddle residuals <= 1e-9 * n throughout",
-         worst <= mp.mpf("1e-9"), mp.nstr(worst, 4)),
-    ]
-
-
-def _check_saddle_accuracy() -> Tuple[bool, str]:
-    clauses = _saddle_clauses()
-    failing = sum(not ok for _, ok, _ in clauses)
-    lines = [f"{len(clauses) - failing} of {len(clauses)} saddle clauses hold"]
-    lines.extend(f"        {'pass' if ok else 'FAIL'}: {name} ({detail})"
-                 for name, ok, detail in clauses)
-    return not failing, "\n".join(lines)
-
-
-def _check_local_limit() -> Tuple[bool, str]:
-    d60, d120 = saddle.llt_distance(60), saddle.llt_distance(120)
-    ok = d120 < d60
-    return ok, f"sup gap {mp.nstr(d60, 6)} -> {mp.nstr(d120, 6)}"
-
-
-_TREND_CELLS = tuple(
-    (family, stat, lam)
-    for family, stats in (
-        ("row-fishburn", ("first_row", "diagonal", "ones")),
-        ("fishburn", ("first_row", "diagonal", "ones")),
-        ("self-dual", ("first_row", "diagonal", "ones")),
-    )
-    for stat in stats
-    for lam in (ALL,)
-) + tuple(
-    ("fishburn", stat, LambdaSpec("no1"))
-    for stat in ("first_row", "diagonal", "twos")
-)
-
-
-def _check_trends() -> Tuple[bool, str]:
-    for family, stat, lam in _TREND_CELLS:
-        gaps = []
-        for n in (30, 60):
-            dist = distribution(family, stat, lam, n)
-            law = limit_law_for(family, stat, lam, n)
-            gaps.append(compare(dist, law).sup_distance)
-        if not gaps[1] < gaps[0]:
-            return False, (
-                f"{family}/{stat}[{lam.describe()}] sup distance "
-                f"{mp.nstr(gaps[0], 4)} -> {mp.nstr(gaps[1], 4)}"
-            )
-    return True, f"{len(_TREND_CELLS)} limit-law cells tighten from n=30 to n=60"
-
-
-_BASE_CHECKS: Tuple[Tuple[str, Callable[[], Tuple[bool, str]]], ...] = (
-    ("series-prefixes", _check_series_prefixes),
-    ("oracle-equivalence", _check_oracle),
-    ("identity-suite", _check_identities),
-    ("triangle-tables", _check_triangles),
-    ("printed-constants", _check_constants),
-    ("limit-moments", _check_limit_moments),
-    ("sequence-fixtures", _check_fixtures),
-)
-
-_FULL_CHECKS: Tuple[Tuple[str, Callable[[], Tuple[bool, str]]], ...] = (
-    ("convergence", _check_convergence),
-    ("refined-decay", _check_refined_decay),
-    ("saddle-accuracy", _check_saddle_accuracy),
-    ("local-limit", _check_local_limit),
-    ("statistic-trends", _check_trends),
-)
-
-
 def _run_verify(config: RunConfig) -> int:
-    checks = _BASE_CHECKS + (_FULL_CHECKS if config.full else ())
+    # Imported here so that the other commands do not pay for compiling the
+    # battery at start-up.
+    from . import checks
+
+    battery = checks.BASE + (checks.FULL if config.full else ())
     lines = []
     failures = 0
-    for name, fn in checks:
+    for name, fn in battery:
         ok, detail = fn()
         failures += not ok
         lines.append(f"{'ok  ' if ok else 'FAIL'}  {name}: {detail}")
     lines.append(
-        f"verify: {len(checks)} checks, {failures} failure"
+        f"verify: {len(battery)} checks, {failures} failure"
         f"{'' if failures == 1 else 's'}"
     )
     _emit("\n".join(lines) + "\n", config)
@@ -863,8 +547,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", action="store_true",
                    help="include the per-k window profile")
 
-    p = sub.add_parser("verify", parents=[out],
+    p = sub.add_parser("verify",
                        help="self-contained correctness battery (offline)")
+    p.add_argument("--output", metavar="PATH",
+                   help="write to this file instead of stdout")
     p.add_argument("--full", action="store_true",
                    help="add the slower asymptotic and trend checks")
 

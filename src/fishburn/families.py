@@ -964,7 +964,10 @@ _CATALOG: dict = {
         lambda N: fishburn_gf(LambdaSpec("odd"), N), note="fishburn / odd"
     ),
     "A289312": NamedEntry(
-        lambda N: fishburn_gf(_two_each_series(N), N), note="fishburn / doubled"
+        # At order 0 the weight series would be the constant 1, which is the
+        # empty multiset's; build it at order 1 and let fishburn_gf truncate.
+        lambda N: fishburn_gf(_two_each_series(max(N, 1)), N),
+        note="fishburn / doubled",
     ),
     # row family
     "A158691": NamedEntry(lambda N: row_fishburn_gf(ALL, N), note="row / all"),

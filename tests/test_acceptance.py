@@ -1,75 +1,32 @@
 """End-to-end acceptance battery.
 
 One test per numbered criterion; the pytest line of each test is its
-pass/fail verdict.  Every tolerance is asserted exactly as stated, including
-the two saddle-channel clauses that the implementation is known not to meet
-(see the clause-by-clause report printed by that test).
+pass/fail verdict.  Tests 1-11 run the checks of ``fishburn.checks``, the
+battery that ``fishburn verify`` prints, and assert each verdict with the
+check's detail line as the message.  Every tolerance is asserted exactly as
+stated in that module.
 """
 
 import time
-from fractions import Fraction
-from math import factorial
 
 import mpmath as mp
-import pytest
 
-from fishburn.asymptotics import (
-    a158690_expansion,
-    blr_expansion,
-    constants_fishburn,
-    constants_self_dual,
-    constants_small2,
-    named_form,
-    ratio_sequence,
-    refined_a158690,
-    _mpf,
-)
-from fishburn.cli import _CENTRAL_DIGITS, _PRINTED_CONSTANTS
+from fishburn import checks
 from fishburn.cli import main as cli_main
-from fishburn.distributions import (
-    compare,
-    distribution,
-    limit_law_for,
-    stat_mean_variance,
-)
-from fishburn.families import (
-    ALL,
-    FAMILIES,
-    PRIMITIVE,
-    STATS,
-    LambdaSpec,
-    family_series,
-    fishburn_numbers,
-    labeled_numbers,
-    named_sequence,
-    stat_profile,
-)
-from fishburn.identities import identity_suite
 from fishburn.oeis import ENV_OFFLINE
-from fishburn.oracle import enumerate_matrices, histogram
-from fishburn.saddle import (
-    I_func,
-    an_approx,
-    llt_distance,
-    optimum,
-    solve_saddle,
-    window_tail,
-    _window_bounds,
-)
 
 mp.mp.dps = 40
 
-REL_12 = mp.mpf("1e-12")
 
-
-def agree(x, y, rel=REL_12):
-    x, y = _mpf(x), _mpf(y)
-    return abs(x - y) <= rel * max(abs(x), abs(y), mp.mpf(1))
-
-
-def labeled_value(n):
-    """[z^n] of the exponential-kernel series, as an exact rational."""
-    return Fraction(labeled_numbers(n)[n], factorial(n))
+def run_check(check, budget=None):
+    """Run one check, assert its verdict and, if given, its time budget."""
+    start = time.perf_counter()
+    ok, detail = check()
+    elapsed = time.perf_counter() - start
+    assert ok, detail
+    if budget is not None:
+        assert elapsed < budget
+    return detail, elapsed
 
 
 # ---------------------------------------------------------------------------
@@ -77,22 +34,8 @@ def labeled_value(n):
 
 
 def test_01_series_prefixes():
-    start = time.perf_counter()
-    prefixes = {
-        ("fishburn", ALL): (1, 1, 2, 5, 15, 53, 217),
-        ("row-fishburn", ALL): (1, 1, 3, 12, 61, 380, 2815),
-        ("row-fishburn", PRIMITIVE): (1, 1, 2, 7, 33, 197, 1419),
-        ("self-dual", ALL): (1, 1, 2, 3, 7, 13, 33),
-        ("self-dual", PRIMITIVE): (1, 1, 1, 2, 3, 6, 13),
-    }
-    for (family, lam), want in prefixes.items():
-        series = family_series(family, lam, 6)
-        assert tuple(series.coeff(n) for n in range(7)) == want, (family, lam)
-    assert tuple(named_sequence("A186737", 6)) == (1, 1, 3, 14, 82, 563)
-    assert tuple(named_sequence("A224885", 6)) == (1, 1, 2, 15, 143, 1552)
-    elapsed = time.perf_counter() - start
-    assert elapsed < 1.0
-    print(f"PASS 1: seven series prefixes exact in {elapsed:.3f}s")
+    detail, elapsed = run_check(checks.check_series_prefixes, budget=1.0)
+    print(f"PASS 1: {detail} in {elapsed:.3f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -100,25 +43,8 @@ def test_01_series_prefixes():
 
 
 def test_02_oracle_equivalence():
-    start = time.perf_counter()
-    checked = 0
-    for family in FAMILIES:
-        for lam in (ALL, PRIMITIVE):
-            series = family_series(family, lam, 7)
-            for n in range(1, 8):
-                matrices = enumerate_matrices(family, lam, n)
-                assert len(matrices) == series.coeff(n), (family, lam, n)
-                for stat in STATS:
-                    if family == "self-dual" and stat == "twos":
-                        continue  # no marking series exists for this pair
-                    got = histogram(matrices, stat)
-                    poly = stat_profile(family, stat, lam, 7).coeff(n)
-                    want = {v: c for v, c in enumerate(poly) if c}
-                    assert got == want, (family, stat, lam, n)
-                    checked += 1
-    elapsed = time.perf_counter() - start
-    assert elapsed < 30.0
-    print(f"PASS 2: {checked} histograms equal GF coefficients in {elapsed:.2f}s")
+    detail, elapsed = run_check(checks.check_oracle, budget=30.0)
+    print(f"PASS 2: {detail} in {elapsed:.2f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -126,56 +52,17 @@ def test_02_oracle_equivalence():
 
 
 def test_03_identity_suite():
-    start = time.perf_counter()
-    reports = identity_suite(order=30, aj_order=60)
-    names = {name for name, _ in reports}
-    assert {"transform[all]", "transform[01]", "transform[even+]", "glaisher",
-            "labeled-forms", "pairing", "quadratic-transform"} <= names
-    failed = [name for name, report in reports if not report.ok]
-    assert not failed, failed
-    elapsed = time.perf_counter() - start
-    assert elapsed < 120.0
-    print(f"PASS 3: {len(reports)} identities exact in {elapsed:.2f}s")
+    detail, elapsed = run_check(checks.check_identities, budget=120.0)
+    print(f"PASS 3: {detail} in {elapsed:.2f}s")
 
 
 # ---------------------------------------------------------------------------
 # 4. Refined triangle tables
 
 
-FIRST_ROW_TRIANGLE = {
-    1: (1,),
-    2: (1, 1),
-    3: (2, 2, 1),
-    4: (5, 6, 3, 1),
-    5: (15, 21, 12, 4, 1),
-    6: (53, 84, 54, 20, 5, 1),
-    7: (217, 380, 270, 110, 30, 6, 1),
-}
-
-DIAGONAL_TRIANGLE = {
-    1: {1: 1},
-    2: {2: 2},
-    3: {2: 1, 3: 4},
-    4: {2: 2, 3: 5, 4: 8},
-    5: {2: 5, 3: 14, 4: 18, 5: 16},
-    6: {2: 15, 3: 47, 4: 67, 5: 56, 6: 32},
-    7: {2: 53, 3: 183, 4: 287, 5: 267, 6: 160, 7: 64},
-}
-
-
 def test_04_triangle_tables():
-    totals = fishburn_numbers(7)
-    for n, want in FIRST_ROW_TRIANGLE.items():
-        dist = distribution("fishburn", "first_row", ALL, n)
-        assert dist.support == tuple(range(1, n + 1))
-        assert dist.counts == want
-        assert dist.total == totals[n]
-    for n, want in DIAGONAL_TRIANGLE.items():
-        dist = distribution("fishburn", "diagonal", ALL, n)
-        assert dict(zip(dist.support, dist.counts)) == want
-        assert dist.total == totals[n]
-    assert totals[7] == 1014
-    print("PASS 4: both refined triangles exact for n <= 7, rows sum to totals")
+    detail, _ = run_check(checks.check_triangles)
+    print(f"PASS 4: {detail}")
 
 
 # ---------------------------------------------------------------------------
@@ -183,61 +70,8 @@ def test_04_triangle_tables():
 
 
 def test_05_printed_constants():
-    # Every catalogued (c, rho) pair to its 12 printed significant digits.
-    with mp.workdps(30):
-        for name, (c_str, rho_str) in sorted(_PRINTED_CONSTANTS.items()):
-            form = named_form(name)
-            assert mp.nstr(form.c, 12) == c_str, name
-            assert mp.nstr(form.rho, 12) == rho_str, name
-
-        # Spot values pinned independently of the shared table.
-        zagier = constants_fishburn(1, 1)
-        assert mp.nstr(zagier.c, 12) == "6.77875628359"
-        assert mp.nstr(zagier.rho, 12) == "0.223643882503"
-        proto = named_form("A158690")
-        assert mp.nstr(proto.c, 12) == "2.1550454655"
-        assert mp.nstr(proto.rho, 12) == "0.447287765006"
-
-        # Central saddle constants; sigma's printed prefix is 0.31988.
-        central = optimum()
-        for key, want in _CENTRAL_DIGITS.items():
-            assert mp.nstr(getattr(central, key), 12) == want, key
-        assert mp.nstr(central.sigma, 12).startswith("0.31988")
-        assert mp.nstr(central.mu, 12) == "0.842765913272"
-        assert mp.nstr(central.xi, 12) == "0.822467033424"
-
-        # Self-dual constants.
-        sd = constants_self_dual(1, 1)
-        assert mp.nstr(sd.c, 10) == "1.361951039"
-        assert mp.nstr(constants_self_dual(1, 0).c, 3) == "0.299"
-
-        # Refined-expansion constants: superexponential base and the
-        # factorial-base three-term form.
-        blr = blr_expansion()
-        assert agree(blr.c, 6 * mp.sqrt(2) / mp.pi**2 * mp.exp(-mp.pi**2 / 24))
-        assert agree(blr.rho, 12 / mp.pi**2)
-        c1, c2, c3 = blr.coefficients
-        assert abs(c1 - mp.mpf("0.43333")) < mp.mpf("1e-5")
-        assert abs(c2 + mp.mpf("0.056119")) < mp.mpf("1e-5")
-        assert abs(c3 + mp.mpf("0.033780")) < mp.mpf("1e-5")
-        refined = a158690_expansion(3)
-        assert agree(refined.c, 6 * mp.sqrt(2) / mp.pi**2)
-        assert agree(refined.rho, 12 / mp.pi**2)
-        seed = -(mp.pi**2) / 288
-        for j, cj in enumerate(refined.coefficients, start=1):
-            assert agree(cj, seed**j / mp.factorial(j))
-
-        # Specialization coherence to 12 digits.
-        assert agree(mp.e ** (central.mu * central.xi), 2)
-        assert agree(I_func(central.mu * central.xi), central.xi)
-        assert agree(central.sigma ** 2, 72 * mp.pi**-4 * central.tau_aux)
-        assert agree(sd.c, 6 / mp.pi ** mp.mpf("1.5")
-                     * mp.exp(mp.pi**2 / 24 - mp.mpf(1) / 4
-                              + 3 * mp.log(2) ** 2 / (2 * mp.pi**2)))
-        assert agree(zagier.c, named_form("A022493").c)
-        assert agree(zagier.rho, named_form("A022493").rho)
-    print(f"PASS 5: {len(_PRINTED_CONSTANTS)} constant pairs plus central and "
-          "refined constants match all printed digits")
+    detail, _ = run_check(checks.check_constants)
+    print(f"PASS 5: {detail}")
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +79,8 @@ def test_05_printed_constants():
 
 
 def test_06_zagier_convergence():
-    start = time.perf_counter()
-    counts = fishburn_numbers(200)
-    report = ratio_sequence(counts, constants_fishburn(1, 1), [100, 150, 200])
-    gap = abs(report.extrapolated_limit - 1)
-    elapsed = time.perf_counter() - start
-    assert gap < mp.mpf("1e-3"), mp.nstr(gap, 6)
-    assert elapsed < 300.0
-    print(f"PASS 6: extrapolated ratio within {mp.nstr(gap, 3)} of 1 "
-          f"in {elapsed:.2f}s")
+    detail, elapsed = run_check(checks.check_convergence, budget=300.0)
+    print(f"PASS 6: {detail} in {elapsed:.2f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +88,8 @@ def test_06_zagier_convergence():
 
 
 def test_07_refined_expansion_decay():
-    labeled_numbers(100)  # warm the shared cache once
-
-    def err(n):
-        return abs(refined_a158690(n, 3) / _mpf(labeled_value(n)) - 1)
-
-    ratio = err(100) / err(50)
-    assert mp.mpf("0.06") <= ratio <= mp.mpf("0.25"), mp.nstr(ratio, 6)
-    print(f"PASS 7: three-term error ratio err(100)/err(50) = "
-          f"{mp.nstr(ratio, 4)}")
+    detail, _ = run_check(checks.check_refined_decay)
+    print(f"PASS 7: three-term {detail}")
 
 
 # ---------------------------------------------------------------------------
@@ -277,38 +97,8 @@ def test_07_refined_expansion_decay():
 
 
 def test_08_saddle_channel():
-    rel = {}
-    for n in (50, 100, 200):
-        rel[n] = abs(an_approx(n) / _mpf(labeled_value(n)) - 1)
-    tail = window_tail(120)
-    worst_residual = mp.mpf(0)
-    for n in (50, 100, 200):
-        lo, hi = _window_bounds(n)
-        for k in range(max(1, int(mp.ceil(lo))), min(n - 1, int(mp.floor(hi))) + 1):
-            state = solve_saddle(n, k)
-            worst_residual = max(worst_residual,
-                                 abs(state.upsilon[0] - n) / n)
-    clauses = (
-        ("|an_approx/a_n - 1| <= 0.05 at n=100",
-         rel[100] <= mp.mpf("0.05"), mp.nstr(rel[100], 4)),
-        ("relative error at n=200 strictly below n=50",
-         rel[200] < rel[50],
-         f"rel(50)={mp.nstr(rel[50], 4)}, rel(200)={mp.nstr(rel[200], 4)}"),
-        ("window tail mass <= 1e-3 at n=120",
-         tail <= Fraction(1, 1000), mp.nstr(_mpf(tail), 4)),
-        ("saddle residuals <= 1e-9 * n throughout",
-         worst_residual <= mp.mpf("1e-9"), mp.nstr(worst_residual, 4)),
-    )
-    lines = [f"  {'pass' if ok else 'FAIL'}: {name} ({detail})"
-             for name, ok, detail in clauses]
-    print("criterion 8 clauses:\n" + "\n".join(lines))
-    failing = [line for (_, ok, _), line in zip(clauses, lines) if not ok]
-    if failing:
-        pytest.fail(
-            "saddle channel misses stated tolerances:\n" + "\n".join(lines),
-            pytrace=False,
-        )
-    print("PASS 8: all four saddle clauses hold")
+    detail, _ = run_check(checks.check_saddle_accuracy)
+    print(f"PASS 8: {detail}")
 
 
 # ---------------------------------------------------------------------------
@@ -316,61 +106,17 @@ def test_08_saddle_channel():
 
 
 def test_09_local_limit_profile():
-    d60 = llt_distance(60)
-    d120 = llt_distance(120)
-    assert d120 < d60, (mp.nstr(d60, 6), mp.nstr(d120, 6))
-    print(f"PASS 9: profile sup-distance {mp.nstr(d60, 4)} -> "
-          f"{mp.nstr(d120, 4)} from n=60 to n=120")
+    detail, _ = run_check(checks.check_local_limit)
+    print(f"PASS 9: profile {detail} from n=60 to n=120")
 
 
 # ---------------------------------------------------------------------------
 # 10. Limit-law trends
 
 
-NO1 = LambdaSpec("no1")
-
-TREND_CELLS = (
-    ("row-fishburn", "first_row", ALL),
-    ("row-fishburn", "diagonal", ALL),
-    ("row-fishburn", "ones", ALL),
-    ("row-fishburn", "twos", ALL),
-    ("fishburn", "first_row", ALL),
-    ("fishburn", "diagonal", ALL),
-    ("fishburn", "ones", ALL),
-    ("fishburn", "twos", ALL),
-    ("fishburn", "first_row", NO1),
-    ("fishburn", "diagonal", NO1),
-    ("fishburn", "twos", NO1),
-    ("self-dual", "first_row", ALL),
-    ("self-dual", "diagonal", ALL),
-    ("self-dual", "ones", ALL),
-)
-
-
 def test_10_limit_law_trends():
-    for family, stat, lam in TREND_CELLS:
-        sups = []
-        for n in (30, 60):
-            dist = distribution(family, stat, lam, n)
-            law = limit_law_for(family, stat, lam, n)
-            sups.append(compare(dist, law).sup_distance)
-        assert sups[1] < sups[0], (
-            family, stat, lam.describe(), mp.nstr(sups[0], 4), mp.nstr(sups[1], 4),
-        )
-
-    law = limit_law_for("row-fishburn", "first_row", ALL, 30)
-    log2 = mp.log(2)
-    assert agree(law.mean(), 2 * log2)
-    assert agree(law.variance(), 2 * log2 * (1 - log2))
-
-    mean, _ = stat_mean_variance("row-fishburn", "ones", ALL, 150)
-    observed = _mpf(Fraction(150) - mean) / 2
-    target = mp.pi**2 / 12
-    gap = abs(observed / target - 1)
-    assert gap <= mp.mpf("0.15"), mp.nstr(gap, 4)
-    print(f"PASS 10: {len(TREND_CELLS)} cells tighten from n=30 to n=60; "
-          f"truncated-Poisson moments exact; ones-mean gap "
-          f"{mp.nstr(100 * gap, 3)}% at n=150")
+    detail, _ = run_check(checks.check_trends)
+    print(f"PASS 10: {detail}")
 
 
 # ---------------------------------------------------------------------------
@@ -378,29 +124,8 @@ def test_10_limit_law_trends():
 
 
 def test_11_parity_split():
-    lam = LambdaSpec("custom", (0, 1, 0, 1, 1))
-    series = family_series("fishburn", lam, 400)
-    counts = [series.coeff(n) for n in range(401)]
-    form = constants_small2(1, 0, 1, lam_odd=1, m=2)
-    even_branch, odd_branch = form.parity
-    gaps = {}
-    for label, branch, ns in (("even", even_branch, [200, 300, 400]),
-                              ("odd", odd_branch, [199, 299, 399])):
-        report = ratio_sequence(counts, branch, ns)
-        gaps[label] = abs(report.extrapolated_limit - 1)
-        assert gaps[label] <= mp.mpf("0.05"), (label, mp.nstr(gaps[label], 4))
-
-    tvs = []
-    for n in (30, 60):
-        dist = distribution("fishburn", "twos", lam, n)
-        law = limit_law_for("fishburn", "twos", lam, n)
-        assert agree(law.rate, mp.pi**2 / 6)
-        tvs.append(compare(dist, law).total_variation)
-    assert tvs[1] < tvs[0], [mp.nstr(t, 4) for t in tvs]
-    print(f"PASS 11: parity ratios extrapolate within "
-          f"{mp.nstr(100 * gaps['even'], 3)}% (even) / "
-          f"{mp.nstr(100 * gaps['odd'], 3)}% (odd); TV to Poisson(pi^2/6) "
-          f"{mp.nstr(tvs[0], 3)} -> {mp.nstr(tvs[1], 3)}")
+    detail, _ = run_check(checks.check_parity_split)
+    print(f"PASS 11: {detail}")
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +137,8 @@ def test_12_offline_verify(capsys, monkeypatch):
     code = cli_main(["verify"])
     out = capsys.readouterr().out
     assert code == 0, out
-    assert "0 failures" in out
+    assert "verify: 7 checks, 0 failures" in out
+    for name, _ in checks.BASE:
+        assert f"ok    {name}:" in out
     with capsys.disabled():
         print("\nPASS 12: offline verify exits 0")

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -8,10 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fishburn import cli
+from fishburn import checks
 from fishburn.cli import RunConfig, main
 from fishburn.families import ALL, LambdaSpec, family_series
-from fishburn.oeis import ENV_OFFLINE
 
 
 def run(argv, capsys):
@@ -309,45 +309,60 @@ class TestSaddle:
 # verify
 
 
-class TestVerify:
-    def test_offline_verify_passes(self, capsys, monkeypatch):
-        monkeypatch.setenv(ENV_OFFLINE, "1")
-        code, out, _ = run(["verify"], capsys)
-        assert code == 0
-        assert "0 failures" in out
-        for name in ("series-prefixes", "oracle-equivalence", "identity-suite",
-                      "triangle-tables", "printed-constants", "limit-moments",
-                      "sequence-fixtures"):
-            assert f"ok    {name}:" in out
+def only_full_check(monkeypatch, name):
+    """Make `verify --full` run the one named check of checks.FULL."""
+    monkeypatch.setattr(checks, "BASE", ())
+    monkeypatch.setattr(checks, "FULL", tuple(c for c in checks.FULL if c[0] == name))
 
+
+class TestVerify:
     def test_full_prints_every_saddle_clause(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_BASE_CHECKS", ())
-        monkeypatch.setattr(cli, "_FULL_CHECKS", tuple(
-            c for c in cli._FULL_CHECKS if c[0] == "saddle-accuracy"))
+        only_full_check(monkeypatch, "saddle-accuracy")
         code, out, _ = run(["verify", "--full"], capsys)
         assert code == 0
         assert "ok    saddle-accuracy: 4 of 4 saddle clauses hold" in out
         assert out.count("pass: ") == 4
 
     def test_failing_saddle_clause_fails_verify(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_BASE_CHECKS", ())
-        monkeypatch.setattr(cli, "_FULL_CHECKS", tuple(
-            c for c in cli._FULL_CHECKS if c[0] == "saddle-accuracy"))
-        monkeypatch.setattr(cli.saddle, "window_tail", lambda n: Fraction(1, 100))
+        only_full_check(monkeypatch, "saddle-accuracy")
+        monkeypatch.setattr(checks.saddle, "window_tail", lambda n: Fraction(1, 100))
         code, out, _ = run(["verify", "--full"], capsys)
         assert code == 1
         assert "FAIL  saddle-accuracy: 3 of 4 saddle clauses hold" in out
         assert "FAIL: window tail mass <= 1e-3 at n=120" in out
         assert out.count("pass: ") == 3
 
+    def test_failing_trend_cell_fails_verify(self, capsys, monkeypatch):
+        real_compare = checks.compare
+
+        def compare(dist, law):
+            report = real_compare(dist, law)
+            if (dist.family, dist.stat) == ("row-fishburn", "twos"):
+                # A distance that grows with n: the cell does not tighten.
+                return replace(report, sup_distance=mp.mpf(dist.n))
+            return report
+
+        only_full_check(monkeypatch, "statistic-trends")
+        monkeypatch.setattr(checks, "compare", compare)
+        code, out, _ = run(["verify", "--full"], capsys)
+        assert code == 1
+        assert "FAIL  statistic-trends: row-fishburn/twos[all] sup distance" in out
+
     def test_failure_flips_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli, "_BASE_CHECKS",
+            checks, "BASE",
             (("forced", lambda: (False, "forced failure")),))
         code, out, _ = run(["verify"], capsys)
         assert code == 1
         assert "FAIL" in out
         assert "1 failure" in out
+
+    @pytest.mark.parametrize("flag", [["--format", "json"], ["--digits", "3"]])
+    def test_output_flags_are_usage_errors(self, flag, capsys):
+        code, out, err = run(["verify"] + flag, capsys)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from fishburn.checks import FIRST_ROW_TRIANGLE, TREND_CELLS
 from fishburn.families import ALL, PRIMITIVE, LambdaSpec
 from fishburn.oracle import enumerate_matrices, histogram
 from fishburn.distributions import (
@@ -29,21 +33,9 @@ M2 = LambdaSpec("custom", (0, 1, 0, 1, 1))    # 2s, 4s, 5s
 EVEN2 = LambdaSpec("custom", (0, 1))          # 2s only
 
 # One row per cell of the two limit-law tables, with the multiset that
-# instantiates the nondegenerate regime of the cell.
-CELLS = [
-    ("row-fishburn", "first_row", ALL),
-    ("row-fishburn", "diagonal", ALL),
-    ("row-fishburn", "ones", ALL),
-    ("fishburn", "first_row", ALL),
-    ("fishburn", "diagonal", ALL),
-    ("fishburn", "ones", ALL),
-    ("fishburn", "first_row", NO1),
-    ("fishburn", "diagonal", NO1),
-    ("fishburn", "twos", NO1),
-    ("self-dual", "first_row", ALL),
-    ("self-dual", "diagonal", ALL),
-    ("self-dual", "ones", ALL),
-]
+# instantiates the nondegenerate regime of the cell.  The 2s count with every
+# entry allowed follows the 1s count's Poisson law, so it adds no cell here.
+CELLS = [cell for cell in TREND_CELLS if cell[1:] != ("twos", ALL)]
 
 
 def as_mpf(q: Fraction) -> mp.mpf:
@@ -61,26 +53,7 @@ def sup_at(family, stat, lam, n):
 # ---------------------------------------------------------------------------
 
 class TestExactTables:
-    def test_first_row_counts_size_seven(self):
-        table = distribution("fishburn", "first_row", ALL, 7)
-        assert table.support == (1, 2, 3, 4, 5, 6, 7)
-        assert table.counts == (217, 380, 270, 110, 30, 6, 1)
-        assert table.total == 1014
-
-    def test_diagonal_counts_size_seven(self):
-        table = distribution("fishburn", "diagonal", ALL, 7)
-        assert table.support == (2, 3, 4, 5, 6, 7)
-        assert table.counts == (53, 183, 287, 267, 160, 64)
-        assert table.total == 1014
-
-    @pytest.mark.parametrize("n,expected", [
-        (1, (1,)),
-        (2, (1, 1)),
-        (3, (2, 2, 1)),
-        (4, (5, 6, 3, 1)),
-        (5, (15, 21, 12, 4, 1)),
-        (6, (53, 84, 54, 20, 5, 1)),
-    ])
+    @pytest.mark.parametrize("n,expected", list(enumerate(FIRST_ROW_TRIANGLE, start=1)))
     def test_first_row_triangle(self, n, expected):
         assert distribution("fishburn", "first_row", ALL, n).counts == expected
 
@@ -464,3 +437,16 @@ class TestExports:
         law = limit_law_for("fishburn", "diagonal", ALL, 12)
         with pytest.raises(TypeError, match="density"):
             law.support_probs()
+
+
+TREND_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "limit_law_trends.py"
+
+
+def test_trend_script_sweeps_every_cell():
+    proc = subprocess.run([sys.executable, str(TREND_SCRIPT), "--sizes", "15"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = [line.split(",") for line in proc.stdout.splitlines()]
+    assert header == ["family", "stat", "entries", "n", "sup_distance", "total_variation"]
+    assert [row[:4] for row in rows] == [
+        [family, stat, lam.describe(), "15"] for family, stat, lam in TREND_CELLS]

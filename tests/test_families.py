@@ -5,6 +5,7 @@ from math import comb, factorial
 from hypothesis import assume, given, settings, strategies as st
 
 import fishburn.series as series
+from fishburn.checks import DIAGONAL_TRIANGLE, FIRST_ROW_TRIANGLE
 from fishburn.series import (
     TruncatedSeries,
     bernoulli_numbers,
@@ -275,14 +276,12 @@ class TestOrderZero:
     def test_order_zero_constructors(self, build):
         assert build(0) == build(4).truncate(0)
 
-    # A289312 is left out: at order 0 its weight series (1+z)/(1-z) is the
-    # constant 1, the empty multiset's, and fishburn_gf rejects it.
     @pytest.mark.parametrize(
         "name",
         [
             "A003406", "A035378", "A186737", "A207386", "A207397", "A207556",
             "A207557", "A207569", "A207570", "A207571", "A207651", "A207652",
-            "A207653", "A224885",
+            "A207653", "A224885", "A289312",
         ],
     )
     def test_first_term_alone(self, name):
@@ -337,37 +336,18 @@ def test_jets_make_no_bivariate_products(monkeypatch):
     assert calls["_mul_into"] > 0
 
 
-TABLE_FIRST_ROW = {
-    1: [1],
-    2: [1, 1],
-    3: [2, 2, 1],
-    4: [5, 6, 3, 1],
-    5: [15, 21, 12, 4, 1],
-    6: [53, 84, 54, 20, 5, 1],
-    7: [217, 380, 270, 110, 30, 6, 1],
-}
-
-TABLE_DIAGONAL = {
-    1: [1],
-    2: [0, 2],
-    3: [0, 1, 4],
-    4: [0, 2, 5, 8],
-    5: [0, 5, 14, 18, 16],
-    6: [0, 15, 47, 67, 56, 32],
-    7: [0, 53, 183, 287, 267, 160, 64],
-}
-
-
 class TestDistributionTables:
-    @pytest.mark.parametrize("n", sorted(TABLE_FIRST_ROW))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_first_row_table(self, n):
         g = stat_profile("fishburn", "first_row", ALL, 7)
-        assert [int(g.coeff_vm(n, k)) for k in range(1, n + 1)] == TABLE_FIRST_ROW[n]
+        got = tuple(int(g.coeff_vm(n, k)) for k in range(1, n + 1))
+        assert got == FIRST_ROW_TRIANGLE[n - 1]
 
-    @pytest.mark.parametrize("n", sorted(TABLE_DIAGONAL))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_diagonal_table(self, n):
         g = stat_profile("fishburn", "diagonal", ALL, 7)
-        assert [int(g.coeff_vm(n, k)) for k in range(1, n + 1)] == TABLE_DIAGONAL[n]
+        got = {k: int(g.coeff_vm(n, k)) for k in range(1, n + 1) if g.coeff_vm(n, k)}
+        assert got == DIAGONAL_TRIANGLE[n - 1]
 
     def test_rows_sum_to_family_counts(self):
         g = stat_profile("fishburn", "diagonal", ALL, 7)
