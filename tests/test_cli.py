@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fishburn import checks
 from fishburn.cli import RunConfig, main
 from fishburn.families import ALL, LambdaSpec, family_series
+from fishburn.oeis import ENV_OFFLINE
 
 
 def run(argv, capsys):
@@ -316,6 +317,16 @@ def only_full_check(monkeypatch, name):
 
 
 class TestVerify:
+    def test_offline_verify_passes(self, capsys, monkeypatch):
+        monkeypatch.setenv(ENV_OFFLINE, "1")
+        code, out, _ = run(["verify"], capsys)
+        assert code == 0
+        assert "0 failures" in out
+        for name in ("series-prefixes", "oracle-equivalence", "identity-suite",
+                      "triangle-tables", "printed-constants", "limit-moments",
+                      "sequence-fixtures"):
+            assert f"ok    {name}:" in out
+
     def test_full_prints_every_saddle_clause(self, capsys, monkeypatch):
         only_full_check(monkeypatch, "saddle-accuracy")
         code, out, _ = run(["verify", "--full"], capsys)

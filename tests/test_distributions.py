@@ -57,6 +57,12 @@ class TestExactTables:
     def test_first_row_triangle(self, n, expected):
         assert distribution("fishburn", "first_row", ALL, n).counts == expected
 
+    def test_diagonal_counts_size_seven(self):
+        table = distribution("fishburn", "diagonal", ALL, 7)
+        assert table.support == (2, 3, 4, 5, 6, 7)
+        assert table.counts == (53, 183, 287, 267, 160, 64)
+        assert table.total == 1014
+
     def test_size_one_is_degenerate_at_one(self):
         for family in ("fishburn", "row-fishburn", "self-dual"):
             table = distribution(family, "first_row", ALL, 1)
