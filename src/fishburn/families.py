@@ -849,6 +849,11 @@ def variant_gf(kind: str, order: int) -> TruncatedSeries:
 # Integer fast path for the prototype family and its per-dimension profile
 # ---------------------------------------------------------------------------
 
+# The largest labeled_profile build so far: row n does not depend on n_max,
+# so every smaller profile is a prefix of it.
+_labeled_largest: list = []
+
+
 @lru_cache(maxsize=4)
 def labeled_profile(n_max: int):
     """Exact profile of the prototype series sum_k prod_{1<=j<=k}(e^{jz}-1).
@@ -856,7 +861,17 @@ def labeled_profile(n_max: int):
     Returns (totals, rows): totals[n] = n![z^n] of the full sum and
     rows[n][k] = n![z^n] of the k-th partial product, k = 0..n.  Both are
     integers; the computation stays in binomial-convolution integer form.
+    A profile no larger than one built before is sliced from that build.
     """
+    if _labeled_largest and 0 <= n_max < len(_labeled_largest[0][0]):
+        totals, rows = _labeled_largest[0]
+        return totals[: n_max + 1], rows[: n_max + 1]
+    _labeled_largest[:] = [_labeled_build(n_max)]
+    return _labeled_largest[0]
+
+
+def _labeled_build(n_max: int):
+    """The integer recurrence behind :func:`labeled_profile`."""
     cur = [1] + [0] * n_max
     rows = [[0] * (n + 1) for n in range(n_max + 1)]
     rows[0][0] = 1

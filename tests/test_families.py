@@ -4,6 +4,7 @@ from math import comb, factorial
 
 from hypothesis import assume, given, settings, strategies as st
 
+import fishburn.families as families
 import fishburn.series as series
 from fishburn.checks import DIAGONAL_TRIANGLE, FIRST_ROW_TRIANGLE
 from fishburn.series import (
@@ -467,6 +468,16 @@ class TestLabeledFastPath:
         totals, rows = labeled_profile(15)
         for n in range(16):
             assert totals[n] == sum(rows[n])
+
+    def test_smaller_profile_is_sliced_from_a_larger_build(self, monkeypatch):
+        fresh = families._labeled_build(23)
+        labeled_profile(37)
+
+        def no_recurrence(n_max):
+            raise AssertionError(f"labeled recurrence rerun for n_max={n_max}")
+
+        monkeypatch.setattr(families, "_labeled_build", no_recurrence)
+        assert labeled_profile(23) == fresh
 
 
 @st.composite

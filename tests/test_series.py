@@ -113,6 +113,133 @@ class TestOrderDiscipline:
         assert _mul_into(ok, b, 6).coeff(3) == 1
 
 
+# ---------------------------------------------------------------------------
+# The product and inverse kernels against schoolbook references
+# ---------------------------------------------------------------------------
+
+def _exact(x):
+    """The normal form of an exact coefficient: int when integral."""
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+def _schoolbook(a: TruncatedSeries, b: TruncatedSeries, order: int) -> list:
+    """Reference product: the double loop over nonzero coefficients."""
+    va, vb = a.valuation(), b.valuation()
+    if va + vb > order:
+        return [0] * (order + 1)
+    if b.order < order and va + b.order < order:
+        raise ValueError("factor truncated too short for this product")
+    out = [0] * (order + 1)
+    for i in range(va, order + 1 - vb):
+        if a.coeffs[i]:
+            for j in range(vb, min(b.order, order - i) + 1):
+                if b.coeffs[j]:
+                    out[i + j] += a.coeffs[i] * b.coeffs[j]
+    return [_exact(c) for c in out]
+
+
+def _schoolbook_inv(a: TruncatedSeries) -> list:
+    """Reference inverse: out[n] = -(sum_{1<=i<=n} a_i out[n-i]) / a_0."""
+    a0 = a.coeffs[0]
+    if a0 == 0:
+        raise ZeroDivisionError("series with zero constant term has no inverse")
+    out = [_exact(Fraction(1) / a0)]
+    for n in range(1, a.order + 1):
+        s = 0
+        for i in range(1, n + 1):
+            if a.coeffs[i]:
+                s += a.coeffs[i] * out[n - i]
+        out.append(_exact(Fraction(-s) / a0))
+    return out
+
+
+def _typed(coeffs) -> list:
+    return [(type(c), c) for c in coeffs]
+
+
+def _outcome(fn, *args):
+    """(True, typed coefficients) or (False, exception type and message)."""
+    try:
+        result = fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return False, (type(exc), str(exc))
+    coeffs = result.coeffs if isinstance(result, TruncatedSeries) else result
+    return True, _typed(coeffs)
+
+
+KERNEL_COEFFS = {
+    "int": st.integers(min_value=-30, max_value=30),
+    "fraction": st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    "integral-fraction": st.integers(min_value=-30, max_value=30).map(Fraction),
+}
+
+
+@st.composite
+def kernel_operands(draw, order: int, valuation: int, step: int):
+    """A series of `order` whose nonzero coefficients sit at valuation +
+    step * i, with runs of zeros, in one of the coefficient kinds."""
+    coeff = KERNEL_COEFFS[draw(st.sampled_from(sorted(KERNEL_COEFFS)))]
+    cs = [0] * (order + 1)
+    if valuation > order:
+        return TruncatedSeries(cs, order)
+    cs[valuation] = draw(coeff.filter(bool))
+    for i in range(valuation + step, order + 1, step):
+        cs[i] = draw(st.one_of(st.just(0), st.just(0), coeff))
+    return TruncatedSeries(cs, order)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(a, b, order): b may be shorter than order, and the valuation sum
+    may sit anywhere, including at order and at order + 1."""
+    order = draw(st.integers(min_value=0, max_value=14))
+    b_order = draw(st.one_of(st.just(order), st.integers(min_value=0, max_value=order)))
+    va = draw(st.integers(min_value=0, max_value=order + 1))
+    at_edge = [v for v in (order - va, order + 1 - va) if 0 <= v <= b_order + 1]
+    if at_edge and draw(st.booleans()):
+        vb = draw(st.sampled_from(at_edge))
+    else:
+        vb = draw(st.integers(min_value=0, max_value=b_order + 1))
+    steps = st.sampled_from([1, 2, 3, 4, 6])
+    a = draw(kernel_operands(order, va, draw(steps)))
+    b = draw(kernel_operands(b_order, vb, draw(steps)))
+    return a, b, order
+
+
+class TestKernelOracle:
+    @given(kernel_cases())
+    @settings(max_examples=400)
+    def test_mul_matches_schoolbook(self, case):
+        a, b, order = case
+        assert _outcome(series._mul_into, a, b, order) == _outcome(_schoolbook, a, b, order)
+
+    @given(st.integers(min_value=0, max_value=14), st.integers(min_value=1, max_value=4),
+           st.data())
+    @settings(max_examples=200)
+    def test_inv_matches_schoolbook(self, order, step, data):
+        a = data.draw(kernel_operands(order, 0, step))
+        assert _outcome(TruncatedSeries.inv, a) == _outcome(_schoolbook_inv, a)
+
+    def test_zero_constant_term_has_no_inverse(self):
+        a = TruncatedSeries([0, 1], 3)
+        assert _outcome(TruncatedSeries.inv, a) == _outcome(_schoolbook_inv, a)
+
+    def test_inverse_across_a_gap_stays_exact(self):
+        # a_1 = 0 with a_0 outside {1, -1}: the odd coefficients are int 0
+        inv = TruncatedSeries([2, 0, 1], 6).inv()
+        assert _typed(inv.coeffs) == _typed(
+            [Fraction(1, 2), 0, Fraction(-1, 4), 0, Fraction(1, 8), 0, Fraction(-1, 16)]
+        )
+
+    def test_integral_fractions_collapse_to_int(self):
+        f = TruncatedSeries([Fraction(4, 2), Fraction(1, 2), 3], 3)
+        assert _typed(f.coeffs) == _typed([2, Fraction(1, 2), 3, 0])
+        half = TruncatedSeries([Fraction(1, 2), Fraction(3, 2)], 3)
+        assert _typed((half * TruncatedSeries([2, 2], 3)).coeffs) == _typed([1, 4, 3, 0])
+
+
 class TestCalculusAndSubstitution:
     def test_exp_linear_values(self):
         e3 = exp_linear(3, 6)
