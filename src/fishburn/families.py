@@ -7,22 +7,26 @@ statistic-marking refinements (first row size, diagonal size, number of 1s,
 number of 2s), and the two recursively defined fixed-point series.  All
 arithmetic is exact; nothing in this module touches floating point.
 
-Prefactors of the shape d(z)^k are folded into the factors themselves
-(d^k * prod f_j == prod (d*f_j)), which keeps the kernel's adaptive
-truncation effective and avoids maintaining full-order dpart powers.
+The general sum.  ``_general_sum`` builds sum_k prod_{j<=k} d (x_j - y_j)^alpha,
+the paper's sum_k d^{k+w0} prod_{j<=k} (e^{j+w} - 1)^alpha with d^k folded
+into the factors (d^k * prod f_j == prod (d*f_j)), which keeps the kernel's
+adaptive truncation effective.  x_j and y_j are 1, a fixed series, or a
+callable (j, room) such as exp(jz) or a running power from ``_powers`` (one
+truncated product per step).  A marked atom (B, A, Bi) is never folded into a
+power: it multiplies the unmarked power afresh at each step, because a
+monomial-marked power fills every v-degree of every z-coefficient, and
+products on those dense polynomials cost more than the ones saved.  Builders
+whose factor is no such difference call ``sum_product`` directly: A207652,
+A207653 and A207651 divide by 1 -/+ z^j; the A035378 forms pair consecutive
+factors; A158690 form 4 and fishburn/first_row's product form multiply two
+differences, the latter needing L^{j-1} and L^j together; and ``ramanujan_r``
+builds its factors coefficientwise.
 
-Running powers.  Most j-th factors need first * step^(j-1) for fixed series;
-``_powers`` carries that power between calls, one product per step truncated
-to the kernel's room (none on the first step).  A marked atom (B, A, Bi) is
-never folded into the power: it multiplies the unmarked power afresh at each
-step, because a monomial-marked power fills every v-degree of every
-z-coefficient, and products on those dense polynomials cost more than the
-ones saved.  The row, Andrews, direct and self-dual sums are written once for
-every carrier: a weight series gives the counting series, a marked atom its
-statistic refinement.  The marker passed to ``stat_gf`` picks the carrier of
-the refinement -- BivariateSeries for full distributions, Jet for moment
-jets -- and builds its atoms and lifted weight series; ``sum_product`` and
-``_one`` then take the carrier from the series they are handed.
+The row, Andrews, direct and self-dual sums serve every carrier: a weight
+series gives the counting series, a marked atom its statistic refinement.
+The marker passed to ``stat_gf`` picks the carrier -- BivariateSeries for full
+distributions, Jet for moment jets -- and builds the atoms and lifted weight
+series; ``sum_product`` and ``_one`` take the carrier from their input.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .series import (
     Jet,
     Marker,
     TruncatedSeries,
+    _power,
     exp_linear,
     jet_marker,
     monomial_marker,
@@ -196,52 +201,59 @@ def _one(like: Series, room: int) -> Series:
     return TruncatedSeries.one(room)
 
 
-def _powers(first: Series, step: Series) -> Callable[[int], Series]:
-    """room -> first * step^(j-1) on the j-th call, truncated at `room`.
-
-    Each call after the first does one truncated product; the rooms must not
-    grow from call to call, as sum_product guarantees.
+def _powers(first: Series, step: Series, atom: Optional[Series] = None):
+    """(j, room) -> [atom *] first * step^(j-1) on the j-th call, truncated at
+    `room`, which must not grow from call to call (sum_product guarantees it).
     """
     p = None
 
-    def power(room):
+    def power(j, room):
         nonlocal p
         p = first.truncate(room) if p is None else p.truncate(room) * step.truncate(room)
-        return p
+        return p if atom is None else atom.truncate(room) * p
 
     return power
 
 
+def _general_sum(x, order: int, y=None, d: Optional[Series] = None, alpha: int = 1):
+    """sum_k prod_{1<=j<=k} d (x_j - y_j)^alpha, truncated at `order`.
+
+    x and y are each 1 (None), a fixed series, or a callable (j, room) ->
+    series; d is 1 (None) or a fixed series, and alpha >= 1.  Every part of a
+    factor is truncated to the kernel's room; the carrier is that of x_j or y_j.
+    """
+    def at(t, j, room):
+        return t(j, room) if callable(t) else t.truncate(room)
+
+    def factor(j, room):
+        a = None if x is None else at(x, j, room)
+        b = _one(a, room) if y is None else at(y, j, room)
+        a = _one(b, room) if a is None else a
+        f = _power(a - b, alpha, None)  # alpha >= 1 never needs the unit
+        return f if d is None else d.truncate(room) * f
+
+    return sum_product(factor, order)
+
+
 def _row_sum(L: Series, order: int) -> Series:
     """sum_k prod_{1<=j<=k} (L^j - 1)."""
-    power = _powers(L, L)
-    return sum_product(lambda j, room: power(room) - _one(L, room), order)
+    return _general_sum(_powers(L, L), order)
 
 
 def _andrews_sum(L: Series, order: int) -> Series:
     """L * sum_k prod_{1<=j<=k} [L (L^j - 1)^2]."""
-    power = _powers(L, L)
-
-    def factor(j, room):
-        f = power(room) - _one(L, room)
-        return L.truncate(room) * (f * f)
-
-    return L * sum_product(factor, order)
+    return L * _general_sum(_powers(L, L), order, d=L, alpha=2)
 
 
 def _direct_sum(L: Series, order: int) -> Series:
     """sum_k prod_{1<=j<=k} (1 - L^{-j})."""
     Li = L.inv()
-    power = _powers(Li, Li)
-    return sum_product(lambda j, room: _one(L, room) - power(room), order)
+    return _general_sum(None, order, y=_powers(Li, Li))
 
 
 def _self_dual_sum(L: Series, L2: Series, order: int) -> Series:
     """L * sum_k prod_{1<=j<=k} [L (L2^j - 1)]."""
-    power = _powers(L2, L2)
-    return L * sum_product(
-        lambda j, room: L.truncate(room) * (power(room) - _one(L, room)), order
-    )
+    return L * _general_sum(_powers(L2, L2), order, d=L)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +299,9 @@ def family_gf(family: str, lam: LambdaLike, order: int) -> TruncatedSeries:
 
 @lru_cache(maxsize=None)
 def family_series(family: str, spec: LambdaSpec, order: int) -> TruncatedSeries:
-    """Cached family series for LambdaSpec inputs."""
+    """Cached family series for LambdaSpec inputs, one entry per family."""
+    if family != canonical_family(family):
+        return family_series(canonical_family(family), spec, order)
     return family_gf(family, spec, order)
 
 
@@ -340,11 +354,7 @@ def _row_first_row(spec, order, marker):
     # 1 + sum_k (B^{k+1} - 1) prod_j (L^j - 1)  with B = L(vz); the B^{k+1}
     # part is folded as B * sum_k prod_j [B (L^j - 1)] minus the plain series.
     B = lambda_atom(spec, order, marker, "size")
-    Lb = marker.lift(lambda_series(spec, order))
-    power = _powers(Lb, Lb)
-    marked = B * sum_product(
-        lambda j, room: B.truncate(room) * (power(room) - _one(B, room)), order
-    )
+    marked = _self_dual_sum(B, marker.lift(lambda_series(spec, order)), order)
     plain = marker.lift(row_fishburn_gf(spec, order))
     return _one(B, order) + marked - plain
 
@@ -353,10 +363,7 @@ def _row_diagonal(spec, order, marker):
     # sum_k prod_{1<=j<=k} (B L^{j-1} - 1)
     B = lambda_atom(spec, order, marker, "size")
     Lb = marker.lift(lambda_series(spec, order))
-    power = _powers(_one(B, order), Lb)
-    return sum_product(
-        lambda j, room: B.truncate(room) * power(room) - _one(B, room), order
-    )
+    return _general_sum(_powers(_one(B, order), Lb, B), order)
 
 
 def _fishburn_first_row(spec, order, marker, form):
@@ -364,11 +371,8 @@ def _fishburn_first_row(spec, order, marker, form):
     L = lambda_series(spec, order)
     if form == "direct":
         # sum_k prod_j (1 - B^{-1} L^{1-j})
-        Bi = B.inv()
-        power = _powers(_one(B, order), marker.lift(L.inv()))
-        return sum_product(
-            lambda j, room: _one(B, room) - Bi.truncate(room) * power(room), order
-        )
+        y = _powers(_one(B, order), marker.lift(L.inv()), B.inv())
+        return _general_sum(None, order, y=y)
     # product form: B * sum_k prod_j [L (B L^{j-1} - 1)(L^j - 1)]; the factor
     # needs L^{j-1} and L^j together, so it keeps its own running power.
     Lb = marker.lift(L)
@@ -391,19 +395,11 @@ def _fishburn_diagonal(spec, order, marker, form):
     if form == "direct":
         # B + (B - 1)^2 sum_k prod_j (B - L^{-j})
         Li = marker.lift(L.inv())
-        power = _powers(Li, Li)
-        tail = sum_product(lambda j, room: B.truncate(room) - power(room), order)
         bm1 = B - _one(B, order)
-        return B + (bm1 * bm1) * tail
+        return B + (bm1 * bm1) * _general_sum(B, order, y=_powers(Li, Li))
     # product form: B * sum_k prod_j [L (B L^{j-1} - 1)^2]
     Lb = marker.lift(L)
-    power = _powers(_one(B, order), Lb)
-
-    def factor(j, room):
-        f = B.truncate(room) * power(room) - _one(B, room)
-        return Lb.truncate(room) * (f * f)
-
-    return B * sum_product(factor, order)
+    return B * _general_sum(_powers(_one(B, order), Lb, B), order, d=Lb, alpha=2)
 
 
 def _self_dual_stat(spec, order, marker, stat):
@@ -415,15 +411,8 @@ def _self_dual_stat(spec, order, marker, stat):
     B = lambda_atom(spec, order, marker, "size")
     A = lambda_atom(spec, order, marker, inner)
     L = lambda_series(spec, order)
-    Lb = marker.lift(L)
-    L2 = marker.lift(L.substitute_power(2))
-    power = _powers(_one(B, order), L2)
-
-    def factor(j, room):
-        f = A.truncate(room) * power(room) - _one(B, room)
-        return Lb.truncate(room) * f
-
-    return B * sum_product(factor, order)
+    x = _powers(_one(B, order), marker.lift(L.substitute_power(2)), A)
+    return B * _general_sum(x, order, d=marker.lift(L))
 
 
 def stat_gf(
@@ -478,6 +467,8 @@ def stat_gf(
 @lru_cache(maxsize=None)
 def stat_profile(family: str, stat: str, spec: LambdaSpec, order: int) -> BivariateSeries:
     """Cached full distribution profile (honest monomial marking)."""
+    if family != canonical_family(family):
+        return stat_profile(canonical_family(family), stat, spec, order)
     return stat_gf(family, stat, spec, order, monomial_marker())
 
 
@@ -486,6 +477,8 @@ def stat_jet(
     family: str, stat: str, spec: LambdaSpec, order: int, depth: int = 2
 ) -> Jet:
     """Cached moment jet: v = 1 + eps truncated past eps^depth."""
+    if family != canonical_family(family):
+        return stat_jet(canonical_family(family), stat, spec, order, depth)
     return stat_gf(family, stat, spec, order, jet_marker(depth))
 
 
@@ -548,7 +541,7 @@ def _variant_A207652(order: int) -> TruncatedSeries:
     opz = _binomial_series(order)
     power = _powers(opz, opz)
     return sum_product(
-        lambda j, room: (power(room) - TruncatedSeries.one(room))
+        lambda j, room: (power(j, room) - TruncatedSeries.one(room))
         * _indicator_inverse(j, room),
         order,
     )
@@ -558,7 +551,7 @@ def _variant_A207653(order: int) -> TruncatedSeries:
     omz = _one_minus_z(order)
     power = _powers(omz, omz * omz)  # (1-z)^{2j-1}
     return sum_product(
-        lambda j, room: (TruncatedSeries.one(room) - power(room))
+        lambda j, room: (TruncatedSeries.one(room) - power(j, room))
         * _indicator_inverse(2 * j - 1, room),
         order,
     )
@@ -568,7 +561,7 @@ def _variant_A207651(order: int) -> TruncatedSeries:
     omz = _one_minus_z(order)
     power = _powers(omz, omz)
     return sum_product(
-        lambda j, room: (TruncatedSeries.one(room) - power(room))
+        lambda j, room: (TruncatedSeries.one(room) - power(j, room))
         * _indicator_inverse(j, room),
         order,
     )
@@ -588,12 +581,12 @@ def _variant_A035378(order: int) -> TruncatedSeries:
     power = _powers(zm1, zm1)
 
     def factor(i, room):
-        a = power(room)  # (z-1)^{2i-1}
-        b = power(room)  # (z-1)^{2i}
+        a = power(2 * i - 1, room)  # (z-1)^{2i-1}
+        b = power(2 * i, room)  # (z-1)^{2i}
         one = TruncatedSeries.one(room)
         return (one - a) * (one - b)
 
-    return sum_product(factor, order, dpart=lambda K: two - odd_power(order))
+    return sum_product(factor, order, dpart=lambda K: two - odd_power(K + 1, order))
 
 
 def _variant_A035378_inverted(order: int) -> TruncatedSeries:
@@ -602,7 +595,7 @@ def _variant_A035378_inverted(order: int) -> TruncatedSeries:
     odd_power = _powers(w, w * w)
 
     def dpart(K):
-        p = odd_power(order)  # (z-1)^{-(2K+1)}
+        p = odd_power(K + 1, order)  # (z-1)^{-(2K+1)}
         one = TruncatedSeries.one(order)
         q = one - p
         return p * (one + w * (q * q))
@@ -610,8 +603,8 @@ def _variant_A035378_inverted(order: int) -> TruncatedSeries:
     power = _powers(w, w)
 
     def factor(i, room):
-        a = power(room)  # (z-1)^{-(2i-1)}
-        b = power(room)  # (z-1)^{-2i}
+        a = power(2 * i - 1, room)  # (z-1)^{-(2i-1)}
+        b = power(2 * i, room)  # (z-1)^{-2i}
         one = TruncatedSeries.one(room)
         fa = one - a
         fb = one - b
@@ -631,15 +624,15 @@ def _variant_A035378_paired(order: int) -> TruncatedSeries:
     odd_power = _powers(u, u * u)
 
     def dpart(K):
-        p = odd_power(order)  # u^{2K+1}
+        p = odd_power(K + 1, order)  # u^{2K+1}
         q = one_full + p
         return p * (u * (q * q) - one_full)
 
     power = _powers(u, u)
 
     def factor(i, room):
-        a = power(room)  # u^{2i-1}
-        b = power(room)  # u^{2i}
+        a = power(2 * i - 1, room)  # u^{2i-1}
+        b = power(2 * i, room)  # u^{2i}
         one = TruncatedSeries.one(room)
         fa = a + one
         fb = b - one
@@ -655,8 +648,8 @@ def _variant_A207557(order: int) -> TruncatedSeries:
     factor_j = (1+z) - (1+z)^{2-2j}.
     """
     opz = _binomial_series(order)
-    power = _powers(TruncatedSeries.one(order), opz.inv().pow(2))  # (1+z)^{2-2j}
-    return sum_product(lambda j, room: opz.truncate(room) - power(room), order)
+    y = _powers(TruncatedSeries.one(order), opz.inv().pow(2))  # (1+z)^{2-2j}
+    return _general_sum(opz, order, y=y)
 
 
 def _variant_A207557_rf(order: int) -> TruncatedSeries:
@@ -667,13 +660,13 @@ def _variant_A207557_rf(order: int) -> TruncatedSeries:
     opz = _binomial_series(m)
     opz_sq = opz * opz
     power = _powers(opz, opz_sq)  # (1+z)^{2j-1}
-
-    def factor(j, room):
-        f = power(room) - TruncatedSeries.one(room)
-        return opz_sq.truncate(room) * (f * f)
-
-    s = opz * sum_product(factor, m) - opz  # k >= 1 only
+    s = opz * _general_sum(power, m, d=opz_sq, alpha=2) - opz  # k >= 1 only
     return TruncatedSeries.one(order) + s.shift_down(1)
+
+
+def _exps(a: int, b: int = 0) -> Callable[[int, int], TruncatedSeries]:
+    """(j, room) -> exp((a j + b) z) at order `room`."""
+    return lambda j, room: exp_linear(a * j + b, room)
 
 
 def _bernoulli_egf(order: int) -> TruncatedSeries:
@@ -686,16 +679,12 @@ def _bernoulli_egf(order: int) -> TruncatedSeries:
 def _variant_A158690_form(order: int, form: int) -> TruncatedSeries:
     one = TruncatedSeries.one
     if form == 1:
-        return sum_product(lambda j, room: exp_linear(j, room) - one(room), order)
+        return _general_sum(_exps(1), order)
     if form == 2:
-        return sum_product(
-            lambda j, room: one(room) - exp_linear(-(2 * j - 1), room), order
-        )
+        return _general_sum(None, order, y=_exps(-2, 1))
     if form == 3:
-        return exp_linear(-1, order) * sum_product(
-            lambda j, room: exp_linear(-1, room) - exp_linear(-(2 * j + 1), room),
-            order,
-        )
+        em1 = exp_linear(-1, order)
+        return em1 * _general_sum(em1, order, y=_exps(-2, -1))
     if form == 4:
         def factor(i, room):
             f = (exp_linear(2 * i - 1, room) - one(room)) * (
@@ -705,10 +694,9 @@ def _variant_A158690_form(order: int, form: int) -> TruncatedSeries:
 
         return exp_linear(1, order) * sum_product(factor, order)
     if form == 5:
-        inner = exp_linear(1, order) * sum_product(
-            lambda j, room: exp_linear(j + 1, room) - exp_linear(1, room), order
-        )
-        return (TruncatedSeries.one(order) + inner).scalar_mul(Fraction(1, 2))
+        e1 = exp_linear(1, order)
+        inner = e1 * _general_sum(_exps(1, 1), order, y=e1)
+        return (one(order) + inner).scalar_mul(Fraction(1, 2))
     raise ValueError(f"unknown form {form}")
 
 
@@ -746,82 +734,57 @@ def ramanujan_r(order: int, form: str = "alternating") -> TruncatedSeries:
 
 def r_at_exp_neg(order: int) -> TruncatedSeries:
     """R(e^{-z}) via 1 + e^{-z} sum_k prod_j (e^{-(j+1)z} - e^{-z})."""
-    return TruncatedSeries.one(order) + exp_linear(-1, order) * sum_product(
-        lambda j, room: exp_linear(-(j + 1), room) - exp_linear(-1, room), order
-    )
+    em1 = exp_linear(-1, order)
+    return TruncatedSeries.one(order) + em1 * _general_sum(_exps(-1, -1), order, y=em1)
 
 
 def r_at_one_minus(order: int) -> TruncatedSeries:
     """R(1-z) via 1 + (1-z) sum_k prod_j ((1-z)^{j+1} - (1-z))."""
     omz = _one_minus_z(order)
-    power = _powers(omz * omz, omz)  # (1-z)^{j+1}
-    return TruncatedSeries.one(order) + omz * sum_product(
-        lambda j, room: power(room) - omz.truncate(room), order
-    )
-
-
-def _power_schedule_family(order, base, step_exponent, first_exponent):
-    """sum_k prod_{1<=j<=k} (base^{step*j - shift} - 1) for integer schedules."""
-    power = _powers(base.pow(first_exponent), base.pow(step_exponent))
-    return sum_product(lambda j, room: power(room) - TruncatedSeries.one(room), order)
+    x = _powers(omz * omz, omz)  # (1-z)^{j+1}
+    return TruncatedSeries.one(order) + omz * _general_sum(x, order, y=omz)
 
 
 def _variant_table_egf(order: int, which: str) -> TruncatedSeries:
-    one = TruncatedSeries.one
+    e1 = exp_linear(1, order)
     if which == "A196194":
-        d = _bernoulli_egf(order)
-        return sum_product(
-            lambda j, room: d.truncate(room) * (exp_linear(j, room) - one(room)),
-            order,
-        )
+        return _general_sum(_exps(1), order, d=_bernoulli_egf(order))
     if which == "A207214":
-        return sum_product(
-            lambda j, room: exp_linear(j + 1, room) - exp_linear(1, room), order
-        )
+        return _general_sum(_exps(1, 1), order, y=e1)
     if which == "A215066":
-        return sum_product(
-            lambda j, room: exp_linear(2 * j - 1, room) - one(room), order
-        )
+        return _general_sum(_exps(2, -1), order)
     if which == "A209832":
-        return exp_linear(1, order) * sum_product(
-            lambda j, room: exp_linear(2 * j, room) - exp_linear(1, room), order
-        )
+        return e1 * _general_sum(_exps(2), order, y=e1)
     if which == "A214687":
-        return sum_product(
-            lambda j, room: exp_linear(2 * j + 1, room) - exp_linear(2, room), order
-        )
+        return _general_sum(_exps(2, 1), order, y=exp_linear(2, order))
     if which == "A079144":
-        return sum_product(lambda j, room: one(room) - exp_linear(-j, room), order)
+        return _general_sum(None, order, y=_exps(-1))
     raise ValueError(which)
 
 
 def _variant_A079144_completed(order: int) -> TruncatedSeries:
     """e^z sum_k prod_j [e^z (e^{jz} - 1)^2] -- the transformed route."""
-    def factor(j, room):
-        f = exp_linear(j, room) - TruncatedSeries.one(room)
-        return exp_linear(1, room) * (f * f)
+    e1 = exp_linear(1, order)
+    return e1 * _general_sum(_exps(1), order, d=e1, alpha=2)
 
-    return exp_linear(1, order) * sum_product(factor, order)
+
+# id: (period p or 0, step s, first f): the j-th factor is base^{s j - s + f} - 1
+# with base = (1+z)/(1+z^p), or 1+z when p = 0.
+_POWER_SCHEDULES = {
+    "A207386": (3, 1, 1), "A207397": (2, 1, 1),
+    "A207569": (0, 2, 1), "A207570": (0, 3, 1), "A207571": (0, 3, 2),
+}
 
 
 def _variant_ordinary(order: int, which: str) -> TruncatedSeries:
     opz = _binomial_series(order)
-    if which == "A207386":
-        base = opz * _indicator_inverse(3, order, alternating=True)
-        return _power_schedule_family(order, base, 1, 1)
-    if which == "A207397":
-        base = opz * _indicator_inverse(2, order, alternating=True)
-        return _power_schedule_family(order, base, 1, 1)
     if which == "A207556":
-        power = _powers(opz * opz, opz)  # (1+z)^{j+1}
-        return sum_product(lambda j, room: power(room) - opz.truncate(room), order)
-    if which == "A207569":
-        return _power_schedule_family(order, opz, 2, 1)
-    if which == "A207570":
-        return _power_schedule_family(order, opz, 3, 1)
-    if which == "A207571":
-        return _power_schedule_family(order, opz, 3, 2)
-    raise ValueError(which)
+        return _general_sum(_powers(opz * opz, opz), order, y=opz)  # (1+z)^{j+1}
+    if which not in _POWER_SCHEDULES:
+        raise ValueError(which)
+    period, step, first = _POWER_SCHEDULES[which]
+    base = opz * _indicator_inverse(period, order, alternating=True) if period else opz
+    return _general_sum(_powers(base.pow(first), base.pow(step)), order)
 
 
 _VARIANT_BUILDERS: dict = {

@@ -281,11 +281,6 @@ class TestCompare:
         assert report.total_variation < mp.mpf("0.004")
         assert report.mean_gap < mp.mpf("0.005")
 
-    @pytest.mark.parametrize("family,stat,lam", CELLS,
-                             ids=[f"{f}-{s}-{l.describe()}" for f, s, l in CELLS])
-    def test_sup_distance_shrinks_from_30_to_60(self, family, stat, lam):
-        assert sup_at(family, stat, lam, 60) < sup_at(family, stat, lam, 30)
-
     @pytest.mark.parametrize("family,stat,lam", [c for c in CELLS if c not in (
         ("fishburn", "first_row", NO1),
         ("self-dual", "diagonal", ALL),

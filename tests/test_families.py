@@ -89,6 +89,15 @@ class TestFamilyPrefixes:
         b = family_series("fishburn", ALL, 40)
         assert a is b
 
+    def test_aliases_share_the_canonical_cache_entry(self):
+        assert family_series("row", ALL, 40) is family_series("row-fishburn", ALL, 40)
+        assert stat_profile("row", "ones", ALL, 12) is stat_profile(
+            "row-fishburn", "ones", ALL, 12
+        )
+        assert stat_jet("selfdual", "ones", ALL, 12, 2) is stat_jet(
+            "self-dual", "ones", ALL, 12, 2
+        )
+
     def test_fishburn_numbers_fast_path(self):
         assert list(fishburn_numbers(9)) == FISHBURN
 
@@ -319,6 +328,75 @@ def test_bivariate_products_do_not_grow(family, stat, monkeypatch):
     monkeypatch.setattr(series, "_bv_mul_into", counting)
     stat_gf(family, stat, ALL, 30, monomial_marker())
     assert 0 < calls[0] <= BV_PRODUCTS_AT_30[family, stat]
+
+
+# Univariate products per build, recorded before every instance of the general
+# sum went through one builder: family_gf at order 60, everything else at 30.
+# A build that needs more has started to make products it did not make
+# before, such as building a power-schedule base it does not use.
+MUL_PRODUCTS = {
+    ("family_gf", "row-fishburn", "all"): 119,
+    ("family_gf", "row-fishburn", "01"): 119,
+    ("family_gf", "row-fishburn", "even+"): 59,
+    ("family_gf", "fishburn", "all"): 120,
+    ("family_gf", "fishburn", "01"): 120,
+    ("family_gf", "fishburn", "even+"): 60,
+    ("family_gf", "self-dual", "all"): 90,
+    ("family_gf", "self-dual", "01"): 90,
+    ("family_gf", "self-dual", "even+"): 45,
+    ("variant_gf", "A035378"): 180,
+    ("variant_gf", "A079144"): 30,
+    ("variant_gf", "A158690-form1"): 30,
+    ("variant_gf", "A158690-form2"): 30,
+    ("variant_gf", "A158690-form3"): 31,
+    ("variant_gf", "A158690-form4"): 46,
+    ("variant_gf", "A158690-form5"): 31,
+    ("variant_gf", "A207557"): 60,
+    ("variant_gf", "A207651"): 89,
+    ("variant_gf", "A207652"): 89,
+    ("variant_gf", "A207653"): 90,
+    ("route", "_variant_A035378_inverted"): 168,
+    ("route", "_variant_A035378_paired"): 168,
+    ("route", "_variant_A207557_rf"): 65,
+    ("route", "_variant_A079144_completed"): 46,
+    ("route", "r_at_exp_neg"): 31,
+    ("route", "r_at_one_minus"): 61,
+    ("named_gf", "A207386"): 60,
+    ("named_gf", "A207397"): 60,
+    ("named_gf", "A207556"): 60,
+    ("named_gf", "A207569"): 60,
+    ("named_gf", "A207570"): 61,
+    ("named_gf", "A207571"): 62,
+    ("named_gf", "A158690"): 30,
+    ("named_gf", "A079144"): 30,
+    ("named_gf", "A196194"): 60,
+    ("named_gf", "A207214"): 30,
+    ("named_gf", "A215066"): 30,
+    ("named_gf", "A209832"): 31,
+    ("named_gf", "A214687"): 30,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MUL_PRODUCTS), ids="-".join)
+def test_univariate_products_do_not_grow(case, monkeypatch):
+    calls = [0]
+    kernel = series._mul_into
+
+    def counting(a, b, order):
+        calls[0] += 1
+        return kernel(a, b, order)
+
+    monkeypatch.setattr(series, "_mul_into", counting)
+    kind, name = case[:2]
+    if kind == "family_gf":
+        family_gf(name, LambdaSpec(case[2]), 60)
+    elif kind == "variant_gf":
+        variant_gf(name, 30)
+    elif kind == "route":
+        getattr(families, name)(30)
+    else:
+        named_gf(name, 30)
+    assert 0 < calls[0] <= MUL_PRODUCTS[case]
 
 
 def test_jets_make_no_bivariate_products(monkeypatch):
