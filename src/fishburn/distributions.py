@@ -11,8 +11,6 @@ Everything touching a table is exact rational arithmetic; laws and distance
 metrics are evaluated with mpmath.
 """
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +36,6 @@ __all__ = [
     "ParityReport",
     "compare",
     "distribution",
-    "histogram_csv",
     "histogram_rows",
     "limit_law_for",
     "parity_report",
@@ -54,6 +51,8 @@ _DPS = 40
 # cheap far beyond it through the jet representation.
 _ENUM_BUDGET = 150
 _JET_BUDGET = 400
+# parity_report adds distance metrics, which need the full table, up to here.
+_PARITY_PROFILE_BUDGET = 60
 
 # Profiles are built on a fixed grid of truncation orders so that nearby
 # sizes share one cached series instead of rebuilding per n.
@@ -529,19 +528,14 @@ class ParityReport:
     rows: Tuple[ParityEntry, ...]
 
 
-def parity_report(
-    lam: LambdaSpec,
-    stat: str,
-    ns: Iterable[int],
-    profile_budget: int = 60,
-) -> ParityReport:
+def parity_report(lam: LambdaSpec, stat: str, ns: Iterable[int]) -> ParityReport:
     """Per-parity behavior of the 2s count when 1s are barred.
 
     For each requested size: the exact matrix count, exact mean/variance of
     the statistic, the predicted law (root-n normal when 3s are allowed, a
     shifted Poisson or degenerate count otherwise), and distance metrics
-    whenever the size is within ``profile_budget``.  Sizes with no matrices
-    are reported with count 0 rather than skipped.
+    for sizes up to ``_PARITY_PROFILE_BUDGET``.  Sizes with no matrices are
+    reported with count 0 rather than skipped.
     """
     if lam.weight(1) != 0:
         raise ValueError("parity analysis applies when 1s are barred")
@@ -562,7 +556,7 @@ def parity_report(
         mean, variance = stat_mean_variance("fishburn", "twos", lam, n)
         law = limit_law_for("fishburn", "twos", lam, n)
         metrics = None
-        if n <= min(profile_budget, _ENUM_BUDGET):
+        if n <= _PARITY_PROFILE_BUDGET:
             metrics = compare(distribution("fishburn", "twos", lam, n), law)
         rows.append(ParityEntry(n, parity, int(count), mean, variance, law, metrics))
     return ParityReport(lam.describe(), stat, gap, tuple(rows))
@@ -598,26 +592,6 @@ def histogram_rows(dist: DistributionTable, law: Optional[LimitLaw] = None):
         ]
 
 
-def histogram_csv(
-    dist: DistributionTable,
-    law: Optional[LimitLaw] = None,
-    path: Optional[str] = None,
-) -> str:
-    """CSV with columns value, exact_pmf, limit_pmf (exact as num/den)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["value", "exact_pmf", "limit_pmf"])
-    for value, exact, limit in histogram_rows(dist, law):
-        writer.writerow(
-            [value, str(exact), "" if limit is None else mp.nstr(limit, 12)]
-        )
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
-
-
 def _law_payload(law: LimitLaw) -> dict:
     payload = {
         "kind": law.kind,
@@ -639,13 +613,8 @@ def _law_payload(law: LimitLaw) -> dict:
     return payload
 
 
-def report_json(
-    dist: DistributionTable,
-    law: Optional[LimitLaw] = None,
-    metrics: Optional[ComparisonReport] = None,
-    path: Optional[str] = None,
-) -> str:
-    """JSON report of a table, optionally with its law and distance metrics."""
+def report_json(dist: DistributionTable, law: Optional[LimitLaw] = None) -> str:
+    """JSON report of a table, with its law and distance metrics if a law is given."""
     payload = {
         "schema": "fishburn.distribution/1",
         "family": dist.family,
@@ -661,17 +630,11 @@ def report_json(
     }
     if law is not None:
         payload["law"] = _law_payload(law)
-        if metrics is None:
-            metrics = compare(dist, law)
-    if metrics is not None:
+        metrics = compare(dist, law)
         payload["metrics"] = {
             "sup_distance": mp.nstr(metrics.sup_distance, 12),
             "total_variation": mp.nstr(metrics.total_variation, 12),
             "mean_gap": mp.nstr(metrics.mean_gap, 12),
             "variance_gap": mp.nstr(metrics.variance_gap, 12),
         }
-    text = json.dumps(payload, indent=2)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    return json.dumps(payload, indent=2)

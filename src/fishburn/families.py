@@ -7,20 +7,20 @@ statistic-marking refinements (first row size, diagonal size, number of 1s,
 number of 2s), and the two recursively defined fixed-point series.  All
 arithmetic is exact; nothing in this module touches floating point.
 
-The general sum.  ``_general_sum`` builds sum_k prod_{j<=k} d (x_j - y_j)^alpha,
+The general sum.  ``_general_sum`` builds sum_k prod_{j<=k} d_j (x_j - y_j)^alpha,
 the paper's sum_k d^{k+w0} prod_{j<=k} (e^{j+w} - 1)^alpha with d^k folded
 into the factors (d^k * prod f_j == prod (d*f_j)), which keeps the kernel's
-adaptive truncation effective.  x_j and y_j are 1, a fixed series, or a
-callable (j, room) such as exp(jz) or a running power from ``_powers`` (one
-truncated product per step).  A marked atom (B, A, Bi) is never folded into a
-power: it multiplies the unmarked power afresh at each step, because a
-monomial-marked power fills every v-degree of every z-coefficient, and
-products on those dense polynomials cost more than the ones saved.  Builders
-whose factor is no such difference call ``sum_product`` directly: A207652,
-A207653 and A207651 divide by 1 -/+ z^j; the A035378 forms pair consecutive
-factors; A158690 form 4 and fishburn/first_row's product form multiply two
-differences, the latter needing L^{j-1} and L^j together; and ``ramanujan_r``
-builds its factors coefficientwise.
+adaptive truncation effective.  x_j, y_j and d_j are 1, a fixed series, or a
+callable (j, room) such as exp(jz), 1/(1 - z^j) or a running power from
+``_powers`` (one truncated product per step).  A marked atom (B, A, Bi) is
+never folded into a power: it multiplies the unmarked power afresh at each
+step, because a monomial-marked power fills every v-degree of every
+z-coefficient, and products on those dense polynomials cost more than the
+ones saved.  Builders whose factor is no such difference call
+``sum_product`` directly: the A035378 forms pair consecutive factors;
+A158690 form 4 and fishburn/first_row's product form multiply two
+differences, the latter needing L^{j-1} and L^j together; and
+``ramanujan_r`` builds its factors coefficientwise.
 
 The row, Andrews, direct and self-dual sums serve every carrier: a weight
 series gives the counting series, a marked atom its statistic refinement.
@@ -215,12 +215,12 @@ def _powers(first: Series, step: Series, atom: Optional[Series] = None):
     return power
 
 
-def _general_sum(x, order: int, y=None, d: Optional[Series] = None, alpha: int = 1):
-    """sum_k prod_{1<=j<=k} d (x_j - y_j)^alpha, truncated at `order`.
+def _general_sum(x, order: int, y=None, d=None, alpha: int = 1):
+    """sum_k prod_{1<=j<=k} d_j (x_j - y_j)^alpha, truncated at `order`.
 
-    x and y are each 1 (None), a fixed series, or a callable (j, room) ->
-    series; d is 1 (None) or a fixed series, and alpha >= 1.  Every part of a
-    factor is truncated to the kernel's room; the carrier is that of x_j or y_j.
+    x, y and d are each 1 (None), a fixed series, or a callable (j, room) ->
+    series, and alpha >= 1.  Every part of a factor is truncated to the
+    kernel's room; the carrier is that of x_j or y_j.
     """
     def at(t, j, room):
         return t(j, room) if callable(t) else t.truncate(room)
@@ -230,7 +230,7 @@ def _general_sum(x, order: int, y=None, d: Optional[Series] = None, alpha: int =
         b = _one(a, room) if y is None else at(y, j, room)
         a = _one(b, room) if a is None else a
         f = _power(a - b, alpha, None)  # alpha >= 1 never needs the unit
-        return f if d is None else d.truncate(room) * f
+        return f if d is None else at(d, j, room) * f
 
     return sum_product(factor, order)
 
@@ -473,13 +473,12 @@ def stat_profile(family: str, stat: str, spec: LambdaSpec, order: int) -> Bivari
 
 
 @lru_cache(maxsize=None)
-def stat_jet(
-    family: str, stat: str, spec: LambdaSpec, order: int, depth: int = 2
-) -> Jet:
-    """Cached moment jet: v = 1 + eps truncated past eps^depth."""
+def stat_jet(family: str, stat: str, spec: LambdaSpec, order: int) -> Jet:
+    """Cached moment jet: v = 1 + eps truncated past eps^2, which is as deep
+    as the mean and variance need."""
     if family != canonical_family(family):
-        return stat_jet(canonical_family(family), stat, spec, order, depth)
-    return stat_gf(family, stat, spec, order, jet_marker(depth))
+        return stat_jet(canonical_family(family), stat, spec, order)
+    return stat_gf(family, stat, spec, order, jet_marker(2))
 
 
 # ---------------------------------------------------------------------------
@@ -539,32 +538,20 @@ def _one_minus_z(order: int) -> TruncatedSeries:
 
 def _variant_A207652(order: int) -> TruncatedSeries:
     opz = _binomial_series(order)
-    power = _powers(opz, opz)
-    return sum_product(
-        lambda j, room: (power(j, room) - TruncatedSeries.one(room))
-        * _indicator_inverse(j, room),
-        order,
-    )
+    return _general_sum(_powers(opz, opz), order, d=_indicator_inverse)
 
 
 def _variant_A207653(order: int) -> TruncatedSeries:
     omz = _one_minus_z(order)
-    power = _powers(omz, omz * omz)  # (1-z)^{2j-1}
-    return sum_product(
-        lambda j, room: (TruncatedSeries.one(room) - power(j, room))
-        * _indicator_inverse(2 * j - 1, room),
-        order,
+    return _general_sum(
+        None, order, y=_powers(omz, omz * omz),  # (1-z)^{2j-1}
+        d=lambda j, room: _indicator_inverse(2 * j - 1, room),
     )
 
 
 def _variant_A207651(order: int) -> TruncatedSeries:
     omz = _one_minus_z(order)
-    power = _powers(omz, omz)
-    return sum_product(
-        lambda j, room: (TruncatedSeries.one(room) - power(j, room))
-        * _indicator_inverse(j, room),
-        order,
-    )
+    return _general_sum(None, order, y=_powers(omz, omz), d=_indicator_inverse)
 
 
 def _variant_A035378(order: int) -> TruncatedSeries:

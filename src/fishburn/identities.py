@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence
 
-from .series import TruncatedSeries, exp_linear, sum_product
+from .series import TruncatedSeries, exp_linear
 from .families import (
     LambdaLike,
     fishburn_gf,

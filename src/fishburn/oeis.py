@@ -1,18 +1,16 @@
-"""OEIS cross-validation plumbing: b-files, fixtures, cache, fetcher.
+"""OEIS cross-validation plumbing: b-files, fixtures, fetcher.
 
 Every sequence this package computes is also carried as an embedded b-file
 fixture, so the default (offline) mode never touches the network.  The
-fetcher exists for refreshing fixtures against the live OEIS; it honors
-FORGE_OFFLINE=1 and caches under FORGE_OEIS_CACHE with atomic writes.
+network mode exists for checking fixtures against the live OEIS; it always
+downloads, keeps nothing on disk, and raises FetchError when FORGE_OFFLINE=1
+forbids the network.  ``urllib`` is imported only when a download happens.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import tempfile
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -24,7 +22,6 @@ _A_NUMBER = re.compile(r"^A\d{6}$")
 FETCH_TIMEOUT = 30.0
 FETCH_RETRIES = 2  # additional attempts after the first
 
-ENV_CACHE = "FORGE_OEIS_CACHE"
 ENV_OFFLINE = "FORGE_OFFLINE"
 
 
@@ -37,7 +34,7 @@ class BfileParseError(ValueError):
 
 
 class UnknownSequenceError(KeyError):
-    """No embedded fixture (or cache entry) for the requested A-number."""
+    """No embedded fixture for the requested A-number."""
 
 
 class FetchError(RuntimeError):
@@ -49,14 +46,14 @@ class OeisSequence:
     id: str
     offset: int
     values: Tuple[int, ...]
-    source: str  # embedded | cache | network
+    source: str  # embedded | network
 
     def __post_init__(self):
         if not _A_NUMBER.match(self.id):
             raise ValueError(f"not an A-number: {self.id!r}")
         if not self.values:
             raise ValueError(f"{self.id}: empty sequence")
-        if self.source not in ("embedded", "cache", "network"):
+        if self.source not in ("embedded", "network"):
             raise ValueError(f"unknown source {self.source!r}")
 
     @property
@@ -112,7 +109,7 @@ def format_bfile(seq: OeisSequence, comments: Sequence[str] = ()) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Fixture, cache, and network backends
+# Fixture and network backends
 # ---------------------------------------------------------------------------
 
 def _fixture_dir() -> Path:
@@ -130,13 +127,6 @@ def _read_fixture(id: str) -> OeisSequence:
     return parse_bfile(path.read_text(), id, "embedded")
 
 
-def cache_dir() -> Path:
-    env = os.environ.get(ENV_CACHE)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "fishburn-oeis"
-
-
 def network_allowed() -> bool:
     return os.environ.get(ENV_OFFLINE, "") != "1"
 
@@ -146,6 +136,9 @@ def _bfile_url(id: str) -> str:
 
 
 def _default_transport(url: str) -> str:
+    import urllib.error
+    import urllib.request
+
     last: Optional[Exception] = None
     for _ in range(1 + FETCH_RETRIES):
         try:
@@ -156,57 +149,27 @@ def _default_transport(url: str) -> str:
     raise FetchError(f"GET {url} failed after {1 + FETCH_RETRIES} attempts: {last}")
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def fetch(
     id: str,
     mode: str = "offline",
-    cache: Optional[Path] = None,
     transport: Optional[Callable[[str], str]] = None,
 ) -> OeisSequence:
     """Look up a sequence.
 
-    offline: embedded fixtures only (never touches disk cache or network).
-    cached:  cache directory first, then network if permitted, then the
-             embedded fixture as a last resort when the network is forbidden.
-    network: always refetch (and refresh the cache).
+    offline: the embedded fixture; never touches the network.
+    network: download the live b-file through `transport` (urllib by
+             default); raises FetchError when FORGE_OFFLINE=1 forbids it.
     """
     if not _A_NUMBER.match(id):
         raise ValueError(f"not an A-number: {id!r}")
-    if mode not in ("offline", "cached", "network"):
+    if mode not in ("offline", "network"):
         raise ValueError(f"unknown fetch mode {mode!r}")
-
     if mode == "offline":
         return _read_fixture(id)
-
-    cdir = cache if cache is not None else cache_dir()
-    cpath = cdir / f"{id}.txt"
-    if mode == "cached" and cpath.is_file():
-        return parse_bfile(cpath.read_text(), id, "cache")
-
     if not network_allowed():
-        try:
-            return _read_fixture(id)
-        except UnknownSequenceError:
-            raise FetchError(
-                f"network fetch of {id} forbidden ({ENV_OFFLINE}=1) and no fixture"
-            )
-
+        raise FetchError(f"network fetch of {id} forbidden ({ENV_OFFLINE}=1)")
     text = (transport or _default_transport)(_bfile_url(id))
-    seq = parse_bfile(text, id, "network")  # validate before caching
-    _write_atomic(cpath, text)
-    return seq
+    return parse_bfile(text, id, "network")
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Tuple
 
 import mpmath as mp
 
@@ -678,13 +678,12 @@ def window_tail(n: int) -> Fraction:
     return Fraction(totals[n] - inside, totals[n])
 
 
-def profile_csv(n: int, path: Optional[str] = None) -> str:
+def profile_csv(n: int) -> str:
     """CSV dump ``k,log_exact,log_approx`` over the central window.
 
     ``log_exact`` is log(a_{n,k}) from the integer profile (scaled back by
     n!), ``log_approx`` is the log of :func:`ank_approx`; both natural
-    logs printed to 12 significant digits.  The text is returned and, if
-    ``path`` is given, also written there.
+    logs printed to 12 significant digits.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 20:
         raise ValueError(f"n must be an integer >= 20, got {n!r}")
@@ -700,8 +699,4 @@ def profile_csv(n: int, path: Optional[str] = None) -> str:
         for k in range(k_lo, k_hi + 1):
             log_exact = mp.log(mp.mpf(rows[n][k])) - log_factorial
             writer.writerow([k, mp.nstr(log_exact, 12), mp.nstr(_log_ank(n, k), 12)])
-    text = buffer.getvalue()
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    return text
+    return buffer.getvalue()

@@ -130,15 +130,6 @@ class TruncatedSeries:
         """1/(1-z): the all-nonnegative-entries weight series."""
         return cls((1,) * (order + 1), order)
 
-    @classmethod
-    def from_polynomial(cls, coeffs: Sequence[Coeff], order: int) -> "TruncatedSeries":
-        """Polynomial as a series; coefficients beyond the order must be zero."""
-        cs = list(coeffs)
-        for c in cs[order + 1 :]:
-            if c:
-                raise ValueError("polynomial degree exceeds truncation order")
-        return cls(cs[: order + 1], order)
-
     # -- inspection ---------------------------------------------------
 
     def coeff(self, n: int) -> Coeff:
@@ -201,24 +192,6 @@ class TruncatedSeries:
             raise ValueError("cannot extend a truncated series; recompute instead")
         return TruncatedSeries(self.coeffs[: m + 1], m)
 
-    def shift(self, m: int) -> "TruncatedSeries":
-        """Multiply by z^m.  Negative m divides by z^m (needs valuation >= -m).
-
-        The result keeps the same order; a positive shift therefore forgets
-        the top m coefficients, a negative shift introduces coefficients that
-        were not known and is only allowed when they exist (valuation check).
-        """
-        if m >= 0:
-            return TruncatedSeries((0,) * m + self.coeffs[: self.order + 1 - m], self.order)
-        if self.valuation() < -m:
-            raise ValueError("negative shift below the valuation is not a power series")
-        # top -m coefficients of the result are unknown; that would silently
-        # shrink knowledge, so refuse unless they are irrelevant to the caller
-        raise ValueError(
-            "negative shift would require coefficients beyond the truncation order; "
-            "use shift_down"
-        )
-
     def shift_down(self, m: int) -> "TruncatedSeries":
         """Divide by z^m, losing the top m coefficients (order drops by m)."""
         if m < 0:
@@ -253,10 +226,7 @@ class TruncatedSeries:
             return self.inv().pow(-k)
         return _power(self, k, TruncatedSeries.one(self.order))
 
-    def __pow__(self, k: int) -> "TruncatedSeries":
-        return self.pow(k)
-
-    # -- calculus (internal plumbing for log, used by one variant GF) --
+    # -- calculus and substitutions -----------------------------------
 
     def derivative(self) -> "TruncatedSeries":
         """d/dz; the top coefficient of the result is unknowable and the
@@ -266,31 +236,6 @@ class TruncatedSeries:
         return TruncatedSeries(
             [n * c for n, c in enumerate(self.coeffs)][1:], self.order - 1
         )
-
-    def integrate(self, const: Coeff = 0) -> "TruncatedSeries":
-        """Antiderivative with given constant term; order grows by one."""
-        out: list[Coeff] = [const]
-        for n, c in enumerate(self.coeffs):
-            out.append(_norm(Fraction(c, n + 1)) if c else 0)
-        return TruncatedSeries(out, self.order + 1)
-
-    def log(self) -> "TruncatedSeries":
-        """log(f) for f with constant term 1."""
-        if self.coeffs[0] != 1:
-            raise ValueError("log needs constant term 1")
-        # (log f)' = f'/f, integrated with log f(0) = 0
-        return (self.derivative() * self.truncate(self.order - 1).inv()).integrate(0)
-
-    # -- substitutions --------------------------------------------------
-
-    def substitute_scale(self, c: Coeff) -> "TruncatedSeries":
-        """z -> c*z."""
-        out: list[Coeff] = []
-        p: Coeff = 1
-        for a in self.coeffs:
-            out.append(_norm(a * p))
-            p *= c
-        return TruncatedSeries(out, self.order)
 
     def substitute_power(self, m: int) -> "TruncatedSeries":
         """z -> z^m (m >= 1); result truncated at the same order."""

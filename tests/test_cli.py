@@ -419,6 +419,18 @@ class TestPlumbing:
         assert proc.returncode == 0
         assert proc.stdout == "1 1 2 5 15\n"
 
+    def test_import_loads_no_network_stack(self):
+        # urllib is imported only when a live b-file is downloaded
+        probe = (
+            "import sys; before = set(sys.modules); import fishburn.cli; "
+            "loaded = set(sys.modules) - before; "
+            "print(sorted({'urllib.request', 'http.client'} & loaded))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="digits"):
             RunConfig(command="enumerate", digits=99)

@@ -17,7 +17,6 @@ from fishburn.distributions import (
     LimitLaw,
     compare,
     distribution,
-    histogram_csv,
     histogram_rows,
     limit_law_for,
     parity_report,
@@ -399,35 +398,15 @@ class TestExports:
                    for _, exact, limit in (
                        (v, as_mpf(p), q) for v, p, q in rows))
 
-    def test_histogram_csv_round_trip(self, tmp_path):
+    def test_report_json_payload(self):
         table = distribution("fishburn", "first_row", ALL, 7)
         law = limit_law_for("fishburn", "first_row", ALL, 7)
-        target = tmp_path / "hist.csv"
-        text = histogram_csv(table, law, path=str(target))
-        assert target.read_text() == text
-        lines = text.strip().splitlines()
-        assert lines[0] == "value,exact_pmf,limit_pmf"
-        assert len(lines) == 1 + len(table.support)
-        value, exact, limit = lines[1].split(",")
-        assert Fraction(exact) == Fraction(217, 1014)
-        assert float(limit) > 0
-
-    def test_histogram_csv_without_law(self):
-        table = distribution("fishburn", "first_row", ALL, 5)
-        lines = histogram_csv(table).strip().splitlines()
-        assert lines[1].endswith(",")
-
-    def test_report_json_payload(self, tmp_path):
-        table = distribution("fishburn", "first_row", ALL, 7)
-        law = limit_law_for("fishburn", "first_row", ALL, 7)
-        target = tmp_path / "report.json"
-        payload = json.loads(report_json(table, law, path=str(target)))
+        payload = json.loads(report_json(table, law))
         assert payload["schema"] == "fishburn.distribution/1"
         assert payload["total"] == "1014"
         assert [Fraction(p) for p in payload["pmf"]] == list(table.pmf)
         assert payload["law"]["kind"] == "normal"
         assert "sup_distance" in payload["metrics"]
-        assert json.loads(target.read_text()) == payload
 
     def test_report_json_minimal(self):
         table = distribution("fishburn", "first_row", ALL, 4)

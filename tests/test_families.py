@@ -94,8 +94,8 @@ class TestFamilyPrefixes:
         assert stat_profile("row", "ones", ALL, 12) is stat_profile(
             "row-fishburn", "ones", ALL, 12
         )
-        assert stat_jet("selfdual", "ones", ALL, 12, 2) is stat_jet(
-            "self-dual", "ones", ALL, 12, 2
+        assert stat_jet("selfdual", "ones", ALL, 12) is stat_jet(
+            "self-dual", "ones", ALL, 12
         )
 
     def test_fishburn_numbers_fast_path(self):
@@ -579,7 +579,7 @@ class TestInvariants:
         assume(stat != "ones" or weights[0])
         spec = LambdaSpec("custom", tuple(weights))
         if form == "product":
-            jet = stat_jet(family, stat, spec, order, depth=2)
+            jet = stat_jet(family, stat, spec, order)
         else:
             jet = stat_gf(family, stat, spec, order, jet_marker(2), form)
         prof = stat_profile(family, stat, spec, order)

@@ -1,6 +1,4 @@
-import os
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -113,13 +111,7 @@ SAMPLE = "# sample\n0 1\n1 1\n2 2\n3 5\n"
 
 
 class TestFetchModes:
-    def test_cached_mode_prefers_cache(self, tmp_path):
-        (tmp_path / "A022493.txt").write_text(SAMPLE)
-        seq = fetch("A022493", mode="cached", cache=tmp_path)
-        assert seq.source == "cache"
-        assert seq.values == (1, 1, 2, 5)
-
-    def test_cached_mode_fetches_then_hits_cache(self, tmp_path, monkeypatch):
+    def test_network_mode_parses_each_download(self, monkeypatch):
         monkeypatch.delenv("FORGE_OFFLINE", raising=False)
         calls = []
 
@@ -127,46 +119,24 @@ class TestFetchModes:
             calls.append(url)
             return SAMPLE
 
-        first = fetch("A022493", mode="cached", cache=tmp_path, transport=transport)
-        assert first.source == "network"
-        assert calls and "A022493" in calls[0]
-        second = fetch("A022493", mode="cached", cache=tmp_path, transport=transport)
-        assert second.source == "cache"
-        assert len(calls) == 1
+        for _ in range(2):
+            seq = fetch("A022493", mode="network", transport=transport)
+            assert seq.source == "network"
+            assert seq.values == (1, 1, 2, 5)
+        assert len(calls) == 2 and "A022493" in calls[0]
 
-    def test_network_write_is_atomic(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("FORGE_OFFLINE", raising=False)
-        fetch("A022493", mode="network", cache=tmp_path, transport=lambda url: SAMPLE)
-        leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
-        assert leftovers == []
-        assert (tmp_path / "A022493.txt").read_text() == SAMPLE
-
-    def test_parse_failure_not_cached(self, tmp_path, monkeypatch):
+    def test_parse_failure_not_cached(self, monkeypatch):
         monkeypatch.delenv("FORGE_OFFLINE", raising=False)
         with pytest.raises(BfileParseError):
-            fetch("A022493", mode="network", cache=tmp_path, transport=lambda url: "0 x\n")
-        assert not (tmp_path / "A022493.txt").exists()
+            fetch("A022493", mode="network", transport=lambda url: "0 x\n")
 
-    def test_offline_env_blocks_network(self, tmp_path, monkeypatch):
+    def test_offline_env_blocks_network(self, monkeypatch):
         monkeypatch.setenv("FORGE_OFFLINE", "1")
-        # falls back to the embedded fixture for known ids
-        seq = fetch("A022493", mode="cached", cache=tmp_path)
-        assert seq.source == "embedded"
-        # and errors distinctly for unknown ones
         with pytest.raises(FetchError, match="forbidden"):
-            fetch("A000099", mode="network", cache=tmp_path)
-
-    def test_torn_temp_file_does_not_corrupt_reads(self, tmp_path):
-        (tmp_path / ".A022493.txt.abc.tmp").write_text("0 99\n")
-        (tmp_path / "A022493.txt").write_text(SAMPLE)
-        seq = fetch("A022493", mode="cached", cache=tmp_path)
-        assert seq.values == (1, 1, 2, 5)
-
-    def test_env_cache_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FORGE_OEIS_CACHE", str(tmp_path))
-        from fishburn.oeis import cache_dir
-
-        assert cache_dir() == tmp_path
+            fetch("A000099", mode="network")
+        # a fixture id too: a live check must not compare a fixture with itself
+        with pytest.raises(FetchError, match="forbidden"):
+            fetch("A022493", mode="network", transport=lambda url: SAMPLE)
 
 
 class TestCrossCheck:

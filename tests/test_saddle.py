@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fishburn.asymptotics import named_form
+from fishburn.cli import main
 from fishburn.families import labeled_profile
 from fishburn.saddle import (
     BoundReport,
@@ -535,8 +536,9 @@ def test_profile_dump_contents():
 
 def test_profile_dump_writes_file(tmp_path):
     target = tmp_path / "profile.csv"
-    text = profile_csv(60, path=str(target))
-    assert target.read_text(encoding="utf-8") == text
+    argv = ["saddle", "--n", "60", "--profile", "--format", "csv"]
+    assert main(argv + ["--output", str(target)]) == 0
+    assert target.read_text(encoding="utf-8") == profile_csv(60)
 
 
 def test_profile_dump_validation():

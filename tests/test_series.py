@@ -248,25 +248,6 @@ class TestCalculusAndSubstitution:
         em1 = exp_linear(-1, 5)
         assert em1.coeff(3) == Fraction(-1, 6)
 
-    def test_log_of_geometric(self):
-        # log(1/(1-z)) = sum z^n/n
-        f = TruncatedSeries.geometric(8).log()
-        assert f.coeff(0) == 0
-        for n in range(1, 9):
-            assert f.coeff(n) == Fraction(1, n)
-
-    @given(unit_series_st)
-    @settings(max_examples=40)
-    def test_exp_log_roundtrip_via_coefficients(self, a):
-        # exp(log a) = a checked through the defining ODE: (log a)' * a = a'
-        la = a.log()
-        assert la.derivative() * a.truncate(ORDER - 1) == a.derivative()
-
-    def test_substitute_scale(self):
-        f = TruncatedSeries([1, 1, 1, 1], 3)
-        g = f.substitute_scale(2)
-        assert [g.coeff(n) for n in range(4)] == [1, 2, 4, 8]
-
     def test_substitute_power(self):
         f = TruncatedSeries([1, 2, 3], 6)
         g = f.substitute_power(2)
