@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Snapshot every series builder's output, to check a refactor changes none.
+"""Snapshot every builder's output and CLI run, to check a refactor changes none.
 
 Two commands:
 
@@ -11,7 +11,11 @@ The first imports ``fishburn`` from the source directory SRC (for example
 with the type of each coefficient or the error's type and message, together
 with the number of ``_mul_into`` and ``_bv_mul_into`` calls the case made.
 Every cache of ``fishburn.families`` is cleared before each case, so the
-counts do not depend on the order of the cases.
+counts do not depend on the order of the cases.  The CLI cases run
+``fishburn.cli.main`` in process and record its exit code, its stdout and,
+for ``--output``, the file it wrote; they cover every command in every
+format, ``--digits 6``, ``saddle --profile``, distributions with and without
+a limit law, and ``verify``.
 
 The second loads two snapshots written by this script and prints each case
 whose value, coefficient types or error differ, then each case whose product
@@ -21,8 +25,12 @@ but do not change the exit status.
 """
 
 import argparse
+import contextlib
+import io
+import itertools
 import pickle
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -42,6 +50,25 @@ ALTERNATE_ROUTES = (
 )
 TABLE_EGF = ("A196194", "A207214", "A215066", "A209832", "A214687", "A079144")
 ORDINARY = ("A207386", "A207397", "A207556", "A207569", "A207570", "A207571")
+FORMATS = ("table", "csv", "json")
+CLI_RUNS = (
+    ("enumerate", "--n-max", "30"),
+    ("enumerate", "--family", "self-dual", "--lambda", "012", "--n-max", "25"),
+    ("asymptote",),
+    ("asymptote", "--family", "self-dual"),
+    ("asymptote", "--family", "row-fishburn", "--lambda", "1,2"),
+    ("asymptote", "--lambda", "no1"),
+    ("asymptote", "--lambda", "0,1,0,1,1"),
+    ("converge", "--n-list", "30,60,90"),
+    ("converge", "--family", "self-dual", "--n-list", "40,80"),
+    ("converge", "--lambda", "0,1,0,1,1", "--n-list", "30,60"),
+    ("distribution", "--stat", "first_row", "--n", "12"),
+    ("distribution", "--family", "row-fishburn", "--stat", "ones", "--n", "9"),
+    ("distribution", "--family", "self-dual", "--stat", "diagonal", "--n", "14"),
+    ("distribution", "--lambda", "0,0,1,1", "--stat", "first_row", "--n", "9"),
+    ("saddle", "--n", "60"),
+    ("saddle", "--n", "60", "--profile"),
+)
 
 
 def _describe(obj):
@@ -111,9 +138,33 @@ def _cases(families, series):
                    lambda name=name, c=count: families.named_sequence(name, c))
 
 
+def _cli_cases(cli, tmp: Path):
+    """(label, thunk) for every CLI run, in a fixed order."""
+    runs = [list(run) + ["--format", fmt] for run in CLI_RUNS for fmt in FORMATS]
+    runs += [list(run) + ["--digits", "6"] for run in CLI_RUNS if run[0] != "enumerate"]
+    runs += [["verify"]]
+    for argv in runs:
+        yield f"cli {' '.join(argv)}", lambda argv=argv: _run_cli(cli, argv)
+    for i, argv in enumerate([["enumerate", "--n-max", "12", "--format", "csv"],
+                              ["saddle", "--n", "60", "--profile"]]):
+        path = str(tmp / f"output{i}")
+        yield (f"cli {' '.join(argv)} --output",
+               lambda argv=argv, path=path: _run_cli(cli, argv, path))
+
+
+def _run_cli(cli, argv, output=None):
+    """(exit code, stdout, text of the --output file or None) of one run."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv + ["--output", output] if output else argv)
+    text = Path(output).read_text(encoding="utf-8") if output else None
+    return code, stdout.getvalue(), text
+
+
 def snapshot(src: str) -> dict:
     root = Path(src).resolve()
     sys.path.insert(0, str(root))
+    import fishburn.cli as cli
     import fishburn.families as families
     import fishburn.series as series
 
@@ -132,18 +183,20 @@ def snapshot(src: str) -> dict:
     caches = [v for v in vars(families).values() if hasattr(v, "cache_clear")]
 
     out = {}
-    for label, thunk in _cases(families, series):
-        for cache in caches:
-            cache.cache_clear()
-        counts.clear()
-        try:
-            value, types = _describe(thunk())
-            result = ("value", value, types)
-        except Exception as exc:  # the error is part of the snapshot
-            result = ("error", type(exc).__name__, str(exc))
-        if label in out:
-            raise RuntimeError(f"duplicate case label {label!r}")
-        out[label] = (result, counts["_mul_into"], counts["_bv_mul_into"])
+    with tempfile.TemporaryDirectory() as tmp:
+        cases = itertools.chain(_cases(families, series), _cli_cases(cli, Path(tmp)))
+        for label, thunk in cases:
+            for cache in caches:
+                cache.cache_clear()
+            counts.clear()
+            try:
+                value, types = _describe(thunk())
+                result = ("value", value, types)
+            except Exception as exc:  # the error is part of the snapshot
+                result = ("error", type(exc).__name__, str(exc))
+            if label in out:
+                raise RuntimeError(f"duplicate case label {label!r}")
+            out[label] = (result, counts["_mul_into"], counts["_bv_mul_into"])
     return out
 
 

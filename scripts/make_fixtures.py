@@ -6,8 +6,8 @@ Usage:
 
 The sandbox this package is developed in has no OEIS access, so fixtures are
 computed, not downloaded; each file records that provenance.  With network
-access, --check-network diffs every fixture against the live b-file and
-reports discrepancies without touching the files.
+access, --check-network compares every sequence against the live b-file
+and reports discrepancies without writing any file.
 """
 
 from __future__ import annotations
@@ -40,27 +40,28 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     outdir = REPO / "src" / "fishburn" / "fixtures"
-    outdir.mkdir(parents=True, exist_ok=True)
     failures = 0
     for id in NAMED_IDS:
         seq = build(id, args.terms)
+        if args.check_network:
+            try:
+                live = fetch(id, mode="network")
+                rep = cross_check(list(seq.values), live, start=seq.offset)
+                print(f"live check: {rep}")
+                failures += 0 if rep.ok else 1
+            except Exception as exc:  # pragma: no cover - network path
+                print(f"live check failed: {exc}")
+                failures += 1
+            continue
         note = named_entry(id).note or "defining series"
         comments = [
             f"{id} ({note})",
             "generated by scripts/make_fixtures.py from the package's own series;",
             "regenerate after any change to the series builders.",
         ]
+        outdir.mkdir(parents=True, exist_ok=True)
         (outdir / f"{id}.txt").write_text(format_bfile(seq, comments))
         print(f"wrote {id}: {len(seq)} terms from offset {seq.offset}")
-        if args.check_network:
-            try:
-                live = fetch(id, mode="network")
-                rep = cross_check(list(seq.values), live, start=seq.offset)
-                print(f"  live check: {rep}")
-                failures += 0 if rep.ok else 1
-            except Exception as exc:  # pragma: no cover - network path
-                print(f"  live check failed: {exc}")
-                failures += 1
     return 1 if failures else 0
 
 

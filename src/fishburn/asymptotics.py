@@ -11,7 +11,9 @@ for explicit constants that depend only on the first few weights of the
 entry multiset.  This module evaluates those constants exactly (in high
 precision mpmath arithmetic), packages them as :class:`AsymptoticForm`
 objects, and provides Richardson-extrapolated convergence checks of exact
-coefficients against the predicted forms.
+coefficients against the predicted forms.  :func:`family_form` is the one
+place that picks the form, and names its regime, for a matrix family and
+entry multiset; the CLI and the verification battery both ask it.
 
 Naming convention for the inputs: ``lam1, lam2, ...`` are the weights
 ``Lambda(z) = 1 + lam1*z + lam2*z^2 + ...`` of the entry multiset, while
@@ -26,9 +28,12 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 import mpmath as mp
+
+if TYPE_CHECKING:
+    from .families import LambdaSpec
 
 __all__ = [
     "AsymptoticForm",
@@ -45,6 +50,7 @@ __all__ = [
     "constants_row_fishburn",
     "constants_self_dual",
     "constants_small2",
+    "family_form",
     "named_form",
     "ratio_sequence",
     "refined_a158690",
@@ -258,7 +264,7 @@ def constants_fractional(p, s) -> AsymptoticForm:
     """Constants for products over a residue class: factors ``(1+z)^(pj-s)-1``.
 
     Requires ``0 < s < p``.  The growth is c * rho^n * n^(n + 1/2 - s/p),
-    a genuinely fractional power shift; equivalent to
+    a genuinely fractional power shift; this is
     ``constants_general(1, -s/p, 0, p, p*(p-1)/2)``.
     """
     _require_real("p", p)
@@ -266,16 +272,8 @@ def constants_fractional(p, s) -> AsymptoticForm:
     if not 0 < s < p:
         raise ValueError(f"need 0 < s < p, got s={s!r}, p={p!r}")
     with mp.workdps(_DPS):
-        ratio = _mpf(s) / _mpf(p)
-        c = (
-            mp.sqrt(mp.pi)
-            * mp.rgamma(1 - ratio)
-            * (mp.pi**2 / 12) ** (ratio - 1)
-            * mp.exp(-mp.pi**2 / (24 * _mpf(p)))
-        )
-        rho = 12 * _mpf(p) / (mp.e * mp.pi**2)
-        theta = mp.mpf(1) / 2 - ratio
-    return AsymptoticForm(c=c, rho=rho, n_power=theta)
+        omega, e2 = -_mpf(s) / _mpf(p), _mpf(p) * (_mpf(p) - 1) / 2
+    return constants_general(1, omega, 0, p, e2)
 
 
 def constants_ext(alpha: int, omega, d1, d2, e2, e3, e4) -> AsymptoticForm:
@@ -425,6 +423,39 @@ def constants_small2(lam2, lam3, lam4, lam_odd=None, m: int = 1,
     if parity == "odd":
         return odd_form
     return dataclasses.replace(even_form, parity=(even_form, odd_form))
+
+
+def family_form(family: str, lam: LambdaSpec) -> Tuple[AsymptoticForm, str]:
+    """Leading-order form of a family's counts for entry multiset ``lam``,
+    with a label of its regime: the family's own constants when 1s are
+    allowed, else (Fishburn only) :func:`constants_small2` with ``m`` set by
+    the smallest allowed odd value 2m+1."""
+    lam1, lam2 = lam.weight(1), lam.weight(2)
+    if lam1 > 0:
+        builders = {
+            "row-fishburn": constants_row_fishburn,
+            "fishburn": constants_fishburn,
+            "self-dual": constants_self_dual,
+        }
+        return builders[family](lam1, lam2), "1s allowed"
+    if family != "fishburn":
+        raise ValueError(
+            f"no catalogued asymptotic form for {family} matrices without 1s"
+        )
+    if lam2 <= 0:
+        raise ValueError("entries of value 2 must be allowed when 1s are barred")
+    first_odd = lam.smallest_odd_entry()
+    if first_odd is None:
+        raise ValueError(
+            "every allowed entry value is even, so odd sizes are empty and "
+            "even sizes reduce to a smaller family: divide the entries by 2 "
+            "and rerun with the halved multiset"
+        )
+    m = (first_odd - 1) // 2
+    form = constants_small2(
+        lam2, lam.weight(3), lam.weight(4), lam_odd=lam.weight(first_odd), m=m,
+    )
+    return form, f"no 1s, smallest odd value {first_odd} (m = {m})"
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +695,11 @@ def _named_builders() -> Dict[str, Callable[[], AsymptoticForm]]:
         "A207434": lambda: dataclasses.replace(
             constants_row_fishburn(1, 0), n_power=mp.mpf(3) / 2,
         ),
+        # Row-Fishburn sums weighted by the sequence's own series f:
+        # Lambda = 1 + z*f (lam1 = f_0, lam2 = f_1) and Lambda = f
+        # (lam1 = f_1, lam2 = f_2).
+        "A186737": lambda: constants_row_fishburn(1, 1),
+        "A224885": lambda: constants_row_fishburn(1, 2),
         # Sequences with their own printed constants.
         "A035378": lambda: _explicit(
             lambda: 48 * mp.sqrt(3) / pi**2 * mp.exp(pi**2 / 48),
@@ -674,16 +710,6 @@ def _named_builders() -> Dict[str, Callable[[], AsymptoticForm]]:
             lambda: 24 * mp.sqrt(6) / pi**3 * mp.exp(-(pi**2) / 24),
             lambda: 12 / (mp.e * pi**2),
             1,
-        ),
-        "A186737": lambda: _explicit(
-            lambda: 12 / pi ** mp.mpf("1.5") * mp.exp(pi**2 / 24),
-            lambda: 12 / (mp.e * pi**2),
-            F(1, 2),
-        ),
-        "A224885": lambda: _explicit(
-            lambda: 12 / pi ** mp.mpf("1.5") * mp.exp(pi**2 / 8),
-            lambda: 12 / (mp.e * pi**2),
-            F(1, 2),
         ),
     }
 

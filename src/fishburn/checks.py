@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Callable, List, Tuple
+from typing import Callable, Tuple
 
 import mpmath as mp
 
@@ -425,7 +425,7 @@ def check_parity_split() -> Tuple[bool, str]:
     series = family_series("fishburn", lam, 400)
     counts = [series.coeff(n) for n in range(401)]
     with mp.workdps(_DPS):
-        form = asymptotics.constants_small2(1, 0, 1, lam_odd=1, m=2)
+        form, _ = asymptotics.family_form("fishburn", lam)
         gaps = {}
         for label, branch, ns in (("even", form.parity[0], [200, 300, 400]),
                                   ("odd", form.parity[1], [199, 299, 399])):

@@ -1,5 +1,10 @@
 """Command-line front end: enumeration, constants, convergence, verification.
 
+The module parses arguments and prints what the library returns.  The
+library picks the asymptotic constants and rejects sizes it cannot use;
+the checks left here are the series budget and what a command itself
+needs (two sizes of one parity for ``converge``, n >= 20 for ``saddle``).
+
 Every command is deterministic: the same invocation produces byte-identical
 output (floats are printed through ``mp.nstr`` at the configured number of
 significant digits, rows are emitted in a fixed order, and CSV uses ``\\n``
@@ -17,15 +22,14 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import factorial
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import mpmath as mp
 
-from . import asymptotics, saddle
-from .asymptotics import AsymptoticForm, _mpf, ratio_sequence
+from . import saddle
+from .asymptotics import AsymptoticForm, _mpf, family_form, ratio_sequence
 from .distributions import (
     LimitLaw,
     distribution,
@@ -47,43 +51,20 @@ _FORMATS = ("table", "csv", "json")
 
 
 # ---------------------------------------------------------------------------
-# Configuration
+# Argument types
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a single invocation needs, validated once up front."""
+def _int_between(low: int, high: Optional[int] = None):
+    """argparse type: an integer >= ``low`` (and <= ``high`` if given)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"between {low} and {high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
 
-    command: str
-    family: str = "fishburn"
-    entries: LambdaSpec = ALL
-    stat: Optional[str] = None
-    n: Optional[int] = None
-    n_max: Optional[int] = None
-    n_list: Tuple[int, ...] = ()
-    fmt: str = "table"
-    output: Optional[str] = None
-    digits: int = 12
-    full: bool = False
-    profile: bool = False
-
-    def __post_init__(self):
-        if self.fmt not in _FORMATS:
-            raise ValueError(f"unknown format {self.fmt!r}; expected {_FORMATS}")
-        if not 2 <= self.digits <= 30:
-            raise ValueError("digits must lie between 2 and 30")
-        for name in ("n", "n_max"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if any(n < 1 for n in self.n_list):
-            raise ValueError("sizes in --n-list must be positive")
-
-    @classmethod
-    def from_args(cls, ns: argparse.Namespace) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        picked = {k: v for k, v in vars(ns).items() if k in known and v is not None}
-        return cls(**picked)
+    parse.__name__ = "int"  # argparse reports "invalid int value: ..."
+    return parse
 
 
 def _parse_n_list(text: str) -> Tuple[int, ...]:
@@ -94,6 +75,8 @@ def _parse_n_list(text: str) -> Tuple[int, ...]:
         values = tuple(int(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}")
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"sizes must be positive: {text!r}")
     return values
 
 
@@ -125,8 +108,8 @@ def _fmt(value, digits: int) -> str:
         return mp.nstr(_mpf(value), digits)
 
 
-def _align(header: Tuple[str, ...], rows: List[Tuple[str, ...]]) -> List[str]:
-    table = [header] + rows
+def _align(header: Sequence[str], rows: Sequence[Sequence[str]]) -> List[str]:
+    table = [header, *rows]
     widths = [max(len(row[i]) for row in table) for i in range(len(header))]
     return [
         "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
@@ -134,17 +117,17 @@ def _align(header: Tuple[str, ...], rows: List[Tuple[str, ...]]) -> List[str]:
     ]
 
 
-def _emit(text: str, config: RunConfig) -> None:
+def _emit(text: str, args: argparse.Namespace) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as handle:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _csv_text(header: List[str], rows: List[List[str]]) -> str:
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -157,68 +140,30 @@ def _json_text(payload: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Asymptotic-form resolution shared by `asymptote` and `converge`
-
-
-def _resolve_form(family: str, lam: LambdaSpec) -> Tuple[AsymptoticForm, str]:
-    """Leading-order form for the family counts, with a regime label."""
-    lam1, lam2 = lam.weight(1), lam.weight(2)
-    if lam1 > 0:
-        builders = {
-            "row-fishburn": asymptotics.constants_row_fishburn,
-            "fishburn": asymptotics.constants_fishburn,
-            "self-dual": asymptotics.constants_self_dual,
-        }
-        return builders[family](lam1, lam2), "1s allowed"
-    if family != "fishburn":
-        raise ValueError(
-            f"no catalogued asymptotic form for {family} matrices without 1s"
-        )
-    if lam2 <= 0:
-        raise ValueError(
-            "entries of value 2 must be allowed when 1s are barred"
-        )
-    first_odd = lam.smallest_odd_entry()
-    if first_odd is None:
-        raise ValueError(
-            "every allowed entry value is even, so odd sizes are empty and "
-            "even sizes reduce to a smaller family: divide the entries by 2 "
-            "and rerun with the halved multiset"
-        )
-    m = (first_odd - 1) // 2
-    form = asymptotics.constants_small2(
-        lam2, lam.weight(3), lam.weight(4), lam_odd=lam.weight(first_odd), m=m,
-    )
-    return form, f"no 1s, smallest odd value {first_odd} (m = {m})"
-
-
-# ---------------------------------------------------------------------------
 # enumerate
 
 
-def _run_enumerate(config: RunConfig) -> int:
-    n_max = config.n_max
-    if n_max is None:
-        raise ValueError("enumerate requires --n-max")
+def _run_enumerate(args: argparse.Namespace) -> int:
+    n_max = args.n_max
     if n_max > _SERIES_BUDGET:
         raise ValueError(
             f"--n-max {n_max} exceeds the series budget ({_SERIES_BUDGET})"
         )
-    series = family_series(config.family, config.entries, n_max)
+    series = family_series(args.family, args.entries, n_max)
     counts = [series.coeff(n) for n in range(n_max + 1)]
-    if config.fmt == "table":
+    if args.fmt == "table":
         text = " ".join(str(c) for c in counts) + "\n"
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         text = _csv_text(["n", "count"], [[str(n), str(c)] for n, c in enumerate(counts)])
     else:
         text = _json_text({
             "schema": "fishburn.enumerate/1",
-            "family": config.family,
-            "entries": config.entries.describe(),
+            "family": args.family,
+            "entries": args.entries.describe(),
             "n_max": n_max,
             "counts": counts,
         })
-    _emit(text, config)
+    _emit(text, args)
     return 0
 
 
@@ -241,15 +186,15 @@ def _branch_payload(form: AsymptoticForm, digits: int) -> dict:
     return payload
 
 
-def _run_asymptote(config: RunConfig) -> int:
-    form, regime = _resolve_form(config.family, config.entries)
-    digits = config.digits
+def _run_asymptote(args: argparse.Namespace) -> int:
+    form, regime = family_form(args.family, args.entries)
+    digits = args.digits
     branches = ([("", form)] if form.parity is None
                 else [("even", form.parity[0]), ("odd", form.parity[1])])
-    if config.fmt == "table":
+    if args.fmt == "table":
         lines = [
-            f"family: {config.family}",
-            f"entries: {config.entries.describe()}",
+            f"family: {args.family}",
+            f"entries: {args.entries.describe()}",
             f"regime: {regime}",
             f"shape: {form.describe()}",
         ]
@@ -258,7 +203,7 @@ def _run_asymptote(config: RunConfig) -> int:
                 lines.append(f"[{name}]")
             lines.extend(f"{key} = {val}" for key, val in _branch_fields(branch, digits))
         text = "\n".join(lines) + "\n"
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         rows = [
             [name] + [val for _, val in _branch_fields(branch, digits)]
             for name, branch in branches
@@ -267,8 +212,8 @@ def _run_asymptote(config: RunConfig) -> int:
     else:
         payload = {
             "schema": "fishburn.asymptote/1",
-            "family": config.family,
-            "entries": config.entries.describe(),
+            "family": args.family,
+            "entries": args.entries.describe(),
             "regime": regime,
             "half_exponent": form.half_exponent,
         }
@@ -280,7 +225,7 @@ def _run_asymptote(config: RunConfig) -> int:
                 for name, branch in branches
             }
         text = _json_text(payload)
-    _emit(text, config)
+    _emit(text, args)
     return 0
 
 
@@ -288,15 +233,15 @@ def _run_asymptote(config: RunConfig) -> int:
 # converge
 
 
-def _run_converge(config: RunConfig) -> int:
-    ns = sorted(set(config.n_list))
+def _run_converge(args: argparse.Namespace) -> int:
+    ns = sorted(set(args.n_list))
     if len(ns) < 2:
         raise ValueError("--n-list needs at least two distinct sizes")
     if ns[-1] > _SERIES_BUDGET:
         raise ValueError(
             f"size {ns[-1]} exceeds the series budget ({_SERIES_BUDGET})"
         )
-    form, regime = _resolve_form(config.family, config.entries)
+    form, regime = family_form(args.family, args.entries)
     if form.parity is not None:
         parities = {n % 2 for n in ns}
         if len(parities) > 1:
@@ -305,18 +250,18 @@ def _run_converge(config: RunConfig) -> int:
                 "single parity to --n-list"
             )
         form = form.parity[parities.pop()]
-    series = family_series(config.family, config.entries, ns[-1])
+    series = family_series(args.family, args.entries, ns[-1])
     counts = [series.coeff(n) for n in range(ns[-1] + 1)]
     report = ratio_sequence(counts, form, ns)
-    digits = config.digits
+    digits = args.digits
     ratio_rows = [(n, _fmt(r, digits)) for n, r in report.rows()]
     limit = _fmt(report.extrapolated_limit, digits)
     exponent = (None if report.correction_exponent is None
                 else _fmt(report.correction_exponent, digits))
-    if config.fmt == "table":
+    if args.fmt == "table":
         lines = [
-            f"family: {config.family}",
-            f"entries: {config.entries.describe()}",
+            f"family: {args.family}",
+            f"entries: {args.entries.describe()}",
             f"regime: {regime}",
         ]
         lines.extend(_align(("n", "ratio"), [(str(n), r) for n, r in ratio_rows]))
@@ -324,15 +269,15 @@ def _run_converge(config: RunConfig) -> int:
         if exponent is not None:
             lines.append(f"correction exponent = {exponent}")
         text = "\n".join(lines) + "\n"
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         rows = [[str(n), r] for n, r in ratio_rows]
         rows.append(["extrapolated", limit])
         text = _csv_text(["n", "ratio"], rows)
     else:
         text = _json_text({
             "schema": "fishburn.converge/1",
-            "family": config.family,
-            "entries": config.entries.describe(),
+            "family": args.family,
+            "entries": args.entries.describe(),
             "regime": regime,
             "n_values": [n for n, _ in ratio_rows],
             "ratios": [r for _, r in ratio_rows],
@@ -340,7 +285,7 @@ def _run_converge(config: RunConfig) -> int:
             "correction_exponent": exponent,
             "half_exponent": report.half_exponent,
         })
-    _emit(text, config)
+    _emit(text, args)
     return 0
 
 
@@ -365,32 +310,24 @@ def _describe_law(law: LimitLaw, digits: int) -> str:
     return f"{law.variable} -> {terms}"
 
 
-def _run_distribution(config: RunConfig) -> int:
-    if config.stat is None:
-        raise ValueError("distribution requires --stat")
-    if config.n is None:
-        raise ValueError("distribution requires --n")
-    dist = distribution(config.family, config.stat, config.entries, config.n)
+def _run_distribution(args: argparse.Namespace) -> int:
+    dist = distribution(args.family, args.stat, args.entries, args.n)
     try:
-        law = limit_law_for(config.family, config.stat, config.entries, config.n)
+        law = limit_law_for(args.family, args.stat, args.entries, args.n)
     except ValueError:
         law = None
-    if config.fmt == "json":
-        _emit(report_json(dist, law=law), config)
+    if args.fmt == "json":
+        _emit(report_json(dist, law=law), args)
         return 0
-    digits = config.digits
-    rows = []
-    by_value = dict(zip(dist.support, dist.counts))
-    for value, exact, limit in histogram_rows(dist, law):
-        rows.append((
-            str(value),
-            str(by_value[value]),
-            str(exact),
-            "" if limit is None else _fmt(limit, digits),
-        ))
+    digits = args.digits
+    rows = [
+        (str(value), str(count), str(exact),
+         "" if limit is None else _fmt(limit, digits))
+        for (value, exact, limit), count in zip(histogram_rows(dist, law), dist.counts)
+    ]
     header = ("value", "count", "exact_pmf", "limit_pmf")
-    if config.fmt == "csv":
-        text = _csv_text(list(header), [list(r) for r in rows])
+    if args.fmt == "csv":
+        text = _csv_text(header, rows)
     else:
         lines = [
             f"family: {dist.family}",
@@ -405,7 +342,7 @@ def _run_distribution(config: RunConfig) -> int:
             lines.append(f"limit law: {_describe_law(law, digits)}")
         lines.extend(_align(header, rows))
         text = "\n".join(lines) + "\n"
-    _emit(text, config)
+    _emit(text, args)
     return 0
 
 
@@ -413,15 +350,13 @@ def _run_distribution(config: RunConfig) -> int:
 # saddle
 
 
-def _run_saddle(config: RunConfig) -> int:
-    n = config.n
-    if n is None:
-        raise ValueError("saddle requires --n")
+def _run_saddle(args: argparse.Namespace) -> int:
+    n = args.n
     if n < 20:
         raise ValueError("the saddle window is only resolved for n >= 20")
     if n > _SERIES_BUDGET:
         raise ValueError(f"--n {n} exceeds the series budget ({_SERIES_BUDGET})")
-    digits = config.digits
+    digits = args.digits
     exact = Fraction(labeled_numbers(n)[n], factorial(n))
     with mp.workdps(digits + 20):
         approx = saddle.an_approx(n)
@@ -432,31 +367,32 @@ def _run_saddle(config: RunConfig) -> int:
         ("an_approx", _fmt(approx, digits)),
         ("rel_error", _fmt(rel, digits)),
     ]
-    profile_text = saddle.profile_csv(n) if config.profile else None
-    if config.fmt == "json":
+    profile = None
+    if args.profile:
+        # The window profile is always printed to 12 digits.
+        profile = [(str(k), mp.nstr(exact_log, 12), mp.nstr(approx_log, 12))
+                   for k, exact_log, approx_log in saddle.profile_rows(n)]
+    columns = ("k", "log_exact", "log_approx")
+    if args.fmt == "json":
         payload = {"schema": "fishburn.saddle/1"}
         payload.update((k, v) for k, v in summary if k != "n")
         payload["n"] = n
-        if profile_text is not None:
-            reader = csv.reader(io.StringIO(profile_text))
-            rows = list(reader)
-            payload["profile_columns"] = rows[0]
-            payload["profile"] = rows[1:]
+        if profile is not None:
+            payload["profile_columns"] = columns
+            payload["profile"] = profile
         text = _json_text(payload)
-    elif config.fmt == "csv":
-        if profile_text is not None:
-            text = profile_text
+    elif args.fmt == "csv":
+        if profile is not None:
+            text = _csv_text(columns, profile)
         else:
             text = _csv_text([k for k, _ in summary], [[v for _, v in summary]])
     else:
         lines = [f"{key} = {val}" for key, val in summary]
-        if profile_text is not None:
-            reader = csv.reader(io.StringIO(profile_text))
-            rows = [tuple(row) for row in reader]
+        if profile is not None:
             lines.append("")
-            lines.extend(_align(rows[0], rows[1:]))
+            lines.extend(_align(columns, profile))
         text = "\n".join(lines) + "\n"
-    _emit(text, config)
+    _emit(text, args)
     return 0
 
 
@@ -464,12 +400,12 @@ def _run_saddle(config: RunConfig) -> int:
 # verify
 
 
-def _run_verify(config: RunConfig) -> int:
+def _run_verify(args: argparse.Namespace) -> int:
     # Imported here so that the other commands do not pay for compiling the
     # battery at start-up.
     from . import checks
 
-    battery = checks.BASE + (checks.FULL if config.full else ())
+    battery = checks.BASE + (checks.FULL if args.full else ())
     lines = []
     failures = 0
     for name, fn in battery:
@@ -480,7 +416,7 @@ def _run_verify(config: RunConfig) -> int:
         f"verify: {len(battery)} checks, {failures} failure"
         f"{'' if failures == 1 else 's'}"
     )
-    _emit("\n".join(lines) + "\n", config)
+    _emit("\n".join(lines) + "\n", args)
     return 1 if failures else 0
 
 
@@ -521,31 +457,36 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--format", dest="fmt", choices=_FORMATS, default="table")
     out.add_argument("--output", metavar="PATH",
                      help="write to this file instead of stdout")
-    out.add_argument("--digits", type=int, default=12,
+    out.add_argument("--digits", type=_int_between(2, 30), default=12,
                      help="significant digits for floats (default 12)")
 
     p = sub.add_parser("enumerate", parents=[family, out],
                        help="exact counts for sizes 0..N")
-    p.add_argument("--n-max", dest="n_max", type=int, required=True)
+    p.add_argument("--n-max", dest="n_max", type=_int_between(0), required=True)
+    p.set_defaults(run=_run_enumerate)
 
-    sub.add_parser("asymptote", parents=[family, out],
-                   help="leading-order growth constants (c, rho, beta, n_power)")
+    p = sub.add_parser("asymptote", parents=[family, out],
+                       help="leading-order growth constants (c, rho, beta, n_power)")
+    p.set_defaults(run=_run_asymptote)
 
     p = sub.add_parser("converge", parents=[family, out],
                        help="ratios of exact counts to the asymptotic form")
     p.add_argument("--n-list", dest="n_list", type=_parse_n_list,
                    required=True, metavar="N1,N2,...")
+    p.set_defaults(run=_run_converge)
 
     p = sub.add_parser("distribution", parents=[family, out],
                        help="exact statistic distribution at one size")
     p.add_argument("--stat", choices=STATS, required=True)
     p.add_argument("--n", type=int, required=True)
+    p.set_defaults(run=_run_distribution)
 
     p = sub.add_parser("saddle", parents=[out],
                        help="saddle-point approximation versus the exact value")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--profile", action="store_true",
                    help="include the per-k window profile")
+    p.set_defaults(run=_run_saddle)
 
     p = sub.add_parser("verify",
                        help="self-contained correctness battery (offline)")
@@ -553,29 +494,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write to this file instead of stdout")
     p.add_argument("--full", action="store_true",
                    help="add the slower asymptotic and trend checks")
+    p.set_defaults(run=_run_verify)
 
     return parser
-
-
-_RUNNERS = {
-    "enumerate": _run_enumerate,
-    "asymptote": _run_asymptote,
-    "converge": _run_converge,
-    "distribution": _run_distribution,
-    "saddle": _run_saddle,
-    "verify": _run_verify,
-}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = RunConfig.from_args(ns)
-        return _RUNNERS[config.command](config)
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ metrics are evaluated with mpmath.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import mpmath as mp
 
@@ -472,37 +472,47 @@ def compare(dist: DistributionTable, law: LimitLaw) -> ComparisonReport:
         return ComparisonReport(sup, tv, mean_gap, variance_gap)
 
 
-def _lattice_metrics(dist, law):
-    exact = {law.transform(s): _mpf(p) for s, p in zip(dist.support, dist.pmf)}
-    ref = law.support_probs()
-    covered = mp.fsum(ref.values())
-    zero = mp.mpf(0)
-    gaps = [
-        abs(exact.get(x, zero) - ref.get(x, zero)) for x in set(exact) | set(ref)
-    ]
-    return max(gaps), (mp.fsum(gaps) + (1 - covered)) / 2
-
-
-def _normal_metrics(dist, law):
-    # Pull the law back to the raw lattice: s = (x - shift)/slope.
+def _normal_bins(law):
+    """``(mu, sd, bin_prob)`` of a normal law pulled back to the raw lattice
+    s = (x - shift)/slope; ``bin_prob(s)`` is its mass on [s - 1/2, s + 1/2]."""
     slope = _mpf(law.slope)
     mu = (law.center - _mpf(law.shift)) / slope
     sd = mp.sqrt(law.spread) / abs(slope)
+    half = mp.mpf(1) / 2
+
+    def bin_prob(s):
+        return mp.ncdf((s + half - mu) / sd) - mp.ncdf((s - half - mu) / sd)
+
+    return mu, sd, bin_prob
+
+
+def _lattice_mass(law, table):
+    """``mass(s)``: the entry of the lattice law's ``table`` at raw value s."""
+    zero = mp.mpf(0)
+    return lambda s: table.get(law.transform(s), zero)
+
+
+def _lattice_metrics(dist, law):
+    table = law.support_probs()
+    mass = _lattice_mass(law, table)
+    gaps = [abs(_mpf(p) - mass(s)) for s, p in zip(dist.support, dist.pmf)]
+    hit = {law.transform(s) for s in dist.support}
+    gaps.extend(q for x, q in table.items() if x not in hit)
+    return max(gaps), (mp.fsum(gaps) + (1 - mp.fsum(table.values()))) / 2
+
+
+def _normal_metrics(dist, law):
+    mu, sd, bin_prob = _normal_bins(law)
     lo = min(min(dist.support), int(mp.floor(mu - 10 * sd)))
     hi = max(max(dist.support), int(mp.ceil(mu + 10 * sd)))
     exact = dict(zip(dist.support, dist.pmf))
-    half = mp.mpf(1) / 2
-    sup = mp.mpf(0)
     gaps = []
     covered = mp.mpf(0)
     for s in range(lo, hi + 1):
-        bin_prob = mp.ncdf((s + half - mu) / sd) - mp.ncdf((s - half - mu) / sd)
-        covered += bin_prob
-        gap = abs(_mpf(exact.get(s, 0)) - bin_prob)
-        gaps.append(gap)
-        if gap > sup:
-            sup = gap
-    return sup, (mp.fsum(gaps) + (1 - covered)) / 2
+        prob = bin_prob(s)
+        covered += prob
+        gaps.append(abs(_mpf(exact.get(s, 0)) - prob))
+    return max(gaps), (mp.fsum(gaps) + (1 - covered)) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -567,29 +577,19 @@ def parity_report(lam: LambdaSpec, stat: str, ns: Iterable[int]) -> ParityReport
 # ---------------------------------------------------------------------------
 
 def histogram_rows(dist: DistributionTable, law: Optional[LimitLaw] = None):
-    """(value, exact pmf, limit pmf) triples; limit column None without a law."""
+    """(value, exact pmf, limit pmf) triples; limit column None without a law.
+
+    A normal law's limit pmf is its mass on the unit-width bin around the
+    value, as in :func:`compare`.
+    """
     if law is None:
         return [(s, p, None) for s, p in zip(dist.support, dist.pmf)]
     with mp.workdps(_DPS):
         if law.kind == "normal":
-            slope = _mpf(law.slope)
-            mu = (law.center - _mpf(law.shift)) / slope
-            sd = mp.sqrt(law.spread) / abs(slope)
-            half = mp.mpf(1) / 2
-            return [
-                (
-                    s,
-                    p,
-                    mp.ncdf((s + half - mu) / sd) - mp.ncdf((s - half - mu) / sd),
-                )
-                for s, p in zip(dist.support, dist.pmf)
-            ]
-        table = law.support_probs()
-        zero = mp.mpf(0)
-        return [
-            (s, p, table.get(law.transform(s), zero))
-            for s, p in zip(dist.support, dist.pmf)
-        ]
+            limit = _normal_bins(law)[2]
+        else:
+            limit = _lattice_mass(law, law.support_probs())
+        return [(s, p, limit(s)) for s, p in zip(dist.support, dist.pmf)]
 
 
 def _law_payload(law: LimitLaw) -> dict:

@@ -101,31 +101,6 @@ def verify_a079144_transform(order: int) -> IdentityReport:
 # Glaisher's odd-coefficient identity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GlaisherPair:
-    """T_n computed along both routes of the identity
-
-        e^{-z/24} sum_k prod_j (1 - e^{-jz})  =  sum_n T_n z^n / (n! 24^n)
-
-    where the same T_n also satisfy sum_n T_n z^(2n+1)/(2n+1)! =
-    sin(2z) / (2 cos 3z).
-    """
-
-    count: int
-    from_product: tuple
-    from_trig: tuple
-
-    @property
-    def ok(self) -> bool:
-        return self.from_product == self.from_trig
-
-    def first_mismatch(self) -> Optional[int]:
-        for n, (a, b) in enumerate(zip(self.from_product, self.from_trig)):
-            if a != b:
-                return n
-        return None
-
-
 def glaisher_product_terms(count: int) -> tuple:
     """T_n = 24^n n! [z^n] e^{-z/24} sum_k prod_{1<=j<=k}(1 - e^{-jz})."""
     order = count - 1
@@ -146,8 +121,20 @@ def glaisher_trig_terms(count: int) -> tuple:
     return tuple(_glaisher_terms(count))
 
 
-def verify_glaisher(count: int) -> GlaisherPair:
-    return GlaisherPair(count, glaisher_product_terms(count), glaisher_trig_terms(count))
+def verify_glaisher(count: int) -> IdentityReport:
+    """The first ``count`` T_n agree along both routes of the identity
+
+        e^{-z/24} sum_k prod_j (1 - e^{-jz})  =  sum_n T_n z^n / (n! 24^n)
+
+    where the same T_n also satisfy sum_n T_n z^(2n+1)/(2n+1)! =
+    sin(2z) / (2 cos 3z).  The report indexes T_n by n.
+    """
+    order = count - 1
+    return _compare(
+        "Glaisher odd-coefficient identity",
+        TruncatedSeries(glaisher_product_terms(count), order),
+        TruncatedSeries(glaisher_trig_terms(count), order),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,13 @@ than any power of n; the relative error is ~2e-5 at n = 100 and falls
 monotonically in n.  A narrower window, mu*n -+ sqrt(2)*sigma*n^(5/8),
 bounds the indices at which single summands are reported.  The exposed
 pieces are the saddle solver itself, the per-summand and total
-coefficient approximations, the constrained exponent surface phi(q) whose
-maximum yields the growth constants, and numeric checks of the modulus
-bounds used to truncate the integrals.  The same scheme ports to the other
-product families (replace e^{jz} - 1 by the corresponding factor); only
-the prototype channel is wired up here because every closed-form constant
-of the generic regime is calibrated against it.
+coefficient approximations, the per-k window profile of exact against
+approximate log a_{n,k} (as rows; the CLI formats them), the constrained
+exponent surface phi(q) whose maximum yields the growth constants, and
+numeric checks of the modulus bounds used to truncate the integrals.  The
+same scheme ports to the other product families (replace e^{jz} - 1 by the
+corresponding factor); only the prototype channel is wired up here because
+every closed-form constant of the generic regime is calibrated against it.
 
 The saddle radius is located in float64 and then checked, and refined if
 needed, in mpmath arithmetic at 60 digits, where all other numeric work
@@ -35,14 +36,12 @@ happens; exact integer data comes from
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Tuple
+from typing import List, Tuple
 
 import mpmath as mp
 
@@ -65,7 +64,7 @@ __all__ = [
     "log_product",
     "optimum",
     "phi_surface",
-    "profile_csv",
+    "profile_rows",
     "solve_saddle",
     "window_tail",
 ]
@@ -260,7 +259,7 @@ def _window_bounds(n: int) -> Tuple[mp.mpf, mp.mpf]:
     """Per-summand validity window (k_-, k_+) = mu*n -+ sqrt(2)*sigma*n^(5/8).
 
     This is the range over which :func:`ank_approx` accepts k and over
-    which :func:`profile_csv` reports rows.  It is only sqrt(2)*n^(1/8)
+    which :func:`profile_rows` reports rows.  It is only sqrt(2)*n^(1/8)
     standard deviations wide (about 2.6 at n = 120), so it leaves ~1e-2 of
     the mass of a_n outside; :func:`an_approx` therefore sums over the wider
     :func:`_summation_range`.
@@ -678,12 +677,12 @@ def window_tail(n: int) -> Fraction:
     return Fraction(totals[n] - inside, totals[n])
 
 
-def profile_csv(n: int) -> str:
-    """CSV dump ``k,log_exact,log_approx`` over the central window.
+def profile_rows(n: int) -> List[Tuple[int, mp.mpf, mp.mpf]]:
+    """Rows ``(k, log_exact, log_approx)`` over the central window.
 
     ``log_exact`` is log(a_{n,k}) from the integer profile (scaled back by
-    n!), ``log_approx`` is the log of :func:`ank_approx`; both natural
-    logs printed to 12 significant digits.
+    n!), ``log_approx`` is the log of :func:`ank_approx`; both are natural
+    logs at 60 digits.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 20:
         raise ValueError(f"n must be an integer >= 20, got {n!r}")
@@ -693,10 +692,7 @@ def profile_csv(n: int) -> str:
         k_minus, k_plus = _window_bounds(n)
         k_lo = max(1, int(mp.ceil(k_minus)))
         k_hi = min(n - 1, int(mp.floor(k_plus)))
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["k", "log_exact", "log_approx"])
-        for k in range(k_lo, k_hi + 1):
-            log_exact = mp.log(mp.mpf(rows[n][k])) - log_factorial
-            writer.writerow([k, mp.nstr(log_exact, 12), mp.nstr(_log_ank(n, k), 12)])
-    return buffer.getvalue()
+        return [
+            (k, mp.log(mp.mpf(rows[n][k])) - log_factorial, _log_ank(n, k))
+            for k in range(k_lo, k_hi + 1)
+        ]

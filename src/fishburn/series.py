@@ -510,9 +510,6 @@ class BivariateSeries:
             [_norm(sum(p)) if p else 0 for p in self.coeffs], self.order
         )
 
-    def max_v_degree(self) -> int:
-        return max((len(p) - 1 for p in self.coeffs if p), default=-1)
-
 
 def _bv_mul_into(a: BivariateSeries, b: BivariateSeries, order: int) -> BivariateSeries:
     va, vb = a.valuation(), b.valuation()

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fishburn import checks
-from fishburn.cli import RunConfig, main
+from fishburn.cli import build_parser, main
 from fishburn.families import ALL, LambdaSpec, family_series
 from fishburn.oeis import ENV_OFFLINE
 
@@ -305,6 +305,17 @@ class TestSaddle:
         assert code == 2
         assert "n >= 20" in err
 
+    def test_profile_rows_agree_across_formats(self, capsys):
+        argv = ["saddle", "--n", "60", "--profile", "--format"]
+        _, out, _ = run(argv + ["csv"], capsys)
+        csv_rows = [line.split(",") for line in out.splitlines()]
+        _, out, _ = run(argv + ["json"], capsys)
+        payload = json.loads(out)
+        _, out, _ = run(argv + ["table"], capsys)
+        table_rows = [line.split() for line in out.split("\n\n", 1)[1].splitlines()]
+        assert len(csv_rows) > 3
+        assert csv_rows == table_rows == [payload["profile_columns"]] + payload["profile"]
+
 
 # ---------------------------------------------------------------------------
 # verify
@@ -431,18 +442,20 @@ class TestPlumbing:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="digits"):
-            RunConfig(command="enumerate", digits=99)
-        with pytest.raises(ValueError, match="format"):
-            RunConfig(command="enumerate", fmt="yaml")
-        with pytest.raises(ValueError, match="positive"):
-            RunConfig(command="converge", n_list=(0, 5))
-        with pytest.raises(ValueError, match="nonnegative"):
-            RunConfig(command="saddle", n=-3)
+    def test_config_validation(self, capsys):
+        for argv, problem in [
+            (["enumerate", "--n-max", "3", "--digits", "99"], "--digits: must be between 2 and 30"),
+            (["enumerate", "--n-max", "3", "--format", "yaml"], "--format: invalid choice: 'yaml'"),
+            (["converge", "--n-list", "0,5"], "--n-list: sizes must be positive"),
+            (["saddle", "--n", "-3"], "n >= 20"),
+        ]:
+            code, out, err = run(argv, capsys)
+            assert code == 2, argv
+            assert out == ""
+            assert problem in err
 
     def test_config_defaults(self):
-        config = RunConfig(command="verify")
-        assert config.fmt == "table"
-        assert config.digits == 12
-        assert config.entries == ALL
+        args = build_parser().parse_args(["enumerate", "--n-max", "3"])
+        assert args.fmt == "table"
+        assert args.digits == 12
+        assert args.entries == ALL

@@ -10,8 +10,8 @@ from fishburn.families import (
     ramanujan_r,
     row_fishburn_gf,
 )
+from fishburn import identities
 from fishburn.identities import (
-    GlaisherPair,
     _compare,
     glaisher_product_terms,
     glaisher_trig_terms,
@@ -58,14 +58,17 @@ class TestGlaisher:
         assert list(glaisher_trig_terms(6)) == GLAISHER_T
 
     def test_pair(self):
-        pair = verify_glaisher(15)
-        assert pair.ok
-        assert pair.first_mismatch() is None
+        rep = verify_glaisher(15)
+        assert rep.ok
+        assert rep.first_mismatch is None
+        assert rep.order == 14
 
-    def test_mismatch_detection(self):
-        pair = GlaisherPair(2, (1, 23), (1, 24))
-        assert not pair.ok
-        assert pair.first_mismatch() == 1
+    def test_mismatch_detection(self, monkeypatch):
+        monkeypatch.setattr(identities, "glaisher_trig_terms", lambda count: (1, 24))
+        rep = verify_glaisher(2)
+        assert not rep.ok
+        assert rep.first_mismatch == 1
+        assert (rep.lhs_value, rep.rhs_value) == (23, 24)
 
     def test_catalog_sequence(self):
         assert named_sequence("A002439", 6) == GLAISHER_T

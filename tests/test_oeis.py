@@ -1,4 +1,6 @@
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +139,26 @@ class TestFetchModes:
         # a fixture id too: a live check must not compare a fixture with itself
         with pytest.raises(FetchError, match="forbidden"):
             fetch("A022493", mode="network", transport=lambda url: SAMPLE)
+
+
+MAKE_FIXTURES = Path(__file__).resolve().parents[1] / "scripts" / "make_fixtures.py"
+
+
+def test_check_network_writes_no_fixture(monkeypatch, capsys):
+    # Compiled from its source text, so no bytecode lands next to it.
+    script = types.ModuleType("make_fixtures")
+    script.__file__ = str(MAKE_FIXTURES)
+    exec(compile(MAKE_FIXTURES.read_text(), str(MAKE_FIXTURES), "exec"), vars(script))
+    writes = []
+    monkeypatch.setattr(Path, "write_text", lambda self, *a, **k: writes.append(self))
+    monkeypatch.setenv("FORGE_OFFLINE", "1")
+    assert script.main(["--check-network"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("live check failed")]
+    assert len(failed) == len(NAMED_IDS)
+    for id in NAMED_IDS:
+        assert any(id in line for line in failed), id
+    assert writes == []
 
 
 class TestCrossCheck:
