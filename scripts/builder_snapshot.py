@@ -15,7 +15,13 @@ counts do not depend on the order of the cases.  The CLI cases run
 ``fishburn.cli.main`` in process and record its exit code, its stdout and,
 for ``--output``, the file it wrote; they cover every command in every
 format, ``--digits 6``, ``saddle --profile``, distributions with and without
-a limit law, and ``verify``.
+a limit law, and ``verify``.  The analysis cases record ``limit_law_for``
+for every family, statistic, size and multiset of ``LAW_SIZES`` and
+``LAW_MULTISETS`` (every field, with each mpf exact as its ``_mpf_`` tuple),
+``family_form``, ``named_form``, ``constants_small2``, ``dilog`` and
+``I_func``; those constants and function values are recorded as
+50-significant-digit strings, so a change in the last bits of a 60-digit
+evaluation does not count as a difference.
 
 The second loads two snapshots written by this script and prints each case
 whose value, coefficient types or error differ, then each case whose product
@@ -26,13 +32,17 @@ but do not change the exit status.
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import itertools
 import pickle
 import sys
 import tempfile
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
+
+import mpmath as mp
 
 FAMILY_ORDERS = (0, 1, 2, 20, 60)
 STAT_ORDERS = (0, 1, 12, 25)
@@ -51,6 +61,15 @@ ALTERNATE_ROUTES = (
 TABLE_EGF = ("A196194", "A207214", "A215066", "A209832", "A214687", "A079144")
 ORDINARY = ("A207386", "A207397", "A207556", "A207569", "A207570", "A207571")
 FORMATS = ("table", "csv", "json")
+LAW_SIZES = (1, 2, 9, 30, 59, 60)
+LAW_MULTISETS = ("all", "01", "012", "even+", "no1",
+                 "0,0,1", "0,1", "0,1,1", "0,1,0,1,1", "0,1,0,0,1")
+# (lam2, lam3, lam4, lam_odd) for constants_small2, each tried at m = 1, 2, 3.
+SMALL2_WEIGHTS = ((1, 1, 1, None), (2, 3, 5, 3), (1, 0, 1, None), (1, 0, 1, 1),
+                  (3, 0, 2, 4))
+# Points for dilog and I_func; those outside a function's domain record its error.
+SPECIAL_POINTS = (0, Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(7, 10),
+                  Fraction(9, 10), Fraction(999, 1000), 1, 2, 5, -1)
 CLI_RUNS = (
     ("enumerate", "--n-max", "30"),
     ("enumerate", "--family", "self-dual", "--lambda", "012", "--n-max", "25"),
@@ -138,6 +157,52 @@ def _cases(families, series):
                    lambda name=name, c=count: families.named_sequence(name, c))
 
 
+def _record(value, mpf):
+    """A picklable record of an analysis result, each mpf rendered by ``mpf``."""
+    if dataclasses.is_dataclass(value):
+        return tuple((f.name, _record(getattr(value, f.name), mpf))
+                     for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return tuple(_record(v, mpf) for v in value)
+    return type(value).__name__, mpf(value) if isinstance(value, mp.mpf) else value
+
+
+def _exact(value):
+    return value._mpf_
+
+
+def _digits(value):
+    return mp.nstr(value, 50)
+
+
+def _analysis_cases(fb, saddle):
+    """(label, thunk) for every limit law, constant and special value."""
+    multisets = [fb.LambdaSpec.parse(text) for text in LAW_MULTISETS]
+    for fam in fb.FAMILIES:
+        for stat in fb.STATS:
+            for lam in multisets:
+                for n in LAW_SIZES:
+                    yield (f"limit_law_for {fam} {stat} {lam.describe()} {n}",
+                           lambda f=fam, s=stat, l=lam, n=n:
+                           _record(fb.limit_law_for(f, s, l, n), _exact))
+        for lam in multisets:
+            yield (f"family_form {fam} {lam.describe()}",
+                   lambda f=fam, l=lam: _record(fb.family_form(f, l), _digits))
+    for name in fb.TABLE_IDS:
+        yield (f"named_form {name}",
+               lambda name=name: _record(fb.named_form(name), _digits))
+    for m in (1, 2, 3):
+        for parity in (None, "even", "odd"):
+            for lam2, lam3, lam4, odd in SMALL2_WEIGHTS:
+                yield (f"constants_small2 {lam2} {lam3} {lam4} {odd} m={m} {parity}",
+                       lambda w=(lam2, lam3, lam4, odd), m=m, p=parity:
+                       _record(fb.constants_small2(*w, m=m, parity=p), _digits))
+    for func in (saddle.dilog, saddle.I_func):
+        for x in SPECIAL_POINTS:
+            yield (f"{func.__name__} {x}",
+                   lambda func=func, x=x: _record(func(x), _digits))
+
+
 def _cli_cases(cli, tmp: Path):
     """(label, thunk) for every CLI run, in a fixed order."""
     runs = [list(run) + ["--format", fmt] for run in CLI_RUNS for fmt in FORMATS]
@@ -164,8 +229,10 @@ def _run_cli(cli, argv, output=None):
 def snapshot(src: str) -> dict:
     root = Path(src).resolve()
     sys.path.insert(0, str(root))
+    import fishburn
     import fishburn.cli as cli
     import fishburn.families as families
+    import fishburn.saddle as saddle
     import fishburn.series as series
 
     if not Path(families.__file__).resolve().is_relative_to(root):
@@ -184,7 +251,8 @@ def snapshot(src: str) -> dict:
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        cases = itertools.chain(_cases(families, series), _cli_cases(cli, Path(tmp)))
+        cases = itertools.chain(_cases(families, series), _cli_cases(cli, Path(tmp)),
+                                _analysis_cases(fishburn, saddle))
         for label, thunk in cases:
             for cache in caches:
                 cache.cache_clear()

@@ -297,17 +297,23 @@ def constants_ext(alpha: int, omega, d1, d2, e2, e3, e4) -> AsymptoticForm:
     if e2 <= 0:
         raise ValueError("e2 must be positive in the e1 = 0 regime")
     with mp.workdps(_DPS):
+        condition = alpha * _mpf(e3) * mp.pi**2 + 12 * _mpf(d1) * _mpf(e2) * mp.ln2
+    if condition <= 0:
+        raise ValueError(
+            "beta would not be positive for these coefficients; the "
+            "even/odd subsequences separate -- use the parity-aware "
+            "constants_small2 path"
+        )
+    return _ext_core(alpha, omega, d1, d2, e2, e3, e4)
+
+
+def _ext_core(alpha: int, omega, d1, d2, e2, e3, e4) -> AsymptoticForm:
+    """The ``e1 = 0`` constants of :func:`constants_ext`, without its checks."""
+    with mp.workdps(_DPS):
         a = mp.mpf(alpha)
         om = _mpf(omega)
         D1, D2 = _mpf(d1), _mpf(d2)
         E2, E3, E4 = _mpf(e2), _mpf(e3), _mpf(e4)
-        condition = a * E3 * mp.pi**2 + 12 * D1 * E2 * mp.ln2
-        if condition <= 0:
-            raise ValueError(
-                "beta would not be positive for these coefficients; the "
-                "even/odd subsequences separate -- use the parity-aware "
-                "constants_small2 path"
-            )
         beta = (
             mp.sqrt(6) * D1 * mp.ln2 / (mp.sqrt(E2 * a) * mp.pi)
             + mp.sqrt(a) * E3 * mp.pi / (2 * mp.sqrt(6) * E2 ** mp.mpf("1.5"))
@@ -362,10 +368,13 @@ def constants_small2(lam2, lam3, lam4, lam_odd=None, m: int = 1,
 
     * ``m = 1`` (3s allowed): a single smooth form
       c * e^(beta*sqrt(n)) * rho^(n/2) * n^(n/2 + 1) with
-      beta = lam3*pi / (2*sqrt(3)*lam2^(3/2)).
+      beta = lam3*pi / (2*sqrt(3)*lam2^(3/2)).  This is :func:`constants_ext`
+      with d = e = Lambda (d1 = 0, d2 = e2 = lam2, e3 = lam3, e4 = lam4) and
+      alpha = 2, without its beta > 0 check, so lam3 = 0 gives beta = 0.
     * ``m >= 2``: even and odd indices follow different forms; the result
       carries the pair in ``parity`` (pass ``parity="even"``/``"odd"`` to
-      get one bare branch).  The odd branch is smaller by n^(m - 3/2).
+      get one bare branch).  The even branch is the ``m = 1`` form at
+      lam3 = 0 with c doubled; the odd branch is smaller by n^(m - 3/2).
     """
     _require_positive_int("m", m)
     for nm, val in (("lam2", lam2), ("lam3", lam3), ("lam4", lam4)):
@@ -380,20 +389,7 @@ def constants_small2(lam2, lam3, lam4, lam_odd=None, m: int = 1,
             raise ValueError("for m = 1 the smallest odd weight is lam3 itself")
         if parity is not None:
             raise ValueError("parity splitting only arises for m >= 2")
-        with mp.workdps(_DPS):
-            L2, L3, L4 = _mpf(lam2), _mpf(lam3), _mpf(lam4)
-            beta = L3 * mp.pi / (2 * mp.sqrt(3) * L2 ** mp.mpf("1.5"))
-            c = (
-                3 * mp.sqrt(6) / mp.pi**2
-                * mp.exp(
-                    (mp.pi**2 / 6)
-                    * (L4 / L2**2 - mp.mpf(1) / 2 - 7 * L3**2 / (8 * L2**3))
-                )
-            )
-            rho = 3 * L2 / (mp.e * mp.pi**2)
-        return AsymptoticForm(
-            c=c, rho=rho, n_power=mp.mpf(1), beta=beta, half_exponent=True,
-        )
+        return _ext_core(2, 0, 0, lam2, lam2, lam3, lam4)
 
     # m >= 2: all odd entries below 2m+1 are forbidden.
     if lam3 != 0:
@@ -401,23 +397,19 @@ def constants_small2(lam2, lam3, lam4, lam_odd=None, m: int = 1,
     if lam_odd is None or lam_odd <= 0:
         raise ValueError("m >= 2 requires the weight of the value 2m+1")
     _require_real("lam_odd", lam_odd)
+    single = _ext_core(2, 0, 0, lam2, lam2, 0, lam4)
     with mp.workdps(_DPS):
         L2, L4, Lodd = _mpf(lam2), _mpf(lam4), _mpf(lam_odd)
         shared_exp = mp.exp((mp.pi**2 / 6) * (L4 / L2**2 - mp.mpf(1) / 2))
-        rho = 3 * L2 / (mp.e * mp.pi**2)
-        c_even = 6 * mp.sqrt(6) / mp.pi**2 * shared_exp
+        c_even = 2 * single.c
         c_odd = (
             mp.sqrt(2) * mp.pi ** (2 * m - 3) / mp.mpf(3) ** (m - 2)
             * Lodd / L2 ** (m + mp.mpf(1) / 2)
             * shared_exp
         )
         theta_odd = mp.mpf(5) / 2 - m
-    even_form = AsymptoticForm(
-        c=c_even, rho=rho, n_power=mp.mpf(1), half_exponent=True,
-    )
-    odd_form = AsymptoticForm(
-        c=c_odd, rho=rho, n_power=theta_odd, half_exponent=True,
-    )
+    even_form = dataclasses.replace(single, c=c_even)
+    odd_form = dataclasses.replace(even_form, c=c_odd, n_power=theta_odd)
     if parity == "even":
         return even_form
     if parity == "odd":

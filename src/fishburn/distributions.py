@@ -45,25 +45,21 @@ __all__ = [
 
 _DPS = 40
 
+# Profiles are built on a fixed grid of truncation orders so that nearby
+# sizes share one cached series instead of rebuilding per n.
+_PROFILE_GRID = (8, 16, 30, 60, 90, 120, 150)
 # Full-table extraction needs the whole bivariate profile up to n, whose cost
 # grows steeply (the v-polynomials are as long as the series is deep).  The
-# budget below is the documented ceiling for distribution(); moments stay
+# last grid order is the documented ceiling for distribution(); moments stay
 # cheap far beyond it through the jet representation.
-_ENUM_BUDGET = 150
+_ENUM_BUDGET = _PROFILE_GRID[-1]
 _JET_BUDGET = 400
 # parity_report adds distance metrics, which need the full table, up to here.
 _PARITY_PROFILE_BUDGET = 60
 
-# Profiles are built on a fixed grid of truncation orders so that nearby
-# sizes share one cached series instead of rebuilding per n.
-_PROFILE_GRID = (8, 16, 30, 60, 90, 120, 150)
-
 
 def _profile_order(n: int) -> int:
-    for cut in _PROFILE_GRID:
-        if n <= cut:
-            return cut
-    raise ValueError(f"size {n} beyond the exact-enumeration budget {_ENUM_BUDGET}")
+    return next(cut for cut in _PROFILE_GRID if n <= cut)
 
 
 def _jet_order(n: int) -> int:
@@ -290,153 +286,96 @@ def _uncovered(family: str, stat: str, lam: LambdaSpec, why: str) -> ValueError:
     )
 
 
+# The exponent alpha of the product factors in the paper's general sum
+# sum_k d^(k+omega0) prod_{j<=k} (e^(j+omega) - 1)^alpha; the self-dual sum
+# is the alpha = 1 sum in z^2.
+_ALPHA = {"row-fishburn": 1, "fishburn": 2, "self-dual": 1}
+
+
 def limit_law_for(family: str, stat: str, lam: LambdaSpec, n: int) -> LimitLaw:
     """The predicted limit law for (family, stat), instantiated at size n.
 
-    Coverage: families with 1s allowed (zero-truncated Poisson first row for
-    row-type matrices, log-normal first row/diagonal otherwise, Poisson laws
-    for the 1s and 2s counts, and the two-component lattice convolution for
-    self-dual matrices), plus the no-1s regime where the smallest entry is 2
-    (logarithmic normal laws again, and a root-n normal or shifted Poisson
-    for the 2s count depending on whether 3s are allowed).  Anything else
-    raises.
+    The laws follow from one saddle-point analysis of the paper's sum, in
+    which the exponent alpha (1 for row-Fishburn and self-dual, 2 for
+    Fishburn) sets them: the first row is zero-truncated Poisson(log 2) for
+    row-Fishburn and N(log n, log n) otherwise; the diagonal is
+    N(alpha log n, alpha log n) (for self-dual matrices, of Y_n/2); the 1s
+    and 2s counts are Poisson with rate alpha pi^2 lam2 / (12 lam1^2)
+    (degenerate without 2s), and for self-dual matrices the 1s count is a
+    two-component lattice convolution.  When 1s are barred (Fishburn only,
+    smallest entry 2) the e1 = 0 theorem gives the 2s count; see
+    :func:`_no_ones_law`.  Anything else raises.
     """
     family = canonical_family(family)
     if stat not in STATS:
         raise ValueError(f"unknown statistic {stat!r}; expected one of {STATS}")
     _require_positive_int("n", n)
     lam1, lam2 = lam.weight(1), lam.weight(2)
+    if lam1 == 0 and family != "fishburn":
+        name = "row" if family == "row-fishburn" else "self-dual"
+        raise _uncovered(family, stat, lam, f"the {name} results need 1s allowed")
+    if lam1 == 0 and lam2 == 0:
+        raise _uncovered(family, stat, lam, "the smallest entry must be 1 or 2")
+    alpha = _ALPHA[family]
     with mp.workdps(_DPS):
-        log2 = mp.log(2)
         logn = mp.log(n)
-        pisq = mp.pi ** 2
-
-        if family == "row-fishburn":
-            if lam1 == 0:
-                raise _uncovered(family, stat, lam, "the row results need 1s allowed")
-            if stat == "first_row":
-                return LimitLaw("ztp", rate=log2, variable="X_n")
-            if stat == "diagonal":
-                return LimitLaw("normal", center=logn, spread=logn, variable="Y_n")
-            if lam2 == 0:
-                if stat == "ones":
-                    return LimitLaw("degenerate", point=Fraction(n), variable="Z_n")
-                return LimitLaw("degenerate", point=Fraction(0), variable="#2s")
-            rate = pisq * lam2 / (12 * _mpf(lam1) ** 2)
-            if stat == "ones":
-                return LimitLaw(
-                    "poisson",
-                    shift=Fraction(n, 2),
-                    slope=Fraction(-1, 2),
-                    rate=rate,
-                    variable="(n - Z_n)/2",
-                )
-            return LimitLaw("poisson", rate=rate, variable="#2s")
-
-        if family == "self-dual":
-            if lam1 == 0:
-                raise _uncovered(family, stat, lam, "the self-dual results need 1s allowed")
-            if stat == "first_row":
-                return LimitLaw("normal", center=logn, spread=logn, variable="X_n")
-            if stat == "diagonal":
-                return LimitLaw(
-                    "normal",
-                    slope=Fraction(1, 2),
-                    center=logn,
-                    spread=logn,
-                    variable="Y_n/2",
-                )
-            if stat == "twos":
-                raise _uncovered(family, stat, lam, "no 2s-marking series exists")
-            if lam2 == 0:
-                return LimitLaw("degenerate", point=Fraction(n), variable="Z_n")
-            comps = (
-                (2, _mpf(Fraction(lam2, lam1)) * log2),
-                (4, pisq * lam2 / (12 * _mpf(lam1) ** 2)),
-            )
-            return LimitLaw(
-                "convolution",
-                shift=Fraction(n),
-                slope=Fraction(-1),
-                components=comps,
-                variable="n - Z_n",
-            )
-
-        # fishburn
-        if lam1 > 0:
-            if stat == "first_row":
-                return LimitLaw("normal", center=logn, spread=logn, variable="X_n")
-            if stat == "diagonal":
-                return LimitLaw(
-                    "normal", center=2 * logn, spread=2 * logn, variable="Y_n"
-                )
-            if lam2 == 0:
-                if stat == "ones":
-                    return LimitLaw("degenerate", point=Fraction(n), variable="Z_n")
-                return LimitLaw("degenerate", point=Fraction(0), variable="#2s")
-            rate = pisq * lam2 / (6 * _mpf(lam1) ** 2)
-            if stat == "ones":
-                return LimitLaw(
-                    "poisson",
-                    shift=Fraction(n, 2),
-                    slope=Fraction(-1, 2),
-                    rate=rate,
-                    variable="(n - Z_n)/2",
-                )
-            return LimitLaw("poisson", rate=rate, variable="#2s")
-
-        if lam2 == 0:
-            raise _uncovered(family, stat, lam, "the smallest entry must be 1 or 2")
-
-        # smallest entry 2
         if stat == "first_row":
+            if family == "row-fishburn":
+                return LimitLaw("ztp", rate=mp.log(2), variable="X_n")
             return LimitLaw("normal", center=logn, spread=logn, variable="X_n")
         if stat == "diagonal":
-            return LimitLaw("normal", center=2 * logn, spread=2 * logn, variable="Y_n")
+            if family == "self-dual":
+                return LimitLaw("normal", slope=Fraction(1, 2), center=logn,
+                                spread=logn, variable="Y_n/2")
+            return LimitLaw("normal", center=alpha * logn, spread=alpha * logn,
+                            variable="Y_n")
+        if lam1 == 0:
+            return _no_ones_law(stat, lam, n)
+        if family == "self-dual" and stat == "twos":
+            raise _uncovered(family, stat, lam, "no 2s-marking series exists")
+        if lam2 == 0:
+            if stat == "ones":
+                return LimitLaw("degenerate", point=Fraction(n), variable="Z_n")
+            return LimitLaw("degenerate", point=Fraction(0), variable="#2s")
+        rate = mp.pi ** 2 * lam2 / (12 // alpha * _mpf(lam1) ** 2)
+        if family == "self-dual":
+            comps = ((2, _mpf(Fraction(lam2, lam1)) * mp.log(2)), (4, rate))
+            return LimitLaw("convolution", shift=Fraction(n), slope=Fraction(-1),
+                            components=comps, variable="n - Z_n")
         if stat == "ones":
-            raise _uncovered(family, stat, lam, "no 1 entries exist in this regime")
+            return LimitLaw("poisson", shift=Fraction(n, 2), slope=Fraction(-1, 2),
+                            rate=rate, variable="(n - Z_n)/2")
+        return LimitLaw("poisson", rate=rate, variable="#2s")
 
-        first_odd = lam.smallest_odd_entry()
-        if first_odd == 3:
-            lam3 = lam.weight(3)
-            tau = lam3 * mp.pi / (2 * mp.sqrt(3) * _mpf(lam2) ** mp.mpf("1.5"))
-            center = tau * mp.sqrt(n)
-            return LimitLaw(
-                "normal",
-                shift=Fraction(n, 3),
-                slope=Fraction(-2, 3),
-                center=center,
-                spread=center,
-                variable="(n - 2 Z_n)/3",
-            )
-        # All odd values below first_odd are barred; 2s dominate and the
-        # shifted count Z* picks up the 4s, with a parity-dependent shift.
-        if n % 2 == 0:
-            shift = Fraction(n, 4)
-        else:
-            if first_odd is None:
-                raise ValueError(
-                    f"no fishburn matrices of odd size {n} with purely even "
-                    f"entries {lam.describe()}"
-                )
-            shift = Fraction(n - first_odd, 4)
-        lam4 = lam.weight(4)
-        if lam4 == 0:
-            return LimitLaw(
-                "degenerate",
-                shift=shift,
-                slope=Fraction(-1, 2),
-                point=Fraction(0),
-                variable="Z*_n",
-            )
-        rate = pisq * lam4 / (6 * _mpf(lam2) ** 2)
-        return LimitLaw(
-            "poisson",
-            shift=shift,
-            slope=Fraction(-1, 2),
-            rate=rate,
-            variable="Z*_n",
+
+def _no_ones_law(stat: str, lam: LambdaSpec, n: int) -> LimitLaw:
+    """The 2s count of Fishburn matrices with smallest entry 2.
+
+    With 3s allowed it is root-n normal.  Otherwise every odd value below
+    the first allowed one is barred, 2s dominate, and the count Z*_n of the
+    4s, shifted by a parity-dependent amount, is Poisson with rate
+    pi^2 lam4 / (6 lam2^2) (degenerate without 4s).
+    """
+    if stat == "ones":
+        raise _uncovered("fishburn", stat, lam, "no 1 entries exist in this regime")
+    lam2, first_odd = lam.weight(2), lam.smallest_odd_entry()
+    if first_odd == 3:
+        tau = lam.weight(3) * mp.pi / (2 * mp.sqrt(3) * _mpf(lam2) ** mp.mpf("1.5"))
+        center = tau * mp.sqrt(n)
+        return LimitLaw("normal", shift=Fraction(n, 3), slope=Fraction(-2, 3),
+                        center=center, spread=center, variable="(n - 2 Z_n)/3")
+    if n % 2 and first_odd is None:
+        raise ValueError(
+            f"no fishburn matrices of odd size {n} with purely even "
+            f"entries {lam.describe()}"
         )
+    shift = Fraction(n - first_odd if n % 2 else n, 4)
+    lam4 = lam.weight(4)
+    if lam4 == 0:
+        return LimitLaw("degenerate", shift=shift, slope=Fraction(-1, 2),
+                        point=Fraction(0), variable="Z*_n")
+    return LimitLaw("poisson", shift=shift, slope=Fraction(-1, 2),
+                    rate=mp.pi ** 2 * lam4 / (6 * _mpf(lam2) ** 2), variable="Z*_n")
 
 
 # ---------------------------------------------------------------------------

@@ -142,21 +142,17 @@ class LambdaSpec:
 
     def smallest_entry(self) -> Optional[int]:
         """Smallest positive value with nonzero multiplicity (None if empty)."""
-        if self.tag == "custom":
-            for i, w in enumerate(self.weights, start=1):
-                if w:
-                    return i
-            return None
-        return {"all": 1, "01": 1, "012": 1, "odd": 1, "even+": 2, "no1": 2}[self.tag]
+        return self._first_allowed(1)
 
     def smallest_odd_entry(self) -> Optional[int]:
         """Smallest odd value with nonzero multiplicity (None if all are even)."""
-        if self.tag == "custom":
-            for i in range(1, len(self.weights) + 1, 2):
-                if self.weights[i - 1]:
-                    return i
-            return None
-        return {"all": 1, "01": 1, "012": 1, "odd": 1, "even+": None, "no1": 3}[self.tag]
+        return self._first_allowed(2)
+
+    def _first_allowed(self, step: int) -> Optional[int]:
+        # A custom list is zero past its length.  Every named tag repeats with
+        # period 2 from the value 3 on, so the values up to 4 settle it.
+        end = len(self.weights) if self.tag == "custom" else 4
+        return next((i for i in range(1, end + 1, step) if self.weight(i)), None)
 
     def describe(self) -> str:
         if self.tag == "custom":
@@ -863,6 +859,11 @@ def _as_int(x) -> int:
     raise TypeError(f"unexpected coefficient type {type(x).__name__}")
 
 
+def _require_count(count: int) -> None:
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+
+
 def _series_terms(f: TruncatedSeries, count: int, egf: bool) -> list:
     out = []
     for n in range(count):
@@ -873,6 +874,7 @@ def _series_terms(f: TruncatedSeries, count: int, egf: bool) -> list:
 
 def _glaisher_terms(count: int) -> list:
     """T_n = (2n+1)! [z^{2n+1}] sin(2z) / (2 cos(3z))."""
+    _require_count(count)
     order = 2 * count
     sin2 = [Fraction(0)] * (order + 1)
     cos3 = [Fraction(0)] * (order + 1)
@@ -1006,6 +1008,9 @@ def named_gf(name: str, order: int) -> TruncatedSeries:
 def named_sequence(name: str, count: int) -> list:
     """The first `count` integer terms of a cataloged sequence."""
     entry = named_entry(name)
+    _require_count(count)
+    if count == 0:
+        return []
     if entry.terms is not None:
         return entry.terms(count)
     f = entry.build(count - 1)

@@ -24,6 +24,7 @@ from .families import (
     row_fishburn_gf,
     variant_gf,
     _binomial_series,
+    _require_count,
     _variant_A035378_inverted,
     _variant_A035378_paired,
     _variant_A079144_completed,
@@ -51,9 +52,13 @@ class IdentityReport:
 
 
 def _compare(name: str, lhs: TruncatedSeries, rhs: TruncatedSeries) -> IdentityReport:
-    order = min(lhs.order, rhs.order)
-    for n in range(order + 1):
-        a, b = lhs.coeff(n), rhs.coeff(n)
+    return _compare_terms(name, lhs.coeffs, rhs.coeffs)
+
+
+def _compare_terms(name: str, lhs: Sequence, rhs: Sequence) -> IdentityReport:
+    """The first index where two term lists differ; the shorter sets the order."""
+    order = min(len(lhs), len(rhs)) - 1
+    for n, (a, b) in enumerate(zip(lhs, rhs)):
         if a != b:
             return IdentityReport(name, order, False, n, Fraction(a), Fraction(b))
     return IdentityReport(name, order, True)
@@ -103,7 +108,8 @@ def verify_a079144_transform(order: int) -> IdentityReport:
 
 def glaisher_product_terms(count: int) -> tuple:
     """T_n = 24^n n! [z^n] e^{-z/24} sum_k prod_{1<=j<=k}(1 - e^{-jz})."""
-    order = count - 1
+    _require_count(count)
+    order = max(count - 1, 0)  # the series needs order >= 0; count 0 reads none of it
     f = exp_linear(Fraction(-1, 24), order) * _variant_table_egf(order, "A079144")
     out = []
     for n in range(count):
@@ -127,13 +133,13 @@ def verify_glaisher(count: int) -> IdentityReport:
         e^{-z/24} sum_k prod_j (1 - e^{-jz})  =  sum_n T_n z^n / (n! 24^n)
 
     where the same T_n also satisfy sum_n T_n z^(2n+1)/(2n+1)! =
-    sin(2z) / (2 cos 3z).  The report indexes T_n by n.
+    sin(2z) / (2 cos 3z).  The report indexes T_n by n; at ``count = 0`` it
+    compares nothing and reports order -1.
     """
-    order = count - 1
-    return _compare(
+    return _compare_terms(
         "Glaisher odd-coefficient identity",
-        TruncatedSeries(glaisher_product_terms(count), order),
-        TruncatedSeries(glaisher_trig_terms(count), order),
+        glaisher_product_terms(count),
+        glaisher_trig_terms(count),
     )
 
 

@@ -145,15 +145,20 @@ class TestLambdaSpec:
         with pytest.raises(ValueError, match="cannot parse"):
             LambdaSpec.parse("1,-2")
 
+    # Every named tag and custom lists that start with a 0, a 2 or a 1.
+    SPECS = [LambdaSpec(t) for t in ("all", "01", "012", "odd", "even+", "no1")] + [
+        LambdaSpec("custom", w) for w in ((), (0, 1), (0, 2, 0, 0, 1), (1, 1))
+    ]
+
     def test_smallest_entry(self):
         assert LambdaSpec("even+").smallest_entry() == 2
         assert LambdaSpec("custom", (0, 0, 5)).smallest_entry() == 3
         assert LambdaSpec("custom", ()).smallest_entry() is None
+        for spec in self.SPECS:
+            allowed = [i for i in range(1, 200) if spec.weight(i)]
+            assert spec.smallest_entry() == (allowed[0] if allowed else None), spec
 
-    @pytest.mark.parametrize(
-        "spec", [LambdaSpec(t) for t in ("all", "01", "012", "odd", "even+", "no1")]
-        + [LambdaSpec("custom", w) for w in ((), (0, 1), (0, 2, 0, 0, 1), (1, 1))],
-    )
+    @pytest.mark.parametrize("spec", SPECS)
     def test_smallest_odd_entry(self, spec):
         odd = [i for i in range(1, 200, 2) if spec.weight(i)]
         assert spec.smallest_odd_entry() == (odd[0] if odd else None)
@@ -501,6 +506,12 @@ class TestCatalog:
         terms = named_sequence(name, 12)
         assert len(terms) == 12
         assert all(isinstance(t, int) for t in terms)
+
+    @pytest.mark.parametrize("name", NAMED_IDS)
+    def test_no_terms(self, name):
+        assert named_sequence(name, 0) == []
+        with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+            named_sequence(name, -1)
 
     def test_named_gf_matches_sequence(self):
         f = named_gf("A158691", 6)

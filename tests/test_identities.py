@@ -73,6 +73,20 @@ class TestGlaisher:
     def test_catalog_sequence(self):
         assert named_sequence("A002439", 6) == GLAISHER_T
 
+    def test_no_terms(self):
+        assert glaisher_product_terms(0) == glaisher_trig_terms(0) == ()
+        rep = verify_glaisher(0)
+        assert rep.ok
+        assert rep.order == -1
+        assert rep.first_mismatch is None
+
+    @pytest.mark.parametrize(
+        "route", [glaisher_product_terms, glaisher_trig_terms, verify_glaisher]
+    )
+    def test_negative_count(self, route):
+        with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+            route(-1)
+
 
 def test_labeled_forms_agree():
     rep = verify_a158690_forms(22)
