@@ -10,6 +10,9 @@ The first imports ``fishburn`` from the source directory SRC (for example
 ``src`` of a checkout) and pickles, for every builder case, either the value
 with the type of each coefficient or the error's type and message, together
 with the number of ``_mul_into`` and ``_bv_mul_into`` calls the case made.
+The ``monomial`` statistic cases record full profiles, unpacked from one
+evaluation at v = 2^K as ``stat_profile`` does, for both forms; their value
+is (order, rows), rows[n] the v-polynomial of z^n.
 Every cache of ``fishburn.families`` is cleared before each case, so the
 counts do not depend on the order of the cases.  The CLI cases run
 ``fishburn.cli.main`` in process and record its exit code, its stdout and,
@@ -31,6 +34,7 @@ but do not change the exit status.
 """
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import io
@@ -92,19 +96,31 @@ CLI_RUNS = (
 
 def _describe(obj):
     """A picklable (value, coefficient types) pair for a builder's result."""
-    from fishburn.series import BivariateSeries, Jet, TruncatedSeries
+    from fishburn.series import Jet, TruncatedSeries
 
     if isinstance(obj, TruncatedSeries):
         return (obj.order, obj.coeffs), tuple(type(c).__name__ for c in obj.coeffs)
-    if isinstance(obj, BivariateSeries):
-        types = tuple(tuple(type(c).__name__ for c in p) for p in obj.coeffs)
-        return (obj.order, obj.coeffs), types
+    if isinstance(obj, _Profile):
+        types = tuple(tuple(type(c).__name__ for c in p) for p in obj.rows)
+        return (obj.order, obj.rows), types
     if isinstance(obj, Jet):
         parts = [_describe(p) for p in obj.parts]
         return tuple(v for v, _ in parts), tuple(t for _, t in parts)
     if isinstance(obj, (list, tuple)):
         return tuple(obj), tuple(type(c).__name__ for c in obj)
     raise TypeError(f"no description for {type(obj).__name__}")
+
+
+_Profile = collections.namedtuple("_Profile", "order rows")
+
+
+def _profile(families, series, family, stat, lam, order, form):
+    """The full profile of one statistic in either form, unpacked from one
+    evaluation at v = 2^K as ``stat_profile`` does for the product form."""
+    counts = families.family_series(family, lam, order).coeffs
+    bits = max(counts).bit_length()
+    packed = families.stat_gf(family, stat, lam, order, series.eval_marker(1 << bits), form)
+    return _Profile(order, families._unpack_rows(packed, counts, bits))
 
 
 def _cases(families, series):
@@ -122,19 +138,20 @@ def _cases(families, series):
         for n in FAMILY_ORDERS:
             yield (f"fishburn_gf direct {lam.describe()} {n}",
                    lambda l=lam, n=n: families.fishburn_gf(l, n, form="direct"))
-    markers = [("monomial", series.monomial_marker)] + [
-        (f"jet{d}", lambda d=d: series.jet_marker(d)) for d in (1, 2, 3)
+    builds = [("monomial", lambda *case: _profile(families, series, *case))] + [
+        (f"jet{d}", lambda f, s, l, n, fo, d=d:
+         families.stat_gf(f, s, l, n, series.jet_marker(d), fo))
+        for d in (1, 2, 3)
     ]
     for fam in families.FAMILIES:
         for stat in families.STATS:
             for form in ("product", "direct"):
-                for name, marker in markers:
+                for name, build in builds:
                     for lam in map(spec.parse, STAT_MULTISETS):
                         for n in STAT_ORDERS:
                             yield (f"stat_gf {fam} {stat} {form} {name} "
                                    f"{lam.describe()} {n}",
-                                   lambda f=fam, s=stat, fo=form, m=marker, l=lam, n=n:
-                                   families.stat_gf(f, s, l, n, m(), fo))
+                                   lambda b=build, case=(fam, stat, lam, n, form): b(*case))
     for kind in sorted(families._VARIANT_BUILDERS):
         for n in VARIANT_ORDERS:
             yield f"variant_gf {kind} {n}", lambda k=kind, n=n: families.variant_gf(k, n)

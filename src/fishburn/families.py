@@ -13,20 +13,22 @@ into the factors (d^k * prod f_j == prod (d*f_j)), which keeps the kernel's
 adaptive truncation effective.  x_j, y_j and d_j are 1, a fixed series, or a
 callable (j, room) such as exp(jz), 1/(1 - z^j) or a running power from
 ``_powers`` (one truncated product per step).  A marked atom (B, A, Bi) is
-never folded into a power: it multiplies the unmarked power afresh at each
-step, because a monomial-marked power fills every v-degree of every
-z-coefficient, and products on those dense polynomials cost more than the
-ones saved.  Builders whose factor is no such difference call
+not folded into a power: it multiplies the unmarked power afresh at each
+step, so the running power stays unmarked.  Builders whose factor is no such
+difference call
 ``sum_product`` directly: the A035378 forms pair consecutive factors;
 A158690 form 4 and fishburn/first_row's product form multiply two
 differences, the latter needing L^{j-1} and L^j together; and
 ``ramanujan_r`` builds its factors coefficientwise.
 
-The row, Andrews, direct and self-dual sums serve every carrier: a weight
+The row, Andrews, direct and self-dual sums serve both carriers: a weight
 series gives the counting series, a marked atom its statistic refinement.
-The marker passed to ``stat_gf`` picks the carrier -- BivariateSeries for full
-distributions, Jet for moment jets -- and builds the atoms and lifted weight
-series; ``sum_product`` and ``_one`` take the carrier from their input.
+The marker passed to ``stat_gf`` builds the atoms and lifted weight series
+and so picks the carrier -- TruncatedSeries for an evaluation v = c, Jet for
+moment jets; ``sum_product`` and ``_one`` take the carrier from their input.
+``stat_profile`` gets every full distribution from one evaluation at
+v = 2^K, K the bit length of the largest family count: each z-coefficient
+then holds its v-polynomial as base-2^K digits (Kronecker substitution).
 """
 
 from __future__ import annotations
@@ -38,14 +40,14 @@ from math import comb, factorial
 from typing import Callable, Optional, Union
 
 from .series import (
-    BivariateSeries,
+    Carrier,
     Jet,
     Marker,
     TruncatedSeries,
     _power,
+    eval_marker,
     exp_linear,
     jet_marker,
-    monomial_marker,
     sum_product,
 )
 
@@ -184,20 +186,14 @@ def _as_series(lam: LambdaLike, order: int) -> TruncatedSeries:
 # Running powers and the carrier-generic sums
 # ---------------------------------------------------------------------------
 
-Marked = Union[BivariateSeries, Jet]
-Series = Union[TruncatedSeries, Marked]
-
-
-def _one(like: Series, room: int) -> Series:
+def _one(like: Carrier, room: int) -> Carrier:
     """The series 1 at order `room`, in the carrier (and jet depth) of `like`."""
     if isinstance(like, Jet):
         return Jet.one(room, like.depth)
-    if isinstance(like, BivariateSeries):
-        return BivariateSeries.one(room)
     return TruncatedSeries.one(room)
 
 
-def _powers(first: Series, step: Series, atom: Optional[Series] = None):
+def _powers(first: Carrier, step: Carrier, atom: Optional[Carrier] = None):
     """(j, room) -> [atom *] first * step^(j-1) on the j-th call, truncated at
     `room`, which must not grow from call to call (sum_product guarantees it).
     """
@@ -231,23 +227,23 @@ def _general_sum(x, order: int, y=None, d=None, alpha: int = 1):
     return sum_product(factor, order)
 
 
-def _row_sum(L: Series, order: int) -> Series:
+def _row_sum(L: Carrier, order: int) -> Carrier:
     """sum_k prod_{1<=j<=k} (L^j - 1)."""
     return _general_sum(_powers(L, L), order)
 
 
-def _andrews_sum(L: Series, order: int) -> Series:
+def _andrews_sum(L: Carrier, order: int) -> Carrier:
     """L * sum_k prod_{1<=j<=k} [L (L^j - 1)^2]."""
     return L * _general_sum(_powers(L, L), order, d=L, alpha=2)
 
 
-def _direct_sum(L: Series, order: int) -> Series:
+def _direct_sum(L: Carrier, order: int) -> Carrier:
     """sum_k prod_{1<=j<=k} (1 - L^{-j})."""
     Li = L.inv()
     return _general_sum(None, order, y=_powers(Li, Li))
 
 
-def _self_dual_sum(L: Series, L2: Series, order: int) -> Series:
+def _self_dual_sum(L: Carrier, L2: Carrier, order: int) -> Carrier:
     """L * sum_k prod_{1<=j<=k} [L (L2^j - 1)]."""
     return L * _general_sum(_powers(L2, L2), order, d=L)
 
@@ -325,7 +321,7 @@ _ATOM_KINDS = {
 
 def lambda_atom(
     spec: LambdaSpec, order: int, marker: Marker, kind: str = "size"
-) -> Marked:
+) -> Carrier:
     """The weight series with entries marked in v according to `kind`."""
     try:
         z_stretch, v_exp = _ATOM_KINDS[kind]
@@ -351,7 +347,7 @@ def _row_first_row(spec, order, marker):
     # part is folded as B * sum_k prod_j [B (L^j - 1)] minus the plain series.
     B = lambda_atom(spec, order, marker, "size")
     marked = _self_dual_sum(B, marker.lift(lambda_series(spec, order)), order)
-    plain = marker.lift(row_fishburn_gf(spec, order))
+    plain = marker.lift(family_series("row-fishburn", spec, order))
     return _one(B, order) + marked - plain
 
 
@@ -416,14 +412,14 @@ def stat_gf(
     stat: str,
     spec: LambdaSpec,
     order: int,
-    marker: Optional[Marker] = None,
+    marker: Marker,
     form: str = "product",
-) -> Marked:
+) -> Carrier:
     """Series with z marking size and v marking the statistic.
 
-    The marker picks the carrier: BivariateSeries for the monomial marker
-    (the default), Jet for a jet marker.  Setting v = 1 recovers the family
-    series.  `form='direct'` selects the
+    The marker picks the carrier: TruncatedSeries for an evaluation marker,
+    Jet for a jet marker.  Setting v = 1 recovers the family series.
+    `form='direct'` selects the
     alternative (inverse-power) representation where one exists; it is only
     available for the complete family and is used to cross-check the default
     product representation.
@@ -437,7 +433,6 @@ def stat_gf(
         raise ValueError("the direct representation exists only for family 'fishburn'")
     if stat == "ones" and spec.weight(1) == 0:
         raise ValueError("marking 1s requires the value 1 in the multiset")
-    marker = marker if marker is not None else monomial_marker()
 
     if family == "row-fishburn":
         if stat == "first_row":
@@ -461,11 +456,42 @@ def stat_gf(
 
 
 @lru_cache(maxsize=None)
-def stat_profile(family: str, stat: str, spec: LambdaSpec, order: int) -> BivariateSeries:
-    """Cached full distribution profile (honest monomial marking)."""
+def stat_profile(family: str, stat: str, spec: LambdaSpec, order: int) -> tuple:
+    """Cached full distribution profile: row n holds [v^m z^n] for m = 0, 1, ...
+    with trailing zeros trimmed, for n = 0..order.
+
+    One univariate build at v = 2^K, K the bit length of the largest family
+    count through `order`, holds every row as base-2^K digits.
+    """
     if family != canonical_family(family):
         return stat_profile(canonical_family(family), stat, spec, order)
-    return stat_gf(family, stat, spec, order, monomial_marker())
+    counts = family_series(family, spec, order).coeffs
+    bits = max(counts).bit_length()
+    return _unpack_rows(stat_gf(family, stat, spec, order, eval_marker(1 << bits)),
+                        counts, bits)
+
+
+def _unpack_rows(packed: TruncatedSeries, counts, bits: int) -> tuple:
+    """The base-2^bits digits of each coefficient of `packed`, low first.
+
+    A row whose digits do not sum to its count raises ValueError: a carry or
+    a borrow between digits always changes the digit sum, so this one check
+    catches a base too small for the v-coefficients.
+    """
+    mask = (1 << bits) - 1
+    rows = []
+    for n, (c, total) in enumerate(zip(packed.coeffs, counts)):
+        row = []
+        while c > 0:
+            row.append(c & mask)
+            c >>= bits
+        if c or sum(row) != total:
+            raise ValueError(
+                f"row {n} does not unpack in base 2^{bits}: its digits do not "
+                f"sum to the count {total}"
+            )
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -904,8 +930,8 @@ def _triangle_terms(family: str, stat: str, spec: LambdaSpec, count: int) -> lis
     prof = stat_profile(family, stat, spec, rows)
     out = []
     for n in range(1, rows + 1):
-        for k in range(1, n + 1):
-            out.append(_as_int(prof.coeff_vm(n, k)))
+        row = prof[n] + (0,) * n
+        out.extend(row[1 : n + 1])
     return out[:count]
 
 

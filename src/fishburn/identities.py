@@ -197,9 +197,16 @@ def verify_a035378_pairing(order: int) -> IdentityReport:
 
 def verify_log_derivative(count: int) -> IdentityReport:
     """b_n = n [z^n] log f  matches the convolution recurrence
-    b_n = n a_n - sum_{1<=j<n} b_j a_{n-j}  for the binomial-weight row series."""
+    b_n = n a_n - sum_{1<=j<n} b_j a_{n-j}  for the binomial-weight row series.
+
+    The report indexes b_n by n; at ``count = 0`` it compares nothing and
+    reports order -1.
+    """
     from .families import _log_weighted_terms
 
+    _require_count(count)
+    if count == 0:
+        return _compare_terms("log-derivative recurrence", (), ())
     f = row_fishburn_gf(_binomial_series(count), count)
     a = [int(f.coeff(n)) for n in range(count + 1)]
     got = _log_weighted_terms(count)

@@ -1,7 +1,7 @@
 """Truncated formal power series over exact rationals.
 
 Everything downstream (generating functions, identity checks, enumeration
-cross-checks) runs on the three carrier types in this module, one per job:
+cross-checks) runs on the two carrier types in this module, one per job:
 
 * :class:`TruncatedSeries` -- a univariate series known exactly through a
   fixed order N.  Coefficients are `int` or `fractions.Fraction`; integer
@@ -10,32 +10,29 @@ cross-checks) runs on the three carrier types in this module, one per job:
   An all-int coefficient list is stored as it is; only lists holding a
   Fraction are normalised (integral Fractions collapse to int).
 
-* :class:`BivariateSeries` -- the same thing with polynomial coefficients in
-  a marking variable v: full statistic distributions.
-
 * :class:`Jet` -- a moment jet: v = 1 + eps with the eps-polynomials cut
   after a small depth, held as depth + 1 univariate series.  It gives exact
   factorial moments without the full polynomial, and its products run on the
   univariate kernel.
 
-A :class:`Marker` picks the carrier of a marked series: ``monomial_marker``
-selects BivariateSeries, ``jet_marker`` selects Jet.  The marker lifts
-univariate series and builds marked atoms, so the statistic builders are
-written once for both.
+A :class:`Marker` says how a marking variable v enters a marked series:
+``eval_marker(c)`` evaluates v = c, so the carrier is TruncatedSeries, and
+``jet_marker`` selects Jet.  The marker lifts univariate series and builds
+marked atoms, so the statistic builders are written once for both.  Full
+statistic distributions come from one evaluation at v = 2^K: when every
+v-coefficient is a nonnegative integer below 2^K, the base-2^K digits of a
+z-coefficient are its v-polynomial (Kronecker substitution).
 
 The univariate kernel :func:`_mul_into` computes each output coefficient as
 one C-level dot product, ``sum(map(mul, ...))`` over slices of the two
 nonzero spans, and ``TruncatedSeries.inv`` does the same for its recurrence
 sum.  When both factors are supported on a lattice z^g (offsets from their
 valuations all multiples of g > 1, as for even-only multisets or L(z^2)),
-the product runs on that lattice.  The bivariate kernel keeps its loop that
-skips zero coefficients: monomial-marked v-polynomials are sparse, and a
-dense dot-product ``_poly_mul`` made the benchmark's ``profiles`` call list
-about 1.9x slower.
+the product runs on that lattice.
 
 Every type refuses to mix truncation orders silently: combining series of
-different orders raises, it never truncates behind your back.  Combining
-different carriers, or jets of different depths, raises too.
+different orders raises, it never truncates behind your back.  Combining a
+jet with another carrier, or jets of different depths, raises too.
 """
 
 from __future__ import annotations
@@ -44,16 +41,15 @@ from fractions import Fraction
 from itertools import compress, count
 from math import comb, factorial, gcd
 from operator import mul
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 Coeff = Union[int, Fraction]
 
 __all__ = [
     "TruncatedSeries",
-    "BivariateSeries",
     "Jet",
     "Marker",
-    "monomial_marker",
+    "eval_marker",
     "jet_marker",
     "exp_linear",
     "bernoulli_numbers",
@@ -281,8 +277,7 @@ def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSe
     g > 1 (the gcd of their offsets), the product is taken on that lattice
     and only every g-th output coefficient is computed.  Zeros left inside
     the spans are multiplied, not skipped: an int product by 0 costs little
-    next to a Python-level loop, whereas the sparse v-polynomials of
-    :func:`_bv_mul_into` keep their skipping loop (see the module docstring).
+    next to a Python-level loop.
 
     b may carry a *smaller* order than a when a's valuation guarantees the
     missing top coefficients of b cannot reach the truncation window; this is
@@ -362,172 +357,27 @@ def bernoulli_numbers(m: int) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Bivariate series with a marking variable
+# Reference product of v-polynomial rows
 # ---------------------------------------------------------------------------
 
 Poly = tuple  # v-polynomial, low degree first
 
 
-def _poly_trim(p: Sequence[Coeff]) -> Poly:
-    i = len(p)
-    while i > 0 and not p[i - 1]:
-        i -= 1
-    return tuple(p[:i])
-
-
-def _poly_add(p: Poly, q: Poly) -> Poly:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return _poly_trim(out)
-
-
-def _poly_neg(p: Poly) -> Poly:
-    return tuple(-c for c in p)
-
-
-def _poly_mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ()
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] += a * b
-    return _poly_trim(out)
-
-
-class BivariateSeries:
-    """Series in z with v-polynomial coefficients, truncated at `order` in z.
-
-    coeffs[n] is the v-polynomial attached to z^n (low degree first, trailing
-    zeros trimmed).  Arithmetic requires both operands to share the order.
-    """
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs: Sequence[Sequence[Coeff]], order: int):
-        cs = [_poly_trim(tuple(p)) for p in coeffs]
-        if len(cs) > order + 1:
-            raise ValueError("more coefficients than the truncation order admits")
-        cs.extend([()] * (order + 1 - len(cs)))
-        self.coeffs = tuple(cs)
-        self.order = order
-
-    @classmethod
-    def zero(cls, order: int) -> "BivariateSeries":
-        return cls((), order)
-
-    @classmethod
-    def one(cls, order: int) -> "BivariateSeries":
-        return cls(((1,),), order)
-
-    @classmethod
-    def from_univariate(cls, f: TruncatedSeries) -> "BivariateSeries":
-        return cls(tuple((c,) if c else () for c in f.coeffs), f.order)
-
-    def _check_compat(self, other) -> None:
-        if not isinstance(other, BivariateSeries):
-            raise ValueError(
-                f"mixed carriers: BivariateSeries vs {type(other).__name__}"
-            )
-        _check_same_order(self, other)
-
-    def valuation(self) -> int:
-        for i, p in enumerate(self.coeffs):
-            if p:
-                return i
-        return self.order + 1
-
-    def coeff(self, n: int) -> Poly:
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient {n} outside known range 0..{self.order}")
-        return self.coeffs[n]
-
-    def coeff_vm(self, n: int, m: int) -> Coeff:
-        p = self.coeff(n)
-        return p[m] if m < len(p) else 0
-
-    def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
-        self._check_compat(other)
-        return BivariateSeries(
-            [_poly_add(p, q) for p, q in zip(self.coeffs, other.coeffs)], self.order
-        )
-
-    def __sub__(self, other: "BivariateSeries") -> "BivariateSeries":
-        self._check_compat(other)
-        return BivariateSeries(
-            [_poly_add(p, _poly_neg(q)) for p, q in zip(self.coeffs, other.coeffs)],
-            self.order,
-        )
-
-    def __neg__(self) -> "BivariateSeries":
-        return BivariateSeries([_poly_neg(p) for p in self.coeffs], self.order)
-
-    def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
-        self._check_compat(other)
-        return _bv_mul_into(self, other, self.order)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def pow(self, k: int) -> "BivariateSeries":
-        if k < 0:
-            raise ValueError("negative bivariate powers are not needed; invert first")
-        return _power(self, k, BivariateSeries.one(self.order))
-
-    def inv(self) -> "BivariateSeries":
-        """Inverse when the z^0 coefficient is the constant polynomial 1."""
-        if self.coeffs[0] != (1,):
-            raise ZeroDivisionError("bivariate inverse needs constant coefficient 1")
-        out: list[Poly] = [(1,)]
-        for n in range(1, self.order + 1):
-            s: Poly = ()
-            for i in range(1, n + 1):
-                ai = self.coeffs[i]
-                if ai:
-                    s = _poly_add(s, _poly_mul(ai, out[n - i]))
-            out.append(_poly_neg(s))
-        return BivariateSeries(out, self.order)
-
-    def truncate(self, m: int) -> "BivariateSeries":
-        if m > self.order:
-            raise ValueError("cannot extend a truncated series; recompute instead")
-        return BivariateSeries(self.coeffs[: m + 1], m)
-
-    def at_v_one(self) -> TruncatedSeries:
-        """Collapse the marking variable: v = 1."""
-        return TruncatedSeries(
-            [_norm(sum(p)) if p else 0 for p in self.coeffs], self.order
-        )
-
-
-def _bv_mul_into(a: BivariateSeries, b: BivariateSeries, order: int) -> BivariateSeries:
-    va, vb = a.valuation(), b.valuation()
-    if va + vb > order:
-        return BivariateSeries.zero(order)
-    if b.order < order and va + b.order < order:
-        raise ValueError("factor truncated too short for this product")
-    out: list[Poly] = [()] * (order + 1)
-    btop = min(b.order, order)
-    for i in range(va, order + 1 - vb):
-        ai = a.coeffs[i]
-        if not ai:
-            continue
-        for j in range(vb, min(btop, order - i) + 1):
-            bj = b.coeffs[j]
-            if bj:
-                out[i + j] = _poly_add(out[i + j], _poly_mul(ai, bj))
-    return BivariateSeries(out, order)
+def _bv_mul_into(a: Sequence[Poly], b: Sequence[Poly], order: int) -> tuple:
+    """Schoolbook product at `order` of series given as tuples of v-polynomial
+    rows, trailing zeros trimmed: the tests' reference; no library calls it."""
+    out: list = [[] for _ in range(order + 1)]
+    for i, p in enumerate(a[: order + 1]):
+        for j, q in enumerate(b[: order + 1 - i]):
+            row = out[i + j]
+            row.extend([0] * (len(p) + len(q) - 1 - len(row)))
+            for s, x in enumerate(p):
+                for t, y in enumerate(q):
+                    row[s + t] += x * y
+    for row in out:
+        while row and not row[-1]:
+            row.pop()
+    return tuple(map(tuple, out))
 
 
 # ---------------------------------------------------------------------------
@@ -641,10 +491,13 @@ def _jet_mul_into(a: Jet, b: Jet, order: int) -> Jet:
 
 
 # ---------------------------------------------------------------------------
-# Markers: which carrier holds the marking variable
+# Markers: how the marking variable enters
 # ---------------------------------------------------------------------------
 
-class Marker:
+Carrier = Union[TruncatedSeries, Jet]
+
+
+class Marker(NamedTuple):
     """How the marking variable v enters a marked series.
 
     v_power(i) is the coefficient tuple that stands for v^i.  series(rows,
@@ -652,33 +505,19 @@ class Marker:
     z-coefficient, and lift(f) embeds a univariate series in that carrier.
     """
 
-    __slots__ = ("_vp", "_series", "_lift")
-
-    def __init__(
-        self,
-        vp: Callable[[int], Poly],
-        series: Callable[[Sequence[Poly], int], Union[BivariateSeries, Jet]],
-        lift: Callable[[TruncatedSeries], Union[BivariateSeries, Jet]],
-    ):
-        self._vp = vp
-        self._series = series
-        self._lift = lift
-
-    def v_power(self, i: int) -> Poly:
-        return self._vp(i)
-
-    def series(self, rows: Sequence[Poly], order: int) -> Union[BivariateSeries, Jet]:
-        return self._series(rows, order)
-
-    def lift(self, f: TruncatedSeries) -> Union[BivariateSeries, Jet]:
-        return self._lift(f)
+    v_power: Callable[[int], Poly]
+    series: Callable[[Sequence[Poly], int], Carrier]
+    lift: Callable[[TruncatedSeries], Carrier]
 
 
-def monomial_marker() -> Marker:
-    """v^i is the honest monomial -- full distribution polynomials, carried
-    by BivariateSeries."""
+def eval_marker(c: Coeff) -> Marker:
+    """v = c: v^i is c^i, the carrier is TruncatedSeries and lifting is the
+    identity.  With c = 2^K above every v-coefficient, the base-2^K digits of
+    a z-coefficient are its v-polynomial."""
     return Marker(
-        lambda i: (0,) * i + (1,), BivariateSeries, BivariateSeries.from_univariate
+        lambda i: (c**i,),
+        lambda rows, order: TruncatedSeries([r[0] if r else 0 for r in rows], order),
+        lambda f: f,
     )
 
 
@@ -719,16 +558,13 @@ def sum_product(factor, order: int, dpart=None):
     stops by k = order+1.  dpart(k), when given, is the k-dependent prefactor
     (think d(z)^{k+omega0}) at full order with nonzero constant term.
 
-    Works for every carrier type.  The first factor is always requested, as
-    factor(1, order), even when order is 0; its type (TruncatedSeries,
-    BivariateSeries or Jet) and, for a jet, its depth set the carrier of the
-    result.
+    Works for both carrier types.  The first factor is always requested, as
+    factor(1, order), even when order is 0; its type (TruncatedSeries or Jet)
+    and, for a jet, its depth set the carrier of the result.
     """
     first = factor(1, order)
     if isinstance(first, Jet):
         one, mul = Jet.one(order, first.depth), _jet_mul_into
-    elif isinstance(first, BivariateSeries):
-        one, mul = BivariateSeries.one(order), _bv_mul_into
     else:
         one, mul = TruncatedSeries.one(order), _mul_into
     acc = one if dpart is None else dpart(0)

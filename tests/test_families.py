@@ -10,9 +10,9 @@ from fishburn.checks import DIAGONAL_TRIANGLE, FIRST_ROW_TRIANGLE
 from fishburn.series import (
     TruncatedSeries,
     bernoulli_numbers,
+    eval_marker,
     exp_linear,
     jet_marker,
-    monomial_marker,
 )
 from fishburn.families import (
     ALL,
@@ -42,6 +42,7 @@ from fishburn.families import (
     _VARIANT_BUILDERS,
     _bernoulli_egf,
     _two_each_series,
+    _unpack_rows,
     r_at_one_minus,
     ramanujan_r,
 )
@@ -199,49 +200,66 @@ MARGINAL_CASES = [
 class TestStatSeries:
     @pytest.mark.parametrize("family,stat,spec", MARGINAL_CASES)
     def test_v_equals_one_marginalizes(self, family, stat, spec):
-        g = stat_gf(family, stat, spec, 9)
-        assert g.at_v_one() == family_gf(family, spec, 9)
+        g = stat_gf(family, stat, spec, 9, eval_marker(1))
+        assert g == family_gf(family, spec, 9)
 
     @pytest.mark.parametrize("stat", ["first_row", "diagonal", "ones", "twos"])
     def test_fishburn_dual_representations(self, stat):
-        a = stat_gf("fishburn", stat, ALL, 10, form="product")
-        b = stat_gf("fishburn", stat, ALL, 10, form="direct")
-        assert a == b
+        counts = family_gf("fishburn", ALL, 10).coeffs
+        bits = max(counts).bit_length()
+        a, b = (
+            _unpack_rows(
+                stat_gf("fishburn", stat, ALL, 10, eval_marker(1 << bits), form),
+                counts, bits,
+            )
+            for form in ("product", "direct")
+        )
+        assert a == b == stat_profile("fishburn", stat, ALL, 10)
+        assert sum(len(row) > 2 for row in a) > 5  # whole v-polynomials compared
+
+    def test_unpack_needs_a_base_above_every_count(self):
+        counts = family_gf("fishburn", ALL, 12).coeffs
+        bits = max(counts).bit_length()
+        packed = stat_gf("fishburn", "first_row", ALL, 12, eval_marker(1 << bits))
+        assert sum(map(sum, _unpack_rows(packed, counts, bits))) == sum(counts)
+        small = stat_gf("fishburn", "first_row", ALL, 12, eval_marker(1 << 8))
+        with pytest.raises(ValueError, match="does not unpack in base 2"):
+            _unpack_rows(small, counts, 8)
 
     def test_direct_form_only_for_fishburn(self):
         with pytest.raises(ValueError, match="direct representation"):
-            stat_gf("row-fishburn", "first_row", ALL, 5, form="direct")
+            stat_gf("row-fishburn", "first_row", ALL, 5, eval_marker(2), form="direct")
 
     def test_self_dual_twos_unsupported(self):
         with pytest.raises(ValueError, match="no 2s-marking"):
-            stat_gf("self-dual", "twos", ALL, 5)
+            stat_gf("self-dual", "twos", ALL, 5, eval_marker(2))
 
     def test_ones_needs_ones(self):
         with pytest.raises(ValueError, match="requires the value 1"):
-            stat_gf("row-fishburn", "ones", LambdaSpec("even+"), 5)
+            stat_gf("row-fishburn", "ones", LambdaSpec("even+"), 5, eval_marker(2))
 
     def test_unknown_stat(self):
         with pytest.raises(ValueError, match="unknown statistic"):
-            stat_gf("fishburn", "trace", ALL, 5)
+            stat_gf("fishburn", "trace", ALL, 5, eval_marker(2))
 
     def test_first_row_extraction_values(self):
         # size-4 matrices: 15 in total, 5 of them with a single unit up front
         g = stat_profile("fishburn", "first_row", ALL, 4)
-        assert int(g.at_v_one().coeff(4)) == 15
-        assert int(g.coeff_vm(4, 1)) == 5
+        assert sum(g[4]) == 15
+        assert g[4][1] == 5
 
     def test_primitive_ones_follow_size(self):
         # for {0,1} entries every unit is a 1, so v tracks z exactly
         g = stat_profile("row-fishburn", "ones", PRIMITIVE, 6)
         for n in range(7):
-            for m, c in enumerate(g.coeff(n)):
+            for m, c in enumerate(g[n]):
                 assert c == 0 or m == n
 
     def test_jet_matches_profile_moments(self):
         n = 8
         prof = stat_profile("fishburn", "diagonal", ALL, n)
         jet = stat_gf("fishburn", "diagonal", ALL, n, jet_marker(2))
-        row = prof.coeff(n)
+        row = prof[n]
         total = sum(row)
         mean_num = sum(m * c for m, c in enumerate(row))
         # jet coefficient of eps^1 is sum_m binom(m,1) * count_m
@@ -252,7 +270,7 @@ class TestStatSeries:
         # size 3, rows nonzero, any entries: 1 matrix of dim 1 (first row 3),
         # 3+2 of dim 2 (first row 2 resp. 1), 6 of dim 3 (first row 1)
         g = stat_profile("row-fishburn", "first_row", ALL, 3)
-        assert [int(g.coeff_vm(3, k)) for k in range(4)] == [0, 8, 3, 1]
+        assert g[3] == (0, 8, 3, 1)
 
 
 STAT_CASES = [
@@ -266,7 +284,7 @@ STAT_CASES = [
 
 class TestOrderZero:
     @pytest.mark.parametrize("family,stat,form", STAT_CASES)
-    @pytest.mark.parametrize("marker", [monomial_marker(), jet_marker(2)])
+    @pytest.mark.parametrize("marker", [eval_marker(2), jet_marker(2)])
     def test_stat_gf(self, family, stat, form, marker):
         g = stat_gf(family, stat, ALL, 0, marker, form)
         assert g == marker.lift(TruncatedSeries.one(0))
@@ -303,42 +321,13 @@ class TestOrderZero:
         assert named_sequence(name, 1) == named_sequence(name, 5)[:1]
 
 
-# Bivariate products per stat_gf(family, stat, ALL, 30) with the monomial
-# marker before the builders shared one running-power helper.  A builder that
-# needs more has started to carry a marked (dense) running power.
-BV_PRODUCTS_AT_30 = {
-    ("row-fishburn", "first_row"): 91,
-    ("row-fishburn", "diagonal"): 90,
-    ("row-fishburn", "ones"): 60,
-    ("row-fishburn", "twos"): 60,
-    ("fishburn", "first_row"): 76,
-    ("fishburn", "diagonal"): 76,
-    ("fishburn", "ones"): 61,
-    ("fishburn", "twos"): 61,
-    ("self-dual", "first_row"): 61,
-    ("self-dual", "diagonal"): 61,
-    ("self-dual", "ones"): 46,
-}
-
-
-@pytest.mark.parametrize("family,stat", sorted(BV_PRODUCTS_AT_30))
-def test_bivariate_products_do_not_grow(family, stat, monkeypatch):
-    calls = [0]
-    kernel = series._bv_mul_into
-
-    def counting(a, b, order):
-        calls[0] += 1
-        return kernel(a, b, order)
-
-    monkeypatch.setattr(series, "_bv_mul_into", counting)
-    stat_gf(family, stat, ALL, 30, monomial_marker())
-    assert 0 < calls[0] <= BV_PRODUCTS_AT_30[family, stat]
-
-
 # Univariate products per build, recorded before every instance of the general
 # sum went through one builder: family_gf at order 60, everything else at 30.
 # A build that needs more has started to make products it did not make
-# before, such as building a power-schedule base it does not use.
+# before, such as building a power-schedule base it does not use.  The
+# stat_profile entries were recorded when profiles became one build at
+# v = 2^K; a builder that needs more has started to carry a marked running
+# power.
 MUL_PRODUCTS = {
     ("family_gf", "row-fishburn", "all"): 119,
     ("family_gf", "row-fishburn", "01"): 119,
@@ -379,11 +368,22 @@ MUL_PRODUCTS = {
     ("named_gf", "A215066"): 30,
     ("named_gf", "A209832"): 31,
     ("named_gf", "A214687"): 30,
+    ("stat_profile", "row-fishburn", "first_row"): 90,
+    ("stat_profile", "row-fishburn", "diagonal"): 89,
+    ("stat_profile", "row-fishburn", "ones"): 59,
+    ("stat_profile", "row-fishburn", "twos"): 59,
+    ("stat_profile", "fishburn", "first_row"): 76,
+    ("stat_profile", "fishburn", "diagonal"): 75,
+    ("stat_profile", "fishburn", "ones"): 60,
+    ("stat_profile", "fishburn", "twos"): 60,
+    ("stat_profile", "self-dual", "first_row"): 60,
+    ("stat_profile", "self-dual", "diagonal"): 60,
+    ("stat_profile", "self-dual", "ones"): 45,
 }
 
 
-@pytest.mark.parametrize("case", sorted(MUL_PRODUCTS), ids="-".join)
-def test_univariate_products_do_not_grow(case, monkeypatch):
+def _count_products(monkeypatch) -> list:
+    """A one-item list counting the _mul_into calls from here on."""
     calls = [0]
     kernel = series._mul_into
 
@@ -392,6 +392,14 @@ def test_univariate_products_do_not_grow(case, monkeypatch):
         return kernel(a, b, order)
 
     monkeypatch.setattr(series, "_mul_into", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "case", sorted(c for c in MUL_PRODUCTS if c[0] != "stat_profile"), ids="-".join
+)
+def test_univariate_products_do_not_grow(case, monkeypatch):
+    calls = _count_products(monkeypatch)
     kind, name = case[:2]
     if kind == "family_gf":
         family_gf(name, LambdaSpec(case[2]), 60)
@@ -402,6 +410,16 @@ def test_univariate_products_do_not_grow(case, monkeypatch):
     else:
         named_gf(name, 30)
     assert 0 < calls[0] <= MUL_PRODUCTS[case]
+
+
+@pytest.mark.parametrize(
+    "family,stat", sorted(c[1:] for c in MUL_PRODUCTS if c[0] == "stat_profile")
+)
+def test_bivariate_products_do_not_grow(family, stat, monkeypatch):
+    family_series(family, ALL, 30)  # the counts that set the base, built beforehand
+    calls = _count_products(monkeypatch)
+    stat_profile.__wrapped__(family, stat, ALL, 30)  # past the cache
+    assert 0 < calls[0] <= MUL_PRODUCTS["stat_profile", family, stat]
 
 
 def test_jets_make_no_bivariate_products(monkeypatch):
@@ -424,19 +442,19 @@ class TestDistributionTables:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_first_row_table(self, n):
         g = stat_profile("fishburn", "first_row", ALL, 7)
-        got = tuple(int(g.coeff_vm(n, k)) for k in range(1, n + 1))
+        got = (g[n] + (0,) * n)[1 : n + 1]
         assert got == FIRST_ROW_TRIANGLE[n - 1]
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_diagonal_table(self, n):
         g = stat_profile("fishburn", "diagonal", ALL, 7)
-        got = {k: int(g.coeff_vm(n, k)) for k in range(1, n + 1) if g.coeff_vm(n, k)}
+        got = {k: c for k, c in enumerate(g[n]) if c}
         assert got == DIAGONAL_TRIANGLE[n - 1]
 
     def test_rows_sum_to_family_counts(self):
         g = stat_profile("fishburn", "diagonal", ALL, 7)
         for n in range(1, 8):
-            assert sum(g.coeff(n)) == FISHBURN[n]
+            assert sum(g[n]) == FISHBURN[n]
 
 
 class TestRecursive:
@@ -595,7 +613,7 @@ class TestInvariants:
             jet = stat_gf(family, stat, spec, order, jet_marker(2), form)
         prof = stat_profile(family, stat, spec, order)
         for n in range(order + 1):
-            row = prof.coeff(n)
+            row = prof[n]
             for t in range(3):
                 assert jet.coeff_vm(n, t) == sum(
                     comb(m, t) * c for m, c in enumerate(row)

@@ -75,13 +75,16 @@ class TestGlaisher:
 
     def test_no_terms(self):
         assert glaisher_product_terms(0) == glaisher_trig_terms(0) == ()
-        rep = verify_glaisher(0)
-        assert rep.ok
-        assert rep.order == -1
-        assert rep.first_mismatch is None
+        for verify in (verify_glaisher, verify_log_derivative):
+            rep = verify(0)
+            assert rep.ok
+            assert rep.order == -1
+            assert rep.first_mismatch is None
 
     @pytest.mark.parametrize(
-        "route", [glaisher_product_terms, glaisher_trig_terms, verify_glaisher]
+        "route",
+        [glaisher_product_terms, glaisher_trig_terms, verify_glaisher,
+         verify_log_derivative],
     )
     def test_negative_count(self, route):
         with pytest.raises(ValueError, match="count must be >= 0, got -1"):

@@ -115,7 +115,7 @@ class TestHistograms:
         n = 7
         prof = stat_profile(family, stat, spec, n)
         got = histogram(enumerate_matrices(family, spec, n), stat)
-        want = {m: int(c) for m, c in enumerate(prof.coeff(n)) if c}
+        want = {m: c for m, c in enumerate(prof[n]) if c}
         assert got == want
 
     def test_dimension_matches_product_terms(self):

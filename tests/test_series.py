@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 import fishburn.series as series
 from fishburn.series import (
-    BivariateSeries,
     Jet,
     TruncatedSeries,
     bernoulli_numbers,
+    eval_marker,
     exp_linear,
     jet_marker,
-    monomial_marker,
     sum_product,
 )
 
@@ -285,18 +284,26 @@ def test_bernoulli_numbers():
 
 
 class TestBivariate:
+    """Marked series: evaluated at v = c on the univariate carrier, against
+    the schoolbook product of v-polynomial rows."""
+
     def test_round_trip_at_v_one(self):
         f = TruncatedSeries([1, 3, 0, 2], 5)
-        g = BivariateSeries.from_univariate(f)
-        assert g.at_v_one() == f
+        m = eval_marker(1)
+        assert m.lift(f) is f
+        # v^i -> 1: every row collapses to its coefficient sum
+        assert m.series([m.v_power(0), m.v_power(2), (), m.v_power(1)], 5) == (
+            TruncatedSeries([1, 1, 0, 1], 5)
+        )
 
     def test_v_marking_multiplication(self):
         # (1 + v z)^2 = 1 + 2 v z + v^2 z^2
-        f = BivariateSeries([(1,), (0, 1)], 4)
-        g = f * f
-        assert g.coeff(0) == (1,)
-        assert g.coeff(1) == (0, 2)
-        assert g.coeff(2) == (0, 0, 1)
+        f = ((1,), (0, 1))
+        assert series._bv_mul_into(f, f, 4) == ((1,), (0, 2), (0, 0, 1), (), ())
+        # at v = 10 each row of the product reads as decimal digits
+        m = eval_marker(10)
+        g = m.series([m.v_power(0), m.v_power(1)], 4)
+        assert (g * g).coeffs == (1, 20, 100, 0, 0)
 
     def test_jet_cap_truncates_polynomials(self):
         m = jet_marker(2)
@@ -309,65 +316,78 @@ class TestBivariate:
         with pytest.raises(IndexError):
             g.coeff_vm(0, 3)
 
-    def test_monomial_marker(self):
-        m = monomial_marker()
-        assert m.v_power(3) == (0, 0, 0, 1)
-        # no cap: the full v-polynomial survives a product
+    def test_eval_marker(self):
+        m = eval_marker(7)
+        assert m.v_power(3) == (343,)
         f = m.series([m.v_power(3)], 3)
-        assert isinstance(f, BivariateSeries)
-        assert (f * f).coeff(0) == (0,) * 6 + (1,)
+        assert isinstance(f, TruncatedSeries)
+        assert (f * f).coeffs == (7**6, 0, 0, 0)
+        assert eval_marker(Fraction(1, 2)).v_power(2) == (Fraction(1, 4),)
 
     def test_mixed_caps_raise(self):
         a = Jet.one(3, 2)
-        b = BivariateSeries.one(3)
         with pytest.raises(ValueError, match="mixed carriers"):
-            a + b
-        with pytest.raises(ValueError, match="mixed carriers"):
-            b + a
+            a + TruncatedSeries.one(3)
         with pytest.raises(ValueError, match="mixed jet depths"):
             a + Jet.one(3, 3)
         with pytest.raises(ValueError, match="mixed jet depths"):
             a * Jet.one(3, 1)
 
     def test_inv(self):
-        # 1 - v z has inverse sum v^n z^n
-        f = BivariateSeries([(1,), (0, -1)], 5)
+        # 1 - v z has inverse sum v^n z^n; at v = 2^8, z^n carries 2^(8n)
+        m = eval_marker(1 << 8)
+        f = m.series([m.v_power(0), tuple(-c for c in m.v_power(1))], 5)
         g = f.inv()
-        for n in range(6):
-            assert g.coeff_vm(n, n) == 1
-        assert (f * g) == BivariateSeries.one(5)
+        assert g.coeffs == tuple(1 << (8 * n) for n in range(6))
+        assert f * g == TruncatedSeries.one(5)
 
 
+# Series in z of order 5, as v-polynomial rows (low degree first).
 poly_st = st.lists(st.integers(min_value=-3, max_value=3), max_size=4).map(tuple)
-bivariate_st = st.lists(poly_st, max_size=6).map(lambda ps: BivariateSeries(ps, 5))
+rows_st = st.lists(poly_st, max_size=6).map(tuple)
 
 
-def _as_jet(f: BivariateSeries, depth: int) -> Jet:
+def _rows_add(a, b, sign=1):
+    """a + sign * b, row by row, at order 5."""
+    out = []
+    for i in range(6):
+        p, q = (a[i] if i < len(a) else ()), (b[i] if i < len(b) else ())
+        n = max(len(p), len(q))
+        p, q = p + (0,) * (n - len(p)), q + (0,) * (n - len(q))
+        out.append(tuple(x + sign * y for x, y in zip(p, q)))
+    return tuple(out)
+
+
+def _as_jet(rows, depth: int) -> Jet:
     """Substitute v = 1 + eps: the eps^t part at z^n is sum_m C(m, t) [v^m z^n]."""
+    rows = tuple(rows) + ((),) * (6 - len(rows))
     return Jet(
-        TruncatedSeries(
-            [sum(comb(m, t) * c for m, c in enumerate(p)) for p in f.coeffs], f.order
-        )
+        TruncatedSeries([sum(comb(m, t) * c for m, c in enumerate(p)) for p in rows], 5)
         for t in range(depth + 1)
     )
 
 
 class TestJet:
-    @given(bivariate_st, bivariate_st, st.integers(min_value=1, max_value=3))
+    @given(rows_st, rows_st, st.integers(min_value=1, max_value=3))
     @settings(max_examples=40)
     def test_ring_operations_commute_with_v_equals_one_plus_eps(self, a, b, depth):
         ja, jb = _as_jet(a, depth), _as_jet(b, depth)
-        assert _as_jet(a + b, depth) == ja + jb
-        assert _as_jet(a - b, depth) == ja - jb
-        assert _as_jet(a * b, depth) == ja * jb
+        assert _as_jet(_rows_add(a, b), depth) == ja + jb
+        assert _as_jet(_rows_add(a, b, -1), depth) == ja - jb
+        assert _as_jet(series._bv_mul_into(a, b, 5), depth) == ja * jb
 
-    @given(bivariate_st, st.integers(min_value=1, max_value=3))
+    @given(rows_st, st.integers(min_value=1, max_value=3))
     @settings(max_examples=40)
     def test_inverse(self, a, depth):
-        a = BivariateSeries(((1,),) + a.coeffs[1:], a.order)
-        ja = _as_jet(a, depth)
-        assert ja.inv() == _as_jet(a.inv(), depth)
-        assert ja * ja.inv() == Jet.one(a.order, depth)
+        # 1/(1 + a') = sum_k (-a')^k, which stops at k = 5 as a' has valuation 1
+        neg = ((),) + tuple(tuple(-c for c in p) for p in a[1:])
+        term = inv = ((1,),)
+        for _ in range(5):
+            term = series._bv_mul_into(term, neg, 5)
+            inv = _rows_add(inv, term)
+        ja = _as_jet(((1,),) + a[1:], depth)
+        assert ja.inv() == _as_jet(inv, depth)
+        assert ja * ja.inv() == Jet.one(5, depth)
 
     def test_inverse_needs_invertible_constant(self):
         with pytest.raises(ZeroDivisionError):
@@ -421,9 +441,10 @@ class TestSumProduct:
         assert [tuple(f.coeff_vm(n, t) for t in range(3)) for n in range(7)] == [
             (1, 0, 0), (1, 1, 0), (1, 2, 1), (1, 3, 3), (1, 4, 6), (1, 5, 10), (1, 6, 15)
         ]
-        g = sum_product(lambda j, m: BivariateSeries([(), (1, 1)], m), 6)
-        assert isinstance(g, BivariateSeries)
-        assert g.coeff(6) == tuple(comb(6, i) for i in range(7))
+        # the same sum of (z(1+v))^k at v = 2^8: z^6 packs C(6, i) as digits
+        g = sum_product(lambda j, m: TruncatedSeries([0, 1 + (1 << 8)], m), 6)
+        assert isinstance(g, TruncatedSeries)
+        assert g.coeff(6) == sum(comb(6, i) << (8 * i) for i in range(7))
 
     def test_order_zero_keeps_the_carrier(self):
         assert sum_product(lambda j, m: TruncatedSeries.zero(m), 0) == (
@@ -431,8 +452,6 @@ class TestSumProduct:
         )
         f = sum_product(lambda j, m: Jet.from_univariate(TruncatedSeries.zero(m), 2), 0)
         assert f == Jet.one(0, 2)
-        g = sum_product(lambda j, m: BivariateSeries.zero(m), 0)
-        assert g == BivariateSeries.one(0)
 
     def test_dpart_prefactor(self):
         # sum_k 2^k z^k = 1/(1-2z) with dpart(k)=2^k, factor z
