@@ -40,13 +40,13 @@ from .distributions import (
 from .families import (
     ALL,
     STATS,
+    _SERIES_BUDGET,
     LambdaSpec,
     canonical_family,
     family_series,
     labeled_numbers,
 )
 
-_SERIES_BUDGET = 500
 _FORMATS = ("table", "csv", "json")
 
 

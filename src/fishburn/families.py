@@ -45,6 +45,7 @@ from .series import (
     Marker,
     TruncatedSeries,
     _power,
+    _rational_series,
     eval_marker,
     exp_linear,
     jet_marker,
@@ -54,7 +55,19 @@ from .series import (
 FAMILIES = ("row-fishburn", "fishburn", "self-dual")
 STATS = ("first_row", "diagonal", "ones", "twos")
 
-_NAMED_TAGS = ("all", "01", "012", "odd", "even+", "no1")
+# (P, Q) with Lambda(z) = P(z)/Q(z) for each named multiset, low degree first.
+_NAMED_RATIONAL = {
+    "all": ((1,), (1, -1)),                # 1/(1-z)
+    "01": ((1, 1), (1,)),                  # 1+z
+    "012": ((1, 1, 1), (1,)),              # 1+z+z^2
+    "odd": ((1, 1, -1), (1, 0, -1)),       # 1 + z/(1-z^2)
+    "even+": ((1,), (1, 0, -1)),           # 1/(1-z^2)
+    "no1": ((1, -1, 1), (1, -1)),          # 1/(1-z) - z
+}
+_NAMED_TAGS = tuple(_NAMED_RATIONAL)
+
+# The largest order of a cached family series or moment jet.
+_SERIES_BUDGET = 500
 
 _FAMILY_ALIASES = {
     "row": "row-fishburn",
@@ -142,6 +155,13 @@ class LambdaSpec:
             return 0 if i == 1 else 1
         return self.weights[i - 1] if i <= len(self.weights) else 0
 
+    def rational(self) -> tuple:
+        """(P, Q) with the weight series 1 + sum_i weight(i) z^i = P(z)/Q(z),
+        as coefficient tuples with Q[0] = 1; Q = (1,) for a finite multiset."""
+        if self.tag == "custom":
+            return (1,) + self.weights, (1,)
+        return _NAMED_RATIONAL[self.tag]
+
     def smallest_entry(self) -> Optional[int]:
         """Smallest positive value with nonzero multiplicity (None if empty)."""
         return self._first_allowed(1)
@@ -170,8 +190,9 @@ LambdaLike = Union[LambdaSpec, TruncatedSeries]
 
 @lru_cache(maxsize=None)
 def lambda_series(spec: LambdaSpec, order: int) -> TruncatedSeries:
-    """The weight series 1 + sum_i weight(i) z^i, truncated at `order`."""
-    return TruncatedSeries([spec.weight(i) for i in range(order + 1)], order)
+    """The weight series 1 + sum_i weight(i) z^i, truncated at `order`,
+    expanded from ``spec.rational()``; products by it divide by Q."""
+    return _rational_series(*spec.rational(), order)
 
 
 def _as_series(lam: LambdaLike, order: int) -> TruncatedSeries:
@@ -289,9 +310,15 @@ def family_gf(family: str, lam: LambdaLike, order: int) -> TruncatedSeries:
     return self_dual_gf(lam, order)
 
 
+def _check_budget(order: int) -> None:
+    if order > _SERIES_BUDGET:
+        raise ValueError(f"order {order} exceeds the series budget ({_SERIES_BUDGET})")
+
+
 @lru_cache(maxsize=None)
 def family_series(family: str, spec: LambdaSpec, order: int) -> TruncatedSeries:
     """Cached family series for LambdaSpec inputs, one entry per family."""
+    _check_budget(order)
     if family != canonical_family(family):
         return family_series(canonical_family(family), spec, order)
     return family_gf(family, spec, order)
@@ -498,6 +525,7 @@ def _unpack_rows(packed: TruncatedSeries, counts, bits: int) -> tuple:
 def stat_jet(family: str, stat: str, spec: LambdaSpec, order: int) -> Jet:
     """Cached moment jet: v = 1 + eps truncated past eps^2, which is as deep
     as the mean and variance need."""
+    _check_budget(order)
     if family != canonical_family(family):
         return stat_jet(canonical_family(family), stat, spec, order)
     return stat_gf(family, stat, spec, order, jet_marker(2))

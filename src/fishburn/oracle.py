@@ -160,3 +160,31 @@ def histogram(matrices: List[OracleMatrix], stat: str) -> Dict[int, int]:
 
 def total_weight(matrices: List[OracleMatrix]) -> int:
     return sum(m.weight for m in matrices)
+
+
+def ascent_counts(n: int) -> Tuple[int, ...]:
+    """The number of ascent sequences of each length 0..n, by dynamic
+    programming over (ascents so far, last value); no generating function.
+
+    An ascent sequence starts at 0 and each later value lies in
+    0..1 + (ascents before it).  Its counts are the Fishburn numbers.
+    """
+    if n < 0:
+        raise ValueError("length must be >= 0")
+    counts = [1]
+    # rows[a][x]: sequences of the current length with a ascents ending at x
+    rows = [[1]]
+    for length in range(1, n + 1):
+        counts.append(sum(map(sum, rows)))
+        if length == n:
+            break
+        new = [[0] * (a + 1) for a in range(len(rows) + 1)]
+        for a, row in enumerate(rows):
+            total, below = sum(row), 0  # below: sequences ending below y
+            for y, x in enumerate(row + [0]):  # the next value y <= a + 1
+                if y <= a:
+                    new[a][y] += total - below  # y <= last: no ascent
+                new[a + 1][y] += below  # y > last: one more ascent
+                below += x
+        rows = new
+    return tuple(counts)

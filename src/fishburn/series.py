@@ -30,6 +30,15 @@ sum.  When both factors are supported on a lattice z^g (offsets from their
 valuations all multiples of g > 1, as for even-only multisets or L(z^2)),
 the product runs on that lattice.
 
+Two shortcuts inside the same kernel cut the big-integer products.  A weight
+series Lambda(z) = P(z)/Q(z) built by ``_rational_series`` keeps its pair
+(P, Q) through ``truncate`` and ``substitute_power``; a product by it is the
+product by the short P followed by the division by Q, one running sum per
+residue class for Q = 1 - z^g, so O(N (deg P + deg Q)) instead of O(N^2).
+A polynomial Lambda (Q = 1) keeps the dot products, which run in C.  A
+square (both factors the same object, as ``_power`` makes) computes half
+the cross products.  Every product still goes through ``_mul_into``.
+
 Every type refuses to mix truncation orders silently: combining series of
 different orders raises, it never truncates behind your back.  Combining a
 jet with another carrier, or jets of different depths, raises too.
@@ -38,9 +47,9 @@ jet with another carrier, or jets of different depths, raises too.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, count
+from itertools import accumulate, compress, count, repeat
 from math import comb, factorial, gcd
-from operator import mul
+from operator import add, mul
 from typing import Callable, NamedTuple, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -90,7 +99,10 @@ def _power(base, k: int, one):
 class TruncatedSeries:
     """A power series known exactly for coefficients 0..order (inclusive)."""
 
-    __slots__ = ("coeffs", "order")
+    # _rational is (P, Q), two int tuples with Q[0] == 1, when the
+    # coefficients are exactly the expansion of P/Q (see _rational_series);
+    # None otherwise.  Equality and hashing ignore it.
+    __slots__ = ("coeffs", "order", "_rational")
 
     def __init__(self, coeffs: Sequence[Coeff], order: int):
         if order < 0:
@@ -102,6 +114,7 @@ class TruncatedSeries:
         # An all-int list is already normal; only Fractions can collapse.
         self.coeffs = tuple(cs) if set(map(type, cs)) == {int} else tuple(map(_norm, cs))
         self.order = order
+        self._rational = None
 
     # -- constructors -------------------------------------------------
 
@@ -186,7 +199,9 @@ class TruncatedSeries:
         """Restrict to order m <= current order."""
         if m > self.order:
             raise ValueError("cannot extend a truncated series; recompute instead")
-        return TruncatedSeries(self.coeffs[: m + 1], m)
+        out = TruncatedSeries(self.coeffs[: m + 1], m)
+        out._rational = self._rational
+        return out
 
     def shift_down(self, m: int) -> "TruncatedSeries":
         """Divide by z^m, losing the top m coefficients (order drops by m)."""
@@ -242,7 +257,10 @@ class TruncatedSeries:
             if i * m > self.order:
                 break
             out[i * m] = a
-        return TruncatedSeries(out, self.order)
+        result = TruncatedSeries(out, self.order)
+        if self._rational is not None:
+            result._rational = tuple(_stretch(c, m) for c in self._rational)
+        return result
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """f(g(z)) for g with valuation >= 1 (same truncation order)."""
@@ -279,6 +297,16 @@ def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSe
     the spans are multiplied, not skipped: an int product by 0 costs little
     next to a Python-level loop.
 
+    Two shortcuts skip the dot products.  When a factor is a rational P/Q
+    with deg Q >= 1 (a weight series from ``_rational_series``), the other
+    factor is multiplied by the short P and divided by Q with its
+    recurrence, in O(N (deg P + deg Q)) steps; for Q = 1 - z^g the division
+    is one running sum per residue class mod g.  A polynomial factor (Q = 1)
+    stays on the dot products: those run in C, while a shifted sum over P's
+    terms gains nothing at the sizes used here.  When a is b (a square, as
+    ``_power`` makes), each coefficient is 2 sum_{i<m-i} x_i x_{m-i} + x_{m/2}^2,
+    half the cross products.
+
     b may carry a *smaller* order than a when a's valuation guarantees the
     missing top coefficients of b cannot reach the truncation window; this is
     what lets the sum-of-products kernel truncate its factors adaptively.
@@ -291,6 +319,10 @@ def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSe
     acs, bcs = a.coeffs, b.coeffs
     ta = _last_nonzero(acs, order - vb)
     tb = _last_nonzero(bcs, order - va)
+    if _has_denominator(b):
+        return _mul_rational(acs[va : ta + 1], b._rational, va, order)
+    if _has_denominator(a):
+        return _mul_rational(bcs[vb : tb + 1], a._rational, vb, order)
     g = _lattice_step(acs, va, ta, 0)
     if g != 1:
         g = _lattice_step(bcs, vb, tb, g) or 1
@@ -299,14 +331,68 @@ def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSe
     la, lb = len(xs), len(ys)
     # Output m of the lattice product is sum_i xs[i] * ys[lb - 1 - m + i]
     # over the i with both indices in range.
+    square = a is b
     dots = []
     for m in range(min((order - va - vb) // g, la + lb - 2) + 1):
         lo = m - lb + 1 if m >= lb else 0
-        hi = m + 1 if m < la else la
-        dots.append(sum(map(mul, xs[lo:hi], ys[lb - 1 - m + lo : lb - 1 - m + hi])))
+        hi = (m + 1) // 2 if square else (m + 1 if m < la else la)
+        s = sum(map(mul, xs[lo:hi], ys[lb - 1 - m + lo : lb - 1 - m + hi]))
+        if square:  # each pair i < m - i counts twice; add the middle term
+            s += s
+            if not m & 1:
+                s += xs[m // 2] * xs[m // 2]
+        dots.append(s)
     out: list[Coeff] = [0] * (order + 1)
     out[va + vb : va + vb + g * len(dots) : g] = dots
     return TruncatedSeries(out, order)
+
+
+def _has_denominator(f: TruncatedSeries) -> bool:
+    return f._rational is not None and len(f._rational[1]) > 1
+
+
+def _mul_rational(xs: Sequence[Coeff], pq: tuple, lo: int, order: int) -> TruncatedSeries:
+    """x * P / Q truncated at `order`, where x is zero below z^lo and xs
+    holds its coefficients from z^lo on (zero past its end)."""
+    P, Q = pq
+    n = order - lo + 1
+    t: list[Coeff] = [0] * n
+    for k, p in enumerate(P[:n]):
+        if p:
+            seg = list(map(mul, xs[: n - k], repeat(p)))
+            t[k : k + len(seg)] = map(add, t[k : k + len(seg)], seg)
+    return TruncatedSeries([0] * lo + _divide(t, Q), order)
+
+
+def _divide(t: list, Q: tuple) -> list:
+    """t / Q as a power series truncated at len(t) - 1, in place; Q[0] == 1."""
+    g = len(Q) - 1
+    if Q[-1] == -1 and not any(Q[1:-1]):  # Q = 1 - z^g
+        for r in range(min(g, len(t))):
+            t[r::g] = accumulate(t[r::g])
+        return t
+    for m in range(1, len(t)):
+        t[m] -= sum(map(mul, Q[1:], reversed(t[max(m - g, 0) : m])))
+    return t
+
+
+def _rational_series(P: Sequence[int], Q: Sequence[int], order: int) -> TruncatedSeries:
+    """The expansion of P/Q at `order`, keeping the pair so that products by
+    it take ``_mul_into``'s rational shortcut.  Q[0] must be 1."""
+    if Q[0] != 1:
+        raise ValueError("the denominator must have constant term 1")
+    t = list(P[: order + 1])
+    t.extend([0] * (order + 1 - len(t)))
+    out = TruncatedSeries(_divide(t, Q), order)
+    out._rational = (tuple(P), tuple(Q))
+    return out
+
+
+def _stretch(cs: tuple, m: int) -> tuple:
+    """The coefficients of c(z^m) for the polynomial c."""
+    out = [0] * (m * (len(cs) - 1) + 1)
+    out[::m] = cs
+    return tuple(out)
 
 
 def _last_nonzero(cs: Sequence[Coeff], hi: int) -> int:

@@ -99,6 +99,16 @@ class TestFamilyPrefixes:
             "self-dual", "ones", ALL, 12
         )
 
+    def test_library_series_budget(self):
+        budget = families._SERIES_BUDGET
+        assert budget == 500
+        with pytest.raises(ValueError, match=r"order 501 exceeds the series budget \(500\)"):
+            family_series("fishburn", ALL, budget + 1)
+
+    def test_library_jet_budget(self):
+        with pytest.raises(ValueError, match=r"order 501 exceeds the series budget \(500\)"):
+            stat_jet("fishburn", "first_row", ALL, families._SERIES_BUDGET + 1)
+
     def test_fishburn_numbers_fast_path(self):
         assert list(fishburn_numbers(9)) == FISHBURN
 
@@ -167,6 +177,26 @@ class TestLambdaSpec:
     def test_series_matches_weights(self):
         sp = LambdaSpec("custom", (2, 0, 1))
         assert lambda_series(sp, 5).coeffs == (1, 2, 0, 1, 0, 0)
+
+    @pytest.mark.parametrize(
+        "spec", SPECS + [LambdaSpec("custom", (3, 0, 0, 2)), LambdaSpec("custom", (1,) * 7)],
+        ids=lambda spec: spec.describe(),
+    )
+    def test_rational_form_expands_to_the_weights(self, spec):
+        # P/Q by long division here, not by the series module
+        P, Q = spec.rational()
+        assert Q[0] == 1
+        order = 60
+        c = []
+        for n in range(order + 1):
+            p = P[n] if n < len(P) else 0
+            c.append(p - sum(Q[k] * c[n - k] for k in range(1, min(n, len(Q) - 1) + 1)))
+        assert c == [spec.weight(i) for i in range(order + 1)]
+        assert list(lambda_series(spec, order).coeffs) == c
+
+    def test_finite_multisets_have_denominator_one(self):
+        for spec in (PRIMITIVE, LambdaSpec("012"), LambdaSpec("custom", (1, 0, 2))):
+            assert spec.rational()[1] == (1,)
 
 
 class TestDuality:

@@ -3,6 +3,7 @@ import pytest
 from fishburn.series import TruncatedSeries
 from fishburn.families import (
     ALL,
+    fishburn_numbers,
     PRIMITIVE,
     LambdaSpec,
     family_gf,
@@ -12,6 +13,7 @@ from fishburn.families import (
 )
 from fishburn.oracle import (
     OracleMatrix,
+    ascent_counts,
     enumerate_matrices,
     histogram,
     persymmetry,
@@ -72,6 +74,29 @@ class TestEnumeration:
     def test_values_respect_multiset(self):
         for m in enumerate_matrices("fishburn", LambdaSpec("even+"), 6):
             assert all(v == 0 or v % 2 == 0 for row in m.entries for v in row)
+
+
+class TestAscentSequences:
+    def test_small_lengths_by_listing(self):
+        # every sequence x_1 = 0, x_i <= 1 + (ascents before i), listed outright
+        seqs = [(0,)]
+        counts = [1, 1]
+        for _ in range(5):
+            seqs = [
+                s + (x,)
+                for s in seqs
+                for x in range(2 + sum(a < b for a, b in zip(s, s[1:])))
+            ]
+            counts.append(len(seqs))
+        assert ascent_counts(6) == tuple(counts) == (1, 1, 2, 5, 15, 53, 217)
+
+    def test_match_the_fishburn_series(self):
+        assert ascent_counts(60) == fishburn_numbers(60)
+
+    def test_length_validation(self):
+        assert ascent_counts(0) == (1,)
+        with pytest.raises(ValueError):
+            ascent_counts(-1)
 
 
 class TestPersymmetry:

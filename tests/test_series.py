@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fishburn.series as series
+from fishburn.families import LambdaSpec
 from fishburn.series import (
     Jet,
     TruncatedSeries,
@@ -237,6 +238,115 @@ class TestKernelOracle:
         assert _typed(f.coeffs) == _typed([2, Fraction(1, 2), 3, 0])
         half = TruncatedSeries([Fraction(1, 2), Fraction(3, 2)], 3)
         assert _typed((half * TruncatedSeries([2, 2], 3)).coeffs) == _typed([1, 4, 3, 0])
+
+
+# ---------------------------------------------------------------------------
+# The kernel's shortcuts: rational factors and squares
+# ---------------------------------------------------------------------------
+
+def _plain(f: TruncatedSeries) -> TruncatedSeries:
+    """The same coefficients without the rational pair: the dot-product path."""
+    return TruncatedSeries(f.coeffs, f.order)
+
+
+# (P, Q) of every named multiset and of a few custom lists (Q = 1).
+LAMBDA_PAIRS = [LambdaSpec(t).rational() for t in ("all", "01", "012", "odd", "even+", "no1")] + [
+    LambdaSpec("custom", w).rational() for w in ((), (0, 1), (2, 0, 1), (1, 1, 1))
+]
+
+drawn_pair = st.tuples(
+    st.lists(st.integers(min_value=-3, max_value=3), max_size=5).map(tuple),
+    st.lists(st.integers(min_value=-3, max_value=3), max_size=4).map(lambda q: (1, *q)),
+)
+
+
+@st.composite
+def rational_cases(draw):
+    """(a, b, order) with one factor a P/Q carrying its pair, maybe stretched
+    by z -> z^m.  The factor on the right may be shorter than order."""
+    order = draw(st.integers(min_value=0, max_value=14))
+    short = st.one_of(st.just(order), st.integers(min_value=0, max_value=order))
+    pq = draw(st.one_of(st.sampled_from(LAMBDA_PAIRS), drawn_pair))
+    stretch = draw(st.sampled_from([1, 1, 2, 3]))
+    rational_left = draw(st.booleans())
+    r_order = order if rational_left else draw(short)
+    r = series._rational_series(*pq, order).substitute_power(stretch).truncate(r_order)
+    x_order = draw(short) if rational_left else order
+    valuation = draw(st.integers(min_value=0, max_value=x_order + 1))
+    x = draw(kernel_operands(x_order, valuation, draw(st.sampled_from([1, 2, 3]))))
+    return (r, x, order) if rational_left else (x, r, order)
+
+
+class TestRationalFactor:
+    @given(rational_cases())
+    @settings(max_examples=400)
+    def test_matches_the_dot_product(self, case):
+        a, b, order = case
+        got = _outcome(series._mul_into, a, b, order)
+        assert got == _outcome(series._mul_into, _plain(a), _plain(b), order)
+        assert got == _outcome(_schoolbook, a, b, order)
+
+    @pytest.mark.parametrize("pq", LAMBDA_PAIRS, ids=str)
+    def test_named_and_custom_weights_against_plain(self, pq):
+        r = series._rational_series(*pq, 30)
+        x = TruncatedSeries([(-1) ** i * (i + 1) for i in range(31)], 30)
+        xf = x.scalar_mul(Fraction(1, 3))
+        for f in (r, r.substitute_power(2)):
+            for y in (x, xf):
+                assert _typed((y * f).coeffs) == _typed((y * _plain(f)).coeffs)
+                assert _typed((f * y).coeffs) == _typed((_plain(f) * y).coeffs)
+
+    def test_expansion_and_pair_survive_truncate_and_stretch(self):
+        odd = series._rational_series((1, 1, -1), (1, 0, -1), 9)
+        assert odd.coeffs == (1, 1, 0, 1, 0, 1, 0, 1, 0, 1)
+        assert odd.truncate(4)._rational == odd._rational
+        assert odd.substitute_power(2)._rational == ((1, 0, 1, 0, -1), (1, 0, 0, 0, -1))
+        with pytest.raises(ValueError, match="constant term 1"):
+            series._rational_series((1,), (2, 1), 5)
+
+    def test_denominator_one_stays_on_the_dot_product(self, monkeypatch):
+        calls = []
+        shortcut = series._mul_rational
+        monkeypatch.setattr(
+            series, "_mul_rational", lambda *args: calls.append(1) or shortcut(*args)
+        )
+        x = TruncatedSeries(range(1, 12), 10)
+        for pq in LAMBDA_PAIRS:
+            calls.clear()
+            x * series._rational_series(*pq, 10)
+            assert len(calls) == (len(pq[1]) > 1), pq
+
+    def test_short_factor(self):
+        geometric = series._rational_series((1,), (1, -1), 6).truncate(3)
+        with pytest.raises(ValueError, match="truncated too short"):
+            series._mul_into(TruncatedSeries.one(6), geometric, 6)
+        covered = TruncatedSeries([0, 0, 0, 1, 2], 6)
+        assert series._mul_into(covered, geometric, 6).coeffs == (0, 0, 0, 1, 3, 3, 3)
+        with pytest.raises(ValueError, match="truncated too short"):
+            series._mul_into(geometric.truncate(6 - 3), TruncatedSeries.one(3), 6)
+
+    def test_valuation_past_the_window_is_zero(self):
+        z3_over = series._rational_series((0, 0, 0, 1), (1, -1), 6)  # z^3/(1-z)
+        x = TruncatedSeries([0, 0, 0, 0, 5], 6)
+        assert series._mul_into(x, z3_over, 6) == TruncatedSeries.zero(6)
+        assert series._mul_into(z3_over, x, 6) == TruncatedSeries.zero(6)
+
+
+class TestSquare:
+    @given(st.integers(min_value=0, max_value=14), st.integers(min_value=0, max_value=15),
+           st.sampled_from([1, 2, 3]), st.data())
+    @settings(max_examples=300)
+    def test_square_matches_product_of_copies(self, order, valuation, step, data):
+        a = data.draw(kernel_operands(order, valuation, step))
+        out = data.draw(st.integers(min_value=0, max_value=order))
+        copy = TruncatedSeries(a.coeffs, a.order)
+        assert copy is not a
+        assert _outcome(series._mul_into, a, a, out) == _outcome(series._mul_into, a, copy, out)
+        assert _outcome(series._mul_into, a, a, out) == _outcome(_schoolbook, a, a, out)
+
+    def test_power_squares(self):
+        a = TruncatedSeries([1, Fraction(1, 2), -3, 0, 2], 12)
+        assert a.pow(5) == a * a * a * a * a
 
 
 class TestCalculusAndSubstitution:
