@@ -14,7 +14,10 @@ The ``monomial`` statistic cases record full profiles, unpacked from one
 evaluation at v = 2^K as ``stat_profile`` does, for both forms; their value
 is (order, rows), rows[n] the v-polynomial of z^n.
 Every cache of ``fishburn.families`` is cleared before each case, so the
-counts do not depend on the order of the cases.  The CLI cases run
+counts do not depend on the order of the cases.  The one ``warm`` case then
+makes the cached calls of ``WARM_CALLS`` in turn without clearing, so later
+calls are served from earlier calls' builds, and records every result.
+The CLI cases run
 ``fishburn.cli.main`` in process and record its exit code, its stdout and,
 for ``--output``, the file it wrote; they cover every command in every
 format, ``--digits 6``, ``saddle --profile``, distributions with and without
@@ -74,6 +77,14 @@ SMALL2_WEIGHTS = ((1, 1, 1, None), (2, 3, 5, 3), (1, 0, 1, None), (1, 0, 1, 1),
 # Points for dilog and I_func; those outside a function's domain record its error.
 SPECIAL_POINTS = (0, Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(7, 10),
                   Fraction(9, 10), Fraction(999, 1000), 1, 2, 5, -1)
+# (function, arguments) of the warm case, made in this order on shared caches.
+WARM_CALLS = tuple(
+    ("distribution", (family, stat, "all", n))
+    for n in (45, 12, 60, 30)
+    for family, stat in (("fishburn", "first_row"), ("self-dual", "diagonal"))
+) + tuple(
+    ("stat_mean_variance", ("fishburn", "first_row", "all", n)) for n in (100, 51, 90)
+) + tuple(("labeled_numbers", (n,)) for n in (60, 20, 80))
 CLI_RUNS = (
     ("enumerate", "--n-max", "30"),
     ("enumerate", "--family", "self-dual", "--lambda", "012", "--n-max", "25"),
@@ -220,6 +231,15 @@ def _analysis_cases(fb, saddle):
                    lambda func=func, x=x: _record(func(x), _digits))
 
 
+def _warm_case(fb):
+    """The results of WARM_CALLS, made one after another on shared caches."""
+    out = []
+    for func, args in WARM_CALLS:
+        args = tuple(fb.LambdaSpec.parse(a) if a == "all" else a for a in args)
+        out.append(_record(getattr(fb, func)(*args), _exact))
+    return tuple(out)
+
+
 def _cli_cases(cli, tmp: Path):
     """(label, thunk) for every CLI run, in a fixed order."""
     runs = [list(run) + ["--format", fmt] for run in CLI_RUNS for fmt in FORMATS]
@@ -269,7 +289,8 @@ def snapshot(src: str) -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         cases = itertools.chain(_cases(families, series), _cli_cases(cli, Path(tmp)),
-                                _analysis_cases(fishburn, saddle))
+                                _analysis_cases(fishburn, saddle),
+                                [("warm", lambda: _warm_case(fishburn))])
         for label, thunk in cases:
             for cache in caches:
                 cache.cache_clear()

@@ -31,15 +31,18 @@ def main() -> int:
     writer.writerow(["family", "stat", "entries", "n",
                      "sup_distance", "total_variation"])
     for family, stat, lam in TREND_CELLS:
-        for n in sizes:
+        rows = []
+        # Largest size first: each smaller table is cut from that one build.
+        for n in reversed(sizes):
             dist = distribution(family, stat, lam, n)
             law = limit_law_for(family, stat, lam, n)
             metrics = compare(dist, law)
-            writer.writerow([
+            rows.append([
                 family, stat, lam.describe(), n,
                 mp.nstr(metrics.sup_distance, 8),
                 mp.nstr(metrics.total_variation, 8),
             ])
+        writer.writerows(reversed(rows))
     return 0
 
 

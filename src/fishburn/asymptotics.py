@@ -456,27 +456,17 @@ def family_form(family: str, lam: LambdaSpec) -> Tuple[AsymptoticForm, str]:
 
 @dataclass(frozen=True)
 class RefinedExpansion:
-    """A truncated asymptotic series ``scale(n) * (1 + sum_j c_j/den_j(n))``.
+    """A truncated asymptotic series ``c * rho^n * n! * (1 + sum_j c_j/den_j(n))``.
 
-    ``base`` selects the leading scale: ``"factorial"`` means
-    ``c * rho^n * n!`` while ``"superexponential"`` means
-    ``c * rho^n * n^(n + n_power)``.  ``falling`` selects the denominators
-    of the correction terms: falling factorials ``n(n-1)...(n-j+1)`` when
-    True, plain powers ``n^j`` when False.
+    ``falling`` selects the denominators of the correction terms: falling
+    factorials ``n(n-1)...(n-j+1)`` when True, plain powers ``n^j`` when
+    False.
     """
 
-    base: str
     c: mp.mpf
     rho: mp.mpf
     coefficients: Tuple[mp.mpf, ...]
     falling: bool = False
-    n_power: Optional[mp.mpf] = None
-
-    def __post_init__(self):
-        if self.base not in ("factorial", "superexponential"):
-            raise ValueError(f"unknown base {self.base!r}")
-        if self.base == "superexponential" and self.n_power is None:
-            raise ValueError("superexponential base needs n_power")
 
     def correction(self, n: int) -> mp.mpf:
         """The bracket ``1 + sum_j c_j / den_j(n)``."""
@@ -494,11 +484,7 @@ class RefinedExpansion:
         if n < 1:
             raise ValueError("refined expansions are evaluated at n >= 1")
         with mp.workdps(_DPS):
-            if self.base == "factorial":
-                scale = self.c * self.rho ** n * mp.factorial(n)
-            else:
-                scale = self.c * self.rho ** n * mp.mpf(n) ** (n + self.n_power)
-            return scale * self.correction(n)
+            return self.c * self.rho ** n * mp.factorial(n) * self.correction(n)
 
 
 def a158690_expansion(terms: int = 3) -> RefinedExpansion:
@@ -516,9 +502,7 @@ def a158690_expansion(terms: int = 3) -> RefinedExpansion:
         rho = 12 / mp.pi**2
         seed = -(mp.pi**2) / 288
         coeffs = tuple(seed**j / mp.factorial(j) for j in range(1, terms))
-    return RefinedExpansion(
-        base="factorial", c=c, rho=rho, coefficients=coeffs, falling=True,
-    )
+    return RefinedExpansion(c=c, rho=rho, coefficients=coeffs, falling=True)
 
 
 def refined_a158690(n: int, terms: int = 3) -> mp.mpf:
@@ -545,9 +529,7 @@ def blr_expansion() -> RefinedExpansion:
             -40 * pi2**4 + 9360 * pi2**3 - 232416 * pi2**2
             - 27051840 * pi2 + 709171200
         ) / 1238347284480
-    return RefinedExpansion(
-        base="factorial", c=c, rho=rho, coefficients=(c1, c2, c3),
-    )
+    return RefinedExpansion(c=c, rho=rho, coefficients=(c1, c2, c3))
 
 
 def refined_blr(n: int) -> mp.mpf:

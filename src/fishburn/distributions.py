@@ -46,28 +46,17 @@ __all__ = [
 
 _DPS = 40
 
-# Profiles are built on a fixed grid of truncation orders so that nearby
-# sizes share one cached series instead of rebuilding per n.
-_PROFILE_GRID = (8, 16, 30, 60, 90, 120, 150)
 # Full-table extraction needs the whole profile up to n: one univariate build
 # at v = 2^K, K the bit length of the largest count, whose z^n coefficient
 # packs n + 1 digits of K bits.  Both grow with the order, so the cost grows
 # steeply: fishburn/diagonal took about 11 s at order 90 and 83 s at 120, on
-# a 2-core x86-64 machine.  The last grid order is the documented ceiling for
+# a 2-core x86-64 machine.  This is the documented ceiling for
 # distribution(); moments stay cheap far beyond it through the jet
 # representation.
-_ENUM_BUDGET = _PROFILE_GRID[-1]
+_ENUM_BUDGET = 150
 _JET_BUDGET = 400
 # parity_report adds distance metrics, which need the full table, up to here.
 _PARITY_PROFILE_BUDGET = 60
-
-
-def _profile_order(n: int) -> int:
-    return next(cut for cut in _PROFILE_GRID if n <= cut)
-
-
-def _jet_order(n: int) -> int:
-    return 50 * ((max(n, 1) + 49) // 50)
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +90,11 @@ class DistributionTable:
         return Fraction(0)
 
 
+def _require_matrices(total: int, family: str, lam: LambdaSpec, n: int) -> None:
+    if total == 0:
+        raise ValueError(f"no {family} matrices of size {n} with entries {lam.describe()}")
+
+
 def distribution(family: str, stat: str, lam: LambdaSpec, n: int) -> DistributionTable:
     """Exact distribution of ``stat`` over the family at size ``n``.
 
@@ -117,13 +111,9 @@ def distribution(family: str, stat: str, lam: LambdaSpec, n: int) -> Distributio
             f"size {n} beyond the exact-enumeration budget {_ENUM_BUDGET}; "
             "stat_mean_variance covers moments further out"
         )
-    order = _profile_order(n)
-    poly = stat_profile(family, stat, lam, order)[n]
-    total = family_series(family, lam, order).coeff(n)
-    if total == 0:
-        raise ValueError(
-            f"no {family} matrices of size {n} with entries {lam.describe()}"
-        )
+    poly = stat_profile(family, stat, lam, n)[n]
+    total = family_series(family, lam, n).coeff(n)
+    _require_matrices(total, family, lam, n)
     support = tuple(k for k, c in enumerate(poly) if c)
     counts = tuple(int(poly[k]) for k in support)
     pmf = tuple(Fraction(c, total) for c in counts)
@@ -153,12 +143,9 @@ def stat_mean_variance(family: str, stat: str, lam: LambdaSpec, n: int):
     _require_positive_int("n", n)
     if n > _JET_BUDGET:
         raise ValueError(f"size {n} beyond the moment budget {_JET_BUDGET}")
-    jet = stat_jet(family, stat, lam, _jet_order(n))
+    jet = stat_jet(family, stat, lam, n)
     total = jet.coeff_vm(n, 0)
-    if total == 0:
-        raise ValueError(
-            f"no {family} matrices of size {n} with entries {lam.describe()}"
-        )
+    _require_matrices(total, family, lam, n)
     m1 = Fraction(jet.coeff_vm(n, 1), total)
     fact2 = Fraction(jet.coeff_vm(n, 2), total)  # E C(stat, 2)
     return m1, 2 * fact2 + m1 - m1 * m1
@@ -500,7 +487,7 @@ def parity_report(lam: LambdaSpec, stat: str, ns: Iterable[int]) -> ParityReport
     for n in ns:
         _require_positive_int("n", n)
         parity = "even" if n % 2 == 0 else "odd"
-        count = family_series("fishburn", lam, _jet_order(n)).coeff(n)
+        count = family_series("fishburn", lam, n).coeff(n)
         if count == 0:
             rows.append(ParityEntry(n, parity, 0, None, None, None, None))
             continue

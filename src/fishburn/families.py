@@ -29,13 +29,20 @@ moment jets; ``sum_product`` and ``_one`` take the carrier from their input.
 ``stat_profile`` gets every full distribution from one evaluation at
 v = 2^K, K the bit length of the largest family count: each z-coefficient
 then holds its v-polynomial as base-2^K digits (Kronecker substitution).
+
+Caching.  A z^n coefficient does not depend on the truncation order, so each
+builder cached by ``_largest_build`` keeps, per key (the arguments before the
+order, a family alias made canonical), only its build at the largest order
+asked for and cuts an equal or smaller order from it (a hit); a larger order
+replaces it.  At most ``_CACHE_KEYS`` keys are held, least recently used out.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 from math import comb, factorial
 from typing import Callable, Optional, Union
 
@@ -85,6 +92,54 @@ def canonical_family(name: str) -> str:
         return _FAMILY_ALIASES[name.strip().lower()]
     except KeyError:
         raise ValueError(f"unknown family {name!r}; expected one of {FAMILIES}")
+
+
+# ---------------------------------------------------------------------------
+# The order-keyed cache
+# ---------------------------------------------------------------------------
+
+# The most keys one order-keyed cache holds.
+_CACHE_KEYS = 128
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def _largest_build(cut, family: bool = False):
+    """Cache f(*key, order) by the module docstring's rule; cut(result, m) is
+    the result at a lower order m, and with `family` key[0] is a family name.
+    Has cache_info(), cache_clear() and __wrapped__, as a functools cache."""
+
+    def decorate(build):
+        builds: OrderedDict = OrderedDict()  # key -> (order, result), LRU first
+        counts = [0, 0]  # hits, misses
+
+        @wraps(build)
+        def cached(*args):
+            key = (canonical_family(args[0]),) + args[1:-1] if family else args[:-1]
+            order, held = args[-1], builds.get(key)
+            hit = held is not None and 0 <= order <= held[0]
+            counts[0 if hit else 1] += 1
+            if not hit:
+                held = (order, build(*key, order))
+            builds[key] = held
+            builds.move_to_end(key)
+            if len(builds) > _CACHE_KEYS:
+                builds.popitem(last=False)
+            return held[1] if order == held[0] else cut(held[1], order)
+
+        def cache_clear():
+            builds.clear()
+            counts[:] = [0, 0]
+
+        cached.cache_info = lambda: _CacheInfo(*counts, _CACHE_KEYS, len(builds))
+        cached.cache_clear = cache_clear
+        return cached
+
+    return decorate
+
+
+def _prefix(built: tuple, order: int) -> tuple:
+    return built[: order + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +243,7 @@ PRIMITIVE = LambdaSpec("01")
 LambdaLike = Union[LambdaSpec, TruncatedSeries]
 
 
-@lru_cache(maxsize=None)
+@_largest_build(TruncatedSeries.truncate)
 def lambda_series(spec: LambdaSpec, order: int) -> TruncatedSeries:
     """The weight series 1 + sum_i weight(i) z^i, truncated at `order`,
     expanded from ``spec.rational()``; products by it divide by Q."""
@@ -315,20 +370,17 @@ def _check_budget(order: int) -> None:
         raise ValueError(f"order {order} exceeds the series budget ({_SERIES_BUDGET})")
 
 
-@lru_cache(maxsize=None)
+@_largest_build(TruncatedSeries.truncate, family=True)
 def family_series(family: str, spec: LambdaSpec, order: int) -> TruncatedSeries:
-    """Cached family series for LambdaSpec inputs, one entry per family."""
+    """Cached family series for LambdaSpec inputs."""
     _check_budget(order)
-    if family != canonical_family(family):
-        return family_series(canonical_family(family), spec, order)
     return family_gf(family, spec, order)
 
 
-@lru_cache(maxsize=8)
+@_largest_build(_prefix)
 def fishburn_numbers(order: int) -> tuple:
     """Counting sequence for the complete family over all entry values."""
-    f = family_series("fishburn", ALL, order)
-    return tuple(int(c) for c in f.coeffs)
+    return tuple(int(c) for c in family_series("fishburn", ALL, order).coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +534,7 @@ def stat_gf(
     return _self_dual_stat(spec, order, marker, stat)
 
 
-@lru_cache(maxsize=None)
+@_largest_build(_prefix, family=True)
 def stat_profile(family: str, stat: str, spec: LambdaSpec, order: int) -> tuple:
     """Cached full distribution profile: row n holds [v^m z^n] for m = 0, 1, ...
     with trailing zeros trimmed, for n = 0..order.
@@ -490,8 +542,6 @@ def stat_profile(family: str, stat: str, spec: LambdaSpec, order: int) -> tuple:
     One univariate build at v = 2^K, K the bit length of the largest family
     count through `order`, holds every row as base-2^K digits.
     """
-    if family != canonical_family(family):
-        return stat_profile(canonical_family(family), stat, spec, order)
     counts = family_series(family, spec, order).coeffs
     bits = max(counts).bit_length()
     return _unpack_rows(stat_gf(family, stat, spec, order, eval_marker(1 << bits)),
@@ -521,13 +571,11 @@ def _unpack_rows(packed: TruncatedSeries, counts, bits: int) -> tuple:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
+@_largest_build(Jet.truncate, family=True)
 def stat_jet(family: str, stat: str, spec: LambdaSpec, order: int) -> Jet:
     """Cached moment jet: v = 1 + eps truncated past eps^2, which is as deep
     as the mean and variance need."""
     _check_budget(order)
-    if family != canonical_family(family):
-        return stat_jet(canonical_family(family), stat, spec, order)
     return stat_gf(family, stat, spec, order, jet_marker(2))
 
 
@@ -849,29 +897,15 @@ def variant_gf(kind: str, order: int) -> TruncatedSeries:
 # Integer fast path for the prototype family and its per-dimension profile
 # ---------------------------------------------------------------------------
 
-# The largest labeled_profile build so far: row n does not depend on n_max,
-# so every smaller profile is a prefix of it.
-_labeled_largest: list = []
-
-
-@lru_cache(maxsize=4)
+@_largest_build(lambda built, n: tuple(_prefix(part, n) for part in built))
 def labeled_profile(n_max: int):
     """Exact profile of the prototype series sum_k prod_{1<=j<=k}(e^{jz}-1).
 
     Returns (totals, rows): totals[n] = n![z^n] of the full sum and
     rows[n][k] = n![z^n] of the k-th partial product, k = 0..n.  Both are
     integers; the computation stays in binomial-convolution integer form.
-    A profile no larger than one built before is sliced from that build.
     """
-    if _labeled_largest and 0 <= n_max < len(_labeled_largest[0][0]):
-        totals, rows = _labeled_largest[0]
-        return totals[: n_max + 1], rows[: n_max + 1]
-    _labeled_largest[:] = [_labeled_build(n_max)]
-    return _labeled_largest[0]
-
-
-def _labeled_build(n_max: int):
-    """The integer recurrence behind :func:`labeled_profile`."""
+    _check_budget(n_max)
     cur = [1] + [0] * n_max
     rows = [[0] * (n + 1) for n in range(n_max + 1)]
     rows[0][0] = 1

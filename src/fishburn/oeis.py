@@ -13,7 +13,6 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -195,9 +194,7 @@ class CrossCheckReport:
         )
 
 
-def _scaled(value, n: int, scaling: str) -> int:
-    if scaling == "times_factorial":
-        value = factorial(n) * value
+def _scaled(value, n: int) -> int:
     if isinstance(value, Fraction):
         if value.denominator != 1:
             raise ValueError(f"computed term at {n} is not an integer: {value}")
@@ -208,17 +205,9 @@ def _scaled(value, n: int, scaling: str) -> int:
 def cross_check(
     computed: Sequence,
     seq: OeisSequence,
-    scaling: str = "identity",
     start: int = 0,
 ) -> CrossCheckReport:
-    """Compare computed[i] (index start+i) against the sequence terms.
-
-    `times_factorial` multiplies the computed value at index n by n! before
-    comparing (for sequences normalized as n! [z^n] of an exponential-type
-    series).
-    """
-    if scaling not in ("identity", "times_factorial"):
-        raise ValueError(f"unknown scaling {scaling!r}")
+    """Compare computed[i] (index start+i) against the sequence terms."""
     lo = max(start, seq.offset)
     hi = min(start + len(computed) - 1, seq.last_index)
     if lo > hi:
@@ -227,7 +216,7 @@ def cross_check(
             f"{seq.id} covers {seq.offset}..{seq.last_index}"
         )
     for n in range(lo, hi + 1):
-        got = _scaled(computed[n - start], n, scaling)
+        got = _scaled(computed[n - start], n)
         want = seq.term(n)
         if got != want:
             return CrossCheckReport(seq.id, lo, hi, False, n, got, want)

@@ -567,13 +567,20 @@ def _convolve(
 def _jet_mul_into(a: Jet, b: Jet, order: int) -> Jet:
     """c_t = sum_{s<=t} a_s * b_{t-s}, each product truncated at `order`.
 
-    b may carry a smaller order than a, as _mul_into allows.
+    b may carry a smaller order than a, as _mul_into allows.  When a is b,
+    c_t = 2 sum_{s<t-s} a_s a_{t-s} + a_{t/2}^2 makes each cross product once.
     """
     if a.depth != b.depth:
         raise ValueError(f"mixed jet depths: {a.depth} vs {b.depth}")
-    return Jet(
-        [_convolve(a.parts[: t + 1], b.parts[t::-1], order) for t in range(a.depth + 1)]
-    )
+    if a is not b:
+        return Jet([_convolve(a.parts[: t + 1], b.parts[t::-1], order)
+                    for t in range(a.depth + 1)])
+    out = []
+    for t in range(a.depth + 1):
+        half = _convolve(a.parts[: (t + 1) // 2], a.parts[t : t // 2 : -1], order)
+        mid = () if t & 1 else a.parts[t // 2 : t // 2 + 1]
+        out.append(half + half + _convolve(mid, mid, order))
+    return Jet(out)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from fishburn.asymptotics import (
     TABLE_IDS,
     AsymptoticForm,
-    RefinedExpansion,
     a158690_expansion,
     blr_expansion,
     constants_ext,
@@ -499,7 +498,7 @@ def test_refined_a158690_coefficients():
     seed = -(mp.pi**2) / 288
     for j, cj in enumerate(exp.coefficients, start=1):
         assert agree(cj, seed**j / mp.factorial(j))
-    assert exp.falling and exp.base == "factorial"
+    assert exp.falling
 
 
 def test_blr_printed_coefficients():
@@ -544,25 +543,10 @@ def test_refined_blr_tracks_exact_coefficients():
 
 
 def test_refined_expansion_validation():
-    with pytest.raises(ValueError, match="unknown base"):
-        RefinedExpansion(base="poly", c=mp.mpf(1), rho=mp.mpf(1),
-                         coefficients=())
-    with pytest.raises(ValueError, match="n_power"):
-        RefinedExpansion(base="superexponential", c=mp.mpf(1), rho=mp.mpf(1),
-                         coefficients=())
     with pytest.raises(ValueError, match="positive integer"):
         a158690_expansion(0)
     with pytest.raises(ValueError):
         blr_expansion().evaluate(0)
-
-
-def test_refined_superexponential_base():
-    exp = RefinedExpansion(base="superexponential", c=mp.mpf(2),
-                           rho=mp.mpf("0.5"), coefficients=(mp.mpf(1),),
-                           n_power=mp.mpf(1) / 2)
-    n = 4
-    expected = 2 * mp.mpf("0.5") ** n * mp.mpf(n) ** mp.mpf("4.5") * (1 + mp.mpf(1) / 4)
-    assert agree(exp.evaluate(n), expected)
 
 
 # ---------------------------------------------------------------------------

@@ -86,11 +86,14 @@ class TestFamilyPrefixes:
             family_gf("upper-triangular", ALL, 5)
 
     def test_family_series_cached(self):
+        family_series.cache_clear()  # a smaller order is cut afresh from a larger build
         a = family_series("fishburn", ALL, 40)
         b = family_series("fishburn", ALL, 40)
         assert a is b
 
     def test_aliases_share_the_canonical_cache_entry(self):
+        for cache in (family_series, stat_profile, stat_jet):
+            cache.cache_clear()
         assert family_series("row", ALL, 40) is family_series("row-fishburn", ALL, 40)
         assert stat_profile("row", "ones", ALL, 12) is stat_profile(
             "row-fishburn", "ones", ALL, 12
@@ -606,15 +609,67 @@ class TestLabeledFastPath:
         for n in range(16):
             assert totals[n] == sum(rows[n])
 
-    def test_smaller_profile_is_sliced_from_a_larger_build(self, monkeypatch):
-        fresh = families._labeled_build(23)
+    def test_smaller_profile_is_sliced_from_a_larger_build(self):
+        fresh = labeled_profile.__wrapped__(23)
         labeled_profile(37)
-
-        def no_recurrence(n_max):
-            raise AssertionError(f"labeled recurrence rerun for n_max={n_max}")
-
-        monkeypatch.setattr(families, "_labeled_build", no_recurrence)
+        misses = labeled_profile.cache_info().misses
         assert labeled_profile(23) == fresh
+        assert labeled_profile.cache_info().misses == misses
+
+    def test_cache_clear_drops_the_build(self, monkeypatch):
+        labeled_profile(40)
+        labeled_profile.cache_clear()
+        binomials = []
+        monkeypatch.setattr(families, "comb", lambda n, k: binomials.append(n) or comb(n, k))
+        labeled_profile(30)
+        assert binomials, "served from a build made before cache_clear"
+        assert labeled_profile.cache_info().misses == 1
+
+    def test_budget(self):
+        with pytest.raises(ValueError, match=r"exceeds the series budget \(500\)"):
+            labeled_numbers(501)
+
+
+class TestOrderCache:
+    """One build per key at the largest order asked for; smaller orders are cut."""
+
+    def test_one_entry_per_cell_across_orders(self):
+        cell = ("self-dual", "first_row", ALL)
+        stat_profile.cache_clear()
+        for order in (10, 20, 30, 40, 50, 60, 35):
+            got = stat_profile(*cell, order)
+            fresh = stat_profile.__wrapped__(*cell, order)
+            assert got == fresh
+            assert [list(map(type, row)) for row in got] == [
+                list(map(type, row)) for row in fresh
+            ]
+        assert stat_profile.cache_info().currsize == 1
+
+    def test_alias_shares_the_canonical_entry(self):
+        family_series.cache_clear()
+        family_series("row", ALL, 50)
+        family_series("row-fishburn", ALL, 50)
+        info = family_series.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+    def test_cut_lambda_series_keeps_its_rational_form(self):
+        spec = LambdaSpec("odd")
+        lambda_series.cache_clear()
+        lambda_series(spec, 20)
+        cut = lambda_series(spec, 7)
+        assert lambda_series.cache_info().hits == 1
+        assert cut == lambda_series.__wrapped__(spec, 7)
+        assert cut._rational == spec.rational()
+
+    def test_least_recently_used_key_is_dropped_at_the_cap(self):
+        cap = families._CACHE_KEYS
+        specs = [LambdaSpec("custom", (i + 1,)) for i in range(cap + 1)]
+        lambda_series.cache_clear()
+        for spec in specs:
+            lambda_series(spec, 2)
+        assert lambda_series.cache_info().currsize == cap
+        lambda_series(specs[0], 2)
+        assert lambda_series.cache_info().misses == cap + 2
 
 
 @st.composite

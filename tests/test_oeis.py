@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from fishburn.families import NAMED_IDS, fishburn_numbers, named_sequence, variant_gf
+from fishburn.families import NAMED_IDS, fishburn_numbers, named_sequence
 from fishburn.oeis import (
     BfileParseError,
     CrossCheckReport,
@@ -168,13 +168,6 @@ class TestCrossCheck:
         assert rep.ok and rep.start == 0 and rep.end == 20
         assert "match" in str(rep)
 
-    def test_times_factorial(self):
-        seq = fetch("A158690", mode="offline")
-        f = variant_gf("A158690-form1", 15)
-        rep = cross_check([f.coeff(n) for n in range(16)], seq,
-                          scaling="times_factorial")
-        assert rep.ok
-
     def test_perturbed_term_detected(self):
         seq = fetch("A022493", mode="offline")
         vals = list(fishburn_numbers(10))
@@ -200,8 +193,3 @@ class TestCrossCheck:
         seq = fetch("A022493", mode="offline")
         with pytest.raises(ValueError, match="not an integer"):
             cross_check([Fraction(1, 2)], seq)
-
-    def test_unknown_scaling(self):
-        seq = fetch("A022493", mode="offline")
-        with pytest.raises(ValueError, match="unknown scaling"):
-            cross_check([1], seq, scaling="times_two")

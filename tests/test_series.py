@@ -499,6 +499,30 @@ class TestJet:
         assert ja.inv() == _as_jet(inv, depth)
         assert ja * ja.inv() == Jet.one(5, depth)
 
+    @given(rows_st, st.integers(min_value=1, max_value=3))
+    @settings(max_examples=40)
+    def test_square_matches_product_of_copies(self, a, depth):
+        ja = _as_jet(a, depth)
+        assert ja * ja == ja * _as_jet(a, depth) == _as_jet(series._bv_mul_into(a, a, 5), depth)
+
+    def test_square_makes_each_cross_product_once(self, monkeypatch):
+        # a0^2, a0*a1, a0*a2 and a1^2; a product of copies also makes a1*a0 and a2*a0
+        parts = ([1, 2, -1], [0, 3, Fraction(1, 2)], [2, 0, 1, 4])
+        j = Jet([TruncatedSeries(p, 5) for p in parts])
+        copy = Jet([TruncatedSeries(p, 5) for p in parts])
+        calls = [0]
+        kernel = series._mul_into
+
+        def counting(a, b, order):
+            calls[0] += 1
+            return kernel(a, b, order)
+
+        monkeypatch.setattr(series, "_mul_into", counting)
+        square = j * j
+        assert calls[0] == 4
+        assert square == j * copy
+        assert calls[0] == 10
+
     def test_inverse_needs_invertible_constant(self):
         with pytest.raises(ZeroDivisionError):
             Jet.from_univariate(TruncatedSeries.zero(3), 2).inv()
