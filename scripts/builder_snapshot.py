@@ -70,7 +70,7 @@ ORDINARY = ("A207386", "A207397", "A207556", "A207569", "A207570", "A207571")
 FORMATS = ("table", "csv", "json")
 LAW_SIZES = (1, 2, 9, 30, 59, 60)
 LAW_MULTISETS = ("all", "01", "012", "even+", "no1",
-                 "0,0,1", "0,1", "0,1,1", "0,1,0,1,1", "0,1,0,0,1")
+                 "0,0,1", "0,1", "0,1,1", "0,1,0,1,1", "0,1,0,0,1", "2,3", "3,1,2")
 # (lam2, lam3, lam4, lam_odd) for constants_small2, each tried at m = 1, 2, 3.
 SMALL2_WEIGHTS = ((1, 1, 1, None), (2, 3, 5, 3), (1, 0, 1, None), (1, 0, 1, 1),
                   (3, 0, 2, 4))
@@ -168,9 +168,9 @@ def _cases(families, series):
             yield f"variant_gf {kind} {n}", lambda k=kind, n=n: families.variant_gf(k, n)
     routes = [(name, lambda n, name=name: getattr(families, name)(n))
               for name in ALTERNATE_ROUTES]
-    routes += [(f"table_egf {w}", lambda n, w=w: families._variant_table_egf(n, w))
+    routes += [(f"table_egf {w}", lambda n, w=w: families.named_gf(w, n))
                for w in TABLE_EGF]
-    routes += [(f"ordinary {w}", lambda n, w=w: families._variant_ordinary(n, w))
+    routes += [(f"ordinary {w}", lambda n, w=w: families.named_gf(w, n))
                for w in ORDINARY]
     routes += [(f"ramanujan_r {form}", lambda n, form=form: families.ramanujan_r(n, form))
                for form in ("alternating", "quotient")]

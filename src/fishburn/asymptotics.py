@@ -15,6 +15,13 @@ coefficients against the predicted forms.  :func:`family_form` is the one
 place that picks the form, and names its regime, for a matrix family and
 entry multiset; the CLI and the verification battery both ask it.
 
+The ``constants_*`` functions state the paper's theorems.  A series that is
+an instance of the general sum (a ``families.GeneralSum``) is not restated
+here: :func:`named_form` and :func:`family_form` read alpha, omega, d1, d2
+and e1..e4 from the instance's own factors and call
+:func:`constants_general` (e1 > 0) or :func:`constants_ext` (e1 = 0).  Only
+the ids whose series is no such instance keep explicit forms.
+
 Naming convention for the inputs: ``lam1, lam2, ...`` are the weights
 ``Lambda(z) = 1 + lam1*z + lam2*z^2 + ...`` of the entry multiset, while
 ``d1, d2, e1, ...`` are Taylor coefficients of the auxiliary series
@@ -28,12 +35,11 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import mpmath as mp
 
-if TYPE_CHECKING:
-    from .families import LambdaSpec
+from .families import GeneralSum, LambdaSpec, _family_sum, lambda_series, named_entry
 
 __all__ = [
     "AsymptoticForm",
@@ -417,19 +423,33 @@ def constants_small2(lam2, lam3, lam4, lam_odd=None, m: int = 1,
     return dataclasses.replace(even_form, parity=(even_form, odd_form))
 
 
+def _general_sum_form(instance: GeneralSum) -> AsymptoticForm:
+    """The first-order form of a general-sum instance, read exactly from its
+    factors d (x_j - y)^alpha = D (E_j - 1)^alpha at j = 1, 2 and order 4:
+    D = d y^alpha and E_j = x_j / y = e^(j + omega), so e = x_2 / x_1 and
+    omega = [z] E_1 / e1 - 1, or [z^2] E_1 / e2 - 1 when e1 = 0.  The outer
+    prefactor (constant term 1) leaves the first-order form unchanged."""
+    alpha = instance.alpha
+    (d, x1, y), (d_2, x2, y_2) = instance.parts(1, 4), instance.parts(2, 4)
+    if (d, y) != (d_2, y_2):
+        raise ValueError("d_j or y_j depends on j, so the theorem does not apply")
+    D = y.pow(alpha) if d is None else d * y.pow(alpha)
+    E1, e = x1 * y.inv(), x2 * x1.inv()
+    d1, d2 = D.coeff(1), D.coeff(2)
+    e1, e2, e3, e4 = (e.coeff(i) for i in range(1, 5))
+    if e1 != 0:
+        return constants_general(alpha, Fraction(E1.coeff(1)) / e1 - 1, d1, e1, e2)
+    return constants_ext(alpha, Fraction(E1.coeff(2)) / e2 - 1, d1, d2, e2, e3, e4)
+
+
 def family_form(family: str, lam: LambdaSpec) -> Tuple[AsymptoticForm, str]:
     """Leading-order form of a family's counts for entry multiset ``lam``,
-    with a label of its regime: the family's own constants when 1s are
-    allowed, else (Fishburn only) :func:`constants_small2` with ``m`` set by
-    the smallest allowed odd value 2m+1."""
+    with a label of its regime: the form derived from the family's general sum
+    when 1s are allowed, else (Fishburn only) :func:`constants_small2` with
+    ``m`` set by the smallest allowed odd value 2m+1."""
     lam1, lam2 = lam.weight(1), lam.weight(2)
     if lam1 > 0:
-        builders = {
-            "row-fishburn": constants_row_fishburn,
-            "fishburn": constants_fishburn,
-            "self-dual": constants_self_dual,
-        }
-        return builders[family](lam1, lam2), "1s allowed"
+        return _general_sum_form(_family_sum(family, lambda_series(lam, 4))), "1s allowed"
     if family != "fishburn":
         raise ValueError(
             f"no catalogued asymptotic form for {family} matrices without 1s"
@@ -635,36 +655,21 @@ def _explicit(c_expr: Callable[[], mp.mpf], rho_expr: Callable[[], mp.mpf],
         )
 
 
-def _named_builders() -> Dict[str, Callable[[], AsymptoticForm]]:
-    F = Fraction
+# Ids whose series is a general-sum instance: named_form derives their forms.
+_DERIVED_IDS = (
+    "A158690", "A196194", "A207214", "A215066", "A209832", "A214687", "A207556",
+    "A207386", "A207397", "A207569", "A207570", "A207571",
+    "A158691", "A179525", "A207433", "A289316", "A289313",
+    "A022493", "A138265", "A289317", "A289312",
+)
+
+
+def _explicit_forms() -> Dict[str, Callable[[], AsymptoticForm]]:
+    """Forms of the ids whose series is no such instance."""
     pi = mp.pi
     return {
-        # Exponential prototype and its d(z)-weighted relatives.
-        "A158690": lambda: constants_proto(1, 0),
-        "A196194": lambda: constants_general(1, 0, F(-1, 2), 1, F(1, 2)),
-        "A207214": lambda: constants_general(1, 0, 1, 1, F(1, 2)),
-        "A207386": lambda: constants_general(1, 0, 0, 1, 0),
-        "A207397": lambda: constants_general(1, 0, 0, 1, -1),
-        "A207556": lambda: constants_general(1, 0, 1, 1, 0),
-        # Row-Fishburn counts for various entry multisets.
-        "A158691": lambda: constants_row_fishburn(1, 1),
-        "A179525": lambda: constants_row_fishburn(1, 0),
-        "A207433": lambda: constants_row_fishburn(1, 1),
-        "A289316": lambda: constants_row_fishburn(1, 0),
-        "A289313": lambda: constants_row_fishburn(2, 2),
-        # Complete Fishburn counts.
-        "A022493": lambda: constants_fishburn(1, 1),
-        "A138265": lambda: constants_fishburn(1, 0),
-        "A289317": lambda: constants_fishburn(1, 0),
-        "A289312": lambda: constants_fishburn(2, 2),
-        # Shifted-index products (Table of omega != 0 examples).
-        "A215066": lambda: constants_general(1, F(-1, 2), 0, 2, 2),
-        "A209832": lambda: constants_general(1, F(-1, 2), 1, 2, 2),
-        "A214687": lambda: constants_general(1, F(-1, 2), 2, 2, 2),
-        "A207569": lambda: constants_fractional(2, 1),
-        "A207570": lambda: constants_fractional(3, 2),
-        "A207571": lambda: constants_fractional(3, 1),
-        # Variants sharing the primitive row-Fishburn constants.
+        # d_j = 1/(1 - z^j) or 1/(1 - z^(2j-1)) depends on j; the forms are
+        # the primitive row-Fishburn and Fishburn ones.
         "A207652": lambda: constants_row_fishburn(1, 0),
         "A207653": lambda: constants_row_fishburn(1, 1),
         "A207651": lambda: constants_fishburn(1, 1),
@@ -690,18 +695,21 @@ def _named_builders() -> Dict[str, Callable[[], AsymptoticForm]]:
     }
 
 
-_NAMED_FORMS = _named_builders()
+_EXPLICIT_FORMS = _explicit_forms()
 
-TABLE_IDS: Tuple[str, ...] = tuple(sorted(_NAMED_FORMS))
+TABLE_IDS: Tuple[str, ...] = tuple(sorted(_DERIVED_IDS + tuple(_EXPLICIT_FORMS)))
 
 
 def named_form(name: str) -> AsymptoticForm:
-    """Asymptotic form for a catalogued OEIS id (see ``TABLE_IDS``)."""
-    try:
-        builder = _NAMED_FORMS[name]
-    except KeyError:
+    """Asymptotic form for a catalogued OEIS id (see ``TABLE_IDS``): derived
+    from the id's general-sum instance, or stated for the other ids."""
+    if name in _DERIVED_IDS:
+        form = _general_sum_form(named_entry(name).instance(4))
+    elif name in _EXPLICIT_FORMS:
+        form = _EXPLICIT_FORMS[name]()
+    else:
         raise KeyError(
             f"no tabulated asymptotic form for {name!r}; "
             f"known ids: {', '.join(TABLE_IDS)}"
-        ) from None
-    return dataclasses.replace(builder(), label=name)
+        )
+    return dataclasses.replace(form, label=name)

@@ -23,11 +23,13 @@ from .asymptotics import _mpf, _require_positive_int
 from .families import (
     STATS,
     LambdaSpec,
+    _family_sum,
     canonical_family,
     family_series,
     stat_jet,
     stat_profile,
 )
+from .series import TruncatedSeries
 
 __all__ = [
     "ComparisonReport",
@@ -275,12 +277,6 @@ def _uncovered(family: str, stat: str, lam: LambdaSpec, why: str) -> ValueError:
     )
 
 
-# The exponent alpha of the product factors in the paper's general sum
-# sum_k d^(k+omega0) prod_{j<=k} (e^(j+omega) - 1)^alpha; the self-dual sum
-# is the alpha = 1 sum in z^2.
-_ALPHA = {"row-fishburn": 1, "fishburn": 2, "self-dual": 1}
-
-
 def limit_law_for(family: str, stat: str, lam: LambdaSpec, n: int) -> LimitLaw:
     """The predicted limit law for (family, stat), instantiated at size n.
 
@@ -305,7 +301,8 @@ def limit_law_for(family: str, stat: str, lam: LambdaSpec, n: int) -> LimitLaw:
         raise _uncovered(family, stat, lam, f"the {name} results need 1s allowed")
     if lam1 == 0 and lam2 == 0:
         raise _uncovered(family, stat, lam, "the smallest entry must be 1 or 2")
-    alpha = _ALPHA[family]
+    # The family's exponent alpha, the same for every weight series.
+    alpha = _family_sum(family, TruncatedSeries.one(0)).alpha
     with mp.workdps(_DPS):
         logn = mp.log(n)
         if stat == "first_row":

@@ -7,15 +7,19 @@ statistic-marking refinements (first row size, diagonal size, number of 1s,
 number of 2s), and the two recursively defined fixed-point series.  All
 arithmetic is exact; nothing in this module touches floating point.
 
-The general sum.  ``_general_sum`` builds sum_k prod_{j<=k} d_j (x_j - y_j)^alpha,
-the paper's sum_k d^{k+w0} prod_{j<=k} (e^{j+w} - 1)^alpha with d^k folded
-into the factors (d^k * prod f_j == prod (d*f_j)), which keeps the kernel's
-adaptive truncation effective.  x_j, y_j and d_j are 1, a fixed series, or a
+The general sum.  A ``GeneralSum`` states one instance of the paper's sum
+sum_k d^{k+w0} prod_{j<=k} (e^{j+w} - 1)^alpha by its arguments: it builds
+prefactor * sum_k prod_{j<=k} d_j (x_j - y_j)^alpha, with d^k folded into the
+factors (d^k * prod f_j == prod (d*f_j)), which keeps the kernel's adaptive
+truncation effective.  x_j, y_j and d_j are 1, a fixed series, or a
 callable (j, room) such as exp(jz), 1/(1 - z^j) or a running power from
-``_powers`` (one truncated product per step).  A marked atom (B, A, Bi) is
-not folded into a power: it multiplies the unmarked power afresh at each
-step, so the running power stays unmarked.  Builders whose factor is no such
-difference call
+``_powers`` (one truncated product per step).  The same statement gives the
+first-order asymptotic form (``asymptotics.named_form`` and ``family_form``
+read it from the factors at j = 1, 2), so each catalogued instance and each
+family sum is written once, in ``_CATALOG`` or ``_family_sum``.  A marked
+atom (B, A, Bi) is not folded into a power: it multiplies the unmarked power
+afresh at each step, so the running power stays unmarked.  Builders whose
+factor is no such difference call
 ``sum_product`` directly: the A035378 forms pair consecutive factors;
 A158690 form 4 and fishburn/first_row's product form multiply two
 differences, the latter needing L^{j-1} and L^j together; and
@@ -51,6 +55,7 @@ from .series import (
     Jet,
     Marker,
     TruncatedSeries,
+    _as_int,
     _power,
     _rational_series,
     eval_marker,
@@ -283,45 +288,75 @@ def _powers(first: Carrier, step: Carrier, atom: Optional[Carrier] = None):
     return power
 
 
-def _general_sum(x, order: int, y=None, d=None, alpha: int = 1):
-    """sum_k prod_{1<=j<=k} d_j (x_j - y_j)^alpha, truncated at `order`.
+@dataclass(frozen=True)
+class GeneralSum:
+    """prefactor * sum_k prod_{1<=j<=k} d_j (x_j - y_j)^alpha: one instance of
+    the paper's sum, stated by its arguments (see the module docstring).
 
     x, y and d are each 1 (None), a fixed series, or a callable (j, room) ->
-    series, and alpha >= 1.  Every part of a factor is truncated to the
-    kernel's room; the carrier is that of x_j or y_j.
+    series; the prefactor is 1 (None) or a series, and alpha >= 1.  A callable
+    may hold a running power (``_powers``), so build each instance once: by
+    ``series``, or by reading its factors with ``parts`` for j = 1, 2, ....
     """
-    def at(t, j, room):
-        return t(j, room) if callable(t) else t.truncate(room)
 
-    def factor(j, room):
-        a = None if x is None else at(x, j, room)
-        b = _one(a, room) if y is None else at(y, j, room)
-        a = _one(b, room) if a is None else a
-        f = _power(a - b, alpha, None)  # alpha >= 1 never needs the unit
-        return f if d is None else at(d, j, room) * f
+    x: object = None
+    y: object = None
+    d: object = None
+    alpha: int = 1
+    prefactor: object = None
 
-    return sum_product(factor, order)
+    def parts(self, j: int, room: int) -> tuple:
+        """(d_j or None, x_j, y_j), truncated at `room`; a missing x_j or y_j
+        is 1 in the carrier of the other."""
+        def at(t):
+            return t(j, room) if callable(t) else t.truncate(room)
+
+        x = None if self.x is None else at(self.x)
+        y = _one(x, room) if self.y is None else at(self.y)
+        x = _one(y, room) if x is None else x
+        return (None if self.d is None else at(self.d)), x, y
+
+    def series(self, order: int):
+        """The sum truncated at `order`, in the carrier of x_j or y_j."""
+        def factor(j, room):
+            d, x, y = self.parts(j, room)
+            f = _power(x - y, self.alpha, None)  # alpha >= 1 never needs the unit
+            return f if d is None else d * f
+
+        s = sum_product(factor, order)
+        return s if self.prefactor is None else self.prefactor * s
 
 
-def _row_sum(L: Carrier, order: int) -> Carrier:
+def _row_sum(L: Carrier) -> GeneralSum:
     """sum_k prod_{1<=j<=k} (L^j - 1)."""
-    return _general_sum(_powers(L, L), order)
+    return GeneralSum(_powers(L, L))
 
 
-def _andrews_sum(L: Carrier, order: int) -> Carrier:
+def _andrews_sum(L: Carrier) -> GeneralSum:
     """L * sum_k prod_{1<=j<=k} [L (L^j - 1)^2]."""
-    return L * _general_sum(_powers(L, L), order, d=L, alpha=2)
+    return GeneralSum(_powers(L, L), d=L, alpha=2, prefactor=L)
 
 
-def _direct_sum(L: Carrier, order: int) -> Carrier:
+def _direct_sum(L: Carrier) -> GeneralSum:
     """sum_k prod_{1<=j<=k} (1 - L^{-j})."""
     Li = L.inv()
-    return _general_sum(None, order, y=_powers(Li, Li))
+    return GeneralSum(y=_powers(Li, Li))
 
 
-def _self_dual_sum(L: Carrier, L2: Carrier, order: int) -> Carrier:
+def _self_dual_sum(L: Carrier, L2: Carrier) -> GeneralSum:
     """L * sum_k prod_{1<=j<=k} [L (L2^j - 1)]."""
-    return L * _general_sum(_powers(L2, L2), order, d=L)
+    return GeneralSum(_powers(L2, L2), d=L, prefactor=L)
+
+
+def _family_sum(family: str, L: Carrier) -> GeneralSum:
+    """A family's counting series in the weight series L as a general sum (the
+    Andrews form for Fishburn matrices); its alpha is the family exponent."""
+    family = canonical_family(family)
+    if family == "row-fishburn":
+        return _row_sum(L)
+    if family == "fishburn":
+        return _andrews_sum(L)
+    return _self_dual_sum(L, L.substitute_power(2))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +365,7 @@ def _self_dual_sum(L: Carrier, L2: Carrier, order: int) -> Carrier:
 
 def row_fishburn_gf(lam: LambdaLike, order: int) -> TruncatedSeries:
     """sum_k prod_{1<=j<=k} (L(z)^j - 1)."""
-    return _row_sum(_as_series(lam, order), order)
+    return _row_sum(_as_series(lam, order)).series(order)
 
 
 def fishburn_gf(lam: LambdaLike, order: int, form: str = "andrews") -> TruncatedSeries:
@@ -344,19 +379,26 @@ def fishburn_gf(lam: LambdaLike, order: int, form: str = "andrews") -> Truncated
         raise ValueError("empty entry multiset: the weight series is identically 1")
     L = _as_series(lam, order)
     if form == "direct":
-        return _direct_sum(L, order)
+        return _direct_sum(L).series(order)
     if form == "andrews":
-        return _andrews_sum(L, order)
+        return _andrews_sum(L).series(order)
     raise ValueError(f"unknown form {form!r}; expected 'direct' or 'andrews'")
 
 
 def self_dual_gf(lam: LambdaLike, order: int) -> TruncatedSeries:
     """L(z) * sum_k prod_{1<=j<=k} [L(z) * (L(z^2)^j - 1)]."""
-    L = _as_series(lam, order)
-    return _self_dual_sum(L, L.substitute_power(2), order)
+    return _family_sum("self-dual", _as_series(lam, order)).series(order)
+
+
+def _check_budget(order: int) -> None:
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if order > _SERIES_BUDGET:
+        raise ValueError(f"order {order} exceeds the series budget ({_SERIES_BUDGET})")
 
 
 def family_gf(family: str, lam: LambdaLike, order: int) -> TruncatedSeries:
+    _check_budget(order)
     family = canonical_family(family)
     if family == "row-fishburn":
         return row_fishburn_gf(lam, order)
@@ -365,15 +407,9 @@ def family_gf(family: str, lam: LambdaLike, order: int) -> TruncatedSeries:
     return self_dual_gf(lam, order)
 
 
-def _check_budget(order: int) -> None:
-    if order > _SERIES_BUDGET:
-        raise ValueError(f"order {order} exceeds the series budget ({_SERIES_BUDGET})")
-
-
 @_largest_build(TruncatedSeries.truncate, family=True)
 def family_series(family: str, spec: LambdaSpec, order: int) -> TruncatedSeries:
     """Cached family series for LambdaSpec inputs."""
-    _check_budget(order)
     return family_gf(family, spec, order)
 
 
@@ -425,7 +461,7 @@ def _row_first_row(spec, order, marker):
     # 1 + sum_k (B^{k+1} - 1) prod_j (L^j - 1)  with B = L(vz); the B^{k+1}
     # part is folded as B * sum_k prod_j [B (L^j - 1)] minus the plain series.
     B = lambda_atom(spec, order, marker, "size")
-    marked = _self_dual_sum(B, marker.lift(lambda_series(spec, order)), order)
+    marked = _self_dual_sum(B, marker.lift(lambda_series(spec, order))).series(order)
     plain = marker.lift(family_series("row-fishburn", spec, order))
     return _one(B, order) + marked - plain
 
@@ -434,7 +470,7 @@ def _row_diagonal(spec, order, marker):
     # sum_k prod_{1<=j<=k} (B L^{j-1} - 1)
     B = lambda_atom(spec, order, marker, "size")
     Lb = marker.lift(lambda_series(spec, order))
-    return _general_sum(_powers(_one(B, order), Lb, B), order)
+    return GeneralSum(_powers(_one(B, order), Lb, B)).series(order)
 
 
 def _fishburn_first_row(spec, order, marker, form):
@@ -443,7 +479,7 @@ def _fishburn_first_row(spec, order, marker, form):
     if form == "direct":
         # sum_k prod_j (1 - B^{-1} L^{1-j})
         y = _powers(_one(B, order), marker.lift(L.inv()), B.inv())
-        return _general_sum(None, order, y=y)
+        return GeneralSum(y=y).series(order)
     # product form: B * sum_k prod_j [L (B L^{j-1} - 1)(L^j - 1)]; the factor
     # needs L^{j-1} and L^j together, so it keeps its own running power.
     Lb = marker.lift(L)
@@ -467,23 +503,23 @@ def _fishburn_diagonal(spec, order, marker, form):
         # B + (B - 1)^2 sum_k prod_j (B - L^{-j})
         Li = marker.lift(L.inv())
         bm1 = B - _one(B, order)
-        return B + (bm1 * bm1) * _general_sum(B, order, y=_powers(Li, Li))
+        return B + (bm1 * bm1) * GeneralSum(B, y=_powers(Li, Li)).series(order)
     # product form: B * sum_k prod_j [L (B L^{j-1} - 1)^2]
     Lb = marker.lift(L)
-    return B * _general_sum(_powers(_one(B, order), Lb, B), order, d=Lb, alpha=2)
+    return B * GeneralSum(_powers(_one(B, order), Lb, B), d=Lb, alpha=2).series(order)
 
 
 def _self_dual_stat(spec, order, marker, stat):
     if stat == "ones":
         B1 = lambda_atom(spec, order, marker, "ones")
-        return _self_dual_sum(B1, lambda_atom(spec, order, marker, "ones-sq"), order)
+        return _self_dual_sum(B1, lambda_atom(spec, order, marker, "ones-sq")).series(order)
     # first_row / diagonal: B(vz) * sum_k prod_j [L (A L2^{j-1} - 1)]
     inner = "size-sq" if stat == "first_row" else "size-double"
     B = lambda_atom(spec, order, marker, "size")
     A = lambda_atom(spec, order, marker, inner)
     L = lambda_series(spec, order)
     x = _powers(_one(B, order), marker.lift(L.substitute_power(2)), A)
-    return B * _general_sum(x, order, d=marker.lift(L))
+    return B * GeneralSum(x, d=marker.lift(L)).series(order)
 
 
 def stat_gf(
@@ -503,6 +539,7 @@ def stat_gf(
     available for the complete family and is used to cross-check the default
     product representation.
     """
+    _check_budget(order)
     family = canonical_family(family)
     if stat not in STATS:
         raise ValueError(f"unknown statistic {stat!r}; expected one of {STATS}")
@@ -518,7 +555,7 @@ def stat_gf(
             return _row_first_row(spec, order, marker)
         if stat == "diagonal":
             return _row_diagonal(spec, order, marker)
-        return _row_sum(lambda_atom(spec, order, marker, stat), order)
+        return _row_sum(lambda_atom(spec, order, marker, stat)).series(order)
 
     if family == "fishburn":
         if stat == "first_row":
@@ -526,7 +563,7 @@ def stat_gf(
         if stat == "diagonal":
             return _fishburn_diagonal(spec, order, marker, form)
         B = lambda_atom(spec, order, marker, stat)
-        return _direct_sum(B, order) if form == "direct" else _andrews_sum(B, order)
+        return (_direct_sum(B) if form == "direct" else _andrews_sum(B)).series(order)
 
     # self-dual
     if stat == "twos":
@@ -575,7 +612,6 @@ def _unpack_rows(packed: TruncatedSeries, counts, bits: int) -> tuple:
 def stat_jet(family: str, stat: str, spec: LambdaSpec, order: int) -> Jet:
     """Cached moment jet: v = 1 + eps truncated past eps^2, which is as deep
     as the mean and variance need."""
-    _check_budget(order)
     return stat_gf(family, stat, spec, order, jet_marker(2))
 
 
@@ -595,10 +631,10 @@ def recursive_gf(kind: str, order: int) -> TruncatedSeries:
 
     if kind == "A186737":
         def phi(g):
-            return _row_sum(one + x * g, order)
+            return _row_sum(one + x * g).series(order)
     elif kind == "A224885":
         def phi(g):
-            return one + x + _row_sum(g, order) - g
+            return one + x + _row_sum(g).series(order) - g
     else:
         raise ValueError(f"unknown recursive kind {kind!r}")
 
@@ -632,24 +668,6 @@ def _binomial_series(order: int) -> TruncatedSeries:
 
 def _one_minus_z(order: int) -> TruncatedSeries:
     return TruncatedSeries([1, -1][: order + 1], order)
-
-
-def _variant_A207652(order: int) -> TruncatedSeries:
-    opz = _binomial_series(order)
-    return _general_sum(_powers(opz, opz), order, d=_indicator_inverse)
-
-
-def _variant_A207653(order: int) -> TruncatedSeries:
-    omz = _one_minus_z(order)
-    return _general_sum(
-        None, order, y=_powers(omz, omz * omz),  # (1-z)^{2j-1}
-        d=lambda j, room: _indicator_inverse(2 * j - 1, room),
-    )
-
-
-def _variant_A207651(order: int) -> TruncatedSeries:
-    omz = _one_minus_z(order)
-    return _general_sum(None, order, y=_powers(omz, omz), d=_indicator_inverse)
 
 
 def _variant_A035378(order: int) -> TruncatedSeries:
@@ -726,17 +744,6 @@ def _variant_A035378_paired(order: int) -> TruncatedSeries:
     return sum_product(factor, order, dpart=dpart)
 
 
-def _variant_A207557(order: int) -> TruncatedSeries:
-    """sum_k (1+z)^{-k(k-1)} prod_{1<=j<=k} ((1+z)^{2j-1} - 1).
-
-    Folding the quadratic prefactor into the factors leaves
-    factor_j = (1+z) - (1+z)^{2-2j}.
-    """
-    opz = _binomial_series(order)
-    y = _powers(TruncatedSeries.one(order), opz.inv().pow(2))  # (1+z)^{2-2j}
-    return _general_sum(opz, order, y=y)
-
-
 def _variant_A207557_rf(order: int) -> TruncatedSeries:
     """The same series after the Rogers-Fine transformation:
     1 + z^{-1} sum_{k>=1} (1+z)^{2k+1} prod_{1<=j<=k} ((1+z)^{2j-1} - 1)^2.
@@ -745,7 +752,7 @@ def _variant_A207557_rf(order: int) -> TruncatedSeries:
     opz = _binomial_series(m)
     opz_sq = opz * opz
     power = _powers(opz, opz_sq)  # (1+z)^{2j-1}
-    s = opz * _general_sum(power, m, d=opz_sq, alpha=2) - opz  # k >= 1 only
+    s = GeneralSum(power, d=opz_sq, alpha=2, prefactor=opz).series(m) - opz  # k >= 1 only
     return TruncatedSeries.one(order) + s.shift_down(1)
 
 
@@ -764,12 +771,12 @@ def _bernoulli_egf(order: int) -> TruncatedSeries:
 def _variant_A158690_form(order: int, form: int) -> TruncatedSeries:
     one = TruncatedSeries.one
     if form == 1:
-        return _general_sum(_exps(1), order)
+        return named_gf("A158690", order)
     if form == 2:
-        return _general_sum(None, order, y=_exps(-2, 1))
+        return GeneralSum(y=_exps(-2, 1)).series(order)
     if form == 3:
         em1 = exp_linear(-1, order)
-        return em1 * _general_sum(em1, order, y=_exps(-2, -1))
+        return GeneralSum(em1, y=_exps(-2, -1), prefactor=em1).series(order)
     if form == 4:
         def factor(i, room):
             f = (exp_linear(2 * i - 1, room) - one(room)) * (
@@ -780,7 +787,7 @@ def _variant_A158690_form(order: int, form: int) -> TruncatedSeries:
         return exp_linear(1, order) * sum_product(factor, order)
     if form == 5:
         e1 = exp_linear(1, order)
-        inner = e1 * _general_sum(_exps(1, 1), order, y=e1)
+        inner = GeneralSum(_exps(1, 1), y=e1, prefactor=e1).series(order)
         return (one(order) + inner).scalar_mul(Fraction(1, 2))
     raise ValueError(f"unknown form {form}")
 
@@ -820,65 +827,26 @@ def ramanujan_r(order: int, form: str = "alternating") -> TruncatedSeries:
 def r_at_exp_neg(order: int) -> TruncatedSeries:
     """R(e^{-z}) via 1 + e^{-z} sum_k prod_j (e^{-(j+1)z} - e^{-z})."""
     em1 = exp_linear(-1, order)
-    return TruncatedSeries.one(order) + em1 * _general_sum(_exps(-1, -1), order, y=em1)
+    return TruncatedSeries.one(order) + GeneralSum(_exps(-1, -1), y=em1,
+                                                   prefactor=em1).series(order)
 
 
 def r_at_one_minus(order: int) -> TruncatedSeries:
     """R(1-z) via 1 + (1-z) sum_k prod_j ((1-z)^{j+1} - (1-z))."""
     omz = _one_minus_z(order)
     x = _powers(omz * omz, omz)  # (1-z)^{j+1}
-    return TruncatedSeries.one(order) + omz * _general_sum(x, order, y=omz)
-
-
-def _variant_table_egf(order: int, which: str) -> TruncatedSeries:
-    e1 = exp_linear(1, order)
-    if which == "A196194":
-        return _general_sum(_exps(1), order, d=_bernoulli_egf(order))
-    if which == "A207214":
-        return _general_sum(_exps(1, 1), order, y=e1)
-    if which == "A215066":
-        return _general_sum(_exps(2, -1), order)
-    if which == "A209832":
-        return e1 * _general_sum(_exps(2), order, y=e1)
-    if which == "A214687":
-        return _general_sum(_exps(2, 1), order, y=exp_linear(2, order))
-    if which == "A079144":
-        return _general_sum(None, order, y=_exps(-1))
-    raise ValueError(which)
+    return TruncatedSeries.one(order) + GeneralSum(x, y=omz, prefactor=omz).series(order)
 
 
 def _variant_A079144_completed(order: int) -> TruncatedSeries:
     """e^z sum_k prod_j [e^z (e^{jz} - 1)^2] -- the transformed route."""
     e1 = exp_linear(1, order)
-    return e1 * _general_sum(_exps(1), order, d=e1, alpha=2)
-
-
-# id: (period p or 0, step s, first f): the j-th factor is base^{s j - s + f} - 1
-# with base = (1+z)/(1+z^p), or 1+z when p = 0.
-_POWER_SCHEDULES = {
-    "A207386": (3, 1, 1), "A207397": (2, 1, 1),
-    "A207569": (0, 2, 1), "A207570": (0, 3, 1), "A207571": (0, 3, 2),
-}
-
-
-def _variant_ordinary(order: int, which: str) -> TruncatedSeries:
-    opz = _binomial_series(order)
-    if which == "A207556":
-        return _general_sum(_powers(opz * opz, opz), order, y=opz)  # (1+z)^{j+1}
-    if which not in _POWER_SCHEDULES:
-        raise ValueError(which)
-    period, step, first = _POWER_SCHEDULES[which]
-    base = opz * _indicator_inverse(period, order, alternating=True) if period else opz
-    return _general_sum(_powers(base.pow(first), base.pow(step)), order)
+    return GeneralSum(_exps(1), d=e1, alpha=2, prefactor=e1).series(order)
 
 
 _VARIANT_BUILDERS: dict = {
-    "A207652": _variant_A207652,
-    "A207653": _variant_A207653,
-    "A207651": _variant_A207651,
-    "A035378": _variant_A035378,
-    "A207557": _variant_A207557,
-    "A079144": lambda order: _variant_table_egf(order, "A079144"),
+    kind: (lambda order, _k=kind: named_gf(_k, order))
+    for kind in ("A207652", "A207653", "A207651", "A035378", "A207557", "A079144")
 }
 for _i in range(1, 6):
     _VARIANT_BUILDERS[f"A158690-form{_i}"] = (
@@ -937,16 +905,6 @@ def labeled_numbers(n_max: int) -> tuple:
 # Named sequence catalog (integer terms, fixture-ready)
 # ---------------------------------------------------------------------------
 
-def _as_int(x) -> int:
-    if isinstance(x, Fraction):
-        if x.denominator != 1:
-            raise ValueError(f"non-integer coefficient {x} where integers expected")
-        return int(x)
-    if isinstance(x, int):
-        return x
-    raise TypeError(f"unexpected coefficient type {type(x).__name__}")
-
-
 def _require_count(count: int) -> None:
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
@@ -956,7 +914,7 @@ def _series_terms(f: TruncatedSeries, count: int, egf: bool) -> list:
     out = []
     for n in range(count):
         c = f.coeff(n)
-        out.append(_as_int(factorial(n) * c if egf else c))
+        out.append(_as_int(factorial(n) * c if egf else c, f"term {n}"))
     return out
 
 
@@ -975,14 +933,15 @@ def _glaisher_terms(count: int) -> list:
         TruncatedSeries(sin2, order)
         * TruncatedSeries(cos3, order).inv().scalar_mul(Fraction(1, 2))
     )
-    return [_as_int(factorial(2 * n + 1) * h.coeff(2 * n + 1)) for n in range(count)]
+    return [_as_int(factorial(2 * n + 1) * h.coeff(2 * n + 1), f"T_{n}")
+            for n in range(count)]
 
 
 def _log_weighted_terms(count: int) -> list:
     """b_n = n [z^n] log(row series over {0,1}), n >= 1."""
     f = row_fishburn_gf(PRIMITIVE, count)
     g = f.derivative() * f.inv().truncate(count - 1)
-    return [_as_int(g.coeff(n - 1)) for n in range(1, count + 1)]
+    return [_as_int(g.coeff(n - 1), f"b_{n}") for n in range(1, count + 1)]
 
 
 def _triangle_terms(family: str, stat: str, spec: LambdaSpec, count: int) -> list:
@@ -1009,54 +968,70 @@ class NamedEntry:
     offset: int = 0
     terms: Optional[Callable[[int], list]] = None
     note: str = ""
+    # order -> the GeneralSum whose series `build` returns, when there is one
+    instance: Optional[Callable[[int], GeneralSum]] = None
+
+
+def _instance(instance: Callable[[int], GeneralSum], **kw) -> NamedEntry:
+    """A catalog entry whose series is the general-sum instance(order)."""
+    return NamedEntry(lambda N: instance(N).series(N), instance=instance, **kw)
+
+
+def _base_powers(base: TruncatedSeries, first: int, step: int):
+    """(j, room) -> base^(step (j-1) + first), as ``_powers``."""
+    return _powers(base.pow(first), base.pow(step))
 
 
 _CATALOG: dict = {
     # complete family
-    "A022493": NamedEntry(lambda N: fishburn_gf(ALL, N), note="fishburn / all"),
-    "A138265": NamedEntry(lambda N: fishburn_gf(PRIMITIVE, N), note="fishburn / 01"),
-    "A289317": NamedEntry(
-        lambda N: fishburn_gf(LambdaSpec("odd"), N), note="fishburn / odd"
-    ),
-    "A289312": NamedEntry(
-        # At order 0 the weight series would be the constant 1, which is the
-        # empty multiset's; build it at order 1 and let fishburn_gf truncate.
-        lambda N: fishburn_gf(_two_each_series(max(N, 1)), N),
-        note="fishburn / doubled",
-    ),
+    "A022493": _instance(lambda N: _andrews_sum(lambda_series(ALL, N)),
+                         note="fishburn / all"),
+    "A138265": _instance(lambda N: _andrews_sum(lambda_series(PRIMITIVE, N)),
+                         note="fishburn / 01"),
+    "A289317": _instance(lambda N: _andrews_sum(lambda_series(LambdaSpec("odd"), N)),
+                         note="fishburn / odd"),
+    "A289312": _instance(lambda N: _andrews_sum(_two_each_series(N)),
+                         note="fishburn / doubled"),
     # row family
-    "A158691": NamedEntry(lambda N: row_fishburn_gf(ALL, N), note="row / all"),
-    "A179525": NamedEntry(lambda N: row_fishburn_gf(PRIMITIVE, N), note="row / 01"),
-    "A207433": NamedEntry(
-        lambda N: row_fishburn_gf(LambdaSpec("012"), N), note="row / 012"
-    ),
-    "A289316": NamedEntry(
-        lambda N: row_fishburn_gf(LambdaSpec("odd"), N), note="row / odd"
-    ),
-    "A289313": NamedEntry(
-        lambda N: row_fishburn_gf(_two_each_series(N), N), note="row / doubled"
-    ),
+    "A158691": _instance(lambda N: _row_sum(lambda_series(ALL, N)), note="row / all"),
+    "A179525": _instance(lambda N: _row_sum(lambda_series(PRIMITIVE, N)), note="row / 01"),
+    "A207433": _instance(lambda N: _row_sum(lambda_series(LambdaSpec("012"), N)),
+                         note="row / 012"),
+    "A289316": _instance(lambda N: _row_sum(lambda_series(LambdaSpec("odd"), N)),
+                         note="row / odd"),
+    "A289313": _instance(lambda N: _row_sum(_two_each_series(N)), note="row / doubled"),
     # exponential-weight variants (integer after multiplying by n!)
-    "A158690": NamedEntry(lambda N: _variant_A158690_form(N, 1), egf=True),
-    "A079144": NamedEntry(lambda N: _variant_table_egf(N, "A079144"), egf=True),
-    "A196194": NamedEntry(lambda N: _variant_table_egf(N, "A196194"), egf=True),
-    "A207214": NamedEntry(lambda N: _variant_table_egf(N, "A207214"), egf=True),
-    "A215066": NamedEntry(lambda N: _variant_table_egf(N, "A215066"), egf=True),
-    "A209832": NamedEntry(lambda N: _variant_table_egf(N, "A209832"), egf=True),
-    "A214687": NamedEntry(lambda N: _variant_table_egf(N, "A214687"), egf=True),
-    # ordinary power-schedule variants
-    "A207386": NamedEntry(lambda N: _variant_ordinary(N, "A207386")),
-    "A207397": NamedEntry(lambda N: _variant_ordinary(N, "A207397")),
-    "A207556": NamedEntry(lambda N: _variant_ordinary(N, "A207556")),
-    "A207569": NamedEntry(lambda N: _variant_ordinary(N, "A207569")),
-    "A207570": NamedEntry(lambda N: _variant_ordinary(N, "A207570")),
-    "A207571": NamedEntry(lambda N: _variant_ordinary(N, "A207571")),
-    # quotient / paired variants
-    "A207652": NamedEntry(_variant_A207652),
-    "A207653": NamedEntry(_variant_A207653),
-    "A207651": NamedEntry(_variant_A207651),
+    "A158690": _instance(lambda N: GeneralSum(_exps(1)), egf=True),
+    "A079144": _instance(lambda N: GeneralSum(y=_exps(-1)), egf=True),
+    "A196194": _instance(lambda N: GeneralSum(_exps(1), d=_bernoulli_egf(N)), egf=True),
+    "A207214": _instance(lambda N: GeneralSum(_exps(1, 1), y=exp_linear(1, N)), egf=True),
+    "A215066": _instance(lambda N: GeneralSum(_exps(2, -1)), egf=True),
+    "A209832": _instance(lambda N: GeneralSum(_exps(2), y=exp_linear(1, N),
+                                              prefactor=exp_linear(1, N)), egf=True),
+    "A214687": _instance(lambda N: GeneralSum(_exps(2, 1), y=exp_linear(2, N)), egf=True),
+    # ordinary power schedules
+    "A207386": _instance(lambda N: GeneralSum(_base_powers(
+        _binomial_series(N) * _indicator_inverse(3, N, alternating=True), 1, 1))),
+    "A207397": _instance(lambda N: GeneralSum(_base_powers(
+        _binomial_series(N) * _indicator_inverse(2, N, alternating=True), 1, 1))),
+    "A207556": _instance(lambda N: GeneralSum(_base_powers(_binomial_series(N), 2, 1),
+                                              y=_binomial_series(N))),
+    "A207569": _instance(lambda N: GeneralSum(_base_powers(_binomial_series(N), 1, 2))),
+    "A207570": _instance(lambda N: GeneralSum(_base_powers(_binomial_series(N), 1, 3))),
+    "A207571": _instance(lambda N: GeneralSum(_base_powers(_binomial_series(N), 2, 3))),
+    # quotient variants, whose d_j or y_j depends on j
+    "A207652": _instance(lambda N: GeneralSum(_base_powers(_binomial_series(N), 1, 1),
+                                              d=_indicator_inverse)),
+    "A207653": _instance(lambda N: GeneralSum(
+        y=_base_powers(_one_minus_z(N), 1, 2),
+        d=lambda j, room: _indicator_inverse(2 * j - 1, room))),
+    "A207651": _instance(lambda N: GeneralSum(y=_base_powers(_one_minus_z(N), 1, 1),
+                                              d=_indicator_inverse)),
+    # sum_k (1+z)^{-k(k-1)} prod_j ((1+z)^{2j-1} - 1): the quadratic prefactor
+    # folded into the factors leaves (1+z) - (1+z)^{2-2j}
+    "A207557": _instance(lambda N: GeneralSum(
+        _binomial_series(N), y=_base_powers(_binomial_series(N).inv(), 0, 2))),
     "A035378": NamedEntry(_variant_A035378),
-    "A207557": NamedEntry(_variant_A207557),
     # recursive
     "A186737": NamedEntry(lambda N: recursive_gf("A186737", N)),
     "A224885": NamedEntry(lambda N: recursive_gf("A224885", N)),

@@ -14,10 +14,11 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence
 
-from .series import TruncatedSeries, exp_linear
+from .series import TruncatedSeries, _as_int, exp_linear
 from .families import (
     LambdaLike,
     fishburn_gf,
+    named_gf,
     ramanujan_r,
     r_at_exp_neg,
     r_at_one_minus,
@@ -29,7 +30,6 @@ from .families import (
     _variant_A035378_paired,
     _variant_A079144_completed,
     _variant_A207557_rf,
-    _variant_table_egf,
 )
 
 
@@ -110,14 +110,9 @@ def glaisher_product_terms(count: int) -> tuple:
     """T_n = 24^n n! [z^n] e^{-z/24} sum_k prod_{1<=j<=k}(1 - e^{-jz})."""
     _require_count(count)
     order = max(count - 1, 0)  # the series needs order >= 0; count 0 reads none of it
-    f = exp_linear(Fraction(-1, 24), order) * _variant_table_egf(order, "A079144")
-    out = []
-    for n in range(count):
-        t = Fraction(24) ** n * factorial(n) * f.coeff(n)
-        if t.denominator != 1:
-            raise ValueError(f"route produced a non-integer T_{n} = {t}")
-        out.append(int(t))
-    return tuple(out)
+    f = exp_linear(Fraction(-1, 24), order) * named_gf("A079144", order)
+    return tuple(_as_int(24 ** n * factorial(n) * f.coeff(n), f"T_{n}")
+                 for n in range(count))
 
 
 def glaisher_trig_terms(count: int) -> tuple:

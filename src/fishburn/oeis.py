@@ -12,9 +12,10 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence, Tuple
+
+from .series import _as_int
 
 _A_NUMBER = re.compile(r"^A\d{6}$")
 
@@ -194,14 +195,6 @@ class CrossCheckReport:
         )
 
 
-def _scaled(value, n: int) -> int:
-    if isinstance(value, Fraction):
-        if value.denominator != 1:
-            raise ValueError(f"computed term at {n} is not an integer: {value}")
-        value = int(value)
-    return value
-
-
 def cross_check(
     computed: Sequence,
     seq: OeisSequence,
@@ -216,7 +209,7 @@ def cross_check(
             f"{seq.id} covers {seq.offset}..{seq.last_index}"
         )
     for n in range(lo, hi + 1):
-        got = _scaled(computed[n - start], n)
+        got = _as_int(computed[n - start], f"computed term at {n}")
         want = seq.term(n)
         if got != want:
             return CrossCheckReport(seq.id, lo, hi, False, n, got, want)

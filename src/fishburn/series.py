@@ -75,6 +75,18 @@ def _norm(x: Coeff) -> Coeff:
     return x
 
 
+def _as_int(value, what: str) -> int:
+    """An int or integral Fraction as an int; `what` names the value in the
+    ValueError that any other Fraction raises."""
+    if isinstance(value, Fraction):
+        if value.denominator != 1:
+            raise ValueError(f"{what} is not an integer: {value}")
+        return value.numerator
+    if isinstance(value, int):
+        return value
+    raise TypeError(f"{what} has type {type(value).__name__}, not int or Fraction")
+
+
 def _check_same_order(a, b) -> None:
     if a.order != b.order:
         raise ValueError(

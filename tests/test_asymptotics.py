@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fishburn.asymptotics import (
+    _DERIVED_IDS,
+    _general_sum_form,
     TABLE_IDS,
     AsymptoticForm,
     a158690_expansion,
@@ -22,6 +24,7 @@ from fishburn.asymptotics import (
     constants_row_fishburn,
     constants_self_dual,
     constants_small2,
+    family_form,
     named_form,
     ratio_sequence,
     refined_a158690,
@@ -30,9 +33,12 @@ from fishburn.asymptotics import (
 from fishburn.families import (
     ALL,
     PRIMITIVE,
+    LambdaSpec,
     family_series,
     fishburn_numbers,
     labeled_numbers,
+    named_entry,
+    named_sequence,
 )
 
 mp.mp.dps = 40
@@ -144,6 +150,22 @@ def test_printed_constant_pairs(name):
 def test_named_form_unknown():
     with pytest.raises(KeyError, match="A000001"):
         named_form("A000001")
+
+
+@pytest.mark.parametrize("name", _DERIVED_IDS)
+def test_derived_form_matches_its_own_counts(name):
+    # The form derived from the id's general sum against that sum's counts.
+    terms = named_sequence(name, 51)
+    if named_entry(name).egf:
+        terms = [Fraction(a, factorial(n)) for n, a in enumerate(terms)]
+    report = ratio_sequence(terms, named_form(name), [30, 40, 50])
+    assert abs(report.extrapolated_limit - 1) < mp.mpf("1e-2")
+
+
+def test_derivation_rejects_factors_that_depend_on_j():
+    # A079144 is sum_k prod_j (1 - e^{-jz}): y_j = e^{-jz}.
+    with pytest.raises(ValueError, match="depends on j"):
+        _general_sum_form(named_entry("A079144").instance(4))
 
 
 def test_table_power_offsets():
@@ -659,6 +681,22 @@ def test_family_constants_positive_property(lam1, lam2):
                  constants_self_dual(lam1, lam2)):
         assert form.c > 0 and form.rho > 0
         assert form.beta >= 0
+
+
+@given(lam1=st.integers(1, 5), lam2=st.integers(0, 5), lam3=st.integers(0, 3))
+@settings(max_examples=30, deadline=None)
+def test_family_form_matches_the_theorems_property(lam1, lam2, lam3):
+    # Derived from each family's general sum against the stated theorems.
+    lam = LambdaSpec("custom", (lam1, lam2, lam3))
+    for family, theorem in (("row-fishburn", constants_row_fishburn),
+                            ("fishburn", constants_fishburn),
+                            ("self-dual", constants_self_dual)):
+        form, regime = family_form(family, lam)
+        want = theorem(lam1, lam2)
+        assert regime == "1s allowed"
+        for field in ("c", "rho", "n_power", "beta"):
+            assert agree(getattr(form, field), getattr(want, field), rel=mp.mpf(10) ** -25)
+        assert form.half_exponent == want.half_exponent
 
 
 @given(lam2=st.integers(1, 4), lam4=st.integers(0, 4),

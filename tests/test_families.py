@@ -112,6 +112,15 @@ class TestFamilyPrefixes:
         with pytest.raises(ValueError, match=r"order 501 exceeds the series budget \(500\)"):
             stat_jet("fishburn", "first_row", ALL, families._SERIES_BUDGET + 1)
 
+    def test_uncached_family_budget(self):
+        with pytest.raises(ValueError, match=r"order 501 exceeds the series budget \(500\)"):
+            family_gf("fishburn", ALL, families._SERIES_BUDGET + 1)
+
+    def test_uncached_stat_budget(self):
+        with pytest.raises(ValueError, match=r"order 501 exceeds the series budget \(500\)"):
+            stat_gf("fishburn", "first_row", ALL, families._SERIES_BUDGET + 1,
+                    eval_marker(2))
+
     def test_fishburn_numbers_fast_path(self):
         assert list(fishburn_numbers(9)) == FISHBURN
 
@@ -629,6 +638,11 @@ class TestLabeledFastPath:
         with pytest.raises(ValueError, match=r"exceeds the series budget \(500\)"):
             labeled_numbers(501)
 
+    @pytest.mark.parametrize("build", [labeled_profile, labeled_numbers])
+    def test_negative_order(self, build):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            build(-1)
+
 
 class TestOrderCache:
     """One build per key at the largest order asked for; smaller orders are cut."""
@@ -703,6 +717,19 @@ class TestInvariants:
                 assert jet.coeff_vm(n, t) == sum(
                     comb(m, t) * c for m, c in enumerate(row)
                 )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.lists(st.integers(0, 3), max_size=4),
+        st.integers(min_value=0, max_value=15),
+    )
+    def test_direct_form_equals_andrews_form(self, lam1, rest, order):
+        spec = LambdaSpec("custom", (lam1, *rest))
+        assert fishburn_gf(spec, order, form="direct") == fishburn_gf(spec, order)
+        for stat in families.STATS:
+            direct = stat_gf("fishburn", stat, spec, order, eval_marker(2), form="direct")
+            assert direct == stat_gf("fishburn", stat, spec, order, eval_marker(2)), stat
 
     @settings(max_examples=25, deadline=None)
     @given(lambda_specs(), st.integers(min_value=1, max_value=10))
