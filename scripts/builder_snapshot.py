@@ -25,9 +25,12 @@ a limit law, and ``verify``.  The analysis cases record ``limit_law_for``
 for every family, statistic, size and multiset of ``LAW_SIZES`` and
 ``LAW_MULTISETS`` (every field, with each mpf exact as its ``_mpf_`` tuple),
 ``family_form``, ``named_form``, ``constants_small2``, ``dilog`` and
-``I_func``; those constants and function values are recorded as
-50-significant-digit strings, so a change in the last bits of a 60-digit
-evaluation does not count as a difference.
+``I_func``, and the saddle analysis: ``an_approx`` for every n of
+``SADDLE_SIZES``, the fields ``SADDLE_FIELDS`` of ``solve_saddle(n, k)`` at
+both ends and the centre of ``_summation_range(n)``, ``log_product`` at
+``LOG_PRODUCT_POINTS`` and ``check_bounds(64)``.  Those constants and
+function values are recorded as 50-significant-digit strings, so a change
+in the last bits of a 60-digit evaluation does not count as a difference.
 
 The second loads two snapshots written by this script and prints each case
 whose value, coefficient types or error differ, then each case whose product
@@ -77,6 +80,13 @@ SMALL2_WEIGHTS = ((1, 1, 1, None), (2, 3, 5, 3), (1, 0, 1, None), (1, 0, 1, 1),
 # Points for dilog and I_func; those outside a function's domain record its error.
 SPECIAL_POINTS = (0, Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(7, 10),
                   Fraction(9, 10), Fraction(999, 1000), 1, 2, 5, -1)
+# Sizes n of the saddle cases, up to the series budget.
+SADDLE_SIZES = (20, 60, 100, 200, 500)
+# The SaddleState fields recorded, named so that a field added later does not
+# count as a difference.
+SADDLE_FIELDS = ("n", "k", "r", "upsilon", "window", "theta0")
+# (k, r) points of log_product.
+LOG_PRODUCT_POINTS = ((1, 1e-6), (30, 1e-3), (3, 2.9), (499, 1e-4))
 # (function, arguments) of the warm case, made in this order on shared caches.
 WARM_CALLS = tuple(
     ("distribution", (family, stat, "all", n))
@@ -229,6 +239,21 @@ def _analysis_cases(fb, saddle):
         for x in SPECIAL_POINTS:
             yield (f"{func.__name__} {x}",
                    lambda func=func, x=x: _record(func(x), _digits))
+    for n in SADDLE_SIZES:
+        yield f"an_approx {n}", lambda n=n: _record(saddle.an_approx(n), _digits)
+        ks = saddle._summation_range(n)
+        for k in (ks[0], ks[len(ks) // 2], ks[-1]):
+            yield (f"solve_saddle {n} {k}",
+                   lambda n=n, k=k: _record(_fields(saddle.solve_saddle(n, k)), _digits))
+    for k, r in LOG_PRODUCT_POINTS:
+        yield (f"log_product {k} {r}",
+               lambda k=k, r=r: _record(saddle.log_product(k, r), _digits))
+    yield "check_bounds 64", lambda: _record(saddle.check_bounds(64), _digits)
+
+
+def _fields(state):
+    """The SADDLE_FIELDS of a solved saddle point, as (name, value) pairs."""
+    return tuple((name, getattr(state, name)) for name in SADDLE_FIELDS)
 
 
 def _warm_case(fb):

@@ -626,6 +626,7 @@ def recursive_gf(kind: str, order: int) -> TruncatedSeries:
     reaches its fixed point within order+2 rounds; stability is checked, not
     assumed.
     """
+    _check_budget(order)
     one = TruncatedSeries.one(order)
     x = TruncatedSeries.x(order)
 
@@ -856,9 +857,11 @@ for _i in range(1, 6):
 
 def variant_gf(kind: str, order: int) -> TruncatedSeries:
     try:
-        return _VARIANT_BUILDERS[kind](order)
+        build = _VARIANT_BUILDERS[kind]
     except KeyError:
         raise ValueError(f"unknown variant kind {kind!r}")
+    _check_budget(order)
+    return build(order)
 
 
 # ---------------------------------------------------------------------------
@@ -1065,15 +1068,21 @@ def named_gf(name: str, order: int) -> TruncatedSeries:
     entry = named_entry(name)
     if entry.build is None:
         raise ValueError(f"{name} has no single defining series; use named_sequence")
+    _check_budget(order)
     return entry.build(order)
 
 
 def named_sequence(name: str, count: int) -> list:
-    """The first `count` integer terms of a cataloged sequence."""
+    """The first `count` integer terms of a cataloged sequence.
+
+    The terms are those of a series of order count - 1, so count may
+    exceed the series budget by one.
+    """
     entry = named_entry(name)
     _require_count(count)
     if count == 0:
         return []
+    _check_budget(count - 1)
     if entry.terms is not None:
         return entry.terms(count)
     f = entry.build(count - 1)

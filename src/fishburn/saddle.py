@@ -29,9 +29,11 @@ corresponding factor); only the prototype channel is wired up here because
 every closed-form constant of the generic regime is calibrated against it.
 
 The saddle radius is located in float64 and then checked, and refined if
-needed, in mpmath arithmetic at 60 digits, where all other numeric work
-happens; exact integer data comes from
-:func:`fishburn.families.labeled_profile`.
+needed, at 60 digits.  Each summand's sums over j <= k, the cumulants and
+log A_k(r), come from one pass in fixed-point integers (:func:`_sweep`),
+carried at 60 digits plus guard bits derived from k and r and rounded to
+60 digits; the other numeric work is mpmath arithmetic at 60 digits, and
+exact integer data comes from :func:`fishburn.families.labeled_profile`.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ from functools import lru_cache
 from typing import List, Tuple
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
 from .asymptotics import _mpf, _require_positive_int, _require_real
-from .families import labeled_profile
+from .families import _check_budget, labeled_profile
 
 __all__ = [
     "BoundReport",
@@ -115,14 +118,18 @@ def I_func(x) -> mp.mpf:
 
 
 def log_product(k: int, r) -> mp.mpf:
-    """log prod_{1<=j<=k} (e^{jr} - 1) by direct summation, r > 0."""
+    """log prod_{1<=j<=k} (e^{jr} - 1) at 60 digits, r > 0.
+
+    Computed by the solver's fixed-point pass :func:`_sweep`, which takes
+    one exponential and one logarithm for all k factors.
+    """
     _require_positive_int("k", k)
     _require_real("r", r)
     with mp.workdps(_DPS):
         rr = _mpf(r)
         if rr <= 0:
             raise ValueError(f"r must be positive, got {r!r}")
-        return mp.fsum(mp.log(mp.expm1(j * rr)) for j in range(1, k + 1))
+        return _sweep(k, rr)[1]
 
 
 def em_log_product(k: int, r) -> mp.mpf:
@@ -172,7 +179,8 @@ def _phi_terms(x: mp.mpf) -> Tuple[mp.mpf, mp.mpf, mp.mpf, mp.mpf]:
     over j gives the cumulants upsilon_m of the saddle integrand.  The
     evaluation below uses (1 - u)*w = x to share products between the
     terms; u = 1 + expm1(-x) is exact to the working precision in absolute
-    terms, which is all the u-weighted terms need.
+    terms, which is all the u-weighted terms need.  This is the scalar
+    reference that the tests check :func:`_sweep` against.
     """
     em = mp.expm1(-x)
     u = 1 + em
@@ -184,6 +192,67 @@ def _phi_terms(x: mp.mpf) -> Tuple[mp.mpf, mp.mpf, mp.mpf, mp.mpf]:
     phi3 = phi2 * damp + xuw * w
     phi4 = phi3 * damp + xuw * (4 * phi2 + w * (1 - x)) - 2 * u * phi2 * phi2
     return w, phi2, phi3, phi4
+
+
+def _sweep(k: int, r: mp.mpf) -> Tuple[Tuple[mp.mpf, mp.mpf, mp.mpf, mp.mpf], mp.mpf]:
+    """(upsilon_1..upsilon_4, log A_k(r)) at r > 0 in one pass over j <= k.
+
+    upsilon_m = sum_{j<=k} phi_m(j*r) with phi_m as in :func:`_phi_terms`,
+    and log A_k(r) = log prod_{j<=k} (e^{jr} - 1).  The pass runs in
+    integers scaled by 2^P.  It takes one exponential, q = e^{-r}, and gets
+    u_j = e^{-jr} as the running product u_{j-1}*q; with e^{jr} - 1 =
+    e^{jr}*(1 - u_j),
+
+        log A_k(r) = r*k*(k+1)/2 + log prod_{j<=k} (1 - u_j),
+
+    where the product is kept as a mantissa and a binary exponent, so the
+    whole pass takes one logarithm.  u_j carries an absolute error of about
+    j ulps, which costs relative accuracy where x = j*r is small: 1 - u_j
+    ~ x loses log2(1/x) bits, and phi_2..phi_4 ~ x/2, differences of
+    terms of size 1 in w = x/(1 - u_j), lose log2(1/x) more.  Where x is
+    large, phi_m ~ x carries the error of u*w^2 ~ u*x^2.  P is therefore
+    the working precision plus 2*log2(1/r) + log2(k*r) guard bits for
+    these losses, log2(k) for the accumulation over j and a fixed margin
+    for the roundings within one term.  The results are rounded to the
+    working precision.
+    """
+    bits = (mp.mp.prec + 2 * max(0, -mp.mag(r)) + max(0, mp.mag(k * r))
+            + k.bit_length() + 24)
+    one = 1 << bits
+    with mp.workprec(bits):
+        q = to_fixed(mp.exp(-r)._mpf_, bits)
+    step = to_fixed(r._mpf_, bits)
+    x = 0
+    u = one
+    ups1 = ups2 = ups3 = ups4 = 0
+    # prod_{j<=k} (1 - u_j) = man * 2^exp, man kept to P bits
+    man, exp = 1, 0
+    for _ in range(k):
+        x += step
+        u = u * q >> bits
+        gap = one - u
+        w = (x << bits) // gap
+        uw = u * w >> bits
+        xuw = x * uw >> bits
+        damp = one - 2 * uw
+        phi2 = w - (uw * w >> bits)
+        phi3 = (phi2 * damp + xuw * w) >> bits
+        phi4 = (phi3 * damp + xuw * (4 * phi2 + (w * (one - x) >> bits))
+                - 2 * (u * phi2 >> bits) * phi2) >> bits
+        ups1 += w
+        ups2 += phi2
+        ups3 += phi3
+        ups4 += phi4
+        man *= gap
+        exp -= bits
+        extra = man.bit_length() - bits
+        if extra > 0:
+            man >>= extra
+            exp += extra
+    with mp.workprec(bits):
+        log_a = r * (k * (k + 1) // 2) + mp.log(mp.mpf((man, exp)))
+    upsilon = tuple(mp.mpf((total, -bits)) for total in (ups1, ups2, ups3, ups4))
+    return upsilon, +log_a
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +353,9 @@ class SaddleState:
     normalizes the saddle integral, and upsilon[2], upsilon[3] enter its
     second-order correction.  ``window`` is the per-summand validity window
     (k_-, k_+) of :func:`_window_bounds`, and ``theta0 = 6*n^(-3/8)`` is
-    the matching cutoff angle of the integration arc.
+    the matching cutoff angle of the integration arc.  ``log_product`` is
+    log A_k(r) = log prod_{j<=k} (e^{jr} - 1), from the same pass over j
+    as ``upsilon``, so it equals :func:`log_product` at (k, r).
     """
 
     n: int
@@ -293,6 +364,7 @@ class SaddleState:
     upsilon: Tuple[mp.mpf, mp.mpf, mp.mpf, mp.mpf]
     window: Tuple[mp.mpf, mp.mpf]
     theta0: mp.mpf
+    log_product: mp.mpf
 
 
 def _float_radius(n: int, k: int) -> float:
@@ -344,18 +416,6 @@ def _float_radius(n: int, k: int) -> float:
     return r
 
 
-def _upsilon(k: int, r: mp.mpf) -> Tuple[mp.mpf, mp.mpf, mp.mpf, mp.mpf]:
-    """The cumulants upsilon_1..upsilon_4 = sum_{j<=k} phi_m(j*r)."""
-    ups1 = ups2 = ups3 = ups4 = mp.mpf(0)
-    for j in range(1, k + 1):
-        phi1, phi2, phi3, phi4 = _phi_terms(j * r)
-        ups1 += phi1
-        ups2 += phi2
-        ups3 += phi3
-        ups4 += phi4
-    return ups1, ups2, ups3, ups4
-
-
 # Each (n, k) cache holds 1024 entries: `verify --full` leaves 102, the tests 220.
 @lru_cache(maxsize=1024)
 def solve_saddle(n: int, k: int) -> SaddleState:
@@ -363,10 +423,11 @@ def solve_saddle(n: int, k: int) -> SaddleState:
 
     The left side increases from k (at r = 0+) without bound, so for
     1 <= k < n there is a unique positive root.  It is located by bracketed
-    float64 Newton steps (:func:`_float_radius`); one pass at 60 digits then
-    evaluates upsilon_1..upsilon_4 at that radius and checks the residual
-    |upsilon_1 - n| <= 1e-9 * n.  Only if the check fails are 60-digit
-    Newton steps taken (200-step cap), each followed by the same check.
+    float64 Newton steps (:func:`_float_radius`); one :func:`_sweep` at 60
+    digits then evaluates upsilon_1..upsilon_4 and log A_k at that radius
+    and checks the residual |upsilon_1 - n| <= 1e-9 * n.  Only if the check
+    fails are 60-digit Newton steps taken (200-step cap), each followed by
+    one more sweep and the same check.
     """
     _require_positive_int("n", n)
     _require_positive_int("k", k)
@@ -375,20 +436,21 @@ def solve_saddle(n: int, k: int) -> SaddleState:
     with mp.workdps(_DPS):
         tol = mp.mpf("1e-9") * n
         r = mp.mpf(_float_radius(n, k))
-        upsilon = _upsilon(k, r)
+        upsilon, log_a = _sweep(k, r)
         for _ in range(200):
             gap = upsilon[0] - n
             if abs(gap) <= tol:
                 break
             # The sum is convex in r, so Newton converges from either side.
             r -= gap * r / upsilon[1]
-            upsilon = _upsilon(k, r)
+            upsilon, log_a = _sweep(k, r)
         else:
             raise RuntimeError(
                 f"saddle equation for n={n}, k={k} did not converge in 200 steps")
         theta0 = 6 * mp.power(n, -mp.mpf(3) / 8)
         return SaddleState(n=n, k=k, r=r, upsilon=upsilon,
-                           window=_window_bounds(n), theta0=theta0)
+                           window=_window_bounds(n), theta0=theta0,
+                           log_product=log_a)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +464,7 @@ def _log_ank(n: int, k: int) -> mp.mpf:
         _, ups2, ups3, ups4 = state.upsilon
         correction = 1 + ups4 / (8 * ups2 ** 2) - 5 * ups3 ** 2 / (24 * ups2 ** 3)
         return (-n * mp.log(state.r)
-                + log_product(k, state.r)
+                + state.log_product
                 - mp.log(2 * mp.pi * ups2) / 2
                 + mp.log(correction))
 
@@ -444,10 +506,12 @@ def an_approx(n: int) -> mp.mpf:
     order is fixed and the result deterministic.  The exact mass outside
     that range is :func:`window_tail`.  The relative error falls from
     ~2e-2 at n = 20 to ~2e-5 at n = 100 and ~4e-6 at n = 200; the central
-    window is too thin to be meaningful below n = 20.
+    window is too thin to be meaningful below n = 20.  n above the series
+    budget (500), which also bounds the exact profile, is rejected.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 20:
         raise ValueError(f"n must be an integer >= 20, got {n!r}")
+    _check_budget(n)
     with mp.workdps(_DPS):
         logs = [_log_ank(n, k) for k in _summation_range(n)]
         top = max(logs)

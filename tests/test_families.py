@@ -121,6 +121,18 @@ class TestFamilyPrefixes:
             stat_gf("fishburn", "first_row", ALL, families._SERIES_BUDGET + 1,
                     eval_marker(2))
 
+    @pytest.mark.parametrize("build", [
+        lambda order: named_gf("A022493", order),
+        lambda order: variant_gf("A035378", order),
+        lambda order: recursive_gf("A186737", order),
+        # count terms are the coefficients of a series of order count - 1
+        lambda order: named_sequence("A022493", order + 1),
+        lambda order: named_sequence("A002439", order + 1),
+    ], ids=["named_gf", "variant_gf", "recursive_gf", "named_sequence", "named_terms"])
+    def test_named_and_variant_budget(self, build):
+        with pytest.raises(ValueError, match=r"order 501 exceeds the series budget \(500\)"):
+            build(families._SERIES_BUDGET + 1)
+
     def test_fishburn_numbers_fast_path(self):
         assert list(fishburn_numbers(9)) == FISHBURN
 

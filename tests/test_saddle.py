@@ -33,7 +33,8 @@ from fishburn.saddle import (
     solve_saddle,
     window_tail,
 )
-from fishburn.saddle import _log_ank, _phi_terms, _summation_range, _window_bounds
+import fishburn.saddle as saddle_module
+from fishburn.saddle import _log_ank, _phi_terms, _summation_range, _sweep, _window_bounds
 
 mp.mp.dps = 40
 
@@ -347,6 +348,84 @@ def test_upsilon_holds_four_cumulants():
     assert len(state.upsilon) == 4
     for got, want in zip(state.upsilon, sums):
         assert agree(got, want, rel=mp.mpf("1e-40"))
+
+
+def _direct_sweep(k, r):
+    """upsilon_1..upsilon_4 and log A_k(r) at 150 digits, one expm1 and log per j."""
+    with mp.workdps(150):
+        r = mp.mpf(r)
+        terms = [_phi_terms(j * r) for j in range(1, k + 1)]
+        upsilon = [mp.fsum(t[m] for t in terms) for m in range(4)]
+        return upsilon, mp.fsum(mp.log(mp.expm1(j * r)) for j in range(1, k + 1))
+
+
+def _sweep_points():
+    for n in (20, 500):
+        ks = _summation_range(n)
+        for k in (1, n - 1, ks[len(ks) // 2]):
+            yield k, solve_saddle(n, k).r
+    for r in ("1e-16", "1e-8", "1e-3", "3", "50"):
+        for k in (1, 30):
+            with mp.workdps(60):
+                yield k, mp.mpf(r)
+
+
+def test_sweep_matches_direct_evaluation_at_150_digits():
+    # Each value is the 60-digit rounding of a 150-digit reference.  Small r
+    # needs both log2(1/r) guard terms: one for 1 - e^{-r} ~ r and one for
+    # phi_2..phi_4 ~ r/2; with one of them, r = 1e-16 misses by 1e-54.
+    for k, r in _sweep_points():
+        with mp.workdps(60):
+            upsilon, log_a = _sweep(k, r)
+        want_upsilon, want_log_a = _direct_sweep(k, r)
+        with mp.workdps(150):
+            for got, want in zip((*upsilon, log_a), (*want_upsilon, want_log_a)):
+                assert abs(got / want - 1) <= mp.mpf("1e-55"), (k, r)
+
+
+@pytest.mark.parametrize("k,r", [(1, "0.002"), (84, "0.0098"), (30, "0.7"), (400, "0.0012")])
+def test_sweep_matches_phi_terms_at_60_digits(k, r):
+    with mp.workdps(60):
+        rr = mp.mpf(r)
+        upsilon, _ = _sweep(k, rr)
+        for m, got in enumerate(upsilon):
+            want = mp.fsum(_phi_terms(j * rr)[m] for j in range(1, k + 1))
+            assert abs(got / want - 1) <= mp.mpf("1e-50")
+
+
+def test_state_carries_the_log_product_of_its_radius():
+    state = solve_saddle(100, 84)
+    assert state.log_product == log_product(84, state.r)
+
+
+def test_an_approx_sweeps_once_per_summand(monkeypatch):
+    # The float radius passes the residual check at n = 100, so no Newton
+    # step sweeps again, and _log_ank reuses the sweep of solve_saddle.
+    sweeps = []
+    expm1_calls = []
+    sweep = saddle_module._sweep
+    expm1 = mp.expm1
+
+    def counting_sweep(k, r):
+        sweeps.append(k)
+        return sweep(k, r)
+
+    def counting_expm1(*args, **kwargs):
+        expm1_calls.append(args)
+        return expm1(*args, **kwargs)
+
+    monkeypatch.setattr(saddle_module, "_sweep", counting_sweep)
+    monkeypatch.setattr(mp, "expm1", counting_expm1)
+    solve_saddle.cache_clear()
+    _log_ank.cache_clear()
+    an_approx(100)
+    assert sweeps == list(_summation_range(100))
+    assert expm1_calls == []
+
+
+def test_total_approximation_budget():
+    with pytest.raises(ValueError, match=r"exceeds the series budget \(500\)"):
+        an_approx(501)
 
 
 def test_total_matches_leading_asymptotic_form():
