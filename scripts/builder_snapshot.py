@@ -10,6 +10,11 @@ The first imports ``fishburn`` from the source directory SRC (for example
 ``src`` of a checkout) and pickles, for every builder case, either the value
 with the type of each coefficient or the error's type and message, together
 with the number of ``_mul_into`` and ``_bv_mul_into`` calls the case made.
+The builder cases call only names that exist in both trees of a comparison:
+the catalog ids go through ``named_gf`` and ``variant_gf`` builds only the
+A158690 forms 2 to 5.  Each multiset of ``MULTISETS`` also records
+``LambdaSpec.weight(i)`` for i <= ``WEIGHT_MAX`` with its smallest entry and
+smallest odd entry, and ``ramanujan_r`` is recorded at ``R_ORDERS`` as well.
 The ``monomial`` statistic cases record full profiles, unpacked from one
 evaluation at v = 2^K as ``stat_profile`` does, for both forms; their value
 is (order, rows), rows[n] the v-polynomial of z^n.
@@ -70,6 +75,14 @@ ALTERNATE_ROUTES = (
 )
 TABLE_EGF = ("A196194", "A207214", "A215066", "A209832", "A214687", "A079144")
 ORDINARY = ("A207386", "A207397", "A207556", "A207569", "A207570", "A207571")
+# Catalog ids built by named_gf at VARIANT_ORDERS, besides TABLE_EGF and ORDINARY.
+NAMED_VARIANTS = ("A035378", "A158690", "A207557", "A207651", "A207652", "A207653")
+# The A158690 forms that variant_gf builds.
+VARIANT_FORMS = tuple(f"A158690-form{form}" for form in range(2, 6))
+# LambdaSpec.weight(i) is recorded for i up to this value.
+WEIGHT_MAX = 60
+# Orders of ramanujan_r recorded besides VARIANT_ORDERS.
+R_ORDERS = (30,)
 FORMATS = ("table", "csv", "json")
 LAW_SIZES = (1, 2, 9, 30, 59, 60)
 LAW_MULTISETS = ("all", "01", "012", "even+", "no1",
@@ -173,7 +186,11 @@ def _cases(families, series):
                             yield (f"stat_gf {fam} {stat} {form} {name} "
                                    f"{lam.describe()} {n}",
                                    lambda b=build, case=(fam, stat, lam, n, form): b(*case))
-    for kind in sorted(families._VARIANT_BUILDERS):
+    for lam in multisets:
+        yield (f"weight {lam.describe()}",
+               lambda l=lam: tuple(l.weight(i) for i in range(WEIGHT_MAX + 1))
+               + (l.smallest_entry(), l.smallest_odd_entry()))
+    for kind in VARIANT_FORMS:
         for n in VARIANT_ORDERS:
             yield f"variant_gf {kind} {n}", lambda k=kind, n=n: families.variant_gf(k, n)
     routes = [(name, lambda n, name=name: getattr(families, name)(n))
@@ -182,6 +199,8 @@ def _cases(families, series):
                for w in TABLE_EGF]
     routes += [(f"ordinary {w}", lambda n, w=w: families.named_gf(w, n))
                for w in ORDINARY]
+    routes += [(f"named_gf {w}", lambda n, w=w: families.named_gf(w, n))
+               for w in NAMED_VARIANTS]
     routes += [(f"ramanujan_r {form}", lambda n, form=form: families.ramanujan_r(n, form))
                for form in ("alternating", "quotient")]
     routes += [(f"recursive_gf {kind}", lambda n, kind=kind: families.recursive_gf(kind, n))
@@ -189,6 +208,10 @@ def _cases(families, series):
     for name, build in routes:
         for n in VARIANT_ORDERS:
             yield f"{name} {n}", lambda b=build, n=n: b(n)
+    for form in ("alternating", "quotient"):
+        for n in R_ORDERS:
+            yield (f"ramanujan_r {form} {n}",
+                   lambda form=form, n=n: families.ramanujan_r(n, form))
     for name in families.NAMED_IDS:
         for count in NAMED_COUNTS:
             yield (f"named_sequence {name} {count}",

@@ -20,10 +20,12 @@ family sum is written once, in ``_CATALOG`` or ``_family_sum``.  A marked
 atom (B, A, Bi) is not folded into a power: it multiplies the unmarked power
 afresh at each step, so the running power stays unmarked.  Builders whose
 factor is no such difference call
-``sum_product`` directly: the A035378 forms pair consecutive factors;
+``sum_product`` directly: the A035378 forms pair consecutive factors; and
 A158690 form 4 and fishburn/first_row's product form multiply two
-differences, the latter needing L^{j-1} and L^j together; and
-``ramanujan_r`` builds its factors coefficientwise.
+differences, the latter needing L^{j-1} and L^j together.  Every fixed
+rational factor (a weight series, 1 +- z, 1/(1 -+ z^j)) is one
+``_rational_series(P, Q, order)``, so a product by it takes ``_mul_into``'s
+P/Q shortcut when Q is not 1.
 
 The row, Andrews, direct and self-dual sums serve both carriers: a weight
 series gives the counting series, a marked atom its statistic refinement.
@@ -44,7 +46,7 @@ replaces it.  At most ``_CACHE_KEYS`` keys are held, least recently used out.
 from __future__ import annotations
 
 from collections import OrderedDict, namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
 from math import comb, factorial
@@ -155,14 +157,18 @@ def _prefix(built: tuple, order: int) -> tuple:
 class LambdaSpec:
     """A multiset of allowed positive entry values, with multiplicities.
 
-    ``weight(i)`` is the multiplicity of the value i; the zero entry is
-    always available exactly once, so ``weight(0) == 1``.  Named tags cover
-    the closed-form multisets used throughout; ``custom`` carries an explicit
-    tuple (weight of 1, weight of 2, ...), zero beyond its length.
+    The multiset is stated by its weight series 1 + sum_i weight(i) z^i =
+    P(z)/Q(z), the pair ``rational()`` returns: a named tag reads it from
+    ``_NAMED_RATIONAL``, and ``custom`` carries an explicit tuple (weight of
+    1, weight of 2, ...), zero beyond its length, as P = (1, w1, w2, ...) and
+    Q = (1,).  ``weight(i)``, the multiplicity of the value i, is [z^i] P/Q;
+    the zero entry is always available exactly once, so ``weight(0) == 1``.
     """
 
     tag: str
     weights: tuple = ()
+    # The expansion of P/Q that weight() reads, lengthened as i outgrows it.
+    _expansion: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tag == "custom":
@@ -198,22 +204,13 @@ class LambdaSpec:
     def weight(self, i: int) -> int:
         if i < 0:
             raise ValueError("entry values are nonnegative")
-        if i == 0:
-            return 1
-        tag = self.tag
-        if tag == "all":
-            return 1
-        if tag == "01":
-            return 1 if i == 1 else 0
-        if tag == "012":
-            return 1 if i in (1, 2) else 0
-        if tag == "odd":
-            return i & 1
-        if tag == "even+":
-            return 0 if (i & 1) else 1
-        if tag == "no1":
-            return 0 if i == 1 else 1
-        return self.weights[i - 1] if i <= len(self.weights) else 0
+        try:
+            return self._expansion[i]
+        except IndexError:
+            # Doubling the length keeps a scan over i = 0, 1, ... O(1) per call.
+            cs = _rational_series(*self.rational(), 2 * i + 1).coeffs
+            object.__setattr__(self, "_expansion", cs)
+            return cs[i]
 
     def rational(self) -> tuple:
         """(P, Q) with the weight series 1 + sum_i weight(i) z^i = P(z)/Q(z),
@@ -231,9 +228,10 @@ class LambdaSpec:
         return self._first_allowed(2)
 
     def _first_allowed(self, step: int) -> Optional[int]:
-        # A custom list is zero past its length.  Every named tag repeats with
-        # period 2 from the value 3 on, so the values up to 4 settle it.
-        end = len(self.weights) if self.tag == "custom" else 4
+        # Every Q is 1 - z^g (g = 0 for a finite multiset), so past deg P the
+        # weights repeat with period g, and with the parity of i within 2g.
+        P, Q = self.rational()
+        end = len(P) - 1 + 2 * (len(Q) - 1)
         return next((i for i in range(1, end + 1, step) if self.weight(i)), None)
 
     def describe(self) -> str:
@@ -368,15 +366,21 @@ def row_fishburn_gf(lam: LambdaLike, order: int) -> TruncatedSeries:
     return _row_sum(_as_series(lam, order)).series(order)
 
 
+def _require_entries(lam: LambdaLike) -> None:
+    """Reject the empty multiset, which the Fishburn family does not admit."""
+    if isinstance(lam, LambdaSpec):
+        empty = lam.smallest_entry() is None
+    else:
+        empty = (lam - TruncatedSeries.one(lam.order)).is_zero()
+    if empty:
+        raise ValueError("empty entry multiset: the weight series is identically 1")
+
+
 def fishburn_gf(lam: LambdaLike, order: int, form: str = "andrews") -> TruncatedSeries:
     """sum_k prod_{1<=j<=k} (1 - L(z)^{-j}), or the equivalent
     L * sum_k prod_j [L * (L^j - 1)^2] obtained by Andrews's transformation.
     """
-    if isinstance(lam, LambdaSpec):
-        if lam.smallest_entry() is None:
-            raise ValueError("empty entry multiset: the weight series is identically 1")
-    elif (lam - TruncatedSeries.one(lam.order)).is_zero():
-        raise ValueError("empty entry multiset: the weight series is identically 1")
+    _require_entries(lam)
     L = _as_series(lam, order)
     if form == "direct":
         return _direct_sum(L).series(order)
@@ -399,12 +403,9 @@ def _check_budget(order: int) -> None:
 
 def family_gf(family: str, lam: LambdaLike, order: int) -> TruncatedSeries:
     _check_budget(order)
-    family = canonical_family(family)
-    if family == "row-fishburn":
-        return row_fishburn_gf(lam, order)
-    if family == "fishburn":
-        return fishburn_gf(lam, order)
-    return self_dual_gf(lam, order)
+    if canonical_family(family) == "fishburn":
+        _require_entries(lam)
+    return _family_sum(family, _as_series(lam, order)).series(order)
 
 
 @_largest_build(TruncatedSeries.truncate, family=True)
@@ -652,23 +653,16 @@ def recursive_gf(kind: str, order: int) -> TruncatedSeries:
 # Named variant series
 # ---------------------------------------------------------------------------
 
-def _indicator_inverse(period: int, room: int, alternating: bool = False) -> TruncatedSeries:
-    """1/(1 - z^period), or 1/(1 + z^period) when alternating."""
-    out = [0] * (room + 1)
-    s = 1
-    for i in range(0, room + 1, period):
-        out[i] = s
-        if alternating:
-            s = -s
-    return TruncatedSeries(out, room)
+# Fixed rational factors (P, Q), low degree first, as _rational_series takes them.
+_ONE_PLUS_Z = ((1, 1), (1,))
+_ONE_MINUS_Z = ((1, -1), (1,))
+_TWO_EACH = ((1, 1), (1, -1))  # (1+z)/(1-z): every positive value twice
 
 
-def _binomial_series(order: int) -> TruncatedSeries:
-    return TruncatedSeries([1, 1][: order + 1], order)
-
-
-def _one_minus_z(order: int) -> TruncatedSeries:
-    return TruncatedSeries([1, -1][: order + 1], order)
+def _inverse_binomials(c: int, first: int = 1, step: int = 1):
+    """(j, room) -> 1/(1 + c z^g) at order `room`, g = step (j-1) + first."""
+    return lambda j, room: _rational_series(
+        (1,), (1,) + (0,) * (step * (j - 1) + first - 1) + (c,), room)
 
 
 def _variant_A035378(order: int) -> TruncatedSeries:
@@ -679,7 +673,7 @@ def _variant_A035378(order: int) -> TruncatedSeries:
     (1-(z-1)^{2i-1})(1-(z-1)^{2i}) with the k-dependent prefactor
     2 - (z-1)^{2K+1}.
     """
-    zm1 = TruncatedSeries([-1, 1][: order + 1], order)
+    zm1 = _rational_series((-1, 1), (1,), order)
     two = TruncatedSeries.constant(2, order)
     odd_power = _powers(zm1, zm1 * zm1)  # (z-1)^{2K+1}
     power = _powers(zm1, zm1)
@@ -750,7 +744,7 @@ def _variant_A207557_rf(order: int) -> TruncatedSeries:
     1 + z^{-1} sum_{k>=1} (1+z)^{2k+1} prod_{1<=j<=k} ((1+z)^{2j-1} - 1)^2.
     """
     m = order + 1
-    opz = _binomial_series(m)
+    opz = _rational_series(*_ONE_PLUS_Z, m)
     opz_sq = opz * opz
     power = _powers(opz, opz_sq)  # (1+z)^{2j-1}
     s = GeneralSum(power, d=opz_sq, alpha=2, prefactor=opz).series(m) - opz  # k >= 1 only
@@ -770,9 +764,8 @@ def _bernoulli_egf(order: int) -> TruncatedSeries:
 
 
 def _variant_A158690_form(order: int, form: int) -> TruncatedSeries:
+    """Forms 2 to 5 of the labeled prototype; form 1 is ``named_gf("A158690")``."""
     one = TruncatedSeries.one
-    if form == 1:
-        return named_gf("A158690", order)
     if form == 2:
         return GeneralSum(y=_exps(-2, 1)).series(order)
     if form == 3:
@@ -798,30 +791,17 @@ def ramanujan_r(order: int, form: str = "alternating") -> TruncatedSeries:
 
     alternating: 1 + sum_k (-1)^k q^{k+1} prod_{1<=j<=k} (1 - q^j)
     quotient:    sum_k q^{k(k+1)/2} / prod_{1<=j<=k} (1 + q^j)
+
+    The two forms are the two sides of an identity.  Each is a general sum:
+    -q (1 - q^j) = q^{j+1} - q, and q^j / (1 + q^j) = 1 - 1/(1 + q^j).
     """
-    one = TruncatedSeries.one
     if form == "alternating":
-        def factor(j, room):
-            out = [0] * (room + 1)
-            if room >= 1:
-                out[1] = -1
-            if j + 1 <= room:
-                out[j + 1] += 1
-            return TruncatedSeries(out, room)  # -q (1 - q^j)
-
-        x = TruncatedSeries.x(order)
-        return one(order) + x * sum_product(factor, order)
+        q = TruncatedSeries.x(order)
+        s = GeneralSum(lambda j, room: _rational_series((0,) * (j + 1) + (1,), (1,), room),
+                       y=q, prefactor=q)
+        return TruncatedSeries.one(order) + s.series(order)
     if form == "quotient":
-        def factor(j, room):
-            # q^j / (1 + q^j): coefficient (-1)^i at q^{j(i+1)}
-            out = [0] * (room + 1)
-            s = 1
-            for idx in range(j, room + 1, j):
-                out[idx] = s
-                s = -s
-            return TruncatedSeries(out, room)
-
-        return sum_product(factor, order)
+        return GeneralSum(y=_inverse_binomials(1)).series(order)
     raise ValueError(f"unknown form {form!r}")
 
 
@@ -834,7 +814,7 @@ def r_at_exp_neg(order: int) -> TruncatedSeries:
 
 def r_at_one_minus(order: int) -> TruncatedSeries:
     """R(1-z) via 1 + (1-z) sum_k prod_j ((1-z)^{j+1} - (1-z))."""
-    omz = _one_minus_z(order)
+    omz = _rational_series(*_ONE_MINUS_Z, order)
     x = _powers(omz * omz, omz)  # (1-z)^{j+1}
     return TruncatedSeries.one(order) + GeneralSum(x, y=omz, prefactor=omz).series(order)
 
@@ -845,23 +825,17 @@ def _variant_A079144_completed(order: int) -> TruncatedSeries:
     return GeneralSum(_exps(1), d=e1, alpha=2, prefactor=e1).series(order)
 
 
-_VARIANT_BUILDERS: dict = {
-    kind: (lambda order, _k=kind: named_gf(_k, order))
-    for kind in ("A207652", "A207653", "A207651", "A035378", "A207557", "A079144")
-}
-for _i in range(1, 6):
-    _VARIANT_BUILDERS[f"A158690-form{_i}"] = (
-        lambda order, _f=_i: _variant_A158690_form(order, _f)
-    )
+# variant_gf kind -> its form of the labeled prototype in _variant_A158690_form.
+_VARIANT_FORMS = {f"A158690-form{form}": form for form in range(2, 6)}
 
 
 def variant_gf(kind: str, order: int) -> TruncatedSeries:
     try:
-        build = _VARIANT_BUILDERS[kind]
+        form = _VARIANT_FORMS[kind]
     except KeyError:
         raise ValueError(f"unknown variant kind {kind!r}")
     _check_budget(order)
-    return build(order)
+    return _variant_A158690_form(order, form)
 
 
 # ---------------------------------------------------------------------------
@@ -959,11 +933,6 @@ def _triangle_terms(family: str, stat: str, spec: LambdaSpec, count: int) -> lis
     return out[:count]
 
 
-def _two_each_series(order: int) -> TruncatedSeries:
-    """The weight series (1+z)/(1-z): every positive value twice."""
-    return TruncatedSeries([1] + [2] * order, order)
-
-
 @dataclass(frozen=True)
 class NamedEntry:
     build: Optional[Callable[[int], TruncatedSeries]] = None
@@ -980,8 +949,9 @@ def _instance(instance: Callable[[int], GeneralSum], **kw) -> NamedEntry:
     return NamedEntry(lambda N: instance(N).series(N), instance=instance, **kw)
 
 
-def _base_powers(base: TruncatedSeries, first: int, step: int):
-    """(j, room) -> base^(step (j-1) + first), as ``_powers``."""
+def _base_powers(pq: tuple, order: int, first: int, step: int):
+    """(j, room) -> (P/Q)^(step (j-1) + first) for pq = (P, Q), as ``_powers``."""
+    base = _rational_series(*pq, order)
     return _powers(base.pow(first), base.pow(step))
 
 
@@ -993,7 +963,7 @@ _CATALOG: dict = {
                          note="fishburn / 01"),
     "A289317": _instance(lambda N: _andrews_sum(lambda_series(LambdaSpec("odd"), N)),
                          note="fishburn / odd"),
-    "A289312": _instance(lambda N: _andrews_sum(_two_each_series(N)),
+    "A289312": _instance(lambda N: _andrews_sum(_rational_series(*_TWO_EACH, N)),
                          note="fishburn / doubled"),
     # row family
     "A158691": _instance(lambda N: _row_sum(lambda_series(ALL, N)), note="row / all"),
@@ -1002,7 +972,8 @@ _CATALOG: dict = {
                          note="row / 012"),
     "A289316": _instance(lambda N: _row_sum(lambda_series(LambdaSpec("odd"), N)),
                          note="row / odd"),
-    "A289313": _instance(lambda N: _row_sum(_two_each_series(N)), note="row / doubled"),
+    "A289313": _instance(lambda N: _row_sum(_rational_series(*_TWO_EACH, N)),
+                         note="row / doubled"),
     # exponential-weight variants (integer after multiplying by n!)
     "A158690": _instance(lambda N: GeneralSum(_exps(1)), egf=True),
     "A079144": _instance(lambda N: GeneralSum(y=_exps(-1)), egf=True),
@@ -1013,27 +984,26 @@ _CATALOG: dict = {
                                               prefactor=exp_linear(1, N)), egf=True),
     "A214687": _instance(lambda N: GeneralSum(_exps(2, 1), y=exp_linear(2, N)), egf=True),
     # ordinary power schedules
-    "A207386": _instance(lambda N: GeneralSum(_base_powers(
-        _binomial_series(N) * _indicator_inverse(3, N, alternating=True), 1, 1))),
-    "A207397": _instance(lambda N: GeneralSum(_base_powers(
-        _binomial_series(N) * _indicator_inverse(2, N, alternating=True), 1, 1))),
-    "A207556": _instance(lambda N: GeneralSum(_base_powers(_binomial_series(N), 2, 1),
-                                              y=_binomial_series(N))),
-    "A207569": _instance(lambda N: GeneralSum(_base_powers(_binomial_series(N), 1, 2))),
-    "A207570": _instance(lambda N: GeneralSum(_base_powers(_binomial_series(N), 1, 3))),
-    "A207571": _instance(lambda N: GeneralSum(_base_powers(_binomial_series(N), 2, 3))),
+    "A207386": _instance(lambda N: GeneralSum(  # (1+z)/(1+z^3)
+        _base_powers(((1, 1), (1, 0, 0, 1)), N, 1, 1))),
+    "A207397": _instance(lambda N: GeneralSum(  # (1+z)/(1+z^2)
+        _base_powers(((1, 1), (1, 0, 1)), N, 1, 1))),
+    "A207556": _instance(lambda N: GeneralSum(_base_powers(_ONE_PLUS_Z, N, 2, 1),
+                                              y=_rational_series(*_ONE_PLUS_Z, N))),
+    "A207569": _instance(lambda N: GeneralSum(_base_powers(_ONE_PLUS_Z, N, 1, 2))),
+    "A207570": _instance(lambda N: GeneralSum(_base_powers(_ONE_PLUS_Z, N, 1, 3))),
+    "A207571": _instance(lambda N: GeneralSum(_base_powers(_ONE_PLUS_Z, N, 2, 3))),
     # quotient variants, whose d_j or y_j depends on j
-    "A207652": _instance(lambda N: GeneralSum(_base_powers(_binomial_series(N), 1, 1),
-                                              d=_indicator_inverse)),
-    "A207653": _instance(lambda N: GeneralSum(
-        y=_base_powers(_one_minus_z(N), 1, 2),
-        d=lambda j, room: _indicator_inverse(2 * j - 1, room))),
-    "A207651": _instance(lambda N: GeneralSum(y=_base_powers(_one_minus_z(N), 1, 1),
-                                              d=_indicator_inverse)),
+    "A207652": _instance(lambda N: GeneralSum(_base_powers(_ONE_PLUS_Z, N, 1, 1),
+                                              d=_inverse_binomials(-1))),
+    "A207653": _instance(lambda N: GeneralSum(y=_base_powers(_ONE_MINUS_Z, N, 1, 2),
+                                              d=_inverse_binomials(-1, 1, 2))),
+    "A207651": _instance(lambda N: GeneralSum(y=_base_powers(_ONE_MINUS_Z, N, 1, 1),
+                                              d=_inverse_binomials(-1))),
     # sum_k (1+z)^{-k(k-1)} prod_j ((1+z)^{2j-1} - 1): the quadratic prefactor
     # folded into the factors leaves (1+z) - (1+z)^{2-2j}
     "A207557": _instance(lambda N: GeneralSum(
-        _binomial_series(N), y=_base_powers(_binomial_series(N).inv(), 0, 2))),
+        _rational_series(*_ONE_PLUS_Z, N), y=_base_powers(((1,), (1, 1)), N, 0, 2))),
     "A035378": NamedEntry(_variant_A035378),
     # recursive
     "A186737": NamedEntry(lambda N: recursive_gf("A186737", N)),

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence
 
-from .series import TruncatedSeries, _as_int, exp_linear
+from .series import TruncatedSeries, _as_int, _rational_series, exp_linear
 from .families import (
     LambdaLike,
     fishburn_gf,
@@ -24,7 +24,7 @@ from .families import (
     r_at_one_minus,
     row_fishburn_gf,
     variant_gf,
-    _binomial_series,
+    _ONE_PLUS_Z,
     _require_count,
     _variant_A035378_inverted,
     _variant_A035378_paired,
@@ -88,7 +88,7 @@ def verify_a207557_transform(order: int) -> IdentityReport:
     """The same transformation for the quadratic-prefactor series."""
     return _compare(
         "quadratic-prefactor transform",
-        variant_gf("A207557", order),
+        named_gf("A207557", order),
         _variant_A207557_rf(order),
     )
 
@@ -97,7 +97,7 @@ def verify_a079144_transform(order: int) -> IdentityReport:
     """Labeled variant: sum prod (1-e^{-jz})  ==  e^z sum prod e^z (e^{jz}-1)^2."""
     return _compare(
         "labeled inverse-product transform",
-        variant_gf("A079144", order),
+        named_gf("A079144", order),
         _variant_A079144_completed(order),
     )
 
@@ -146,7 +146,7 @@ def verify_a158690_forms(order: int) -> IdentityReport:
     """All five series forms of the labeled prototype agree coefficientwise,
     and the prototype is (-1)^n/2 times the q -> e^{-z} specialisation of the
     lost-notebook series."""
-    f1 = variant_gf("A158690-form1", order)
+    f1 = named_gf("A158690", order)
     parts = [
         _compare(f"form{i} vs form1", variant_gf(f"A158690-form{i}", order), f1)
         for i in range(2, 6)
@@ -169,7 +169,7 @@ def verify_r_series(order: int) -> IdentityReport:
             ramanujan_r(order, "quotient"),
         )
     ]
-    opz = _binomial_series(order)
+    opz = _rational_series(*_ONE_PLUS_Z, order)
     prim = row_fishburn_gf(opz, order)
     r = r_at_one_minus(order)
     half = TruncatedSeries(
@@ -182,7 +182,7 @@ def verify_r_series(order: int) -> IdentityReport:
 def verify_a035378_pairing(order: int) -> IdentityReport:
     """The defining sum, its inverted-power rewriting, and the explicitly
     paired form of the (z-1)-weight series all agree."""
-    a = variant_gf("A035378", order)
+    a = named_gf("A035378", order)
     parts = [
         _compare("inverted form", _variant_A035378_inverted(order), a),
         _compare("paired form", _variant_A035378_paired(order), a),
@@ -202,7 +202,7 @@ def verify_log_derivative(count: int) -> IdentityReport:
     _require_count(count)
     if count == 0:
         return _compare_terms("log-derivative recurrence", (), ())
-    f = row_fishburn_gf(_binomial_series(count), count)
+    f = row_fishburn_gf(_rational_series(*_ONE_PLUS_Z, count), count)
     a = [int(f.coeff(n)) for n in range(count + 1)]
     got = _log_weighted_terms(count)
     want = []

@@ -304,6 +304,25 @@ def optimum() -> CentralConstants:
         )
 
 
+# Half-widths of the two k-ranges in units of sigma*n^(5/8), at the working
+# precision: the per-summand validity window and the range an_approx sums.
+with mp.workdps(_DPS):
+    _WINDOW_WIDTH = mp.sqrt(2)
+_SUMMATION_WIDTH = 3
+
+
+def _k_range(n: int, width) -> Tuple[Tuple[mp.mpf, mp.mpf], range]:
+    """((k_-, k_+), ks): the bounds mu*n -+ width*sigma*n^(5/8) and the
+    integer k between them, capped to [1, n - 1]."""
+    constants = optimum()
+    with mp.workdps(_DPS):
+        center = constants.mu * n
+        spread = width * constants.sigma * mp.power(n, mp.mpf(5) / 8)
+        lo, hi = center - spread, center + spread
+        ks = range(max(1, int(mp.ceil(lo))), min(n - 1, int(mp.floor(hi))) + 1)
+    return (lo, hi), ks
+
+
 def _window_bounds(n: int) -> Tuple[mp.mpf, mp.mpf]:
     """Per-summand validity window (k_-, k_+) = mu*n -+ sqrt(2)*sigma*n^(5/8).
 
@@ -313,11 +332,7 @@ def _window_bounds(n: int) -> Tuple[mp.mpf, mp.mpf]:
     the mass of a_n outside; :func:`an_approx` therefore sums over the wider
     :func:`_summation_range`.
     """
-    constants = optimum()
-    with mp.workdps(_DPS):
-        center = constants.mu * n
-        spread = mp.sqrt(2) * constants.sigma * mp.power(n, mp.mpf(5) / 8)
-        return center - spread, center + spread
+    return _k_range(n, _WINDOW_WIDTH)[0]
 
 
 def _summation_range(n: int) -> range:
@@ -329,13 +344,7 @@ def _summation_range(n: int) -> range:
     decays faster than any power of n while the n^(5/8) scale of the
     analysis is kept.
     """
-    constants = optimum()
-    with mp.workdps(_DPS):
-        center = constants.mu * n
-        spread = 3 * constants.sigma * mp.power(n, mp.mpf(5) / 8)
-        k_lo = max(1, int(mp.ceil(center - spread)))
-        k_hi = min(n - 1, int(mp.floor(center + spread)))
-    return range(k_lo, k_hi + 1)
+    return _k_range(n, _SUMMATION_WIDTH)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -643,10 +652,15 @@ def bound_margins(modulus, angle, k: int) -> Tuple[mp.mpf, mp.mpf]:
             raise ValueError(f"|angle| must not exceed pi, got {angle!r}")
         z = mp.mpc(t * mp.cos(theta), t * mp.sin(theta))
         decay = t * theta ** 2 / mp.pi ** 2
-        factor = (mp.log(mp.expm1(t)) - decay) - mp.log(abs(mp.exp(z) - 1))
-        log_abs_prod = mp.fsum(
-            mp.log(abs(mp.exp(j * z) - 1)) for j in range(1, k + 1))
-        product = (log_product(k, t) - k * (k + 1) * decay / 2) - log_abs_prod
+        w = mp.exp(z)
+        factor = (mp.log(mp.expm1(t)) - decay) - mp.log(abs(w - 1))
+        # A_k(z) from the running powers w^j = e^{jz}: one exponential and
+        # one logarithm for all k factors, as in _sweep.
+        power = prod = mp.mpc(1)
+        for _ in range(k):
+            power *= w
+            prod *= power - 1
+        product = (log_product(k, t) - k * (k + 1) * decay / 2) - mp.log(abs(prod))
         return factor, product
 
 
@@ -734,10 +748,7 @@ def profile_rows(n: int) -> List[Tuple[int, mp.mpf, mp.mpf]]:
     _totals, rows = labeled_profile(n)
     with mp.workdps(_DPS):
         log_factorial = mp.log(mp.factorial(n))
-        k_minus, k_plus = _window_bounds(n)
-        k_lo = max(1, int(mp.ceil(k_minus)))
-        k_hi = min(n - 1, int(mp.floor(k_plus)))
         return [
             (k, mp.log(mp.mpf(rows[n][k])) - log_factorial, _log_ank(n, k))
-            for k in range(k_lo, k_hi + 1)
+            for k in _k_range(n, _WINDOW_WIDTH)[1]
         ]

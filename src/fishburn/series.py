@@ -148,8 +148,9 @@ class TruncatedSeries:
 
     @classmethod
     def geometric(cls, order: int) -> "TruncatedSeries":
-        """1/(1-z): the all-nonnegative-entries weight series."""
-        return cls((1,) * (order + 1), order)
+        """1/(1-z): the all-nonnegative-entries weight series, built by
+        ``_rational_series``, so products by it divide by 1 - z."""
+        return _rational_series((1,), (1, -1), order)
 
     # -- inspection ---------------------------------------------------
 
@@ -291,9 +292,7 @@ class TruncatedSeries:
         """z -> z/(1+z) for sign=+1, z -> z/(1-z) for sign=-1."""
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        denom_inv = TruncatedSeries(
-            [(-sign) ** n for n in range(self.order + 1)], self.order
-        )  # 1/(1 + sign*z)
+        denom_inv = _rational_series((1,), (1, sign), self.order)  # 1/(1 + sign*z)
         w = TruncatedSeries.x(self.order) * denom_inv
         return self.compose(w)
 

@@ -39,9 +39,8 @@ from fishburn.families import (
     variant_gf,
 )
 from fishburn.families import (
-    _VARIANT_BUILDERS,
+    _VARIANT_FORMS,
     _bernoulli_egf,
-    _two_each_series,
     _unpack_rows,
     r_at_one_minus,
     ramanujan_r,
@@ -123,7 +122,7 @@ class TestFamilyPrefixes:
 
     @pytest.mark.parametrize("build", [
         lambda order: named_gf("A022493", order),
-        lambda order: variant_gf("A035378", order),
+        lambda order: variant_gf("A158690-form2", order),
         lambda order: recursive_gf("A186737", order),
         # count terms are the coefficients of a series of order count - 1
         lambda order: named_sequence("A022493", order + 1),
@@ -146,11 +145,26 @@ class TestFamilyPrefixes:
 
 
 class TestLambdaSpec:
+    # The rule of each named tag in the --lambda help text, as data: the
+    # positive values up to 60 it allows (each once), its smallest entry and
+    # its smallest odd entry.
+    NAMED_RULES = {
+        "all": (range(1, 61), 1, 1),
+        "01": ((1,), 1, 1),
+        "012": ((1, 2), 1, 1),
+        "odd": (range(1, 61, 2), 1, 1),
+        "even+": (range(2, 61, 2), 2, None),
+        "no1": (range(2, 61), 2, 3),
+    }
+
     def test_named_weights(self):
-        assert [LambdaSpec("odd").weight(i) for i in range(6)] == [1, 1, 0, 1, 0, 1]
-        assert [LambdaSpec("even+").weight(i) for i in range(6)] == [1, 0, 1, 0, 1, 0]
-        assert [LambdaSpec("no1").weight(i) for i in range(5)] == [1, 0, 1, 1, 1]
-        assert [LambdaSpec("012").weight(i) for i in range(5)] == [1, 1, 1, 0, 0]
+        assert sorted(self.NAMED_RULES) == sorted(families._NAMED_TAGS)
+        for tag, (allowed, smallest, smallest_odd) in self.NAMED_RULES.items():
+            spec = LambdaSpec(tag)
+            want = [1] + [int(i in allowed) for i in range(1, 61)]
+            assert [spec.weight(i) for i in range(61)] == want, tag
+            assert spec.smallest_entry() == smallest, tag
+            assert spec.smallest_odd_entry() == smallest_odd, tag
 
     def test_custom_strips_trailing_zeros(self):
         assert LambdaSpec("custom", (1, 0, 2, 0, 0)).weights == (1, 0, 2)
@@ -347,9 +361,13 @@ class TestOrderZero:
     def test_family_gf(self, family):
         assert family_gf(family, ALL, 0) == TruncatedSeries.one(0)
 
-    @pytest.mark.parametrize("kind", sorted(_VARIANT_BUILDERS))
+    # Every named variant series: the A158690 forms of variant_gf and the
+    # catalog's variant ids, which named_gf builds.
+    @pytest.mark.parametrize("kind", sorted(_VARIANT_FORMS) + [
+        "A035378", "A079144", "A158690", "A207557", "A207651", "A207652", "A207653"])
     def test_variant_gf(self, kind):
-        assert variant_gf(kind, 0) == variant_gf(kind, 4).truncate(0)
+        build = variant_gf if kind in _VARIANT_FORMS else named_gf
+        assert build(kind, 0) == build(kind, 4).truncate(0)
 
     @pytest.mark.parametrize(
         "build",
@@ -381,7 +399,8 @@ class TestOrderZero:
 # before, such as building a power-schedule base it does not use.  The
 # stat_profile entries were recorded when profiles became one build at
 # v = 2^K; a builder that needs more has started to carry a marked running
-# power.
+# power.  A207386 and A207397 build their base (1+z)/(1+z^k) as one rational
+# series, with no product.
 MUL_PRODUCTS = {
     ("family_gf", "row-fishburn", "all"): 119,
     ("family_gf", "row-fishburn", "01"): 119,
@@ -392,25 +411,23 @@ MUL_PRODUCTS = {
     ("family_gf", "self-dual", "all"): 90,
     ("family_gf", "self-dual", "01"): 90,
     ("family_gf", "self-dual", "even+"): 45,
-    ("variant_gf", "A035378"): 180,
-    ("variant_gf", "A079144"): 30,
-    ("variant_gf", "A158690-form1"): 30,
     ("variant_gf", "A158690-form2"): 30,
     ("variant_gf", "A158690-form3"): 31,
     ("variant_gf", "A158690-form4"): 46,
     ("variant_gf", "A158690-form5"): 31,
-    ("variant_gf", "A207557"): 60,
-    ("variant_gf", "A207651"): 89,
-    ("variant_gf", "A207652"): 89,
-    ("variant_gf", "A207653"): 90,
     ("route", "_variant_A035378_inverted"): 168,
     ("route", "_variant_A035378_paired"): 168,
     ("route", "_variant_A207557_rf"): 65,
     ("route", "_variant_A079144_completed"): 46,
     ("route", "r_at_exp_neg"): 31,
     ("route", "r_at_one_minus"): 61,
-    ("named_gf", "A207386"): 60,
-    ("named_gf", "A207397"): 60,
+    ("named_gf", "A035378"): 180,
+    ("named_gf", "A207557"): 60,
+    ("named_gf", "A207651"): 89,
+    ("named_gf", "A207652"): 89,
+    ("named_gf", "A207653"): 90,
+    ("named_gf", "A207386"): 59,
+    ("named_gf", "A207397"): 59,
     ("named_gf", "A207556"): 60,
     ("named_gf", "A207569"): 60,
     ("named_gf", "A207570"): 61,
@@ -474,6 +491,20 @@ def test_bivariate_products_do_not_grow(family, stat, monkeypatch):
     calls = _count_products(monkeypatch)
     stat_profile.__wrapped__(family, stat, ALL, 30)  # past the cache
     assert 0 < calls[0] <= MUL_PRODUCTS["stat_profile", family, stat]
+
+
+def test_quotient_factors_take_the_rational_shortcut(monkeypatch):
+    # d_j = 1/(1 - z^j) is a rational series, so every product by it divides
+    calls = [0]
+    shortcut = series._mul_rational
+
+    def counting(*args):
+        calls[0] += 1
+        return shortcut(*args)
+
+    monkeypatch.setattr(series, "_mul_rational", counting)
+    named_gf("A207652", 30)
+    assert calls[0] > 0
 
 
 def test_jets_make_no_bivariate_products(monkeypatch):
@@ -558,8 +589,8 @@ class TestVariants:
             )
 
     def test_two_each_weight_series(self):
-        # (1+z)/(1-z) expands with every positive weight equal to 2
-        f = _two_each_series(6)
+        # the weight series of A289312, (1+z)/(1-z), has every positive weight 2
+        f = named_entry("A289312").instance(6).prefactor
         opz = TruncatedSeries([1, 1, 0, 0, 0, 0, 0], 6)
         omz = TruncatedSeries([1, -1, 0, 0, 0, 0, 0], 6)
         assert f == opz * omz.inv()
@@ -613,7 +644,7 @@ class TestCatalog:
 class TestLabeledFastPath:
     def test_totals_match_kernel(self):
         totals = labeled_numbers(20)
-        f = variant_gf("A158690-form1", 20)
+        f = named_gf("A158690", 20)
         for n in range(21):
             assert totals[n] == factorial(n) * f.coeff(n)
 

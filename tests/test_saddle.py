@@ -545,6 +545,25 @@ def test_bounds_strict_inside(angle):
     assert product > mp.mpf("1e-6")
 
 
+@pytest.mark.parametrize("modulus,angle,k", [
+    ("0.7", "0.5", 5), ("0.001", "3.0", 30), ("3.0", "-2.9", 30), ("1.3", "1.1", 1),
+    ("0.05", "0.01", 17),
+])
+def test_product_margin_matches_the_per_factor_sum(modulus, angle, k):
+    # the reference takes one exponential and one logarithm per factor
+    with mp.workdps(60):
+        t, theta = mp.mpf(modulus), mp.mpf(angle)
+    factor, product = bound_margins(t, theta, k)
+    with mp.workdps(60):
+        z = mp.mpc(t * mp.cos(theta), t * mp.sin(theta))
+        decay = t * theta ** 2 / mp.pi ** 2
+        log_abs = mp.fsum(mp.log(abs(mp.exp(j * z) - 1)) for j in range(1, k + 1))
+        want = (log_product(k, t) - k * (k + 1) * decay / 2) - log_abs
+        want_factor = (mp.log(mp.expm1(t)) - decay) - mp.log(abs(mp.exp(z) - 1))
+    assert abs(product - want) < mp.mpf("1e-40")
+    assert abs(factor - want_factor) < mp.mpf("1e-40")
+
+
 def test_bounds_clean_sweep():
     report = check_bounds(1000)
     assert isinstance(report, BoundReport)
