@@ -10,11 +10,14 @@ The first imports ``fishburn`` from the source directory SRC (for example
 ``src`` of a checkout) and pickles, for every builder case, either the value
 with the type of each coefficient or the error's type and message, together
 with the number of ``_mul_into`` and ``_bv_mul_into`` calls the case made.
-The builder cases call only names that exist in both trees of a comparison:
-the catalog ids go through ``named_gf`` and ``variant_gf`` builds only the
-A158690 forms 2 to 5.  Each multiset of ``MULTISETS`` also records
-``LambdaSpec.weight(i)`` for i <= ``WEIGHT_MAX`` with its smallest entry and
-smallest odd entry, and ``ramanujan_r`` is recorded at ``R_ORDERS`` as well.
+The builder cases make the same builds in both trees of a comparison: the
+catalog ids go through ``named_gf``, and each route of ``MOVED_ROUTES`` and
+the direct form of the Fishburn family are built from whichever module holds
+them, ``fishburn.identities`` or ``family_gf(..., form="direct")`` when it
+exists, else the older ``fishburn.families`` call.  Each multiset of
+``MULTISETS`` also records ``LambdaSpec.weight(i)`` for i <= ``WEIGHT_MAX``
+with its smallest entry and smallest odd entry, and both forms of R(q) are
+recorded at ``R_ORDERS`` as well.
 The ``monomial`` statistic cases record full profiles, unpacked from one
 evaluation at v = 2^K as ``stat_profile`` does, for both forms; their value
 is (order, rows), rows[n] the v-polynomial of z^n.
@@ -29,7 +32,8 @@ format, ``--digits 6``, ``saddle --profile``, distributions with and without
 a limit law, and ``verify``.  The analysis cases record ``limit_law_for``
 for every family, statistic, size and multiset of ``LAW_SIZES`` and
 ``LAW_MULTISETS`` (every field, with each mpf exact as its ``_mpf_`` tuple),
-``family_form``, ``named_form``, ``constants_small2``, ``dilog`` and
+``family_form``, ``named_form``, ``constants_small2`` (whose record holds
+both parity branches, through ``form.parity``), ``dilog`` and
 ``I_func``, and the saddle analysis: ``an_approx`` for every n of
 ``SADDLE_SIZES``, the fields ``SADDLE_FIELDS`` of ``solve_saddle(n, k)`` at
 both ends and the centre of ``_summation_range(n)``, ``log_product`` at
@@ -65,23 +69,32 @@ STAT_MULTISETS = ("all", "012", "even+")
 VARIANT_ORDERS = (0, 1, 2, 20, 40)
 NAMED_COUNTS = (1, 2, 25)
 MULTISETS = ("all", "01", "012", "odd", "even+", "no1", "1,0,2", "0,3", "custom")
-ALTERNATE_ROUTES = (
-    "_variant_A035378_inverted",
-    "_variant_A035378_paired",
-    "_variant_A207557_rf",
-    "_variant_A079144_completed",
-    "r_at_exp_neg",
-    "r_at_one_minus",
+# Each second route of an identity, by case label: its name in
+# fishburn.identities, and the call that built it from fishburn.families
+# before it moved there.
+MOVED_ROUTES = (
+    ("_variant_A035378_inverted", "_variant_A035378_inverted",
+     lambda fam, n: fam._variant_A035378_inverted(n)),
+    ("_variant_A035378_paired", "_variant_A035378_paired",
+     lambda fam, n: fam._variant_A035378_paired(n)),
+    ("_variant_A207557_rf", "_variant_A207557_rf", lambda fam, n: fam._variant_A207557_rf(n)),
+    ("_variant_A079144_completed", "_variant_A079144_completed",
+     lambda fam, n: fam._variant_A079144_completed(n)),
+    ("r_at_exp_neg", "_r_at_exp_neg", lambda fam, n: fam.r_at_exp_neg(n)),
+    ("r_at_one_minus", "_r_at_one_minus", lambda fam, n: fam.r_at_one_minus(n)),
+    ("ramanujan_r quotient", "_r_quotient", lambda fam, n: fam.ramanujan_r(n, "quotient")),
+) + tuple(
+    (f"variant_gf A158690-form{i}", f"_variant_A158690_form{i}",
+     lambda fam, n, kind=f"A158690-form{i}": fam.variant_gf(kind, n))
+    for i in range(2, 6)
 )
 TABLE_EGF = ("A196194", "A207214", "A215066", "A209832", "A214687", "A079144")
 ORDINARY = ("A207386", "A207397", "A207556", "A207569", "A207570", "A207571")
 # Catalog ids built by named_gf at VARIANT_ORDERS, besides TABLE_EGF and ORDINARY.
 NAMED_VARIANTS = ("A035378", "A158690", "A207557", "A207651", "A207652", "A207653")
-# The A158690 forms that variant_gf builds.
-VARIANT_FORMS = tuple(f"A158690-form{form}" for form in range(2, 6))
 # LambdaSpec.weight(i) is recorded for i up to this value.
 WEIGHT_MAX = 60
-# Orders of ramanujan_r recorded besides VARIANT_ORDERS.
+# Orders of both forms of R(q) recorded besides VARIANT_ORDERS.
 R_ORDERS = (30,)
 FORMATS = ("table", "csv", "json")
 LAW_SIZES = (1, 2, 9, 30, 59, 60)
@@ -157,7 +170,21 @@ def _profile(families, series, family, stat, lam, order, form):
     return _Profile(order, families._unpack_rows(packed, counts, bits))
 
 
-def _cases(families, series):
+def _moved(families, identities, name, old):
+    """order -> series of a moved route: `name` in identities, else old(families, n)."""
+    if hasattr(identities, name):
+        return getattr(identities, name)
+    return lambda n: old(families, n)
+
+
+def _direct(families, lam, n):
+    """The direct form of the Fishburn family series, from whichever builder has it."""
+    if hasattr(families, "fishburn_gf"):
+        return families.fishburn_gf(lam, n, form="direct")
+    return families.family_gf("fishburn", lam, n, form="direct")
+
+
+def _cases(families, identities, series):
     """(label, thunk) for every builder case, in a fixed order."""
     spec = families.LambdaSpec
     multisets = [
@@ -171,7 +198,7 @@ def _cases(families, series):
     for lam in multisets:
         for n in FAMILY_ORDERS:
             yield (f"fishburn_gf direct {lam.describe()} {n}",
-                   lambda l=lam, n=n: families.fishburn_gf(l, n, form="direct"))
+                   lambda l=lam, n=n: _direct(families, l, n))
     builds = [("monomial", lambda *case: _profile(families, series, *case))] + [
         (f"jet{d}", lambda f, s, l, n, fo, d=d:
          families.stat_gf(f, s, l, n, series.jet_marker(d), fo))
@@ -190,28 +217,20 @@ def _cases(families, series):
         yield (f"weight {lam.describe()}",
                lambda l=lam: tuple(l.weight(i) for i in range(WEIGHT_MAX + 1))
                + (l.smallest_entry(), l.smallest_odd_entry()))
-    for kind in VARIANT_FORMS:
-        for n in VARIANT_ORDERS:
-            yield f"variant_gf {kind} {n}", lambda k=kind, n=n: families.variant_gf(k, n)
-    routes = [(name, lambda n, name=name: getattr(families, name)(n))
-              for name in ALTERNATE_ROUTES]
+    routes = [(label, _moved(families, identities, name, old))
+              for label, name, old in MOVED_ROUTES]
     routes += [(f"table_egf {w}", lambda n, w=w: families.named_gf(w, n))
                for w in TABLE_EGF]
     routes += [(f"ordinary {w}", lambda n, w=w: families.named_gf(w, n))
                for w in ORDINARY]
     routes += [(f"named_gf {w}", lambda n, w=w: families.named_gf(w, n))
                for w in NAMED_VARIANTS]
-    routes += [(f"ramanujan_r {form}", lambda n, form=form: families.ramanujan_r(n, form))
-               for form in ("alternating", "quotient")]
+    routes += [("ramanujan_r alternating", families.ramanujan_r)]
     routes += [(f"recursive_gf {kind}", lambda n, kind=kind: families.recursive_gf(kind, n))
                for kind in ("A186737", "A224885")]
     for name, build in routes:
-        for n in VARIANT_ORDERS:
+        for n in VARIANT_ORDERS + (R_ORDERS if name.startswith("ramanujan_r") else ()):
             yield f"{name} {n}", lambda b=build, n=n: b(n)
-    for form in ("alternating", "quotient"):
-        for n in R_ORDERS:
-            yield (f"ramanujan_r {form} {n}",
-                   lambda form=form, n=n: families.ramanujan_r(n, form))
     for name in families.NAMED_IDS:
         for count in NAMED_COUNTS:
             yield (f"named_sequence {name} {count}",
@@ -253,11 +272,10 @@ def _analysis_cases(fb, saddle):
         yield (f"named_form {name}",
                lambda name=name: _record(fb.named_form(name), _digits))
     for m in (1, 2, 3):
-        for parity in (None, "even", "odd"):
-            for lam2, lam3, lam4, odd in SMALL2_WEIGHTS:
-                yield (f"constants_small2 {lam2} {lam3} {lam4} {odd} m={m} {parity}",
-                       lambda w=(lam2, lam3, lam4, odd), m=m, p=parity:
-                       _record(fb.constants_small2(*w, m=m, parity=p), _digits))
+        for lam2, lam3, lam4, odd in SMALL2_WEIGHTS:
+            yield (f"constants_small2 {lam2} {lam3} {lam4} {odd} m={m}",
+                   lambda w=(lam2, lam3, lam4, odd), m=m:
+                   _record(fb.constants_small2(*w, m=m), _digits))
     for func in (saddle.dilog, saddle.I_func):
         for x in SPECIAL_POINTS:
             yield (f"{func.__name__} {x}",
@@ -317,6 +335,7 @@ def snapshot(src: str) -> dict:
     import fishburn
     import fishburn.cli as cli
     import fishburn.families as families
+    import fishburn.identities as identities
     import fishburn.saddle as saddle
     import fishburn.series as series
 
@@ -336,7 +355,8 @@ def snapshot(src: str) -> dict:
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        cases = itertools.chain(_cases(families, series), _cli_cases(cli, Path(tmp)),
+        cases = itertools.chain(_cases(families, identities, series),
+                                _cli_cases(cli, Path(tmp)),
                                 _analysis_cases(fishburn, saddle),
                                 [("warm", lambda: _warm_case(fishburn))])
         for label, thunk in cases:

@@ -59,8 +59,6 @@ __all__ = [
     "family_form",
     "named_form",
     "ratio_sequence",
-    "refined_a158690",
-    "refined_blr",
 ]
 
 # Working precision (decimal digits) for all constant evaluation.  The
@@ -365,8 +363,7 @@ def constants_self_dual(lam1, lam2) -> AsymptoticForm:
     return constants_ext(1, 0, lam1, lam2, lam1, 0, lam2)
 
 
-def constants_small2(lam2, lam3, lam4, lam_odd=None, m: int = 1,
-                     parity: Optional[str] = None) -> AsymptoticForm:
+def constants_small2(lam2, lam3, lam4, lam_odd=None, m: int = 1) -> AsymptoticForm:
     """Fishburn constants when 1s are forbidden (smallest entry 2).
 
     ``m`` is the number of leading odd weights that vanish: lam_{2i-1} = 0
@@ -378,8 +375,7 @@ def constants_small2(lam2, lam3, lam4, lam_odd=None, m: int = 1,
       with d = e = Lambda (d1 = 0, d2 = e2 = lam2, e3 = lam3, e4 = lam4) and
       alpha = 2, without its beta > 0 check, so lam3 = 0 gives beta = 0.
     * ``m >= 2``: even and odd indices follow different forms; the result
-      carries the pair in ``parity`` (pass ``parity="even"``/``"odd"`` to
-      get one bare branch).  The even branch is the ``m = 1`` form at
+      carries the pair in ``parity``, even branch first.  The even branch is the ``m = 1`` form at
       lam3 = 0 with c doubled; the odd branch is smaller by n^(m - 3/2).
     """
     _require_positive_int("m", m)
@@ -387,14 +383,10 @@ def constants_small2(lam2, lam3, lam4, lam_odd=None, m: int = 1,
         _require_real(nm, val)
     if lam2 <= 0:
         raise ValueError("lam2 must be positive (the value 2 must be allowed)")
-    if parity not in (None, "even", "odd"):
-        raise ValueError("parity must be None, 'even' or 'odd'")
 
     if m == 1:
         if lam_odd is not None and lam_odd != lam3:
             raise ValueError("for m = 1 the smallest odd weight is lam3 itself")
-        if parity is not None:
-            raise ValueError("parity splitting only arises for m >= 2")
         return _ext_core(2, 0, 0, lam2, lam2, lam3, lam4)
 
     # m >= 2: all odd entries below 2m+1 are forbidden.
@@ -416,10 +408,6 @@ def constants_small2(lam2, lam3, lam4, lam_odd=None, m: int = 1,
         theta_odd = mp.mpf(5) / 2 - m
     even_form = dataclasses.replace(single, c=c_even)
     odd_form = dataclasses.replace(even_form, c=c_odd, n_power=theta_odd)
-    if parity == "even":
-        return even_form
-    if parity == "odd":
-        return odd_form
     return dataclasses.replace(even_form, parity=(even_form, odd_form))
 
 
@@ -525,11 +513,6 @@ def a158690_expansion(terms: int = 3) -> RefinedExpansion:
     return RefinedExpansion(c=c, rho=rho, coefficients=coeffs, falling=True)
 
 
-def refined_a158690(n: int, terms: int = 3) -> mp.mpf:
-    """Evaluate the refined A158690 expansion at ``n``."""
-    return a158690_expansion(terms).evaluate(n)
-
-
 def blr_expansion() -> RefinedExpansion:
     """Four-term refined expansion of ``[z^n] sum_k prod_j ((1+z)^j - 1)``.
 
@@ -550,11 +533,6 @@ def blr_expansion() -> RefinedExpansion:
             - 27051840 * pi2 + 709171200
         ) / 1238347284480
     return RefinedExpansion(c=c, rho=rho, coefficients=(c1, c2, c3))
-
-
-def refined_blr(n: int) -> mp.mpf:
-    """Evaluate the refined binary-labeled-row expansion at ``n``."""
-    return blr_expansion().evaluate(n)
 
 
 # ---------------------------------------------------------------------------

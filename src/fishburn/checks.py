@@ -24,9 +24,8 @@ from .asymptotics import _mpf, named_form, ratio_sequence
 from .distributions import compare, distribution, limit_law_for, stat_mean_variance
 from .families import (
     ALL,
-    FAMILIES,
+    FAMILY_STATS,
     PRIMITIVE,
-    STATS,
     LambdaSpec,
     family_series,
     fishburn_numbers,
@@ -83,7 +82,7 @@ def check_series_prefixes() -> Tuple[bool, str]:
 
 def check_oracle() -> Tuple[bool, str]:
     cells = 0
-    for family in FAMILIES:
+    for family, stats in FAMILY_STATS.items():
         for lam in (ALL, PRIMITIVE):
             gf = family_series(family, lam, 7)
             for n in range(1, 8):
@@ -93,9 +92,7 @@ def check_oracle() -> Tuple[bool, str]:
                         f"{family}[{lam.describe()}] count at n={n}: "
                         f"{len(matrices)} != {gf.coeff(n)}"
                     )
-                for stat in STATS:
-                    if family == "self-dual" and stat == "twos":
-                        continue  # no marking series exists for this pair
+                for stat in stats:
                     got = histogram(matrices, stat)
                     poly = stat_profile(family, stat, lam, 7)[n]
                     want = {v: c for v, c in enumerate(poly) if c}
@@ -324,7 +321,7 @@ def check_refined_decay() -> Tuple[bool, str]:
 
     def err(n: int) -> mp.mpf:
         exact = Fraction(labeled[n], factorial(n))
-        return abs(asymptotics.refined_a158690(n, 3) / _mpf(exact) - 1)
+        return abs(asymptotics.a158690_expansion(3).evaluate(n) / _mpf(exact) - 1)
 
     with mp.workdps(_DPS):
         ratio = err(100) / err(50)

@@ -21,6 +21,7 @@ import mpmath as mp
 
 from .asymptotics import _mpf, _require_positive_int
 from .families import (
+    FAMILY_STATS,
     STATS,
     LambdaSpec,
     _family_sum,
@@ -317,7 +318,7 @@ def limit_law_for(family: str, stat: str, lam: LambdaSpec, n: int) -> LimitLaw:
                             variable="Y_n")
         if lam1 == 0:
             return _no_ones_law(stat, lam, n)
-        if family == "self-dual" and stat == "twos":
+        if stat not in FAMILY_STATS[family]:
             raise _uncovered(family, stat, lam, "no 2s-marking series exists")
         if lam2 == 0:
             if stat == "ones":

@@ -18,14 +18,14 @@ first-order asymptotic form (``asymptotics.named_form`` and ``family_form``
 read it from the factors at j = 1, 2), so each catalogued instance and each
 family sum is written once, in ``_CATALOG`` or ``_family_sum``.  A marked
 atom (B, A, Bi) is not folded into a power: it multiplies the unmarked power
-afresh at each step, so the running power stays unmarked.  Builders whose
-factor is no such difference call
-``sum_product`` directly: the A035378 forms pair consecutive factors; and
-A158690 form 4 and fishburn/first_row's product form multiply two
-differences, the latter needing L^{j-1} and L^j together.  Every fixed
-rational factor (a weight series, 1 +- z, 1/(1 -+ z^j)) is one
-``_rational_series(P, Q, order)``, so a product by it takes ``_mul_into``'s
-P/Q shortcut when Q is not 1.
+afresh at each step, so the running power stays unmarked.  Besides
+``GeneralSum.series``, two builders call ``sum_product`` directly: the
+defining A035378 sum pairs consecutive factors, and fishburn/first_row's
+product form multiplies two differences that need L^{j-1} and L^j together.
+The second routes that the identities compare against these builders live
+in ``identities``.  Every fixed rational factor (a weight series, 1 +- z,
+1/(1 -+ z^j)) is one ``_rational_series(P, Q, order)``, so a product by it
+takes ``_mul_into``'s P/Q shortcut when Q is not 1.
 
 The row, Andrews, direct and self-dual sums serve both carriers: a weight
 series gives the counting series, a marked atom its statistic refinement.
@@ -35,6 +35,9 @@ moment jets; ``sum_product`` and ``_one`` take the carrier from their input.
 ``stat_profile`` gets every full distribution from one evaluation at
 v = 2^K, K the bit length of the largest family count: each z-coefficient
 then holds its v-polynomial as base-2^K digits (Kronecker substitution).
+
+Budget.  Every public builder rejects an order above ``_SERIES_BUDGET``
+before it builds anything, and checks the order it actually builds.
 
 Caching.  A z^n coefficient does not depend on the truncation order, so each
 builder cached by ``_largest_build`` keeps, per key (the arguments before the
@@ -68,6 +71,12 @@ from .series import (
 
 FAMILIES = ("row-fishburn", "fishburn", "self-dual")
 STATS = ("first_row", "diagonal", "ones", "twos")
+# The statistics each family has a marking series for.
+FAMILY_STATS = {
+    "row-fishburn": STATS,
+    "fishburn": STATS,
+    "self-dual": ("first_row", "diagonal", "ones"),
+}
 
 # (P, Q) with Lambda(z) = P(z)/Q(z) for each named multiset, low degree first.
 _NAMED_RATIONAL = {
@@ -112,9 +121,10 @@ _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 def _largest_build(cut, family: bool = False):
-    """Cache f(*key, order) by the module docstring's rule; cut(result, m) is
-    the result at a lower order m, and with `family` key[0] is a family name.
-    Has cache_info(), cache_clear() and __wrapped__, as a functools cache."""
+    """Cache f(*key, order) by the module docstring's rule, for an order within
+    the budget; cut(result, m) is the result at a lower order m, and with
+    `family` key[0] is a family name.  Has cache_info(), cache_clear() and
+    __wrapped__, as a functools cache."""
 
     def decorate(build):
         builds: OrderedDict = OrderedDict()  # key -> (order, result), LRU first
@@ -124,6 +134,7 @@ def _largest_build(cut, family: bool = False):
         def cached(*args):
             key = (canonical_family(args[0]),) + args[1:-1] if family else args[:-1]
             order, held = args[-1], builds.get(key)
+            _check_budget(order)
             hit = held is not None and 0 <= order <= held[0]
             counts[0 if hit else 1] += 1
             if not hit:
@@ -172,7 +183,9 @@ class LambdaSpec:
 
     def __post_init__(self):
         if self.tag == "custom":
-            ws = tuple(int(w) for w in self.weights)
+            ws = tuple(self.weights)
+            if any(isinstance(w, bool) or not isinstance(w, int) for w in ws):
+                raise ValueError(f"entry multiplicities must be ints, got {ws}")
             if any(w < 0 for w in ws):
                 raise ValueError("entry multiplicities must be nonnegative")
             while ws and ws[-1] == 0:
@@ -361,11 +374,6 @@ def _family_sum(family: str, L: Carrier) -> GeneralSum:
 # Univariate family series
 # ---------------------------------------------------------------------------
 
-def row_fishburn_gf(lam: LambdaLike, order: int) -> TruncatedSeries:
-    """sum_k prod_{1<=j<=k} (L(z)^j - 1)."""
-    return _row_sum(_as_series(lam, order)).series(order)
-
-
 def _require_entries(lam: LambdaLike) -> None:
     """Reject the empty multiset, which the Fishburn family does not admit."""
     if isinstance(lam, LambdaSpec):
@@ -376,24 +384,6 @@ def _require_entries(lam: LambdaLike) -> None:
         raise ValueError("empty entry multiset: the weight series is identically 1")
 
 
-def fishburn_gf(lam: LambdaLike, order: int, form: str = "andrews") -> TruncatedSeries:
-    """sum_k prod_{1<=j<=k} (1 - L(z)^{-j}), or the equivalent
-    L * sum_k prod_j [L * (L^j - 1)^2] obtained by Andrews's transformation.
-    """
-    _require_entries(lam)
-    L = _as_series(lam, order)
-    if form == "direct":
-        return _direct_sum(L).series(order)
-    if form == "andrews":
-        return _andrews_sum(L).series(order)
-    raise ValueError(f"unknown form {form!r}; expected 'direct' or 'andrews'")
-
-
-def self_dual_gf(lam: LambdaLike, order: int) -> TruncatedSeries:
-    """L(z) * sum_k prod_{1<=j<=k} [L(z) * (L(z^2)^j - 1)]."""
-    return _family_sum("self-dual", _as_series(lam, order)).series(order)
-
-
 def _check_budget(order: int) -> None:
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -401,11 +391,30 @@ def _check_budget(order: int) -> None:
         raise ValueError(f"order {order} exceeds the series budget ({_SERIES_BUDGET})")
 
 
-def family_gf(family: str, lam: LambdaLike, order: int) -> TruncatedSeries:
+def _check_form(family: str, form: str) -> None:
+    """Only the complete family has a direct (inverse-power) form."""
+    if form not in ("product", "direct"):
+        raise ValueError(f"unknown form {form!r}")
+    if form == "direct" and family != "fishburn":
+        raise ValueError("the direct representation exists only for family 'fishburn'")
+
+
+def family_gf(family: str, lam: LambdaLike, order: int,
+              form: str = "product") -> TruncatedSeries:
+    """A family's counting series in the weight series of `lam`:
+
+    row-fishburn  sum_k prod_{1<=j<=k} (L^j - 1)
+    fishburn      L sum_k prod_j [L (L^j - 1)^2], by Andrews's transformation
+                  of the direct form sum_k prod_j (1 - L^{-j}) (`form='direct'`)
+    self-dual     L sum_k prod_j [L (L(z^2)^j - 1)]
+    """
     _check_budget(order)
-    if canonical_family(family) == "fishburn":
+    family = canonical_family(family)
+    _check_form(family, form)
+    if family == "fishburn":
         _require_entries(lam)
-    return _family_sum(family, _as_series(lam, order)).series(order)
+    L = _as_series(lam, order)
+    return (_direct_sum(L) if form == "direct" else _family_sum(family, L)).series(order)
 
 
 @_largest_build(TruncatedSeries.truncate, family=True)
@@ -439,6 +448,7 @@ def lambda_atom(
     spec: LambdaSpec, order: int, marker: Marker, kind: str = "size"
 ) -> Carrier:
     """The weight series with entries marked in v according to `kind`."""
+    _check_budget(order)
     try:
         z_stretch, v_exp = _ATOM_KINDS[kind]
     except KeyError:
@@ -544,12 +554,11 @@ def stat_gf(
     family = canonical_family(family)
     if stat not in STATS:
         raise ValueError(f"unknown statistic {stat!r}; expected one of {STATS}")
-    if form not in ("product", "direct"):
-        raise ValueError(f"unknown form {form!r}")
-    if form == "direct" and family != "fishburn":
-        raise ValueError("the direct representation exists only for family 'fishburn'")
+    _check_form(family, form)
     if stat == "ones" and spec.weight(1) == 0:
         raise ValueError("marking 1s requires the value 1 in the multiset")
+    if stat not in FAMILY_STATS[family]:
+        raise ValueError(f"the {family} family has no 2s-marking series")
 
     if family == "row-fishburn":
         if stat == "first_row":
@@ -567,8 +576,6 @@ def stat_gf(
         return (_direct_sum(B) if form == "direct" else _andrews_sum(B)).series(order)
 
     # self-dual
-    if stat == "twos":
-        raise ValueError("the self-dual family has no 2s-marking series")
     return _self_dual_stat(spec, order, marker, stat)
 
 
@@ -687,70 +694,6 @@ def _variant_A035378(order: int) -> TruncatedSeries:
     return sum_product(factor, order, dpart=lambda K: two - odd_power(K + 1, order))
 
 
-def _variant_A035378_inverted(order: int) -> TruncatedSeries:
-    """sum_k (z-1)^{-k-1} prod_{1<=j<=k} (1 - (z-1)^{-j})^2, paired likewise."""
-    w = -TruncatedSeries.geometric(order)  # (z-1)^{-1}
-    odd_power = _powers(w, w * w)
-
-    def dpart(K):
-        p = odd_power(K + 1, order)  # (z-1)^{-(2K+1)}
-        one = TruncatedSeries.one(order)
-        q = one - p
-        return p * (one + w * (q * q))
-
-    power = _powers(w, w)
-
-    def factor(i, room):
-        a = power(2 * i - 1, room)  # (z-1)^{-(2i-1)}
-        b = power(2 * i, room)  # (z-1)^{-2i}
-        one = TruncatedSeries.one(room)
-        fa = one - a
-        fb = one - b
-        return (fa * fa) * (fb * fb)
-
-    return sum_product(factor, order, dpart=dpart)
-
-
-def _variant_A035378_paired(order: int) -> TruncatedSeries:
-    """The explicitly paired rewriting:
-    sum_K u^{2K+1} (u (1 + u^{2K+1})^2 - 1) prod_{1<=i<=K} (u^{2i-1} + 1)^2 (u^{2i} - 1)^2
-    with u = 1/(1-z).  (Odd powers enter with a + sign: they carry the
-    residual (-1)^j from the inverted-series factors.)
-    """
-    u = TruncatedSeries.geometric(order)
-    one_full = TruncatedSeries.one(order)
-    odd_power = _powers(u, u * u)
-
-    def dpart(K):
-        p = odd_power(K + 1, order)  # u^{2K+1}
-        q = one_full + p
-        return p * (u * (q * q) - one_full)
-
-    power = _powers(u, u)
-
-    def factor(i, room):
-        a = power(2 * i - 1, room)  # u^{2i-1}
-        b = power(2 * i, room)  # u^{2i}
-        one = TruncatedSeries.one(room)
-        fa = a + one
-        fb = b - one
-        return (fa * fa) * (fb * fb)
-
-    return sum_product(factor, order, dpart=dpart)
-
-
-def _variant_A207557_rf(order: int) -> TruncatedSeries:
-    """The same series after the Rogers-Fine transformation:
-    1 + z^{-1} sum_{k>=1} (1+z)^{2k+1} prod_{1<=j<=k} ((1+z)^{2j-1} - 1)^2.
-    """
-    m = order + 1
-    opz = _rational_series(*_ONE_PLUS_Z, m)
-    opz_sq = opz * opz
-    power = _powers(opz, opz_sq)  # (1+z)^{2j-1}
-    s = GeneralSum(power, d=opz_sq, alpha=2, prefactor=opz).series(m) - opz  # k >= 1 only
-    return TruncatedSeries.one(order) + s.shift_down(1)
-
-
 def _exps(a: int, b: int = 0) -> Callable[[int, int], TruncatedSeries]:
     """(j, room) -> exp((a j + b) z) at order `room`."""
     return lambda j, room: exp_linear(a * j + b, room)
@@ -763,79 +706,17 @@ def _bernoulli_egf(order: int) -> TruncatedSeries:
     return num.inv()
 
 
-def _variant_A158690_form(order: int, form: int) -> TruncatedSeries:
-    """Forms 2 to 5 of the labeled prototype; form 1 is ``named_gf("A158690")``."""
-    one = TruncatedSeries.one
-    if form == 2:
-        return GeneralSum(y=_exps(-2, 1)).series(order)
-    if form == 3:
-        em1 = exp_linear(-1, order)
-        return GeneralSum(em1, y=_exps(-2, -1), prefactor=em1).series(order)
-    if form == 4:
-        def factor(i, room):
-            f = (exp_linear(2 * i - 1, room) - one(room)) * (
-                exp_linear(2 * i, room) - one(room)
-            )
-            return exp_linear(2, room) * f
-
-        return exp_linear(1, order) * sum_product(factor, order)
-    if form == 5:
-        e1 = exp_linear(1, order)
-        inner = GeneralSum(_exps(1, 1), y=e1, prefactor=e1).series(order)
-        return (one(order) + inner).scalar_mul(Fraction(1, 2))
-    raise ValueError(f"unknown form {form}")
-
-
-def ramanujan_r(order: int, form: str = "alternating") -> TruncatedSeries:
-    """The lost-notebook series R(q), expanded in q.
-
-    alternating: 1 + sum_k (-1)^k q^{k+1} prod_{1<=j<=k} (1 - q^j)
-    quotient:    sum_k q^{k(k+1)/2} / prod_{1<=j<=k} (1 + q^j)
-
-    The two forms are the two sides of an identity.  Each is a general sum:
-    -q (1 - q^j) = q^{j+1} - q, and q^j / (1 + q^j) = 1 - 1/(1 + q^j).
+def ramanujan_r(order: int) -> TruncatedSeries:
+    """The lost-notebook series R(q) = 1 + sum_k (-1)^k q^{k+1} prod_{1<=j<=k}
+    (1 - q^j), expanded in q, as the general sum with -q (1 - q^j) =
+    q^{j+1} - q.  ``identities.verify_r_series`` compares it with the
+    quotient form sum_k q^{k(k+1)/2} / prod_{1<=j<=k} (1 + q^j).
     """
-    if form == "alternating":
-        q = TruncatedSeries.x(order)
-        s = GeneralSum(lambda j, room: _rational_series((0,) * (j + 1) + (1,), (1,), room),
-                       y=q, prefactor=q)
-        return TruncatedSeries.one(order) + s.series(order)
-    if form == "quotient":
-        return GeneralSum(y=_inverse_binomials(1)).series(order)
-    raise ValueError(f"unknown form {form!r}")
-
-
-def r_at_exp_neg(order: int) -> TruncatedSeries:
-    """R(e^{-z}) via 1 + e^{-z} sum_k prod_j (e^{-(j+1)z} - e^{-z})."""
-    em1 = exp_linear(-1, order)
-    return TruncatedSeries.one(order) + GeneralSum(_exps(-1, -1), y=em1,
-                                                   prefactor=em1).series(order)
-
-
-def r_at_one_minus(order: int) -> TruncatedSeries:
-    """R(1-z) via 1 + (1-z) sum_k prod_j ((1-z)^{j+1} - (1-z))."""
-    omz = _rational_series(*_ONE_MINUS_Z, order)
-    x = _powers(omz * omz, omz)  # (1-z)^{j+1}
-    return TruncatedSeries.one(order) + GeneralSum(x, y=omz, prefactor=omz).series(order)
-
-
-def _variant_A079144_completed(order: int) -> TruncatedSeries:
-    """e^z sum_k prod_j [e^z (e^{jz} - 1)^2] -- the transformed route."""
-    e1 = exp_linear(1, order)
-    return GeneralSum(_exps(1), d=e1, alpha=2, prefactor=e1).series(order)
-
-
-# variant_gf kind -> its form of the labeled prototype in _variant_A158690_form.
-_VARIANT_FORMS = {f"A158690-form{form}": form for form in range(2, 6)}
-
-
-def variant_gf(kind: str, order: int) -> TruncatedSeries:
-    try:
-        form = _VARIANT_FORMS[kind]
-    except KeyError:
-        raise ValueError(f"unknown variant kind {kind!r}")
     _check_budget(order)
-    return _variant_A158690_form(order, form)
+    q = TruncatedSeries.x(order)
+    s = GeneralSum(lambda j, room: _rational_series((0,) * (j + 1) + (1,), (1,), room),
+                   y=q, prefactor=q)
+    return TruncatedSeries.one(order) + s.series(order)
 
 
 # ---------------------------------------------------------------------------
@@ -850,7 +731,6 @@ def labeled_profile(n_max: int):
     rows[n][k] = n![z^n] of the k-th partial product, k = 0..n.  Both are
     integers; the computation stays in binomial-convolution integer form.
     """
-    _check_budget(n_max)
     cur = [1] + [0] * n_max
     rows = [[0] * (n + 1) for n in range(n_max + 1)]
     rows[0][0] = 1
@@ -899,6 +779,7 @@ def _glaisher_terms(count: int) -> list:
     """T_n = (2n+1)! [z^{2n+1}] sin(2z) / (2 cos(3z))."""
     _require_count(count)
     order = 2 * count
+    _check_budget(order)
     sin2 = [Fraction(0)] * (order + 1)
     cos3 = [Fraction(0)] * (order + 1)
     for m in range(0, order + 1):
@@ -916,7 +797,7 @@ def _glaisher_terms(count: int) -> list:
 
 def _log_weighted_terms(count: int) -> list:
     """b_n = n [z^n] log(row series over {0,1}), n >= 1."""
-    f = row_fishburn_gf(PRIMITIVE, count)
+    f = family_gf("row-fishburn", PRIMITIVE, count)
     g = f.derivative() * f.inv().truncate(count - 1)
     return [_as_int(g.coeff(n - 1), f"b_{n}") for n in range(1, count + 1)]
 
@@ -1009,7 +890,7 @@ _CATALOG: dict = {
     "A186737": NamedEntry(lambda N: recursive_gf("A186737", N)),
     "A224885": NamedEntry(lambda N: recursive_gf("A224885", N)),
     # special normalizations
-    "A003406": NamedEntry(lambda N: ramanujan_r(N, "alternating")),
+    "A003406": NamedEntry(ramanujan_r),
     "A002439": NamedEntry(terms=_glaisher_terms, note="odd-order tangent-like values"),
     "A207434": NamedEntry(terms=_log_weighted_terms, offset=1),
     "A175579": NamedEntry(

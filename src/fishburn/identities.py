@@ -5,6 +5,14 @@ arithmetic and reports the first mismatching coefficient, if any.  These are
 the dual-route checks backing the series builders in `families`: an identity
 holding to a substantial truncation order is strong evidence that both
 constructions implement the intended object.
+
+One side of each identity is a public builder of `families` (``family_gf``,
+``named_gf``, ``named_sequence`` or ``ramanujan_r``), built first, so an
+order above the series budget is rejected before anything is built.  The
+other side, a route no builder needs, is stated here, just above the
+verifier that compares it: a ``GeneralSum`` built from the factor helpers of
+`families`, or a ``sum_product`` for the paired A035378 forms, whose
+k-dependent prefactor is no such sum.
 """
 
 from __future__ import annotations
@@ -14,22 +22,22 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence
 
-from .series import TruncatedSeries, _as_int, _rational_series, exp_linear
+from .series import TruncatedSeries, _as_int, _rational_series, exp_linear, sum_product
 from .families import (
+    ALL,
+    PRIMITIVE,
+    GeneralSum,
     LambdaLike,
-    fishburn_gf,
+    LambdaSpec,
+    family_gf,
     named_gf,
+    named_sequence,
     ramanujan_r,
-    r_at_exp_neg,
-    r_at_one_minus,
-    row_fishburn_gf,
-    variant_gf,
+    _ONE_MINUS_Z,
     _ONE_PLUS_Z,
-    _require_count,
-    _variant_A035378_inverted,
-    _variant_A035378_paired,
-    _variant_A079144_completed,
-    _variant_A207557_rf,
+    _exps,
+    _inverse_binomials,
+    _powers,
 )
 
 
@@ -79,9 +87,21 @@ def _merge(name: str, parts: Sequence[IdentityReport]) -> IdentityReport:
 
 def verify_andrews_jelinek(lam: LambdaLike, order: int) -> IdentityReport:
     """sum_k prod_j (1 - L^{-j})  ==  L sum_k prod_j L (L^j - 1)^2, exactly."""
-    lhs = fishburn_gf(lam, order, form="direct")
-    rhs = fishburn_gf(lam, order, form="andrews")
+    lhs = family_gf("fishburn", lam, order, form="direct")
+    rhs = family_gf("fishburn", lam, order)
     return _compare("inverse-product transform", lhs, rhs)
+
+
+def _variant_A207557_rf(order: int) -> TruncatedSeries:
+    """A207557 after the Rogers-Fine transformation:
+    1 + z^{-1} sum_{k>=1} (1+z)^{2k+1} prod_{1<=j<=k} ((1+z)^{2j-1} - 1)^2.
+    """
+    m = order + 1
+    opz = _rational_series(*_ONE_PLUS_Z, m)
+    opz_sq = opz * opz
+    power = _powers(opz, opz_sq)  # (1+z)^{2j-1}
+    s = GeneralSum(power, d=opz_sq, alpha=2, prefactor=opz).series(m) - opz  # k >= 1 only
+    return TruncatedSeries.one(order) + s.shift_down(1)
 
 
 def verify_a207557_transform(order: int) -> IdentityReport:
@@ -91,6 +111,12 @@ def verify_a207557_transform(order: int) -> IdentityReport:
         named_gf("A207557", order),
         _variant_A207557_rf(order),
     )
+
+
+def _variant_A079144_completed(order: int) -> TruncatedSeries:
+    """e^z sum_k prod_j [e^z (e^{jz} - 1)^2] -- the transformed route."""
+    e1 = exp_linear(1, order)
+    return GeneralSum(_exps(1), d=e1, alpha=2, prefactor=e1).series(order)
 
 
 def verify_a079144_transform(order: int) -> IdentityReport:
@@ -108,7 +134,8 @@ def verify_a079144_transform(order: int) -> IdentityReport:
 
 def glaisher_product_terms(count: int) -> tuple:
     """T_n = 24^n n! [z^n] e^{-z/24} sum_k prod_{1<=j<=k}(1 - e^{-jz})."""
-    _require_count(count)
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     order = max(count - 1, 0)  # the series needs order >= 0; count 0 reads none of it
     f = exp_linear(Fraction(-1, 24), order) * named_gf("A079144", order)
     return tuple(_as_int(24 ** n * factorial(n) * f.coeff(n), f"T_{n}")
@@ -117,9 +144,7 @@ def glaisher_product_terms(count: int) -> tuple:
 
 def glaisher_trig_terms(count: int) -> tuple:
     """T_n = (2n+1)! [z^{2n+1}] sin(2z) / (2 cos 3z)."""
-    from .families import _glaisher_terms
-
-    return tuple(_glaisher_terms(count))
+    return tuple(named_sequence("A002439", count))
 
 
 def verify_glaisher(count: int) -> IdentityReport:
@@ -131,27 +156,63 @@ def verify_glaisher(count: int) -> IdentityReport:
     sin(2z) / (2 cos 3z).  The report indexes T_n by n; at ``count = 0`` it
     compares nothing and reports order -1.
     """
-    return _compare_terms(
-        "Glaisher odd-coefficient identity",
-        glaisher_product_terms(count),
-        glaisher_trig_terms(count),
-    )
+    trig = glaisher_trig_terms(count)  # first: it checks the budget of order 2 count
+    return _compare_terms("Glaisher odd-coefficient identity",
+                          glaisher_product_terms(count), trig)
 
 
 # ---------------------------------------------------------------------------
 # The five labeled forms and the lost-notebook series
 # ---------------------------------------------------------------------------
 
+# Forms 2 to 5 of the labeled prototype sum_k prod_j (e^{jz} - 1), which is
+# form 1, ``named_gf("A158690")``.
+
+def _variant_A158690_form2(order: int) -> TruncatedSeries:
+    """sum_k prod_j (1 - e^{-(2j-1)z})."""
+    return GeneralSum(y=_exps(-2, 1)).series(order)
+
+
+def _variant_A158690_form3(order: int) -> TruncatedSeries:
+    """e^{-z} sum_k prod_j (e^{-z} - e^{-(2j+1)z})."""
+    em1 = exp_linear(-1, order)
+    return GeneralSum(em1, y=_exps(-2, -1), prefactor=em1).series(order)
+
+
+def _variant_A158690_form4(order: int) -> TruncatedSeries:
+    """e^z sum_k prod_j e^{2z} (e^{(2j-1)z} - 1)(e^{2jz} - 1): d_j carries the
+    first difference."""
+    def d(j, room):
+        first = exp_linear(2 * j - 1, room) - TruncatedSeries.one(room)
+        return exp_linear(2, room) * first
+
+    return GeneralSum(_exps(2), d=d, prefactor=exp_linear(1, order)).series(order)
+
+
+def _variant_A158690_form5(order: int) -> TruncatedSeries:
+    """(1 + e^z sum_k prod_j (e^{(j+1)z} - e^z)) / 2."""
+    e1 = exp_linear(1, order)
+    inner = GeneralSum(_exps(1, 1), y=e1, prefactor=e1).series(order)
+    return (TruncatedSeries.one(order) + inner).scalar_mul(Fraction(1, 2))
+
+
+def _r_at_exp_neg(order: int) -> TruncatedSeries:
+    """R(e^{-z}) via 1 + e^{-z} sum_k prod_j (e^{-(j+1)z} - e^{-z})."""
+    em1 = exp_linear(-1, order)
+    return TruncatedSeries.one(order) + GeneralSum(_exps(-1, -1), y=em1,
+                                                   prefactor=em1).series(order)
+
+
 def verify_a158690_forms(order: int) -> IdentityReport:
     """All five series forms of the labeled prototype agree coefficientwise,
     and the prototype is (-1)^n/2 times the q -> e^{-z} specialisation of the
     lost-notebook series."""
     f1 = named_gf("A158690", order)
-    parts = [
-        _compare(f"form{i} vs form1", variant_gf(f"A158690-form{i}", order), f1)
-        for i in range(2, 6)
-    ]
-    r = r_at_exp_neg(order)
+    forms = (_variant_A158690_form2, _variant_A158690_form3, _variant_A158690_form4,
+             _variant_A158690_form5)
+    parts = [_compare(f"form{i} vs form1", form(order), f1)
+             for i, form in enumerate(forms, start=2)]
+    r = _r_at_exp_neg(order)
     half = TruncatedSeries(
         [Fraction((-1) ** n, 2) * r.coeff(n) for n in range(order + 1)], order
     )
@@ -159,24 +220,83 @@ def verify_a158690_forms(order: int) -> IdentityReport:
     return _merge("labeled prototype forms", parts)
 
 
+def _r_quotient(order: int) -> TruncatedSeries:
+    """R(q) = sum_k q^{k(k+1)/2} / prod_{1<=j<=k} (1 + q^j), as the general sum
+    with q^j / (1 + q^j) = 1 - 1/(1 + q^j)."""
+    return GeneralSum(y=_inverse_binomials(1)).series(order)
+
+
+def _r_at_one_minus(order: int) -> TruncatedSeries:
+    """R(1-z) via 1 + (1-z) sum_k prod_j ((1-z)^{j+1} - (1-z))."""
+    omz = _rational_series(*_ONE_MINUS_Z, order)
+    x = _powers(omz * omz, omz)  # (1-z)^{j+1}
+    return TruncatedSeries.one(order) + GeneralSum(x, y=omz, prefactor=omz).series(order)
+
+
 def verify_r_series(order: int) -> IdentityReport:
     """The two q-expansions of the lost-notebook series agree, and its
     q -> 1-z specialisation halves onto the binomial-weight row series."""
-    parts = [
-        _compare(
-            "alternating vs quotient",
-            ramanujan_r(order, "alternating"),
-            ramanujan_r(order, "quotient"),
-        )
-    ]
-    opz = _rational_series(*_ONE_PLUS_Z, order)
-    prim = row_fishburn_gf(opz, order)
-    r = r_at_one_minus(order)
+    parts = [_compare("alternating vs quotient", ramanujan_r(order), _r_quotient(order))]
+    prim = family_gf("row-fishburn", PRIMITIVE, order)
+    r = _r_at_one_minus(order)
     half = TruncatedSeries(
         [Fraction((-1) ** n, 2) * r.coeff(n) for n in range(order + 1)], order
     )
     parts.append(_compare("q -> 1-z half relation", prim, half))
     return _merge("lost-notebook series", parts)
+
+
+def _variant_A035378_inverted(order: int) -> TruncatedSeries:
+    """sum_k (z-1)^{-k-1} prod_{1<=j<=k} (1 - (z-1)^{-j})^2, consecutive terms
+    paired as in the defining sum ``named_gf("A035378")``."""
+    w = -TruncatedSeries.geometric(order)  # (z-1)^{-1}
+    odd_power = _powers(w, w * w)
+
+    def dpart(K):
+        p = odd_power(K + 1, order)  # (z-1)^{-(2K+1)}
+        one = TruncatedSeries.one(order)
+        q = one - p
+        return p * (one + w * (q * q))
+
+    power = _powers(w, w)
+
+    def factor(i, room):
+        a = power(2 * i - 1, room)  # (z-1)^{-(2i-1)}
+        b = power(2 * i, room)  # (z-1)^{-2i}
+        one = TruncatedSeries.one(room)
+        fa = one - a
+        fb = one - b
+        return (fa * fa) * (fb * fb)
+
+    return sum_product(factor, order, dpart=dpart)
+
+
+def _variant_A035378_paired(order: int) -> TruncatedSeries:
+    """The explicitly paired rewriting:
+    sum_K u^{2K+1} (u (1 + u^{2K+1})^2 - 1) prod_{1<=i<=K} (u^{2i-1} + 1)^2 (u^{2i} - 1)^2
+    with u = 1/(1-z).  (Odd powers enter with a + sign: they carry the
+    residual (-1)^j from the inverted-series factors.)
+    """
+    u = TruncatedSeries.geometric(order)
+    one_full = TruncatedSeries.one(order)
+    odd_power = _powers(u, u * u)
+
+    def dpart(K):
+        p = odd_power(K + 1, order)  # u^{2K+1}
+        q = one_full + p
+        return p * (u * (q * q) - one_full)
+
+    power = _powers(u, u)
+
+    def factor(i, room):
+        a = power(2 * i - 1, room)  # u^{2i-1}
+        b = power(2 * i, room)  # u^{2i}
+        one = TruncatedSeries.one(room)
+        fa = a + one
+        fb = b - one
+        return (fa * fa) * (fb * fb)
+
+    return sum_product(factor, order, dpart=dpart)
 
 
 def verify_a035378_pairing(order: int) -> IdentityReport:
@@ -197,14 +317,11 @@ def verify_log_derivative(count: int) -> IdentityReport:
     The report indexes b_n by n; at ``count = 0`` it compares nothing and
     reports order -1.
     """
-    from .families import _log_weighted_terms
-
-    _require_count(count)
+    got = named_sequence("A207434", count)
     if count == 0:
         return _compare_terms("log-derivative recurrence", (), ())
-    f = row_fishburn_gf(_rational_series(*_ONE_PLUS_Z, count), count)
+    f = family_gf("row-fishburn", PRIMITIVE, count)
     a = [int(f.coeff(n)) for n in range(count + 1)]
-    got = _log_weighted_terms(count)
     want = []
     for n in range(1, count + 1):
         s = n * a[n] - sum(want[j - 1] * a[n - j] for j in range(1, n))
@@ -216,8 +333,6 @@ def verify_log_derivative(count: int) -> IdentityReport:
 
 def identity_suite(order: int = 30, aj_order: int = 60) -> list:
     """The standard battery, as (name, report) pairs."""
-    from .families import ALL, PRIMITIVE, LambdaSpec
-
     out = []
     for tag, lam in (("all", ALL), ("01", PRIMITIVE), ("even+", LambdaSpec("even+"))):
         out.append((f"transform[{tag}]", verify_andrews_jelinek(lam, aj_order)))

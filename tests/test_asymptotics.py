@@ -27,8 +27,6 @@ from fishburn.asymptotics import (
     family_form,
     named_form,
     ratio_sequence,
-    refined_a158690,
-    refined_blr,
 )
 from fishburn.families import (
     ALL,
@@ -408,11 +406,9 @@ def test_small2_m2_parity_pair():
     assert odd.n_power == mp.mpf(1) / 2
     assert even.rho == odd.rho and agree(even.rho, 3 / (mp.e * mp.pi**2))
     assert even.beta == 0 and odd.beta == 0
-    # Top-level fields mirror the even branch.
+    # Top-level fields mirror the even branch, which carries no pair itself.
     assert form.c == even.c and form.n_power == even.n_power
-    # Explicit branch selection returns the bare forms.
-    assert constants_small2(1, 0, 1, 1, m=2, parity="even") == even
-    assert constants_small2(1, 0, 1, 1, m=2, parity="odd") == odd
+    assert even.parity is None and odd.parity is None
 
 
 def test_small2_m3_odd_power_drops():
@@ -429,14 +425,10 @@ def test_small2_validation():
         constants_small2(0, 1, 1)
     with pytest.raises(ValueError, match="lam3 itself"):
         constants_small2(1, 1, 1, lam_odd=2)
-    with pytest.raises(ValueError, match="parity"):
-        constants_small2(1, 1, 1, parity="even")
     with pytest.raises(ValueError, match="lam3 = 0"):
         constants_small2(1, 1, 1, 1, m=2)
     with pytest.raises(ValueError, match="2m\\+1"):
         constants_small2(1, 0, 1, m=2)
-    with pytest.raises(ValueError, match="parity must be"):
-        constants_small2(1, 0, 1, 1, m=2, parity="both")
 
 
 def test_small2_parity_branch_evaluation():
@@ -494,7 +486,7 @@ def test_refined_a158690_error_decays_cubically():
     errs = {}
     for n in (50, 100):
         exact = mp.mpf(coeffs[n].numerator) / coeffs[n].denominator
-        errs[n] = abs(refined_a158690(n, 3) / exact - 1)
+        errs[n] = abs(a158690_expansion(3).evaluate(n) / exact - 1)
     assert errs[100] < errs[50]
     ratio = errs[100] / errs[50]
     assert 0.06 < ratio < 0.25  # consistent with O(n^-3)
@@ -503,7 +495,7 @@ def test_refined_a158690_error_decays_cubically():
 def test_refined_a158690_term_count_improves():
     coeffs = _egf_coefficients(80)
     exact = mp.mpf(coeffs[80].numerator) / coeffs[80].denominator
-    errors = [abs(refined_a158690(80, t) / exact - 1) for t in (1, 2, 3)]
+    errors = [abs(a158690_expansion(t).evaluate(80) / exact - 1) for t in (1, 2, 3)]
     assert errors[0] > errors[1] > errors[2]
 
 
@@ -512,7 +504,7 @@ def test_refined_a158690_single_term_is_bare_form():
     assert exp.coefficients == ()
     n = 12
     bare = (6 * mp.sqrt(2) / mp.pi**2) * (12 / mp.pi**2) ** n * mp.factorial(n)
-    assert agree(refined_a158690(n, 1), bare)
+    assert agree(a158690_expansion(1).evaluate(n), bare)
 
 
 def test_refined_a158690_coefficients():
@@ -559,7 +551,7 @@ def test_refined_blr_tracks_exact_coefficients():
     series = family_series("row-fishburn", PRIMITIVE, 90)
     errs = {}
     for n in (30, 60, 90):
-        errs[n] = abs(refined_blr(n) / mp.mpf(series.coeff(n)) - 1)
+        errs[n] = abs(blr_expansion().evaluate(n) / mp.mpf(series.coeff(n)) - 1)
     assert errs[30] < mp.mpf("1e-7")
     assert errs[90] < errs[60] < errs[30]
 

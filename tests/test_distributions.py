@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fishburn.checks import FIRST_ROW_TRIANGLE, TREND_CELLS
-from fishburn.families import ALL, PRIMITIVE, LambdaSpec
+from fishburn.families import ALL, FAMILY_STATS, PRIMITIVE, LambdaSpec
 from fishburn.oracle import enumerate_matrices, histogram
 from fishburn.distributions import (
     ComparisonReport,
@@ -115,12 +115,12 @@ class TestExactTables:
 
 
 class TestOracleEquality:
-    @pytest.mark.parametrize("family", ["fishburn", "row-fishburn", "self-dual"])
-    @pytest.mark.parametrize("stat", ["first_row", "diagonal", "ones", "twos"])
+    @pytest.mark.parametrize("family,stat", [
+        pytest.param(family, stat, id=f"{stat}-{family}")
+        for family, stats in FAMILY_STATS.items() for stat in stats
+    ])
     @pytest.mark.parametrize("lam", [ALL, PRIMITIVE], ids=["all", "01"])
     def test_tables_match_exhaustive_enumeration(self, family, stat, lam):
-        if family == "self-dual" and stat == "twos":
-            pytest.skip("no 2s-marking series for self-dual matrices")
         for n in range(1, 7):
             table = distribution(family, stat, lam, n)
             expected = histogram(enumerate_matrices(family, lam, n), stat)

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import fishburn.families as families
 import fishburn.series as series
+from fishburn import identities
 from fishburn.checks import DIAGONAL_TRIANGLE, FIRST_ROW_TRIANGLE
 from fishburn.series import (
     TruncatedSeries,
@@ -16,12 +17,12 @@ from fishburn.series import (
 )
 from fishburn.families import (
     ALL,
+    FAMILY_STATS,
     NAMED_IDS,
     PRIMITIVE,
     LambdaSpec,
     family_gf,
     family_series,
-    fishburn_gf,
     fishburn_numbers,
     labeled_numbers,
     labeled_profile,
@@ -30,21 +31,13 @@ from fishburn.families import (
     named_entry,
     named_gf,
     named_sequence,
+    ramanujan_r,
     recursive_gf,
-    row_fishburn_gf,
-    self_dual_gf,
     stat_gf,
     stat_jet,
     stat_profile,
-    variant_gf,
 )
-from fishburn.families import (
-    _VARIANT_FORMS,
-    _bernoulli_egf,
-    _unpack_rows,
-    r_at_one_minus,
-    ramanujan_r,
-)
+from fishburn.families import _bernoulli_egf, _unpack_rows
 
 
 # Known prefixes of the main counting sequences.
@@ -61,26 +54,26 @@ def ints(f, count):
 
 class TestFamilyPrefixes:
     def test_fishburn(self):
-        assert ints(fishburn_gf(ALL, 9), 10) == FISHBURN
+        assert ints(family_gf("fishburn", ALL, 9), 10) == FISHBURN
 
     def test_fishburn_direct_form(self):
-        assert ints(fishburn_gf(ALL, 9, form="direct"), 10) == FISHBURN
+        assert ints(family_gf("fishburn", ALL, 9, form="direct"), 10) == FISHBURN
 
     def test_row(self):
-        assert ints(row_fishburn_gf(ALL, 6), 7) == ROW
+        assert ints(family_gf("row-fishburn", ALL, 6), 7) == ROW
 
     def test_row_primitive(self):
-        assert ints(row_fishburn_gf(PRIMITIVE, 6), 7) == ROW_01
+        assert ints(family_gf("row-fishburn", PRIMITIVE, 6), 7) == ROW_01
 
     def test_self_dual(self):
-        assert ints(self_dual_gf(ALL, 6), 7) == SELF_DUAL
+        assert ints(family_gf("self-dual", ALL, 6), 7) == SELF_DUAL
 
     def test_self_dual_primitive(self):
-        assert ints(self_dual_gf(PRIMITIVE, 6), 7) == SELF_DUAL_01
+        assert ints(family_gf("self-dual", PRIMITIVE, 6), 7) == SELF_DUAL_01
 
     def test_family_gf_dispatch_and_aliases(self):
-        assert family_gf("row", ALL, 5) == row_fishburn_gf(ALL, 5)
-        assert family_gf("selfdual", ALL, 5) == self_dual_gf(ALL, 5)
+        assert family_gf("row", ALL, 5) == family_gf("row-fishburn", ALL, 5)
+        assert family_gf("selfdual", ALL, 5) == family_gf("self-dual", ALL, 5)
         with pytest.raises(ValueError, match="unknown family"):
             family_gf("upper-triangular", ALL, 5)
 
@@ -122,26 +115,56 @@ class TestFamilyPrefixes:
 
     @pytest.mark.parametrize("build", [
         lambda order: named_gf("A022493", order),
-        lambda order: variant_gf("A158690-form2", order),
         lambda order: recursive_gf("A186737", order),
         # count terms are the coefficients of a series of order count - 1
         lambda order: named_sequence("A022493", order + 1),
         lambda order: named_sequence("A002439", order + 1),
-    ], ids=["named_gf", "variant_gf", "recursive_gf", "named_sequence", "named_terms"])
+    ], ids=["named_gf", "recursive_gf", "named_sequence", "named_terms"])
     def test_named_and_variant_budget(self, build):
         with pytest.raises(ValueError, match=r"order 501 exceeds the series budget \(500\)"):
+            build(families._SERIES_BUDGET + 1)
+
+    # Every public builder that takes an order, at order 501; the two
+    # named_sequence ids build a series of order above count - 1 (2 count for
+    # A002439, count for A207434).
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda n: lambda_series(ALL, n), id="lambda_series"),
+        pytest.param(lambda n: lambda_atom(ALL, n, eval_marker(2)), id="lambda_atom"),
+        pytest.param(lambda n: family_gf("self-dual", ALL, n), id="family_gf"),
+        pytest.param(lambda n: family_gf("fishburn", ALL, n, form="direct"),
+                     id="family_gf-direct"),
+        pytest.param(lambda n: family_series("row-fishburn", ALL, n), id="family_series"),
+        pytest.param(fishburn_numbers, id="fishburn_numbers"),
+        pytest.param(lambda n: stat_gf("fishburn", "ones", ALL, n, jet_marker(2)),
+                     id="stat_gf"),
+        pytest.param(lambda n: stat_profile("fishburn", "ones", ALL, n), id="stat_profile"),
+        pytest.param(lambda n: stat_jet("fishburn", "ones", ALL, n), id="stat_jet"),
+        pytest.param(lambda n: recursive_gf("A224885", n), id="recursive_gf"),
+        pytest.param(lambda n: named_gf("A003406", n), id="named_gf"),
+        pytest.param(ramanujan_r, id="ramanujan_r"),
+        pytest.param(labeled_profile, id="labeled_profile"),
+        pytest.param(labeled_numbers, id="labeled_numbers"),
+        pytest.param(lambda n: named_sequence("A002439", n), id="named_sequence-A002439"),
+        pytest.param(lambda n: named_sequence("A207434", n), id="named_sequence-A207434"),
+    ])
+    def test_every_builder_checks_the_budget(self, build):
+        with pytest.raises(ValueError, match=r"exceeds the series budget \(500\)"):
             build(families._SERIES_BUDGET + 1)
 
     def test_fishburn_numbers_fast_path(self):
         assert list(fishburn_numbers(9)) == FISHBURN
 
     def test_empty_multiset_rejected(self):
-        with pytest.raises(ValueError, match="identically 1"):
-            fishburn_gf(LambdaSpec("custom", ()), 10)
+        for form in ("product", "direct"):
+            with pytest.raises(ValueError, match="identically 1"):
+                family_gf("fishburn", LambdaSpec("custom", ()), 10, form)
 
     def test_unknown_form_rejected(self):
-        with pytest.raises(ValueError, match="unknown form"):
-            fishburn_gf(ALL, 5, form="euler")
+        for form in ("euler", "andrews"):
+            with pytest.raises(ValueError, match="unknown form"):
+                family_gf("fishburn", ALL, 5, form)
+        with pytest.raises(ValueError, match="direct representation"):
+            family_gf("row", ALL, 5, form="direct")
 
 
 class TestLambdaSpec:
@@ -172,6 +195,11 @@ class TestLambdaSpec:
     def test_custom_rejects_negative(self):
         with pytest.raises(ValueError, match="nonnegative"):
             LambdaSpec("custom", (1, -1))
+
+    @pytest.mark.parametrize("weights", [(1.5, 2), (True,), (1, False), (2, "1")])
+    def test_custom_rejects_non_int_weights(self, weights):
+        with pytest.raises(ValueError, match="must be ints"):
+            LambdaSpec("custom", weights)
 
     def test_named_tag_with_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -258,10 +286,9 @@ class TestDuality:
 
 MARGINAL_CASES = [
     (fam, stat, spec)
-    for fam in ("row-fishburn", "fishburn", "self-dual")
-    for stat in ("first_row", "diagonal", "ones", "twos")
+    for fam, stats in FAMILY_STATS.items()
+    for stat in stats
     for spec in (ALL, PRIMITIVE, LambdaSpec("012"))
-    if not (fam == "self-dual" and stat == "twos")
 ]
 
 
@@ -343,10 +370,9 @@ class TestStatSeries:
 
 STAT_CASES = [
     (fam, stat, form)
-    for fam in ("row-fishburn", "fishburn", "self-dual")
-    for stat in ("first_row", "diagonal", "ones", "twos")
+    for fam, stats in FAMILY_STATS.items()
+    for stat in stats
     for form in (("product", "direct") if fam == "fishburn" else ("product",))
-    if not (fam == "self-dual" and stat == "twos")
 ]
 
 
@@ -361,13 +387,18 @@ class TestOrderZero:
     def test_family_gf(self, family):
         assert family_gf(family, ALL, 0) == TruncatedSeries.one(0)
 
-    # Every named variant series: the A158690 forms of variant_gf and the
-    # catalog's variant ids, which named_gf builds.
-    @pytest.mark.parametrize("kind", sorted(_VARIANT_FORMS) + [
-        "A035378", "A079144", "A158690", "A207557", "A207651", "A207652", "A207653"])
-    def test_variant_gf(self, kind):
-        build = variant_gf if kind in _VARIANT_FORMS else named_gf
-        assert build(kind, 0) == build(kind, 4).truncate(0)
+    # Every named variant series: the A158690 forms 2 to 5 that
+    # identities.verify_a158690_forms compares, and the catalog's variant ids.
+    @pytest.mark.parametrize("build", [
+        pytest.param(getattr(identities, f"_variant_A158690_form{i}"), id=f"A158690-form{i}")
+        for i in range(2, 6)
+    ] + [
+        pytest.param(lambda n, kind=kind: named_gf(kind, n), id=kind)
+        for kind in ("A035378", "A079144", "A158690", "A207557", "A207651", "A207652",
+                     "A207653")
+    ])
+    def test_variant_gf(self, build):
+        assert build(0) == build(4).truncate(0)
 
     @pytest.mark.parametrize(
         "build",
@@ -375,7 +406,7 @@ class TestOrderZero:
             lambda n: recursive_gf("A186737", n),
             lambda n: recursive_gf("A224885", n),
             ramanujan_r,
-            r_at_one_minus,
+            pytest.param(identities._r_at_one_minus, id="r_at_one_minus"),
         ],
     )
     def test_order_zero_constructors(self, build):
@@ -411,16 +442,16 @@ MUL_PRODUCTS = {
     ("family_gf", "self-dual", "all"): 90,
     ("family_gf", "self-dual", "01"): 90,
     ("family_gf", "self-dual", "even+"): 45,
-    ("variant_gf", "A158690-form2"): 30,
-    ("variant_gf", "A158690-form3"): 31,
-    ("variant_gf", "A158690-form4"): 46,
-    ("variant_gf", "A158690-form5"): 31,
+    ("route", "_variant_A158690_form2"): 30,
+    ("route", "_variant_A158690_form3"): 31,
+    ("route", "_variant_A158690_form4"): 46,
+    ("route", "_variant_A158690_form5"): 31,
     ("route", "_variant_A035378_inverted"): 168,
     ("route", "_variant_A035378_paired"): 168,
     ("route", "_variant_A207557_rf"): 65,
     ("route", "_variant_A079144_completed"): 46,
-    ("route", "r_at_exp_neg"): 31,
-    ("route", "r_at_one_minus"): 61,
+    ("route", "_r_at_exp_neg"): 31,
+    ("route", "_r_at_one_minus"): 61,
     ("named_gf", "A035378"): 180,
     ("named_gf", "A207557"): 60,
     ("named_gf", "A207651"): 89,
@@ -474,10 +505,8 @@ def test_univariate_products_do_not_grow(case, monkeypatch):
     kind, name = case[:2]
     if kind == "family_gf":
         family_gf(name, LambdaSpec(case[2]), 60)
-    elif kind == "variant_gf":
-        variant_gf(name, 30)
-    elif kind == "route":
-        getattr(families, name)(30)
+    elif kind == "route":  # the second route of an identity
+        getattr(identities, name)(30)
     else:
         named_gf(name, 30)
     assert 0 < calls[0] <= MUL_PRODUCTS[case]
@@ -579,9 +608,7 @@ class TestVariants:
     def test_log_derivative_terms(self):
         # b_n = n a_n - sum b_j a_{n-j}, with a the binomial-weight row counts
         b = named_sequence("A207434", 8)
-        f = row_fishburn_gf(
-            TruncatedSeries([1, 1] + [0] * 7, 8), 8
-        )
+        f = family_gf("row-fishburn", PRIMITIVE, 8)
         a = ints(f, 9)
         for n in range(1, 9):
             assert b[n - 1] == n * a[n] - sum(
@@ -594,10 +621,6 @@ class TestVariants:
         opz = TruncatedSeries([1, 1, 0, 0, 0, 0, 0], 6)
         omz = TruncatedSeries([1, -1, 0, 0, 0, 0, 0], 6)
         assert f == opz * omz.inv()
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError, match="unknown variant kind"):
-            variant_gf("A000042", 5)
 
 
 class TestCatalog:
@@ -769,7 +792,8 @@ class TestInvariants:
     )
     def test_direct_form_equals_andrews_form(self, lam1, rest, order):
         spec = LambdaSpec("custom", (lam1, *rest))
-        assert fishburn_gf(spec, order, form="direct") == fishburn_gf(spec, order)
+        direct = family_gf("fishburn", spec, order, "direct")
+        assert direct == family_gf("fishburn", spec, order)
         for stat in families.STATS:
             direct = stat_gf("fishburn", stat, spec, order, eval_marker(2), form="direct")
             assert direct == stat_gf("fishburn", stat, spec, order, eval_marker(2)), stat
@@ -777,7 +801,7 @@ class TestInvariants:
     @settings(max_examples=25, deadline=None)
     @given(lambda_specs(), st.integers(min_value=1, max_value=10))
     def test_row_counts_nonnegative_and_bounded(self, spec, n):
-        f = row_fishburn_gf(spec, n)
+        f = family_gf("row-fishburn", spec, n)
         assert all(c >= 0 for c in f.coeffs)
         assert f.coeff(0) == 1
 
@@ -785,8 +809,8 @@ class TestInvariants:
     @given(lambda_specs(), st.integers(min_value=1, max_value=8))
     def test_fishburn_at_most_row(self, spec, n):
         # column constraints only remove matrices
-        row = row_fishburn_gf(spec, n)
-        fish = fishburn_gf(spec, n)
+        row = family_gf("row-fishburn", spec, n)
+        fish = family_gf("fishburn", spec, n)
         assert all(a <= b for a, b in zip(fish.coeffs, row.coeffs))
 
     @settings(max_examples=15, deadline=None)
@@ -794,7 +818,7 @@ class TestInvariants:
     def test_k_sum_terminates_at_valuation_bound(self, lam2, n):
         # with no 1s allowed, products vanish past k = n/2
         spec = LambdaSpec("custom", (0, lam2))
-        f = row_fishburn_gf(spec, n)
+        f = family_gf("row-fishburn", spec, n)
         g = lambda_series(spec, n)
         prod = TruncatedSeries.one(n)
         total = TruncatedSeries.one(n)

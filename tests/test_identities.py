@@ -6,9 +6,9 @@ from fishburn.families import (
     ALL,
     PRIMITIVE,
     LambdaSpec,
+    family_gf,
     named_sequence,
     ramanujan_r,
-    row_fishburn_gf,
 )
 from fishburn import identities
 from fishburn.identities import (
@@ -99,11 +99,11 @@ def test_labeled_forms_agree():
 class TestLostNotebook:
     def test_q_expansion_prefix(self):
         # hand expansion of 1 + sum (-1)^k q^{k+1} (1-q)...(1-q^k)
-        f = ramanujan_r(8, "alternating")
+        f = ramanujan_r(8)
         assert [int(f.coeff(n)) for n in range(8)] == [1, 1, -1, 2, -2, 1, 0, 1]
 
     def test_two_expansions_agree(self):
-        assert ramanujan_r(40, "alternating") == ramanujan_r(40, "quotient")
+        assert ramanujan_r(40) == identities._r_quotient(40)
 
     def test_report(self):
         rep = verify_r_series(30)
@@ -113,10 +113,8 @@ class TestLostNotebook:
         # [z^n] sum prod ((1+z)^j - 1) equals (-1)^n/2 [z^n] R(1-z)
         n = 15
         opz = TruncatedSeries([1, 1] + [0] * (n - 1), n)
-        prim = row_fishburn_gf(opz, n)
-        from fishburn.families import r_at_one_minus
-
-        r = r_at_one_minus(n)
+        prim = family_gf("row-fishburn", opz, n)
+        r = identities._r_at_one_minus(n)
         for m in range(n + 1):
             assert prim.coeff(m) == Fraction((-1) ** m, 2) * r.coeff(m)
 
@@ -139,6 +137,17 @@ def test_labeled_transform():
 def test_log_derivative_recurrence():
     rep = verify_log_derivative(25)
     assert rep.ok, str(rep)
+
+
+@pytest.mark.parametrize("verify", [
+    lambda n: verify_andrews_jelinek(ALL, n), verify_glaisher, verify_a158690_forms,
+    verify_r_series, verify_a035378_pairing, verify_a207557_transform,
+    verify_a079144_transform, verify_log_derivative,
+], ids=["andrews_jelinek", "glaisher", "a158690_forms", "r_series", "a035378_pairing",
+        "a207557_transform", "a079144_transform", "log_derivative"])
+def test_every_verifier_checks_the_budget(verify):
+    with pytest.raises(ValueError, match="exceeds the series budget"):
+        verify(501)
 
 
 def test_full_suite():

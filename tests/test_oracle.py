@@ -3,11 +3,11 @@ import pytest
 from fishburn.series import TruncatedSeries
 from fishburn.families import (
     ALL,
+    FAMILY_STATS,
     fishburn_numbers,
     PRIMITIVE,
     LambdaSpec,
     family_gf,
-    fishburn_gf,
     lambda_series,
     stat_profile,
 )
@@ -126,10 +126,9 @@ class TestPersymmetry:
 
 STAT_CASES = [
     (fam, stat, tag)
-    for fam in ("row-fishburn", "fishburn", "self-dual")
-    for stat in ("first_row", "diagonal", "ones", "twos")
+    for fam, stats in FAMILY_STATS.items()
+    for stat in stats
     for tag in ("all", "01")
-    if not (fam == "self-dual" and stat == "twos")
 ]
 
 
