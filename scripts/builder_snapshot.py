@@ -11,11 +11,13 @@ The first imports ``fishburn`` from the source directory SRC (for example
 with the type of each coefficient or the error's type and message, together
 with the number of ``_mul_into`` and ``_bv_mul_into`` calls the case made.
 The builder cases make the same builds in both trees of a comparison: the
-catalog ids go through ``named_gf``, and each route of ``MOVED_ROUTES`` and
-the direct form of the Fishburn family are built from whichever module holds
-them, ``fishburn.identities`` or ``family_gf(..., form="direct")`` when it
-exists, else the older ``fishburn.families`` call.  Each multiset of
-``MULTISETS`` also records ``LambdaSpec.weight(i)`` for i <= ``WEIGHT_MAX``
+catalog ids go through ``named_gf``, each route of ``IDENTITY_ROUTES`` is
+built from ``fishburn.identities``, and the direct forms of the Fishburn
+family and its statistics are built by the ``identities`` routes when they
+are there, else by ``family_gf`` and ``stat_gf`` with ``form="direct"``.
+The direct cases cover the multisets the Fishburn family admits (not the
+empty one) and mark the 1s only where the value 1 is allowed.  Each multiset
+of ``MULTISETS`` also records ``LambdaSpec.weight(i)`` for i <= ``WEIGHT_MAX``
 with its smallest entry and smallest odd entry, and both forms of R(q) are
 recorded at ``R_ORDERS`` as well.
 The ``monomial`` statistic cases record full profiles, unpacked from one
@@ -69,25 +71,12 @@ STAT_MULTISETS = ("all", "012", "even+")
 VARIANT_ORDERS = (0, 1, 2, 20, 40)
 NAMED_COUNTS = (1, 2, 25)
 MULTISETS = ("all", "01", "012", "odd", "even+", "no1", "1,0,2", "0,3", "custom")
-# Each second route of an identity, by case label: its name in
-# fishburn.identities, and the call that built it from fishburn.families
-# before it moved there.
-MOVED_ROUTES = (
-    ("_variant_A035378_inverted", "_variant_A035378_inverted",
-     lambda fam, n: fam._variant_A035378_inverted(n)),
-    ("_variant_A035378_paired", "_variant_A035378_paired",
-     lambda fam, n: fam._variant_A035378_paired(n)),
-    ("_variant_A207557_rf", "_variant_A207557_rf", lambda fam, n: fam._variant_A207557_rf(n)),
-    ("_variant_A079144_completed", "_variant_A079144_completed",
-     lambda fam, n: fam._variant_A079144_completed(n)),
-    ("r_at_exp_neg", "_r_at_exp_neg", lambda fam, n: fam.r_at_exp_neg(n)),
-    ("r_at_one_minus", "_r_at_one_minus", lambda fam, n: fam.r_at_one_minus(n)),
-    ("ramanujan_r quotient", "_r_quotient", lambda fam, n: fam.ramanujan_r(n, "quotient")),
-) + tuple(
-    (f"variant_gf A158690-form{i}", f"_variant_A158690_form{i}",
-     lambda fam, n, kind=f"A158690-form{i}": fam.variant_gf(kind, n))
-    for i in range(2, 6)
-)
+# The second route of each identity but the direct Fishburn forms, by its
+# name in fishburn.identities.
+IDENTITY_ROUTES = (
+    "_variant_A035378_inverted", "_variant_A035378_paired", "_variant_A207557_rf",
+    "_variant_A079144_completed", "_r_at_exp_neg", "_r_at_one_minus", "_r_quotient",
+) + tuple(f"_variant_A158690_form{i}" for i in range(2, 6))
 TABLE_EGF = ("A196194", "A207214", "A215066", "A209832", "A214687", "A079144")
 ORDINARY = ("A207386", "A207397", "A207556", "A207569", "A207570", "A207571")
 # Catalog ids built by named_gf at VARIANT_ORDERS, besides TABLE_EGF and ORDINARY.
@@ -161,26 +150,31 @@ def _describe(obj):
 _Profile = collections.namedtuple("_Profile", "order rows")
 
 
-def _profile(families, series, family, stat, lam, order, form):
-    """The full profile of one statistic in either form, unpacked from one
-    evaluation at v = 2^K as ``stat_profile`` does for the product form."""
+def _profile(families, series, build, family, stat, lam, order):
+    """The full profile that build(family, stat, lam, order, marker) gives,
+    unpacked from one evaluation at v = 2^K as ``stat_profile`` does."""
     counts = families.family_series(family, lam, order).coeffs
     bits = max(counts).bit_length()
-    packed = families.stat_gf(family, stat, lam, order, series.eval_marker(1 << bits), form)
+    packed = build(family, stat, lam, order, series.eval_marker(1 << bits))
     return _Profile(order, families._unpack_rows(packed, counts, bits))
 
 
-def _moved(families, identities, name, old):
-    """order -> series of a moved route: `name` in identities, else old(families, n)."""
-    if hasattr(identities, name):
-        return getattr(identities, name)
-    return lambda n: old(families, n)
+def _stat_builds(families, identities):
+    """{form: (family, stat, lam, order, marker) -> series}: stat_gf, and the
+    direct Fishburn form from identities, else from stat_gf(..., "direct")."""
+    if hasattr(identities, "_direct_stat"):
+        def direct(family, stat, *rest):
+            return identities._direct_stat(stat, *rest)
+    else:
+        def direct(*args):
+            return families.stat_gf(*args, "direct")
+    return {"product": families.stat_gf, "direct": direct}
 
 
-def _direct(families, lam, n):
-    """The direct form of the Fishburn family series, from whichever builder has it."""
-    if hasattr(families, "fishburn_gf"):
-        return families.fishburn_gf(lam, n, form="direct")
+def _direct_family(families, identities, lam, n):
+    """The direct form of the Fishburn family series, from whichever module has it."""
+    if hasattr(identities, "_direct_family"):
+        return identities._direct_family(lam, n)
     return families.family_gf("fishburn", lam, n, form="direct")
 
 
@@ -196,29 +190,33 @@ def _cases(families, identities, series):
                 yield (f"family_gf {fam} {lam.describe()} {n}",
                        lambda f=fam, l=lam, n=n: families.family_gf(f, l, n))
     for lam in multisets:
+        if lam.smallest_entry() is None:
+            continue
         for n in FAMILY_ORDERS:
             yield (f"fishburn_gf direct {lam.describe()} {n}",
-                   lambda l=lam, n=n: _direct(families, l, n))
-    builds = [("monomial", lambda *case: _profile(families, series, *case))] + [
-        (f"jet{d}", lambda f, s, l, n, fo, d=d:
-         families.stat_gf(f, s, l, n, series.jet_marker(d), fo))
-        for d in (1, 2, 3)
-    ]
+                   lambda l=lam, n=n: _direct_family(families, identities, l, n))
+    builds = [("monomial", lambda *case: _profile(families, series, *case))]
+    builds += [(f"jet{d}", lambda stat_build, f, s, l, n, d=d:
+                stat_build(f, s, l, n, series.jet_marker(d)))
+               for d in (1, 2, 3)]
     for fam in families.FAMILIES:
         for stat in families.STATS:
-            for form in ("product", "direct"):
+            for form, stat_build in _stat_builds(families, identities).items():
                 for name, build in builds:
                     for lam in map(spec.parse, STAT_MULTISETS):
+                        if form == "direct" and (fam != "fishburn" or
+                                                 stat == "ones" and not lam.weight(1)):
+                            continue
                         for n in STAT_ORDERS:
                             yield (f"stat_gf {fam} {stat} {form} {name} "
                                    f"{lam.describe()} {n}",
-                                   lambda b=build, case=(fam, stat, lam, n, form): b(*case))
+                                   lambda b=build, sb=stat_build, case=(fam, stat, lam, n):
+                                   b(sb, *case))
     for lam in multisets:
         yield (f"weight {lam.describe()}",
                lambda l=lam: tuple(l.weight(i) for i in range(WEIGHT_MAX + 1))
                + (l.smallest_entry(), l.smallest_odd_entry()))
-    routes = [(label, _moved(families, identities, name, old))
-              for label, name, old in MOVED_ROUTES]
+    routes = [(name, getattr(identities, name)) for name in IDENTITY_ROUTES]
     routes += [(f"table_egf {w}", lambda n, w=w: families.named_gf(w, n))
                for w in TABLE_EGF]
     routes += [(f"ordinary {w}", lambda n, w=w: families.named_gf(w, n))
@@ -229,7 +227,8 @@ def _cases(families, identities, series):
     routes += [(f"recursive_gf {kind}", lambda n, kind=kind: families.recursive_gf(kind, n))
                for kind in ("A186737", "A224885")]
     for name, build in routes:
-        for n in VARIANT_ORDERS + (R_ORDERS if name.startswith("ramanujan_r") else ()):
+        r_form = name in ("ramanujan_r alternating", "_r_quotient")
+        for n in VARIANT_ORDERS + (R_ORDERS if r_form else ()):
             yield f"{name} {n}", lambda b=build, n=n: b(n)
     for name in families.NAMED_IDS:
         for count in NAMED_COUNTS:

@@ -22,13 +22,14 @@ afresh at each step, so the running power stays unmarked.  Besides
 ``GeneralSum.series``, two builders call ``sum_product`` directly: the
 defining A035378 sum pairs consecutive factors, and fishburn/first_row's
 product form multiplies two differences that need L^{j-1} and L^j together.
-The second routes that the identities compare against these builders live
-in ``identities``.  Every fixed rational factor (a weight series, 1 +- z,
-1/(1 -+ z^j)) is one ``_rational_series(P, Q, order)``, so a product by it
-takes ``_mul_into``'s P/Q shortcut when Q is not 1.
+The second routes that the identities compare against these builders,
+among them the direct Fishburn forms, live in ``identities``.  Every fixed
+rational factor (a weight series, 1 +- z, 1/(1 -+ z^j)) is one
+``_rational_series(P, Q, order)``, so a product by it takes ``_mul_into``'s
+P/Q shortcut when Q is not 1.
 
-The row, Andrews, direct and self-dual sums serve both carriers: a weight
-series gives the counting series, a marked atom its statistic refinement.
+The row, Andrews and self-dual sums serve both carriers: a weight series
+gives the counting series, a marked atom its statistic refinement.
 The marker passed to ``stat_gf`` builds the atoms and lifted weight series
 and so picks the carrier -- TruncatedSeries for an evaluation v = c, Jet for
 moment jets; ``sum_product`` and ``_one`` take the carrier from their input.
@@ -53,7 +54,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
 from math import comb, factorial
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .series import (
     Carrier,
@@ -178,8 +179,9 @@ class LambdaSpec:
 
     tag: str
     weights: tuple = ()
-    # The expansion of P/Q that weight() reads, lengthened as i outgrows it.
-    _expansion: tuple = field(default=(), init=False, repr=False, compare=False)
+    # The expansion of P/Q through z^m, m = max(deg P, deg Q - 1), which
+    # weight() folds every i into.
+    _prefix: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tag == "custom":
@@ -199,6 +201,9 @@ class LambdaSpec:
                 f"unknown multiset tag {self.tag!r}; expected one of "
                 f"{_NAMED_TAGS} or 'custom'"
             )
+        P, Q = self.rational()
+        prefix = _rational_series(P, Q, max(len(P) - 1, len(Q) - 2)).coeffs
+        object.__setattr__(self, "_prefix", prefix)
 
     @classmethod
     def parse(cls, text: str) -> "LambdaSpec":
@@ -217,13 +222,15 @@ class LambdaSpec:
     def weight(self, i: int) -> int:
         if i < 0:
             raise ValueError("entry values are nonnegative")
-        try:
-            return self._expansion[i]
-        except IndexError:
-            # Doubling the length keeps a scan over i = 0, 1, ... O(1) per call.
-            cs = _rational_series(*self.rational(), 2 * i + 1).coeffs
-            object.__setattr__(self, "_expansion", cs)
-            return cs[i]
+        # Every Q is 1 - z^g (g = 0 for a finite multiset), so past the prefix
+        # the weights are 0 for g = 0 and w(i) = w(i - g) otherwise.
+        m = len(self._prefix) - 1
+        if i > m:
+            g = len(self.rational()[1]) - 1
+            if not g:
+                return 0
+            i = m - (m - i) % g
+        return self._prefix[i]
 
     def rational(self) -> tuple:
         """(P, Q) with the weight series 1 + sum_i weight(i) z^i = P(z)/Q(z),
@@ -241,8 +248,8 @@ class LambdaSpec:
         return self._first_allowed(2)
 
     def _first_allowed(self, step: int) -> Optional[int]:
-        # Every Q is 1 - z^g (g = 0 for a finite multiset), so past deg P the
-        # weights repeat with period g, and with the parity of i within 2g.
+        # Past deg P the weights repeat with period g (see weight), and with
+        # the parity of i within 2g.
         P, Q = self.rational()
         end = len(P) - 1 + 2 * (len(Q) - 1)
         return next((i for i in range(1, end + 1, step) if self.weight(i)), None)
@@ -256,22 +263,12 @@ class LambdaSpec:
 ALL = LambdaSpec("all")
 PRIMITIVE = LambdaSpec("01")
 
-LambdaLike = Union[LambdaSpec, TruncatedSeries]
-
 
 @_largest_build(TruncatedSeries.truncate)
 def lambda_series(spec: LambdaSpec, order: int) -> TruncatedSeries:
     """The weight series 1 + sum_i weight(i) z^i, truncated at `order`,
     expanded from ``spec.rational()``; products by it divide by Q."""
     return _rational_series(*spec.rational(), order)
-
-
-def _as_series(lam: LambdaLike, order: int) -> TruncatedSeries:
-    if isinstance(lam, LambdaSpec):
-        return lambda_series(lam, order)
-    if lam.order < order:
-        raise ValueError("weight series truncated below the requested order")
-    return lam.truncate(order) if lam.order > order else lam
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +345,6 @@ def _andrews_sum(L: Carrier) -> GeneralSum:
     return GeneralSum(_powers(L, L), d=L, alpha=2, prefactor=L)
 
 
-def _direct_sum(L: Carrier) -> GeneralSum:
-    """sum_k prod_{1<=j<=k} (1 - L^{-j})."""
-    Li = L.inv()
-    return GeneralSum(y=_powers(Li, Li))
-
-
 def _self_dual_sum(L: Carrier, L2: Carrier) -> GeneralSum:
     """L * sum_k prod_{1<=j<=k} [L (L2^j - 1)]."""
     return GeneralSum(_powers(L2, L2), d=L, prefactor=L)
@@ -374,13 +365,9 @@ def _family_sum(family: str, L: Carrier) -> GeneralSum:
 # Univariate family series
 # ---------------------------------------------------------------------------
 
-def _require_entries(lam: LambdaLike) -> None:
+def _require_entries(spec: LambdaSpec) -> None:
     """Reject the empty multiset, which the Fishburn family does not admit."""
-    if isinstance(lam, LambdaSpec):
-        empty = lam.smallest_entry() is None
-    else:
-        empty = (lam - TruncatedSeries.one(lam.order)).is_zero()
-    if empty:
+    if spec.smallest_entry() is None:
         raise ValueError("empty entry multiset: the weight series is identically 1")
 
 
@@ -391,30 +378,20 @@ def _check_budget(order: int) -> None:
         raise ValueError(f"order {order} exceeds the series budget ({_SERIES_BUDGET})")
 
 
-def _check_form(family: str, form: str) -> None:
-    """Only the complete family has a direct (inverse-power) form."""
-    if form not in ("product", "direct"):
-        raise ValueError(f"unknown form {form!r}")
-    if form == "direct" and family != "fishburn":
-        raise ValueError("the direct representation exists only for family 'fishburn'")
-
-
-def family_gf(family: str, lam: LambdaLike, order: int,
-              form: str = "product") -> TruncatedSeries:
-    """A family's counting series in the weight series of `lam`:
+def family_gf(family: str, spec: LambdaSpec, order: int) -> TruncatedSeries:
+    """A family's counting series in the weight series L of `spec`:
 
     row-fishburn  sum_k prod_{1<=j<=k} (L^j - 1)
     fishburn      L sum_k prod_j [L (L^j - 1)^2], by Andrews's transformation
-                  of the direct form sum_k prod_j (1 - L^{-j}) (`form='direct'`)
+                  of the direct form sum_k prod_j (1 - L^{-j}), which
+                  ``identities.verify_andrews_jelinek`` compares with it
     self-dual     L sum_k prod_j [L (L(z^2)^j - 1)]
     """
     _check_budget(order)
     family = canonical_family(family)
-    _check_form(family, form)
     if family == "fishburn":
-        _require_entries(lam)
-    L = _as_series(lam, order)
-    return (_direct_sum(L) if form == "direct" else _family_sum(family, L)).series(order)
+        _require_entries(spec)
+    return _family_sum(family, lambda_series(spec, order)).series(order)
 
 
 @_largest_build(TruncatedSeries.truncate, family=True)
@@ -484,16 +461,11 @@ def _row_diagonal(spec, order, marker):
     return GeneralSum(_powers(_one(B, order), Lb, B)).series(order)
 
 
-def _fishburn_first_row(spec, order, marker, form):
+def _fishburn_first_row(spec, order, marker):
+    # B * sum_k prod_j [L (B L^{j-1} - 1)(L^j - 1)]; the factor needs L^{j-1}
+    # and L^j together, so it keeps its own running power.
     B = lambda_atom(spec, order, marker, "size")
-    L = lambda_series(spec, order)
-    if form == "direct":
-        # sum_k prod_j (1 - B^{-1} L^{1-j})
-        y = _powers(_one(B, order), marker.lift(L.inv()), B.inv())
-        return GeneralSum(y=y).series(order)
-    # product form: B * sum_k prod_j [L (B L^{j-1} - 1)(L^j - 1)]; the factor
-    # needs L^{j-1} and L^j together, so it keeps its own running power.
-    Lb = marker.lift(L)
+    Lb = marker.lift(lambda_series(spec, order))
     st = [_one(B, order)]
 
     def factor(j, room):
@@ -507,16 +479,10 @@ def _fishburn_first_row(spec, order, marker, form):
     return B * sum_product(factor, order)
 
 
-def _fishburn_diagonal(spec, order, marker, form):
+def _fishburn_diagonal(spec, order, marker):
+    # B * sum_k prod_j [L (B L^{j-1} - 1)^2]
     B = lambda_atom(spec, order, marker, "size")
-    L = lambda_series(spec, order)
-    if form == "direct":
-        # B + (B - 1)^2 sum_k prod_j (B - L^{-j})
-        Li = marker.lift(L.inv())
-        bm1 = B - _one(B, order)
-        return B + (bm1 * bm1) * GeneralSum(B, y=_powers(Li, Li)).series(order)
-    # product form: B * sum_k prod_j [L (B L^{j-1} - 1)^2]
-    Lb = marker.lift(L)
+    Lb = marker.lift(lambda_series(spec, order))
     return B * GeneralSum(_powers(_one(B, order), Lb, B), d=Lb, alpha=2).series(order)
 
 
@@ -533,28 +499,18 @@ def _self_dual_stat(spec, order, marker, stat):
     return B * GeneralSum(x, d=marker.lift(L)).series(order)
 
 
-def stat_gf(
-    family: str,
-    stat: str,
-    spec: LambdaSpec,
-    order: int,
-    marker: Marker,
-    form: str = "product",
-) -> Carrier:
+def stat_gf(family: str, stat: str, spec: LambdaSpec, order: int, marker: Marker) -> Carrier:
     """Series with z marking size and v marking the statistic.
 
     The marker picks the carrier: TruncatedSeries for an evaluation marker,
-    Jet for a jet marker.  Setting v = 1 recovers the family series.
-    `form='direct'` selects the
-    alternative (inverse-power) representation where one exists; it is only
-    available for the complete family and is used to cross-check the default
-    product representation.
+    Jet for a jet marker.  Setting v = 1 recovers the family series.  The
+    Fishburn statistics also have direct (inverse-power) forms, which
+    ``identities.verify_andrews_jelinek`` compares with these.
     """
     _check_budget(order)
     family = canonical_family(family)
     if stat not in STATS:
         raise ValueError(f"unknown statistic {stat!r}; expected one of {STATS}")
-    _check_form(family, form)
     if stat == "ones" and spec.weight(1) == 0:
         raise ValueError("marking 1s requires the value 1 in the multiset")
     if stat not in FAMILY_STATS[family]:
@@ -569,11 +525,10 @@ def stat_gf(
 
     if family == "fishburn":
         if stat == "first_row":
-            return _fishburn_first_row(spec, order, marker, form)
+            return _fishburn_first_row(spec, order, marker)
         if stat == "diagonal":
-            return _fishburn_diagonal(spec, order, marker, form)
-        B = lambda_atom(spec, order, marker, stat)
-        return (_direct_sum(B) if form == "direct" else _andrews_sum(B)).series(order)
+            return _fishburn_diagonal(spec, order, marker)
+        return _andrews_sum(lambda_atom(spec, order, marker, stat)).series(order)
 
     # self-dual
     return _self_dual_stat(spec, order, marker, stat)

@@ -7,12 +7,13 @@ holding to a substantial truncation order is strong evidence that both
 constructions implement the intended object.
 
 One side of each identity is a public builder of `families` (``family_gf``,
-``named_gf``, ``named_sequence`` or ``ramanujan_r``), built first, so an
-order above the series budget is rejected before anything is built.  The
-other side, a route no builder needs, is stated here, just above the
-verifier that compares it: a ``GeneralSum`` built from the factor helpers of
-`families`, or a ``sum_product`` for the paired A035378 forms, whose
-k-dependent prefactor is no such sum.
+``stat_gf``, ``named_gf``, ``named_sequence`` or ``ramanujan_r``), built
+first, so an order above the series budget is rejected before anything is
+built.  The other side, a route no builder needs, is stated here, just above
+the verifier that compares it: a ``GeneralSum`` built from the factor helpers
+of `families`, or a ``sum_product`` for the paired A035378 forms, whose
+k-dependent prefactor is no such sum.  The direct Fishburn forms take a
+marker, as ``stat_gf`` does, so they build moment jets too.
 """
 
 from __future__ import annotations
@@ -22,21 +23,26 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence
 
-from .series import TruncatedSeries, _as_int, _rational_series, exp_linear, sum_product
+from .series import (Carrier, Marker, TruncatedSeries, _as_int, _rational_series,
+                     eval_marker, exp_linear, sum_product)
 from .families import (
     ALL,
+    FAMILY_STATS,
     PRIMITIVE,
     GeneralSum,
-    LambdaLike,
     LambdaSpec,
     family_gf,
+    lambda_atom,
+    lambda_series,
     named_gf,
     named_sequence,
     ramanujan_r,
+    stat_gf,
     _ONE_MINUS_Z,
     _ONE_PLUS_Z,
     _exps,
     _inverse_binomials,
+    _one,
     _powers,
 )
 
@@ -73,11 +79,11 @@ def _compare_terms(name: str, lhs: Sequence, rhs: Sequence) -> IdentityReport:
 
 
 def _merge(name: str, parts: Sequence[IdentityReport]) -> IdentityReport:
+    """The first failing part, named `name [part]`, else the least order compared."""
     for p in parts:
         if not p.ok:
-            return IdentityReport(
-                name, p.order, False, p.first_mismatch, p.lhs_value, p.rhs_value
-            )
+            return IdentityReport(f"{name} [{p.name}]", p.order, False,
+                                  p.first_mismatch, p.lhs_value, p.rhs_value)
     return IdentityReport(name, min(p.order for p in parts), True)
 
 
@@ -85,11 +91,48 @@ def _merge(name: str, parts: Sequence[IdentityReport]) -> IdentityReport:
 # The inverse-product / squared-product transformation
 # ---------------------------------------------------------------------------
 
-def verify_andrews_jelinek(lam: LambdaLike, order: int) -> IdentityReport:
-    """sum_k prod_j (1 - L^{-j})  ==  L sum_k prod_j L (L^j - 1)^2, exactly."""
-    lhs = family_gf("fishburn", lam, order, form="direct")
-    rhs = family_gf("fishburn", lam, order)
-    return _compare("inverse-product transform", lhs, rhs)
+def _direct_sum(L: Carrier) -> GeneralSum:
+    """sum_k prod_{1<=j<=k} (1 - L^{-j})."""
+    Li = L.inv()
+    return GeneralSum(y=_powers(Li, Li))
+
+
+def _direct_family(spec: LambdaSpec, order: int) -> TruncatedSeries:
+    """The Fishburn series in its direct form sum_k prod_j (1 - L^{-j})."""
+    return _direct_sum(lambda_series(spec, order)).series(order)
+
+
+def _direct_stat(stat: str, spec: LambdaSpec, order: int, marker: Marker) -> Carrier:
+    """The direct form of ``stat_gf("fishburn", stat, spec, order, marker)``,
+    B the atom marking the statistic:
+
+    first_row  sum_k prod_j (1 - B^{-1} L^{1-j})
+    diagonal   B + (B - 1)^2 sum_k prod_j (B - L^{-j})
+    ones/twos  sum_k prod_j (1 - B^{-j})
+    """
+    if stat in ("ones", "twos"):
+        return _direct_sum(lambda_atom(spec, order, marker, stat)).series(order)
+    B = lambda_atom(spec, order, marker, "size")
+    Li = marker.lift(lambda_series(spec, order).inv())
+    if stat == "first_row":
+        return GeneralSum(y=_powers(_one(B, order), Li, B.inv())).series(order)
+    bm1 = B - _one(B, order)
+    return B + (bm1 * bm1) * GeneralSum(B, y=_powers(Li, Li)).series(order)
+
+
+def verify_andrews_jelinek(spec: LambdaSpec, order: int) -> IdentityReport:
+    """sum_k prod_j (1 - L^{-j})  ==  L sum_k prod_j L (L^j - 1)^2, exactly,
+    for the family series through z^order and, at v = 2 through
+    z^min(order, 30), for the marking series of each Fishburn statistic
+    (the 1s only when the value 1 is allowed)."""
+    rhs = family_gf("fishburn", spec, order)
+    parts = [_compare("family", _direct_family(spec, order), rhs)]
+    m, marker = min(order, 30), eval_marker(2)
+    for stat in FAMILY_STATS["fishburn"]:
+        if stat != "ones" or spec.weight(1):
+            rhs = stat_gf("fishburn", stat, spec, m, marker)
+            parts.append(_compare(stat, _direct_stat(stat, spec, m, marker), rhs))
+    return _merge("inverse-product transform", parts)
 
 
 def _variant_A207557_rf(order: int) -> TruncatedSeries:

@@ -311,6 +311,14 @@ with mp.workdps(_DPS):
 _SUMMATION_WIDTH = 3
 
 
+def _check_size(n: int) -> None:
+    """Reject n unless it is an int from 20 (below that the central window is
+    too thin to be meaningful) up to the series budget."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 20:
+        raise ValueError(f"n must be an integer with n >= 20, got {n!r}")
+    _check_budget(n)
+
+
 def _k_range(n: int, width) -> Tuple[Tuple[mp.mpf, mp.mpf], range]:
     """((k_-, k_+), ks): the bounds mu*n -+ width*sigma*n^(5/8) and the
     integer k between them, capped to [1, n - 1]."""
@@ -518,9 +526,7 @@ def an_approx(n: int) -> mp.mpf:
     window is too thin to be meaningful below n = 20.  n above the series
     budget (500), which also bounds the exact profile, is rejected.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 20:
-        raise ValueError(f"n must be an integer >= 20, got {n!r}")
-    _check_budget(n)
+    _check_size(n)
     with mp.workdps(_DPS):
         logs = [_log_ank(n, k) for k in _summation_range(n)]
         top = max(logs)
@@ -743,8 +749,7 @@ def profile_rows(n: int) -> List[Tuple[int, mp.mpf, mp.mpf]]:
     n!), ``log_approx`` is the log of :func:`ank_approx`; both are natural
     logs at 60 digits.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 20:
-        raise ValueError(f"n must be an integer >= 20, got {n!r}")
+    _check_size(n)
     _totals, rows = labeled_profile(n)
     with mp.workdps(_DPS):
         log_factorial = mp.log(mp.factorial(n))

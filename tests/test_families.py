@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from fractions import Fraction
 from math import comb, factorial
@@ -52,12 +54,20 @@ def ints(f, count):
     return [int(f.coeff(n)) for n in range(count)]
 
 
+def build_stat(family, stat, spec, order, marker, form):
+    """stat_gf for form "product"; the identities route of the Fishburn
+    statistic's direct form for "direct"."""
+    if form == "direct":
+        return identities._direct_stat(stat, spec, order, marker)
+    return stat_gf(family, stat, spec, order, marker)
+
+
 class TestFamilyPrefixes:
     def test_fishburn(self):
         assert ints(family_gf("fishburn", ALL, 9), 10) == FISHBURN
 
     def test_fishburn_direct_form(self):
-        assert ints(family_gf("fishburn", ALL, 9, form="direct"), 10) == FISHBURN
+        assert ints(identities._direct_family(ALL, 9), 10) == FISHBURN
 
     def test_row(self):
         assert ints(family_gf("row-fishburn", ALL, 6), 7) == ROW
@@ -131,8 +141,7 @@ class TestFamilyPrefixes:
         pytest.param(lambda n: lambda_series(ALL, n), id="lambda_series"),
         pytest.param(lambda n: lambda_atom(ALL, n, eval_marker(2)), id="lambda_atom"),
         pytest.param(lambda n: family_gf("self-dual", ALL, n), id="family_gf"),
-        pytest.param(lambda n: family_gf("fishburn", ALL, n, form="direct"),
-                     id="family_gf-direct"),
+        pytest.param(lambda n: identities._direct_family(ALL, n), id="family_gf-direct"),
         pytest.param(lambda n: family_series("row-fishburn", ALL, n), id="family_series"),
         pytest.param(fishburn_numbers, id="fishburn_numbers"),
         pytest.param(lambda n: stat_gf("fishburn", "ones", ALL, n, jet_marker(2)),
@@ -155,16 +164,18 @@ class TestFamilyPrefixes:
         assert list(fishburn_numbers(9)) == FISHBURN
 
     def test_empty_multiset_rejected(self):
-        for form in ("product", "direct"):
-            with pytest.raises(ValueError, match="identically 1"):
-                family_gf("fishburn", LambdaSpec("custom", ()), 10, form)
+        empty = LambdaSpec("custom", ())
+        with pytest.raises(ValueError, match="identically 1"):
+            family_gf("fishburn", empty, 10)
+        with pytest.raises(ValueError, match="identically 1"):
+            identities.verify_andrews_jelinek(empty, 10)
 
     def test_unknown_form_rejected(self):
-        for form in ("euler", "andrews"):
-            with pytest.raises(ValueError, match="unknown form"):
-                family_gf("fishburn", ALL, 5, form)
-        with pytest.raises(ValueError, match="direct representation"):
-            family_gf("row", ALL, 5, form="direct")
+        # each builder builds one route; the direct forms are identities routes
+        with pytest.raises(TypeError, match="form"):
+            family_gf("fishburn", ALL, 5, form="direct")
+        with pytest.raises(TypeError, match="form"):
+            stat_gf("fishburn", "ones", ALL, 5, eval_marker(2), form="direct")
 
 
 class TestLambdaSpec:
@@ -188,6 +199,24 @@ class TestLambdaSpec:
             assert [spec.weight(i) for i in range(61)] == want, tag
             assert spec.smallest_entry() == smallest, tag
             assert spec.smallest_odd_entry() == smallest_odd, tag
+
+    # (weight(10**6), weight(10**6 + 1)) by each tag's rule, and for a list.
+    FAR_WEIGHTS = {"all": (1, 1), "01": (0, 0), "012": (0, 0), "odd": (0, 1),
+                   "even+": (1, 0), "no1": (1, 1), "1,2": (0, 0)}
+
+    def test_far_weights_need_no_long_expansion(self):
+        i = 10 ** 6
+        tracemalloc.start()
+        try:
+            got = {}
+            for text in self.FAR_WEIGHTS:
+                spec = LambdaSpec.parse(text)
+                got[text] = (spec.weight(i), spec.weight(i + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == self.FAR_WEIGHTS
+        assert peak < 1 << 20
 
     def test_custom_strips_trailing_zeros(self):
         assert LambdaSpec("custom", (1, 0, 2, 0, 0)).weights == (1, 0, 2)
@@ -304,7 +333,7 @@ class TestStatSeries:
         bits = max(counts).bit_length()
         a, b = (
             _unpack_rows(
-                stat_gf("fishburn", stat, ALL, 10, eval_marker(1 << bits), form),
+                build_stat("fishburn", stat, ALL, 10, eval_marker(1 << bits), form),
                 counts, bits,
             )
             for form in ("product", "direct")
@@ -320,10 +349,6 @@ class TestStatSeries:
         small = stat_gf("fishburn", "first_row", ALL, 12, eval_marker(1 << 8))
         with pytest.raises(ValueError, match="does not unpack in base 2"):
             _unpack_rows(small, counts, 8)
-
-    def test_direct_form_only_for_fishburn(self):
-        with pytest.raises(ValueError, match="direct representation"):
-            stat_gf("row-fishburn", "first_row", ALL, 5, eval_marker(2), form="direct")
 
     def test_self_dual_twos_unsupported(self):
         with pytest.raises(ValueError, match="no 2s-marking"):
@@ -380,7 +405,7 @@ class TestOrderZero:
     @pytest.mark.parametrize("family,stat,form", STAT_CASES)
     @pytest.mark.parametrize("marker", [eval_marker(2), jet_marker(2)])
     def test_stat_gf(self, family, stat, form, marker):
-        g = stat_gf(family, stat, ALL, 0, marker, form)
+        g = build_stat(family, stat, ALL, 0, marker, form)
         assert g == marker.lift(TruncatedSeries.one(0))
 
     @pytest.mark.parametrize("family", ["row-fishburn", "fishburn", "self-dual"])
@@ -547,7 +572,7 @@ def test_jets_make_no_bivariate_products(monkeypatch):
 
         monkeypatch.setattr(series, name, counting)
     for family, stat, form in STAT_CASES:
-        stat_gf(family, stat, ALL, 12, jet_marker(2), form)
+        build_stat(family, stat, ALL, 12, jet_marker(2), form)
     assert calls["_bv_mul_into"] == 0
     assert calls["_mul_into"] > 0
 
@@ -775,7 +800,7 @@ class TestInvariants:
         if form == "product":
             jet = stat_jet(family, stat, spec, order)
         else:
-            jet = stat_gf(family, stat, spec, order, jet_marker(2), form)
+            jet = build_stat(family, stat, spec, order, jet_marker(2), form)
         prof = stat_profile(family, stat, spec, order)
         for n in range(order + 1):
             row = prof[n]
@@ -791,12 +816,9 @@ class TestInvariants:
         st.integers(min_value=0, max_value=15),
     )
     def test_direct_form_equals_andrews_form(self, lam1, rest, order):
-        spec = LambdaSpec("custom", (lam1, *rest))
-        direct = family_gf("fishburn", spec, order, "direct")
-        assert direct == family_gf("fishburn", spec, order)
-        for stat in families.STATS:
-            direct = stat_gf("fishburn", stat, spec, order, eval_marker(2), form="direct")
-            assert direct == stat_gf("fishburn", stat, spec, order, eval_marker(2)), stat
+        # the family series and every statistic, 1s included since lam1 > 0
+        rep = identities.verify_andrews_jelinek(LambdaSpec("custom", (lam1, *rest)), order)
+        assert rep.ok, str(rep)
 
     @settings(max_examples=25, deadline=None)
     @given(lambda_specs(), st.integers(min_value=1, max_value=10))

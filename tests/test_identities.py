@@ -40,6 +40,21 @@ def test_inverse_product_transform(lam):
     assert rep.ok, str(rep)
 
 
+@pytest.mark.parametrize("stat", ["first_row", "diagonal", "ones", "twos"])
+def test_transform_names_a_failing_statistic(stat, monkeypatch):
+    direct = identities._direct_stat
+
+    def perturbed(s, spec, order, marker):
+        g = direct(s, spec, order, marker)
+        return g + TruncatedSeries.x(order).pow(5) if s == stat else g
+
+    monkeypatch.setattr(identities, "_direct_stat", perturbed)
+    rep = verify_andrews_jelinek(ALL, 12)
+    assert not rep.ok
+    assert rep.first_mismatch == 5
+    assert f"[{stat}]" in str(rep)
+
+
 def test_transform_report_carries_first_mismatch():
     lhs = TruncatedSeries([1, 1, 3], 2)
     rhs = TruncatedSeries([1, 1, 2], 2)
@@ -112,8 +127,7 @@ class TestLostNotebook:
     def test_binomial_row_half_relation_explicitly(self):
         # [z^n] sum prod ((1+z)^j - 1) equals (-1)^n/2 [z^n] R(1-z)
         n = 15
-        opz = TruncatedSeries([1, 1] + [0] * (n - 1), n)
-        prim = family_gf("row-fishburn", opz, n)
+        prim = family_gf("row-fishburn", PRIMITIVE, n)  # weight series 1 + z
         r = identities._r_at_one_minus(n)
         for m in range(n + 1):
             assert prim.coeff(m) == Fraction((-1) ** m, 2) * r.coeff(m)
