@@ -12,14 +12,13 @@ with the type of each coefficient or the error's type and message, together
 with the number of ``_mul_into`` and ``_bv_mul_into`` calls the case made.
 The builder cases make the same builds in both trees of a comparison: the
 catalog ids go through ``named_gf``, each route of ``IDENTITY_ROUTES`` is
-built from ``fishburn.identities``, and the direct forms of the Fishburn
-family and its statistics are built by the ``identities`` routes when they
-are there, else by ``family_gf`` and ``stat_gf`` with ``form="direct"``.
-The direct cases cover the multisets the Fishburn family admits (not the
-empty one) and mark the 1s only where the value 1 is allowed.  Each multiset
-of ``MULTISETS`` also records ``LambdaSpec.weight(i)`` for i <= ``WEIGHT_MAX``
-with its smallest entry and smallest odd entry, and both forms of R(q) are
-recorded at ``R_ORDERS`` as well.
+built from ``fishburn.identities``, and so are the direct forms of the
+Fishburn family and its statistics.  The direct cases cover the multisets
+the Fishburn family admits (not the empty one) and mark the 1s only where
+the value 1 is allowed.  Each multiset of ``MULTISETS`` also records
+``LambdaSpec.weight(i)`` for i <= ``WEIGHT_MAX`` with its smallest entry and
+smallest odd entry, and both forms of R(q) are recorded at ``R_ORDERS`` as
+well.
 The ``monomial`` statistic cases record full profiles, unpacked from one
 evaluation at v = 2^K as ``stat_profile`` does, for both forms; their value
 is (order, rows), rows[n] the v-polynomial of z^n.
@@ -161,21 +160,10 @@ def _profile(families, series, build, family, stat, lam, order):
 
 def _stat_builds(families, identities):
     """{form: (family, stat, lam, order, marker) -> series}: stat_gf, and the
-    direct Fishburn form from identities, else from stat_gf(..., "direct")."""
-    if hasattr(identities, "_direct_stat"):
-        def direct(family, stat, *rest):
-            return identities._direct_stat(stat, *rest)
-    else:
-        def direct(*args):
-            return families.stat_gf(*args, "direct")
+    direct Fishburn form from identities."""
+    def direct(family, stat, *rest):
+        return identities._direct_stat(stat, *rest)
     return {"product": families.stat_gf, "direct": direct}
-
-
-def _direct_family(families, identities, lam, n):
-    """The direct form of the Fishburn family series, from whichever module has it."""
-    if hasattr(identities, "_direct_family"):
-        return identities._direct_family(lam, n)
-    return families.family_gf("fishburn", lam, n, form="direct")
 
 
 def _cases(families, identities, series):
@@ -194,7 +182,7 @@ def _cases(families, identities, series):
             continue
         for n in FAMILY_ORDERS:
             yield (f"fishburn_gf direct {lam.describe()} {n}",
-                   lambda l=lam, n=n: _direct_family(families, identities, l, n))
+                   lambda l=lam, n=n: identities._direct_family(l, n))
     builds = [("monomial", lambda *case: _profile(families, series, *case))]
     builds += [(f"jet{d}", lambda stat_build, f, s, l, n, d=d:
                 stat_build(f, s, l, n, series.jet_marker(d)))

@@ -15,12 +15,12 @@ coefficients against the predicted forms.  :func:`family_form` is the one
 place that picks the form, and names its regime, for a matrix family and
 entry multiset; the CLI and the verification battery both ask it.
 
-The ``constants_*`` functions state the paper's theorems.  A series that is
-an instance of the general sum (a ``families.GeneralSum``) is not restated
-here: :func:`named_form` and :func:`family_form` read alpha, omega, d1, d2
-and e1..e4 from the instance's own factors and call
-:func:`constants_general` (e1 > 0) or :func:`constants_ext` (e1 = 0).  Only
-the ids whose series is no such instance keep explicit forms.
+The ``constants_*`` functions state the paper's theorems and no family or
+catalogued series: :func:`family_form` and :func:`named_form` read alpha,
+omega, d1, d2 and e1..e4 from a ``families.GeneralSum`` instance's own
+factors and call :func:`constants_general` (e1 > 0) or :func:`constants_ext`
+(e1 = 0).  Of the ids whose series is no such instance, six take a family's
+form and two keep their printed constants.
 
 Naming convention for the inputs: ``lam1, lam2, ...`` are the weights
 ``Lambda(z) = 1 + lam1*z + lam2*z^2 + ...`` of the entry multiset, while
@@ -39,7 +39,9 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import mpmath as mp
 
-from .families import GeneralSum, LambdaSpec, _family_sum, lambda_series, named_entry
+from .families import (
+    ALL, PRIMITIVE, GeneralSum, LambdaSpec, _family_sum, lambda_series, named_entry,
+)
 
 __all__ = [
     "AsymptoticForm",
@@ -49,12 +51,8 @@ __all__ = [
     "a158690_expansion",
     "blr_expansion",
     "constants_ext",
-    "constants_fishburn",
-    "constants_fractional",
     "constants_general",
     "constants_proto",
-    "constants_row_fishburn",
-    "constants_self_dual",
     "constants_small2",
     "family_form",
     "named_form",
@@ -235,51 +233,6 @@ def constants_general(alpha: int, omega, d1, e1, e2) -> AsymptoticForm:
     )
 
 
-def constants_row_fishburn(lam1, lam2) -> AsymptoticForm:
-    """Constants for row-Fishburn matrix counts with entry weights Lambda.
-
-    ``lam1`` and ``lam2`` are the weights of the values 1 and 2.  The count
-    grows like c * rho^n * n^(n + 1/2) with rho = 12*lam1/(e*pi^2).
-    """
-    if lam1 <= 0:
-        raise ValueError(
-            "lam1 = 0 (no 1s allowed) leaves the square-root-exponent "
-            "regime; use constants_small2"
-        )
-    return constants_general(1, 0, 0, lam1, lam2)
-
-
-def constants_fishburn(lam1, lam2) -> AsymptoticForm:
-    """Constants for (complete) Fishburn matrix counts with weights Lambda.
-
-    Same conventions as :func:`constants_row_fishburn`; the complete family
-    squares the product factors, so alpha = 2 and the growth is
-    c * rho^n * n^(n+1) with rho = 6*lam1/(e*pi^2).
-    """
-    if lam1 <= 0:
-        raise ValueError(
-            "lam1 = 0 (no 1s allowed) leaves the square-root-exponent "
-            "regime; use constants_small2"
-        )
-    return constants_general(2, 0, lam1, lam1, lam2)
-
-
-def constants_fractional(p, s) -> AsymptoticForm:
-    """Constants for products over a residue class: factors ``(1+z)^(pj-s)-1``.
-
-    Requires ``0 < s < p``.  The growth is c * rho^n * n^(n + 1/2 - s/p),
-    a genuinely fractional power shift; this is
-    ``constants_general(1, -s/p, 0, p, p*(p-1)/2)``.
-    """
-    _require_real("p", p)
-    _require_real("s", s)
-    if not 0 < s < p:
-        raise ValueError(f"need 0 < s < p, got s={s!r}, p={p!r}")
-    with mp.workdps(_DPS):
-        omega, e2 = -_mpf(s) / _mpf(p), _mpf(p) * (_mpf(p) - 1) / 2
-    return constants_general(1, omega, 0, p, e2)
-
-
 def constants_ext(alpha: int, omega, d1, d2, e2, e3, e4) -> AsymptoticForm:
     """Constants in the ``e1 = 0`` regime (smallest product entry is 2).
 
@@ -347,20 +300,6 @@ def _ext_core(alpha: int, omega, d1, d2, e2, e3, e4) -> AsymptoticForm:
         c=c, rho=rho, n_power=theta, beta=beta,
         half_exponent=True, bound_only=_is_negative_integer(omega),
     )
-
-
-def constants_self_dual(lam1, lam2) -> AsymptoticForm:
-    """Constants for self-dual Fishburn matrix counts with weights Lambda.
-
-    Specializes :func:`constants_ext` with d = Lambda(z), e = Lambda(z^2):
-    d1 = e2 = lam1, d2 = e4 = lam2 and e3 = 0.
-    """
-    if lam1 <= 0:
-        raise ValueError(
-            "lam1 = 0 (no 1s allowed) leaves the square-root-exponent "
-            "regime; use constants_small2"
-        )
-    return constants_ext(1, 0, lam1, lam2, lam1, 0, lam2)
 
 
 def constants_small2(lam2, lam3, lam4, lam_odd=None, m: int = 1) -> AsymptoticForm:
@@ -581,7 +520,7 @@ def ratio_sequence(exact: Sequence, form: AsymptoticForm,
     ``exact`` is indexed by n (``exact[n]`` is the n-th coefficient), so a
     plain coefficient list works directly.  All requested terms must be
     positive; Richardson extrapolation uses the largest two or three
-    requested n.
+    requested n, and the correction exponent needs three.
     """
     ns = sorted(set(int(n) for n in n_values))
     if len(ns) < 2:
@@ -611,7 +550,8 @@ def ratio_sequence(exact: Sequence, form: AsymptoticForm,
         exponent = None
         e1 = abs(ratios[0] - limit)
         e2 = abs(ratios[1] - limit)
-        if e1 > 0 and e2 > 0 and hs[1] != hs[0]:
+        # From two sizes the limit makes |ratio - limit| ~ 1/h exactly.
+        if len(ns) > 2 and e1 > 0 and e2 > 0:
             exponent = mp.log(e1 / e2) / mp.log(hs[1] / hs[0])
     return ConvergenceReport(
         n_values=tuple(ns),
@@ -645,20 +585,22 @@ _DERIVED_IDS = (
 def _explicit_forms() -> Dict[str, Callable[[], AsymptoticForm]]:
     """Forms of the ids whose series is no such instance."""
     pi = mp.pi
+
+    def row(lam: LambdaSpec) -> AsymptoticForm:
+        return family_form("row-fishburn", lam)[0]
+
     return {
         # d_j = 1/(1 - z^j) or 1/(1 - z^(2j-1)) depends on j; the forms are
         # the primitive row-Fishburn and Fishburn ones.
-        "A207652": lambda: constants_row_fishburn(1, 0),
-        "A207653": lambda: constants_row_fishburn(1, 1),
-        "A207651": lambda: constants_fishburn(1, 1),
-        "A207434": lambda: dataclasses.replace(
-            constants_row_fishburn(1, 0), n_power=mp.mpf(3) / 2,
-        ),
+        "A207652": lambda: row(PRIMITIVE),
+        "A207653": lambda: row(LambdaSpec("012")),
+        "A207651": lambda: family_form("fishburn", ALL)[0],
+        "A207434": lambda: dataclasses.replace(row(PRIMITIVE), n_power=mp.mpf(3) / 2),
         # Row-Fishburn sums weighted by the sequence's own series f:
         # Lambda = 1 + z*f (lam1 = f_0, lam2 = f_1) and Lambda = f
         # (lam1 = f_1, lam2 = f_2).
-        "A186737": lambda: constants_row_fishburn(1, 1),
-        "A224885": lambda: constants_row_fishburn(1, 2),
+        "A186737": lambda: row(LambdaSpec("012")),
+        "A224885": lambda: row(LambdaSpec("custom", (1, 2))),
         # Sequences with their own printed constants.
         "A035378": lambda: _explicit(
             lambda: 48 * mp.sqrt(3) / pi**2 * mp.exp(pi**2 / 48),
@@ -680,7 +622,7 @@ TABLE_IDS: Tuple[str, ...] = tuple(sorted(_DERIVED_IDS + tuple(_EXPLICIT_FORMS))
 
 def named_form(name: str) -> AsymptoticForm:
     """Asymptotic form for a catalogued OEIS id (see ``TABLE_IDS``): derived
-    from the id's general-sum instance, or stated for the other ids."""
+    from the id's general-sum instance or a family's, or stated (two ids)."""
     if name in _DERIVED_IDS:
         form = _general_sum_form(named_entry(name).instance(4))
     elif name in _EXPLICIT_FORMS:

@@ -20,7 +20,7 @@ from typing import Callable, Tuple
 import mpmath as mp
 
 from . import asymptotics, saddle
-from .asymptotics import _mpf, named_form, ratio_sequence
+from .asymptotics import _mpf, family_form, named_form, ratio_sequence
 from .distributions import compare, distribution, limit_law_for, stat_mean_variance
 from .families import (
     ALL,
@@ -210,14 +210,15 @@ _CENTRAL_DIGITS = {
 def check_constants() -> Tuple[bool, str]:
     with mp.workdps(30):
         central = saddle.optimum()
-        zagier = asymptotics.constants_fishburn(1, 1)
-        sd = asymptotics.constants_self_dual(1, 1)
+        zagier, sd = family_form("fishburn", ALL)[0], family_form("self-dual", ALL)[0]
+        zagier_stated = asymptotics.constants_general(2, 0, 1, 1, 1)
+        sd_stated = asymptotics.constants_ext(1, 0, 1, 1, 1, 0, 1)
         blr = asymptotics.blr_expansion()
         refined = asymptotics.a158690_expansion(3)
         pi2 = mp.pi ** 2
         # (label, value, significant digits, printed digits).  Zagier's
         # constants appear twice: through the catalogue and through the
-        # family builder.
+        # family's form.
         printed = [(key, getattr(central, key), 12, want)
                    for key, want in _CENTRAL_DIGITS.items()]
         for name in sorted(_PRINTED_CONSTANTS):
@@ -226,22 +227,24 @@ def check_constants() -> Tuple[bool, str]:
             printed += [(f"{name} c", form.c, 12, c_str),
                         (f"{name} rho", form.rho, 12, rho_str)]
         printed += [
-            ("constants_fishburn(1, 1) c", zagier.c, 12, "6.77875628359"),
-            ("constants_fishburn(1, 1) rho", zagier.rho, 12, "0.223643882503"),
+            ("fishburn c", zagier.c, 12, "6.77875628359"),
+            ("fishburn rho", zagier.rho, 12, "0.223643882503"),
             ("self-dual c", sd.c, 12, "1.36195103905"),
             ("primitive self-dual c",
-             asymptotics.constants_self_dual(1, 0).c, 3, "0.299"),
+             family_form("self-dual", PRIMITIVE)[0].c, 3, "0.299"),
         ]
         # (label, value, closed form), to 12 digits: the central constants
-        # against their defining equations, then the refined expansions.
+        # against their defining equations, the family forms against the
+        # theorems at parameters written out above, then the refined expansions.
         closed = [
             ("exp(mu*xi)", mp.e ** (central.mu * central.xi), 2),
             ("I(mu*xi)", saddle.I_func(central.mu * central.xi), central.xi),
             ("sigma^2", central.sigma ** 2, 72 * mp.pi ** -4 * central.tau_aux),
             ("self-dual c", sd.c, 6 / mp.pi ** mp.mpf("1.5") * mp.exp(
                 pi2 / 24 - mp.mpf(1) / 4 + 3 * mp.log(2) ** 2 / (2 * pi2))),
-            ("constants_fishburn(1, 1) c", zagier.c, named_form("A022493").c),
-            ("constants_fishburn(1, 1) rho", zagier.rho, named_form("A022493").rho),
+            ("fishburn c by its parameters", zagier.c, zagier_stated.c),
+            ("fishburn rho by its parameters", zagier.rho, zagier_stated.rho),
+            ("self-dual c by its parameters", sd.c, sd_stated.c),
             ("blr c", blr.c, 6 * mp.sqrt(2) / pi2 * mp.exp(-pi2 / 24)),
             ("blr rho", blr.rho, 12 / pi2),
             ("A158690 expansion c", refined.c, 6 * mp.sqrt(2) / pi2),
@@ -309,8 +312,7 @@ def check_fixtures() -> Tuple[bool, str]:
 def check_convergence() -> Tuple[bool, str]:
     with mp.workdps(_DPS):
         counts = fishburn_numbers(200)
-        report = ratio_sequence(counts, asymptotics.constants_fishburn(1, 1),
-                                [100, 150, 200])
+        report = ratio_sequence(counts, family_form("fishburn", ALL)[0], [100, 150, 200])
         gap = abs(report.extrapolated_limit - 1)
         ok = gap < mp.mpf("1e-3")
         return ok, f"|extrapolated ratio - 1| = {mp.nstr(gap, 6)}"

@@ -372,6 +372,8 @@ def _require_entries(spec: LambdaSpec) -> None:
 
 
 def _check_budget(order: int) -> None:
+    if not isinstance(order, int) or isinstance(order, bool):
+        raise ValueError(f"order must be an int, got {order!r}")
     if order < 0:
         raise ValueError("order must be >= 0")
     if order > _SERIES_BUDGET:
@@ -718,6 +720,8 @@ def labeled_numbers(n_max: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _require_count(count: int) -> None:
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise ValueError(f"count must be an int, got {count!r}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
 

@@ -44,6 +44,7 @@ from .families import (
     _inverse_binomials,
     _one,
     _powers,
+    _require_count,
 )
 
 
@@ -177,8 +178,7 @@ def verify_a079144_transform(order: int) -> IdentityReport:
 
 def glaisher_product_terms(count: int) -> tuple:
     """T_n = 24^n n! [z^n] e^{-z/24} sum_k prod_{1<=j<=k}(1 - e^{-jz})."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    _require_count(count)
     order = max(count - 1, 0)  # the series needs order >= 0; count 0 reads none of it
     f = exp_linear(Fraction(-1, 24), order) * named_gf("A079144", order)
     return tuple(_as_int(24 ** n * factorial(n) * f.coeff(n), f"T_{n}")

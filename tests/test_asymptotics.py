@@ -17,12 +17,8 @@ from fishburn.asymptotics import (
     a158690_expansion,
     blr_expansion,
     constants_ext,
-    constants_fishburn,
-    constants_fractional,
     constants_general,
     constants_proto,
-    constants_row_fishburn,
-    constants_self_dual,
     constants_small2,
     family_form,
     named_form,
@@ -52,6 +48,17 @@ def _num(x):
 
 def agree(x, y, rel=REL_12):
     return mp.almosteq(_num(x), _num(y), rel_eps=rel, abs_eps=0)
+
+
+# Each family's theorem at the weights lam1, lam2 of the values 1 and 2, with
+# its parameters written out: row-Fishburn alpha = 1, d = 1, e = Lambda;
+# Fishburn alpha = 2, d = e = Lambda; self-dual alpha = 1, d = Lambda,
+# e = Lambda(z^2), so e1 = e3 = 0.
+FAMILY_THEOREMS = {
+    "row-fishburn": lambda lam1, lam2: constants_general(1, 0, 0, lam1, lam2),
+    "fishburn": lambda lam1, lam2: constants_general(2, 0, lam1, lam1, lam2),
+    "self-dual": lambda lam1, lam2: constants_ext(1, 0, lam1, lam2, lam1, 0, lam2),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +227,7 @@ def test_general_specializes_to_proto(alpha, omega):
 
 @pytest.mark.parametrize("lam1,lam2", [(1, 0), (1, 1), (2, 2), (3, 1)])
 def test_row_fishburn_is_general_alpha_one(lam1, lam2):
-    row = constants_row_fishburn(lam1, lam2)
+    row, _ = family_form("row-fishburn", LambdaSpec("custom", (lam1, lam2)))
     gen = constants_general(1, 0, 0, lam1, lam2)
     assert agree(row.c, gen.c) and agree(row.rho, gen.rho)
     assert row.n_power == mp.mpf(1) / 2
@@ -228,19 +235,10 @@ def test_row_fishburn_is_general_alpha_one(lam1, lam2):
 
 @pytest.mark.parametrize("lam1,lam2", [(1, 0), (1, 1), (2, 2), (2, 3)])
 def test_fishburn_is_general_alpha_two(lam1, lam2):
-    fish = constants_fishburn(lam1, lam2)
+    fish, _ = family_form("fishburn", LambdaSpec("custom", (lam1, lam2)))
     gen = constants_general(2, 0, lam1, lam1, lam2)
     assert agree(fish.c, gen.c) and agree(fish.rho, gen.rho)
     assert fish.n_power == 1
-
-
-@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (3, 2), (5, 3)])
-def test_fractional_is_shifted_general(p, s):
-    frac = constants_fractional(p, s)
-    gen = constants_general(1, Fraction(-s, p), 0, p, Fraction(p * (p - 1), 2))
-    assert agree(frac.c, gen.c)
-    assert agree(frac.rho, gen.rho)
-    assert agree(frac.n_power, gen.n_power)
 
 
 def test_rho_ignores_d_and_higher_e_coefficients():
@@ -265,11 +263,10 @@ def test_general_rejects_zero_or_negative_e1():
         constants_general(1, 0, 0, -1, 1)
 
 
-@pytest.mark.parametrize("fn", [constants_row_fishburn, constants_fishburn,
-                                constants_self_dual])
-def test_lambda_families_require_ones(fn):
-    with pytest.raises(ValueError, match="constants_small2"):
-        fn(0, 1)
+@pytest.mark.parametrize("family", ["row-fishburn", "self-dual"])
+def test_family_form_requires_ones(family):
+    with pytest.raises(ValueError, match=f"no catalogued asymptotic form for {family}"):
+        family_form(family, LambdaSpec("custom", (0, 1)))
 
 
 @pytest.mark.parametrize("bad_alpha", [0, -1, Fraction(1, 2), 1.5, True])
@@ -283,18 +280,12 @@ def test_omega_must_be_real():
         constants_proto(1, 1j)
 
 
-@pytest.mark.parametrize("p,s", [(2, 0), (2, 2), (2, 3), (3, -1)])
-def test_fractional_requires_proper_ratio(p, s):
-    with pytest.raises(ValueError, match="0 < s < p"):
-        constants_fractional(p, s)
-
-
 # ---------------------------------------------------------------------------
 # e1 = 0 regime
 
 
 def test_self_dual_printed_value():
-    form = constants_self_dual(1, 1)
+    form = constants_ext(1, 0, 1, 1, 1, 0, 1)
     # c = (6/pi^(3/2)) * exp(pi^2/24 - 1/4 + 3*(log 2)^2/(2 pi^2))
     closed = (6 / mp.pi ** mp.mpf("1.5")
               * mp.exp(mp.pi**2 / 24 - mp.mpf(1) / 4
@@ -308,7 +299,7 @@ def test_self_dual_printed_value():
 
 
 def test_primitive_self_dual_printed_value():
-    form = constants_self_dual(1, 0)
+    form = constants_ext(1, 0, 1, 0, 1, 0, 0)
     assert mp.nstr(form.c, 3) == "0.299"
     assert agree(form.beta, mp.sqrt(6) * mp.ln2 / mp.pi)
 
@@ -316,7 +307,7 @@ def test_primitive_self_dual_printed_value():
 @pytest.mark.parametrize("lam1,lam2", [(1, 0), (1, 1), (2, 2), (3, 1)])
 def test_self_dual_closed_form(lam1, lam2):
     """The two-parameter closed form versus the seven-parameter route."""
-    form = constants_self_dual(lam1, lam2)
+    form = constants_ext(1, 0, lam1, lam2, lam1, 0, lam2)
     L1, L2 = mp.mpf(lam1), mp.mpf(lam2)
     c = (3 * mp.sqrt(2) / mp.pi ** mp.mpf("1.5")
          * mp.power(2, L2 / L1 - L1 / 2)
@@ -451,7 +442,7 @@ def test_evaluate_full_exponent_matches_direct():
 
 
 def test_evaluate_half_exponent_matches_direct():
-    form = constants_self_dual(1, 1)
+    form = constants_ext(1, 0, 1, 1, 1, 0, 1)
     n = 9
     direct = (form.c * mp.exp(form.beta * mp.sqrt(n))
               * form.rho ** (mp.mpf(n) / 2)
@@ -466,8 +457,8 @@ def test_evaluate_rejects_nonpositive_n():
 
 def test_describe_mentions_shape():
     assert "rho^n" in constants_proto(1, 0).describe()
-    assert "rho^(n/2)" in constants_self_dual(1, 1).describe()
-    assert "exp(beta*sqrt(n))" in constants_self_dual(1, 1).describe()
+    assert "rho^(n/2)" in constants_ext(1, 0, 1, 1, 1, 0, 1).describe()
+    assert "exp(beta*sqrt(n))" in constants_ext(1, 0, 1, 1, 1, 0, 1).describe()
     assert "parity pair" in constants_small2(1, 0, 1, 1, m=2).describe()
     assert "bound" in constants_proto(1, -1).describe()
 
@@ -569,7 +560,7 @@ def test_refined_expansion_validation():
 
 def test_fishburn_ratio_extrapolates_to_one():
     counts = fishburn_numbers(60)
-    report = ratio_sequence(counts, constants_fishburn(1, 1), [30, 45, 60])
+    report = ratio_sequence(counts, constants_general(2, 0, 1, 1, 1), [30, 45, 60])
     assert abs(report.extrapolated_limit - 1) < mp.mpf("1e-4")
     # Corrections behave like 1/n.
     assert abs(report.correction_exponent - 1) < mp.mpf("0.1")
@@ -580,14 +571,14 @@ def test_fishburn_ratio_extrapolates_to_one():
 def test_primitive_row_ratio_extrapolates_to_one():
     series = family_series("row-fishburn", PRIMITIVE, 90)
     values = [series.coeff(n) for n in range(91)]
-    report = ratio_sequence(values, constants_row_fishburn(1, 0), [45, 60, 90])
+    report = ratio_sequence(values, constants_general(1, 0, 0, 1, 0), [45, 60, 90])
     assert abs(report.extrapolated_limit - 1) < mp.mpf("1e-4")
 
 
 def test_self_dual_ratio_uses_sqrt_scale():
     series = family_series("self-dual", ALL, 160)
     values = [series.coeff(n) for n in range(161)]
-    form = constants_self_dual(1, 1)
+    form = constants_ext(1, 0, 1, 1, 1, 0, 1)
     report = ratio_sequence(values, form, [80, 120, 160])
     assert report.half_exponent
     # Extrapolation beats the raw ratio by a wide margin.
@@ -601,7 +592,7 @@ def test_self_dual_ratio_uses_sqrt_scale():
 
 def test_fishburn_error_times_n_is_bounded():
     counts = fishburn_numbers(60)
-    form = constants_fishburn(1, 1)
+    form = constants_general(2, 0, 1, 1, 1)
     for n in (20, 40, 60):
         ratio = mp.mpf(counts[n]) / form.evaluate(n)
         assert abs(ratio - 1) * n < 1
@@ -609,9 +600,18 @@ def test_fishburn_error_times_n_is_bounded():
 
 def test_ratio_sequence_two_points():
     counts = fishburn_numbers(40)
-    report = ratio_sequence(counts, constants_fishburn(1, 1), [20, 40])
+    report = ratio_sequence(counts, constants_general(2, 0, 1, 1, 1), [20, 40])
     assert len(report.ratios) == 2
     assert abs(report.extrapolated_limit - 1) < mp.mpf("1e-2")
+
+
+def test_two_sizes_estimate_no_correction_exponent():
+    # From two sizes the Richardson limit makes |ratio - limit| ~ 1/h exactly,
+    # so a fitted exponent would read 1 whatever the corrections are.
+    counts = fishburn_numbers(90)
+    form = constants_general(2, 0, 1, 1, 1)
+    assert ratio_sequence(counts, form, [30, 60]).correction_exponent is None
+    assert ratio_sequence(counts, form, [30, 60, 90]).correction_exponent is not None
 
 
 def test_ratio_sequence_accepts_fractions():
@@ -622,7 +622,7 @@ def test_ratio_sequence_accepts_fractions():
 
 def test_ratio_sequence_validation():
     counts = fishburn_numbers(20)
-    form = constants_fishburn(1, 1)
+    form = constants_general(2, 0, 1, 1, 1)
     with pytest.raises(ValueError, match="two distinct"):
         ratio_sequence(counts, form, [10])
     with pytest.raises(ValueError, match="too short"):
@@ -635,7 +635,7 @@ def test_ratio_sequence_validation():
 
 def test_ratio_sequence_rows_roundtrip():
     counts = fishburn_numbers(30)
-    report = ratio_sequence(counts, constants_fishburn(1, 1), [15, 30])
+    report = ratio_sequence(counts, constants_general(2, 0, 1, 1, 1), [15, 30])
     rows = report.rows()
     assert [n for n, _ in rows] == [15, 30]
     assert rows[0][1] == report.ratios[0]
@@ -668,9 +668,8 @@ def test_general_rho_invariance_property(d1, e2):
 @given(lam1=st.integers(1, 5), lam2=st.integers(0, 5))
 @settings(max_examples=30, deadline=None)
 def test_family_constants_positive_property(lam1, lam2):
-    for form in (constants_row_fishburn(lam1, lam2),
-                 constants_fishburn(lam1, lam2),
-                 constants_self_dual(lam1, lam2)):
+    for theorem in FAMILY_THEOREMS.values():
+        form = theorem(lam1, lam2)
         assert form.c > 0 and form.rho > 0
         assert form.beta >= 0
 
@@ -680,9 +679,7 @@ def test_family_constants_positive_property(lam1, lam2):
 def test_family_form_matches_the_theorems_property(lam1, lam2, lam3):
     # Derived from each family's general sum against the stated theorems.
     lam = LambdaSpec("custom", (lam1, lam2, lam3))
-    for family, theorem in (("row-fishburn", constants_row_fishburn),
-                            ("fishburn", constants_fishburn),
-                            ("self-dual", constants_self_dual)):
+    for family, theorem in FAMILY_THEOREMS.items():
         form, regime = family_form(family, lam)
         want = theorem(lam1, lam2)
         assert regime == "1s allowed"

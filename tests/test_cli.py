@@ -179,6 +179,14 @@ class TestConverge:
         assert any(line.startswith("30") for line in lines)
         assert any(line.startswith("extrapolated limit = ") for line in lines)
 
+    def test_two_sizes_report_no_exponent(self, capsys):
+        # Two sizes fix the fitted exponent at 1, so none is reported.
+        code, out, _ = run(["converge", "--n-list", "30,60"], capsys)
+        assert code == 0
+        assert "correction exponent" not in out
+        code, out, _ = run(["converge", "--n-list", "30,60", "--format", "json"], capsys)
+        assert json.loads(out)["correction_exponent"] is None
+
     def test_half_exponent_family(self, capsys):
         code, out, _ = run(
             ["converge", "--family", "self-dual", "--n-list", "60,90,120",

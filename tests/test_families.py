@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import pytest
@@ -60,6 +61,30 @@ def build_stat(family, stat, spec, order, marker, form):
     if form == "direct":
         return identities._direct_stat(stat, spec, order, marker)
     return stat_gf(family, stat, spec, order, marker)
+
+
+# Every public builder that takes an order; at order 501 the two
+# named_sequence ids build a series of order above count - 1 (2 count for
+# A002439, count for A207434).
+ORDER_BUILDERS = [
+    pytest.param(lambda n: lambda_series(ALL, n), id="lambda_series"),
+    pytest.param(lambda n: lambda_atom(ALL, n, eval_marker(2)), id="lambda_atom"),
+    pytest.param(lambda n: family_gf("self-dual", ALL, n), id="family_gf"),
+    pytest.param(lambda n: identities._direct_family(ALL, n), id="family_gf-direct"),
+    pytest.param(lambda n: family_series("row-fishburn", ALL, n), id="family_series"),
+    pytest.param(fishburn_numbers, id="fishburn_numbers"),
+    pytest.param(lambda n: stat_gf("fishburn", "ones", ALL, n, jet_marker(2)),
+                 id="stat_gf"),
+    pytest.param(lambda n: stat_profile("fishburn", "ones", ALL, n), id="stat_profile"),
+    pytest.param(lambda n: stat_jet("fishburn", "ones", ALL, n), id="stat_jet"),
+    pytest.param(lambda n: recursive_gf("A224885", n), id="recursive_gf"),
+    pytest.param(lambda n: named_gf("A003406", n), id="named_gf"),
+    pytest.param(ramanujan_r, id="ramanujan_r"),
+    pytest.param(labeled_profile, id="labeled_profile"),
+    pytest.param(labeled_numbers, id="labeled_numbers"),
+    pytest.param(lambda n: named_sequence("A002439", n), id="named_sequence-A002439"),
+    pytest.param(lambda n: named_sequence("A207434", n), id="named_sequence-A207434"),
+]
 
 
 class TestFamilyPrefixes:
@@ -134,31 +159,17 @@ class TestFamilyPrefixes:
         with pytest.raises(ValueError, match=r"order 501 exceeds the series budget \(500\)"):
             build(families._SERIES_BUDGET + 1)
 
-    # Every public builder that takes an order, at order 501; the two
-    # named_sequence ids build a series of order above count - 1 (2 count for
-    # A002439, count for A207434).
-    @pytest.mark.parametrize("build", [
-        pytest.param(lambda n: lambda_series(ALL, n), id="lambda_series"),
-        pytest.param(lambda n: lambda_atom(ALL, n, eval_marker(2)), id="lambda_atom"),
-        pytest.param(lambda n: family_gf("self-dual", ALL, n), id="family_gf"),
-        pytest.param(lambda n: identities._direct_family(ALL, n), id="family_gf-direct"),
-        pytest.param(lambda n: family_series("row-fishburn", ALL, n), id="family_series"),
-        pytest.param(fishburn_numbers, id="fishburn_numbers"),
-        pytest.param(lambda n: stat_gf("fishburn", "ones", ALL, n, jet_marker(2)),
-                     id="stat_gf"),
-        pytest.param(lambda n: stat_profile("fishburn", "ones", ALL, n), id="stat_profile"),
-        pytest.param(lambda n: stat_jet("fishburn", "ones", ALL, n), id="stat_jet"),
-        pytest.param(lambda n: recursive_gf("A224885", n), id="recursive_gf"),
-        pytest.param(lambda n: named_gf("A003406", n), id="named_gf"),
-        pytest.param(ramanujan_r, id="ramanujan_r"),
-        pytest.param(labeled_profile, id="labeled_profile"),
-        pytest.param(labeled_numbers, id="labeled_numbers"),
-        pytest.param(lambda n: named_sequence("A002439", n), id="named_sequence-A002439"),
-        pytest.param(lambda n: named_sequence("A207434", n), id="named_sequence-A207434"),
-    ])
+    @pytest.mark.parametrize("build", ORDER_BUILDERS)
     def test_every_builder_checks_the_budget(self, build):
         with pytest.raises(ValueError, match=r"exceeds the series budget \(500\)"):
             build(families._SERIES_BUDGET + 1)
+
+    # A bool would be cached as an order; a float fails deep in the build.
+    @pytest.mark.parametrize("value", [True, 4.0, 2.5])
+    @pytest.mark.parametrize("build", ORDER_BUILDERS)
+    def test_every_builder_rejects_a_non_int_order(self, build, value):
+        with pytest.raises(ValueError, match=rf"must be an int, got {re.escape(repr(value))}"):
+            build(value)
 
     def test_fishburn_numbers_fast_path(self):
         assert list(fishburn_numbers(9)) == FISHBURN
