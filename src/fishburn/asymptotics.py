@@ -518,11 +518,16 @@ def ratio_sequence(exact: Sequence, form: AsymptoticForm,
     """Compare exact coefficients against an asymptotic form.
 
     ``exact`` is indexed by n (``exact[n]`` is the n-th coefficient), so a
-    plain coefficient list works directly.  All requested terms must be
-    positive; Richardson extrapolation uses the largest two or three
-    requested n, and the correction exponent needs three.
+    plain coefficient list works directly.  Every n must be an int (not a
+    bool) and every requested term positive; Richardson extrapolation uses
+    the largest two or three requested n, and the correction exponent needs
+    three.
     """
-    ns = sorted(set(int(n) for n in n_values))
+    ns = tuple(n_values)
+    for n in ns:
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"n values must be ints, got {n!r}")
+    ns = sorted(set(ns))
     if len(ns) < 2:
         raise ValueError("need at least two distinct n values")
     if ns[0] < 1:

@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
 from math import comb, factorial
+from operator import mul, sub
 from typing import Callable, Optional
 
 from .series import (
@@ -686,8 +687,12 @@ def labeled_profile(n_max: int):
 
     Returns (totals, rows): totals[n] = n![z^n] of the full sum and
     rows[n][k] = n![z^n] of the k-th partial product, k = 0..n.  Both are
-    integers; the computation stays in binomial-convolution integer form.
+    integers; the computation stays in binomial-convolution integer form,
+    n![z^n] P (e^{kz} - 1) = sum_{i<n} C(n, i) (i![z^i] P) k^{n-i}, one dot
+    product per entry.  The totals are ``labeled_numbers``, which reads them
+    from the row-Fishburn series at x = 1 - e^{-z} without this table.
     """
+    binomials = [[comb(n, i) for i in range(n + 1)] for n in range(n_max + 1)]
     cur = [1] + [0] * n_max
     rows = [[0] * (n + 1) for n in range(n_max + 1)]
     rows[0][0] = 1
@@ -697,12 +702,8 @@ def labeled_profile(n_max: int):
             kp[t] = kp[t - 1] * k
         new = [0] * (n_max + 1)
         for n in range(k, n_max + 1):
-            s = 0
-            for i in range(k - 1, n):
-                a = cur[i]
-                if a:
-                    s += comb(n, i) * a * kp[n - i]
-            new[n] = s
+            new[n] = sum(map(mul, map(mul, binomials[n][k - 1 : n], cur[k - 1 : n]),
+                             kp[n - k + 1 : 0 : -1]))
         cur = new
         for n in range(k, n_max + 1):
             rows[n][k] = cur[n]
@@ -710,9 +711,23 @@ def labeled_profile(n_max: int):
     return totals, tuple(tuple(r) for r in rows)
 
 
+@_largest_build(_prefix)
 def labeled_numbers(n_max: int) -> tuple:
-    """n![z^n] sum_k prod_{1<=j<=k}(e^{jz}-1) for n = 0..n_max, exactly."""
-    return labeled_profile(n_max)[0]
+    """n![z^n] sum_k prod_{1<=j<=k}(e^{jz}-1) for n = 0..n_max, exactly.
+
+    With L = e^z = 1/(1 - x) at x = 1 - e^{-z}, the sum is the row-Fishburn
+    series R(x) = sum_k prod_{j<=k} (L^j - 1) over all entry values, so
+    n![z^n] of the sum is sum_m [x^m]R * t(n, m), a dot product with the
+    signed Stirling row t(n, m) = n![z^n] (1 - e^{-z})^m
+    = (-1)^{n-m} m! S(n, m), which steps row by row as
+    t(n, m) = m (t(n-1, m-1) - t(n-1, m)).
+    """
+    r = family_series("row-fishburn", ALL, n_max).coeffs
+    t, totals = [1], []
+    for n in range(n_max + 1):
+        totals.append(sum(map(mul, r, t)))
+        t = [0, *map(mul, range(1, n + 2), map(sub, t, t[1:] + [0]))]
+    return tuple(totals)
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,12 @@ The saddle radius is located in float64 and then checked, and refined if
 needed, at 60 digits.  Each summand's sums over j <= k, the cumulants and
 log A_k(r), come from one pass in fixed-point integers (:func:`_sweep`),
 carried at 60 digits plus guard bits derived from k and r and rounded to
-60 digits; the other numeric work is mpmath arithmetic at 60 digits, and
-exact integer data comes from :func:`fishburn.families.labeled_profile`.
+60 digits; the other numeric work is mpmath arithmetic at 60 digits.  The
+exact per-k integers behind :func:`llt_distance`, :func:`window_tail` and
+:func:`profile_rows` come from :func:`fishburn.families.labeled_profile`;
+the exact n! a_n that the CLI and the checks compare :func:`an_approx`
+against come from :func:`fishburn.families.labeled_numbers`, the
+row-Fishburn series at x = 1 - e^{-z}, without the per-k table.
 """
 
 from __future__ import annotations

@@ -633,6 +633,13 @@ def test_ratio_sequence_validation():
         ratio_sequence(counts, form, [0, 10])
 
 
+@pytest.mark.parametrize("size", [30.7, True, 15.0, "15"])
+def test_ratio_sequence_rejects_a_non_int_size(size):
+    counts = fishburn_numbers(60)
+    with pytest.raises(ValueError, match=f"n values must be ints, got {size!r}"):
+        ratio_sequence(counts, constants_general(2, 0, 1, 1, 1), [size, 40, 60])
+
+
 def test_ratio_sequence_rows_roundtrip():
     counts = fishburn_numbers(30)
     report = ratio_sequence(counts, constants_general(2, 0, 1, 1, 1), [15, 30])

@@ -720,6 +720,17 @@ class TestLabeledFastPath:
         for n in range(16):
             assert totals[n] == sum(rows[n])
 
+    @pytest.mark.parametrize("n", [*range(41), 120])
+    def test_stirling_transform_matches_the_profile(self, n):
+        # The EGF recurrence against the row-Fishburn series at x = 1 - e^{-z}.
+        assert labeled_numbers.__wrapped__(n) == labeled_profile.__wrapped__(n)[0]
+
+    def test_totals_build_no_profile(self):
+        labeled_numbers.cache_clear()
+        labeled_profile.cache_clear()
+        labeled_numbers(60)
+        assert labeled_profile.cache_info().misses == 0
+
     def test_smaller_profile_is_sliced_from_a_larger_build(self):
         fresh = labeled_profile.__wrapped__(23)
         labeled_profile(37)
