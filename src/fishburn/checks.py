@@ -295,7 +295,7 @@ def check_limit_moments() -> Tuple[bool, str]:
 def check_fixtures() -> Tuple[bool, str]:
     ids = fixture_ids()
     for name in ids:
-        seq = fetch(name, mode="offline")
+        seq = fetch(name)
         count = min(len(seq.values), 36)
         computed = named_sequence(name, count)
         report = cross_check(computed, seq, start=seq.offset)
@@ -356,8 +356,44 @@ def check_saddle_accuracy() -> Tuple[bool, str]:
             ("saddle residuals <= 1e-9 * n throughout",
              worst <= mp.mpf("1e-9"), mp.nstr(worst, 4)),
         ]
+    return _clause_report("saddle", clauses)
+
+
+def check_saddle_lemmas() -> Tuple[bool, str]:
+    """The two lemmas of the direct saddle-point proof: the modulus bounds
+    that truncate the Cauchy integrals hold at sampled points, and the
+    exponent surface phi(q) peaks at q = mu with radius xi and value
+    log(12/(e*pi^2)).  The surface residuals read 4e-47 or less, so a
+    tolerance of 1e-30 leaves a wide margin yet flags a 1e-6 shift of mu."""
+    bounds = saddle.check_bounds(1000)
+    central = saddle.optimum()
+    with mp.workdps(_DPS):
+        top = saddle.phi_surface(central.mu)
+        sides = [saddle.phi_surface(central.mu + step).phi - top.phi
+                 for step in (-mp.mpf("0.05"), mp.mpf("0.05"))]
+        growth = 12 / (mp.e * mp.pi ** 2)
+        clauses = [
+            (f"modulus bounds hold at {bounds.samples} sampled points", bounds.ok,
+             f"{bounds.factor_violations + bounds.product_violations} violations; "
+             f"least margins {mp.nstr(bounds.min_factor_margin, 4)}, "
+             f"{mp.nstr(bounds.min_product_margin, 4)}"),
+            ("phi_surface(mu) has radius varrho = xi",
+             _agree(top.varrho, central.xi, "1e-30"),
+             mp.nstr(abs(top.varrho - central.xi), 4)),
+            ("exp(phi(mu)) = 12/(e*pi^2)",
+             _agree(mp.exp(top.phi), growth, "1e-30"),
+             mp.nstr(abs(mp.exp(top.phi) - growth), 4)),
+            ("phi(mu -+ 0.05) < phi(mu)", max(sides) < 0,
+             f"{mp.nstr(sides[0], 4)}, {mp.nstr(sides[1], 4)}"),
+        ]
+    return _clause_report("lemma", clauses)
+
+
+def _clause_report(what: str, clauses) -> Tuple[bool, str]:
+    """A check's verdict from its ``(name, ok, detail)`` clauses: a count
+    line, then one pass/FAIL line per clause."""
     failing = sum(not ok for _, ok, _ in clauses)
-    lines = [f"{len(clauses) - failing} of {len(clauses)} saddle clauses hold"]
+    lines = [f"{len(clauses) - failing} of {len(clauses)} {what} clauses hold"]
     lines.extend(f"        {'pass' if ok else 'FAIL'}: {name} ({detail})"
                  for name, ok, detail in clauses)
     return not failing, "\n".join(lines)
@@ -462,6 +498,7 @@ FULL: Tuple[Tuple[str, Check], ...] = (
     ("convergence", check_convergence),
     ("refined-decay", check_refined_decay),
     ("saddle-accuracy", check_saddle_accuracy),
+    ("saddle-lemmas", check_saddle_lemmas),
     ("local-limit", check_local_limit),
     ("statistic-trends", check_trends),
     ("parity-split", check_parity_split),

@@ -15,7 +15,7 @@ metrics are evaluated with mpmath.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import mpmath as mp
 
@@ -36,13 +36,10 @@ __all__ = [
     "ComparisonReport",
     "DistributionTable",
     "LimitLaw",
-    "ParityEntry",
-    "ParityReport",
     "compare",
     "distribution",
     "histogram_rows",
     "limit_law_for",
-    "parity_report",
     "report_json",
     "stat_mean_variance",
 ]
@@ -58,8 +55,6 @@ _DPS = 40
 # representation.
 _ENUM_BUDGET = 150
 _JET_BUDGET = 400
-# parity_report adds distance metrics, which need the full table, up to here.
-_PARITY_PROFILE_BUDGET = 60
 
 
 # ---------------------------------------------------------------------------
@@ -439,63 +434,6 @@ def _normal_metrics(dist, law):
         covered += prob
         gaps.append(abs(_mpf(exact.get(s, 0)) - prob))
     return max(gaps), (mp.fsum(gaps) + (1 - covered)) / 2
-
-
-# ---------------------------------------------------------------------------
-# Parity splitting when 1s are barred
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ParityEntry:
-    n: int
-    parity: str
-    count: int
-    mean: Optional[Fraction]
-    variance: Optional[Fraction]
-    law: Optional[LimitLaw]
-    metrics: Optional[ComparisonReport]
-
-
-@dataclass(frozen=True)
-class ParityReport:
-    entries: str
-    stat: str
-    gap: Optional[int]  # half the index gap before the first allowed odd value
-    rows: Tuple[ParityEntry, ...]
-
-
-def parity_report(lam: LambdaSpec, stat: str, ns: Iterable[int]) -> ParityReport:
-    """Per-parity behavior of the 2s count when 1s are barred.
-
-    For each requested size: the exact matrix count, exact mean/variance of
-    the statistic, the predicted law (root-n normal when 3s are allowed, a
-    shifted Poisson or degenerate count otherwise), and distance metrics
-    for sizes up to ``_PARITY_PROFILE_BUDGET``.  Sizes with no matrices are
-    reported with count 0 rather than skipped.
-    """
-    if lam.weight(1) != 0:
-        raise ValueError("parity analysis applies when 1s are barred")
-    if lam.weight(2) == 0:
-        raise ValueError("the value 2 must be allowed")
-    if stat != "twos":
-        raise ValueError("the tracked statistic is the 2s count, stat='twos'")
-    first_odd = lam.smallest_odd_entry()
-    gap = None if first_odd is None else (first_odd - 1) // 2
-    rows: List[ParityEntry] = []
-    for n in ns:
-        _require_positive_int("n", n)
-        parity = "even" if n % 2 == 0 else "odd"
-        count = family_series("fishburn", lam, n).coeff(n)
-        if count == 0:
-            rows.append(ParityEntry(n, parity, 0, None, None, None, None))
-            continue
-        mean, variance = stat_mean_variance("fishburn", "twos", lam, n)
-        law = limit_law_for("fishburn", "twos", lam, n)
-        metrics = None
-        if n <= _PARITY_PROFILE_BUDGET:
-            metrics = compare(distribution("fishburn", "twos", lam, n), law)
-        rows.append(ParityEntry(n, parity, int(count), mean, variance, law, metrics))
-    return ParityReport(lam.describe(), stat, gap, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

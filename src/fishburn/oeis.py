@@ -1,28 +1,21 @@
-"""OEIS cross-validation plumbing: b-files, fixtures, fetcher.
+"""OEIS plumbing: b-file parsing and formatting, embedded fixtures, cross-checks.
 
-Every sequence this package computes is also carried as an embedded b-file
-fixture, so the default (offline) mode never touches the network.  The
-network mode exists for checking fixtures against the live OEIS; it always
-downloads, keeps nothing on disk, and raises FetchError when FORGE_OFFLINE=1
-forbids the network.  ``urllib`` is imported only when a download happens.
+Every catalogued sequence is carried as an embedded b-file fixture, written
+by ``scripts/make_fixtures.py`` from this package's own series, so the
+fixtures are a regression snapshot of those series, not independent
+evidence.  Nothing here touches the network.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .series import _as_int
 
 _A_NUMBER = re.compile(r"^A\d{6}$")
-
-FETCH_TIMEOUT = 30.0
-FETCH_RETRIES = 2  # additional attempts after the first
-
-ENV_OFFLINE = "FORGE_OFFLINE"
 
 
 class BfileParseError(ValueError):
@@ -37,24 +30,17 @@ class UnknownSequenceError(KeyError):
     """No embedded fixture for the requested A-number."""
 
 
-class FetchError(RuntimeError):
-    """Network-level failure, distinct from any parse problem."""
-
-
 @dataclass(frozen=True)
 class OeisSequence:
     id: str
     offset: int
     values: Tuple[int, ...]
-    source: str  # embedded | network
 
     def __post_init__(self):
         if not _A_NUMBER.match(self.id):
             raise ValueError(f"not an A-number: {self.id!r}")
         if not self.values:
             raise ValueError(f"{self.id}: empty sequence")
-        if self.source not in ("embedded", "network"):
-            raise ValueError(f"unknown source {self.source!r}")
 
     @property
     def terms(self) -> Dict[int, int]:
@@ -74,7 +60,7 @@ class OeisSequence:
         return len(self.values)
 
 
-def parse_bfile(text: str, id: str = "A000000", source: str = "embedded") -> OeisSequence:
+def parse_bfile(text: str, id: str = "A000000") -> OeisSequence:
     """Parse OEIS b-file content: one "n a(n)" pair per line, '#' comments."""
     seen: Dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -99,7 +85,7 @@ def parse_bfile(text: str, id: str = "A000000", source: str = "embedded") -> Oei
     if len(seen) != hi - lo + 1:
         missing = next(n for n in range(lo, hi + 1) if n not in seen)
         raise BfileParseError(f"non-contiguous indices: {missing} missing")
-    return OeisSequence(id, lo, tuple(seen[n] for n in range(lo, hi + 1)), source)
+    return OeisSequence(id, lo, tuple(seen[n] for n in range(lo, hi + 1)))
 
 
 def format_bfile(seq: OeisSequence, comments: Sequence[str] = ()) -> str:
@@ -109,7 +95,7 @@ def format_bfile(seq: OeisSequence, comments: Sequence[str] = ()) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Fixture and network backends
+# Embedded fixtures
 # ---------------------------------------------------------------------------
 
 def _fixture_dir() -> Path:
@@ -120,56 +106,15 @@ def fixture_ids() -> Tuple[str, ...]:
     return tuple(sorted(p.stem for p in _fixture_dir().glob("A*.txt")))
 
 
-def _read_fixture(id: str) -> OeisSequence:
+def fetch(id: str) -> OeisSequence:
+    """The embedded fixture of an A-number: ValueError for a malformed id,
+    UnknownSequenceError when no fixture is stored."""
+    if not _A_NUMBER.match(id):
+        raise ValueError(f"not an A-number: {id!r}")
     path = _fixture_dir() / f"{id}.txt"
     if not path.is_file():
         raise UnknownSequenceError(f"no embedded fixture for {id}")
-    return parse_bfile(path.read_text(), id, "embedded")
-
-
-def network_allowed() -> bool:
-    return os.environ.get(ENV_OFFLINE, "") != "1"
-
-
-def _bfile_url(id: str) -> str:
-    return f"https://oeis.org/{id}/b{id[1:]}.txt"
-
-
-def _default_transport(url: str) -> str:
-    import urllib.error
-    import urllib.request
-
-    last: Optional[Exception] = None
-    for _ in range(1 + FETCH_RETRIES):
-        try:
-            with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT) as resp:
-                return resp.read().decode("utf-8")
-        except (urllib.error.URLError, OSError) as exc:
-            last = exc
-    raise FetchError(f"GET {url} failed after {1 + FETCH_RETRIES} attempts: {last}")
-
-
-def fetch(
-    id: str,
-    mode: str = "offline",
-    transport: Optional[Callable[[str], str]] = None,
-) -> OeisSequence:
-    """Look up a sequence.
-
-    offline: the embedded fixture; never touches the network.
-    network: download the live b-file through `transport` (urllib by
-             default); raises FetchError when FORGE_OFFLINE=1 forbids it.
-    """
-    if not _A_NUMBER.match(id):
-        raise ValueError(f"not an A-number: {id!r}")
-    if mode not in ("offline", "network"):
-        raise ValueError(f"unknown fetch mode {mode!r}")
-    if mode == "offline":
-        return _read_fixture(id)
-    if not network_allowed():
-        raise FetchError(f"network fetch of {id} forbidden ({ENV_OFFLINE}=1)")
-    text = (transport or _default_transport)(_bfile_url(id))
-    return parse_bfile(text, id, "network")
+    return parse_bfile(path.read_text(), id)
 
 
 # ---------------------------------------------------------------------------

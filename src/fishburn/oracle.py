@@ -158,10 +158,6 @@ def histogram(matrices: List[OracleMatrix], stat: str) -> Dict[int, int]:
     return out
 
 
-def total_weight(matrices: List[OracleMatrix]) -> int:
-    return sum(m.weight for m in matrices)
-
-
 def ascent_counts(n: int) -> Tuple[int, ...]:
     """The number of ascent sequences of each length 0..n, by dynamic
     programming over (ascents so far, last value); no generating function.

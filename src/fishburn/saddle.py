@@ -23,7 +23,8 @@ pieces are the saddle solver itself, the per-summand and total
 coefficient approximations, the per-k window profile of exact against
 approximate log a_{n,k} (as rows; the CLI formats them), the constrained
 exponent surface phi(q) whose maximum yields the growth constants, and
-numeric checks of the modulus bounds used to truncate the integrals.  The
+numeric checks of the modulus bounds used to truncate the integrals; the
+``saddle-lemmas`` check of ``fishburn verify --full`` runs the last two.  The
 same scheme ports to the other product families (replace e^{jz} - 1 by the
 corresponding factor); only the prototype channel is wired up here because
 every closed-form constant of the generic regime is calibrated against it.
@@ -505,9 +506,10 @@ def ank_approx(n: int, k: int) -> mp.mpf:
     per-summand validity window of :func:`_window_bounds` are accepted,
     the range over which the analysis makes the expansion uniform in k.
     :func:`an_approx` applies the same formula over its wider summation
-    range, where the summands beyond this window add ~1e-2 of a_n.
+    range, where the summands beyond this window add ~1e-2 of a_n.  n is
+    checked as by :func:`an_approx`: an int from 20 up to the series budget.
     """
-    _require_positive_int("n", n)
+    _check_size(n)
     _require_positive_int("k", k)
     k_minus, k_plus = _window_bounds(n)
     if not k_minus <= k <= k_plus:

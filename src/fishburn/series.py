@@ -61,7 +61,6 @@ __all__ = [
     "eval_marker",
     "jet_marker",
     "exp_linear",
-    "bernoulli_numbers",
     "sum_product",
 ]
 
@@ -437,20 +436,6 @@ def exp_linear(j: int, order: int) -> TruncatedSeries:
         num *= j
         out.append(_norm(Fraction(num, factorial(n))))
     return TruncatedSeries(out, order)
-
-
-def bernoulli_numbers(m: int) -> list[Fraction]:
-    """B_0..B_m with the B_1 = -1/2 convention, by the defining recurrence."""
-    out: list[Fraction] = []
-    for n in range(m + 1):
-        if n == 0:
-            out.append(Fraction(1))
-            continue
-        s = Fraction(0)
-        for j in range(n):
-            s += comb(n + 1, j) * out[j]
-        out.append(-s / (n + 1))
-    return out
 
 
 # ---------------------------------------------------------------------------

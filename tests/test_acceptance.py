@@ -1,10 +1,10 @@
 """End-to-end acceptance battery.
 
 One test per numbered criterion; the pytest line of each test is its
-pass/fail verdict.  Tests 1-11 run the checks of ``fishburn.checks``, the
-battery that ``fishburn verify`` prints, and assert each verdict with the
-check's detail line as the message.  Every tolerance is asserted exactly as
-stated in that module.
+pass/fail verdict.  Tests 1-11 and 13 run the checks of
+``fishburn.checks``, the battery that ``fishburn verify`` prints, and assert
+each verdict with the check's detail line as the message.  Every tolerance
+is asserted exactly as stated in that module.
 """
 
 import time
@@ -13,7 +13,6 @@ import mpmath as mp
 
 from fishburn import checks
 from fishburn.cli import main as cli_main
-from fishburn.oeis import ENV_OFFLINE
 
 mp.mp.dps = 40
 
@@ -132,8 +131,7 @@ def test_11_parity_split():
 # 12. Offline verification command
 
 
-def test_12_offline_verify(capsys, monkeypatch):
-    monkeypatch.setenv(ENV_OFFLINE, "1")
+def test_12_offline_verify(capsys):
     code = cli_main(["verify"])
     out = capsys.readouterr().out
     assert code == 0, out
@@ -142,3 +140,12 @@ def test_12_offline_verify(capsys, monkeypatch):
         assert f"ok    {name}:" in out
     with capsys.disabled():
         print("\nPASS 12: offline verify exits 0")
+
+
+# ---------------------------------------------------------------------------
+# 13. Saddle-proof lemmas: the truncation bounds and the exponent surface
+
+
+def test_13_saddle_lemmas():
+    detail, elapsed = run_check(checks.check_saddle_lemmas, budget=5.0)
+    print(f"PASS 13: {detail} in {elapsed:.2f}s")

@@ -1,0 +1,90 @@
+"""Every public name of the package is reached by a command, a check or
+another library function, not only by its own tests.
+
+The modules of ``src/fishburn`` (the package's ``__init__`` aside) and the
+scripts are parsed with ``ast``; a public name counts as reached when it is
+loaded, as a bare name or as a module attribute, outside its own definition
+and outside type annotations.
+"""
+
+import ast
+from pathlib import Path
+
+import fishburn
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Public names with no caller by design, each with its reason.
+NO_CALLER = {
+    # The documented per-summand saddle approximation; an_approx and
+    # profile_rows use its formula through the cached _log_ank.
+    "ank_approx",
+}
+
+
+def _sources():
+    package = [p for p in sorted((ROOT / "src" / "fishburn").glob("*.py"))
+               if p.name != "__init__.py"]
+    return package + sorted((ROOT / "scripts").glob("*.py"))
+
+
+class _Loads(ast.NodeVisitor):
+    """Names loaded outside the definition that binds them and outside
+    annotations."""
+
+    def __init__(self):
+        self.names = set()
+        self._inside = []
+
+    def _definition(self, node):
+        self._inside.append(node.name)
+        for child in node.decorator_list:
+            self.visit(child)
+        if isinstance(node, ast.ClassDef):
+            for child in node.bases + node.keywords:
+                self.visit(child)
+        else:
+            self._arguments(node.args)
+        for child in node.body:
+            self.visit(child)
+        self._inside.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _definition
+
+    def _arguments(self, args):
+        for default in args.defaults + [d for d in args.kw_defaults if d is not None]:
+            self.visit(default)
+
+    def visit_AnnAssign(self, node):
+        if node.value is not None:
+            self.visit(node.value)
+
+    def _load(self, name):
+        if name not in self._inside:
+            self.names.add(name)
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self._load(node.id)
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self._load(node.attr)
+        self.visit(node.value)
+
+
+def _loaded_names():
+    loads = _Loads()
+    for path in _sources():
+        loads.visit(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    return loads.names
+
+
+def test_every_public_name_has_a_caller():
+    unreached = sorted(set(fishburn.__all__) - _loaded_names() - NO_CALLER)
+    assert unreached == [], f"public names reached only by tests: {unreached}"
+
+
+def test_exceptions_are_public_and_unreached():
+    assert NO_CALLER <= set(fishburn.__all__)
+    assert not NO_CALLER & _loaded_names()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from fishburn import checks
 from fishburn.cli import build_parser, main
 from fishburn.families import ALL, LambdaSpec, family_series
-from fishburn.oeis import ENV_OFFLINE
+from fishburn.saddle import BoundReport
 
 
 def run(argv, capsys):
@@ -336,8 +336,7 @@ def only_full_check(monkeypatch, name):
 
 
 class TestVerify:
-    def test_offline_verify_passes(self, capsys, monkeypatch):
-        monkeypatch.setenv(ENV_OFFLINE, "1")
+    def test_offline_verify_passes(self, capsys):
         code, out, _ = run(["verify"], capsys)
         assert code == 0
         assert "0 failures" in out
@@ -361,6 +360,27 @@ class TestVerify:
         assert "FAIL  saddle-accuracy: 3 of 4 saddle clauses hold" in out
         assert "FAIL: window tail mass <= 1e-3 at n=120" in out
         assert out.count("pass: ") == 3
+
+    def test_violated_bound_fails_the_lemmas(self, capsys, monkeypatch):
+        only_full_check(monkeypatch, "saddle-lemmas")
+        monkeypatch.setattr(checks.saddle, "check_bounds", lambda samples: BoundReport(
+            samples, 0, 1, mp.mpf("1e-6"), mp.mpf("-1e-3")))
+        code, out, _ = run(["verify", "--full"], capsys)
+        assert code == 1
+        assert "FAIL  saddle-lemmas: 3 of 4 lemma clauses hold" in out
+        assert "FAIL: modulus bounds hold at 1000 sampled points (1 violations" in out
+        assert out.count("pass: ") == 3
+
+    def test_shifted_optimum_fails_the_lemmas(self, capsys, monkeypatch):
+        central = checks.saddle.optimum()
+        shifted = replace(central, mu=central.mu * (1 + mp.mpf("1e-6")))
+        only_full_check(monkeypatch, "saddle-lemmas")
+        monkeypatch.setattr(checks.saddle, "optimum", lambda: shifted)
+        code, out, _ = run(["verify", "--full"], capsys)
+        assert code == 1
+        assert "FAIL  saddle-lemmas: 2 of 4 lemma clauses hold" in out
+        assert "FAIL: phi_surface(mu) has radius varrho = xi" in out
+        assert "FAIL: exp(phi(mu)) = 12/(e*pi^2)" in out
 
     def test_failing_trend_cell_fails_verify(self, capsys, monkeypatch):
         real_compare = checks.compare
@@ -439,7 +459,7 @@ class TestPlumbing:
         assert proc.stdout == "1 1 2 5 15\n"
 
     def test_import_loads_no_network_stack(self):
-        # urllib is imported only when a live b-file is downloaded
+        # the package reads only its embedded fixtures
         probe = (
             "import sys; before = set(sys.modules); import fishburn.cli; "
             "loaded = set(sys.modules) - before; "

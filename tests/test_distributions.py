@@ -19,7 +19,6 @@ from fishburn.distributions import (
     distribution,
     histogram_rows,
     limit_law_for,
-    parity_report,
     report_json,
     stat_mean_variance,
 )
@@ -89,6 +88,9 @@ class TestExactTables:
     def test_zero_count_size_is_an_error(self):
         with pytest.raises(ValueError, match="no fishburn matrices"):
             distribution("fishburn", "first_row", M2, 3)
+        for n in (7, 9):  # purely even entries leave every odd size empty
+            with pytest.raises(ValueError, match="no fishburn matrices"):
+                distribution("fishburn", "twos", EVEN2, n)
 
     def test_budget_is_enforced(self):
         with pytest.raises(ValueError, match="budget"):
@@ -224,6 +226,7 @@ class TestLimitLaws:
         assert even.shift == Fraction(15)
         assert odd.shift == Fraction(59 - 5, 4)
         assert even.slope == odd.slope == Fraction(-1, 2)
+        assert even.rate == odd.rate
 
     def test_degenerate_when_fours_are_barred_too(self):
         law = limit_law_for("fishburn", "twos", LambdaSpec("custom", (0, 1, 0, 0, 1)), 20)
@@ -264,13 +267,16 @@ class TestLimitLaws:
 
 class TestCompare:
     def test_degenerate_against_degenerate_is_zero(self):
-        table = distribution("fishburn", "ones", PRIMITIVE, 12)
-        law = limit_law_for("fishburn", "ones", PRIMITIVE, 12)
-        report = compare(table, law)
-        assert report.sup_distance == 0
-        assert report.total_variation == 0
-        assert report.mean_gap == 0
-        assert report.variance_gap == 0
+        # The 1s count without 2s, and the 2s count with 2s the only entry.
+        for stat, lam, n in (("ones", PRIMITIVE, 12), ("twos", EVEN2, 8)):
+            table = distribution("fishburn", stat, lam, n)
+            law = limit_law_for("fishburn", stat, lam, n)
+            assert law.kind == "degenerate"
+            report = compare(table, law)
+            assert report.sup_distance == 0
+            assert report.total_variation == 0
+            assert report.mean_gap == 0
+            assert report.variance_gap == 0
 
     def test_row_first_row_close_to_ztp(self):
         table = distribution("row-fishburn", "first_row", ALL, 40)
@@ -344,44 +350,21 @@ class TestParity:
         assert rels[2] < rels[1] < rels[0]
         assert rels[2] < mp.mpf("0.25")
 
-    def test_report_m2_shape(self):
-        report = parity_report(M2, "twos", (29, 30, 59, 60, 61))
-        assert report.gap == 2
-        by_n = {row.n: row for row in report.rows}
-        assert by_n[29].parity == "odd" and by_n[30].parity == "even"
-        assert all(by_n[n].count > 0 for n in (29, 30, 59, 60, 61))
-        assert by_n[61].metrics is None            # beyond the profile budget
-        assert by_n[61].mean is not None
-        assert by_n[60].law.rate == by_n[59].law.rate
-
     def test_report_m2_distance_decreases_per_parity(self):
-        report = parity_report(M2, "twos", (29, 30, 59, 60))
-        by_n = {row.n: row for row in report.rows}
-        assert by_n[60].metrics.total_variation < by_n[30].metrics.total_variation
-        assert by_n[59].metrics.total_variation < by_n[29].metrics.total_variation
-
-    def test_report_pure_even_records_gaps(self):
-        report = parity_report(EVEN2, "twos", (7, 8, 9, 10))
-        assert report.gap is None
-        by_n = {row.n: row for row in report.rows}
-        assert by_n[7].count == 0 and by_n[7].law is None
-        assert by_n[9].count == 0
-        assert by_n[8].law.kind == "degenerate"
-        assert by_n[8].metrics.sup_distance == 0
-
-    def test_report_validation(self):
-        with pytest.raises(ValueError, match="1s are barred"):
-            parity_report(ALL, "twos", (10,))
-        with pytest.raises(ValueError, match="value 2"):
-            parity_report(LambdaSpec("custom", (0, 0, 1)), "twos", (10,))
-        with pytest.raises(ValueError, match="twos"):
-            parity_report(M2, "ones", (10,))
+        # Total variation to the shifted Poisson law falls from n = 30 to 60
+        # on each parity; check_parity_split asserts the even sizes too.
+        tv = {n: compare(distribution("fishburn", "twos", M2, n),
+                         limit_law_for("fishburn", "twos", M2, n)).total_variation
+              for n in (29, 30, 59, 60)}
+        assert tv[60] < tv[30]
+        assert tv[59] < tv[29]
 
     def test_zstar_observed_mean_tracks_the_rate(self):
-        # Z* at n=60 should sit near its Poisson rate pi^2/6.
-        row = [r for r in parity_report(M2, "twos", (60,)).rows][0]
-        zstar_mean = row.law.transform(Fraction(row.mean))
-        assert abs(as_mpf(zstar_mean) - mp.pi ** 2 / 6) < mp.mpf("0.4")
+        # Z* at n = 60 and 61 should sit near its Poisson rate pi^2/6.
+        for n in (60, 61):
+            mean, _ = stat_mean_variance("fishburn", "twos", M2, n)
+            zstar_mean = limit_law_for("fishburn", "twos", M2, n).transform(mean)
+            assert abs(as_mpf(zstar_mean) - mp.pi ** 2 / 6) < mp.mpf("0.4")
 
 
 # ---------------------------------------------------------------------------

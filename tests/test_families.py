@@ -13,7 +13,6 @@ from fishburn import identities
 from fishburn.checks import DIAGONAL_TRIANGLE, FIRST_ROW_TRIANGLE
 from fishburn.series import (
     TruncatedSeries,
-    bernoulli_numbers,
     eval_marker,
     exp_linear,
     jet_marker,
@@ -635,11 +634,13 @@ class TestRecursive:
 
 class TestVariants:
     def test_bernoulli_weight(self):
-        # the weight series in the factorial-normalized variant is z/(e^z-1)
+        # the weight series in the factorial-normalized variant is z/(e^z-1):
+        # times (e^z - 1)/z it gives 1, and B_9..B_12 are 0, 5/66, 0, -691/2730
         d = _bernoulli_egf(12)
-        bern = bernoulli_numbers(12)
-        for n in range(13):
-            assert d.coeff(n) == bern[n] / factorial(n)
+        quotient = (exp_linear(1, 13) - TruncatedSeries.one(13)).shift_down(1)
+        assert d * quotient == TruncatedSeries.one(12)
+        tail = [d.coeff(n) * factorial(n) for n in range(9, 13)]
+        assert tail == [0, Fraction(5, 66), 0, Fraction(-691, 2730)]
 
     def test_log_derivative_terms(self):
         # b_n = n a_n - sum b_j a_{n-j}, with a the binomial-weight row counts

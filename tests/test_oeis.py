@@ -1,6 +1,4 @@
-import types
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -8,7 +6,6 @@ from fishburn.families import NAMED_IDS, fishburn_numbers, named_sequence
 from fishburn.oeis import (
     BfileParseError,
     CrossCheckReport,
-    FetchError,
     OeisSequence,
     UnknownSequenceError,
     cross_check,
@@ -55,7 +52,7 @@ class TestParseBfile:
             parse_bfile("0 1\n1 1\n3 5\n")
 
     def test_roundtrip_through_format(self):
-        seq = OeisSequence("A000001", 1, (3, 1, 4, 1, 5), "embedded")
+        seq = OeisSequence("A000001", 1, (3, 1, 4, 1, 5))
         again = parse_bfile(format_bfile(seq, ["note"]), "A000001")
         assert again.offset == seq.offset and again.values == seq.values
 
@@ -63,14 +60,12 @@ class TestParseBfile:
 class TestSequenceType:
     def test_validation(self):
         with pytest.raises(ValueError, match="not an A-number"):
-            OeisSequence("22493", 0, (1,), "embedded")
+            OeisSequence("22493", 0, (1,))
         with pytest.raises(ValueError, match="empty"):
-            OeisSequence("A022493", 0, (), "embedded")
-        with pytest.raises(ValueError, match="unknown source"):
-            OeisSequence("A022493", 0, (1,), "oracle")
+            OeisSequence("A022493", 0, ())
 
     def test_term_lookup(self):
-        seq = OeisSequence("A000001", 2, (9, 8, 7), "embedded")
+        seq = OeisSequence("A000001", 2, (9, 8, 7))
         assert seq.term(3) == 8
         assert seq.last_index == 4
         with pytest.raises(IndexError):
@@ -83,93 +78,36 @@ class TestFixtures:
 
     @pytest.mark.parametrize("id", sorted(NAMED_IDS))
     def test_fixture_has_enough_terms(self, id):
-        seq = fetch(id, mode="offline")
-        assert seq.source == "embedded"
+        seq = fetch(id)
         assert len(seq) >= 15
 
     def test_fishburn_fixture_prefix(self):
-        seq = fetch("A022493", mode="offline")
+        seq = fetch("A022493")
         assert seq.values[:7] == (1, 1, 2, 5, 15, 53, 217)
 
     def test_unknown_id_offline(self):
         with pytest.raises(UnknownSequenceError):
-            fetch("A000000", mode="offline")
+            fetch("A000000")
 
     def test_invalid_id(self):
         with pytest.raises(ValueError, match="not an A-number"):
             fetch("fishburn")
 
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError, match="unknown fetch mode"):
-            fetch("A022493", mode="live")
-
     @pytest.mark.parametrize("id", sorted(NAMED_IDS))
     def test_fixture_matches_recomputation(self, id):
-        seq = fetch(id, mode="offline")
+        seq = fetch(id)
         assert list(seq.values) == named_sequence(id, len(seq))
-
-
-SAMPLE = "# sample\n0 1\n1 1\n2 2\n3 5\n"
-
-
-class TestFetchModes:
-    def test_network_mode_parses_each_download(self, monkeypatch):
-        monkeypatch.delenv("FORGE_OFFLINE", raising=False)
-        calls = []
-
-        def transport(url):
-            calls.append(url)
-            return SAMPLE
-
-        for _ in range(2):
-            seq = fetch("A022493", mode="network", transport=transport)
-            assert seq.source == "network"
-            assert seq.values == (1, 1, 2, 5)
-        assert len(calls) == 2 and "A022493" in calls[0]
-
-    def test_parse_failure_not_cached(self, monkeypatch):
-        monkeypatch.delenv("FORGE_OFFLINE", raising=False)
-        with pytest.raises(BfileParseError):
-            fetch("A022493", mode="network", transport=lambda url: "0 x\n")
-
-    def test_offline_env_blocks_network(self, monkeypatch):
-        monkeypatch.setenv("FORGE_OFFLINE", "1")
-        with pytest.raises(FetchError, match="forbidden"):
-            fetch("A000099", mode="network")
-        # a fixture id too: a live check must not compare a fixture with itself
-        with pytest.raises(FetchError, match="forbidden"):
-            fetch("A022493", mode="network", transport=lambda url: SAMPLE)
-
-
-MAKE_FIXTURES = Path(__file__).resolve().parents[1] / "scripts" / "make_fixtures.py"
-
-
-def test_check_network_writes_no_fixture(monkeypatch, capsys):
-    # Compiled from its source text, so no bytecode lands next to it.
-    script = types.ModuleType("make_fixtures")
-    script.__file__ = str(MAKE_FIXTURES)
-    exec(compile(MAKE_FIXTURES.read_text(), str(MAKE_FIXTURES), "exec"), vars(script))
-    writes = []
-    monkeypatch.setattr(Path, "write_text", lambda self, *a, **k: writes.append(self))
-    monkeypatch.setenv("FORGE_OFFLINE", "1")
-    assert script.main(["--check-network"]) == 1
-    failed = [line for line in capsys.readouterr().out.splitlines()
-              if line.startswith("live check failed")]
-    assert len(failed) == len(NAMED_IDS)
-    for id in NAMED_IDS:
-        assert any(id in line for line in failed), id
-    assert writes == []
 
 
 class TestCrossCheck:
     def test_full_match(self):
-        seq = fetch("A022493", mode="offline")
+        seq = fetch("A022493")
         rep = cross_check(list(fishburn_numbers(20)), seq)
         assert rep.ok and rep.start == 0 and rep.end == 20
         assert "match" in str(rep)
 
     def test_perturbed_term_detected(self):
-        seq = fetch("A022493", mode="offline")
+        seq = fetch("A022493")
         vals = list(fishburn_numbers(10))
         vals[7] += 1
         rep = cross_check(vals, seq)
@@ -179,17 +117,17 @@ class TestCrossCheck:
         assert "mismatch at 7" in str(rep)
 
     def test_offset_start(self):
-        seq = fetch("A207434", mode="offline")
+        seq = fetch("A207434")
         computed = named_sequence("A207434", 10)
         rep = cross_check(computed, seq, start=1)
         assert rep.ok and rep.start == 1
 
     def test_empty_overlap(self):
-        seq = OeisSequence("A000001", 5, (1, 2), "embedded")
+        seq = OeisSequence("A000001", 5, (1, 2))
         with pytest.raises(ValueError, match="no overlap"):
             cross_check([1, 2, 3], seq, start=0)
 
     def test_non_integer_rejected(self):
-        seq = fetch("A022493", mode="offline")
+        seq = fetch("A022493")
         with pytest.raises(ValueError, match="not an integer"):
             cross_check([Fraction(1, 2)], seq)

@@ -295,6 +295,17 @@ def test_summand_window_guard():
         ank_approx(100, 99)
 
 
+def test_summand_size_guard():
+    # The size check of an_approx: 19 gave 1.2e18 and 501 a value beyond
+    # the series budget before ank_approx made it.
+    with pytest.raises(ValueError, match="n >= 20"):
+        ank_approx(19, 16)
+    with pytest.raises(ValueError, match=r"exceeds the series budget \(500\)"):
+        ank_approx(501, 422)
+    with pytest.raises(ValueError, match="n >= 20"):
+        ank_approx(20.0, 16)
+
+
 @pytest.mark.parametrize("n", [50, 100, 200])
 def test_summand_peak_near_center(n):
     best = max(window_ints(n), key=lambda k: _log_ank(n, k))

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fishburn.series as series
-from fishburn.families import LambdaSpec
+from fishburn.families import LambdaSpec, _bernoulli_egf
 from fishburn.series import (
     Jet,
     TruncatedSeries,
-    bernoulli_numbers,
     eval_marker,
     exp_linear,
     jet_marker,
@@ -383,7 +382,9 @@ class TestCalculusAndSubstitution:
 
 
 def test_bernoulli_numbers():
-    b = bernoulli_numbers(8)
+    # n! [z^n] z/(e^z - 1), the Bernoulli series that A196194 uses
+    d = _bernoulli_egf(8)
+    b = [d.coeff(n) * factorial(n) for n in range(9)]
     assert b[0] == 1
     assert b[1] == Fraction(-1, 2)
     assert b[2] == Fraction(1, 6)
