@@ -13,7 +13,8 @@ prefactor * sum_k prod_{j<=k} d_j (x_j - y_j)^alpha, with d^k folded into the
 factors (d^k * prod f_j == prod (d*f_j)), which keeps the kernel's adaptive
 truncation effective.  x_j, y_j and d_j are 1, a fixed series, or a
 callable (j, room) such as exp(jz), 1/(1 - z^j) or a running power from
-``_powers`` (one truncated product per step).  The same statement gives the
+``_powers`` (one truncated product per step; for a weight series L with
+Q != 1 that product is one pass of L).  The same statement gives the
 first-order asymptotic form (``asymptotics.named_form`` and ``family_form``
 read it from the factors at j = 1, 2), so each catalogued instance and each
 family sum is written once, in ``_CATALOG`` or ``_family_sum``.  A marked
@@ -25,8 +26,14 @@ product form multiplies two differences that need L^{j-1} and L^j together.
 The second routes that the identities compare against these builders,
 among them the direct Fishburn forms, live in ``identities``.  Every fixed
 rational factor (a weight series, 1 +- z, 1/(1 -+ z^j)) is one
-``_rational_series(P, Q, order)``, so a product by it takes ``_mul_into``'s
-P/Q shortcut when Q is not 1.
+``_rational_series(P, Q, order)``, which records that it is (P/Q)^1.  The
+running powers, differences, squares and products by d built from one such
+series carry that record as a combination sum_e c_e (P/Q)^e, so the factor
+j of a family sum, such as L (L^j - 1)^2 for the Fishburn sum, reaches
+``sum_product`` as a combination of powers of L, and ``_mul_into`` may
+multiply the running product by it in passes of P/Q when Q is not 1.  The
+self-dual factor L (L(z^2)^j - 1) mixes two pairs and keeps its two
+factors, so the running product takes the passes of each in turn.
 
 The row, Andrews and self-dual sums serve both carriers: a weight series
 gives the counting series, a marked atom its statistic refinement.

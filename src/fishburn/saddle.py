@@ -679,10 +679,13 @@ def bound_margins(modulus, angle, k: int) -> Tuple[mp.mpf, mp.mpf]:
 def check_bounds(samples: int = 1000, seed: int = 1859) -> BoundReport:
     """Sample the truncation bounds at random (modulus, angle, k) triples.
 
-    Triples are drawn with modulus in (0, 3], angle uniform in [-pi, pi]
-    and k in 1..30, covering the regime the saddle integrals actually
-    visit (|z| = r with k*r of order 1).  The draw is seeded, so reports
-    are reproducible.
+    Triples are drawn with modulus uniform in [0.001, 3], angle uniform in
+    [-pi, pi] and k uniform in 1..30.  That reaches the summands of
+    ``an_approx`` only for small n (k = 11..19 at n = 20); from n = 49 on
+    every summed k is above 30 (k = 32..49 at n = 50, 375..468 at n = 500),
+    and from n = 64 on the largest summed k has its saddle radius below
+    0.001, so the bounds are not sampled where those integrals run.  The
+    draw is seeded, so reports are reproducible.
     """
     _require_positive_int("samples", samples)
     rng = random.Random(seed)

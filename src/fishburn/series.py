@@ -30,14 +30,28 @@ sum.  When both factors are supported on a lattice z^g (offsets from their
 valuations all multiples of g > 1, as for even-only multisets or L(z^2)),
 the product runs on that lattice.
 
-Two shortcuts inside the same kernel cut the big-integer products.  A weight
-series Lambda(z) = P(z)/Q(z) built by ``_rational_series`` keeps its pair
-(P, Q) through ``truncate`` and ``substitute_power``; a product by it is the
-product by the short P followed by the division by Q, one running sum per
-residue class for Q = 1 - z^g, so O(N (deg P + deg Q)) instead of O(N^2).
-A polynomial Lambda (Q = 1) keeps the dot products, which run in C.  A
-square (both factors the same object, as ``_power`` makes) computes half
-the cross products.  Every product still goes through ``_mul_into``.
+Two shortcuts inside the same kernel cut the big-integer products.  A
+series built over a weight Lambda(z) = P(z)/Q(z) records the combination
+sum_e c_e (P/Q)^e that it expands: ``_rational_series`` records (P/Q)^1, a
+constant c records c (P/Q)^0, and sums, differences, products, ``truncate``
+and ``substitute_power`` carry the record when both operands share the pair
+(P, Q) or one is a constant.  A product of two series with records over
+different pairs keeps its two factors instead (``_split``).  So the
+factors of the paper's sums arrive at the kernel with their records: the
+Fishburn factor L (L^j - 1)^2 = L^{2j+1} - 2 L^{j+1} + L as a combination
+of powers of L, the self-dual factor L (L(z^2)^j - 1) as its two factors.
+
+A product by such a series with Q != 1 may run as passes: a running copy
+of the other factor is multiplied by P and divided by Q (one running sum
+per residue class for Q = 1 - z^g) once per unit step of the exponent, and
+c_e times the copy joins the result at exponent e, in O(e_max (|P| + |Q|) N)
+additions instead of O(N^2) multiplications; a product by a split series
+runs the passes of each factor in turn.  The kernel takes the passes only
+where its estimate from e_max, the nonzero terms of P and Q and the span
+lengths says they are cheaper.  A polynomial Lambda (Q = 1) keeps the dot
+products, which run in C.  A square (both factors the same object, as
+``_power`` makes) computes half the cross products.  Every product still
+goes through ``_mul_into``.
 
 Every type refuses to mix truncation orders silently: combining series of
 different orders raises, it never truncates behind your back.  Combining a
@@ -49,8 +63,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, compress, count, repeat
 from math import comb, factorial, gcd
-from operator import add, mul
-from typing import Callable, NamedTuple, Sequence, Union
+from operator import add, mul, sub
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 Coeff = Union[int, Fraction]
 
@@ -110,10 +124,16 @@ def _power(base, k: int, one):
 class TruncatedSeries:
     """A power series known exactly for coefficients 0..order (inclusive)."""
 
-    # _rational is (P, Q), two int tuples with Q[0] == 1, when the
-    # coefficients are exactly the expansion of P/Q (see _rational_series);
-    # None otherwise.  Equality and hashing ignore it.
-    __slots__ = ("coeffs", "order", "_rational")
+    # The record of a series built over a weight P/Q: _rational is the pair
+    # (P, Q), two int tuples with Q[0] == 1, and _combo the combination
+    # ((e, c_e), ...), exponents increasing and every c_e nonzero, with
+    # coefficients the expansion of sum_e c_e (P/Q)^e (see _rational_series).
+    # A constant c has _combo ((0, c),), () for zero, and no pair: it is a
+    # combination over every pair.  Both are None for any other series.
+    # _split is (a, b) for a product of two series with records over
+    # different pairs, None otherwise (see _tag).  Equality and hashing
+    # ignore all three.
+    __slots__ = ("coeffs", "order", "_rational", "_combo", "_split")
 
     def __init__(self, coeffs: Sequence[Coeff], order: int):
         if order < 0:
@@ -125,21 +145,23 @@ class TruncatedSeries:
         # An all-int list is already normal; only Fractions can collapse.
         self.coeffs = tuple(cs) if set(map(type, cs)) == {int} else tuple(map(_norm, cs))
         self.order = order
-        self._rational = None
+        self._rational = self._combo = self._split = None
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
-        return cls((), order)
+        return cls.constant(0, order)
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
-        return cls((1,), order)
+        return cls.constant(1, order)
 
     @classmethod
     def constant(cls, c: Coeff, order: int) -> "TruncatedSeries":
-        return cls((c,), order)
+        out = cls((c,), order)
+        out._combo = ((0, out.coeffs[0]),) if c else ()
+        return out
 
     @classmethod
     def x(cls, order: int) -> "TruncatedSeries":
@@ -187,15 +209,13 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         _check_same_order(self, other)
-        return TruncatedSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
+        out = TruncatedSeries(list(map(add, self.coeffs, other.coeffs)), self.order)
+        return _tag(out, self, other, _combo_add)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         _check_same_order(self, other)
-        return TruncatedSeries(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
+        out = TruncatedSeries(list(map(sub, self.coeffs, other.coeffs)), self.order)
+        return _tag(out, self, other, _combo_sub)
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries([-c for c in self.coeffs], self.order)
@@ -212,7 +232,7 @@ class TruncatedSeries:
         if m > self.order:
             raise ValueError("cannot extend a truncated series; recompute instead")
         out = TruncatedSeries(self.coeffs[: m + 1], m)
-        out._rational = self._rational
+        out._rational, out._combo = self._rational, self._combo
         return out
 
     def shift_down(self, m: int) -> "TruncatedSeries":
@@ -270,6 +290,7 @@ class TruncatedSeries:
                 break
             out[i * m] = a
         result = TruncatedSeries(out, self.order)
+        result._combo = self._combo
         if self._rational is not None:
             result._rational = tuple(_stretch(c, m) for c in self._rational)
         return result
@@ -297,7 +318,8 @@ class TruncatedSeries:
 
 
 def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSeries:
-    """Product truncated at `order`, one C-level dot product per coefficient.
+    """Product truncated at `order`, one C-level dot product per coefficient
+    or, for a factor with a record over P/Q (Q != 1), passes of P/Q.
 
     Only the nonzero spans take part: a from its valuation to its last
     nonzero coefficient that can reach the window, and b likewise.  When the
@@ -305,17 +327,27 @@ def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSe
     g > 1 (the gcd of their offsets), the product is taken on that lattice
     and only every g-th output coefficient is computed.  Zeros left inside
     the spans are multiplied, not skipped: an int product by 0 costs little
-    next to a Python-level loop.
+    next to a Python-level loop.  When a is b (a square, as ``_power``
+    makes), each coefficient is 2 sum_{i<m-i} x_i x_{m-i} + x_{m/2}^2, half
+    the cross products.
 
-    Two shortcuts skip the dot products.  When a factor is a rational P/Q
-    with deg Q >= 1 (a weight series from ``_rational_series``), the other
-    factor is multiplied by the short P and divided by Q with its
-    recurrence, in O(N (deg P + deg Q)) steps; for Q = 1 - z^g the division
-    is one running sum per residue class mod g.  A polynomial factor (Q = 1)
-    stays on the dot products: those run in C, while a shifted sum over P's
-    terms gains nothing at the sizes used here.  When a is b (a square, as
-    ``_power`` makes), each coefficient is 2 sum_{i<m-i} x_i x_{m-i} + x_{m/2}^2,
-    half the cross products.
+    A factor f that records sum_e c_e (P/Q)^e with Q != 1 (a weight series
+    from ``_rational_series`` and the sums and products built from it) may
+    instead multiply the other factor x by passes (``_mul_rational``).  The
+    rule: with w the additions per coefficient of one pass of P/Q
+    (``_pass_weight``, from the nonzero terms of P and Q) and n the window
+    from x's valuation to `order` on the lattice, passes run when
+    (e_max w + number of terms) n is at most ``_PASS_RATIO`` times the
+    terms the dot products would multiply (``_dot_terms`` of the span
+    lengths, halved for a square); when both factors qualify, the cheaper
+    runs.  A split factor (the product of two records over different pairs)
+    costs the sum of its two factors and runs the passes of each in turn.
+    A polynomial factor (Q = 1) stays on the dot products: those run in C,
+    while a shifted sum over P's terms gains nothing at the sizes used
+    here.  The product carries the combination of both factors' records
+    when they share a pair (or one is a constant), and the two factors as
+    a split when their pairs differ, while its passes could still pass that
+    rule at this order.
 
     b may carry a *smaller* order than a when a's valuation guarantees the
     missing top coefficients of b cannot reach the truncation window; this is
@@ -329,21 +361,31 @@ def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSe
     acs, bcs = a.coeffs, b.coeffs
     ta = _last_nonzero(acs, order - vb)
     tb = _last_nonzero(bcs, order - va)
-    if _has_denominator(b):
-        return _mul_rational(acs[va : ta + 1], b._rational, va, order)
-    if _has_denominator(a):
-        return _mul_rational(bcs[vb : tb + 1], a._rational, vb, order)
     g = _lattice_step(acs, va, ta, 0)
     if g != 1:
         g = _lattice_step(bcs, vb, tb, g) or 1
     xs = acs[va : ta + 1 : g]
     ys = bcs[vb : tb + 1 : g][::-1]
     la, lb = len(xs), len(ys)
+    width = min((order - va - vb) // g, la + lb - 2) + 1
+    square = a is b
+    terms = _dot_terms(la, lb, width) // (2 if square else 1)
+    best = None
+    for f, cs, lo, hi in ((b, acs, va, ta), (a, bcs, vb, tb)):
+        cost = _pass_cost(f, order - lo, g)
+        if cost is not None and cost <= _PASS_RATIO * terms:
+            if best is None or cost < best[0]:
+                best = cost, f, cs[lo : hi + 1], lo
+    if best is not None:
+        _, f, span, lo = best
+        for part in f._split or (f,):
+            product = _mul_rational(span, part._rational, lo, order, part._combo)
+            span = product.coeffs[lo:]
+        return _tag(product, a, b, _combo_mul, order)
     # Output m of the lattice product is sum_i xs[i] * ys[lb - 1 - m + i]
     # over the i with both indices in range.
-    square = a is b
     dots = []
-    for m in range(min((order - va - vb) // g, la + lb - 2) + 1):
+    for m in range(width):
         lo = m - lb + 1 if m >= lb else 0
         hi = (m + 1) // 2 if square else (m + 1 if m < la else la)
         s = sum(map(mul, xs[lo:hi], ys[lb - 1 - m + lo : lb - 1 - m + hi]))
@@ -354,30 +396,132 @@ def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSe
         dots.append(s)
     out: list[Coeff] = [0] * (order + 1)
     out[va + vb : va + vb + g * len(dots) : g] = dots
-    return TruncatedSeries(out, order)
+    return _tag(TruncatedSeries(out, order), a, b, _combo_mul, order)
 
 
-def _has_denominator(f: TruncatedSeries) -> bool:
-    return f._rational is not None and len(f._rational[1]) > 1
+# A pass costs about one big-integer addition per coefficient and per unit
+# of ``_pass_weight``; a dot-product term multiplies two coefficients and adds
+# the product, which costs more.  Passes run when their estimated additions
+# are at most this many times the dot terms.  Of 2, 2.5, 3 and 4, 2.5 gave
+# the least total time over fishburn, row-fishburn and self-dual builds on
+# the named multisets with Q != 1 at orders 200-250.
+_PASS_RATIO = 2.5
 
 
-def _mul_rational(xs: Sequence[Coeff], pq: tuple, lo: int, order: int) -> TruncatedSeries:
-    """x * P / Q truncated at `order`, where x is zero below z^lo and xs
-    holds its coefficients from z^lo on (zero past its end)."""
+def _dot_terms(la: int, lb: int, width: int) -> int:
+    """The pairs (i, j) with i < la, j < lb and i + j < width: the terms of
+    the dot products of spans of lengths la and lb at `width` outputs."""
+    a = min(la, width)
+    full = max(0, min(a, width - lb + 1))  # rows i that pair with all of lb
+    return full * lb + (a - full) * (2 * width - full - a + 1) // 2
+
+
+def _pass_weight(pq: tuple) -> Optional[int]:
+    """Additions per coefficient of one pass of P/Q, None for Q = 1, which
+    takes no passes.  A pass copies the running series for the first term of
+    P, adds it once per further term and multiplies it once per term other
+    than +-1; the division by Q = 1 - z^g is one running sum, and by any
+    other Q a Python-level step per coefficient, priced at 8 additions plus
+    two per nonzero term of Q past its first two."""
     P, Q = pq
-    n = order - lo + 1
-    t: list[Coeff] = [0] * n
+    if len(Q) == 1:
+        return None
+    terms = [p for p in P if p]
+    w = len(terms) - 1 + sum(p not in (1, -1) for p in terms)
+    if _is_one_minus_power(Q):
+        return w + 1
+    return w + 8 + 2 * (sum(map(bool, Q)) - 2)
+
+
+def _is_one_minus_power(Q: tuple) -> bool:
+    """Q = 1 - z^g for some g >= 1, so that dividing by Q is a running sum."""
+    return len(Q) > 1 and Q[-1] == -1 and not any(Q[1:-1])
+
+
+def _pass_cost(f: TruncatedSeries, span: int, g: int) -> Optional[int]:
+    """Estimated additions to multiply by f with passes a factor whose
+    product with f fills the `span` coefficients past its valuation on the
+    lattice step g, or for a split f the sum over its two factors; None
+    when f (or a factor of a split f) has no record over a pair with
+    Q != 1."""
+    if f._split:
+        costs = [_pass_cost(part, span, g) for part in f._split]
+        return None if None in costs else sum(costs)
+    if f._rational is None or not f._combo:
+        return None
+    w = _pass_weight(f._rational)
+    if w is None:
+        return None
+    n = span // gcd(g, _pair_step(f._rational)) + 1
+    return (f._combo[-1][0] * w + len(f._combo)) * n
+
+
+def _pair_step(pq: tuple) -> int:
+    """The gcd of the exponents of the nonzero terms of P and Q: P/Q is a
+    series in z^step."""
+    P, Q = pq
+    return gcd(*compress(count(), P), *compress(count(), Q))
+
+
+def _mul_rational(
+    xs: Sequence[Coeff], pq: tuple, lo: int, order: int, combo: tuple = ((1, 1),)
+) -> TruncatedSeries:
+    """x * sum_e c_e (P/Q)^e truncated at `order`, for combo ((e, c_e), ...)
+    with e increasing, where x is zero below z^lo and xs holds its
+    coefficients from z^lo on (zero past its end).
+
+    A running copy of x takes one pass of P/Q (the shifted adds of P, then
+    the division by Q) per unit step of e, and c_e times the copy joins the
+    result when it reaches e; the default combo is the product by P/Q.  When
+    x, P and Q all live on a lattice step g > 1, the passes run on it.
+    """
+    P, Q = pq
+    g = _lattice_step(xs, 0, len(xs) - 1, _pair_step(pq)) or 1
+    if g > 1:
+        xs, P, Q = xs[::g], P[::g], Q[::g]
+    n = (order - lo) // g + 1
+    y = list(xs[:n])
+    y.extend(repeat(0, n - len(y)))
+    out = None
+    done = 0
+    for e, c in combo:
+        for _ in range(e - done):
+            y = _divide(_times_poly(y, P), Q)
+        done = e
+        term = y if c == 1 else list(map(mul, y, repeat(c)))
+        out = term if out is None else list(map(add, out, term))
+    result: list[Coeff] = [0] * (order + 1)
+    result[lo::g] = out
+    return TruncatedSeries(result, order)
+
+
+def _times_poly(y: list, P: tuple) -> list:
+    """y * P truncated at len(y) - 1, as a new list: one shifted add of y per
+    nonzero term of P."""
+    n = len(y)
+    t = None
     for k, p in enumerate(P[:n]):
-        if p:
-            seg = list(map(mul, xs[: n - k], repeat(p)))
-            t[k : k + len(seg)] = map(add, t[k : k + len(seg)], seg)
-    return TruncatedSeries([0] * lo + _divide(t, Q), order)
+        if not p:
+            continue
+        seg = y[: n - k]
+        if t is None:
+            t = [0] * k + (seg if p == 1 else list(map(mul, seg, repeat(p))))
+        elif p == 1 or p == -1:
+            t[k:] = map(add if p == 1 else sub, t[k:], seg)
+        else:
+            t[k:] = map(add, t[k:], map(mul, seg, repeat(p)))
+    return [0] * n if t is None else t
 
 
 def _divide(t: list, Q: tuple) -> list:
-    """t / Q as a power series truncated at len(t) - 1, in place; Q[0] == 1."""
+    """t / Q as a power series truncated at len(t) - 1, in place except for
+    Q = 1 - z, whose running sum is a new list; Q[0] == 1."""
     g = len(Q) - 1
-    if Q[-1] == -1 and not any(Q[1:-1]):  # Q = 1 - z^g
+    if not g:
+        return t
+    if _is_one_minus_power(Q):
+        if g == 1:
+            return list(accumulate(t))
         for r in range(min(g, len(t))):
             t[r::g] = accumulate(t[r::g])
         return t
@@ -387,15 +531,82 @@ def _divide(t: list, Q: tuple) -> list:
 
 
 def _rational_series(P: Sequence[int], Q: Sequence[int], order: int) -> TruncatedSeries:
-    """The expansion of P/Q at `order`, keeping the pair so that products by
-    it take ``_mul_into``'s rational shortcut.  Q[0] must be 1."""
+    """The expansion of P/Q at `order`, recording the pair and the
+    combination (P/Q)^1 so that products by it may take ``_mul_into``'s
+    passes.  Q[0] must be 1."""
     if Q[0] != 1:
         raise ValueError("the denominator must have constant term 1")
     t = list(P[: order + 1])
     t.extend([0] * (order + 1 - len(t)))
     out = TruncatedSeries(_divide(t, Q), order)
-    out._rational = (tuple(P), tuple(Q))
+    out._rational, out._combo = (tuple(P), tuple(Q)), ((1, 1),)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Records: combinations of powers of one weight series
+# ---------------------------------------------------------------------------
+
+def _tag(out: TruncatedSeries, a: TruncatedSeries, b: TruncatedSeries,
+         combine, order: Optional[int] = None) -> TruncatedSeries:
+    """Give `out`, built from a and b, the record combine(a's, b's) when both
+    have records over one pair (a constant fits any pair); return out.
+
+    A product (`order` given) of records over two different pairs keeps the
+    two factors instead, in ``_split``, so that a product by it can run the
+    passes of each in turn.  A product keeps neither when its passes could
+    never beat the dot products at that order, which also bounds the size
+    of the combinations carried.
+    """
+    ca, cb = a._combo, b._combo
+    if ca is None or cb is None:
+        return out
+    pa, pb = a._rational, b._rational
+    if order is not None and not _may_pass(order, (pa, ca), (pb, cb)):
+        return out
+    if pa is None or pb is None or pa == pb:
+        out._rational, out._combo = (pb if pa is None else pa), combine(ca, cb)
+    elif order is not None:
+        out._split = (a, b)
+    return out
+
+
+def _may_pass(order: int, *records) -> bool:
+    """Whether passes by the product of these (pair, combination) records
+    could pass ``_mul_into``'s rule at `order`: over a window of n <= order + 1
+    coefficients they cost at least sum e_max w additions per coefficient,
+    against _PASS_RATIO n / 2 for the at most n^2 / 2 dot terms."""
+    total = 0
+    for pq, combo in records:
+        if combo and combo[-1][0]:
+            w = _pass_weight(pq)
+            if w is None:
+                return False
+            total += combo[-1][0] * w
+    return 2 * total <= _PASS_RATIO * (order + 1)
+
+
+def _combo_from(terms: dict) -> tuple:
+    return tuple((e, c) for e, c in sorted(terms.items()) if c)
+
+
+def _combo_add(x: tuple, y: tuple) -> tuple:
+    terms = dict(x)
+    for e, c in y:
+        terms[e] = terms.get(e, 0) + c
+    return _combo_from(terms)
+
+
+def _combo_sub(x: tuple, y: tuple) -> tuple:
+    return _combo_add(x, tuple((e, -c) for e, c in y))
+
+
+def _combo_mul(x: tuple, y: tuple) -> tuple:
+    terms: dict = {}
+    for e, c in x:
+        for f, d in y:
+            terms[e + f] = terms.get(e + f, 0) + c * d
+    return _combo_from(terms)
 
 
 def _stretch(cs: tuple, m: int) -> tuple:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fishburn.series as series
-from fishburn.families import LambdaSpec, _bernoulli_egf
+from fishburn.families import _NAMED_RATIONAL, LambdaSpec, _bernoulli_egf
 from fishburn.series import (
     Jet,
     TruncatedSeries,
@@ -244,7 +244,7 @@ class TestKernelOracle:
 # ---------------------------------------------------------------------------
 
 def _plain(f: TruncatedSeries) -> TruncatedSeries:
-    """The same coefficients without the rational pair: the dot-product path."""
+    """The same coefficients without the record: the dot-product path."""
     return TruncatedSeries(f.coeffs, f.order)
 
 
@@ -329,6 +329,122 @@ class TestRationalFactor:
         x = TruncatedSeries([0, 0, 0, 0, 5], 6)
         assert series._mul_into(x, z3_over, 6) == TruncatedSeries.zero(6)
         assert series._mul_into(z3_over, x, 6) == TruncatedSeries.zero(6)
+
+
+# Records: a series over a weight P/Q may record the combination
+# sum_e c_e (P/Q)^e it expands, and products by it may run as passes.
+
+RECORD_PAIRS = sorted(set(_NAMED_RATIONAL.values()))
+RECORD_PAIRS += [series._rational_series(*pq, 0).substitute_power(2)._rational for pq in RECORD_PAIRS]
+
+records = st.dictionaries(
+    st.integers(min_value=0, max_value=12),
+    st.sampled_from((-3, -2, -1, 1, 2, 3)),
+    max_size=4,
+).map(lambda terms: tuple(sorted(terms.items())))
+
+
+def _expand(pq, combo, order: int) -> list:
+    """sum_e c_e (P/Q)^e at `order`, from the schoolbook references alone; a
+    constant's record (no pair) may hold only e = 0."""
+    out = [0] * (order + 1)
+    if pq is None:
+        for e, c in combo:
+            assert e == 0
+            out[0] = c
+        return out
+    P, Q = (TruncatedSeries(t[: order + 1], order) for t in pq)
+    base = TruncatedSeries(_schoolbook(P, TruncatedSeries(_schoolbook_inv(Q), order), order), order)
+    power = TruncatedSeries.one(order)
+    done = 0
+    for e, c in combo:
+        for _ in range(e - done):
+            power = TruncatedSeries(_schoolbook(power, base, order), order)
+        done = e
+        out = [_exact(o + c * p) for o, p in zip(out, power.coeffs)]
+    return out
+
+
+def _recorded(pq, combo, order: int) -> TruncatedSeries:
+    f = TruncatedSeries(_expand(pq, combo, order), order)
+    f._rational, f._combo = pq, combo
+    return f
+
+
+def _assert_exact_record(f: TruncatedSeries) -> None:
+    if f._combo is not None:
+        assert _typed(f.coeffs) == _typed(_expand(f._rational, f._combo, f.order))
+
+
+@st.composite
+def record_cases(draw):
+    """(f, g, h, x, order): f and g record combinations over one named pair,
+    plain or stretched by z -> z^2, h over any such pair, and x is a plain
+    int or Fraction series."""
+    order = draw(st.integers(min_value=0, max_value=40))
+    pq = draw(st.sampled_from(RECORD_PAIRS))
+    f, g = (_recorded(pq, draw(records), order) for _ in range(2))
+    h = _recorded(draw(st.sampled_from(RECORD_PAIRS)), draw(records), order)
+    valuation = draw(st.integers(min_value=0, max_value=order + 1))
+    x = draw(kernel_operands(order, valuation, draw(st.sampled_from([1, 1, 2]))))
+    return f, g, h, x, order
+
+
+class TestRecords:
+    @given(record_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_products_match_the_plain_product_and_keep_exact_records(self, case):
+        f, g, h, x, order = case
+        fh = f * h  # split in two when the pairs differ
+        for a, b in ((f, x), (x, f), (f, g), (f, f), (fh, x), (x, fh), (fh, fh)):
+            got = a * b
+            assert _typed(got.coeffs) == _typed((_plain(a) * _plain(b)).coeffs)
+            _assert_exact_record(got)
+        if f._combo and len(f._rational[1]) > 1 and not x.is_zero():
+            v = x.valuation()  # the passes themselves, whichever way the rule goes
+            passes = series._mul_rational(x.coeffs[v:], f._rational, v, order, f._combo)
+            assert _typed(passes.coeffs) == _typed((_plain(f) * x).coeffs)
+
+    @given(record_cases(), st.integers(min_value=0, max_value=40))
+    @settings(max_examples=200, deadline=None)
+    def test_sums_cuts_and_stretches_carry_exact_records(self, case, cut):
+        f, g, _, _, order = case
+        half = TruncatedSeries.constant(Fraction(1, 2), order)
+        terms = dict(f._combo)
+        for e, c in g._combo:
+            terms[e] = terms.get(e, 0) - c
+        assert (f - g)._combo == tuple(sorted((e, c) for e, c in terms.items() if c))
+        assert (f - g)._rational == f._rational
+        for got in (f + g, f - g, f + half, half - f, half * f, f.truncate(min(cut, order)),
+                    f.substitute_power(2), (f - g).substitute_power(3) * g.substitute_power(3)):
+            _assert_exact_record(got)
+
+    def test_constants_record_without_a_pair(self):
+        assert TruncatedSeries.constant(Fraction(4, 2), 3)._combo == ((0, 2),)
+        assert TruncatedSeries.zero(3)._combo == ()
+        assert TruncatedSeries.one(3)._rational is None
+        assert TruncatedSeries([1], 3)._combo is None  # built from coefficients: no record
+        geometric = TruncatedSeries.geometric(5)
+        other = series._rational_series((1,), (1, 0, -1), 5)
+        assert (geometric - TruncatedSeries.one(5))._combo == ((0, -1), (1, 1))
+        assert (geometric + other)._combo is None  # two pairs: no record
+        product = geometric * other
+        assert product._split == (geometric, other) and product._combo is None
+        assert (product + geometric)._split is None
+
+    def test_passes_run_only_where_they_are_cheaper(self, monkeypatch):
+        calls = []
+        shortcut = series._mul_rational
+        monkeypatch.setattr(
+            series, "_mul_rational", lambda *args: calls.append(args[4]) or shortcut(*args)
+        )
+        pq = ((1,), (1, -1))
+        x = TruncatedSeries(range(1, 62), 60)
+        low, high = _recorded(pq, ((0, -1), (3, 1)), 60), _recorded(pq, ((0, -1), (100, 1)), 60)
+        assert _typed((x * low).coeffs) == _typed((x * _plain(low)).coeffs)
+        assert calls == [low._combo]
+        assert _typed((x * high).coeffs) == _typed((x * _plain(high)).coeffs)
+        assert calls == [low._combo]  # e_max 100 against a window of 61: dot products
 
 
 class TestSquare:
