@@ -32,8 +32,8 @@ series carry that record as a combination sum_e c_e (P/Q)^e, so the factor
 j of a family sum, such as L (L^j - 1)^2 for the Fishburn sum, reaches
 ``sum_product`` as a combination of powers of L, and ``_mul_into`` may
 multiply the running product by it in passes of P/Q when Q is not 1.  The
-self-dual factor L (L(z^2)^j - 1) mixes two pairs and keeps its two
-factors, so the running product takes the passes of each in turn.
+self-dual factor L (L(z^2)^j - 1) records a combination of monomials over
+the two pairs of L and L(z^2), and its passes walk both.
 
 The row, Andrews and self-dual sums serve both carriers: a weight series
 gives the counting series, a marked atom its statistic refinement.
@@ -43,6 +43,11 @@ moment jets; ``sum_product`` and ``_one`` take the carrier from their input.
 ``stat_profile`` gets every full distribution from one evaluation at
 v = 2^K, K the bit length of the largest family count: each z-coefficient
 then holds its v-polynomial as base-2^K digits (Kronecker substitution).
+At v = c every marked atom is itself a rational series (``lambda_atom``),
+such as B = L(cz) = P(cz)/Q(cz), so the statistic factors record
+combinations of monomials over the pairs of L, L(z^2) and the atoms, and
+the running products of the profile builds take passes as the family
+sums do; a jet atom keeps its v-polynomial rows.
 
 Budget.  Every public builder rejects an order above ``_SERIES_BUDGET``
 before it builds anything, and checks the order it actually builds.
@@ -72,6 +77,7 @@ from .series import (
     _as_int,
     _power,
     _rational_series,
+    _stretch,
     eval_marker,
     exp_linear,
     jet_marker,
@@ -421,34 +427,62 @@ def fishburn_numbers(order: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 _ATOM_KINDS = {
-    # kind: (z stretch, v exponent as a function of the entry value i)
-    "size": (1, lambda i: i),          # weight i marked v^i on z^i
-    "size-sq": (2, lambda i: i),       # on z^{2i}
-    "size-double": (2, lambda i: 2 * i),
-    "ones": (1, lambda i: 1 if i == 1 else 0),
-    "twos": (1, lambda i: 1 if i == 2 else 0),
-    "ones-sq": (2, lambda i: 2 if i == 1 else 0),
+    # kind: (z stretch s, marked value t, v exponent e): entry value i sits on
+    # z^{s i} marked v^{e i} when t is None, and v^e when i == t
+    "size": (1, None, 1),
+    "size-sq": (2, None, 1),
+    "size-double": (2, None, 2),
+    "ones": (1, 1, 1),
+    "twos": (1, 2, 1),
+    "ones-sq": (2, 1, 2),
 }
 
 
 def lambda_atom(
     spec: LambdaSpec, order: int, marker: Marker, kind: str = "size"
 ) -> Carrier:
-    """The weight series with entries marked in v according to `kind`."""
+    """The weight series with entries marked in v according to `kind`.
+
+    At an evaluation v = c the atom is the rational series of
+    ``_atom_rational``, so it records its pair and products by it may take
+    passes; a jet is built from its v-polynomial rows.
+    """
     _check_budget(order)
     try:
-        z_stretch, v_exp = _ATOM_KINDS[kind]
+        s, t, e = _ATOM_KINDS[kind]
     except KeyError:
         raise ValueError(f"unknown atom kind {kind!r}")
+    if marker.value is not None:
+        return _rational_series(*_atom_rational(spec, s, t, e, marker.value), order)
     rows: list = [() for _ in range(order + 1)]
     rows[0] = (1,)
     i = 1
-    while i * z_stretch <= order:
+    while i * s <= order:
         w = spec.weight(i)
         if w:
-            rows[i * z_stretch] = tuple(w * c for c in marker.v_power(v_exp(i)))
+            power = e * i if t is None else e * (i == t)
+            rows[i * s] = tuple(w * c for c in marker.v_power(power))
         i += 1
     return marker.series(rows, order)
+
+
+def _atom_rational(spec: LambdaSpec, s: int, t: Optional[int], e: int, c) -> tuple:
+    """(P, Q) of an atom at v = c, trailing zeros cut, from the weight series
+    L = P/Q: L(c^e z^s) when every entry is marked (t None), and
+    (P(z^s) + w_t (c^e - 1) z^{ts} Q(z^s)) / Q(z^s) when only the value t is."""
+    P, Q = spec.rational()
+    if t is None:
+        P, Q = ([x * c ** (e * k) for k, x in enumerate(poly)] for poly in (P, Q))
+    else:
+        w = spec.weight(t) * (c**e - 1)
+        P = list(P) + [0] * (t + len(Q) - len(P))
+        for k, q in enumerate(Q):
+            P[t + k] += w * q
+    P, Q = (list(_stretch(poly, s)) for poly in (P, Q))
+    for poly in (P, Q):
+        while len(poly) > 1 and not poly[-1]:
+            poly.pop()
+    return P, Q
 
 
 # ---------------------------------------------------------------------------

@@ -31,27 +31,37 @@ valuations all multiples of g > 1, as for even-only multisets or L(z^2)),
 the product runs on that lattice.
 
 Two shortcuts inside the same kernel cut the big-integer products.  A
-series built over a weight Lambda(z) = P(z)/Q(z) records the combination
-sum_e c_e (P/Q)^e that it expands: ``_rational_series`` records (P/Q)^1, a
-constant c records c (P/Q)^0, and sums, differences, products, ``truncate``
-and ``substitute_power`` carry the record when both operands share the pair
-(P, Q) or one is a constant.  A product of two series with records over
-different pairs keeps its two factors instead (``_split``).  So the
-factors of the paper's sums arrive at the kernel with their records: the
-Fishburn factor L (L^j - 1)^2 = L^{2j+1} - 2 L^{j+1} + L as a combination
-of powers of L, the self-dual factor L (L(z^2)^j - 1) as its two factors.
+series built over weights P_i(z)/Q_i(z) records the integer combination of
+monomials prod_i (P_i/Q_i)^{e_i} that it expands: ``_rational_series``
+records (P/Q)^1, a constant c records c (P/Q)^0 over no pair, and sums,
+differences, products, ``truncate`` and ``substitute_power`` carry the
+record over the pairs of both operands.  Over one pair the record is the
+combination sum_e c_e (P/Q)^e of powers.  So the factors of the paper's
+sums arrive at the kernel with their records: the Fishburn factor
+L (L^j - 1)^2 = L^{2j+1} - 2 L^{j+1} + L over L; the self-dual factor
+L (L(z^2)^j - 1) over L and L(z^2); and, at v = c, where a marked atom
+such as B = L(cz) is itself a rational series, the statistic factors,
+such as fishburn/first_row's L (B L^{j-1} - 1)(L^j - 1) =
+B L^{2j} - B L^j - L^{j+1} + L over L and B.  ``sum_product``'s running
+product carries no record: its record would grow at every step, and past
+the second step its factor always passes more cheaply.
 
-A product by such a series with Q != 1 may run as passes: a running copy
-of the other factor is multiplied by P and divided by Q (one running sum
-per residue class for Q = 1 - z^g) once per unit step of the exponent, and
-c_e times the copy joins the result at exponent e, in O(e_max (|P| + |Q|) N)
-additions instead of O(N^2) multiplications; a product by a split series
-runs the passes of each factor in turn.  The kernel takes the passes only
-where its estimate from e_max, the nonzero terms of P and Q and the span
-lengths says they are cheaper.  A polynomial Lambda (Q = 1) keeps the dot
-products, which run in C.  A square (both factors the same object, as
-``_power`` makes) computes half the cross products.  Every product still
-goes through ``_mul_into``.
+A product by such a series may run as passes: a running copy of the other
+factor is multiplied by P_i and divided by Q_i once per unit step of e_i,
+walking the monomials as a trie, one pair at a time with exponents
+increasing, so that monomials sharing a prefix share its passes; c times
+the copy joins the result at each monomial.  That is O(A N) additions
+instead of O(N^2) multiplications, A the passes of the walk weighted by
+the nonzero terms of each P_i and Q_i.  Dividing by Q = 1 - c z^g is one
+running sum per residue class, scaled by c (a shift for c = 2^K).  The
+kernel takes the passes only where its estimate says they are cheaper: the
+estimate weighs the walk (in the cheapest order of the pairs) and the span
+lengths, and lets a dot term cost more the longer the shorter factor's
+coefficients are, since a product of two big integers grows with both
+lengths and an addition only with the longer.  A polynomial weight (Q = 1)
+keeps the dot products, which run in C.  A square (both factors the same
+object, as ``_power`` makes) computes half the cross products.  Every
+product still goes through ``_mul_into``.
 
 Every type refuses to mix truncation orders silently: combining series of
 different orders raises, it never truncates behind your back.  Combining a
@@ -61,9 +71,10 @@ jet with another carrier, or jets of different depths, raises too.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, compress, count, repeat
+from functools import lru_cache
+from itertools import accumulate, compress, count, islice, permutations, repeat
 from math import comb, factorial, gcd
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -124,16 +135,18 @@ def _power(base, k: int, one):
 class TruncatedSeries:
     """A power series known exactly for coefficients 0..order (inclusive)."""
 
-    # The record of a series built over a weight P/Q: _rational is the pair
-    # (P, Q), two int tuples with Q[0] == 1, and _combo the combination
-    # ((e, c_e), ...), exponents increasing and every c_e nonzero, with
-    # coefficients the expansion of sum_e c_e (P/Q)^e (see _rational_series).
-    # A constant c has _combo ((0, c),), () for zero, and no pair: it is a
-    # combination over every pair.  Both are None for any other series.
-    # _split is (a, b) for a product of two series with records over
-    # different pairs, None otherwise (see _tag).  Equality and hashing
-    # ignore all three.
-    __slots__ = ("coeffs", "order", "_rational", "_combo", "_split")
+    # The record of a series built over weights P_i/Q_i: an integer
+    # combination of monomials prod_i (P_i/Q_i)^{e_i} whose expansion is the
+    # coefficients.  Over one pair, _rational is the pair (P, Q), two int
+    # tuples with Q[0] == 1, and _combo the combination ((e, c_e), ...),
+    # exponents increasing and every c_e nonzero (see _rational_series).  A
+    # constant c has _combo ((0, c),), () for zero, and no pair: it is a
+    # combination over every pair.  Over several pairs, _multi is
+    # (pairs, terms): the pairs sorted, and terms ((exponents, c), ...), one
+    # exponent per pair, sorted and every c nonzero; _rational and _combo
+    # are then None (see _record and _tag).  All three are None for any
+    # other series.  Equality and hashing ignore them.
+    __slots__ = ("coeffs", "order", "_rational", "_combo", "_multi")
 
     def __init__(self, coeffs: Sequence[Coeff], order: int):
         if order < 0:
@@ -145,7 +158,7 @@ class TruncatedSeries:
         # An all-int list is already normal; only Fractions can collapse.
         self.coeffs = tuple(cs) if set(map(type, cs)) == {int} else tuple(map(_norm, cs))
         self.order = order
-        self._rational = self._combo = self._split = None
+        self._rational = self._combo = self._multi = None
 
     # -- constructors -------------------------------------------------
 
@@ -232,7 +245,7 @@ class TruncatedSeries:
         if m > self.order:
             raise ValueError("cannot extend a truncated series; recompute instead")
         out = TruncatedSeries(self.coeffs[: m + 1], m)
-        out._rational, out._combo = self._rational, self._combo
+        out._rational, out._combo, out._multi = self._rational, self._combo, self._multi
         return out
 
     def shift_down(self, m: int) -> "TruncatedSeries":
@@ -290,9 +303,11 @@ class TruncatedSeries:
                 break
             out[i * m] = a
         result = TruncatedSeries(out, self.order)
-        result._combo = self._combo
-        if self._rational is not None:
-            result._rational = tuple(_stretch(c, m) for c in self._rational)
+        record = _record(self)
+        if record is not None:
+            # z -> z^m keeps the pairs distinct and in order
+            pairs = tuple(tuple(_stretch(c, m) for c in pq) for pq in record[0])
+            _set_record(result, pairs, record[1])
         return result
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
@@ -319,7 +334,7 @@ class TruncatedSeries:
 
 def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSeries:
     """Product truncated at `order`, one C-level dot product per coefficient
-    or, for a factor with a record over P/Q (Q != 1), passes of P/Q.
+    or, for a factor with a record over pairs P_i/Q_i (Q_i != 1), passes.
 
     Only the nonzero spans take part: a from its valuation to its last
     nonzero coefficient that can reach the window, and b likewise.  When the
@@ -331,23 +346,23 @@ def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSe
     makes), each coefficient is 2 sum_{i<m-i} x_i x_{m-i} + x_{m/2}^2, half
     the cross products.
 
-    A factor f that records sum_e c_e (P/Q)^e with Q != 1 (a weight series
-    from ``_rational_series`` and the sums and products built from it) may
-    instead multiply the other factor x by passes (``_mul_rational``).  The
-    rule: with w the additions per coefficient of one pass of P/Q
-    (``_pass_weight``, from the nonzero terms of P and Q) and n the window
-    from x's valuation to `order` on the lattice, passes run when
-    (e_max w + number of terms) n is at most ``_PASS_RATIO`` times the
-    terms the dot products would multiply (``_dot_terms`` of the span
-    lengths, halved for a square); when both factors qualify, the cheaper
-    runs.  A split factor (the product of two records over different pairs)
-    costs the sum of its two factors and runs the passes of each in turn.
-    A polynomial factor (Q = 1) stays on the dot products: those run in C,
+    A factor f that records a combination of monomials prod_i (P_i/Q_i)^e_i
+    (a weight series from ``_rational_series``, a marked atom at v = c, and
+    the sums and products built from them) may instead multiply the other
+    factor x by passes: ``_mul_rational`` for one pair, ``_mul_record``
+    walking the monomials pair by pair for several.  The rule: with n the
+    window from x's valuation to `order` on the lattice, the passes cost
+    (A + number of terms) n additions, A the additions per coefficient of
+    the cheapest walk (``_pass_plan``, from ``_pass_weight`` of each pair);
+    they run when that is at most ``_pass_ratio(b)`` times the terms the dot
+    products would multiply (``_dot_terms`` of the span lengths, halved for
+    a square), b the shorter bit length of the two spans' last nonzero
+    coefficients; when both factors qualify, the cheaper runs.  A
+    polynomial weight (Q = 1) takes no passes: its dot products run in C,
     while a shifted sum over P's terms gains nothing at the sizes used
-    here.  The product carries the combination of both factors' records
-    when they share a pair (or one is a constant), and the two factors as
-    a split when their pairs differ, while its passes could still pass that
-    rule at this order.
+    here.  The product carries the combination of both factors' records,
+    over the pairs of both, while its passes could still pass that rule at
+    this order.
 
     b may carry a *smaller* order than a when a's valuation guarantees the
     missing top coefficients of b cannot reach the truncation window; this is
@@ -372,15 +387,15 @@ def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSe
     terms = _dot_terms(la, lb, width) // (2 if square else 1)
     best = None
     for f, cs, lo, hi in ((b, acs, va, ta), (a, bcs, vb, tb)):
-        cost = _pass_cost(f, order - lo, g)
-        if cost is not None and cost <= _PASS_RATIO * terms:
-            if best is None or cost < best[0]:
-                best = cost, f, cs[lo : hi + 1], lo
-    if best is not None:
-        _, f, span, lo = best
-        for part in f._split or (f,):
-            product = _mul_rational(span, part._rational, lo, order, part._combo)
-            span = product.coeffs[lo:]
+        plan = _pass_plan(f, order - lo, g)
+        if plan is not None and (best is None or plan[0] < best[0][0]):
+            best = plan, f, cs[lo : hi + 1], lo
+    if best is not None and best[0][0] <= _pass_ratio(min(_bits(acs[ta]), _bits(bcs[tb]))) * terms:
+        (_, pairs, walk), f, span, lo = best
+        if f._multi is None:
+            product = _mul_rational(span, f._rational, lo, order, f._combo)
+        else:
+            product = _mul_record(span, pairs, lo, order, walk)
         return _tag(product, a, b, _combo_mul, order)
     # Output m of the lattice product is sum_i xs[i] * ys[lb - 1 - m + i]
     # over the i with both indices in range.
@@ -399,13 +414,37 @@ def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSe
     return _tag(TruncatedSeries(out, order), a, b, _combo_mul, order)
 
 
-# A pass costs about one big-integer addition per coefficient and per unit
-# of ``_pass_weight``; a dot-product term multiplies two coefficients and adds
-# the product, which costs more.  Passes run when their estimated additions
-# are at most this many times the dot terms.  Of 2, 2.5, 3 and 4, 2.5 gave
-# the least total time over fishburn, row-fishburn and self-dual builds on
-# the named multisets with Q != 1 at orders 200-250.
+# The rule's ratio of pass additions to dot terms.  A pass addition costs
+# about as much as adding two coefficients of the longer operand, while a dot
+# term multiplies two coefficients, which grows with the bit lengths of both
+# (in CPython's schoolbook range, with the shorter one): on this code's
+# sizes a dot term measured 2-4 additions below 256 bits, 15-30 at 1,024
+# and 44-74 at 4,096.  So passes run when their estimated additions are at
+# most _PASS_RATIO * max(1, b / _PASS_BITS) times the dot terms, b the
+# shorter bit length of the two spans' last nonzero coefficients (the
+# largest, for the growing coefficients of these series).  _PASS_RATIO = 2.5
+# gave the least total time, of 2, 2.5, 3 and 4, over fishburn, row-fishburn
+# and self-dual builds on the named multisets with Q != 1 at orders 200-250,
+# whose b stays below 256.  _PASS_BITS = 256, of 64, 128, 256, 512 and no
+# size term, gave within 1% of the least total time over family builds at
+# orders 200-400 and packed profile builds at orders 30-60 (b up to 14,000),
+# and keeps every choice of the family builds up to order 250.
 _PASS_RATIO = 2.5
+_PASS_BITS = 256
+
+
+def _pass_ratio(bits: int) -> float:
+    """The most pass additions per dot term at which passes run, for
+    coefficients of `bits` bits in the shorter factor."""
+    return _PASS_RATIO * max(1, bits / _PASS_BITS)
+
+
+def _bits(c: Coeff) -> int:
+    """The bit length of an int, or of a Fraction's numerator and denominator
+    together."""
+    if type(c) is int:
+        return c.bit_length()
+    return c.numerator.bit_length() + c.denominator.bit_length()
 
 
 def _dot_terms(la: int, lb: int, width: int) -> int:
@@ -416,46 +455,96 @@ def _dot_terms(la: int, lb: int, width: int) -> int:
     return full * lb + (a - full) * (2 * width - full - a + 1) // 2
 
 
+@lru_cache(maxsize=1024)
 def _pass_weight(pq: tuple) -> Optional[int]:
     """Additions per coefficient of one pass of P/Q, None for Q = 1, which
     takes no passes.  A pass copies the running series for the first term of
-    P, adds it once per further term and multiplies it once per term other
-    than +-1; the division by Q = 1 - z^g is one running sum, and by any
-    other Q a Python-level step per coefficient, priced at 8 additions plus
-    two per nonzero term of Q past its first two."""
+    P, adds it once per further term and multiplies it by each term p other
+    than +-1, priced at 1 + b/32 additions for a b-bit p (a product by a
+    short factor grows with its length).  The division by Q = 1 - z^g is
+    one running sum; by Q = 1 - c z^g a scaled running sum, priced at 2 for
+    a shift (c a power of two) and 2 + b/32 for a product by a b-bit c; and
+    by any other Q a Python-level step per coefficient, priced at 8
+    additions plus two per nonzero term of Q past its first two."""
     P, Q = pq
     if len(Q) == 1:
         return None
     terms = [p for p in P if p]
-    w = len(terms) - 1 + sum(p not in (1, -1) for p in terms)
-    if _is_one_minus_power(Q):
+    w = len(terms) - 1 + sum(1 + _bits(p) // 32 for p in terms if p not in (1, -1))
+    c = _scaled_step(Q)
+    if c == 1:
         return w + 1
+    if c is not None:
+        return w + 2 + (0 if _is_power_of_two(c) else _bits(c) // 32)
     return w + 8 + 2 * (sum(map(bool, Q)) - 2)
 
 
-def _is_one_minus_power(Q: tuple) -> bool:
-    """Q = 1 - z^g for some g >= 1, so that dividing by Q is a running sum."""
-    return len(Q) > 1 and Q[-1] == -1 and not any(Q[1:-1])
+def _is_power_of_two(c: Coeff) -> bool:
+    return type(c) is int and c > 0 and not c & (c - 1)
 
 
-def _pass_cost(f: TruncatedSeries, span: int, g: int) -> Optional[int]:
-    """Estimated additions to multiply by f with passes a factor whose
+def _scaled_step(Q: tuple) -> Optional[Coeff]:
+    """c when Q = 1 - c z^g for some g >= 1, so that dividing by Q is a
+    (scaled) running sum; None otherwise."""
+    if len(Q) > 1 and not any(Q[1:-1]):
+        return -Q[-1]
+    return None
+
+
+def _pass_plan(f: TruncatedSeries, span: int, g: int) -> Optional[tuple]:
+    """(cost, pairs, terms) for multiplying by f in passes a factor whose
     product with f fills the `span` coefficients past its valuation on the
-    lattice step g, or for a split f the sum over its two factors; None
-    when f (or a factor of a split f) has no record over a pair with
-    Q != 1."""
-    if f._split:
-        costs = [_pass_cost(part, span, g) for part in f._split]
-        return None if None in costs else sum(costs)
-    if f._rational is None or not f._combo:
+    lattice step g: the estimated additions, and, for a record over several
+    pairs, the pairs in the order of the cheapest walk
+    (``_walk_additions``) with the terms sorted in that order.  None when f
+    has no record over a pair, or when a pair with Q = 1 would need
+    passes."""
+    if f._multi is None:  # one pair: its largest exponent sets the passes
+        pq, combo = f._rational, f._combo
+        w = None if pq is None or not combo else _pass_weight(pq)
+        if w is None:
+            return None
+        n = span // gcd(g, _pair_step(pq)) + 1
+        return (combo[-1][0] * w + len(combo)) * n, (pq,), None
+    pairs, terms = f._multi
+    n = span // gcd(g, *map(_pair_step, pairs)) + 1
+    best = None
+    # Records span a few pairs; past four, only the first 24 orders are tried.
+    for walk in islice(permutations(range(len(pairs))), 24):
+        get = itemgetter(*walk)
+        steps = _walk_additions(get(pairs), [get(e) for e, _ in terms])
+        if steps is not None and (best is None or steps < best[0]):
+            best = steps, get
+    if best is None:
         return None
-    w = _pass_weight(f._rational)
-    if w is None:
-        return None
-    n = span // gcd(g, _pair_step(f._rational)) + 1
-    return (f._combo[-1][0] * w + len(f._combo)) * n
+    steps, get = best
+    walked = get(pairs)
+    if walked != pairs:
+        terms = tuple(sorted((get(e), c) for e, c in terms))
+    return (steps + len(terms)) * n, walked, terms
 
 
+def _walk_additions(pairs: tuple, exponents: list) -> Optional[int]:
+    """Additions per coefficient of the passes that walk these exponent
+    tuples as a trie, pair by pair in the order given: below each prefix the
+    running copy takes passes of the next pair up to the largest exponent
+    that follows the prefix.  None when a pair with Q = 1 would need passes."""
+    total = 0
+    for level, pq in enumerate(pairs):
+        reach: dict = {}
+        for e in exponents:
+            if e[level] > reach.get(e[:level], 0):
+                reach[e[:level]] = e[level]
+        passes = sum(reach.values())
+        if passes:
+            w = _pass_weight(pq)
+            if w is None:
+                return None
+            total += passes * w
+    return total
+
+
+@lru_cache(maxsize=1024)
 def _pair_step(pq: tuple) -> int:
     """The gcd of the exponents of the nonzero terms of P and Q: P/Q is a
     series in z^step."""
@@ -468,26 +557,49 @@ def _mul_rational(
 ) -> TruncatedSeries:
     """x * sum_e c_e (P/Q)^e truncated at `order`, for combo ((e, c_e), ...)
     with e increasing, where x is zero below z^lo and xs holds its
-    coefficients from z^lo on (zero past its end).
+    coefficients from z^lo on (zero past its end): ``_mul_record`` over the
+    one pair; the default combo is the product by P/Q."""
+    return _mul_record(xs, (pq,), lo, order, [((e,), c) for e, c in combo])
 
-    A running copy of x takes one pass of P/Q (the shifted adds of P, then
-    the division by Q) per unit step of e, and c_e times the copy joins the
-    result when it reaches e; the default combo is the product by P/Q.  When
-    x, P and Q all live on a lattice step g > 1, the passes run on it.
+
+def _mul_record(
+    xs: Sequence[Coeff], pairs: tuple, lo: int, order: int, terms: tuple
+) -> TruncatedSeries:
+    """x * sum c prod_i (P_i/Q_i)^{e_i} truncated at `order`, for terms
+    ((exponents, c), ...) sorted, one exponent per pair of `pairs`, where x
+    is zero below z^lo and xs holds its coefficients from z^lo on.
+
+    The terms are walked as a trie, one pair per level in the order given:
+    base[i] holds x times the passes of the pairs before i at the current
+    term's prefix of exponents.  A term that first differs from the one
+    before at level k continues the copy of level k from the exponent it
+    had there and starts every deeper level afresh from the copy above it;
+    a pass of P_i/Q_i is the shifted adds of P_i, then the division by Q_i.
+    c times the copy reached joins the result.  When x and every P_i and
+    Q_i live on a lattice step g > 1, the passes run on it.
     """
-    P, Q = pq
-    g = _lattice_step(xs, 0, len(xs) - 1, _pair_step(pq)) or 1
+    g = _lattice_step(xs, 0, len(xs) - 1, gcd(*map(_pair_step, pairs))) or 1
     if g > 1:
-        xs, P, Q = xs[::g], P[::g], Q[::g]
+        xs, pairs = xs[::g], tuple((P[::g], Q[::g]) for P, Q in pairs)
     n = (order - lo) // g + 1
     y = list(xs[:n])
     y.extend(repeat(0, n - len(y)))
+    depth = len(pairs)
+    base = [y] * (depth + 1)
+    prev = (0,) * depth
     out = None
-    done = 0
-    for e, c in combo:
-        for _ in range(e - done):
-            y = _divide(_times_poly(y, P), Q)
-        done = e
+    for e, c in terms:
+        k = 0
+        while k < depth and e[k] == prev[k]:
+            k += 1
+        if k < depth:
+            y, start = base[k + 1], prev[k]
+            for i in range(k, depth):
+                P, Q = pairs[i]
+                for _ in range(e[i] - start):
+                    y = _divide(_times_poly(y, P), Q)
+                base[i + 1], start = y, 0
+            prev = e
         term = y if c == 1 else list(map(mul, y, repeat(c)))
         out = term if out is None else list(map(add, out, term))
     result: list[Coeff] = [0] * (order + 1)
@@ -515,15 +627,26 @@ def _times_poly(y: list, P: tuple) -> list:
 
 def _divide(t: list, Q: tuple) -> list:
     """t / Q as a power series truncated at len(t) - 1, in place except for
-    Q = 1 - z, whose running sum is a new list; Q[0] == 1."""
+    Q = 1 - z, whose running sum is a new list; Q[0] == 1.
+
+    For Q = 1 - c z^g each residue class mod g is one running sum, scaled by
+    c (a shift when c is a power of two, as at v = 2^K)."""
     g = len(Q) - 1
     if not g:
         return t
-    if _is_one_minus_power(Q):
-        if g == 1:
+    c = _scaled_step(Q)
+    if c is not None:
+        if c == 1 and g == 1:
             return list(accumulate(t))
+        if c == 1:
+            step = None  # plain addition, which accumulate runs without a call
+        elif _is_power_of_two(c) and all(type(x) is int for x in t):
+            shift = c.bit_length() - 1
+            step = lambda s, x: (s << shift) + x  # noqa: E731
+        else:
+            step = lambda s, x: x + c * s  # noqa: E731
         for r in range(min(g, len(t))):
-            t[r::g] = accumulate(t[r::g])
+            t[r::g] = accumulate(t[r::g], step)
         return t
     for m in range(1, len(t)):
         t[m] -= sum(map(mul, Q[1:], reversed(t[max(m - g, 0) : m])))
@@ -544,46 +667,93 @@ def _rational_series(P: Sequence[int], Q: Sequence[int], order: int) -> Truncate
 
 
 # ---------------------------------------------------------------------------
-# Records: combinations of powers of one weight series
+# Records: combinations of monomials in weight series
 # ---------------------------------------------------------------------------
+
+def _record(f: TruncatedSeries) -> Optional[tuple]:
+    """f's record as (pairs, terms), terms ((exponents, c), ...) with one
+    exponent per pair, whichever slots hold it; None when f has none."""
+    if f._multi is not None:
+        return f._multi
+    if f._combo is None:
+        return None
+    if f._rational is None:
+        return (), tuple(((), c) for _, c in f._combo)
+    return (f._rational,), tuple(((e,), c) for e, c in f._combo)
+
+
+def _set_record(out: TruncatedSeries, pairs: tuple, terms: tuple) -> None:
+    """Store the record (pairs, terms), pairs sorted, in out's slots."""
+    if len(pairs) > 1:
+        out._multi = pairs, terms
+    else:
+        out._rational = pairs[0] if pairs else None
+        out._combo = tuple((e[0] if e else 0, c) for e, c in terms)
+
+
+def _widen(pairs: tuple, own: tuple, terms: tuple) -> tuple:
+    """The terms of a record over `own`, some of the sorted `pairs`, as
+    terms over `pairs`: a zero exponent for each pair not in `own`.  The
+    terms stay sorted."""
+    if own == pairs:
+        return terms
+    at = [pairs.index(pq) for pq in own]
+    out = []
+    for e, c in terms:
+        key = [0] * len(pairs)
+        for i, k in zip(at, e):
+            key[i] = k
+        out.append((tuple(key), c))
+    return tuple(out)
+
 
 def _tag(out: TruncatedSeries, a: TruncatedSeries, b: TruncatedSeries,
          combine, order: Optional[int] = None) -> TruncatedSeries:
-    """Give `out`, built from a and b, the record combine(a's, b's) when both
-    have records over one pair (a constant fits any pair); return out.
+    """Give `out`, built from a and b, the record combine(a's, b's), over the
+    pairs of both (a constant's record has none); return out.
 
-    A product (`order` given) of records over two different pairs keeps the
-    two factors instead, in ``_split``, so that a product by it can run the
-    passes of each in turn.  A product keeps neither when its passes could
-    never beat the dot products at that order, which also bounds the size
-    of the combinations carried.
+    A product (`order` given) keeps none when its passes could never beat
+    the dot products at that order (``_may_pass``), which also bounds the
+    size of the combinations carried.
     """
     ca, cb = a._combo, b._combo
-    if ca is None or cb is None:
+    if (ca is None and a._multi is None) or (cb is None and b._multi is None):
         return out
     pa, pb = a._rational, b._rational
-    if order is not None and not _may_pass(order, (pa, ca), (pb, cb)):
+    if ca is not None and cb is not None and (pa is None or pb is None or pa == pb):
+        pq, combo = (pb if pa is None else pa), combine(ca, cb)  # one pair or none
+        if order is None or _may_pass(out, [(pq, combo[-1][0] if combo else 0)]):
+            out._rational, out._combo = pq, combo
         return out
-    if pa is None or pb is None or pa == pb:
-        out._rational, out._combo = (pb if pa is None else pa), combine(ca, cb)
-    elif order is not None:
-        out._split = (a, b)
+    ra, rb = _record(a), _record(b)
+    pairs = tuple(sorted(set(ra[0] + rb[0])))
+    terms = combine(_widen(pairs, *ra), _widen(pairs, *rb))
+    reach = [(pq, max(e[i] for e, _ in terms)) for i, pq in enumerate(pairs)] if terms else []
+    if order is None or _may_pass(out, reach):
+        _set_record(out, pairs, terms)
     return out
 
 
-def _may_pass(order: int, *records) -> bool:
-    """Whether passes by the product of these (pair, combination) records
-    could pass ``_mul_into``'s rule at `order`: over a window of n <= order + 1
-    coefficients they cost at least sum e_max w additions per coefficient,
-    against _PASS_RATIO n / 2 for the at most n^2 / 2 dot terms."""
+def _may_pass(out: TruncatedSeries, reach) -> bool:
+    """Whether passes by `out`, whose record takes each pair pq of `reach`,
+    a list of (pq, e), to the largest exponent e, could pass ``_mul_into``'s
+    rule at its order: over a window of n <= order + 1 coefficients they
+    cost at least sum e w additions per coefficient, against
+    _pass_ratio(b) n / 2 for the at most n^2 / 2 dot terms.  b is taken as
+    the bit length of out's last nonzero coefficient: the coefficients of
+    these series grow with the index, so no cut of out has longer ones."""
     total = 0
-    for pq, combo in records:
-        if combo and combo[-1][0]:
+    for pq, e in reach:
+        if e:
             w = _pass_weight(pq)
             if w is None:
                 return False
-            total += combo[-1][0] * w
-    return 2 * total <= _PASS_RATIO * (order + 1)
+            total += e * w
+    if 2 * total <= _PASS_RATIO * (out.order + 1):
+        return True
+    cs = out.coeffs
+    bits = _bits(cs[_last_nonzero(cs, out.order)]) if any(cs) else 0
+    return 2 * total <= _pass_ratio(bits) * (out.order + 1)
 
 
 def _combo_from(terms: dict) -> tuple:
@@ -604,8 +774,9 @@ def _combo_sub(x: tuple, y: tuple) -> tuple:
 def _combo_mul(x: tuple, y: tuple) -> tuple:
     terms: dict = {}
     for e, c in x:
-        for f, d in y:
-            terms[e + f] = terms.get(e + f, 0) + c * d
+        for f, d in y:  # exponents are ints over one pair, tuples over several
+            k = e + f if type(e) is int else tuple(map(add, e, f))
+            terms[k] = terms.get(k, 0) + c * d
     return _combo_from(terms)
 
 
@@ -803,11 +974,13 @@ class Marker(NamedTuple):
     v_power(i) is the coefficient tuple that stands for v^i.  series(rows,
     order) builds a series of the marker's carrier from one such tuple per
     z-coefficient, and lift(f) embeds a univariate series in that carrier.
+    value is c for an evaluation v = c, None for a jet.
     """
 
     v_power: Callable[[int], Poly]
     series: Callable[[Sequence[Poly], int], Carrier]
     lift: Callable[[TruncatedSeries], Carrier]
+    value: Optional[Coeff] = None
 
 
 def eval_marker(c: Coeff) -> Marker:
@@ -818,6 +991,7 @@ def eval_marker(c: Coeff) -> Marker:
         lambda i: (c**i,),
         lambda rows, order: TruncatedSeries([r[0] if r else 0 for r in rows], order),
         lambda f: f,
+        c,
     )
 
 
@@ -863,10 +1037,11 @@ def sum_product(factor, order: int, dpart=None):
     and, for a jet, its depth set the carrier of the result.
     """
     first = factor(1, order)
+    one = TruncatedSeries([1], order)  # no record: the running product keeps none
     if isinstance(first, Jet):
-        one, mul = Jet.one(order, first.depth), _jet_mul_into
+        one, mul = Jet.from_univariate(one, first.depth), _jet_mul_into
     else:
-        one, mul = TruncatedSeries.one(order), _mul_into
+        mul = _mul_into
     acc = one if dpart is None else dpart(0)
     prod = one
     k = 0

@@ -411,6 +411,66 @@ STAT_CASES = [
 ]
 
 
+custom_specs = st.lists(st.integers(min_value=0, max_value=3), max_size=5).map(
+    lambda ws: LambdaSpec("custom", tuple(ws))
+)
+
+
+class TestMarkedAtoms:
+    @given(st.one_of(st.sampled_from([LambdaSpec(t) for t in families._NAMED_TAGS]), custom_specs),
+           st.sampled_from(sorted(families._ATOM_KINDS)), st.sampled_from([1, 3, 1 << 40]),
+           st.integers(min_value=0, max_value=40))
+    @settings(max_examples=300, deadline=None)
+    def test_evaluated_atom_records_the_series_of_its_rows(self, spec, kind, c, order):
+        marker = eval_marker(c)
+        atom = lambda_atom(spec, order, marker, kind)
+        rows = lambda_atom(spec, order, marker._replace(value=None), kind)
+        assert rows._combo is None  # built from its v-polynomial rows
+        assert atom == rows
+        assert list(map(type, atom.coeffs)) == list(map(type, rows.coeffs))
+        # the record: atom = P/Q exactly, checked as atom * Q = P on plain series
+        P, Q = atom._rational
+        assert atom._combo == ((1, 1),) and Q[0] == 1 and P[-1] and Q[-1]
+        plain = TruncatedSeries(atom.coeffs, order)
+        want = TruncatedSeries(P[: order + 1], order)
+        assert plain * TruncatedSeries(Q[: order + 1], order) == want
+
+    def test_jet_atoms_keep_their_rows(self):
+        atom = lambda_atom(ALL, 10, jet_marker(2), "size")
+        assert all(part._combo is None for part in atom.parts)
+
+
+# Every statistic on these multisets, built with the passes and without.
+NO_PASS_CASES = [
+    (family, stat, text)
+    for family, stats in FAMILY_STATS.items()
+    for stat in stats
+    for text in ("all", "01", "odd", "even+", "no1", "1,1,1")
+    if stat != "ones" or LambdaSpec.parse(text).weight(1)
+]
+
+
+@pytest.mark.parametrize("family,stat,text", NO_PASS_CASES)
+def test_statistic_series_do_not_depend_on_the_passes(family, stat, text, monkeypatch):
+    spec = LambdaSpec.parse(text)
+    marker = eval_marker(1 << max(family_series(family, spec, 40).coeffs).bit_length())
+    passes = [0]
+    walk = series._mul_record
+
+    def counting(*args):
+        passes[0] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(series, "_mul_record", counting)
+    got = stat_gf(family, stat, spec, 40, marker)
+    assert (passes[0] > 0) == (len(spec.rational()[1]) > 1)
+    monkeypatch.setattr(series, "_PASS_RATIO", 0)
+    passes[0] = 0
+    want = stat_gf(family, stat, spec, 40, marker)
+    assert passes[0] == 0
+    assert list(map(type, got.coeffs)) == list(map(type, want.coeffs)) and got == want
+
+
 class TestOrderZero:
     @pytest.mark.parametrize("family,stat,form", STAT_CASES)
     @pytest.mark.parametrize("marker", [eval_marker(2), jet_marker(2)])

@@ -1,6 +1,8 @@
 """Unit and property tests for the truncated-series carriers."""
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import permutations
 from math import comb, factorial
 
 import pytest
@@ -371,9 +373,33 @@ def _recorded(pq, combo, order: int) -> TruncatedSeries:
     return f
 
 
+@lru_cache(maxsize=4096)
+def _monomial(pairs, exponents, order: int) -> tuple:
+    """prod_i (P_i/Q_i)^{e_i} at `order`, by the schoolbook references."""
+    if not pairs:
+        return (1,) + (0,) * order
+    rest = TruncatedSeries(_monomial(pairs[1:], exponents[1:], order), order)
+    first = TruncatedSeries(_expand(pairs[0], ((exponents[0], 1),), order), order)
+    return tuple(_schoolbook(first, rest, order))
+
+
+def _expand_record(pairs, terms, order: int) -> list:
+    """sum c prod_i (P_i/Q_i)^{e_i} at `order` for a record over several
+    pairs."""
+    out = [0] * (order + 1)
+    for exponents, c in terms:
+        out = [_exact(o + c * p) for o, p in zip(out, _monomial(pairs, exponents, order))]
+    return out
+
+
 def _assert_exact_record(f: TruncatedSeries) -> None:
     if f._combo is not None:
         assert _typed(f.coeffs) == _typed(_expand(f._rational, f._combo, f.order))
+    if f._multi is not None:
+        pairs, terms = f._multi
+        assert len(pairs) > 1 and list(pairs) == sorted(set(pairs))
+        assert list(terms) == sorted(terms) and all(c for _, c in terms)
+        assert _typed(f.coeffs) == _typed(_expand_record(pairs, terms, f.order))
 
 
 @st.composite
@@ -390,12 +416,53 @@ def record_cases(draw):
     return f, g, h, x, order
 
 
+MULTI_BASES = [pq for pq in RECORD_PAIRS[: len(RECORD_PAIRS) // 2] if len(pq[1]) > 1]
+
+
+def _scaled(pq, c):
+    """(P(cz), Q(cz))."""
+    return tuple(tuple(x * c**k for k, x in enumerate(poly)) for poly in pq)
+
+
+def _recorded_multi(pairs, terms, order: int) -> TruncatedSeries:
+    f = TruncatedSeries(_expand_record(pairs, terms, order), order)
+    f._multi = pairs, terms
+    return f
+
+
+@st.composite
+def multi_record_cases(draw):
+    """(f, g, x, order): f records a combination over two or three pairs and
+    g over one to three, drawn from L, L(z^2), L(cz) and L(c^2 z^2) for a
+    named weight L with Q != 1, and x is a plain int or Fraction series."""
+    order = draw(st.integers(min_value=0, max_value=24))
+    L = draw(st.sampled_from(MULTI_BASES))
+    c = draw(st.sampled_from([2, 3, 1 << 20]))
+    stretched = series._rational_series(*L, 0).substitute_power(2)._rational
+    pool = [L, stretched, _scaled(L, c), _scaled(stretched, c)]
+
+    def record(k):
+        pairs = tuple(sorted(draw(st.permutations(pool))[:k]))
+        terms = tuple(sorted(draw(st.dictionaries(
+            st.tuples(*[st.integers(min_value=0, max_value=5)] * k),
+            st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=1, max_size=4)).items()))
+        if k == 1:
+            return _recorded(pairs[0], tuple((e, c) for (e,), c in terms), order)
+        return _recorded_multi(pairs, terms, order)
+
+    f = record(draw(st.integers(min_value=2, max_value=3)))
+    g = record(draw(st.integers(min_value=1, max_value=3)))
+    valuation = draw(st.integers(min_value=0, max_value=order + 1))
+    x = draw(kernel_operands(order, valuation, draw(st.sampled_from([1, 1, 2]))))
+    return f, g, x, order
+
+
 class TestRecords:
     @given(record_cases())
     @settings(max_examples=300, deadline=None)
     def test_products_match_the_plain_product_and_keep_exact_records(self, case):
         f, g, h, x, order = case
-        fh = f * h  # split in two when the pairs differ
+        fh = f * h  # a record over two pairs when the pairs differ
         for a, b in ((f, x), (x, f), (f, g), (f, f), (fh, x), (x, fh), (fh, fh)):
             got = a * b
             assert _typed(got.coeffs) == _typed((_plain(a) * _plain(b)).coeffs)
@@ -419,6 +486,41 @@ class TestRecords:
                     f.substitute_power(2), (f - g).substitute_power(3) * g.substitute_power(3)):
             _assert_exact_record(got)
 
+    @given(multi_record_cases(), st.integers(min_value=0, max_value=24))
+    @settings(max_examples=150, deadline=None)
+    def test_records_over_several_pairs_match_the_plain_operations(self, case, cut):
+        f, g, x, order = case
+        half = TruncatedSeries.constant(Fraction(1, 2), order)
+        ops = [
+            lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+            lambda a, b: b * a, lambda a, b: a * a, lambda a, b: a.truncate(min(cut, order)),
+            lambda a, b: a.substitute_power(2), lambda a, b: a.substitute_power(3) * b,
+        ]
+        for a, b in ((f, g), (f, x), (g, f), (f, half), (f * g, f)):
+            for op in ops:
+                got = op(a, b)
+                assert _typed(got.coeffs) == _typed(op(_plain(a), _plain(b)).coeffs)
+                _assert_exact_record(got)
+        if not x.is_zero():  # the walk in every order of the pairs, whichever the rule picks
+            v = x.valuation()
+            pairs, terms = f._multi
+            want = _typed((_plain(f) * x).coeffs)
+            for walk in permutations(range(len(pairs))):
+                ordered = sorted((tuple(e[i] for i in walk), c) for e, c in terms)
+                got = series._mul_record(x.coeffs[v:], tuple(pairs[i] for i in walk), v,
+                                         order, tuple(ordered))
+                assert _typed(got.coeffs) == want
+
+    def test_walk_takes_the_cheapest_order(self):
+        # first_row's factor B L^{2j} - B L^j - L^{j+1} + L at j = 5: walking L
+        # first costs 2j passes of L and 2 of B, B first 3j + 1 of L and 1 of B
+        L, B = ((1,), (1, -1)), ((1,), (1, -8))
+        f = _recorded_multi((B, L), (((1, 10), 1), ((1, 5), -1), ((0, 6), -1), ((0, 1), 1)), 30)
+        cost, pairs, terms = series._pass_plan(f, 30, 1)
+        assert pairs == (L, B)
+        assert terms == (((1, 0), 1), ((5, 1), -1), ((6, 0), -1), ((10, 1), 1))
+        assert cost == (10 * series._pass_weight(L) + 2 * series._pass_weight(B) + 4) * 31
+
     def test_constants_record_without_a_pair(self):
         assert TruncatedSeries.constant(Fraction(4, 2), 3)._combo == ((0, 2),)
         assert TruncatedSeries.zero(3)._combo == ()
@@ -427,10 +529,11 @@ class TestRecords:
         geometric = TruncatedSeries.geometric(5)
         other = series._rational_series((1,), (1, 0, -1), 5)
         assert (geometric - TruncatedSeries.one(5))._combo == ((0, -1), (1, 1))
-        assert (geometric + other)._combo is None  # two pairs: no record
+        assert (geometric + other)._combo is None  # two pairs: the record is in _multi
         product = geometric * other
-        assert product._split == (geometric, other) and product._combo is None
-        assert (product + geometric)._split is None
+        assert product._multi == ((geometric._rational, other._rational), (((1, 1), 1),))
+        assert product._combo is None
+        assert (product + geometric)._multi == (product._multi[0], (((1, 0), 1), ((1, 1), 1)))
 
     def test_passes_run_only_where_they_are_cheaper(self, monkeypatch):
         calls = []
