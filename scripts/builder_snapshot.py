@@ -9,7 +9,9 @@ Two commands:
 The first imports ``fishburn`` from the source directory SRC (for example
 ``src`` of a checkout) and pickles, for every builder case, either the value
 with the type of each coefficient or the error's type and message, together
-with the number of ``_mul_into`` and ``_bv_mul_into`` calls the case made.
+with the number of ``_mul_into`` calls the case made and the number of
+``_mul_record`` calls, the products that ran as passes, so that a moved
+choice between passes and dot products shows by itself.
 The builder cases make the same builds in both trees of a comparison: the
 catalog ids go through ``named_gf``, each route of ``IDENTITY_ROUTES`` is
 built from ``fishburn.identities``, and so are the direct forms of the
@@ -44,9 +46,9 @@ in the last bits of a 60-digit evaluation does not count as a difference.
 
 The second loads two snapshots written by this script and prints each case
 whose value, coefficient types or error differ, then each case whose product
-counts differ.  It exits 1 when a value, a type or an error differs (or a
-case is missing on one side) and 0 otherwise; product counts are reported
-but do not change the exit status.
+or pass counts differ.  It exits 1 when a value, a type or an error differs
+(or a case is missing on one side) and 0 otherwise; product and pass counts
+are reported but do not change the exit status.
 """
 
 import argparse
@@ -330,12 +332,12 @@ def snapshot(src: str) -> dict:
         raise SystemExit(f"imported {families.__file__}, not the package under {root}")
 
     counts = Counter()
-    for name in ("_mul_into", "_bv_mul_into"):
+    for name in ("_mul_into", "_mul_record"):
         kernel = getattr(series, name)
 
-        def counting(a, b, order, _name=name, _kernel=kernel):
+        def counting(*args, _name=name, _kernel=kernel):
             counts[_name] += 1
-            return _kernel(a, b, order)
+            return _kernel(*args)
 
         setattr(series, name, counting)
     caches = [v for v in vars(families).values() if hasattr(v, "cache_clear")]
@@ -357,7 +359,7 @@ def snapshot(src: str) -> dict:
                 result = ("error", type(exc).__name__, str(exc))
             if label in out:
                 raise RuntimeError(f"duplicate case label {label!r}")
-            out[label] = (result, counts["_mul_into"], counts["_bv_mul_into"])
+            out[label] = (result, counts["_mul_into"], counts["_mul_record"])
     return out
 
 
@@ -373,11 +375,11 @@ def compare(a: dict, b: dict) -> int:
     counts = 0
     for label in sorted(set(a) & set(b)):
         if a[label][1:] != b[label][1:]:
-            print(f"products (_mul_into, _bv_mul_into) {a[label][1:]} -> "
+            print(f"products (_mul_into, _mul_record) {a[label][1:]} -> "
                   f"{b[label][1:]}: {label}")
             counts += 1
     print(f"{len(set(a) | set(b))} cases: {differ} differ in value, type or error; "
-          f"{counts} differ in product counts")
+          f"{counts} differ in product or pass counts")
     return 1 if differ else 0
 
 

@@ -32,9 +32,10 @@ the product runs on that lattice.
 
 Two shortcuts inside the same kernel cut the big-integer products.  A
 series built over weights P_i(z)/Q_i(z) records the integer combination of
-monomials prod_i (P_i/Q_i)^{e_i} that it expands: ``_rational_series``
-records (P/Q)^1, a constant c records c (P/Q)^0 over no pair, and sums,
-differences, products, ``truncate`` and ``substitute_power`` carry the
+monomials prod_i (P_i/Q_i)^{e_i} that it expands, as one value (pairs,
+terms): ``_rational_series`` records (P/Q)^1, a constant c records c over
+no pair, and sums, differences, products, ``truncate`` and
+``substitute_power`` carry the
 record over the pairs of both operands.  Over one pair the record is the
 combination sum_e c_e (P/Q)^e of powers.  So the factors of the paper's
 sums arrive at the kernel with their records: the Fishburn factor
@@ -135,18 +136,14 @@ def _power(base, k: int, one):
 class TruncatedSeries:
     """A power series known exactly for coefficients 0..order (inclusive)."""
 
-    # The record of a series built over weights P_i/Q_i: an integer
-    # combination of monomials prod_i (P_i/Q_i)^{e_i} whose expansion is the
-    # coefficients.  Over one pair, _rational is the pair (P, Q), two int
-    # tuples with Q[0] == 1, and _combo the combination ((e, c_e), ...),
-    # exponents increasing and every c_e nonzero (see _rational_series).  A
-    # constant c has _combo ((0, c),), () for zero, and no pair: it is a
-    # combination over every pair.  Over several pairs, _multi is
-    # (pairs, terms): the pairs sorted, and terms ((exponents, c), ...), one
-    # exponent per pair, sorted and every c nonzero; _rational and _combo
-    # are then None (see _record and _tag).  All three are None for any
-    # other series.  Equality and hashing ignore them.
-    __slots__ = ("coeffs", "order", "_rational", "_combo", "_multi")
+    # _record: for a series built over weights P_i/Q_i, the integer
+    # combination of monomials prod_i (P_i/Q_i)^{e_i} that its coefficients
+    # expand, as (pairs, terms): the pairs (P, Q), int tuples with Q[0] == 1,
+    # sorted, and terms ((exponents, c), ...), one exponent per pair, sorted,
+    # every c nonzero.  A constant c has ((), (((), c),)), ((), ()) for zero:
+    # no pair, so that it combines with any record (see _tag).  None for any
+    # other series; equality and hashing ignore it.
+    __slots__ = ("coeffs", "order", "_record")
 
     def __init__(self, coeffs: Sequence[Coeff], order: int):
         if order < 0:
@@ -158,7 +155,7 @@ class TruncatedSeries:
         # An all-int list is already normal; only Fractions can collapse.
         self.coeffs = tuple(cs) if set(map(type, cs)) == {int} else tuple(map(_norm, cs))
         self.order = order
-        self._rational = self._combo = self._multi = None
+        self._record = None
 
     # -- constructors -------------------------------------------------
 
@@ -173,7 +170,7 @@ class TruncatedSeries:
     @classmethod
     def constant(cls, c: Coeff, order: int) -> "TruncatedSeries":
         out = cls((c,), order)
-        out._combo = ((0, out.coeffs[0]),) if c else ()
+        out._record = (), (((), out.coeffs[0]),) if c else ()
         return out
 
     @classmethod
@@ -245,7 +242,7 @@ class TruncatedSeries:
         if m > self.order:
             raise ValueError("cannot extend a truncated series; recompute instead")
         out = TruncatedSeries(self.coeffs[: m + 1], m)
-        out._rational, out._combo, out._multi = self._rational, self._combo, self._multi
+        out._record = self._record
         return out
 
     def shift_down(self, m: int) -> "TruncatedSeries":
@@ -303,11 +300,10 @@ class TruncatedSeries:
                 break
             out[i * m] = a
         result = TruncatedSeries(out, self.order)
-        record = _record(self)
-        if record is not None:
+        if self._record is not None:
             # z -> z^m keeps the pairs distinct and in order
-            pairs = tuple(tuple(_stretch(c, m) for c in pq) for pq in record[0])
-            _set_record(result, pairs, record[1])
+            pairs, terms = self._record
+            result._record = tuple(tuple(_stretch(c, m) for c in pq) for pq in pairs), terms
         return result
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
@@ -349,20 +345,19 @@ def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSe
     A factor f that records a combination of monomials prod_i (P_i/Q_i)^e_i
     (a weight series from ``_rational_series``, a marked atom at v = c, and
     the sums and products built from them) may instead multiply the other
-    factor x by passes: ``_mul_rational`` for one pair, ``_mul_record``
-    walking the monomials pair by pair for several.  The rule: with n the
-    window from x's valuation to `order` on the lattice, the passes cost
-    (A + number of terms) n additions, A the additions per coefficient of
-    the cheapest walk (``_pass_plan``, from ``_pass_weight`` of each pair);
-    they run when that is at most ``_pass_ratio(b)`` times the terms the dot
-    products would multiply (``_dot_terms`` of the span lengths, halved for
-    a square), b the shorter bit length of the two spans' last nonzero
-    coefficients; when both factors qualify, the cheaper runs.  A
-    polynomial weight (Q = 1) takes no passes: its dot products run in C,
-    while a shifted sum over P's terms gains nothing at the sizes used
-    here.  The product carries the combination of both factors' records,
-    over the pairs of both, while its passes could still pass that rule at
-    this order.
+    factor x by passes walking the monomials pair by pair (``_mul_record``).
+    The rule: with n the window from x's valuation to `order` on the
+    lattice, the passes cost (A + number of terms) n additions, A the
+    additions per coefficient of the cheapest walk (``_pass_plan``, from
+    ``_pass_weight`` of each pair); they run when that is at most
+    ``_pass_ratio(b)`` times the terms the dot products would multiply
+    (``_dot_terms`` of the span lengths, halved for a square), b the
+    shorter bit length of the two spans' last nonzero coefficients; when
+    both factors qualify, the cheaper runs.  A polynomial weight (Q = 1)
+    takes no passes: its dot products run in C, while a shifted sum over P's
+    terms gains nothing at the sizes used here.  The product carries the
+    combination of both factors' records, over the pairs of both, while its
+    passes could still pass that rule at this order.
 
     b may carry a *smaller* order than a when a's valuation guarantees the
     missing top coefficients of b cannot reach the truncation window; this is
@@ -389,14 +384,10 @@ def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSe
     for f, cs, lo, hi in ((b, acs, va, ta), (a, bcs, vb, tb)):
         plan = _pass_plan(f, order - lo, g)
         if plan is not None and (best is None or plan[0] < best[0][0]):
-            best = plan, f, cs[lo : hi + 1], lo
+            best = plan, cs[lo : hi + 1], lo
     if best is not None and best[0][0] <= _pass_ratio(min(_bits(acs[ta]), _bits(bcs[tb]))) * terms:
-        (_, pairs, walk), f, span, lo = best
-        if f._multi is None:
-            product = _mul_rational(span, f._rational, lo, order, f._combo)
-        else:
-            product = _mul_record(span, pairs, lo, order, walk)
-        return _tag(product, a, b, _combo_mul, order)
+        (_, pairs, walk), span, lo = best
+        return _tag(_mul_record(span, pairs, lo, order, walk), a, b, _combo_mul, order)
     # Output m of the lattice product is sum_i xs[i] * ys[lb - 1 - m + i]
     # over the i with both indices in range.
     dots = []
@@ -459,13 +450,13 @@ def _dot_terms(la: int, lb: int, width: int) -> int:
 def _pass_weight(pq: tuple) -> Optional[int]:
     """Additions per coefficient of one pass of P/Q, None for Q = 1, which
     takes no passes.  A pass copies the running series for the first term of
-    P, adds it once per further term and multiplies it by each term p other
-    than +-1, priced at 1 + b/32 additions for a b-bit p (a product by a
-    short factor grows with its length).  The division by Q = 1 - z^g is
-    one running sum; by Q = 1 - c z^g a scaled running sum, priced at 2 for
-    a shift (c a power of two) and 2 + b/32 for a product by a b-bit c; and
-    by any other Q a Python-level step per coefficient, priced at 8
-    additions plus two per nonzero term of Q past its first two."""
+    P, adds it once per further term and pays 1 + b/32 additions for each
+    b-bit term p other than +-1 (``_times_poly`` makes one product per |p|).
+    The division by Q = 1 - z^g is one running sum; by Q = 1 - c z^g a
+    scaled running sum, priced at 2 for a shift (c a power of two) and
+    2 + b/32 for a product by a b-bit c; and by any other Q a Python-level
+    step per coefficient, priced at 8 additions plus two per nonzero term of
+    Q past its first two."""
     P, Q = pq
     if len(Q) == 1:
         return None
@@ -494,20 +485,17 @@ def _scaled_step(Q: tuple) -> Optional[Coeff]:
 def _pass_plan(f: TruncatedSeries, span: int, g: int) -> Optional[tuple]:
     """(cost, pairs, terms) for multiplying by f in passes a factor whose
     product with f fills the `span` coefficients past its valuation on the
-    lattice step g: the estimated additions, and, for a record over several
-    pairs, the pairs in the order of the cheapest walk
-    (``_walk_additions``) with the terms sorted in that order.  None when f
-    has no record over a pair, or when a pair with Q = 1 would need
-    passes."""
-    if f._multi is None:  # one pair: its largest exponent sets the passes
-        pq, combo = f._rational, f._combo
-        w = None if pq is None or not combo else _pass_weight(pq)
-        if w is None:
-            return None
-        n = span // gcd(g, _pair_step(pq)) + 1
-        return (combo[-1][0] * w + len(combo)) * n, (pq,), None
-    pairs, terms = f._multi
+    lattice step g: the estimated additions, and the pairs in the order of
+    the cheapest walk (``_walk_additions``; over one pair, passes up to the
+    last term's exponent) with the terms sorted in that order.  None when f
+    has no record over a pair, or when a pair with Q = 1 would need passes."""
+    if f._record is None or not f._record[0]:  # no record, or a constant's
+        return None
+    pairs, terms = f._record
     n = span // gcd(g, *map(_pair_step, pairs)) + 1
+    if len(pairs) == 1:  # O(1), for the many products by one weight series
+        w = _pass_weight(pairs[0])
+        return None if w is None else ((terms[-1][0][0] * w + len(terms)) * n, pairs, terms)
     best = None
     # Records span a few pairs; past four, only the first 24 orders are tried.
     for walk in islice(permutations(range(len(pairs))), 24):
@@ -550,16 +538,6 @@ def _pair_step(pq: tuple) -> int:
     series in z^step."""
     P, Q = pq
     return gcd(*compress(count(), P), *compress(count(), Q))
-
-
-def _mul_rational(
-    xs: Sequence[Coeff], pq: tuple, lo: int, order: int, combo: tuple = ((1, 1),)
-) -> TruncatedSeries:
-    """x * sum_e c_e (P/Q)^e truncated at `order`, for combo ((e, c_e), ...)
-    with e increasing, where x is zero below z^lo and xs holds its
-    coefficients from z^lo on (zero past its end): ``_mul_record`` over the
-    one pair; the default combo is the product by P/Q."""
-    return _mul_record(xs, (pq,), lo, order, [((e,), c) for e, c in combo])
 
 
 def _mul_record(
@@ -608,21 +586,32 @@ def _mul_record(
 
 
 def _times_poly(y: list, P: tuple) -> list:
-    """y * P truncated at len(y) - 1, as a new list: one shifted add of y per
-    nonzero term of P."""
+    """y * P truncated at len(y) - 1, as a new list: the shifted copies of y
+    are added per distinct |p| of P's terms, then multiplied by p once, as
+    y + p (z y - z^2 y) for P = 1 + p z - p z^2."""
     n = len(y)
-    t = None
-    for k, p in enumerate(P[:n]):
-        if not p:
+    out = None
+    for k, p, rest in _poly_groups(P):
+        if k >= n:  # the later terms of the group lie past the window too
             continue
-        seg = y[: n - k]
-        if t is None:
-            t = [0] * k + (seg if p == 1 else list(map(mul, seg, repeat(p))))
-        elif p == 1 or p == -1:
-            t[k:] = map(add if p == 1 else sub, t[k:], seg)
-        else:
-            t[k:] = map(add, t[k:], map(mul, seg, repeat(p)))
-    return [0] * n if t is None else t
+        t = [0] * k + y[: n - k]
+        for j, q in rest:
+            t[j:] = map(add if q == p else sub, t[j:], y[: n - j])
+        if p != 1:
+            t = list(map(mul, t, repeat(p)))
+        out = t if out is None else list(map(add, out, t))
+    return [0] * n if out is None else out
+
+
+@lru_cache(maxsize=1024)
+def _poly_groups(P: tuple) -> tuple:
+    """The nonzero terms of P by |p|, as (k, p, ((j, q), ...)): the first
+    term p z^k of each |p| and the later ones; cached for the many passes."""
+    groups: dict = {}
+    for k, p in enumerate(P):
+        if p:
+            groups.setdefault(abs(p), []).append((k, p))
+    return tuple((*first, tuple(rest)) for first, *rest in groups.values())
 
 
 def _divide(t: list, Q: tuple) -> list:
@@ -662,34 +651,13 @@ def _rational_series(P: Sequence[int], Q: Sequence[int], order: int) -> Truncate
     t = list(P[: order + 1])
     t.extend([0] * (order + 1 - len(t)))
     out = TruncatedSeries(_divide(t, Q), order)
-    out._rational, out._combo = (tuple(P), tuple(Q)), ((1, 1),)
+    out._record = ((tuple(P), tuple(Q)),), (((1,), 1),)
     return out
 
 
 # ---------------------------------------------------------------------------
 # Records: combinations of monomials in weight series
 # ---------------------------------------------------------------------------
-
-def _record(f: TruncatedSeries) -> Optional[tuple]:
-    """f's record as (pairs, terms), terms ((exponents, c), ...) with one
-    exponent per pair, whichever slots hold it; None when f has none."""
-    if f._multi is not None:
-        return f._multi
-    if f._combo is None:
-        return None
-    if f._rational is None:
-        return (), tuple(((), c) for _, c in f._combo)
-    return (f._rational,), tuple(((e,), c) for e, c in f._combo)
-
-
-def _set_record(out: TruncatedSeries, pairs: tuple, terms: tuple) -> None:
-    """Store the record (pairs, terms), pairs sorted, in out's slots."""
-    if len(pairs) > 1:
-        out._multi = pairs, terms
-    else:
-        out._rational = pairs[0] if pairs else None
-        out._combo = tuple((e[0] if e else 0, c) for e, c in terms)
-
 
 def _widen(pairs: tuple, own: tuple, terms: tuple) -> tuple:
     """The terms of a record over `own`, some of the sorted `pairs`, as
@@ -710,33 +678,25 @@ def _widen(pairs: tuple, own: tuple, terms: tuple) -> tuple:
 def _tag(out: TruncatedSeries, a: TruncatedSeries, b: TruncatedSeries,
          combine, order: Optional[int] = None) -> TruncatedSeries:
     """Give `out`, built from a and b, the record combine(a's, b's), over the
-    pairs of both (a constant's record has none); return out.
+    sorted pairs of both (a constant's record has none); return out.
 
     A product (`order` given) keeps none when its passes could never beat
     the dot products at that order (``_may_pass``), which also bounds the
     size of the combinations carried.
     """
-    ca, cb = a._combo, b._combo
-    if (ca is None and a._multi is None) or (cb is None and b._multi is None):
+    ra, rb = a._record, b._record
+    if ra is None or rb is None:
         return out
-    pa, pb = a._rational, b._rational
-    if ca is not None and cb is not None and (pa is None or pb is None or pa == pb):
-        pq, combo = (pb if pa is None else pa), combine(ca, cb)  # one pair or none
-        if order is None or _may_pass(out, [(pq, combo[-1][0] if combo else 0)]):
-            out._rational, out._combo = pq, combo
-        return out
-    ra, rb = _record(a), _record(b)
-    pairs = tuple(sorted(set(ra[0] + rb[0])))
+    pairs = ra[0] if ra[0] == rb[0] else tuple(sorted(set(ra[0] + rb[0])))
     terms = combine(_widen(pairs, *ra), _widen(pairs, *rb))
-    reach = [(pq, max(e[i] for e, _ in terms)) for i, pq in enumerate(pairs)] if terms else []
-    if order is None or _may_pass(out, reach):
-        _set_record(out, pairs, terms)
+    if order is None or _may_pass(out, zip(pairs, map(max, zip(*(e for e, _ in terms))))):
+        out._record = pairs, terms
     return out
 
 
 def _may_pass(out: TruncatedSeries, reach) -> bool:
     """Whether passes by `out`, whose record takes each pair pq of `reach`,
-    a list of (pq, e), to the largest exponent e, could pass ``_mul_into``'s
+    pairs (pq, e), to the largest exponent e, could pass ``_mul_into``'s
     rule at its order: over a window of n <= order + 1 coefficients they
     cost at least sum e w additions per coefficient, against
     _pass_ratio(b) n / 2 for the at most n^2 / 2 dot terms.  b is taken as
@@ -774,8 +734,8 @@ def _combo_sub(x: tuple, y: tuple) -> tuple:
 def _combo_mul(x: tuple, y: tuple) -> tuple:
     terms: dict = {}
     for e, c in x:
-        for f, d in y:  # exponents are ints over one pair, tuples over several
-            k = e + f if type(e) is int else tuple(map(add, e, f))
+        for f, d in y:
+            k = tuple(map(add, e, f))
             terms[k] = terms.get(k, 0) + c * d
     return _combo_from(terms)
 

@@ -1,8 +1,9 @@
-"""Every public name of the package is reached by a command, a check or
-another library function, not only by its own tests.
+"""Every public name of the package, and every module-level function or
+class of its modules, is reached by a command, a check or another library
+function, not only by its own tests.
 
 The modules of ``src/fishburn`` (the package's ``__init__`` aside) and the
-scripts are parsed with ``ast``; a public name counts as reached when it is
+scripts are parsed with ``ast``; a name counts as reached when it is
 loaded, as a bare name or as a module attribute, outside its own definition
 and outside type annotations.
 """
@@ -21,11 +22,32 @@ NO_CALLER = {
     "ank_approx",
 }
 
+# Module-level functions and classes with no loader by design, as
+# (module, name), each with its reason.
+NO_LOADER = {
+    # The tests' reference product of v-polynomial rows; perfbench's tracer
+    # wraps it by name.
+    ("series", "_bv_mul_into"),
+    # The scalar reference the tests check the vectorised _sweep against;
+    # perfbench's tracer wraps it by name.
+    ("saddle", "_phi_terms"),
+    # The Euler-Maclaurin closed form the tests check log_product against.
+    ("saddle", "em_log_product"),
+    # Fishburn numbers from ascent sequences, with no generating function:
+    # independent evidence for the series.
+    ("oracle", "ascent_counts"),
+    # The documented per-summand saddle approximation, as in NO_CALLER.
+    ("saddle", "ank_approx"),
+}
+
+
+def _modules():
+    return [p for p in sorted((ROOT / "src" / "fishburn").glob("*.py"))
+            if p.name != "__init__.py"]
+
 
 def _sources():
-    package = [p for p in sorted((ROOT / "src" / "fishburn").glob("*.py"))
-               if p.name != "__init__.py"]
-    return package + sorted((ROOT / "scripts").glob("*.py"))
+    return _modules() + sorted((ROOT / "scripts").glob("*.py"))
 
 
 class _Loads(ast.NodeVisitor):
@@ -85,6 +107,25 @@ def test_every_public_name_has_a_caller():
     assert unreached == [], f"public names reached only by tests: {unreached}"
 
 
+def _definitions():
+    """(module, name) of every module-level function and class."""
+    return {(path.stem, node.name)
+            for path in _modules()
+            for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def test_every_module_level_definition_has_a_loader():
+    loaded = _loaded_names()
+    unreached = sorted(d for d in _definitions() - NO_LOADER if d[1] not in loaded)
+    assert unreached == [], f"definitions loaded only by tests: {unreached}"
+
+
 def test_exceptions_are_public_and_unreached():
     assert NO_CALLER <= set(fishburn.__all__)
     assert not NO_CALLER & _loaded_names()
+
+
+def test_definition_exceptions_exist_and_are_unreached():
+    assert NO_LOADER <= _definitions()
+    assert not {name for _, name in NO_LOADER} & _loaded_names()

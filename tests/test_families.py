@@ -425,19 +425,19 @@ class TestMarkedAtoms:
         marker = eval_marker(c)
         atom = lambda_atom(spec, order, marker, kind)
         rows = lambda_atom(spec, order, marker._replace(value=None), kind)
-        assert rows._combo is None  # built from its v-polynomial rows
+        assert rows._record is None  # built from its v-polynomial rows
         assert atom == rows
         assert list(map(type, atom.coeffs)) == list(map(type, rows.coeffs))
         # the record: atom = P/Q exactly, checked as atom * Q = P on plain series
-        P, Q = atom._rational
-        assert atom._combo == ((1, 1),) and Q[0] == 1 and P[-1] and Q[-1]
+        ((P, Q),), terms = atom._record
+        assert terms == (((1,), 1),) and Q[0] == 1 and P[-1] and Q[-1]
         plain = TruncatedSeries(atom.coeffs, order)
         want = TruncatedSeries(P[: order + 1], order)
         assert plain * TruncatedSeries(Q[: order + 1], order) == want
 
     def test_jet_atoms_keep_their_rows(self):
         atom = lambda_atom(ALL, 10, jet_marker(2), "size")
-        assert all(part._combo is None for part in atom.parts)
+        assert all(part._record is None for part in atom.parts)
 
 
 # Every statistic on these multisets, built with the passes and without.
@@ -620,13 +620,13 @@ def test_bivariate_products_do_not_grow(family, stat, monkeypatch):
 def test_quotient_factors_take_the_rational_shortcut(monkeypatch):
     # d_j = 1/(1 - z^j) is a rational series, so every product by it divides
     calls = [0]
-    shortcut = series._mul_rational
+    walk = series._mul_record
 
     def counting(*args):
         calls[0] += 1
-        return shortcut(*args)
+        return walk(*args)
 
-    monkeypatch.setattr(series, "_mul_rational", counting)
+    monkeypatch.setattr(series, "_mul_record", counting)
     named_gf("A207652", 30)
     assert calls[0] > 0
 
@@ -847,7 +847,7 @@ class TestOrderCache:
         cut = lambda_series(spec, 7)
         assert lambda_series.cache_info().hits == 1
         assert cut == lambda_series.__wrapped__(spec, 7)
-        assert cut._rational == spec.rational()
+        assert cut._record[0] == (spec.rational(),)
 
     def test_least_recently_used_key_is_dropped_at_the_cap(self):
         cap = families._CACHE_KEYS

@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -300,16 +301,16 @@ class TestRationalFactor:
     def test_expansion_and_pair_survive_truncate_and_stretch(self):
         odd = series._rational_series((1, 1, -1), (1, 0, -1), 9)
         assert odd.coeffs == (1, 1, 0, 1, 0, 1, 0, 1, 0, 1)
-        assert odd.truncate(4)._rational == odd._rational
-        assert odd.substitute_power(2)._rational == ((1, 0, 1, 0, -1), (1, 0, 0, 0, -1))
+        assert odd.truncate(4)._record == odd._record
+        assert odd.substitute_power(2)._record[0] == (((1, 0, 1, 0, -1), (1, 0, 0, 0, -1)),)
         with pytest.raises(ValueError, match="constant term 1"):
             series._rational_series((1,), (2, 1), 5)
 
     def test_denominator_one_stays_on_the_dot_product(self, monkeypatch):
         calls = []
-        shortcut = series._mul_rational
+        walk = series._mul_record
         monkeypatch.setattr(
-            series, "_mul_rational", lambda *args: calls.append(1) or shortcut(*args)
+            series, "_mul_record", lambda *args: calls.append(1) or walk(*args)
         )
         x = TruncatedSeries(range(1, 12), 10)
         for pq in LAMBDA_PAIRS:
@@ -333,73 +334,56 @@ class TestRationalFactor:
         assert series._mul_into(z3_over, x, 6) == TruncatedSeries.zero(6)
 
 
-# Records: a series over a weight P/Q may record the combination
-# sum_e c_e (P/Q)^e it expands, and products by it may run as passes.
+# Records: a series over weights P_i/Q_i may record the combination
+# sum c prod_i (P_i/Q_i)^{e_i} it expands, and products by it may run as
+# passes.
 
 RECORD_PAIRS = sorted(set(_NAMED_RATIONAL.values()))
-RECORD_PAIRS += [series._rational_series(*pq, 0).substitute_power(2)._rational for pq in RECORD_PAIRS]
+RECORD_PAIRS += [series._rational_series(*pq, 0).substitute_power(2)._record[0][0]
+                 for pq in RECORD_PAIRS]
 
+# The terms of a record over one pair.
 records = st.dictionaries(
     st.integers(min_value=0, max_value=12),
     st.sampled_from((-3, -2, -1, 1, 2, 3)),
     max_size=4,
-).map(lambda terms: tuple(sorted(terms.items())))
-
-
-def _expand(pq, combo, order: int) -> list:
-    """sum_e c_e (P/Q)^e at `order`, from the schoolbook references alone; a
-    constant's record (no pair) may hold only e = 0."""
-    out = [0] * (order + 1)
-    if pq is None:
-        for e, c in combo:
-            assert e == 0
-            out[0] = c
-        return out
-    P, Q = (TruncatedSeries(t[: order + 1], order) for t in pq)
-    base = TruncatedSeries(_schoolbook(P, TruncatedSeries(_schoolbook_inv(Q), order), order), order)
-    power = TruncatedSeries.one(order)
-    done = 0
-    for e, c in combo:
-        for _ in range(e - done):
-            power = TruncatedSeries(_schoolbook(power, base, order), order)
-        done = e
-        out = [_exact(o + c * p) for o, p in zip(out, power.coeffs)]
-    return out
-
-
-def _recorded(pq, combo, order: int) -> TruncatedSeries:
-    f = TruncatedSeries(_expand(pq, combo, order), order)
-    f._rational, f._combo = pq, combo
-    return f
+).map(lambda terms: tuple(((e,), c) for e, c in sorted(terms.items())))
 
 
 @lru_cache(maxsize=4096)
 def _monomial(pairs, exponents, order: int) -> tuple:
     """prod_i (P_i/Q_i)^{e_i} at `order`, by the schoolbook references."""
-    if not pairs:
-        return (1,) + (0,) * order
-    rest = TruncatedSeries(_monomial(pairs[1:], exponents[1:], order), order)
-    first = TruncatedSeries(_expand(pairs[0], ((exponents[0], 1),), order), order)
-    return tuple(_schoolbook(first, rest, order))
+    for i, e in enumerate(exponents):
+        if e:
+            P, Q = (TruncatedSeries(t[: order + 1], order) for t in pairs[i])
+            base = TruncatedSeries(_schoolbook(P, TruncatedSeries(_schoolbook_inv(Q), order), order), order)
+            rest = TruncatedSeries(_monomial(pairs, exponents[:i] + (e - 1,) + exponents[i + 1 :], order), order)
+            return tuple(_schoolbook(base, rest, order))
+    return (1,) + (0,) * order
 
 
-def _expand_record(pairs, terms, order: int) -> list:
-    """sum c prod_i (P_i/Q_i)^{e_i} at `order` for a record over several
-    pairs."""
+def _expand(pairs, terms, order: int) -> list:
+    """sum c prod_i (P_i/Q_i)^{e_i} at `order`, from the schoolbook
+    references alone; a constant's record (no pair) has only e = ()."""
     out = [0] * (order + 1)
     for exponents, c in terms:
         out = [_exact(o + c * p) for o, p in zip(out, _monomial(pairs, exponents, order))]
     return out
 
 
+def _recorded(pairs, terms, order: int) -> TruncatedSeries:
+    f = TruncatedSeries(_expand(pairs, terms, order), order)
+    f._record = pairs, terms
+    return f
+
+
 def _assert_exact_record(f: TruncatedSeries) -> None:
-    if f._combo is not None:
-        assert _typed(f.coeffs) == _typed(_expand(f._rational, f._combo, f.order))
-    if f._multi is not None:
-        pairs, terms = f._multi
-        assert len(pairs) > 1 and list(pairs) == sorted(set(pairs))
+    if f._record is not None:
+        pairs, terms = f._record
+        assert list(pairs) == sorted(set(pairs))
         assert list(terms) == sorted(terms) and all(c for _, c in terms)
-        assert _typed(f.coeffs) == _typed(_expand_record(pairs, terms, f.order))
+        assert all(len(e) == len(pairs) for e, _ in terms)
+        assert _typed(f.coeffs) == _typed(_expand(pairs, terms, f.order))
 
 
 @st.composite
@@ -409,8 +393,8 @@ def record_cases(draw):
     int or Fraction series."""
     order = draw(st.integers(min_value=0, max_value=40))
     pq = draw(st.sampled_from(RECORD_PAIRS))
-    f, g = (_recorded(pq, draw(records), order) for _ in range(2))
-    h = _recorded(draw(st.sampled_from(RECORD_PAIRS)), draw(records), order)
+    f, g = (_recorded((pq,), draw(records), order) for _ in range(2))
+    h = _recorded((draw(st.sampled_from(RECORD_PAIRS)),), draw(records), order)
     valuation = draw(st.integers(min_value=0, max_value=order + 1))
     x = draw(kernel_operands(order, valuation, draw(st.sampled_from([1, 1, 2]))))
     return f, g, h, x, order
@@ -424,12 +408,6 @@ def _scaled(pq, c):
     return tuple(tuple(x * c**k for k, x in enumerate(poly)) for poly in pq)
 
 
-def _recorded_multi(pairs, terms, order: int) -> TruncatedSeries:
-    f = TruncatedSeries(_expand_record(pairs, terms, order), order)
-    f._multi = pairs, terms
-    return f
-
-
 @st.composite
 def multi_record_cases(draw):
     """(f, g, x, order): f records a combination over two or three pairs and
@@ -438,7 +416,7 @@ def multi_record_cases(draw):
     order = draw(st.integers(min_value=0, max_value=24))
     L = draw(st.sampled_from(MULTI_BASES))
     c = draw(st.sampled_from([2, 3, 1 << 20]))
-    stretched = series._rational_series(*L, 0).substitute_power(2)._rational
+    stretched = series._rational_series(*L, 0).substitute_power(2)._record[0][0]
     pool = [L, stretched, _scaled(L, c), _scaled(stretched, c)]
 
     def record(k):
@@ -446,9 +424,7 @@ def multi_record_cases(draw):
         terms = tuple(sorted(draw(st.dictionaries(
             st.tuples(*[st.integers(min_value=0, max_value=5)] * k),
             st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=1, max_size=4)).items()))
-        if k == 1:
-            return _recorded(pairs[0], tuple((e, c) for (e,), c in terms), order)
-        return _recorded_multi(pairs, terms, order)
+        return _recorded(pairs, terms, order)
 
     f = record(draw(st.integers(min_value=2, max_value=3)))
     g = record(draw(st.integers(min_value=1, max_value=3)))
@@ -467,9 +443,10 @@ class TestRecords:
             got = a * b
             assert _typed(got.coeffs) == _typed((_plain(a) * _plain(b)).coeffs)
             _assert_exact_record(got)
-        if f._combo and len(f._rational[1]) > 1 and not x.is_zero():
+        pairs, terms = f._record
+        if terms and len(pairs[0][1]) > 1 and not x.is_zero():
             v = x.valuation()  # the passes themselves, whichever way the rule goes
-            passes = series._mul_rational(x.coeffs[v:], f._rational, v, order, f._combo)
+            passes = series._mul_record(x.coeffs[v:], pairs, v, order, terms)
             assert _typed(passes.coeffs) == _typed((_plain(f) * x).coeffs)
 
     @given(record_cases(), st.integers(min_value=0, max_value=40))
@@ -477,11 +454,11 @@ class TestRecords:
     def test_sums_cuts_and_stretches_carry_exact_records(self, case, cut):
         f, g, _, _, order = case
         half = TruncatedSeries.constant(Fraction(1, 2), order)
-        terms = dict(f._combo)
-        for e, c in g._combo:
+        terms = dict(f._record[1])
+        for e, c in g._record[1]:
             terms[e] = terms.get(e, 0) - c
-        assert (f - g)._combo == tuple(sorted((e, c) for e, c in terms.items() if c))
-        assert (f - g)._rational == f._rational
+        assert (f - g)._record[1] == tuple(sorted((e, c) for e, c in terms.items() if c))
+        assert (f - g)._record[0] == f._record[0]
         for got in (f + g, f - g, f + half, half - f, half * f, f.truncate(min(cut, order)),
                     f.substitute_power(2), (f - g).substitute_power(3) * g.substitute_power(3)):
             _assert_exact_record(got)
@@ -503,7 +480,7 @@ class TestRecords:
                 _assert_exact_record(got)
         if not x.is_zero():  # the walk in every order of the pairs, whichever the rule picks
             v = x.valuation()
-            pairs, terms = f._multi
+            pairs, terms = f._record
             want = _typed((_plain(f) * x).coeffs)
             for walk in permutations(range(len(pairs))):
                 ordered = sorted((tuple(e[i] for i in walk), c) for e, c in terms)
@@ -511,43 +488,62 @@ class TestRecords:
                                          order, tuple(ordered))
                 assert _typed(got.coeffs) == want
 
+    @given(multi_record_cases(), st.integers(min_value=0, max_value=40))
+    @settings(max_examples=150, deadline=None)
+    def test_pass_plan_prices_the_walk_it_returns(self, case, span):
+        # The cost is (sum of passes_i w_i + terms) n, n = span + 1 off the
+        # lattice, counted pair by pair from the P of each pass; the pool's
+        # pairs hold distinct P objects, so `is` tells them apart.
+        times = series._times_poly
+        for f in case[:2]:  # on two or three pairs, then on one to three
+            cost, pairs, terms = series._pass_plan(f, span, 1)
+            seen = []
+            with patch.object(series, "_times_poly",
+                              lambda y, P: seen.append(P) or times(y, P)):
+                series._mul_record((1, 1), pairs, 0, 1, terms)
+            passes = [sum(P is pq[0] for P in seen) for pq in pairs]
+            assert sum(passes) == len(seen)
+            steps = sum(k * series._pass_weight(pq) for k, pq in zip(passes, pairs))
+            assert cost == (steps + len(terms)) * (span + 1)
+
     def test_walk_takes_the_cheapest_order(self):
         # first_row's factor B L^{2j} - B L^j - L^{j+1} + L at j = 5: walking L
         # first costs 2j passes of L and 2 of B, B first 3j + 1 of L and 1 of B
         L, B = ((1,), (1, -1)), ((1,), (1, -8))
-        f = _recorded_multi((B, L), (((1, 10), 1), ((1, 5), -1), ((0, 6), -1), ((0, 1), 1)), 30)
+        f = _recorded((B, L), (((1, 10), 1), ((1, 5), -1), ((0, 6), -1), ((0, 1), 1)), 30)
         cost, pairs, terms = series._pass_plan(f, 30, 1)
         assert pairs == (L, B)
         assert terms == (((1, 0), 1), ((5, 1), -1), ((6, 0), -1), ((10, 1), 1))
         assert cost == (10 * series._pass_weight(L) + 2 * series._pass_weight(B) + 4) * 31
 
     def test_constants_record_without_a_pair(self):
-        assert TruncatedSeries.constant(Fraction(4, 2), 3)._combo == ((0, 2),)
-        assert TruncatedSeries.zero(3)._combo == ()
-        assert TruncatedSeries.one(3)._rational is None
-        assert TruncatedSeries([1], 3)._combo is None  # built from coefficients: no record
+        assert TruncatedSeries.constant(Fraction(4, 2), 3)._record == ((), (((), 2),))
+        assert TruncatedSeries.zero(3)._record == ((), ())
+        assert TruncatedSeries.one(3)._record[0] == ()
+        assert TruncatedSeries([1], 3)._record is None  # built from coefficients: no record
         geometric = TruncatedSeries.geometric(5)
         other = series._rational_series((1,), (1, 0, -1), 5)
-        assert (geometric - TruncatedSeries.one(5))._combo == ((0, -1), (1, 1))
-        assert (geometric + other)._combo is None  # two pairs: the record is in _multi
+        (G,), (O,) = geometric._record[0], other._record[0]
+        assert (geometric - TruncatedSeries.one(5))._record == ((G,), (((0,), -1), ((1,), 1)))
+        assert (geometric + other)._record == ((G, O), (((0, 1), 1), ((1, 0), 1)))
         product = geometric * other
-        assert product._multi == ((geometric._rational, other._rational), (((1, 1), 1),))
-        assert product._combo is None
-        assert (product + geometric)._multi == (product._multi[0], (((1, 0), 1), ((1, 1), 1)))
+        assert product._record == ((G, O), (((1, 1), 1),))
+        assert (product + geometric)._record == ((G, O), (((1, 0), 1), ((1, 1), 1)))
 
     def test_passes_run_only_where_they_are_cheaper(self, monkeypatch):
         calls = []
-        shortcut = series._mul_rational
+        walk = series._mul_record
         monkeypatch.setattr(
-            series, "_mul_rational", lambda *args: calls.append(args[4]) or shortcut(*args)
+            series, "_mul_record", lambda *args: calls.append(args[4]) or walk(*args)
         )
         pq = ((1,), (1, -1))
         x = TruncatedSeries(range(1, 62), 60)
-        low, high = _recorded(pq, ((0, -1), (3, 1)), 60), _recorded(pq, ((0, -1), (100, 1)), 60)
+        low = _recorded((pq,), (((0,), -1), ((3,), 1)), 60)
+        high = _recorded((pq,), (((0,), -1), ((100,), 1)), 60)
         assert _typed((x * low).coeffs) == _typed((x * _plain(low)).coeffs)
-        assert calls == [low._combo]
+        assert calls == [low._record[1]]
         assert _typed((x * high).coeffs) == _typed((x * _plain(high)).coeffs)
-        assert calls == [low._combo]  # e_max 100 against a window of 61: dot products
+        assert calls == [low._record[1]]  # e_max 100 against a window of 61: dot products
 
 
 class TestSquare:
