@@ -40,7 +40,9 @@ both parity branches, through ``form.parity``), ``dilog`` and
 ``I_func``, and the saddle analysis: ``an_approx`` for every n of
 ``SADDLE_SIZES``, the fields ``SADDLE_FIELDS`` of ``solve_saddle(n, k)`` at
 both ends and the centre of ``_summation_range(n)``, ``log_product`` at
-``LOG_PRODUCT_POINTS`` and ``check_bounds(64)``.  Those constants and
+``LOG_PRODUCT_POINTS`` and ``check_bounds(64)``, and for every n of
+``PROFILE_SIZES`` the readers of the exact per-k profile: ``window_tail``
+exactly, ``llt_distance`` and ``profile_rows``.  Those constants and
 function values are recorded as 50-significant-digit strings, so a change
 in the last bits of a 60-digit evaluation does not count as a difference.
 
@@ -101,6 +103,8 @@ SADDLE_SIZES = (20, 60, 100, 200, 500)
 # The SaddleState fields recorded, named so that a field added later does not
 # count as a difference.
 SADDLE_FIELDS = ("n", "k", "r", "upsilon", "window", "theta0")
+# Sizes n of the cases that read the exact per-k profile.
+PROFILE_SIZES = (20, 60, 120, 200)
 # (k, r) points of log_product.
 LOG_PRODUCT_POINTS = ((1, 1e-6), (30, 1e-3), (3, 2.9), (499, 1e-4))
 # (function, arguments) of the warm case, made in this order on shared caches.
@@ -279,6 +283,11 @@ def _analysis_cases(fb, saddle):
         yield (f"log_product {k} {r}",
                lambda k=k, r=r: _record(saddle.log_product(k, r), _digits))
     yield "check_bounds 64", lambda: _record(saddle.check_bounds(64), _digits)
+    for n in PROFILE_SIZES:
+        yield f"window_tail {n}", lambda n=n: _record(saddle.window_tail(n), _exact)
+        yield f"llt_distance {n}", lambda n=n: _record(saddle.llt_distance(n), _digits)
+        yield (f"profile_rows {n}",
+               lambda n=n: _record(tuple(saddle.profile_rows(n)), _digits))
 
 
 def _fields(state):

@@ -56,7 +56,8 @@ Caching.  A z^n coefficient does not depend on the truncation order, so each
 builder cached by ``_largest_build`` keeps, per key (the arguments before the
 order, a family alias made canonical), only its build at the largest order
 asked for and cuts an equal or smaller order from it (a hit); a larger order
-replaces it.  At most ``_CACHE_KEYS`` keys are held, least recently used out.
+replaces it.  At most ``_CACHE_KEYS`` keys are held, least recently used out,
+as ``labeled_profile`` holds at most that many rows, one per n.
 """
 
 from __future__ import annotations
@@ -64,8 +65,9 @@ from __future__ import annotations
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import wraps
-from math import comb, factorial
+from functools import lru_cache, wraps
+from itertools import accumulate, islice
+from math import factorial
 from operator import mul, sub
 from typing import Callable, Optional
 
@@ -719,37 +721,34 @@ def ramanujan_r(order: int) -> TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# Integer fast path for the prototype family and its per-dimension profile
+# The prototype family's exact numbers, by the Stirling transform
 # ---------------------------------------------------------------------------
 
-@_largest_build(lambda built, n: tuple(_prefix(part, n) for part in built))
-def labeled_profile(n_max: int):
-    """Exact profile of the prototype series sum_k prod_{1<=j<=k}(e^{jz}-1).
+def _stirling_rows():
+    """Signed Stirling rows t(n, m) = n![z^n] (1 - e^{-z})^m, m = 0..n, for
+    n = 0, 1, ...; t(n, m) = (-1)^{n-m} m! S(n, m) = m (t(n-1, m-1) - t(n-1, m))."""
+    t = [1]
+    while True:
+        yield t
+        t = [0, *map(mul, range(1, len(t) + 1), map(sub, t, t[1:] + [0]))]
 
-    Returns (totals, rows): totals[n] = n![z^n] of the full sum and
-    rows[n][k] = n![z^n] of the k-th partial product, k = 0..n.  Both are
-    integers; the computation stays in binomial-convolution integer form,
-    n![z^n] P (e^{kz} - 1) = sum_{i<n} C(n, i) (i![z^i] P) k^{n-i}, one dot
-    product per entry.  The totals are ``labeled_numbers``, which reads them
-    from the row-Fishburn series at x = 1 - e^{-z} without this table.
+
+@lru_cache(maxsize=_CACHE_KEYS, typed=True)
+def labeled_profile(n: int) -> tuple:
+    """Row n of the prototype's profile: n![z^n] prod_{1<=j<=k}(e^{jz}-1) for
+    k = 0..n, integers that sum to ``labeled_numbers(n)[n]``.
+
+    At x = 1 - e^{-z} the k-th partial product is the row-Fishburn sum's
+    prod_{j<=k} (L^j - 1) over all entry values, so entry k is the dot
+    product of its x-coefficients with the Stirling row t(n, .), as in
+    ``labeled_numbers``.
     """
-    binomials = [[comb(n, i) for i in range(n + 1)] for n in range(n_max + 1)]
-    cur = [1] + [0] * n_max
-    rows = [[0] * (n + 1) for n in range(n_max + 1)]
-    rows[0][0] = 1
-    for k in range(1, n_max + 1):
-        kp = [1] * (n_max + 1)
-        for t in range(1, n_max + 1):
-            kp[t] = kp[t - 1] * k
-        new = [0] * (n_max + 1)
-        for n in range(k, n_max + 1):
-            new[n] = sum(map(mul, map(mul, binomials[n][k - 1 : n], cur[k - 1 : n]),
-                             kp[n - k + 1 : 0 : -1]))
-        cur = new
-        for n in range(k, n_max + 1):
-            rows[n][k] = cur[n]
-    totals = tuple(sum(r) for r in rows)
-    return totals, tuple(tuple(r) for r in rows)
+    _check_budget(n)
+    t = next(islice(_stirling_rows(), n, None))
+    s = _row_sum(lambda_series(ALL, n))  # its running power is a closure: one per call
+    factors = (x - y for _, x, y in (s.parts(k, n) for k in range(1, n + 1)))
+    products = accumulate(factors, mul, initial=TruncatedSeries.one(n))
+    return tuple(sum(map(mul, p.coeffs, t)) for p in products)
 
 
 @_largest_build(_prefix)
@@ -759,16 +758,10 @@ def labeled_numbers(n_max: int) -> tuple:
     With L = e^z = 1/(1 - x) at x = 1 - e^{-z}, the sum is the row-Fishburn
     series R(x) = sum_k prod_{j<=k} (L^j - 1) over all entry values, so
     n![z^n] of the sum is sum_m [x^m]R * t(n, m), a dot product with the
-    signed Stirling row t(n, m) = n![z^n] (1 - e^{-z})^m
-    = (-1)^{n-m} m! S(n, m), which steps row by row as
-    t(n, m) = m (t(n-1, m-1) - t(n-1, m)).
+    signed Stirling row t(n, .) of ``_stirling_rows``.
     """
     r = family_series("row-fishburn", ALL, n_max).coeffs
-    t, totals = [1], []
-    for n in range(n_max + 1):
-        totals.append(sum(map(mul, r, t)))
-        t = [0, *map(mul, range(1, n + 2), map(sub, t, t[1:] + [0]))]
-    return tuple(totals)
+    return tuple(sum(map(mul, r, t)) for t in islice(_stirling_rows(), n_max + 1))
 
 
 # ---------------------------------------------------------------------------

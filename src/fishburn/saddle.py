@@ -34,11 +34,11 @@ needed, at 60 digits.  Each summand's sums over j <= k, the cumulants and
 log A_k(r), come from one pass in fixed-point integers (:func:`_sweep`),
 carried at 60 digits plus guard bits derived from k and r and rounded to
 60 digits; the other numeric work is mpmath arithmetic at 60 digits.  The
-exact per-k integers behind :func:`llt_distance`, :func:`window_tail` and
-:func:`profile_rows` come from :func:`fishburn.families.labeled_profile`;
-the exact n! a_n that the CLI and the checks compare :func:`an_approx`
-against come from :func:`fishburn.families.labeled_numbers`, the
-row-Fishburn series at x = 1 - e^{-z}, without the per-k table.
+exact per-k integers n! a_{n,k} behind :func:`llt_distance`,
+:func:`window_tail` and :func:`profile_rows` are the row ``labeled_profile(n)``
+of :mod:`fishburn.families`; their sum is the exact n! a_n that the CLI and
+the checks compare :func:`an_approx` against, which ``labeled_numbers``
+reads for every n at once.
 """
 
 from __future__ import annotations
@@ -722,17 +722,17 @@ def llt_distance(n: int) -> mp.mpf:
     so the n! normalizations cancel.
     """
     _require_positive_int("n", n)
-    totals, rows = labeled_profile(n)
+    row = labeled_profile(n)
     constants = optimum()
     with mp.workdps(_DPS):
-        total = mp.mpf(totals[n])
+        total = mp.mpf(sum(row))
         variance = constants.sigma ** 2 * n
         center = constants.mu * n
         norm = 1 / mp.sqrt(2 * mp.pi * variance)
         worst = mp.mpf(0)
         for k in range(1, n + 1):
             density = norm * mp.exp(-(k - center) ** 2 / (2 * variance))
-            gap = abs(mp.mpf(rows[n][k]) / total - density)
+            gap = abs(mp.mpf(row[k]) / total - density)
             worst = max(worst, gap)
         return worst
 
@@ -745,10 +745,10 @@ def window_tail(n: int) -> Fraction:
     :func:`an_approx` (2e-7 at n = 120).
     """
     _require_positive_int("n", n)
-    totals, rows = labeled_profile(n)
+    row = labeled_profile(n)
     ks = _summation_range(n)
-    inside = sum(rows[n][ks.start:ks.stop])
-    return Fraction(totals[n] - inside, totals[n])
+    total = sum(row)
+    return Fraction(total - sum(row[ks.start:ks.stop]), total)
 
 
 def profile_rows(n: int) -> List[Tuple[int, mp.mpf, mp.mpf]]:
@@ -759,10 +759,10 @@ def profile_rows(n: int) -> List[Tuple[int, mp.mpf, mp.mpf]]:
     logs at 60 digits.
     """
     _check_size(n)
-    _totals, rows = labeled_profile(n)
+    row = labeled_profile(n)
     with mp.workdps(_DPS):
         log_factorial = mp.log(mp.factorial(n))
         return [
-            (k, mp.log(mp.mpf(rows[n][k])) - log_factorial, _log_ank(n, k))
+            (k, mp.log(mp.mpf(row[k])) - log_factorial, _log_ank(n, k))
             for k in _k_range(n, _WINDOW_WIDTH)[1]
         ]

@@ -1,6 +1,6 @@
 """Every public name of the package, and every module-level function or
-class of its modules, is reached by a command, a check or another library
-function, not only by its own tests.
+class of its modules and every method of those classes, is reached by a
+command, a check or another library function, not only by its own tests.
 
 The modules of ``src/fishburn`` (the package's ``__init__`` aside) and the
 scripts are parsed with ``ast``; a name counts as reached when it is
@@ -38,6 +38,14 @@ NO_LOADER = {
     ("oracle", "ascent_counts"),
     # The documented per-summand saddle approximation, as in NO_CALLER.
     ("saddle", "ank_approx"),
+}
+
+# Methods with no loader by design, as (module, class, method), each with its
+# reason.
+NO_METHOD_LOADER = {
+    # The tests' reference for the general <-> primitive duality (TestDuality);
+    # compose is reached through it.
+    ("series", "TruncatedSeries", "substitute_mobius"),
 }
 
 
@@ -115,6 +123,18 @@ def _definitions():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
 
 
+def _methods():
+    """(module, class, name) of every method of a module-level class but the
+    dunder methods."""
+    return {(path.stem, node.name, item.name)
+            for path in _modules()
+            for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (item.name.startswith("__") and item.name.endswith("__"))}
+
+
 def test_every_module_level_definition_has_a_loader():
     loaded = _loaded_names()
     unreached = sorted(d for d in _definitions() - NO_LOADER if d[1] not in loaded)
@@ -129,3 +149,14 @@ def test_exceptions_are_public_and_unreached():
 def test_definition_exceptions_exist_and_are_unreached():
     assert NO_LOADER <= _definitions()
     assert not {name for _, name in NO_LOADER} & _loaded_names()
+
+
+def test_every_method_has_a_loader():
+    loaded = _loaded_names()
+    unreached = sorted(m for m in _methods() - NO_METHOD_LOADER if m[2] not in loaded)
+    assert unreached == [], f"methods loaded only by tests: {unreached}"
+
+
+def test_method_exceptions_exist_and_are_unreached():
+    assert NO_METHOD_LOADER <= _methods()
+    assert not {name for *_, name in NO_METHOD_LOADER} & _loaded_names()

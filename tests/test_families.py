@@ -3,7 +3,9 @@ import tracemalloc
 
 import pytest
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
+from operator import mul
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -761,6 +763,30 @@ class TestCatalog:
         assert flat == [1, 1, 1, 2, 2, 1, 5, 6, 3, 1]
 
 
+@lru_cache(maxsize=None)
+def binomial_profile(n_max):
+    """(totals, rows) of the prototype sum_k prod_{1<=j<=k}(e^{jz}-1) by
+    binomial convolution, independent of the Stirling route: rows[n][k] =
+    n![z^n] of the k-th partial product P_k, from n![z^n] P (e^{kz} - 1) =
+    sum_{i<n} C(n, i) (i![z^i] P) k^{n-i}, and totals[n] = sum(rows[n])."""
+    binomials = [[comb(n, i) for i in range(n + 1)] for n in range(n_max + 1)]
+    cur = [1] + [0] * n_max
+    rows = [[0] * (n + 1) for n in range(n_max + 1)]
+    rows[0][0] = 1
+    for k in range(1, n_max + 1):
+        kp = [1] * (n_max + 1)
+        for t in range(1, n_max + 1):
+            kp[t] = kp[t - 1] * k
+        new = [0] * (n_max + 1)
+        for n in range(k, n_max + 1):
+            new[n] = sum(map(mul, map(mul, binomials[n][k - 1 : n], cur[k - 1 : n]),
+                             kp[n - k + 1 : 0 : -1]))
+        cur = new
+        for n in range(k, n_max + 1):
+            rows[n][k] = cur[n]
+    return tuple(sum(r) for r in rows), tuple(tuple(r) for r in rows)
+
+
 class TestLabeledFastPath:
     def test_totals_match_kernel(self):
         totals = labeled_numbers(20)
@@ -769,22 +795,25 @@ class TestLabeledFastPath:
             assert totals[n] == factorial(n) * f.coeff(n)
 
     def test_rows_are_partial_products(self):
-        _, rows = labeled_profile(12)
+        rows = [labeled_profile(n) for n in range(13)]
         prod = TruncatedSeries.one(12)
+        for n in range(13):
+            assert rows[n][0] == (n == 0) and len(rows[n]) == n + 1
         for k in range(1, 13):
             prod = prod * (exp_linear(k, 12) - TruncatedSeries.one(12))
             for n in range(k, 13):
                 assert rows[n][k] == factorial(n) * prod.coeff(n)
 
     def test_row_sums(self):
-        totals, rows = labeled_profile(15)
         for n in range(16):
-            assert totals[n] == sum(rows[n])
+            assert sum(labeled_profile(n)) == labeled_numbers(n)[n]
 
     @pytest.mark.parametrize("n", [*range(41), 120])
     def test_stirling_transform_matches_the_profile(self, n):
-        # The EGF recurrence against the row-Fishburn series at x = 1 - e^{-z}.
-        assert labeled_numbers.__wrapped__(n) == labeled_profile.__wrapped__(n)[0]
+        # Both Stirling routes against the binomial-convolution recurrence.
+        totals, rows = binomial_profile(120)
+        assert labeled_numbers.__wrapped__(n) == totals[: n + 1]
+        assert labeled_profile.__wrapped__(n) == rows[n]
 
     def test_totals_build_no_profile(self):
         labeled_numbers.cache_clear()
@@ -792,30 +821,35 @@ class TestLabeledFastPath:
         labeled_numbers(60)
         assert labeled_profile.cache_info().misses == 0
 
-    def test_smaller_profile_is_sliced_from_a_larger_build(self):
-        fresh = labeled_profile.__wrapped__(23)
-        labeled_profile(37)
-        misses = labeled_profile.cache_info().misses
-        assert labeled_profile(23) == fresh
-        assert labeled_profile.cache_info().misses == misses
-
     def test_cache_clear_drops_the_build(self, monkeypatch):
-        labeled_profile(40)
-        labeled_profile.cache_clear()
-        binomials = []
-        monkeypatch.setattr(families, "comb", lambda n, k: binomials.append(n) or comb(n, k))
         labeled_profile(30)
-        assert binomials, "served from a build made before cache_clear"
+        labeled_profile.cache_clear()
+        sums, row_sum = [], families._row_sum
+        monkeypatch.setattr(families, "_row_sum", lambda L: sums.append(L) or row_sum(L))
+        labeled_profile(30)
+        assert sums, "served from a build made before cache_clear"
         assert labeled_profile.cache_info().misses == 1
 
     def test_budget(self):
         with pytest.raises(ValueError, match=r"exceeds the series budget \(500\)"):
             labeled_numbers(501)
 
-    @pytest.mark.parametrize("build", [labeled_profile, labeled_numbers])
-    def test_negative_order(self, build):
-        with pytest.raises(ValueError, match="order must be >= 0"):
-            build(-1)
+    @pytest.mark.parametrize("build, value, match", [
+        pytest.param(labeled_profile, -1, "order must be >= 0", id="labeled_profile"),
+        pytest.param(labeled_numbers, -1, "order must be >= 0", id="labeled_numbers"),
+        pytest.param(labeled_profile, True, "must be an int, got True",
+                     id="labeled_profile-True"),
+        pytest.param(labeled_profile, 2.0, "must be an int, got 2.0",
+                     id="labeled_profile-2.0"),
+        pytest.param(labeled_profile, 501, r"exceeds the series budget \(500\)",
+                     id="labeled_profile-501"),
+    ])
+    def test_negative_order(self, build, value, match):
+        # Cached builds at 1 and 2 must not answer a bool or float equal to them.
+        build(1)
+        build(2)
+        with pytest.raises(ValueError, match=match):
+            build(value)
 
 
 class TestOrderCache:

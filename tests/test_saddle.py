@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from fishburn.asymptotics import named_form
 from fishburn.cli import main
-from fishburn.families import labeled_profile
+from fishburn.families import labeled_numbers, labeled_profile
 from fishburn.saddle import (
     BoundReport,
     CentralConstants,
@@ -45,9 +45,17 @@ def agree(x, y, rel=mp.mpf("1e-12")):
     return mp.almosteq(x, y, rel_eps=rel, abs_eps=0)
 
 
+class _ProfileRows:
+    """rows[n][k] = n![z^n] prod_{j<=k}(e^{jz}-1), the row labeled_profile(n)."""
+
+    def __getitem__(self, n):
+        return labeled_profile(n)
+
+
 def exact_rows(n_max=200):
-    """Integer profile rows[n][k] = n![z^n] prod_{j<=k}(e^{jz}-1)."""
-    return labeled_profile(n_max)
+    """(totals, rows): totals[n] = n! a_n for n <= n_max, and the integer
+    profile rows[n][k], built per n on first use."""
+    return labeled_numbers(n_max), _ProfileRows()
 
 
 def window_ints(n):
