@@ -23,7 +23,12 @@ smallest odd entry, and both forms of R(q) are recorded at ``R_ORDERS`` as
 well.
 The ``monomial`` statistic cases record full profiles, unpacked from one
 evaluation at v = 2^K as ``stat_profile`` does, for both forms; their value
-is (order, rows), rows[n] the v-polynomial of z^n.
+is (order, rows), rows[n] the v-polynomial of z^n.  The ``jet1`` to ``jet3``
+cases record moment jets of depth d = 1..3 for both forms, unpacked from
+one build at v = 1 + 2^K modulo 2^{(d+1)K}, K = bits(max count) +
+d bits(order) + 2, as ``stat_jet`` does at depth 2; their value is the
+d + 1 parts (order, coefficients), part t holding sum_m C(m, t) [v^m z^n]
+at z^n, as the moment jets of earlier trees were recorded.
 Every cache of ``fishburn.families`` is cleared before each case, so the
 counts do not depend on the order of the cases.  The one ``warm`` case then
 makes the cached calls of ``WARM_CALLS`` in turn without clearing, so later
@@ -137,22 +142,23 @@ CLI_RUNS = (
 
 def _describe(obj):
     """A picklable (value, coefficient types) pair for a builder's result."""
-    from fishburn.series import Jet, TruncatedSeries
+    from fishburn.series import TruncatedSeries
 
     if isinstance(obj, TruncatedSeries):
         return (obj.order, obj.coeffs), tuple(type(c).__name__ for c in obj.coeffs)
     if isinstance(obj, _Profile):
         types = tuple(tuple(type(c).__name__ for c in p) for p in obj.rows)
         return (obj.order, obj.rows), types
-    if isinstance(obj, Jet):
-        parts = [_describe(p) for p in obj.parts]
-        return tuple(v for v, _ in parts), tuple(t for _, t in parts)
+    if isinstance(obj, _Jet):
+        return (tuple((obj.order, part) for part in obj.parts),
+                tuple(tuple(type(c).__name__ for c in part) for part in obj.parts))
     if isinstance(obj, (list, tuple)):
         return tuple(obj), tuple(type(c).__name__ for c in obj)
     raise TypeError(f"no description for {type(obj).__name__}")
 
 
 _Profile = collections.namedtuple("_Profile", "order rows")
+_Jet = collections.namedtuple("_Jet", "order parts")
 
 
 def _profile(families, series, build, family, stat, lam, order):
@@ -162,6 +168,17 @@ def _profile(families, series, build, family, stat, lam, order):
     bits = max(counts).bit_length()
     packed = build(family, stat, lam, order, series.eval_marker(1 << bits))
     return _Profile(order, families._unpack_rows(packed, counts, bits))
+
+
+def _jet(families, series, build, family, stat, lam, order, depth):
+    """The moment jet of depth `depth` that build(family, stat, lam, order,
+    marker) gives, unpacked from one build at v = 1 + 2^K modulo
+    2^{(depth+1)K} as ``stat_jet`` does."""
+    counts = families.family_series(family, lam, order).coeffs
+    bits = max(counts).bit_length() + depth * order.bit_length() + 2
+    marker = series.moment_marker(bits, depth)
+    packed = build(family, stat, lam, order, marker)
+    return _Jet(order, tuple(zip(*families._unpack_moments(packed, counts, marker.mod))))
 
 
 def _stat_builds(families, identities):
@@ -191,7 +208,7 @@ def _cases(families, identities, series):
                    lambda l=lam, n=n: identities._direct_family(l, n))
     builds = [("monomial", lambda *case: _profile(families, series, *case))]
     builds += [(f"jet{d}", lambda stat_build, f, s, l, n, d=d:
-                stat_build(f, s, l, n, series.jet_marker(d)))
+                _jet(families, series, stat_build, f, s, l, n, d))
                for d in (1, 2, 3)]
     for fam in families.FAMILIES:
         for stat in families.STATS:

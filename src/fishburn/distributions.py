@@ -51,8 +51,8 @@ _DPS = 40
 # packs n + 1 digits of K bits.  Both grow with the order, so the cost grows
 # steeply: fishburn/diagonal took about 11 s at order 90 and 83 s at 120, on
 # a 2-core x86-64 machine.  This is the documented ceiling for
-# distribution(); moments stay cheap far beyond it through the jet
-# representation.
+# distribution(); moments stay cheap far beyond it through the packed
+# moment rows of stat_jet.
 _ENUM_BUDGET = 150
 _JET_BUDGET = 400
 
@@ -134,18 +134,18 @@ def distribution(family: str, stat: str, lam: LambdaSpec, n: int) -> Distributio
 def stat_mean_variance(family: str, stat: str, lam: LambdaSpec, n: int):
     """Exact mean and variance of a statistic, without the full table.
 
-    Works from the second-order jet (v = 1 + eps), so the cost stays flat in
-    the statistic's range; sizes up to 400 are in budget.
+    Works from ``stat_jet``'s moment rows, one build modulo 2^{3K}, so the
+    cost does not grow with the statistic's range as a profile's does; sizes
+    up to 400 are in budget.
     """
     family = canonical_family(family)
     _require_positive_int("n", n)
     if n > _JET_BUDGET:
         raise ValueError(f"size {n} beyond the moment budget {_JET_BUDGET}")
-    jet = stat_jet(family, stat, lam, n)
-    total = jet.coeff_vm(n, 0)
+    total, f1, f2 = stat_jet(family, stat, lam, n)[n]
     _require_matrices(total, family, lam, n)
-    m1 = Fraction(jet.coeff_vm(n, 1), total)
-    fact2 = Fraction(jet.coeff_vm(n, 2), total)  # E C(stat, 2)
+    m1 = Fraction(f1, total)
+    fact2 = Fraction(f2, total)  # E C(stat, 2)
     return m1, 2 * fact2 + m1 - m1 * m1
 
 

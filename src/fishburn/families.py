@@ -31,23 +31,24 @@ running powers, differences, squares and products by d built from one such
 series carry that record as a combination sum_e c_e (P/Q)^e, so the factor
 j of a family sum, such as L (L^j - 1)^2 for the Fishburn sum, reaches
 ``sum_product`` as a combination of powers of L, and ``_mul_into`` may
-multiply the running product by it in passes of P/Q when Q is not 1.  The
+multiply the running product by it in passes of P/Q when Q is not 1 (and,
+in a moment build, for any Q).  The
 self-dual factor L (L(z^2)^j - 1) records a combination of monomials over
 the two pairs of L and L(z^2), and its passes walk both.
 
-The row, Andrews and self-dual sums serve both carriers: a weight series
-gives the counting series, a marked atom its statistic refinement.
-The marker passed to ``stat_gf`` builds the atoms and lifted weight series
-and so picks the carrier -- TruncatedSeries for an evaluation v = c, Jet for
-moment jets; ``sum_product`` and ``_one`` take the carrier from their input.
+The row, Andrews and self-dual sums serve both uses: a weight series gives
+the counting series, a marked atom its statistic refinement.  The marker
+passed to ``stat_gf`` sets v = c in the atoms, and their modulus.
 ``stat_profile`` gets every full distribution from one evaluation at
 v = 2^K, K the bit length of the largest family count: each z-coefficient
 then holds its v-polynomial as base-2^K digits (Kronecker substitution).
-At v = c every marked atom is itself a rational series (``lambda_atom``),
-such as B = L(cz) = P(cz)/Q(cz), so the statistic factors record
-combinations of monomials over the pairs of L, L(z^2) and the atoms, and
-the running products of the profile builds take passes as the family
-sums do; a jet atom keeps its v-polynomial rows.
+``stat_jet`` reads the moment rows as the base-2^K digits of one build at
+v = 1 + 2^K modulo 2^{3K}.  Every marked atom is itself a rational series
+(``lambda_atom``), such as B = L(cz) = P(cz)/Q(cz), so the statistic factors
+record combinations of monomials over the pairs of L, L(z^2) and the atoms,
+and the running products of both builds take passes as the family sums do.
+In a moment build an atom marking one entry value t is L + w_t (c - 1) z^t
+over the pairs of L and z^t, and its powers reduce in their records.
 
 Budget.  Every public builder rejects an order above ``_SERIES_BUDGET``
 before it builds anything, and checks the order it actually builds.
@@ -72,8 +73,6 @@ from operator import mul, sub
 from typing import Callable, Optional
 
 from .series import (
-    Carrier,
-    Jet,
     Marker,
     TruncatedSeries,
     _as_int,
@@ -82,7 +81,7 @@ from .series import (
     _stretch,
     eval_marker,
     exp_linear,
-    jet_marker,
+    moment_marker,
     sum_product,
 )
 
@@ -106,7 +105,7 @@ _NAMED_RATIONAL = {
 }
 _NAMED_TAGS = tuple(_NAMED_RATIONAL)
 
-# The largest order of a cached family series or moment jet.
+# The largest order of a cached family series, profile or moment build.
 _SERIES_BUDGET = 500
 
 _FAMILY_ALIASES = {
@@ -288,17 +287,11 @@ def lambda_series(spec: LambdaSpec, order: int) -> TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# Running powers and the carrier-generic sums
+# Running powers and the general sum
 # ---------------------------------------------------------------------------
 
-def _one(like: Carrier, room: int) -> Carrier:
-    """The series 1 at order `room`, in the carrier (and jet depth) of `like`."""
-    if isinstance(like, Jet):
-        return Jet.one(room, like.depth)
-    return TruncatedSeries.one(room)
-
-
-def _powers(first: Carrier, step: Carrier, atom: Optional[Carrier] = None):
+def _powers(first: TruncatedSeries, step: TruncatedSeries,
+            atom: Optional[TruncatedSeries] = None):
     """(j, room) -> [atom *] first * step^(j-1) on the j-th call, truncated at
     `room`, which must not grow from call to call (sum_product guarantees it).
     """
@@ -331,17 +324,15 @@ class GeneralSum:
 
     def parts(self, j: int, room: int) -> tuple:
         """(d_j or None, x_j, y_j), truncated at `room`; a missing x_j or y_j
-        is 1 in the carrier of the other."""
+        is 1."""
         def at(t):
-            return t(j, room) if callable(t) else t.truncate(room)
+            return TruncatedSeries.one(room) if t is None else (
+                t(j, room) if callable(t) else t.truncate(room))
 
-        x = None if self.x is None else at(self.x)
-        y = _one(x, room) if self.y is None else at(self.y)
-        x = _one(y, room) if x is None else x
-        return (None if self.d is None else at(self.d)), x, y
+        return (None if self.d is None else at(self.d)), at(self.x), at(self.y)
 
     def series(self, order: int):
-        """The sum truncated at `order`, in the carrier of x_j or y_j."""
+        """The sum truncated at `order`."""
         def factor(j, room):
             d, x, y = self.parts(j, room)
             f = _power(x - y, self.alpha, None)  # alpha >= 1 never needs the unit
@@ -351,22 +342,22 @@ class GeneralSum:
         return s if self.prefactor is None else self.prefactor * s
 
 
-def _row_sum(L: Carrier) -> GeneralSum:
+def _row_sum(L: TruncatedSeries) -> GeneralSum:
     """sum_k prod_{1<=j<=k} (L^j - 1)."""
     return GeneralSum(_powers(L, L))
 
 
-def _andrews_sum(L: Carrier) -> GeneralSum:
+def _andrews_sum(L: TruncatedSeries) -> GeneralSum:
     """L * sum_k prod_{1<=j<=k} [L (L^j - 1)^2]."""
     return GeneralSum(_powers(L, L), d=L, alpha=2, prefactor=L)
 
 
-def _self_dual_sum(L: Carrier, L2: Carrier) -> GeneralSum:
+def _self_dual_sum(L: TruncatedSeries, L2: TruncatedSeries) -> GeneralSum:
     """L * sum_k prod_{1<=j<=k} [L (L2^j - 1)]."""
     return GeneralSum(_powers(L2, L2), d=L, prefactor=L)
 
 
-def _family_sum(family: str, L: Carrier) -> GeneralSum:
+def _family_sum(family: str, L: TruncatedSeries) -> GeneralSum:
     """A family's counting series in the weight series L as a general sum (the
     Andrews form for Fishburn matrices); its alpha is the family exponent."""
     family = canonical_family(family)
@@ -430,7 +421,10 @@ def fishburn_numbers(order: int) -> tuple:
 
 _ATOM_KINDS = {
     # kind: (z stretch s, marked value t, v exponent e): entry value i sits on
-    # z^{s i} marked v^{e i} when t is None, and v^e when i == t
+    # z^{s i} marked v^{e i} when t is None, and v^e when i == t.  "plain"
+    # marks nothing: the weight series under the marker's modulus, so that
+    # its powers keep their records in a moment build (see _may_pass).
+    "plain": (1, None, 0),
     "size": (1, None, 1),
     "size-sq": (2, None, 1),
     "size-double": (2, None, 2),
@@ -442,30 +436,25 @@ _ATOM_KINDS = {
 
 def lambda_atom(
     spec: LambdaSpec, order: int, marker: Marker, kind: str = "size"
-) -> Carrier:
-    """The weight series with entries marked in v according to `kind`.
-
-    At an evaluation v = c the atom is the rational series of
+) -> TruncatedSeries:
+    """The weight series with entries marked in v according to `kind`, at
+    the marker's v = c and under its modulus: the rational series of
     ``_atom_rational``, so it records its pair and products by it may take
-    passes; a jet is built from its v-polynomial rows.
+    passes.
     """
     _check_budget(order)
     try:
         s, t, e = _ATOM_KINDS[kind]
     except KeyError:
         raise ValueError(f"unknown atom kind {kind!r}")
-    if marker.value is not None:
-        return _rational_series(*_atom_rational(spec, s, t, e, marker.value), order)
-    rows: list = [() for _ in range(order + 1)]
-    rows[0] = (1,)
-    i = 1
-    while i * s <= order:
-        w = spec.weight(i)
-        if w:
-            power = e * i if t is None else e * (i == t)
-            rows[i * s] = tuple(w * c for c in marker.v_power(power))
-        i += 1
-    return marker.series(rows, order)
+    if marker.mod is None or t is None:
+        return _rational_series(*_atom_rational(spec, s, t, e, marker.value), order, marker.mod)
+    # Under a modulus the mark of t stays apart, as L(z^s) + w_t (c^e - 1) z^{ts} over
+    # the pairs of L(z^s) and z: the atom's powers then reduce in their records and
+    # take the passes of L, and the atoms of one build share the pair of z.
+    L = _rational_series(*_atom_rational(spec, s, t, 0, 1), order, marker.mod)
+    z = _rational_series((0, 1), (1,), order, marker.mod).pow(t * s)
+    return L + z * TruncatedSeries.constant(spec.weight(t) * (marker.value**e - 1), order)
 
 
 def _atom_rational(spec: LambdaSpec, s: int, t: Optional[int], e: int, c) -> tuple:
@@ -495,32 +484,31 @@ def _row_first_row(spec, order, marker):
     # 1 + sum_k (B^{k+1} - 1) prod_j (L^j - 1)  with B = L(vz); the B^{k+1}
     # part is folded as B * sum_k prod_j [B (L^j - 1)] minus the plain series.
     B = lambda_atom(spec, order, marker, "size")
-    marked = _self_dual_sum(B, marker.lift(lambda_series(spec, order))).series(order)
-    plain = marker.lift(family_series("row-fishburn", spec, order))
-    return _one(B, order) + marked - plain
+    marked = _self_dual_sum(B, lambda_atom(spec, order, marker, "plain")).series(order)
+    plain = family_series("row-fishburn", spec, order)
+    return TruncatedSeries.one(order) + marked - plain
 
 
 def _row_diagonal(spec, order, marker):
     # sum_k prod_{1<=j<=k} (B L^{j-1} - 1)
     B = lambda_atom(spec, order, marker, "size")
-    Lb = marker.lift(lambda_series(spec, order))
-    return GeneralSum(_powers(_one(B, order), Lb, B)).series(order)
+    L = lambda_atom(spec, order, marker, "plain")
+    return GeneralSum(_powers(TruncatedSeries.one(order), L, B)).series(order)
 
 
 def _fishburn_first_row(spec, order, marker):
     # B * sum_k prod_j [L (B L^{j-1} - 1)(L^j - 1)]; the factor needs L^{j-1}
     # and L^j together, so it keeps its own running power.
     B = lambda_atom(spec, order, marker, "size")
-    Lb = marker.lift(lambda_series(spec, order))
-    st = [_one(B, order)]
+    L = lambda_atom(spec, order, marker, "plain")
+    st = [TruncatedSeries.one(order)]
 
     def factor(j, room):
+        one = TruncatedSeries.one(room)
         pjm1 = st[0].truncate(room)
-        pj = pjm1 * Lb.truncate(room)
+        pj = pjm1 * L.truncate(room)
         st[0] = pj
-        f1 = B.truncate(room) * pjm1 - _one(B, room)
-        f2 = pj - _one(B, room)
-        return Lb.truncate(room) * (f1 * f2)
+        return L.truncate(room) * ((B.truncate(room) * pjm1 - one) * (pj - one))
 
     return B * sum_product(factor, order)
 
@@ -528,8 +516,8 @@ def _fishburn_first_row(spec, order, marker):
 def _fishburn_diagonal(spec, order, marker):
     # B * sum_k prod_j [L (B L^{j-1} - 1)^2]
     B = lambda_atom(spec, order, marker, "size")
-    Lb = marker.lift(lambda_series(spec, order))
-    return B * GeneralSum(_powers(_one(B, order), Lb, B), d=Lb, alpha=2).series(order)
+    L = lambda_atom(spec, order, marker, "plain")
+    return B * GeneralSum(_powers(TruncatedSeries.one(order), L, B), d=L, alpha=2).series(order)
 
 
 def _self_dual_stat(spec, order, marker, stat):
@@ -540,16 +528,16 @@ def _self_dual_stat(spec, order, marker, stat):
     inner = "size-sq" if stat == "first_row" else "size-double"
     B = lambda_atom(spec, order, marker, "size")
     A = lambda_atom(spec, order, marker, inner)
-    L = lambda_series(spec, order)
-    x = _powers(_one(B, order), marker.lift(L.substitute_power(2)), A)
-    return B * GeneralSum(x, d=marker.lift(L)).series(order)
+    L = lambda_atom(spec, order, marker, "plain")
+    x = _powers(TruncatedSeries.one(order), L.substitute_power(2), A)
+    return B * GeneralSum(x, d=L).series(order)
 
 
-def stat_gf(family: str, stat: str, spec: LambdaSpec, order: int, marker: Marker) -> Carrier:
-    """Series with z marking size and v marking the statistic.
-
-    The marker picks the carrier: TruncatedSeries for an evaluation marker,
-    Jet for a jet marker.  Setting v = 1 recovers the family series.  The
+def stat_gf(family: str, stat: str, spec: LambdaSpec, order: int,
+            marker: Marker) -> TruncatedSeries:
+    """Series with z marking size and v marking the statistic, at the
+    marker's v = c and under its modulus (``eval_marker``,
+    ``moment_marker``).  Setting v = 1 recovers the family series.  The
     Fishburn statistics also have direct (inverse-power) forms, which
     ``identities.verify_andrews_jelinek`` compares with these.
     """
@@ -617,11 +605,36 @@ def _unpack_rows(packed: TruncatedSeries, counts, bits: int) -> tuple:
     return tuple(rows)
 
 
-@_largest_build(Jet.truncate, family=True)
-def stat_jet(family: str, stat: str, spec: LambdaSpec, order: int) -> Jet:
-    """Cached moment jet: v = 1 + eps truncated past eps^2, which is as deep
-    as the mean and variance need."""
-    return stat_gf(family, stat, spec, order, jet_marker(2))
+@_largest_build(_prefix, family=True)
+def stat_jet(family: str, stat: str, spec: LambdaSpec, order: int) -> tuple:
+    """Cached moment rows: row n is (f0, f1, f2), f_t = sum_m C(m, t)
+    [v^m z^n], for n = 0..order; f0 is the family count.
+
+    One build at v = 1 + 2^K modulo 2^{3K} (``moment_marker``) holds every
+    row as base-2^K digits.  K = bits(max count) + 2 bits(n) + 2 bounds each
+    f_t below 2^K: the statistic is at most n, as every atom puts v^e on
+    z^{>=e}.  The 2s over a multiset without the value 2 are 0.
+    """
+    counts = family_series(family, spec, order).coeffs
+    if stat == "twos" and stat in FAMILY_STATS[canonical_family(family)] and not spec.weight(2):
+        return tuple((c, 0, 0) for c in counts)
+    marker = moment_marker(max(counts).bit_length() + 2 * order.bit_length() + 2)
+    return _unpack_moments(stat_gf(family, stat, spec, order, marker), counts, marker.mod)
+
+
+def _unpack_moments(packed: TruncatedSeries, counts, mod) -> tuple:
+    """The mod.digits base-2^mod.bits digits of each coefficient of
+    `packed` reduced by `mod`, low first.  A row whose digit 0 is not its
+    count raises ValueError."""
+    low, rows = (1 << mod.bits) - 1, []
+    for n, (c, total) in enumerate(zip(packed.coeffs, counts)):
+        c &= mod.mask
+        row = tuple(c >> t * mod.bits & low for t in range(mod.digits))
+        if row[0] != total:
+            raise ValueError(f"row {n} does not unpack in base 2^{mod.bits}: "
+                             f"its digit 0 is {row[0]}, not the count {total}")
+        rows.append(row)
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ built.  The other side, a route no builder needs, is stated here, just above
 the verifier that compares it: a ``GeneralSum`` built from the factor helpers
 of `families`, or a ``sum_product`` for the paired A035378 forms, whose
 k-dependent prefactor is no such sum.  The direct Fishburn forms take a
-marker, as ``stat_gf`` does, so they build moment jets too.
+marker, as ``stat_gf`` does, so they build packed profiles and moments too.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence
 
-from .series import (Carrier, Marker, TruncatedSeries, _as_int, _rational_series,
+from .series import (Marker, TruncatedSeries, _as_int, _rational_series,
                      eval_marker, exp_linear, sum_product)
 from .families import (
     ALL,
@@ -42,7 +42,6 @@ from .families import (
     _ONE_PLUS_Z,
     _exps,
     _inverse_binomials,
-    _one,
     _powers,
     _require_count,
 )
@@ -92,7 +91,7 @@ def _merge(name: str, parts: Sequence[IdentityReport]) -> IdentityReport:
 # The inverse-product / squared-product transformation
 # ---------------------------------------------------------------------------
 
-def _direct_sum(L: Carrier) -> GeneralSum:
+def _direct_sum(L: TruncatedSeries) -> GeneralSum:
     """sum_k prod_{1<=j<=k} (1 - L^{-j})."""
     Li = L.inv()
     return GeneralSum(y=_powers(Li, Li))
@@ -103,7 +102,8 @@ def _direct_family(spec: LambdaSpec, order: int) -> TruncatedSeries:
     return _direct_sum(lambda_series(spec, order)).series(order)
 
 
-def _direct_stat(stat: str, spec: LambdaSpec, order: int, marker: Marker) -> Carrier:
+def _direct_stat(stat: str, spec: LambdaSpec, order: int,
+                 marker: Marker) -> TruncatedSeries:
     """The direct form of ``stat_gf("fishburn", stat, spec, order, marker)``,
     B the atom marking the statistic:
 
@@ -114,10 +114,11 @@ def _direct_stat(stat: str, spec: LambdaSpec, order: int, marker: Marker) -> Car
     if stat in ("ones", "twos"):
         return _direct_sum(lambda_atom(spec, order, marker, stat)).series(order)
     B = lambda_atom(spec, order, marker, "size")
-    Li = marker.lift(lambda_series(spec, order).inv())
+    Li = lambda_series(spec, order).inv()
+    one = TruncatedSeries.one(order)
     if stat == "first_row":
-        return GeneralSum(y=_powers(_one(B, order), Li, B.inv())).series(order)
-    bm1 = B - _one(B, order)
+        return GeneralSum(y=_powers(one, Li, B.inv())).series(order)
+    bm1 = B - one
     return B + (bm1 * bm1) * GeneralSum(B, y=_powers(Li, Li)).series(order)
 
 

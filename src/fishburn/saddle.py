@@ -86,6 +86,9 @@ _DPS = 60
 # than rounding noise (margins are O(1) quantities computed at 60 digits).
 _MARGIN_SLACK = mp.mpf("1e-40")
 
+# The most samples check_bounds draws (about 0.5 ms each; verify --full draws 1,000).
+_SAMPLE_CAP = 10_000
+
 
 # ---------------------------------------------------------------------------
 # Special functions of the saddle analysis
@@ -685,9 +688,12 @@ def check_bounds(samples: int = 1000, seed: int = 1859) -> BoundReport:
     every summed k is above 30 (k = 32..49 at n = 50, 375..468 at n = 500),
     and from n = 64 on the largest summed k has its saddle radius below
     0.001, so the bounds are not sampled where those integrals run.  The
-    draw is seeded, so reports are reproducible.
+    draw is seeded, so reports are reproducible.  samples is an int from 1
+    to ``_SAMPLE_CAP``.
     """
     _require_positive_int("samples", samples)
+    if samples > _SAMPLE_CAP:
+        raise ValueError(f"samples {samples} exceeds the cap ({_SAMPLE_CAP})")
     rng = random.Random(seed)
     factor_bad = 0
     product_bad = 0

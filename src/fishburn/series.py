@@ -1,27 +1,33 @@
 """Truncated formal power series over exact rationals.
 
 Everything downstream (generating functions, identity checks, enumeration
-cross-checks) runs on the two carrier types in this module, one per job:
-
-* :class:`TruncatedSeries` -- a univariate series known exactly through a
-  fixed order N.  Coefficients are `int` or `fractions.Fraction`; integer
-  inputs stay integers through ring operations, which matters for the large
-  counting runs (hundreds of terms with two-hundred-digit coefficients).
-  An all-int coefficient list is stored as it is; only lists holding a
-  Fraction are normalised (integral Fractions collapse to int).
-
-* :class:`Jet` -- a moment jet: v = 1 + eps with the eps-polynomials cut
-  after a small depth, held as depth + 1 univariate series.  It gives exact
-  factorial moments without the full polynomial, and its products run on the
-  univariate kernel.
+cross-checks) runs on one carrier, :class:`TruncatedSeries`: a univariate
+series known exactly through a fixed order N.  Coefficients are `int` or
+`fractions.Fraction`; integer inputs stay integers through ring operations,
+which matters for the large counting runs (hundreds of terms with
+two-hundred-digit coefficients).  An all-int coefficient list is stored as
+it is; only lists holding a Fraction are normalised (integral Fractions
+collapse to int).
 
 A :class:`Marker` says how a marking variable v enters a marked series:
-``eval_marker(c)`` evaluates v = c, so the carrier is TruncatedSeries, and
-``jet_marker`` selects Jet.  The marker lifts univariate series and builds
-marked atoms, so the statistic builders are written once for both.  Full
+``eval_marker(c)`` evaluates v = c, and ``moment_marker(K, d)`` evaluates
+v = 1 + 2^K with every coefficient reduced modulo M = 2^{(d+1)K}.  Full
 statistic distributions come from one evaluation at v = 2^K: when every
 v-coefficient is a nonnegative integer below 2^K, the base-2^K digits of a
-z-coefficient are its v-polynomial (Kronecker substitution).
+z-coefficient are its v-polynomial (Kronecker substitution).  Moments come
+from the ring map Z[eps]/(eps^{d+1}) -> Z/M that sends eps to 2^K: v^m =
+(1 + eps)^m goes to sum_t C(m, t) 2^{tK}, so digit t of a reduced
+z^n coefficient is sum_m C(m, t) [v^m z^n] whenever each such sum is below
+2^K.  A series built by such a marker carries the modulus (``mod``, the
+digit width K and the digit count d + 1), and so does every series combined
+with it; series of two different moduli do not combine.  The kernel
+reduces where values grow: after the dot products, at the end of a pass
+walk, in the scaled running sums and products by constants of the passes,
+and in ``inv``.  A pass multiplies by P as its digit planes P = sum_k
+2^{kK} P_k, whose terms are small for a moment build's atoms, so a product
+by c = 1 + 2^K costs one shift and one add; and a record's coefficients
+are reduced too, so that its terms past eps^d drop.  A series without a
+modulus pays nothing for it.
 
 The univariate kernel :func:`_mul_into` computes each output coefficient as
 one C-level dot product, ``sum(map(mul, ...))`` over slices of the two
@@ -60,13 +66,13 @@ estimate weighs the walk (in the cheapest order of the pairs) and the span
 lengths, and lets a dot term cost more the longer the shorter factor's
 coefficients are, since a product of two big integers grows with both
 lengths and an addition only with the longer.  A polynomial weight (Q = 1)
-keeps the dot products, which run in C.  A square (both factors the same
-object, as ``_power`` makes) computes half the cross products.  Every
-product still goes through ``_mul_into``.
+keeps the dot products, which run in C, except under a modulus: there the
+coefficients are 3K bits wide from z^1 on, and the shifted adds of P win.
+A square (both factors the same object, as ``_power`` makes) computes half
+the cross products.  Every product still goes through ``_mul_into``.
 
-Every type refuses to mix truncation orders silently: combining series of
-different orders raises, it never truncates behind your back.  Combining a
-jet with another carrier, or jets of different depths, raises too.
+Series of different truncation orders do not combine silently: combining
+them raises, it never truncates behind your back.
 """
 
 from __future__ import annotations
@@ -74,21 +80,32 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress, count, islice, permutations, repeat
-from math import comb, factorial, gcd
-from operator import add, itemgetter, mul, sub
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from math import factorial, gcd
+from operator import add, and_, itemgetter, lshift, mul, sub
+from typing import NamedTuple, Optional, Sequence, Union
 
 Coeff = Union[int, Fraction]
 
 __all__ = [
     "TruncatedSeries",
-    "Jet",
     "Marker",
     "eval_marker",
-    "jet_marker",
+    "moment_marker",
     "exp_linear",
     "sum_product",
 ]
+
+
+class _Modulus(NamedTuple):
+    """Z/M with M = 2^{bits * digits}, read as `digits` base-2^bits digits."""
+
+    bits: int
+    digits: int
+
+    @property
+    def mask(self) -> int:
+        """M - 1: x & mask is x mod M, negative x included."""
+        return (1 << self.bits * self.digits) - 1
 
 
 def _norm(x: Coeff) -> Coeff:
@@ -120,6 +137,13 @@ def _check_same_order(a, b) -> None:
         )
 
 
+def _modulus(a, b) -> Optional[_Modulus]:
+    """The modulus of a combination of a and b: the one either carries."""
+    if a.mod is not None and b.mod is not None and a.mod != b.mod:
+        raise ValueError(f"mixed moduli: {a.mod} vs {b.mod}")
+    return a.mod or b.mod
+
+
 def _power(base, k: int, one):
     """base^k for k >= 0 by squaring from the top set bit of k, so that no
     product by `one` is made: k = 1 costs no product and k = 2 costs one."""
@@ -134,7 +158,8 @@ def _power(base, k: int, one):
 
 
 class TruncatedSeries:
-    """A power series known exactly for coefficients 0..order (inclusive)."""
+    """A power series known exactly for coefficients 0..order (inclusive),
+    its coefficients taken modulo `mod` when that is not None."""
 
     # _record: for a series built over weights P_i/Q_i, the integer
     # combination of monomials prod_i (P_i/Q_i)^{e_i} that its coefficients
@@ -143,9 +168,12 @@ class TruncatedSeries:
     # every c nonzero.  A constant c has ((), (((), c),)), ((), ()) for zero:
     # no pair, so that it combines with any record (see _tag).  None for any
     # other series; equality and hashing ignore it.
-    __slots__ = ("coeffs", "order", "_record")
+    # mod: the _Modulus of a packed moment build (int coefficients, not
+    # always reduced), None for exact coefficients.
+    __slots__ = ("coeffs", "order", "_record", "mod")
 
-    def __init__(self, coeffs: Sequence[Coeff], order: int):
+    def __init__(self, coeffs: Sequence[Coeff], order: int,
+                 mod: Optional[_Modulus] = None):
         if order < 0:
             raise ValueError("order must be >= 0")
         cs = list(coeffs)
@@ -156,6 +184,7 @@ class TruncatedSeries:
         self.coeffs = tuple(cs) if set(map(type, cs)) == {int} else tuple(map(_norm, cs))
         self.order = order
         self._record = None
+        self.mod = mod
 
     # -- constructors -------------------------------------------------
 
@@ -197,9 +226,6 @@ class TruncatedSeries:
                 return i
         return self.order + 1
 
-    def is_zero(self) -> bool:
-        return self.valuation() > self.order
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -219,19 +245,21 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         _check_same_order(self, other)
-        out = TruncatedSeries(list(map(add, self.coeffs, other.coeffs)), self.order)
+        out = TruncatedSeries(list(map(add, self.coeffs, other.coeffs)), self.order,
+                              _modulus(self, other))
         return _tag(out, self, other, _combo_add)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         _check_same_order(self, other)
-        out = TruncatedSeries(list(map(sub, self.coeffs, other.coeffs)), self.order)
+        out = TruncatedSeries(list(map(sub, self.coeffs, other.coeffs)), self.order,
+                              _modulus(self, other))
         return _tag(out, self, other, _combo_sub)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self.coeffs], self.order)
+        return TruncatedSeries([-c for c in self.coeffs], self.order, self.mod)
 
     def scalar_mul(self, c: Coeff) -> "TruncatedSeries":
-        return TruncatedSeries([c * a for a in self.coeffs], self.order)
+        return TruncatedSeries([c * a for a in self.coeffs], self.order, self.mod)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         _check_same_order(self, other)
@@ -241,7 +269,7 @@ class TruncatedSeries:
         """Restrict to order m <= current order."""
         if m > self.order:
             raise ValueError("cannot extend a truncated series; recompute instead")
-        out = TruncatedSeries(self.coeffs[: m + 1], m)
+        out = TruncatedSeries(self.coeffs[: m + 1], m, self.mod)
         out._record = self._record
         return out
 
@@ -253,10 +281,11 @@ class TruncatedSeries:
             raise ValueError("series is not divisible by z^m")
         if m > self.order:
             raise ValueError("shift_down past the truncation order")
-        return TruncatedSeries(self.coeffs[m:], self.order - m)
+        return TruncatedSeries(self.coeffs[m:], self.order - m, self.mod)
 
     def inv(self) -> "TruncatedSeries":
-        """Multiplicative inverse; constant term must be invertible (nonzero)."""
+        """Multiplicative inverse; constant term must be invertible (nonzero,
+        and +-1 under a modulus)."""
         a0 = self.coeffs[0]
         if a0 == 0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
@@ -268,10 +297,14 @@ class TruncatedSeries:
             r0 = Fraction(1, 1) / a0
         out: list[Coeff] = [r0]
         a = self.coeffs
+        mask = None if self.mod is None else self.mod.mask
         for n in range(1, self.order + 1):
             s = sum(map(mul, a[1 : n + 1], out[::-1]))
-            out.append(_norm(-s * r0) if a0 in (1, -1) else _norm(-s / a0))
-        return TruncatedSeries(out, self.order)
+            if mask is not None:
+                out.append(-s * r0 & mask)
+            else:
+                out.append(_norm(-s * r0) if a0 in (1, -1) else _norm(-s / a0))
+        return TruncatedSeries(out, self.order, self.mod)
 
     def pow(self, k: int) -> "TruncatedSeries":
         """Integer power; negative k goes through inv()."""
@@ -287,7 +320,7 @@ class TruncatedSeries:
         if self.order == 0:
             raise ValueError("cannot differentiate an order-0 series")
         return TruncatedSeries(
-            [n * c for n, c in enumerate(self.coeffs)][1:], self.order - 1
+            [n * c for n, c in enumerate(self.coeffs)][1:], self.order - 1, self.mod
         )
 
     def substitute_power(self, m: int) -> "TruncatedSeries":
@@ -299,7 +332,7 @@ class TruncatedSeries:
             if i * m > self.order:
                 break
             out[i * m] = a
-        result = TruncatedSeries(out, self.order)
+        result = TruncatedSeries(out, self.order, self.mod)
         if self._record is not None:
             # z -> z^m keeps the pairs distinct and in order
             pairs, terms = self._record
@@ -330,7 +363,7 @@ class TruncatedSeries:
 
 def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSeries:
     """Product truncated at `order`, one C-level dot product per coefficient
-    or, for a factor with a record over pairs P_i/Q_i (Q_i != 1), passes.
+    or, for a factor with a record over pairs P_i/Q_i, passes.
 
     Only the nonzero spans take part: a from its valuation to its last
     nonzero coefficient that can reach the window, and b likewise.  When the
@@ -340,7 +373,7 @@ def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSe
     the spans are multiplied, not skipped: an int product by 0 costs little
     next to a Python-level loop.  When a is b (a square, as ``_power``
     makes), each coefficient is 2 sum_{i<m-i} x_i x_{m-i} + x_{m/2}^2, half
-    the cross products.
+    the cross products.  Under a modulus each dot product is reduced.
 
     A factor f that records a combination of monomials prod_i (P_i/Q_i)^e_i
     (a weight series from ``_rational_series``, a marked atom at v = c, and
@@ -352,20 +385,27 @@ def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSe
     ``_pass_weight`` of each pair); they run when that is at most
     ``_pass_ratio(b)`` times the terms the dot products would multiply
     (``_dot_terms`` of the span lengths, halved for a square), b the
-    shorter bit length of the two spans' last nonzero coefficients; when
-    both factors qualify, the cheaper runs.  A polynomial weight (Q = 1)
-    takes no passes: its dot products run in C, while a shifted sum over P's
-    terms gains nothing at the sizes used here.  The product carries the
-    combination of both factors' records, over the pairs of both, while its
-    passes could still pass that rule at this order.
+    shorter bit length of the two spans' last nonzero coefficients, the
+    largest for the growing coefficients of these series, or under a
+    modulus the width of a reduced coefficient, which the last one of a
+    polynomial can fall far short of; when both factors qualify, the
+    cheaper runs.  A polynomial weight (Q = 1)
+    takes passes only under a modulus: elsewhere its dot products run in C,
+    while a shifted sum over P's terms gains nothing at the sizes used here.
+    The product carries the combination of both factors' records, over the
+    pairs of both, while its passes could still pass that rule at this
+    order (``_may_pass``).
 
     b may carry a *smaller* order than a when a's valuation guarantees the
     missing top coefficients of b cannot reach the truncation window; this is
     what lets the sum-of-products kernel truncate its factors adaptively.
     """
+    mod = _modulus(a, b)
     va, vb = a.valuation(), b.valuation()
     if va + vb > order:
-        return TruncatedSeries.zero(order)
+        out = TruncatedSeries.zero(order)
+        out.mod = mod
+        return out
     if b.order < order and va + b.order < order:
         raise ValueError("factor truncated too short for this product")
     acs, bcs = a.coeffs, b.coeffs
@@ -382,12 +422,13 @@ def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSe
     terms = _dot_terms(la, lb, width) // (2 if square else 1)
     best = None
     for f, cs, lo, hi in ((b, acs, va, ta), (a, bcs, vb, tb)):
-        plan = _pass_plan(f, order - lo, g)
+        plan = _pass_plan(f, order - lo, g, mod)
         if plan is not None and (best is None or plan[0] < best[0][0]):
             best = plan, cs[lo : hi + 1], lo
-    if best is not None and best[0][0] <= _pass_ratio(min(_bits(acs[ta]), _bits(bcs[tb]))) * terms:
+    bits = min(_bits(acs[ta]), _bits(bcs[tb])) if mod is None else mod.bits * mod.digits
+    if best is not None and best[0][0] <= _pass_ratio(bits) * terms:
         (_, pairs, walk), span, lo = best
-        return _tag(_mul_record(span, pairs, lo, order, walk), a, b, _combo_mul, order)
+        return _tag(_mul_record(span, pairs, lo, order, walk, mod), a, b, _combo_mul, order)
     # Output m of the lattice product is sum_i xs[i] * ys[lb - 1 - m + i]
     # over the i with both indices in range.
     dots = []
@@ -400,9 +441,11 @@ def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSe
             if not m & 1:
                 s += xs[m // 2] * xs[m // 2]
         dots.append(s)
+    if mod is not None:
+        dots = list(map(and_, dots, repeat(mod.mask)))
     out: list[Coeff] = [0] * (order + 1)
     out[va + vb : va + vb + g * len(dots) : g] = dots
-    return _tag(TruncatedSeries(out, order), a, b, _combo_mul, order)
+    return _tag(TruncatedSeries(out, order, mod), a, b, _combo_mul, order)
 
 
 # The rule's ratio of pass additions to dot terms.  A pass addition costs
@@ -447,27 +490,53 @@ def _dot_terms(la: int, lb: int, width: int) -> int:
 
 
 @lru_cache(maxsize=1024)
-def _pass_weight(pq: tuple) -> Optional[int]:
-    """Additions per coefficient of one pass of P/Q, None for Q = 1, which
-    takes no passes.  A pass copies the running series for the first term of
-    P, adds it once per further term and pays 1 + b/32 additions for each
-    b-bit term p other than +-1 (``_times_poly`` makes one product per |p|).
-    The division by Q = 1 - z^g is one running sum; by Q = 1 - c z^g a
-    scaled running sum, priced at 2 for a shift (c a power of two) and
-    2 + b/32 for a product by a b-bit c; and by any other Q a Python-level
-    step per coefficient, priced at 8 additions plus two per nonzero term of
-    Q past its first two."""
+def _pass_weight(pq: tuple, mod: Optional[_Modulus]) -> Optional[int]:
+    """Additions per coefficient of one pass of P/Q under `mod` (None for
+    exact coefficients), None for Q = 1 without a modulus, which takes no
+    passes.  A pass multiplies by P (``_poly_price``).  The division by
+    Q = 1 - z^g is one running sum; by Q = 1 - c z^g a scaled running sum,
+    priced at 2 for a shift (c a power of two, without a modulus) and 1 +
+    the product by c otherwise; and by any other Q a Python-level step per
+    coefficient, priced at 8 additions plus two per nonzero term of Q past
+    its first two."""
     P, Q = pq
-    if len(Q) == 1:
+    if len(Q) == 1 and mod is None:
         return None
-    terms = [p for p in P if p]
-    w = len(terms) - 1 + sum(1 + _bits(p) // 32 for p in terms if p not in (1, -1))
+    w = _poly_price(P, mod)
     c = _scaled_step(Q)
-    if c == 1:
-        return w + 1
+    if len(Q) == 1 or c == 1:
+        return w + (len(Q) > 1)
     if c is not None:
-        return w + 2 + (0 if _is_power_of_two(c) else _bits(c) // 32)
+        return w + (2 if mod is None and _is_power_of_two(c) else 1 + _poly_price((c,), mod))
     return w + 8 + 2 * (sum(map(bool, Q)) - 2)
+
+
+def _poly_price(P: tuple, mod: Optional[_Modulus]) -> int:
+    """Additions per coefficient of y * P (``_times_poly``): one per term of
+    P past the first, and one product per distinct |p| whose first term is
+    not 1, priced at 1 + b/32 for a b-bit p; under a modulus, the price of
+    each plane (``_planes``), 2 more for each plane reduced and shifted, and
+    one addition per plane past the first."""
+    if mod is None:
+        return sum(map(bool, P)) - 1 + sum(
+            1 + _bits(p) // 32 for _, p, _ in _poly_groups(P) if p != 1)
+    planes = _planes(P, mod)
+    return sum(_poly_price(plane, None) + 2 * (k > 0) for k, plane in planes) + len(planes) - 1
+
+
+@lru_cache(maxsize=1024)
+def _planes(P: tuple, mod: _Modulus) -> tuple:
+    """P = sum_k 2^k P_k modulo M, as the pairs (k, P_k) with P_k nonzero:
+    P_k holds the base-2^K digit at 2^k of each |p| mod M, with the sign of
+    p.  The terms of a moment build's atoms are w (1 + 2^K)^m, so their
+    planes have the small terms w, w m and w C(m, 2)."""
+    low, planes = (1 << mod.bits) - 1, {}
+    for i, p in enumerate(P):
+        r = abs(p) & mod.mask
+        for k in range(0, mod.bits * mod.digits, mod.bits):
+            if r >> k & low:
+                planes.setdefault(k, [0] * len(P))[i] = (r >> k & low) * (1 if p > 0 else -1)
+    return tuple((k, tuple(plane)) for k, plane in sorted(planes.items()))
 
 
 def _is_power_of_two(c: Coeff) -> bool:
@@ -482,25 +551,27 @@ def _scaled_step(Q: tuple) -> Optional[Coeff]:
     return None
 
 
-def _pass_plan(f: TruncatedSeries, span: int, g: int) -> Optional[tuple]:
-    """(cost, pairs, terms) for multiplying by f in passes a factor whose
-    product with f fills the `span` coefficients past its valuation on the
-    lattice step g: the estimated additions, and the pairs in the order of
-    the cheapest walk (``_walk_additions``; over one pair, passes up to the
-    last term's exponent) with the terms sorted in that order.  None when f
-    has no record over a pair, or when a pair with Q = 1 would need passes."""
+def _pass_plan(f: TruncatedSeries, span: int, g: int, mod: Optional[_Modulus]
+               ) -> Optional[tuple]:
+    """(cost, pairs, terms) for multiplying by f in passes, under `mod`, a
+    factor whose product with f fills the `span` coefficients past its
+    valuation on the lattice step g: the estimated additions, and the pairs
+    in the order of the cheapest walk (``_walk_additions``; over one pair,
+    passes up to the last term's exponent) with the terms sorted in that
+    order.  None when f has no record over a pair, or when a pair with
+    Q = 1 would need passes without a modulus."""
     if f._record is None or not f._record[0]:  # no record, or a constant's
         return None
     pairs, terms = f._record
     n = span // gcd(g, *map(_pair_step, pairs)) + 1
     if len(pairs) == 1:  # O(1), for the many products by one weight series
-        w = _pass_weight(pairs[0])
+        w = _pass_weight(pairs[0], mod)
         return None if w is None else ((terms[-1][0][0] * w + len(terms)) * n, pairs, terms)
     best = None
     # Records span a few pairs; past four, only the first 24 orders are tried.
     for walk in islice(permutations(range(len(pairs))), 24):
         get = itemgetter(*walk)
-        steps = _walk_additions(get(pairs), [get(e) for e, _ in terms])
+        steps = _walk_additions(get(pairs), [get(e) for e, _ in terms], mod)
         if steps is not None and (best is None or steps < best[0]):
             best = steps, get
     if best is None:
@@ -512,11 +583,13 @@ def _pass_plan(f: TruncatedSeries, span: int, g: int) -> Optional[tuple]:
     return (steps + len(terms)) * n, walked, terms
 
 
-def _walk_additions(pairs: tuple, exponents: list) -> Optional[int]:
-    """Additions per coefficient of the passes that walk these exponent
-    tuples as a trie, pair by pair in the order given: below each prefix the
-    running copy takes passes of the next pair up to the largest exponent
-    that follows the prefix.  None when a pair with Q = 1 would need passes."""
+def _walk_additions(pairs: tuple, exponents: list, mod: Optional[_Modulus]
+                    ) -> Optional[int]:
+    """Additions per coefficient of the passes under `mod` that walk these
+    exponent tuples as a trie, pair by pair in the order given: below each
+    prefix the running copy takes passes of the next pair up to the largest
+    exponent that follows the prefix.  None when a pair with Q = 1 would
+    need passes without a modulus."""
     total = 0
     for level, pq in enumerate(pairs):
         reach: dict = {}
@@ -525,7 +598,7 @@ def _walk_additions(pairs: tuple, exponents: list) -> Optional[int]:
                 reach[e[:level]] = e[level]
         passes = sum(reach.values())
         if passes:
-            w = _pass_weight(pq)
+            w = _pass_weight(pq, mod)
             if w is None:
                 return None
             total += passes * w
@@ -541,7 +614,8 @@ def _pair_step(pq: tuple) -> int:
 
 
 def _mul_record(
-    xs: Sequence[Coeff], pairs: tuple, lo: int, order: int, terms: tuple
+    xs: Sequence[Coeff], pairs: tuple, lo: int, order: int, terms: tuple,
+    mod: Optional[_Modulus],
 ) -> TruncatedSeries:
     """x * sum c prod_i (P_i/Q_i)^{e_i} truncated at `order`, for terms
     ((exponents, c), ...) sorted, one exponent per pair of `pairs`, where x
@@ -554,7 +628,9 @@ def _mul_record(
     had there and starts every deeper level afresh from the copy above it;
     a pass of P_i/Q_i is the shifted adds of P_i, then the division by Q_i.
     c times the copy reached joins the result.  When x and every P_i and
-    Q_i live on a lattice step g > 1, the passes run on it.
+    Q_i live on a lattice step g > 1, the passes run on it.  Under a
+    modulus the result is reduced once, at the end, besides the reductions
+    inside the passes.
     """
     g = _lattice_step(xs, 0, len(xs) - 1, gcd(*map(_pair_step, pairs))) or 1
     if g > 1:
@@ -575,22 +651,40 @@ def _mul_record(
             for i in range(k, depth):
                 P, Q = pairs[i]
                 for _ in range(e[i] - start):
-                    y = _divide(_times_poly(y, P), Q)
+                    y = _divide(_times_poly(y, P, mod), Q, mod)
                 base[i + 1], start = y, 0
             prev = e
-        term = y if c == 1 else list(map(mul, y, repeat(c)))
+        if c == 1:
+            term = y
+        else:
+            term = list(map(mul, y, repeat(c))) if mod is None else _times_poly(y, (c,), mod)
         out = term if out is None else list(map(add, out, term))
+    if mod is not None:
+        out = list(map(and_, out, repeat(mod.mask)))
     result: list[Coeff] = [0] * (order + 1)
     result[lo::g] = out
-    return TruncatedSeries(result, order)
+    return TruncatedSeries(result, order, mod)
 
 
-def _times_poly(y: list, P: tuple) -> list:
+def _times_poly(y: list, P: tuple, mod: Optional[_Modulus]) -> list:
     """y * P truncated at len(y) - 1, as a new list: the shifted copies of y
     are added per distinct |p| of P's terms, then multiplied by p once, as
-    y + p (z y - z^2 y) for P = 1 + p z - p z^2."""
+    y + p (z y - z^2 y) for P = 1 + p z - p z^2.
+
+    Under a modulus y P = sum_k 2^k (y P_k) over the planes of P
+    (``_planes``): y P_k is made as above, and for k > 0 reduced mod M/2^k
+    before its shift, so that its term stays below M.  The plane at 2^0
+    takes y as it is, as an exact product would (``_mul_record`` reduces
+    at the end of its walk)."""
     n = len(y)
     out = None
+    if mod is not None:
+        for k, plane in _planes(P, mod):
+            t = _times_poly(y, plane, None)
+            if k:
+                t = list(map(lshift, map(and_, t, repeat(mod.mask >> k)), repeat(k)))
+            out = t if out is None else list(map(add, out, t))
+        return [0] * n if out is None else out
     for k, p, rest in _poly_groups(P):
         if k >= n:  # the later terms of the group lie past the window too
             continue
@@ -614,12 +708,13 @@ def _poly_groups(P: tuple) -> tuple:
     return tuple((*first, tuple(rest)) for first, *rest in groups.values())
 
 
-def _divide(t: list, Q: tuple) -> list:
+def _divide(t: list, Q: tuple, mod: Optional[_Modulus]) -> list:
     """t / Q as a power series truncated at len(t) - 1, in place except for
     Q = 1 - z, whose running sum is a new list; Q[0] == 1.
 
     For Q = 1 - c z^g each residue class mod g is one running sum, scaled by
-    c (a shift when c is a power of two, as at v = 2^K)."""
+    c (a shift when c is a power of two, as at v = 2^K; under a modulus
+    shifted adds of the digits of c, reduced at each step)."""
     g = len(Q) - 1
     if not g:
         return t
@@ -629,6 +724,8 @@ def _divide(t: list, Q: tuple) -> list:
             return list(accumulate(t))
         if c == 1:
             step = None  # plain addition, which accumulate runs without a call
+        elif mod is not None:
+            step = _reduced_step(c, mod)
         elif _is_power_of_two(c) and all(type(x) is int for x in t):
             shift = c.bit_length() - 1
             step = lambda s, x: (s << shift) + x  # noqa: E731
@@ -639,18 +736,36 @@ def _divide(t: list, Q: tuple) -> list:
         return t
     for m in range(1, len(t)):
         t[m] -= sum(map(mul, Q[1:], reversed(t[max(m - g, 0) : m])))
+        if mod is not None:
+            t[m] &= mod.mask
     return t
 
 
-def _rational_series(P: Sequence[int], Q: Sequence[int], order: int) -> TruncatedSeries:
-    """The expansion of P/Q at `order`, recording the pair and the
-    combination (P/Q)^1 so that products by it may take ``_mul_into``'s
-    passes.  Q[0] must be 1."""
+def _reduced_step(c: int, mod: _Modulus):
+    """(s, x) -> c s + x mod M, c s as shifted adds of c's digits (``_planes``)."""
+    digits, mask = [(k, d) for k, (d,) in _planes((c,), mod)], mod.mask
+
+    def step(s, x):
+        for k, d in digits:
+            x += s * d << k
+        return x & mask
+
+    return step
+
+
+def _rational_series(P: Sequence[int], Q: Sequence[int], order: int,
+                     mod: Optional[_Modulus] = None) -> TruncatedSeries:
+    """The expansion of P/Q at `order`, reduced by `mod` when given,
+    recording the pair and the combination (P/Q)^1 so that products by it
+    may take ``_mul_into``'s passes.  Q[0] must be 1."""
     if Q[0] != 1:
         raise ValueError("the denominator must have constant term 1")
     t = list(P[: order + 1])
     t.extend([0] * (order + 1 - len(t)))
-    out = TruncatedSeries(_divide(t, Q), order)
+    t = _divide(t, Q, mod)
+    if mod is not None:
+        t = list(map(and_, t, repeat(mod.mask)))
+    out = TruncatedSeries(t, order, mod)
     out._record = ((tuple(P), tuple(Q)),), (((1,), 1),)
     return out
 
@@ -682,13 +797,19 @@ def _tag(out: TruncatedSeries, a: TruncatedSeries, b: TruncatedSeries,
 
     A product (`order` given) keeps none when its passes could never beat
     the dot products at that order (``_may_pass``), which also bounds the
-    size of the combinations carried.
+    size of the combinations carried.  Under a modulus M each c is taken
+    mod M, least in size, and the terms with c = 0 mod M drop: with a pair
+    whose record coefficient is a multiple of 2^K, as in a moment build's
+    atoms, the terms past its (d+1)-th power vanish.
     """
     ra, rb = a._record, b._record
     if ra is None or rb is None:
         return out
     pairs = ra[0] if ra[0] == rb[0] else tuple(sorted(set(ra[0] + rb[0])))
     terms = combine(_widen(pairs, *ra), _widen(pairs, *rb))
+    if out.mod is not None:
+        m = out.mod.mask + 1
+        terms = tuple((e, r) for e, c in terms if (r := (c + m // 2) % m - m // 2))
     if order is None or _may_pass(out, zip(pairs, map(max, zip(*(e for e, _ in terms))))):
         out._record = pairs, terms
     return out
@@ -701,11 +822,16 @@ def _may_pass(out: TruncatedSeries, reach) -> bool:
     cost at least sum e w additions per coefficient, against
     _pass_ratio(b) n / 2 for the at most n^2 / 2 dot terms.  b is taken as
     the bit length of out's last nonzero coefficient: the coefficients of
-    these series grow with the index, so no cut of out has longer ones."""
+    these series grow with the index, so no cut of out has longer ones.
+    Under a modulus the record is always kept: the reduced coefficients are
+    wide from z^1 on, and the records are those of the factors of one
+    build step, so they stay small."""
+    if out.mod is not None:
+        return True
     total = 0
     for pq, e in reach:
         if e:
-            w = _pass_weight(pq)
+            w = _pass_weight(pq, None)
             if w is None:
                 return False
             total += e * w
@@ -805,177 +931,31 @@ def _bv_mul_into(a: Sequence[Poly], b: Sequence[Poly], order: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Moment jets
-# ---------------------------------------------------------------------------
-
-class Jet:
-    """A series in z whose coefficients are polynomials in eps cut after
-    eps^depth, held as depth + 1 univariate series of one order.
-
-    parts[t] carries the eps^t coefficients.  Marking with v = 1 + eps turns
-    v^i into sum_t C(i, t) eps^t, so the eps^t coefficient at z^n is
-    sum_m C(m, t) [v^m z^n]: factorial moments of the statistic without its
-    degree-n polynomial.  Arithmetic requires both operands to share the
-    order and the depth.
-    """
-
-    __slots__ = ("parts", "order", "depth")
-
-    def __init__(self, parts: Sequence[TruncatedSeries]):
-        parts = tuple(parts)
-        if not parts:
-            raise ValueError("a jet needs at least its eps^0 part")
-        for p in parts[1:]:
-            _check_same_order(parts[0], p)
-        self.parts = parts
-        self.order = parts[0].order
-        self.depth = len(parts) - 1
-
-    @classmethod
-    def one(cls, order: int, depth: int) -> "Jet":
-        return cls.from_univariate(TruncatedSeries.one(order), depth)
-
-    @classmethod
-    def from_univariate(cls, f: TruncatedSeries, depth: int) -> "Jet":
-        return cls((f,) + (TruncatedSeries.zero(f.order),) * depth)
-
-    def _check_compat(self, other) -> None:
-        if not isinstance(other, Jet):
-            raise ValueError(f"mixed carriers: Jet vs {type(other).__name__}")
-        _check_same_order(self, other)
-        if self.depth != other.depth:
-            raise ValueError(f"mixed jet depths: {self.depth} vs {other.depth}")
-
-    def valuation(self) -> int:
-        return min(p.valuation() for p in self.parts)
-
-    def coeff_vm(self, n: int, m: int) -> Coeff:
-        """The eps^m coefficient at z^n."""
-        if not 0 <= m <= self.depth:
-            raise IndexError(f"eps power {m} outside known range 0..{self.depth}")
-        return self.parts[m].coeff(n)
-
-    def __add__(self, other: "Jet") -> "Jet":
-        self._check_compat(other)
-        return Jet([p + q for p, q in zip(self.parts, other.parts)])
-
-    def __sub__(self, other: "Jet") -> "Jet":
-        self._check_compat(other)
-        return Jet([p - q for p, q in zip(self.parts, other.parts)])
-
-    def __mul__(self, other: "Jet") -> "Jet":
-        self._check_compat(other)
-        return _jet_mul_into(self, other, self.order)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Jet):
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def inv(self) -> "Jet":
-        """Inverse when the eps^0 part is invertible, with u = 1/parts[0]:
-        c_0 = u and c_t = -u * sum_{q=1..t} parts[q] * c_{t-q}."""
-        u = self.parts[0].inv()
-        out = [u]
-        for t in range(1, self.depth + 1):
-            s = _convolve(self.parts[1 : t + 1], out[::-1], self.order)
-            out.append(-(u * s))
-        return Jet(out)
-
-    def truncate(self, m: int) -> "Jet":
-        return Jet([p.truncate(m) for p in self.parts])
-
-
-def _convolve(
-    a: Sequence[TruncatedSeries], b: Sequence[TruncatedSeries], order: int
-) -> TruncatedSeries:
-    """sum_s a[s] * b[s] at `order`, skipping zero series."""
-    acc = None
-    for x, y in zip(a, b):
-        if x.is_zero() or y.is_zero():
-            continue
-        p = _mul_into(x, y, order)
-        acc = p if acc is None else acc + p
-    return TruncatedSeries.zero(order) if acc is None else acc
-
-
-def _jet_mul_into(a: Jet, b: Jet, order: int) -> Jet:
-    """c_t = sum_{s<=t} a_s * b_{t-s}, each product truncated at `order`.
-
-    b may carry a smaller order than a, as _mul_into allows.  When a is b,
-    c_t = 2 sum_{s<t-s} a_s a_{t-s} + a_{t/2}^2 makes each cross product once.
-    """
-    if a.depth != b.depth:
-        raise ValueError(f"mixed jet depths: {a.depth} vs {b.depth}")
-    if a is not b:
-        return Jet([_convolve(a.parts[: t + 1], b.parts[t::-1], order)
-                    for t in range(a.depth + 1)])
-    out = []
-    for t in range(a.depth + 1):
-        half = _convolve(a.parts[: (t + 1) // 2], a.parts[t : t // 2 : -1], order)
-        mid = () if t & 1 else a.parts[t // 2 : t // 2 + 1]
-        out.append(half + half + _convolve(mid, mid, order))
-    return Jet(out)
-
-
-# ---------------------------------------------------------------------------
 # Markers: how the marking variable enters
 # ---------------------------------------------------------------------------
 
-Carrier = Union[TruncatedSeries, Jet]
-
-
 class Marker(NamedTuple):
-    """How the marking variable v enters a marked series.
+    """How the marking variable v enters a marked series: v = value, and the
+    marked atoms carry the modulus `mod` (None for exact coefficients)."""
 
-    v_power(i) is the coefficient tuple that stands for v^i.  series(rows,
-    order) builds a series of the marker's carrier from one such tuple per
-    z-coefficient, and lift(f) embeds a univariate series in that carrier.
-    value is c for an evaluation v = c, None for a jet.
-    """
-
-    v_power: Callable[[int], Poly]
-    series: Callable[[Sequence[Poly], int], Carrier]
-    lift: Callable[[TruncatedSeries], Carrier]
-    value: Optional[Coeff] = None
+    value: Coeff
+    mod: Optional[_Modulus] = None
 
 
 def eval_marker(c: Coeff) -> Marker:
-    """v = c: v^i is c^i, the carrier is TruncatedSeries and lifting is the
-    identity.  With c = 2^K above every v-coefficient, the base-2^K digits of
-    a z-coefficient are its v-polynomial."""
-    return Marker(
-        lambda i: (c**i,),
-        lambda rows, order: TruncatedSeries([r[0] if r else 0 for r in rows], order),
-        lambda f: f,
-        c,
-    )
+    """v = c, exactly.  With c = 2^K above every v-coefficient, the base-2^K
+    digits of a z-coefficient are its v-polynomial."""
+    return Marker(c)
 
 
-def jet_marker(depth: int = 2) -> Marker:
-    """v = 1 + eps truncated at eps^depth: coefficient t of v^i is C(i, t).
-
-    The carrier is Jet.  With depth 2 the z^n coefficient of a marked GF is
-    (total, sum of m*count_m, sum of C(m,2)*count_m), enough for exact mean
-    and variance without carrying degree-n polynomials.
-    """
+def moment_marker(bits: int, depth: int = 2) -> Marker:
+    """v = 1 + 2^bits modulo M = 2^{(depth+1) bits}: digit t <= depth of a
+    reduced z^n coefficient, base 2^bits, is sum_m C(m, t) [v^m z^n] when
+    each of these sums is below 2^bits.  Depth 2 gives exact mean and
+    variance without carrying degree-n polynomials."""
     if depth < 1:
-        raise ValueError("jet depth must be >= 1")
-
-    def series(rows, order):
-        return Jet(
-            TruncatedSeries([r[t] if t < len(r) else 0 for r in rows], order)
-            for t in range(depth + 1)
-        )
-
-    return Marker(
-        lambda i: tuple(comb(i, t) for t in range(depth + 1)),
-        series,
-        lambda f: Jet.from_univariate(f, depth),
-    )
+        raise ValueError("moment depth must be >= 1")
+    return Marker(1 + (1 << bits), _Modulus(bits, depth + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -992,16 +972,11 @@ def sum_product(factor, order: int, dpart=None):
     stops by k = order+1.  dpart(k), when given, is the k-dependent prefactor
     (think d(z)^{k+omega0}) at full order with nonzero constant term.
 
-    Works for both carrier types.  The first factor is always requested, as
-    factor(1, order), even when order is 0; its type (TruncatedSeries or Jet)
-    and, for a jet, its depth set the carrier of the result.
+    The first factor is always requested, as factor(1, order), even when
+    order is 0; its modulus, if any, is the result's.
     """
     first = factor(1, order)
-    one = TruncatedSeries([1], order)  # no record: the running product keeps none
-    if isinstance(first, Jet):
-        one, mul = Jet.from_univariate(one, first.depth), _jet_mul_into
-    else:
-        mul = _mul_into
+    one = TruncatedSeries([1], order, first.mod)  # no record: the running product keeps none
     acc = one if dpart is None else dpart(0)
     prod = one
     k = 0
@@ -1015,7 +990,7 @@ def sum_product(factor, order: int, dpart=None):
             raise ValueError(
                 f"factor {k} has nonzero constant term; the sum would not terminate"
             )
-        prod = mul(prod, f, order)
+        prod = _mul_into(prod, f, order)
         if prod.valuation() > order:
             break
         term = prod if dpart is None else dpart(k) * prod

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fishburn.checks import FIRST_ROW_TRIANGLE, TREND_CELLS
-from fishburn.families import ALL, FAMILY_STATS, PRIMITIVE, LambdaSpec
+from fishburn.families import ALL, FAMILY_STATS, PRIMITIVE, LambdaSpec, stat_jet
 from fishburn.oracle import enumerate_matrices, histogram
 from fishburn.distributions import (
     ComparisonReport,
@@ -140,6 +140,10 @@ class TestMomentJet:
         table = distribution(family, stat, lam, 30)
         mean, variance = stat_mean_variance(family, stat, lam, 30)
         assert (mean, variance) == (table.mean, table.variance)
+        # the packed moment row itself, against the profile's counts
+        pairs = list(zip(table.support, table.counts))
+        assert stat_jet(family, stat, lam, 30)[30] == (
+            table.total, sum(m * c for m, c in pairs), sum(m * (m - 1) // 2 * c for m, c in pairs))
 
     def test_jet_budget(self):
         with pytest.raises(ValueError, match="budget"):

@@ -17,7 +17,7 @@ from fishburn.series import (
     TruncatedSeries,
     eval_marker,
     exp_linear,
-    jet_marker,
+    moment_marker,
 )
 from fishburn.families import (
     ALL,
@@ -41,7 +41,7 @@ from fishburn.families import (
     stat_jet,
     stat_profile,
 )
-from fishburn.families import _bernoulli_egf, _unpack_rows
+from fishburn.families import _bernoulli_egf, _unpack_moments, _unpack_rows
 
 
 # Known prefixes of the main counting sequences.
@@ -74,7 +74,7 @@ ORDER_BUILDERS = [
     pytest.param(lambda n: identities._direct_family(ALL, n), id="family_gf-direct"),
     pytest.param(lambda n: family_series("row-fishburn", ALL, n), id="family_series"),
     pytest.param(fishburn_numbers, id="fishburn_numbers"),
-    pytest.param(lambda n: stat_gf("fishburn", "ones", ALL, n, jet_marker(2)),
+    pytest.param(lambda n: stat_gf("fishburn", "ones", ALL, n, moment_marker(8)),
                  id="stat_gf"),
     pytest.param(lambda n: stat_profile("fishburn", "ones", ALL, n), id="stat_profile"),
     pytest.param(lambda n: stat_jet("fishburn", "ones", ALL, n), id="stat_jet"),
@@ -390,13 +390,37 @@ class TestStatSeries:
     def test_jet_matches_profile_moments(self):
         n = 8
         prof = stat_profile("fishburn", "diagonal", ALL, n)
-        jet = stat_gf("fishburn", "diagonal", ALL, n, jet_marker(2))
+        total, f1, f2 = stat_jet("fishburn", "diagonal", ALL, n)[n]
         row = prof[n]
-        total = sum(row)
-        mean_num = sum(m * c for m, c in enumerate(row))
-        # jet coefficient of eps^1 is sum_m binom(m,1) * count_m
-        assert jet.coeff_vm(n, 0) == total
-        assert jet.coeff_vm(n, 1) == mean_num
+        # digit t of the packed moment row is sum_m binom(m, t) * count_m
+        assert total == sum(row)
+        assert f1 == sum(m * c for m, c in enumerate(row))
+        assert f2 == sum(comb(m, 2) * c for m, c in enumerate(row))
+
+    @pytest.mark.parametrize("family", ["row-fishburn", "fishburn"])
+    def test_twos_without_the_value_two_are_zero(self, family):
+        spec = LambdaSpec("odd")
+        prof = stat_profile(family, "twos", spec, 14)  # the full build at v = 2^K
+        assert stat_jet(family, "twos", spec, 14) == tuple((sum(row), 0, 0) for row in prof)
+        assert all(len(row) <= 1 for row in prof)
+        with pytest.raises(ValueError, match="no 2s-marking series"):
+            stat_jet("self-dual", "twos", spec, 14)
+
+    def test_corrupted_moment_count_raises(self):
+        n = 12
+        counts = list(family_series("fishburn", ALL, n).coeffs)
+        marker = moment_marker(max(counts).bit_length() + 2 * n.bit_length() + 2)
+        packed = stat_gf("fishburn", "first_row", ALL, n, marker)
+        assert _unpack_moments(packed, counts, marker.mod) == stat_jet(
+            "fishburn", "first_row", ALL, n)
+        counts[7] += 1
+        with pytest.raises(ValueError, match="row 7 does not unpack"):
+            _unpack_moments(packed, counts, marker.mod)
+        counts[7] -= 1
+        corrupted = TruncatedSeries(packed.coeffs[:5] + (packed.coeffs[5] - 1,)
+                                    + packed.coeffs[6:], n, marker.mod)
+        with pytest.raises(ValueError, match="row 5 does not unpack"):
+            _unpack_moments(corrupted, counts, marker.mod)
 
     def test_row_first_row_hand_count(self):
         # size 3, rows nonzero, any entries: 1 matrix of dim 1 (first row 3),
@@ -420,26 +444,49 @@ custom_specs = st.lists(st.integers(min_value=0, max_value=3), max_size=5).map(
 
 class TestMarkedAtoms:
     @given(st.one_of(st.sampled_from([LambdaSpec(t) for t in families._NAMED_TAGS]), custom_specs),
-           st.sampled_from(sorted(families._ATOM_KINDS)), st.sampled_from([1, 3, 1 << 40]),
+           st.sampled_from(sorted(families._ATOM_KINDS)),
+           st.sampled_from([eval_marker(1), eval_marker(3), eval_marker(1 << 40),
+                            moment_marker(5), moment_marker(40, 1)]),
            st.integers(min_value=0, max_value=40))
     @settings(max_examples=300, deadline=None)
-    def test_evaluated_atom_records_the_series_of_its_rows(self, spec, kind, c, order):
-        marker = eval_marker(c)
+    def test_evaluated_atom_records_the_series_of_its_rows(self, spec, kind, marker, order):
         atom = lambda_atom(spec, order, marker, kind)
-        rows = lambda_atom(spec, order, marker._replace(value=None), kind)
-        assert rows._record is None  # built from its v-polynomial rows
-        assert atom == rows
-        assert list(map(type, atom.coeffs)) == list(map(type, rows.coeffs))
+        # the rows: entry value i on z^{s i} with weight(i) v^{e i}, or v^e for i == t
+        s, t, e = families._ATOM_KINDS[kind]
+        rows = [1] + [0] * order
+        for i in range(1, order // s + 1):
+            rows[i * s] = spec.weight(i) * marker.value ** (e * i if t is None else e * (i == t))
+        assert atom.mod == marker.mod
+        mask = -1 if marker.mod is None else marker.mod.mask
+        assert [c & mask for c in atom.coeffs] == [c & mask for c in rows]
+        assert set(map(type, atom.coeffs)) == {int}
+        pairs, terms = atom._record
+        if marker.mod is not None and t is not None:
+            # the mark of the value t apart: L(z^s) + w_t (c^e - 1) z^{ts}, the
+            # coefficient taken mod M, least in size
+            m = marker.mod.mask + 1
+            a = (spec.weight(t) * (marker.value**e - 1) + m // 2) % m - m // 2
+            want = {tuple(map(tuple, families._atom_rational(spec, s, t, 0, 1))): (1, 1)}
+            want.update({((0, 1), (1,)): (t * s, a)} if a and t * s <= order else {})
+            assert all(sorted(ex)[:-1] == [0] * (len(ex) - 1) for ex, _ in terms)
+            assert {pairs[ex.index(max(ex))]: (max(ex), c) for ex, c in terms} == want
+            return
         # the record: atom = P/Q exactly, checked as atom * Q = P on plain series
-        ((P, Q),), terms = atom._record
+        ((P, Q),) = pairs
         assert terms == (((1,), 1),) and Q[0] == 1 and P[-1] and Q[-1]
         plain = TruncatedSeries(atom.coeffs, order)
         want = TruncatedSeries(P[: order + 1], order)
-        assert plain * TruncatedSeries(Q[: order + 1], order) == want
+        assert [c & mask for c in (plain * TruncatedSeries(Q[: order + 1], order)).coeffs] == [
+            c & mask for c in want.coeffs]
 
     def test_jet_atoms_keep_their_rows(self):
-        atom = lambda_atom(ALL, 10, jet_marker(2), "size")
-        assert all(part._record is None for part in atom.parts)
+        # a moment atom is the row series at v = 1 + 2^8, reduced modulo 2^24,
+        # and records the pair of L(cz), so products by it may take passes
+        marker = moment_marker(8)
+        atom = lambda_atom(ALL, 10, marker, "size")
+        assert atom.mod == marker.mod
+        assert atom.coeffs == tuple(marker.value**i & marker.mod.mask for i in range(11))
+        assert atom._record == ((((1,), (1, -marker.value)),), (((1,), 1),))
 
 
 # Every statistic on these multisets, built with the passes and without.
@@ -475,10 +522,10 @@ def test_statistic_series_do_not_depend_on_the_passes(family, stat, text, monkey
 
 class TestOrderZero:
     @pytest.mark.parametrize("family,stat,form", STAT_CASES)
-    @pytest.mark.parametrize("marker", [eval_marker(2), jet_marker(2)])
+    @pytest.mark.parametrize("marker", [eval_marker(2), moment_marker(8)])
     def test_stat_gf(self, family, stat, form, marker):
         g = build_stat(family, stat, ALL, 0, marker, form)
-        assert g == marker.lift(TruncatedSeries.one(0))
+        assert g == TruncatedSeries.one(0) and g.mod == marker.mod
 
     @pytest.mark.parametrize("family", ["row-fishburn", "fishburn", "self-dual"])
     def test_family_gf(self, family):
@@ -644,7 +691,7 @@ def test_jets_make_no_bivariate_products(monkeypatch):
 
         monkeypatch.setattr(series, name, counting)
     for family, stat, form in STAT_CASES:
-        build_stat(family, stat, ALL, 12, jet_marker(2), form)
+        build_stat(family, stat, ALL, 12, moment_marker(64), form)
     assert calls["_bv_mul_into"] == 0
     assert calls["_mul_into"] > 0
 
@@ -910,21 +957,22 @@ class TestInvariants:
         st.integers(min_value=0, max_value=10),
     )
     def test_jet_moments_match_profile(self, weights, case, order):
-        # eps^t at z^n of the depth-2 jet is sum_m C(m, t) [v^m z^n] profile
+        # digit t of the packed moment row n is sum_m C(m, t) [v^m z^n] profile
         family, stat, form = case
         assume(stat != "ones" or weights[0])
         spec = LambdaSpec("custom", tuple(weights))
         if form == "product":
             jet = stat_jet(family, stat, spec, order)
         else:
-            jet = build_stat(family, stat, spec, order, jet_marker(2), form)
+            counts = family_series(family, spec, order).coeffs
+            marker = moment_marker(max(counts).bit_length() + 2 * order.bit_length() + 2)
+            packed = build_stat(family, stat, spec, order, marker, form)
+            jet = _unpack_moments(packed, counts, marker.mod)
         prof = stat_profile(family, stat, spec, order)
         for n in range(order + 1):
             row = prof[n]
-            for t in range(3):
-                assert jet.coeff_vm(n, t) == sum(
-                    comb(m, t) * c for m, c in enumerate(row)
-                )
+            assert jet[n] == tuple(sum(comb(m, t) * c for m, c in enumerate(row))
+                                   for t in range(3))
 
     @settings(max_examples=25, deadline=None)
     @given(

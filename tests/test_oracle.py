@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from fishburn.series import TruncatedSeries
@@ -71,6 +73,15 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="positive"):
             enumerate_matrices("fishburn", ALL, 0)
 
+    # Each input would run, or fail otherwise, in little time and memory
+    # without the cap: the 01 multiset keeps size 9 small.
+    @pytest.mark.parametrize("size", [9, True, 2.0, "3"])
+    def test_out_of_budget_sizes_are_refused_fast(self, size):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="size"):
+            enumerate_matrices("fishburn", PRIMITIVE, size)
+        assert time.perf_counter() - start < 0.1
+
     def test_values_respect_multiset(self):
         for m in enumerate_matrices("fishburn", LambdaSpec("even+"), 6):
             assert all(v == 0 or v % 2 == 0 for row in m.entries for v in row)
@@ -97,6 +108,13 @@ class TestAscentSequences:
         assert ascent_counts(0) == (1,)
         with pytest.raises(ValueError):
             ascent_counts(-1)
+
+    @pytest.mark.parametrize("n", [501, True, 2.0])
+    def test_out_of_budget_lengths_are_refused_fast(self, n):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="order"):
+            ascent_counts(n)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestPersymmetry:

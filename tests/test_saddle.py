@@ -2,6 +2,7 @@
 solver residuals, window approximations against the exact integer profile,
 the exponent surface, and the integral-truncation bounds."""
 
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -597,6 +598,14 @@ def test_bounds_clean_sweep():
 def test_bounds_reproducible():
     assert check_bounds(64) == check_bounds(64)
     assert check_bounds(64, seed=7) != check_bounds(64, seed=8)
+
+
+@pytest.mark.parametrize("samples", [10_001, True, 2.0, -1])
+def test_bounds_refuse_out_of_budget_samples_fast(samples):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="samples"):
+        check_bounds(samples)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_bounds_validation():

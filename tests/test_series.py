@@ -11,13 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fishburn.series as series
-from fishburn.families import _NAMED_RATIONAL, LambdaSpec, _bernoulli_egf
+from fishburn.families import ALL, _NAMED_RATIONAL, LambdaSpec, _bernoulli_egf, lambda_atom
 from fishburn.series import (
-    Jet,
     TruncatedSeries,
     eval_marker,
     exp_linear,
-    jet_marker,
+    moment_marker,
     sum_product,
 )
 
@@ -50,7 +49,7 @@ class TestRingAxioms:
 
     @given(series_st)
     def test_additive_inverse(self, a):
-        assert (a + (-a)).is_zero()
+        assert (a + (-a)) == TruncatedSeries.zero(ORDER)
 
     @given(unit_series_st)
     def test_inverse(self, a):
@@ -444,9 +443,9 @@ class TestRecords:
             assert _typed(got.coeffs) == _typed((_plain(a) * _plain(b)).coeffs)
             _assert_exact_record(got)
         pairs, terms = f._record
-        if terms and len(pairs[0][1]) > 1 and not x.is_zero():
+        if terms and len(pairs[0][1]) > 1 and any(x.coeffs):
             v = x.valuation()  # the passes themselves, whichever way the rule goes
-            passes = series._mul_record(x.coeffs[v:], pairs, v, order, terms)
+            passes = series._mul_record(x.coeffs[v:], pairs, v, order, terms, None)
             assert _typed(passes.coeffs) == _typed((_plain(f) * x).coeffs)
 
     @given(record_cases(), st.integers(min_value=0, max_value=40))
@@ -478,14 +477,14 @@ class TestRecords:
                 got = op(a, b)
                 assert _typed(got.coeffs) == _typed(op(_plain(a), _plain(b)).coeffs)
                 _assert_exact_record(got)
-        if not x.is_zero():  # the walk in every order of the pairs, whichever the rule picks
+        if any(x.coeffs):  # the walk in every order of the pairs, whichever the rule picks
             v = x.valuation()
             pairs, terms = f._record
             want = _typed((_plain(f) * x).coeffs)
             for walk in permutations(range(len(pairs))):
                 ordered = sorted((tuple(e[i] for i in walk), c) for e, c in terms)
                 got = series._mul_record(x.coeffs[v:], tuple(pairs[i] for i in walk), v,
-                                         order, tuple(ordered))
+                                         order, tuple(ordered), None)
                 assert _typed(got.coeffs) == want
 
     @given(multi_record_cases(), st.integers(min_value=0, max_value=40))
@@ -496,25 +495,51 @@ class TestRecords:
         # pairs hold distinct P objects, so `is` tells them apart.
         times = series._times_poly
         for f in case[:2]:  # on two or three pairs, then on one to three
-            cost, pairs, terms = series._pass_plan(f, span, 1)
+            cost, pairs, terms = series._pass_plan(f, span, 1, None)
             seen = []
             with patch.object(series, "_times_poly",
-                              lambda y, P: seen.append(P) or times(y, P)):
-                series._mul_record((1, 1), pairs, 0, 1, terms)
+                              lambda y, P, mod: seen.append(P) or times(y, P, mod)):
+                series._mul_record((1, 1), pairs, 0, 1, terms, None)
             passes = [sum(P is pq[0] for P in seen) for pq in pairs]
             assert sum(passes) == len(seen)
-            steps = sum(k * series._pass_weight(pq) for k, pq in zip(passes, pairs))
+            steps = sum(k * series._pass_weight(pq, None) for k, pq in zip(passes, pairs))
             assert cost == (steps + len(terms)) * (span + 1)
+
+    @given(st.integers(min_value=0, max_value=30), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_passes_under_a_modulus_match_the_reduced_product(self, order, data):
+        # moment atoms L(cz) at c = 1 + 2^bits, the weights with Q = 1 among them,
+        # and their stretches; every product is compared modulo M
+        bits, depth = data.draw(st.sampled_from([(3, 2), (8, 1), (20, 2), (6, 3)]))
+        m = moment_marker(bits, depth)
+        mask = m.mod.mask
+        base = data.draw(st.sampled_from(RECORD_PAIRS))
+        pq = data.draw(st.sampled_from([base, _scaled(base, m.value),
+                                        _scaled(base, m.value**2)]))
+        f = _recorded((pq,), data.draw(records), order)
+        packed = TruncatedSeries(f.coeffs, order, m.mod)
+        packed._record = f._record
+        x = TruncatedSeries(data.draw(st.lists(st.integers(-(1 << 70), 1 << 70),
+                                               max_size=order + 1)), order, m.mod)
+        want = [c & mask for c in (_plain(f) * _plain(x)).coeffs]
+        for got in (packed * x, x * packed):
+            assert got.mod == m.mod and [c & mask for c in got.coeffs] == want
+        pairs, terms = f._record
+        if terms and any(x.coeffs):  # the passes themselves, Q = 1 included
+            v = x.valuation()
+            got = series._mul_record(x.coeffs[v:], pairs, v, order, terms, m.mod)
+            assert list(got.coeffs) == want
 
     def test_walk_takes_the_cheapest_order(self):
         # first_row's factor B L^{2j} - B L^j - L^{j+1} + L at j = 5: walking L
         # first costs 2j passes of L and 2 of B, B first 3j + 1 of L and 1 of B
         L, B = ((1,), (1, -1)), ((1,), (1, -8))
         f = _recorded((B, L), (((1, 10), 1), ((1, 5), -1), ((0, 6), -1), ((0, 1), 1)), 30)
-        cost, pairs, terms = series._pass_plan(f, 30, 1)
+        cost, pairs, terms = series._pass_plan(f, 30, 1, None)
         assert pairs == (L, B)
         assert terms == (((1, 0), 1), ((5, 1), -1), ((6, 0), -1), ((10, 1), 1))
-        assert cost == (10 * series._pass_weight(L) + 2 * series._pass_weight(B) + 4) * 31
+        weight = series._pass_weight
+        assert cost == (10 * weight(L, None) + 2 * weight(B, None) + 4) * 31
 
     def test_constants_record_without_a_pair(self):
         assert TruncatedSeries.constant(Fraction(4, 2), 3)._record == ((), (((), 2),))
@@ -614,55 +639,57 @@ class TestBivariate:
     the schoolbook product of v-polynomial rows."""
 
     def test_round_trip_at_v_one(self):
-        f = TruncatedSeries([1, 3, 0, 2], 5)
         m = eval_marker(1)
-        assert m.lift(f) is f
-        # v^i -> 1: every row collapses to its coefficient sum
-        assert m.series([m.v_power(0), m.v_power(2), (), m.v_power(1)], 5) == (
-            TruncatedSeries([1, 1, 0, 1], 5)
-        )
+        assert m == (1, None)
+        # v^i -> 1: every marked atom collapses to its weight series
+        for kind in ("size", "ones", "twos"):
+            assert lambda_atom(ALL, 5, m, kind) == TruncatedSeries.geometric(5)
 
     def test_v_marking_multiplication(self):
         # (1 + v z)^2 = 1 + 2 v z + v^2 z^2
         f = ((1,), (0, 1))
         assert series._bv_mul_into(f, f, 4) == ((1,), (0, 2), (0, 0, 1), (), ())
         # at v = 10 each row of the product reads as decimal digits
-        m = eval_marker(10)
-        g = m.series([m.v_power(0), m.v_power(1)], 4)
+        g = TruncatedSeries([1, eval_marker(10).value], 4)
         assert (g * g).coeffs == (1, 20, 100, 0, 0)
 
     def test_jet_cap_truncates_polynomials(self):
-        m = jet_marker(2)
-        # v^5 as a jet: (1+eps)^5 -> 1 + 5 eps + 10 eps^2
-        assert m.v_power(5) == (1, 5, 10)
-        f = m.series([m.v_power(5)], 3)
-        assert isinstance(f, Jet) and f.depth == 2
-        g = f * f  # v^10 -> 1 + 10 eps + 45 eps^2
-        assert [g.coeff_vm(0, t) for t in range(3)] == [1, 10, 45]
-        with pytest.raises(IndexError):
-            g.coeff_vm(0, 3)
+        m = moment_marker(8, 2)
+        low, mask = (1 << 8) - 1, (1 << 24) - 1
+        assert m.value == 1 + (1 << 8) and m.mod.mask == mask
+
+        def digits(x):
+            return [x >> (8 * t) & low for t in range(3)]
+
+        # v^5 packed: (1+eps)^5 -> 1 + 5 eps + 10 eps^2, eps = 2^8
+        f = TruncatedSeries([m.value], 3, m.mod).pow(5)
+        assert f.mod == m.mod and digits(f.coeffs[0]) == [1, 5, 10]
+        g = f * f  # v^10 -> 1 + 10 eps + 45 eps^2; eps^3 and above are cut
+        assert g.coeffs == (1 + (10 << 8) + (45 << 16), 0, 0, 0)
+        assert digits(g.coeffs[0]) == [1, 10, 45]
 
     def test_eval_marker(self):
         m = eval_marker(7)
-        assert m.v_power(3) == (343,)
-        f = m.series([m.v_power(3)], 3)
-        assert isinstance(f, TruncatedSeries)
-        assert (f * f).coeffs == (7**6, 0, 0, 0)
-        assert eval_marker(Fraction(1, 2)).v_power(2) == (Fraction(1, 4),)
+        assert m == (7, None)
+        f = lambda_atom(LambdaSpec("custom", (0, 0, 1)), 3, m)  # 1 + v^3 z^3
+        assert f.coeffs == (1, 0, 0, 343) and f.mod is None
+        assert (f * f).coeffs == (1, 0, 0, 686)
+        assert eval_marker(Fraction(1, 2)).value == Fraction(1, 2)
 
     def test_mixed_caps_raise(self):
-        a = Jet.one(3, 2)
-        with pytest.raises(ValueError, match="mixed carriers"):
-            a + TruncatedSeries.one(3)
-        with pytest.raises(ValueError, match="mixed jet depths"):
-            a + Jet.one(3, 3)
-        with pytest.raises(ValueError, match="mixed jet depths"):
-            a * Jet.one(3, 1)
+        a = TruncatedSeries([3], 3, moment_marker(8).mod)
+        with pytest.raises(ValueError, match="mixed moduli"):
+            a + TruncatedSeries([3], 3, moment_marker(9).mod)
+        with pytest.raises(ValueError, match="mixed moduli"):
+            a * TruncatedSeries([3], 3, moment_marker(8, 1).mod)
+        with pytest.raises(ValueError, match="moment depth"):
+            moment_marker(8, 0)
+        # an exact series joins the modulus of the other
+        assert (a - TruncatedSeries.one(3)).mod == (TruncatedSeries.x(3) * a).mod == a.mod
 
     def test_inv(self):
         # 1 - v z has inverse sum v^n z^n; at v = 2^8, z^n carries 2^(8n)
-        m = eval_marker(1 << 8)
-        f = m.series([m.v_power(0), tuple(-c for c in m.v_power(1))], 5)
+        f = TruncatedSeries([1, -(1 << 8)], 5)
         g = f.inv()
         assert g.coeffs == tuple(1 << (8 * n) for n in range(6))
         assert f * g == TruncatedSeries.one(5)
@@ -684,23 +711,31 @@ def _rows_add(a, b, sign=1):
     return tuple(out)
 
 
-def _as_jet(rows, depth: int) -> Jet:
-    """Substitute v = 1 + eps: the eps^t part at z^n is sum_m C(m, t) [v^m z^n]."""
+def _as_jet(rows, depth: int) -> TruncatedSeries:
+    """The rows at v = 1 + 2^8 modulo 2^{8 (depth + 1)}, whose digit t at
+    z^n is sum_m C(m, t) [v^m z^n] modulo 2^8."""
+    m = moment_marker(8, depth)
     rows = tuple(rows) + ((),) * (6 - len(rows))
-    return Jet(
-        TruncatedSeries([sum(comb(m, t) * c for m, c in enumerate(p)) for p in rows], 5)
-        for t in range(depth + 1)
-    )
+    return TruncatedSeries([sum(c * m.value**k for k, c in enumerate(p)) & m.mod.mask
+                            for p in rows], 5, m.mod)
+
+
+def _reduced(f: TruncatedSeries) -> tuple:
+    return tuple(c & f.mod.mask for c in f.coeffs)
 
 
 class TestJet:
+    """Moment jets as packed series: the ring map from v-polynomial rows to
+    v = 1 + 2^8 modulo 2^{8 (depth + 1)} commutes with the kernel."""
+
     @given(rows_st, rows_st, st.integers(min_value=1, max_value=3))
     @settings(max_examples=40)
     def test_ring_operations_commute_with_v_equals_one_plus_eps(self, a, b, depth):
         ja, jb = _as_jet(a, depth), _as_jet(b, depth)
-        assert _as_jet(_rows_add(a, b), depth) == ja + jb
-        assert _as_jet(_rows_add(a, b, -1), depth) == ja - jb
+        assert _reduced(_as_jet(_rows_add(a, b), depth)) == _reduced(ja + jb)
+        assert _reduced(_as_jet(_rows_add(a, b, -1), depth)) == _reduced(ja - jb)
         assert _as_jet(series._bv_mul_into(a, b, 5), depth) == ja * jb
+        assert (ja * jb).mod == ja.mod
 
     @given(rows_st, st.integers(min_value=1, max_value=3))
     @settings(max_examples=40)
@@ -713,7 +748,7 @@ class TestJet:
             inv = _rows_add(inv, term)
         ja = _as_jet(((1,),) + a[1:], depth)
         assert ja.inv() == _as_jet(inv, depth)
-        assert ja * ja.inv() == Jet.one(5, depth)
+        assert ja * ja.inv() == TruncatedSeries.one(5)
 
     @given(rows_st, st.integers(min_value=1, max_value=3))
     @settings(max_examples=40)
@@ -721,41 +756,23 @@ class TestJet:
         ja = _as_jet(a, depth)
         assert ja * ja == ja * _as_jet(a, depth) == _as_jet(series._bv_mul_into(a, a, 5), depth)
 
-    def test_square_makes_each_cross_product_once(self, monkeypatch):
-        # a0^2, a0*a1, a0*a2 and a1^2; a product of copies also makes a1*a0 and a2*a0
-        parts = ([1, 2, -1], [0, 3, Fraction(1, 2)], [2, 0, 1, 4])
-        j = Jet([TruncatedSeries(p, 5) for p in parts])
-        copy = Jet([TruncatedSeries(p, 5) for p in parts])
-        calls = [0]
-        kernel = series._mul_into
-
-        def counting(a, b, order):
-            calls[0] += 1
-            return kernel(a, b, order)
-
-        monkeypatch.setattr(series, "_mul_into", counting)
-        square = j * j
-        assert calls[0] == 4
-        assert square == j * copy
-        assert calls[0] == 10
-
     def test_inverse_needs_invertible_constant(self):
         with pytest.raises(ZeroDivisionError):
-            Jet.from_univariate(TruncatedSeries.zero(3), 2).inv()
+            TruncatedSeries([0], 3, moment_marker(8).mod).inv()
 
     def test_truncate_and_valuation(self):
-        f = Jet([TruncatedSeries([0, 0, 1], 4), TruncatedSeries([0, 1], 4)])
+        mod = moment_marker(8, 1).mod
+        f = TruncatedSeries([0, 1 << 8, 1], 4, mod)
         assert f.valuation() == 1
-        assert f.truncate(2) == Jet(
-            [TruncatedSeries([0, 0, 1], 2), TruncatedSeries([0, 1], 2)]
-        )
-        assert Jet.from_univariate(TruncatedSeries.zero(4), 1).valuation() == 5
+        assert f.truncate(2).coeffs == (0, 1 << 8, 1) and f.truncate(2).mod == mod
+        assert TruncatedSeries([0], 4, mod).valuation() == 5
 
     def test_mixed_orders_raise(self):
+        mod = moment_marker(8).mod
         with pytest.raises(ValueError, match="mixed truncation orders"):
-            Jet.one(3, 2) + Jet.one(4, 2)
+            TruncatedSeries([1], 3, mod) + TruncatedSeries([1], 4, mod)
         with pytest.raises(ValueError, match="mixed truncation orders"):
-            Jet([TruncatedSeries.one(3), TruncatedSeries.one(4)])
+            TruncatedSeries([1], 3, mod) * TruncatedSeries.one(4)
 
 
 class TestSumProduct:
@@ -783,12 +800,11 @@ class TestSumProduct:
             sum_product(lambda j, m: TruncatedSeries.one(m), 5)
 
     def test_bivariate_carrier_and_cap_come_from_the_factors(self):
-        # sum_k (z(1+eps))^k as a depth-2 jet: z^n carries (1, n, C(n,2))
-        z = TruncatedSeries.x
-        f = sum_product(lambda j, m: Jet([z(m), z(m), TruncatedSeries.zero(m)]), 6)
-        assert isinstance(f, Jet)
-        assert f.depth == 2
-        assert [tuple(f.coeff_vm(n, t) for t in range(3)) for n in range(7)] == [
+        # sum_k (z(1+eps))^k packed at eps = 2^8 modulo 2^24: z^n carries (1, n, C(n,2))
+        m = moment_marker(8, 2)
+        f = sum_product(lambda j, room: TruncatedSeries([0, m.value], room, m.mod), 6)
+        assert f.mod == m.mod
+        assert [tuple(c >> (8 * t) & 255 for t in range(3)) for c in _reduced(f)] == [
             (1, 0, 0), (1, 1, 0), (1, 2, 1), (1, 3, 3), (1, 4, 6), (1, 5, 10), (1, 6, 15)
         ]
         # the same sum of (z(1+v))^k at v = 2^8: z^6 packs C(6, i) as digits
@@ -800,8 +816,9 @@ class TestSumProduct:
         assert sum_product(lambda j, m: TruncatedSeries.zero(m), 0) == (
             TruncatedSeries.one(0)
         )
-        f = sum_product(lambda j, m: Jet.from_univariate(TruncatedSeries.zero(m), 2), 0)
-        assert f == Jet.one(0, 2)
+        mod = moment_marker(8).mod
+        f = sum_product(lambda j, m: TruncatedSeries([0], m, mod), 0)
+        assert f == TruncatedSeries.one(0) and f.mod == mod
 
     def test_dpart_prefactor(self):
         # sum_k 2^k z^k = 1/(1-2z) with dpart(k)=2^k, factor z
