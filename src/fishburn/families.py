@@ -31,10 +31,9 @@ running powers, differences, squares and products by d built from one such
 series carry that record as a combination sum_e c_e (P/Q)^e, so the factor
 j of a family sum, such as L (L^j - 1)^2 for the Fishburn sum, reaches
 ``sum_product`` as a combination of powers of L, and ``_mul_into`` may
-multiply the running product by it in passes of P/Q when Q is not 1 (and,
-in a moment build, for any Q).  The
-self-dual factor L (L(z^2)^j - 1) records a combination of monomials over
-the two pairs of L and L(z^2), and its passes walk both.
+multiply the running product by it in passes of P/Q when Q is not 1 (in a
+moment build, for any Q).  The self-dual factor L (L(z^2)^j - 1) records a
+combination of monomials over the pairs of L and L(z^2); its passes walk both.
 
 The row, Andrews and self-dual sums serve both uses: a weight series gives
 the counting series, a marked atom its statistic refinement.  The marker
@@ -421,10 +420,7 @@ def fishburn_numbers(order: int) -> tuple:
 
 _ATOM_KINDS = {
     # kind: (z stretch s, marked value t, v exponent e): entry value i sits on
-    # z^{s i} marked v^{e i} when t is None, and v^e when i == t.  "plain"
-    # marks nothing: the weight series under the marker's modulus, so that
-    # its powers keep their records in a moment build (see _may_pass).
-    "plain": (1, None, 0),
+    # z^{s i} marked v^{e i} when t is None, and v^e when i == t
     "size": (1, None, 1),
     "size-sq": (2, None, 1),
     "size-double": (2, None, 2),
@@ -438,10 +434,8 @@ def lambda_atom(
     spec: LambdaSpec, order: int, marker: Marker, kind: str = "size"
 ) -> TruncatedSeries:
     """The weight series with entries marked in v according to `kind`, at
-    the marker's v = c and under its modulus: the rational series of
-    ``_atom_rational``, so it records its pair and products by it may take
-    passes.
-    """
+    the marker's v = c and under its modulus: a rational series, so it
+    records its pairs and products by it may take passes."""
     _check_budget(order)
     try:
         s, t, e = _ATOM_KINDS[kind]
@@ -449,9 +443,8 @@ def lambda_atom(
         raise ValueError(f"unknown atom kind {kind!r}")
     if marker.mod is None or t is None:
         return _rational_series(*_atom_rational(spec, s, t, e, marker.value), order, marker.mod)
-    # Under a modulus the mark of t stays apart, as L(z^s) + w_t (c^e - 1) z^{ts} over
-    # the pairs of L(z^s) and z: the atom's powers then reduce in their records and
-    # take the passes of L, and the atoms of one build share the pair of z.
+    # Under a modulus the mark stays apart, L(z^s) + w_t (c^e - 1) z^{ts}: its powers
+    # reduce in their records and take the passes of L; all atoms share the z pair.
     L = _rational_series(*_atom_rational(spec, s, t, 0, 1), order, marker.mod)
     z = _rational_series((0, 1), (1,), order, marker.mod).pow(t * s)
     return L + z * TruncatedSeries.constant(spec.weight(t) * (marker.value**e - 1), order)
@@ -480,11 +473,19 @@ def _atom_rational(spec: LambdaSpec, s: int, t: Optional[int], e: int, c) -> tup
 # Statistic-marking series
 # ---------------------------------------------------------------------------
 
+def _weight_series(spec: LambdaSpec, order: int, marker: Marker) -> TruncatedSeries:
+    """The weight series L of a statistic build: ``lambda_series``, or L
+    under the marker's modulus, whose running powers keep their records."""
+    if marker.mod is None:
+        return lambda_series(spec, order)
+    return _rational_series(*spec.rational(), order, marker.mod)
+
+
 def _row_first_row(spec, order, marker):
     # 1 + sum_k (B^{k+1} - 1) prod_j (L^j - 1)  with B = L(vz); the B^{k+1}
     # part is folded as B * sum_k prod_j [B (L^j - 1)] minus the plain series.
     B = lambda_atom(spec, order, marker, "size")
-    marked = _self_dual_sum(B, lambda_atom(spec, order, marker, "plain")).series(order)
+    marked = _self_dual_sum(B, _weight_series(spec, order, marker)).series(order)
     plain = family_series("row-fishburn", spec, order)
     return TruncatedSeries.one(order) + marked - plain
 
@@ -492,7 +493,7 @@ def _row_first_row(spec, order, marker):
 def _row_diagonal(spec, order, marker):
     # sum_k prod_{1<=j<=k} (B L^{j-1} - 1)
     B = lambda_atom(spec, order, marker, "size")
-    L = lambda_atom(spec, order, marker, "plain")
+    L = _weight_series(spec, order, marker)
     return GeneralSum(_powers(TruncatedSeries.one(order), L, B)).series(order)
 
 
@@ -500,7 +501,7 @@ def _fishburn_first_row(spec, order, marker):
     # B * sum_k prod_j [L (B L^{j-1} - 1)(L^j - 1)]; the factor needs L^{j-1}
     # and L^j together, so it keeps its own running power.
     B = lambda_atom(spec, order, marker, "size")
-    L = lambda_atom(spec, order, marker, "plain")
+    L = _weight_series(spec, order, marker)
     st = [TruncatedSeries.one(order)]
 
     def factor(j, room):
@@ -516,7 +517,7 @@ def _fishburn_first_row(spec, order, marker):
 def _fishburn_diagonal(spec, order, marker):
     # B * sum_k prod_j [L (B L^{j-1} - 1)^2]
     B = lambda_atom(spec, order, marker, "size")
-    L = lambda_atom(spec, order, marker, "plain")
+    L = _weight_series(spec, order, marker)
     return B * GeneralSum(_powers(TruncatedSeries.one(order), L, B), d=L, alpha=2).series(order)
 
 
@@ -528,7 +529,7 @@ def _self_dual_stat(spec, order, marker, stat):
     inner = "size-sq" if stat == "first_row" else "size-double"
     B = lambda_atom(spec, order, marker, "size")
     A = lambda_atom(spec, order, marker, inner)
-    L = lambda_atom(spec, order, marker, "plain")
+    L = _weight_series(spec, order, marker)
     x = _powers(TruncatedSeries.one(order), L.substitute_power(2), A)
     return B * GeneralSum(x, d=L).series(order)
 
@@ -613,11 +614,9 @@ def stat_jet(family: str, stat: str, spec: LambdaSpec, order: int) -> tuple:
     One build at v = 1 + 2^K modulo 2^{3K} (``moment_marker``) holds every
     row as base-2^K digits.  K = bits(max count) + 2 bits(n) + 2 bounds each
     f_t below 2^K: the statistic is at most n, as every atom puts v^e on
-    z^{>=e}.  The 2s over a multiset without the value 2 are 0.
+    z^{>=e}.
     """
     counts = family_series(family, spec, order).coeffs
-    if stat == "twos" and stat in FAMILY_STATS[canonical_family(family)] and not spec.weight(2):
-        return tuple((c, 0, 0) for c in counts)
     marker = moment_marker(max(counts).bit_length() + 2 * order.bit_length() + 2)
     return _unpack_moments(stat_gf(family, stat, spec, order, marker), counts, marker.mod)
 

@@ -66,10 +66,11 @@ estimate weighs the walk (in the cheapest order of the pairs) and the span
 lengths, and lets a dot term cost more the longer the shorter factor's
 coefficients are, since a product of two big integers grows with both
 lengths and an addition only with the longer.  A polynomial weight (Q = 1)
-keeps the dot products, which run in C, except under a modulus: there the
-coefficients are 3K bits wide from z^1 on, and the shifted adds of P win.
-A square (both factors the same object, as ``_power`` makes) computes half
-the cross products.  Every product still goes through ``_mul_into``.
+keeps the dot products, which run in C, except under a modulus: there a
+marked build's coefficients are 3K bits wide from z^1 on, and the shifted
+adds of P win.  A square (both factors the same object, as ``_power``
+makes) computes half the cross products.  Every product still goes through
+``_mul_into``.
 
 Series of different truncation orders do not combine silently: combining
 them raises, it never truncates behind your back.
@@ -300,10 +301,8 @@ class TruncatedSeries:
         mask = None if self.mod is None else self.mod.mask
         for n in range(1, self.order + 1):
             s = sum(map(mul, a[1 : n + 1], out[::-1]))
-            if mask is not None:
-                out.append(-s * r0 & mask)
-            else:
-                out.append(_norm(-s * r0) if a0 in (1, -1) else _norm(-s / a0))
+            r = -s * r0 if a0 in (1, -1) else -s / a0
+            out.append(_norm(r) if mask is None else r & mask)
         return TruncatedSeries(out, self.order, self.mod)
 
     def pow(self, k: int) -> "TruncatedSeries":
@@ -385,16 +384,14 @@ def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSe
     ``_pass_weight`` of each pair); they run when that is at most
     ``_pass_ratio(b)`` times the terms the dot products would multiply
     (``_dot_terms`` of the span lengths, halved for a square), b the
-    shorter bit length of the two spans' last nonzero coefficients, the
-    largest for the growing coefficients of these series, or under a
-    modulus the width of a reduced coefficient, which the last one of a
-    polynomial can fall far short of; when both factors qualify, the
-    cheaper runs.  A polynomial weight (Q = 1)
-    takes passes only under a modulus: elsewhere its dot products run in C,
-    while a shifted sum over P's terms gains nothing at the sizes used here.
-    The product carries the combination of both factors' records, over the
-    pairs of both, while its passes could still pass that rule at this
-    order (``_may_pass``).
+    shorter bit length of the two spans' last nonzero coefficients (under a
+    modulus, of their widest: a polynomial's last one can be 1, and a build
+    whose marks vanish stays count-sized); when both factors qualify, the
+    cheaper runs.  A polynomial weight (Q = 1) takes passes only under a
+    modulus: elsewhere its dot products run in C, while a shifted sum over
+    P's terms gains nothing at the sizes used here.  The product carries the
+    combination of both factors' records, over the pairs of both, while its
+    passes could still pass that rule at this order (``_may_pass``).
 
     b may carry a *smaller* order than a when a's valuation guarantees the
     missing top coefficients of b cannot reach the truncation window; this is
@@ -425,7 +422,10 @@ def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSe
         plan = _pass_plan(f, order - lo, g, mod)
         if plan is not None and (best is None or plan[0] < best[0][0]):
             best = plan, cs[lo : hi + 1], lo
-    bits = min(_bits(acs[ta]), _bits(bcs[tb])) if mod is None else mod.bits * mod.digits
+    if mod is None:
+        bits = min(_bits(acs[ta]), _bits(bcs[tb]))
+    else:
+        bits = min(max(map(int.bit_length, xs)), max(map(int.bit_length, ys)))
     if best is not None and best[0][0] <= _pass_ratio(bits) * terms:
         (_, pairs, walk), span, lo = best
         return _tag(_mul_record(span, pairs, lo, order, walk, mod), a, b, _combo_mul, order)
@@ -495,10 +495,10 @@ def _pass_weight(pq: tuple, mod: Optional[_Modulus]) -> Optional[int]:
     exact coefficients), None for Q = 1 without a modulus, which takes no
     passes.  A pass multiplies by P (``_poly_price``).  The division by
     Q = 1 - z^g is one running sum; by Q = 1 - c z^g a scaled running sum,
-    priced at 2 for a shift (c a power of two, without a modulus) and 1 +
-    the product by c otherwise; and by any other Q a Python-level step per
-    coefficient, priced at 8 additions plus two per nonzero term of Q past
-    its first two."""
+    priced at 2 for a shift (c a power of two) and 2 + b/32 for a product by
+    a b-bit c, or under a modulus 1 + the product by c's digits; and by any
+    other Q a Python-level step per coefficient, priced at 8 additions plus
+    two per nonzero term of Q past its first two."""
     P, Q = pq
     if len(Q) == 1 and mod is None:
         return None
@@ -506,22 +506,26 @@ def _pass_weight(pq: tuple, mod: Optional[_Modulus]) -> Optional[int]:
     c = _scaled_step(Q)
     if len(Q) == 1 or c == 1:
         return w + (len(Q) > 1)
-    if c is not None:
-        return w + (2 if mod is None and _is_power_of_two(c) else 1 + _poly_price((c,), mod))
-    return w + 8 + 2 * (sum(map(bool, Q)) - 2)
+    if c is None:
+        return w + 8 + 2 * (sum(map(bool, Q)) - 2)
+    if mod is None:
+        return w + 2 + (0 if _is_power_of_two(c) else _bits(c) // 32)
+    return w + 1 + _poly_price((c,), mod)
 
 
 def _poly_price(P: tuple, mod: Optional[_Modulus]) -> int:
     """Additions per coefficient of y * P (``_times_poly``): one per term of
-    P past the first, and one product per distinct |p| whose first term is
-    not 1, priced at 1 + b/32 for a b-bit p; under a modulus, the price of
-    each plane (``_planes``), 2 more for each plane reduced and shifted, and
+    P past the first, and 1 + b/32 per b-bit term p other than +-1, the
+    price the rule was fitted with; under a modulus, per digit plane
+    (``_planes``), one product per distinct |p| whose first term is not 1,
+    as ``_times_poly`` makes them, 2 for each plane reduced and shifted, and
     one addition per plane past the first."""
     if mod is None:
-        return sum(map(bool, P)) - 1 + sum(
-            1 + _bits(p) // 32 for _, p, _ in _poly_groups(P) if p != 1)
+        return sum(map(bool, P)) - 1 + sum(1 + _bits(p) // 32 for p in P if p not in (0, 1, -1))
     planes = _planes(P, mod)
-    return sum(_poly_price(plane, None) + 2 * (k > 0) for k, plane in planes) + len(planes) - 1
+    return sum(sum(map(bool, plane)) - 1 + 2 * (k > 0) + sum(
+        1 + _bits(p) // 32 for _, p, _ in _poly_groups(plane) if p != 1)
+        for k, plane in planes) + len(planes) - 1
 
 
 @lru_cache(maxsize=1024)
@@ -672,10 +676,8 @@ def _times_poly(y: list, P: tuple, mod: Optional[_Modulus]) -> list:
     y + p (z y - z^2 y) for P = 1 + p z - p z^2.
 
     Under a modulus y P = sum_k 2^k (y P_k) over the planes of P
-    (``_planes``): y P_k is made as above, and for k > 0 reduced mod M/2^k
-    before its shift, so that its term stays below M.  The plane at 2^0
-    takes y as it is, as an exact product would (``_mul_record`` reduces
-    at the end of its walk)."""
+    (``_planes``), y P_k made as above and, for k > 0, reduced mod M/2^k
+    before its shift; ``_mul_record`` reduces the sum at the end."""
     n = len(y)
     out = None
     if mod is not None:
@@ -798,9 +800,8 @@ def _tag(out: TruncatedSeries, a: TruncatedSeries, b: TruncatedSeries,
     A product (`order` given) keeps none when its passes could never beat
     the dot products at that order (``_may_pass``), which also bounds the
     size of the combinations carried.  Under a modulus M each c is taken
-    mod M, least in size, and the terms with c = 0 mod M drop: with a pair
-    whose record coefficient is a multiple of 2^K, as in a moment build's
-    atoms, the terms past its (d+1)-th power vanish.
+    mod M, least in size, and the terms with c = 0 drop: so a moment atom's
+    powers lose their terms past the (d+1)-th power of its 2^K-fold part.
     """
     ra, rb = a._record, b._record
     if ra is None or rb is None:
@@ -823,9 +824,7 @@ def _may_pass(out: TruncatedSeries, reach) -> bool:
     _pass_ratio(b) n / 2 for the at most n^2 / 2 dot terms.  b is taken as
     the bit length of out's last nonzero coefficient: the coefficients of
     these series grow with the index, so no cut of out has longer ones.
-    Under a modulus the record is always kept: the reduced coefficients are
-    wide from z^1 on, and the records are those of the factors of one
-    build step, so they stay small."""
+    Under a modulus every record is kept; one build step's records stay small."""
     if out.mod is not None:
         return True
     total = 0
