@@ -53,9 +53,12 @@ in the last bits of a 60-digit evaluation does not count as a difference.
 
 The second loads two snapshots written by this script and prints each case
 whose value, coefficient types or error differ, then each case whose product
-or pass counts differ.  It exits 1 when a value, a type or an error differs
-(or a case is missing on one side) and 0 otherwise; product and pass counts
-are reported but do not change the exit status.
+or pass counts differ, then a summary: the number of cases of each kind, the
+number whose ``_mul_into`` count rose, and each side's ``_mul_into`` and
+``_mul_record`` counts summed over its cases.  It exits 1 when a value, a
+type or an error differs (or a case is missing on one side) and 0
+otherwise; product and pass counts are reported but do not change the exit
+status.
 """
 
 import argparse
@@ -404,8 +407,12 @@ def compare(a: dict, b: dict) -> int:
             print(f"products (_mul_into, _mul_record) {a[label][1:]} -> "
                   f"{b[label][1:]}: {label}")
             counts += 1
+    rose = sum(b[label][1] > a[label][1] for label in set(a) & set(b))
+    a_sums, b_sums = (tuple(sum(c[i] for c in snap.values()) for i in (1, 2))
+                      for snap in (a, b))
     print(f"{len(set(a) | set(b))} cases: {differ} differ in value, type or error; "
-          f"{counts} differ in product or pass counts")
+          f"{counts} differ in product or pass counts, {rose} make more products; "
+          f"summed (_mul_into, _mul_record) {a_sums} -> {b_sums}")
     return 1 if differ else 0
 
 

@@ -40,7 +40,8 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import mpmath as mp
 
 from .families import (
-    ALL, PRIMITIVE, GeneralSum, LambdaSpec, _family_sum, lambda_series, named_entry,
+    ALL, PRIMITIVE, GeneralSum, LambdaSpec, _check_budget, _family_sum, lambda_series,
+    named_entry,
 )
 
 __all__ = [
@@ -416,7 +417,11 @@ class RefinedExpansion:
     falling: bool = False
 
     def correction(self, n: int) -> mp.mpf:
-        """The bracket ``1 + sum_j c_j / den_j(n)``."""
+        """The bracket ``1 + sum_j c_j / den_j(n)``, for n >= 1 and, with falling
+        factorials, n >= the number of coefficients ((n)_j is 0 for n < j)."""
+        least = max(1, len(self.coefficients)) if self.falling else 1
+        if n < least:
+            raise ValueError(f"this refined expansion is evaluated at n >= {least}, got {n}")
         with mp.workdps(_DPS):
             total = mp.mpf(1)
             for j, cj in enumerate(self.coefficients, start=1):
@@ -428,10 +433,9 @@ class RefinedExpansion:
             return total
 
     def evaluate(self, n: int) -> mp.mpf:
-        if n < 1:
-            raise ValueError("refined expansions are evaluated at n >= 1")
+        bracket = self.correction(n)  # first: it rejects n below its least
         with mp.workdps(_DPS):
-            return self.c * self.rho ** n * mp.factorial(n) * self.correction(n)
+            return self.c * self.rho ** n * mp.factorial(n) * bracket
 
 
 def a158690_expansion(terms: int = 3) -> RefinedExpansion:
@@ -441,9 +445,10 @@ def a158690_expansion(terms: int = 3) -> RefinedExpansion:
     ``(n)_j`` the falling factorial, ``(c, rho) = (6*sqrt(2)/pi^2, 12/pi^2)``
     and ``c_j = (-pi^2/288)^j / j!``.  With ``terms`` kept terms the
     relative error is O(n^-terms); ``terms = 1`` is the bare first-order
-    form c * rho^n * n!.
+    form c * rho^n * n!.  terms is at most the series budget (500).
     """
     _require_positive_int("terms", terms)
+    _check_budget(terms)
     with mp.workdps(_DPS):
         c = 6 * mp.sqrt(2) / mp.pi**2
         rho = 12 / mp.pi**2

@@ -16,28 +16,27 @@ callable (j, room) such as exp(jz), 1/(1 - z^j) or a running power from
 ``_powers`` (one truncated product per step; for a weight series L with
 Q != 1 that product is one pass of L).  The same statement gives the
 first-order asymptotic form (``asymptotics.named_form`` and ``family_form``
-read it from the factors at j = 1, 2), so each catalogued instance and each
-family sum is written once, in ``_CATALOG`` or ``_family_sum``.  A marked
-atom (B, A, Bi) is not folded into a power: it multiplies the unmarked power
-afresh at each step, so the running power stays unmarked.  Besides
-``GeneralSum.series``, two builders call ``sum_product`` directly: the
-defining A035378 sum pairs consecutive factors, and fishburn/first_row's
-product form multiplies two differences that need L^{j-1} and L^j together.
-The second routes that the identities compare against these builders,
-among them the direct Fishburn forms, live in ``identities``.  Every fixed
-rational factor (a weight series, 1 +- z, 1/(1 -+ z^j)) is one
-``_rational_series(P, Q, order)``, which records that it is (P/Q)^1.  The
-running powers, differences, squares and products by d built from one such
-series carry that record as a combination sum_e c_e (P/Q)^e, so the factor
-j of a family sum, such as L (L^j - 1)^2 for the Fishburn sum, reaches
-``sum_product`` as a combination of powers of L, and ``_mul_into`` may
-multiply the running product by it in passes of P/Q when Q is not 1 (in a
-moment build, for any Q).  The self-dual factor L (L(z^2)^j - 1) records a
-combination of monomials over the pairs of L and L(z^2); its passes walk both.
+read it from the factors at j = 1, 2), so each catalogued instance, family
+sum and statistic sum is written once, in ``_CATALOG``, ``_family_sum`` or
+``_stat_sum``.  A marked atom B is the first term of a running power:
+B L^{j-1} is ``_powers(B, L)``.  Besides ``GeneralSum.series``, one builder
+calls ``sum_product`` directly: the defining A035378 sum, which pairs
+consecutive factors.  The second routes that the identities compare against
+these builders, among them the direct Fishburn forms, live in
+``identities``.  Every fixed rational factor (a weight series, 1 +- z,
+1/(1 -+ z^j)) is one ``_rational_series(P, Q, order)``, which records that
+it is (P/Q)^1.  The running powers, differences, squares and products by d
+built from one such series carry that record as a combination
+sum_e c_e (P/Q)^e, so the factor j of a family sum, such as L (L^j - 1)^2
+for the Fishburn sum, reaches ``sum_product`` as a combination of powers of
+L, and ``_mul_into`` may multiply the running product by it in passes of P/Q
+when Q is not 1 (in a moment build, for any Q).  The self-dual factor
+L (L(z^2)^j - 1) records a combination of monomials over the pairs of L and
+L(z^2); its passes walk both.
 
-The row, Andrews and self-dual sums serve both uses: a weight series gives
-the counting series, a marked atom its statistic refinement.  The marker
-passed to ``stat_gf`` sets v = c in the atoms, and their modulus.
+The statistic sums are the family sums with marked atoms in place of the
+weight series L, in the factors or in the running powers (``_stat_sum``).
+The marker passed to ``stat_gf`` sets v = c in the atoms, and their modulus.
 ``stat_profile`` gets every full distribution from one evaluation at
 v = 2^K, K the bit length of the largest family count: each z-coefficient
 then holds its v-polynomial as base-2^K digits (Kronecker substitution).
@@ -289,17 +288,16 @@ def lambda_series(spec: LambdaSpec, order: int) -> TruncatedSeries:
 # Running powers and the general sum
 # ---------------------------------------------------------------------------
 
-def _powers(first: TruncatedSeries, step: TruncatedSeries,
-            atom: Optional[TruncatedSeries] = None):
-    """(j, room) -> [atom *] first * step^(j-1) on the j-th call, truncated at
-    `room`, which must not grow from call to call (sum_product guarantees it).
-    """
+def _powers(first: TruncatedSeries, step: TruncatedSeries):
+    """(j, room) -> first * step^(j-1), truncated at `room`, for j = 1, 2, ...
+    in turn; `room` must not grow from call to call (sum_product guarantees
+    it).  A call with j = 1 starts the running power afresh."""
     p = None
 
     def power(j, room):
         nonlocal p
-        p = first.truncate(room) if p is None else p.truncate(room) * step.truncate(room)
-        return p if atom is None else atom.truncate(room) * p
+        p = first.truncate(room) if j == 1 else p.truncate(room) * step.truncate(room)
+        return p
 
     return power
 
@@ -311,8 +309,8 @@ class GeneralSum:
 
     x, y and d are each 1 (None), a fixed series, or a callable (j, room) ->
     series; the prefactor is 1 (None) or a series, and alpha >= 1.  A callable
-    may hold a running power (``_powers``), so build each instance once: by
-    ``series``, or by reading its factors with ``parts`` for j = 1, 2, ....
+    may hold a running power (``_powers``), so its factors are read for
+    j = 1, 2, ... in turn, by ``series`` or by ``parts``.
     """
 
     x: object = None
@@ -481,57 +479,41 @@ def _weight_series(spec: LambdaSpec, order: int, marker: Marker) -> TruncatedSer
     return _rational_series(*spec.rational(), order, marker.mod)
 
 
-def _row_first_row(spec, order, marker):
-    # 1 + sum_k (B^{k+1} - 1) prod_j (L^j - 1)  with B = L(vz); the B^{k+1}
-    # part is folded as B * sum_k prod_j [B (L^j - 1)] minus the plain series.
-    B = lambda_atom(spec, order, marker, "size")
-    marked = _self_dual_sum(B, _weight_series(spec, order, marker)).series(order)
-    plain = family_series("row-fishburn", spec, order)
-    return TruncatedSeries.one(order) + marked - plain
+def _stat_sum(family: str, stat: str, spec: LambdaSpec, order: int,
+              marker: Marker) -> GeneralSum:
+    """A statistic's marking series as a general sum at the marker's v = c,
+    B marking the size of each entry and A that of each entry of L(z^2):
 
+    row-fishburn  first_row  B sum_k prod_j [B (L^j - 1)] (``stat_gf`` adds 1
+                             and takes off the family series)
+                  diagonal   sum_k prod_j (B L^{j-1} - 1)
+    fishburn      first_row  B sum_k prod_j [(B L^j - L) (L^j - 1)]
+                  diagonal   B sum_k prod_j [L (B L^{j-1} - 1)^2]
+    self-dual     first_row, diagonal  B sum_k prod_j [L (A L(z^2)^{j-1} - 1)]
 
-def _row_diagonal(spec, order, marker):
-    # sum_k prod_{1<=j<=k} (B L^{j-1} - 1)
-    B = lambda_atom(spec, order, marker, "size")
-    L = _weight_series(spec, order, marker)
-    return GeneralSum(_powers(TruncatedSeries.one(order), L, B)).series(order)
+    The 1s and 2s are the family sum with atoms marking them in place of L
+    (and of L(z^2), whose 1s count twice).
+    """
+    def atom(kind="size"):
+        return lambda_atom(spec, order, marker, kind)
 
-
-def _fishburn_first_row(spec, order, marker):
-    # B * sum_k prod_j [L (B L^{j-1} - 1)(L^j - 1)]; the factor needs L^{j-1}
-    # and L^j together, so it keeps its own running power.
-    B = lambda_atom(spec, order, marker, "size")
-    L = _weight_series(spec, order, marker)
-    st = [TruncatedSeries.one(order)]
-
-    def factor(j, room):
-        one = TruncatedSeries.one(room)
-        pjm1 = st[0].truncate(room)
-        pj = pjm1 * L.truncate(room)
-        st[0] = pj
-        return L.truncate(room) * ((B.truncate(room) * pjm1 - one) * (pj - one))
-
-    return B * sum_product(factor, order)
-
-
-def _fishburn_diagonal(spec, order, marker):
-    # B * sum_k prod_j [L (B L^{j-1} - 1)^2]
-    B = lambda_atom(spec, order, marker, "size")
-    L = _weight_series(spec, order, marker)
-    return B * GeneralSum(_powers(TruncatedSeries.one(order), L, B), d=L, alpha=2).series(order)
-
-
-def _self_dual_stat(spec, order, marker, stat):
-    if stat == "ones":
-        B1 = lambda_atom(spec, order, marker, "ones")
-        return _self_dual_sum(B1, lambda_atom(spec, order, marker, "ones-sq")).series(order)
-    # first_row / diagonal: B(vz) * sum_k prod_j [L (A L2^{j-1} - 1)]
-    inner = "size-sq" if stat == "first_row" else "size-double"
-    B = lambda_atom(spec, order, marker, "size")
-    A = lambda_atom(spec, order, marker, inner)
-    L = _weight_series(spec, order, marker)
-    x = _powers(TruncatedSeries.one(order), L.substitute_power(2), A)
-    return B * GeneralSum(x, d=L).series(order)
+    if stat in ("ones", "twos"):
+        if family == "self-dual":
+            return _self_dual_sum(atom("ones"), atom("ones-sq"))
+        return _family_sum(family, atom(stat))
+    B, L = atom(), _weight_series(spec, order, marker)
+    if family == "self-dual":
+        A = atom("size-sq" if stat == "first_row" else "size-double")
+        return GeneralSum(_powers(A, L.substitute_power(2)), d=L, prefactor=B)
+    if family == "row-fishburn":
+        if stat == "first_row":
+            return GeneralSum(_powers(L, L), d=B, prefactor=B)
+        return GeneralSum(_powers(B, L))
+    if stat == "diagonal":
+        return GeneralSum(_powers(B, L), d=L, alpha=2, prefactor=B)
+    marked = _powers(B * L, L)  # B L^j
+    return GeneralSum(_powers(L, L), d=lambda j, room: marked(j, room) - L.truncate(room),
+                      prefactor=B)
 
 
 def stat_gf(family: str, stat: str, spec: LambdaSpec, order: int,
@@ -550,23 +532,10 @@ def stat_gf(family: str, stat: str, spec: LambdaSpec, order: int,
         raise ValueError("marking 1s requires the value 1 in the multiset")
     if stat not in FAMILY_STATS[family]:
         raise ValueError(f"the {family} family has no 2s-marking series")
-
-    if family == "row-fishburn":
-        if stat == "first_row":
-            return _row_first_row(spec, order, marker)
-        if stat == "diagonal":
-            return _row_diagonal(spec, order, marker)
-        return _row_sum(lambda_atom(spec, order, marker, stat)).series(order)
-
-    if family == "fishburn":
-        if stat == "first_row":
-            return _fishburn_first_row(spec, order, marker)
-        if stat == "diagonal":
-            return _fishburn_diagonal(spec, order, marker)
-        return _andrews_sum(lambda_atom(spec, order, marker, stat)).series(order)
-
-    # self-dual
-    return _self_dual_stat(spec, order, marker, stat)
+    s = _stat_sum(family, stat, spec, order, marker).series(order)
+    if family == "row-fishburn" and stat == "first_row":
+        return TruncatedSeries.one(order) + s - family_series(family, spec, order)
+    return s
 
 
 @_largest_build(_prefix, family=True)
@@ -757,7 +726,7 @@ def labeled_profile(n: int) -> tuple:
     """
     _check_budget(n)
     t = next(islice(_stirling_rows(), n, None))
-    s = _row_sum(lambda_series(ALL, n))  # its running power is a closure: one per call
+    s = _row_sum(lambda_series(ALL, n))
     factors = (x - y for _, x, y in (s.parts(k, n) for k in range(1, n + 1)))
     products = accumulate(factors, mul, initial=TruncatedSeries.one(n))
     return tuple(sum(map(mul, p.coeffs, t)) for p in products)

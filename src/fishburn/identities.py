@@ -40,6 +40,7 @@ from .families import (
     stat_gf,
     _ONE_MINUS_Z,
     _ONE_PLUS_Z,
+    _check_budget,
     _exps,
     _inverse_binomials,
     _powers,
@@ -115,10 +116,9 @@ def _direct_stat(stat: str, spec: LambdaSpec, order: int,
         return _direct_sum(lambda_atom(spec, order, marker, stat)).series(order)
     B = lambda_atom(spec, order, marker, "size")
     Li = lambda_series(spec, order).inv()
-    one = TruncatedSeries.one(order)
     if stat == "first_row":
-        return GeneralSum(y=_powers(one, Li, B.inv())).series(order)
-    bm1 = B - one
+        return GeneralSum(y=_powers(B.inv(), Li)).series(order)
+    bm1 = B - TruncatedSeries.one(order)
     return B + (bm1 * bm1) * GeneralSum(B, y=_powers(Li, Li)).series(order)
 
 
@@ -376,7 +376,10 @@ def verify_log_derivative(count: int) -> IdentityReport:
 
 
 def identity_suite(order: int = 30, aj_order: int = 60) -> list:
-    """The standard battery, as (name, report) pairs."""
+    """The standard battery, as (name, report) pairs.  Glaisher's identity
+    builds at order 2 order; both orders are checked before any build."""
+    for o in (order, 2 * order, aj_order):
+        _check_budget(o)
     out = []
     for tag, lam in (("all", ALL), ("01", PRIMITIVE), ("even+", LambdaSpec("even+"))):
         out.append((f"transform[{tag}]", verify_andrews_jelinek(lam, aj_order)))

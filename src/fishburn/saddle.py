@@ -442,7 +442,8 @@ def _float_radius(n: int, k: int) -> float:
 
 
 # Each (n, k) cache holds 1024 entries: `verify --full` leaves 102, the tests 220.
-@lru_cache(maxsize=1024)
+# Typed, so a bool or float equal to a cached n or k is still rejected.
+@lru_cache(maxsize=1024, typed=True)
 def solve_saddle(n: int, k: int) -> SaddleState:
     """Solve the saddle equation sum_{j<=k} j*r/(1 - e^{-j*r}) = n for r.
 
@@ -452,9 +453,10 @@ def solve_saddle(n: int, k: int) -> SaddleState:
     digits then evaluates upsilon_1..upsilon_4 and log A_k at that radius
     and checks the residual |upsilon_1 - n| <= 1e-9 * n.  Only if the check
     fails are 60-digit Newton steps taken (200-step cap), each followed by
-    one more sweep and the same check.
+    one more sweep and the same check.  n is at most the series budget (500).
     """
     _require_positive_int("n", n)
+    _check_budget(n)
     _require_positive_int("k", k)
     if not k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")

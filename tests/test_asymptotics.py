@@ -1,6 +1,7 @@
 """Tests for the closed-form growth constants and convergence reports."""
 
 import dataclasses
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -552,6 +553,22 @@ def test_refined_expansion_validation():
         a158690_expansion(0)
     with pytest.raises(ValueError):
         blr_expansion().evaluate(0)
+
+
+@pytest.mark.parametrize("terms, least", [(1, 1), (3, 2), (5, 4)])
+def test_refined_expansion_least_n(terms, least):
+    # (n)_j is 0 for n < j, so falling denominators need n >= the last j.
+    exp = a158690_expansion(terms)
+    assert mp.isfinite(exp.evaluate(least))
+    with pytest.raises(ValueError, match=f"evaluated at n >= {least}, got {least - 1}"):
+        exp.evaluate(least - 1)
+
+
+def test_refined_expansion_budget():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"exceeds the series budget \(500\)"):
+        a158690_expansion(10**6)
+    assert time.perf_counter() - start < 0.1
 
 
 # ---------------------------------------------------------------------------

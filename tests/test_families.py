@@ -429,6 +429,23 @@ class TestStatSeries:
         assert g[3] == (0, 8, 3, 1)
 
 
+class TestGeneralSum:
+    """A running power restarts at j = 1, so one instance builds again."""
+
+    def test_an_instance_builds_twice(self):
+        L = lambda_series(ALL, 10)
+        s = families._row_sum(L)
+        first = s.series(10)
+        assert s.series(10) == first == family_gf("row-fishburn", ALL, 10)
+        assert s.parts(1, 10)[1] == L
+
+    @pytest.mark.parametrize("family,stat", [
+        (family, stat) for family, stats in FAMILY_STATS.items() for stat in stats])
+    def test_a_statistic_sum_builds_twice(self, family, stat):
+        s = families._stat_sum(family, stat, ALL, 12, eval_marker(3))
+        assert s.series(12) == s.series(12)
+
+
 STAT_CASES = [
     (fam, stat, form)
     for fam, stats in FAMILY_STATS.items()

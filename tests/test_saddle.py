@@ -253,6 +253,13 @@ def test_saddle_rejects_degenerate_indices():
         solve_saddle(5, True)
 
 
+def test_cached_saddle_does_not_answer_a_float():
+    # The cache is typed: an equal float is checked, not served as the int.
+    solve_saddle(30, 20)
+    with pytest.raises(ValueError):
+        solve_saddle(30.0, 20)
+
+
 def test_saddle_far_below_window():
     # k = 1 pushes the radius far beyond the 2*pi/k bracket seed: the
     # single-term equation r/(1 - e^{-r}) = n has its root at ~n.
@@ -446,6 +453,14 @@ def test_an_approx_sweeps_once_per_summand(monkeypatch):
 def test_total_approximation_budget():
     with pytest.raises(ValueError, match=r"exceeds the series budget \(500\)"):
         an_approx(501)
+
+
+def test_saddle_solver_budget():
+    # The solver's time grows linearly in k; n caps it before any sweep.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"exceeds the series budget \(500\)"):
+        solve_saddle(10**6, 200_000)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_total_matches_leading_asymptotic_form():
