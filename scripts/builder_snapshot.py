@@ -23,7 +23,10 @@ smallest odd entry, and both forms of R(q) are recorded at ``R_ORDERS`` as
 well.
 The ``monomial`` statistic cases record full profiles, unpacked from one
 evaluation at v = 2^K as ``stat_profile`` does, for both forms; their value
-is (order, rows), rows[n] the v-polynomial of z^n.  The ``jet1`` to ``jet3``
+is (order, rows), rows[n] the v-polynomial of z^n.  The product form's
+profiles of ``DEEP_PROFILES`` are recorded as well, at orders where the
+kernel's choice between passes and dot products differs from the small
+orders'.  The ``jet1`` to ``jet3``
 cases record moment jets of depth d = 1..3 for both forms, unpacked from
 one build at v = 1 + 2^K modulo 2^{(d+1)K}, K = bits(max count) +
 d bits(order) + 2, as ``stat_jet`` does at depth 2; their value is the
@@ -54,7 +57,8 @@ in the last bits of a 60-digit evaluation does not count as a difference.
 The second loads two snapshots written by this script and prints each case
 whose value, coefficient types or error differ, then each case whose product
 or pass counts differ, then a summary: the number of cases of each kind, the
-number whose ``_mul_into`` count rose, and each side's ``_mul_into`` and
+number whose ``_mul_into`` count rose, the number whose ``_mul_record``
+count fell, and each side's ``_mul_into`` and
 ``_mul_record`` counts summed over its cases.  It exits 1 when a value, a
 type or an error differs (or a case is missing on one side) and 0
 otherwise; product and pass counts are reported but do not change the exit
@@ -79,6 +83,8 @@ import mpmath as mp
 FAMILY_ORDERS = (0, 1, 2, 20, 60)
 STAT_ORDERS = (0, 1, 12, 25)
 STAT_MULTISETS = ("all", "012", "even+")
+# (family, statistic, multiset, order) of the profiles recorded past STAT_ORDERS.
+DEEP_PROFILES = (("fishburn", "first_row", "all", 90),)
 VARIANT_ORDERS = (0, 1, 2, 20, 40)
 NAMED_COUNTS = (1, 2, 25)
 MULTISETS = ("all", "01", "012", "odd", "even+", "no1", "1,0,2", "0,3", "custom")
@@ -226,6 +232,10 @@ def _cases(families, identities, series):
                                    f"{lam.describe()} {n}",
                                    lambda b=build, sb=stat_build, case=(fam, stat, lam, n):
                                    b(sb, *case))
+    for fam, stat, text, n in DEEP_PROFILES:
+        yield (f"stat_gf {fam} {stat} product monomial {text} {n}",
+               lambda case=(fam, stat, spec.parse(text), n):
+               _profile(families, series, families.stat_gf, *case))
     for lam in multisets:
         yield (f"weight {lam.describe()}",
                lambda l=lam: tuple(l.weight(i) for i in range(WEIGHT_MAX + 1))
@@ -408,10 +418,12 @@ def compare(a: dict, b: dict) -> int:
                   f"{b[label][1:]}: {label}")
             counts += 1
     rose = sum(b[label][1] > a[label][1] for label in set(a) & set(b))
+    fell = sum(b[label][2] < a[label][2] for label in set(a) & set(b))
     a_sums, b_sums = (tuple(sum(c[i] for c in snap.values()) for i in (1, 2))
                       for snap in (a, b))
     print(f"{len(set(a) | set(b))} cases: {differ} differ in value, type or error; "
-          f"{counts} differ in product or pass counts, {rose} make more products; "
+          f"{counts} differ in product or pass counts, {rose} make more products, "
+          f"{fell} take fewer passes; "
           f"summed (_mul_into, _mul_record) {a_sums} -> {b_sums}")
     return 1 if differ else 0
 

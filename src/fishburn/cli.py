@@ -13,7 +13,8 @@ line endings unconditionally).  Exit codes follow the usual convention:
 
 * 0 — success,
 * 1 — a verification check failed (``verify`` only),
-* 2 — usage error (bad flags, unparsable entry multiset, exceeded budget).
+* 2 — usage error (bad flags, unparsable entry multiset, exceeded budget,
+  an ``--output`` path that cannot be written).
 """
 
 from __future__ import annotations
@@ -121,8 +122,11 @@ def _emit(text: str, args: argparse.Namespace) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

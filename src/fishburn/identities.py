@@ -11,9 +11,10 @@ One side of each identity is a public builder of `families` (``family_gf``,
 first, so an order above the series budget is rejected before anything is
 built.  The other side, a route no builder needs, is stated here, just above
 the verifier that compares it: a ``GeneralSum`` built from the factor helpers
-of `families`, or a ``sum_product`` for the paired A035378 forms, whose
-k-dependent prefactor is no such sum.  The direct Fishburn forms take a
-marker, as ``stat_gf`` does, so they build packed profiles and moments too.
+of `families`, or for the A035378 rewritings a ``_paired_sum``, as for the
+defining sum, whose k-dependent prefactor is no ``GeneralSum``.  The direct
+Fishburn forms take a marker, as ``stat_gf`` does, so they build packed
+profiles and moments too.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from math import factorial
 from typing import Optional, Sequence
 
 from .series import (Marker, TruncatedSeries, _as_int, _rational_series,
-                     eval_marker, exp_linear, sum_product)
+                     eval_marker, exp_linear)
 from .families import (
     ALL,
     FAMILY_STATS,
@@ -43,6 +44,7 @@ from .families import (
     _check_budget,
     _exps,
     _inverse_binomials,
+    _paired_sum,
     _powers,
     _require_count,
 )
@@ -294,25 +296,18 @@ def _variant_A035378_inverted(order: int) -> TruncatedSeries:
     """sum_k (z-1)^{-k-1} prod_{1<=j<=k} (1 - (z-1)^{-j})^2, consecutive terms
     paired as in the defining sum ``named_gf("A035378")``."""
     w = -TruncatedSeries.geometric(order)  # (z-1)^{-1}
-    odd_power = _powers(w, w * w)
 
-    def dpart(K):
-        p = odd_power(K + 1, order)  # (z-1)^{-(2K+1)}
+    def pair(a, b):  # a = (z-1)^{-(2i-1)}, b = (z-1)^{-2i}
+        one = TruncatedSeries.one(a.order)
+        fa, fb = one - a, one - b
+        return (fa * fa) * (fb * fb)
+
+    def prefactor(p):  # p = (z-1)^{-(2K+1)}
         one = TruncatedSeries.one(order)
         q = one - p
         return p * (one + w * (q * q))
 
-    power = _powers(w, w)
-
-    def factor(i, room):
-        a = power(2 * i - 1, room)  # (z-1)^{-(2i-1)}
-        b = power(2 * i, room)  # (z-1)^{-2i}
-        one = TruncatedSeries.one(room)
-        fa = one - a
-        fb = one - b
-        return (fa * fa) * (fb * fb)
-
-    return sum_product(factor, order, dpart=dpart)
+    return _paired_sum(w, pair, prefactor, order)
 
 
 def _variant_A035378_paired(order: int) -> TruncatedSeries:
@@ -322,25 +317,18 @@ def _variant_A035378_paired(order: int) -> TruncatedSeries:
     residual (-1)^j from the inverted-series factors.)
     """
     u = TruncatedSeries.geometric(order)
-    one_full = TruncatedSeries.one(order)
-    odd_power = _powers(u, u * u)
 
-    def dpart(K):
-        p = odd_power(K + 1, order)  # u^{2K+1}
-        q = one_full + p
-        return p * (u * (q * q) - one_full)
-
-    power = _powers(u, u)
-
-    def factor(i, room):
-        a = power(2 * i - 1, room)  # u^{2i-1}
-        b = power(2 * i, room)  # u^{2i}
-        one = TruncatedSeries.one(room)
-        fa = a + one
-        fb = b - one
+    def pair(a, b):  # a = u^{2i-1}, b = u^{2i}
+        one = TruncatedSeries.one(a.order)
+        fa, fb = a + one, b - one
         return (fa * fa) * (fb * fb)
 
-    return sum_product(factor, order, dpart=dpart)
+    def prefactor(p):  # p = u^{2K+1}
+        one = TruncatedSeries.one(order)
+        q = one + p
+        return p * (u * (q * q) - one)
+
+    return _paired_sum(u, pair, prefactor, order)
 
 
 def verify_a035378_pairing(order: int) -> IdentityReport:

@@ -390,8 +390,7 @@ def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSe
     cheaper runs.  A polynomial weight (Q = 1) takes passes only under a
     modulus: elsewhere its dot products run in C, while a shifted sum over
     P's terms gains nothing at the sizes used here.  The product carries the
-    combination of both factors' records, over the pairs of both, while its
-    passes could still pass that rule at this order (``_may_pass``).
+    combination of both factors' records, over the pairs of both.
 
     b may carry a *smaller* order than a when a's valuation guarantees the
     missing top coefficients of b cannot reach the truncation window; this is
@@ -428,7 +427,7 @@ def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSe
         bits = min(max(map(int.bit_length, xs)), max(map(int.bit_length, ys)))
     if best is not None and best[0][0] <= _pass_ratio(bits) * terms:
         (_, pairs, walk), span, lo = best
-        return _tag(_mul_record(span, pairs, lo, order, walk, mod), a, b, _combo_mul, order)
+        return _tag(_mul_record(span, pairs, lo, order, walk, mod), a, b, _combo_mul)
     # Output m of the lattice product is sum_i xs[i] * ys[lb - 1 - m + i]
     # over the i with both indices in range.
     dots = []
@@ -445,7 +444,7 @@ def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSe
         dots = list(map(and_, dots, repeat(mod.mask)))
     out: list[Coeff] = [0] * (order + 1)
     out[va + vb : va + vb + g * len(dots) : g] = dots
-    return _tag(TruncatedSeries(out, order, mod), a, b, _combo_mul, order)
+    return _tag(TruncatedSeries(out, order, mod), a, b, _combo_mul)
 
 
 # The rule's ratio of pass additions to dot terms.  A pass addition costs
@@ -793,15 +792,13 @@ def _widen(pairs: tuple, own: tuple, terms: tuple) -> tuple:
 
 
 def _tag(out: TruncatedSeries, a: TruncatedSeries, b: TruncatedSeries,
-         combine, order: Optional[int] = None) -> TruncatedSeries:
+         combine) -> TruncatedSeries:
     """Give `out`, built from a and b, the record combine(a's, b's), over the
     sorted pairs of both (a constant's record has none); return out.
 
-    A product (`order` given) keeps none when its passes could never beat
-    the dot products at that order (``_may_pass``), which also bounds the
-    size of the combinations carried.  Under a modulus M each c is taken
-    mod M, least in size, and the terms with c = 0 drop: so a moment atom's
-    powers lose their terms past the (d+1)-th power of its 2^K-fold part.
+    Under a modulus M each c is taken mod M, least in size, and the terms
+    with c = 0 drop: so a moment atom's powers lose their terms past the
+    (d+1)-th power of its 2^K-fold part.
     """
     ra, rb = a._record, b._record
     if ra is None or rb is None:
@@ -811,34 +808,8 @@ def _tag(out: TruncatedSeries, a: TruncatedSeries, b: TruncatedSeries,
     if out.mod is not None:
         m = out.mod.mask + 1
         terms = tuple((e, r) for e, c in terms if (r := (c + m // 2) % m - m // 2))
-    if order is None or _may_pass(out, zip(pairs, map(max, zip(*(e for e, _ in terms))))):
-        out._record = pairs, terms
+    out._record = pairs, terms
     return out
-
-
-def _may_pass(out: TruncatedSeries, reach) -> bool:
-    """Whether passes by `out`, whose record takes each pair pq of `reach`,
-    pairs (pq, e), to the largest exponent e, could pass ``_mul_into``'s
-    rule at its order: over a window of n <= order + 1 coefficients they
-    cost at least sum e w additions per coefficient, against
-    _pass_ratio(b) n / 2 for the at most n^2 / 2 dot terms.  b is taken as
-    the bit length of out's last nonzero coefficient: the coefficients of
-    these series grow with the index, so no cut of out has longer ones.
-    Under a modulus every record is kept; one build step's records stay small."""
-    if out.mod is not None:
-        return True
-    total = 0
-    for pq, e in reach:
-        if e:
-            w = _pass_weight(pq, None)
-            if w is None:
-                return False
-            total += e * w
-    if 2 * total <= _PASS_RATIO * (out.order + 1):
-        return True
-    cs = out.coeffs
-    bits = _bits(cs[_last_nonzero(cs, out.order)]) if any(cs) else 0
-    return 2 * total <= _pass_ratio(bits) * (out.order + 1)
 
 
 def _combo_from(terms: dict) -> tuple:

@@ -440,6 +440,19 @@ class TestPlumbing:
         assert main(argv + ["--output", str(path)]) == 0
         assert path.read_text(encoding="utf-8") == out
 
+    @pytest.mark.parametrize("argv", [["enumerate", "--n-max", "3"], ["verify"]],
+                             ids=["enumerate", "verify"])
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_output_is_usage_error(self, argv, where, capsys, monkeypatch,
+                                              tmp_path):
+        monkeypatch.setattr(checks, "BASE", (("quick", lambda: (True, "quick")),))
+        path = tmp_path if where == "directory" else tmp_path / "missing" / "out.txt"
+        code, out, err = run(argv + ["--output", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_help_mentions_lambda_grammar(self, capsys):
         code, out, _ = run(["--help"], capsys)
         assert code == 0

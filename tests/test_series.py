@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fishburn.series as series
-from fishburn.families import ALL, _NAMED_RATIONAL, LambdaSpec, _bernoulli_egf, lambda_atom
+from fishburn.families import (ALL, _NAMED_RATIONAL, LambdaSpec, _bernoulli_egf,
+                               lambda_atom, lambda_series)
 from fishburn.series import (
     TruncatedSeries,
     eval_marker,
@@ -554,6 +555,14 @@ class TestRecords:
         product = geometric * other
         assert product._record == ((G, O), (((1, 1), 1),))
         assert (product + geometric)._record == ((G, O), (((1, 0), 1), ((1, 1), 1)))
+
+    def test_a_narrow_power_keeps_its_record(self):
+        # The pass rule reads a record against the other factor of a later
+        # product, so a product keeps its factors' record however narrow it is.
+        L = lambda_series(ALL, 24)
+        power = L.pow(34)
+        assert power._record == (L._record[0], (((34,), 1),))
+        _assert_exact_record(power)
 
     def test_passes_run_only_where_they_are_cheaper(self, monkeypatch):
         calls = []
