@@ -14,15 +14,17 @@ line endings unconditionally).  Exit codes follow the usual convention:
 * 0 — success,
 * 1 — a verification check failed (``verify`` only),
 * 2 — usage error (bad flags, unparsable entry multiset, exceeded budget,
-  an ``--output`` path that cannot be written).
+  an ``--output`` path that cannot be written, refused before any work).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from math import factorial
@@ -129,6 +131,17 @@ def _emit(text: str, args: argparse.Namespace) -> None:
             raise ValueError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
+
+
+def _check_output(path: str) -> None:
+    """Refuse, before any work, an --output that ``_emit`` could not open, a
+    directory or a path whose parent is missing or not writable, with the
+    reason open() gives; nothing is created or truncated."""
+    parent = os.path.dirname(os.path.abspath(path))
+    code = (errno.EISDIR if os.path.isdir(path) else errno.ENOENT if not os.path.isdir(parent)
+            else errno.EACCES if not os.access(parent, os.W_OK) else 0)
+    if code:
+        raise ValueError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
@@ -498,6 +511,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.output:
+            _check_output(args.output)
         return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,29 +11,26 @@ The general sum.  A ``GeneralSum`` states one instance of the paper's sum
 sum_k d^{k+w0} prod_{j<=k} (e^{j+w} - 1)^alpha by its arguments: it builds
 prefactor * sum_k prod_{j<=k} d_j (x_j - y_j)^alpha, with d^k folded into the
 factors (d^k * prod f_j == prod (d*f_j)), which keeps the kernel's adaptive
-truncation effective.  x_j, y_j and d_j are 1, a fixed series, or a
-callable (j, room) such as exp(jz), 1/(1 - z^j) or a running power from
-``_powers`` (one truncated product per step; for a weight series L with
-Q != 1 that product is one pass of L).  The same statement gives the
-first-order asymptotic form (``asymptotics.named_form`` and ``family_form``
-read it from the factors at j = 1, 2), so each catalogued instance, family
-sum and statistic sum is written once, in ``_CATALOG``, ``_family_sum`` or
-``_stat_sum``.  A marked atom B is the first term of a running power:
-B L^{j-1} is ``_powers(B, L)``.  Besides ``GeneralSum.series``, one builder
-calls ``sum_product`` directly: ``_paired_sum``, which pairs consecutive
-factors, for the defining A035378 sum and its two rewritings in
-``identities``.  The second routes that the identities compare against
-these builders, among them the direct Fishburn forms, live in
-``identities``.  Every fixed rational factor (a weight series, 1 +- z,
-1/(1 -+ z^j)) is one ``_rational_series(P, Q, order)``, which records that
-it is (P/Q)^1.  The running powers, differences, squares and products by d
-built from one such series carry that record as a combination
-sum_e c_e (P/Q)^e, so the factor j of a family sum, such as L (L^j - 1)^2
-for the Fishburn sum, reaches ``sum_product`` as a combination of powers of
-L, and ``_mul_into`` may multiply the running product by it in passes of P/Q
-when Q is not 1 (in a moment build, for any Q).  The self-dual factor
-L (L(z^2)^j - 1) records a combination of monomials over the pairs of L and
-L(z^2); its passes walk both.
+truncation effective.  x_j, y_j and d_j are 1, a fixed series, a running
+power first * step^{j-1} (a ``Power``, a value), a sum of these, or a
+callable (j, room) such as exp(jz) or 1/(1 - z^j).  A build expands
+d (x - y)^alpha once into signed running powers, one per step, their firsts
+and steps multiplied at full order, and each j advances every power by one
+product by its step: the Fishburn factor L (L^j - 1)^2 is
+L^3 (L^2)^{j-1} - 2L^2 L^{j-1} + L, two products per j.  A callable x_j or
+y_j leaves the factor to its products; a callable d_j multiplies the sum.
+The same statement gives the first-order asymptotic form
+(``asymptotics.named_form`` and ``family_form`` read it from ``parts`` at
+j = 1, 2), so each catalogued instance, family sum and statistic sum is
+written once, in ``_CATALOG``, ``_family_sum`` or ``_stat_sum``; a marked
+atom B is the first of a running power, B L^{j-1} = ``Power(B, L)``.  Besides
+``GeneralSum.series``, ``_paired_sum`` calls ``sum_product``, for the
+A035378 sum and its two rewritings in ``identities``, where the second
+routes of the identities live.  Every fixed rational factor (a weight
+series, 1 +- z, 1/(1 -+ z^j)) is one ``_rational_series(P, Q, order)``, which
+records that it is (P/Q)^1; the running powers carry that record, so a
+factor reaches ``sum_product`` as a combination of monomials in its weight
+series, and the kernel may multiply by it in passes (see ``series``).
 
 The statistic sums are the family sums with marked atoms in place of the
 weight series L, in the factors or in the running powers (``_stat_sum``).
@@ -65,10 +62,10 @@ from __future__ import annotations
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, wraps
-from itertools import accumulate, islice
+from functools import lru_cache, reduce, wraps
+from itertools import accumulate, islice, product, repeat
 from math import factorial
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Callable, Optional
 
 from .series import (
@@ -293,18 +290,12 @@ def lambda_series(spec: LambdaSpec, order: int) -> TruncatedSeries:
 # Running powers and the general sum
 # ---------------------------------------------------------------------------
 
-def _powers(first: TruncatedSeries, step: TruncatedSeries):
-    """(j, room) -> first * step^(j-1), truncated at `room`, for j = 1, 2, ...
-    in turn; `room` must not grow from call to call (sum_product guarantees
-    it).  A call with j = 1 starts the running power afresh."""
-    p = None
+@dataclass(frozen=True)
+class Power:
+    """first * step^(j-1) at j = 1, 2, ...: a running power, as a value."""
 
-    def power(j, room):
-        nonlocal p
-        p = first.truncate(room) if j == 1 else p.truncate(room) * step.truncate(room)
-        return p
-
-    return power
+    first: TruncatedSeries
+    step: TruncatedSeries
 
 
 @dataclass(frozen=True)
@@ -312,10 +303,11 @@ class GeneralSum:
     """prefactor * sum_k prod_{1<=j<=k} d_j (x_j - y_j)^alpha: one instance of
     the paper's sum, stated by its arguments (see the module docstring).
 
-    x, y and d are each 1 (None), a fixed series, or a callable (j, room) ->
-    series; the prefactor is 1 (None) or a series, and alpha >= 1.  A callable
-    may hold a running power (``_powers``), so its factors are read for
-    j = 1, 2, ... in turn, by ``series`` or by ``parts``.
+    x, y and d are each 1 (None), a fixed series, a running power
+    (``Power``), a tuple of these read as their sum, or a callable (j, room)
+    -> series; the prefactor is 1 (None) or a series, and alpha >= 1.  The
+    instance holds no state: ``parts`` reads any j, and each ``factors``
+    call starts the running powers of one build.
     """
 
     x: object = None
@@ -328,35 +320,89 @@ class GeneralSum:
         """(d_j or None, x_j, y_j), truncated at `room`; a missing x_j or y_j
         is 1."""
         def at(t):
+            if isinstance(t, tuple):
+                return reduce(add, map(at, t))
+            if isinstance(t, Power):
+                p = t.first.truncate(room)
+                return p if j == 1 else p * t.step.truncate(room).pow(j - 1)
             return TruncatedSeries.one(room) if t is None else (
                 t(j, room) if callable(t) else t.truncate(room))
 
         return (None if self.d is None else at(self.d)), at(self.x), at(self.y)
 
+    def factors(self, order: int):
+        """(j, room) -> d_j (x_j - y_j)^alpha at `room`, for j = 1, 2, ... in
+        turn at a room that never grows: one build's running powers.  Under a
+        modulus a sum other than one term minus another is reduced, as a
+        product leaves it, so the kernel reads the product form's widths."""
+        if callable(self.x) or callable(self.y):
+            def factor(j, room):
+                d, x, y = self.parts(j, room)
+                f = _power(x - y, self.alpha, None)  # alpha >= 1 never needs the unit
+                return f if d is None else d * f
+            return factor
+        one = TruncatedSeries.one(order)
+
+        def terms_of(t, c):  # c t as terms (c, first, step), None for 1; a tuple is a sum
+            return [(c, u.first, u.step) if isinstance(u, Power) else (c, u, None)
+                    for u in (t if isinstance(t, tuple) else (t,))]
+
+        made = {}  # (id(a), id(b)) -> (a, b, a * b): each product of two firsts or steps once
+
+        def times(a, b):  # a * b at `order`, None for 1
+            if a is None or b is None:
+                return b if a is None else a
+            if (id(a), id(b)) not in made:
+                made[id(a), id(b)] = a, b, a.truncate(order) * b.truncate(order)
+            return made[id(a), id(b)][2]
+
+        def expand(us, vs):  # the terms of us * vs, one per step, the first sign kept
+            steps = {}
+            for (c, f, s), (e, g, t) in product(us, vs):
+                c, f, s = c * e, times(f, g), times(s, t)
+                if id(s) in steps:
+                    c0, f0, _ = steps[id(s)]
+                    c, f = c0, (add if c == c0 else sub)(f0 or one, f or one)
+                steps[id(s)] = c, f, s
+            return list(steps.values())
+
+        u = terms = expand([(1, None, None)], terms_of(self.x, 1) + terms_of(self.y, -1))
+        for v in [u] * (self.alpha - 1) + ([] if callable(self.d) else [terms_of(self.d, 1)]):
+            terms = expand(terms, v)
+        running = [None] * len(terms)
+
+        def factor(j, room):
+            f = None  # x's first term comes first, and is positive
+            for i, (c, first, step) in enumerate(terms):
+                p = running[i] = (running[i].truncate(room) * step.truncate(room)
+                                  if j > 1 and step is not None else (first or one).truncate(room))
+                f = p if f is None else (f + p if c > 0 else f - p)
+            if f.mod is not None and (len(terms) > 2 or self.d is not None or self.alpha > 1):
+                out = TruncatedSeries([v & f.mod.mask for v in f.coeffs], room, f.mod)
+                out._record, f = f._record, out
+            return self.d(j, room) * f if callable(self.d) else f
+
+        return factor
+
     def series(self, order: int):
         """The sum truncated at `order`."""
-        def factor(j, room):
-            d, x, y = self.parts(j, room)
-            f = _power(x - y, self.alpha, None)  # alpha >= 1 never needs the unit
-            return f if d is None else d * f
-
-        s = sum_product(factor, order)
+        s = sum_product(self.factors(order), order)
         return s if self.prefactor is None else self.prefactor * s
 
 
 def _row_sum(L: TruncatedSeries) -> GeneralSum:
     """sum_k prod_{1<=j<=k} (L^j - 1)."""
-    return GeneralSum(_powers(L, L))
+    return GeneralSum(Power(L, L))
 
 
 def _andrews_sum(L: TruncatedSeries) -> GeneralSum:
     """L * sum_k prod_{1<=j<=k} [L (L^j - 1)^2]."""
-    return GeneralSum(_powers(L, L), d=L, alpha=2, prefactor=L)
+    return GeneralSum(Power(L, L), d=L, alpha=2, prefactor=L)
 
 
 def _self_dual_sum(L: TruncatedSeries, L2: TruncatedSeries) -> GeneralSum:
     """L * sum_k prod_{1<=j<=k} [L (L2^j - 1)]."""
-    return GeneralSum(_powers(L2, L2), d=L, prefactor=L)
+    return GeneralSum(Power(L2, L2), d=L, prefactor=L)
 
 
 def _family_sum(family: str, L: TruncatedSeries) -> GeneralSum:
@@ -509,16 +555,15 @@ def _stat_sum(family: str, stat: str, spec: LambdaSpec, order: int,
     B, L = atom(), _weight_series(spec, order, marker)
     if family == "self-dual":
         A = atom("size-sq" if stat == "first_row" else "size-double")
-        return GeneralSum(_powers(A, L.substitute_power(2)), d=L, prefactor=B)
+        return GeneralSum(Power(A, L.substitute_power(2)), d=L, prefactor=B)
     if family == "row-fishburn":
         if stat == "first_row":
-            return GeneralSum(_powers(L, L), d=B, prefactor=B)
-        return GeneralSum(_powers(B, L))
+            return GeneralSum(Power(L, L), d=B, prefactor=B)
+        return GeneralSum(Power(B, L))
     if stat == "diagonal":
-        return GeneralSum(_powers(B, L), d=L, alpha=2, prefactor=B)
-    marked = _powers(B * L, L)  # B L^j
-    return GeneralSum(_powers(L, L), d=lambda j, room: marked(j, room) - L.truncate(room),
-                      prefactor=B)
+        return GeneralSum(Power(B, L), d=L, alpha=2, prefactor=B)
+    L2 = L * L  # (B L^j - L)(L^j - 1) = (B L^{2j} + L) - (B L^j + L^{j+1})
+    return GeneralSum((Power(B * L2, L2), L), (Power(B * L, L), Power(L2, L)), prefactor=B)
 
 
 def stat_gf(family: str, stat: str, spec: LambdaSpec, order: int,
@@ -666,13 +711,17 @@ def _paired_sum(w: TruncatedSeries, pair, prefactor, order: int) -> TruncatedSer
     for a weight w whose odd-index factors have a nonzero constant term.
     pair(a, b) takes the powers at the running product's room and must have
     valuation >= 1; prefactor(p) takes p = w^{2K+1} at `order`."""
-    odd_power = _powers(w, w * w)
-    power = _powers(w, w)
+    odd = accumulate(repeat(w * w), mul, initial=w)  # w^{2K+1} for K = 0, 1, ...
+    even = None  # w^{2i-2}, the pair before's
 
     def factor(i, room):
-        return pair(power(2 * i - 1, room), power(2 * i, room))
+        nonlocal even
+        wr = w.truncate(room)
+        odd_i = wr if even is None else even.truncate(room) * wr
+        even = odd_i * wr
+        return pair(odd_i, even)
 
-    return sum_product(factor, order, dpart=lambda K: prefactor(odd_power(K + 1, order)))
+    return sum_product(factor, order, dpart=lambda K: prefactor(next(odd)))
 
 
 def _variant_A035378(order: int) -> TruncatedSeries:
@@ -742,8 +791,8 @@ def labeled_profile(n: int) -> tuple:
     """
     _check_budget(n)
     t = next(islice(_stirling_rows(), n, None))
-    s = _row_sum(lambda_series(ALL, n))
-    factors = (x - y for _, x, y in (s.parts(k, n) for k in range(1, n + 1)))
+    factor = _row_sum(lambda_series(ALL, n)).factors(n)
+    factors = (factor(k, n) for k in range(1, n + 1))
     products = accumulate(factors, mul, initial=TruncatedSeries.one(n))
     return tuple(sum(map(mul, p.coeffs, t)) for p in products)
 
@@ -836,9 +885,9 @@ def _instance(instance: Callable[[int], GeneralSum], **kw) -> NamedEntry:
 
 
 def _base_powers(pq: tuple, order: int, first: int, step: int):
-    """(j, room) -> (P/Q)^(step (j-1) + first) for pq = (P, Q), as ``_powers``."""
+    """(P/Q)^(step (j-1) + first) for pq = (P, Q), as a ``Power``."""
     base = _rational_series(*pq, order)
-    return _powers(base.pow(first), base.pow(step))
+    return Power(base.pow(first), base.pow(step))
 
 
 _CATALOG: dict = {

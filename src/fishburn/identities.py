@@ -32,6 +32,7 @@ from .families import (
     PRIMITIVE,
     GeneralSum,
     LambdaSpec,
+    Power,
     family_gf,
     lambda_atom,
     lambda_series,
@@ -45,7 +46,6 @@ from .families import (
     _exps,
     _inverse_binomials,
     _paired_sum,
-    _powers,
     _require_count,
 )
 
@@ -97,7 +97,7 @@ def _merge(name: str, parts: Sequence[IdentityReport]) -> IdentityReport:
 def _direct_sum(L: TruncatedSeries) -> GeneralSum:
     """sum_k prod_{1<=j<=k} (1 - L^{-j})."""
     Li = L.inv()
-    return GeneralSum(y=_powers(Li, Li))
+    return GeneralSum(y=Power(Li, Li))
 
 
 def _direct_family(spec: LambdaSpec, order: int) -> TruncatedSeries:
@@ -119,9 +119,9 @@ def _direct_stat(stat: str, spec: LambdaSpec, order: int,
     B = lambda_atom(spec, order, marker, "size")
     Li = lambda_series(spec, order).inv()
     if stat == "first_row":
-        return GeneralSum(y=_powers(B.inv(), Li)).series(order)
+        return GeneralSum(y=Power(B.inv(), Li)).series(order)
     bm1 = B - TruncatedSeries.one(order)
-    return B + (bm1 * bm1) * GeneralSum(B, y=_powers(Li, Li)).series(order)
+    return B + (bm1 * bm1) * GeneralSum(B, y=Power(Li, Li)).series(order)
 
 
 def verify_andrews_jelinek(spec: LambdaSpec, order: int) -> IdentityReport:
@@ -146,7 +146,7 @@ def _variant_A207557_rf(order: int) -> TruncatedSeries:
     m = order + 1
     opz = _rational_series(*_ONE_PLUS_Z, m)
     opz_sq = opz * opz
-    power = _powers(opz, opz_sq)  # (1+z)^{2j-1}
+    power = Power(opz, opz_sq)  # (1+z)^{2j-1}
     s = GeneralSum(power, d=opz_sq, alpha=2, prefactor=opz).series(m) - opz  # k >= 1 only
     return TruncatedSeries.one(order) + s.shift_down(1)
 
@@ -275,7 +275,7 @@ def _r_quotient(order: int) -> TruncatedSeries:
 def _r_at_one_minus(order: int) -> TruncatedSeries:
     """R(1-z) via 1 + (1-z) sum_k prod_j ((1-z)^{j+1} - (1-z))."""
     omz = _rational_series(*_ONE_MINUS_Z, order)
-    x = _powers(omz * omz, omz)  # (1-z)^{j+1}
+    x = Power(omz * omz, omz)  # (1-z)^{j+1}
     return TruncatedSeries.one(order) + GeneralSum(x, y=omz, prefactor=omz).series(order)
 
 

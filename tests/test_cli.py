@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fishburn import checks
+from fishburn import checks, cli
 from fishburn.cli import build_parser, main
 from fishburn.families import ALL, LambdaSpec, family_series
 from fishburn.saddle import BoundReport
@@ -452,6 +453,31 @@ class TestPlumbing:
         assert out == ""
         assert err.startswith(f"error: cannot write {path}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["directory", "missing-parent", "read-only-parent"])
+    def test_unwritable_output_is_refused_before_the_work(self, where, capsys, monkeypatch,
+                                                          tmp_path):
+        # the battery takes seconds; the path is checked before it starts
+        path = tmp_path if where == "directory" else tmp_path / "missing" / "out.txt"
+        if where == "read-only-parent":  # as root every directory is writable
+            path = tmp_path / "out.txt"
+            monkeypatch.setattr(cli.os, "access", lambda p, mode: False)
+        start = time.perf_counter()
+        code, out, err = run(["verify", "--output", str(path)], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write {path}: " + {
+            "directory": "Is a directory", "missing-parent": "No such file or directory",
+            "read-only-parent": "Permission denied"}[where] + "\n"
+        assert not path.is_file()
+
+    def test_output_check_leaves_the_file(self, capsys, tmp_path):
+        # the order is refused after the path was checked; the file is untouched
+        path = tmp_path / "counts.txt"
+        path.write_text("kept", encoding="utf-8")
+        code, _, err = run(["enumerate", "--n-max", "501", "--output", str(path)], capsys)
+        assert code == 2 and "budget" in err
+        assert path.read_text(encoding="utf-8") == "kept"
 
     def test_help_mentions_lambda_grammar(self, capsys):
         code, out, _ = run(["--help"], capsys)

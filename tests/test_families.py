@@ -429,8 +429,70 @@ class TestStatSeries:
         assert g[3] == (0, 8, 3, 1)
 
 
+def _product_route(s):
+    """The factors of the general sum s as products, the reference for its
+    expansion: factor(j, room) = d_j (x_j - y_j)^alpha, each running power
+    advanced by one product per j, read for j = 1, 2, ... in turn."""
+    def read(t):
+        if isinstance(t, tuple):
+            parts = [read(u) for u in t]
+            return lambda j, room: sum((f(j, room) for f in parts[1:]), parts[0](j, room))
+        if isinstance(t, families.Power):
+            held = []
+
+            def power(j, room):
+                held[:] = [t.first.truncate(room) if j == 1 else
+                           held[0].truncate(room) * t.step.truncate(room)]
+                return held[0]
+            return power
+        return lambda j, room: TruncatedSeries.one(room) if t is None else t.truncate(room)
+
+    x, y, d = read(s.x), read(s.y), None if s.d is None else read(s.d)
+
+    def factor(j, room):
+        f = series._power(x(j, room) - y(j, room), s.alpha, None)
+        return f if d is None else d(j, room) * f
+    return factor
+
+
+def _record_series(s) -> list:
+    """The coefficients that the record of s expands to, at its order and
+    reduced by its modulus."""
+    pairs, terms = s._record
+    out = TruncatedSeries.zero(s.order)
+    for e, c in terms:
+        t = TruncatedSeries.constant(c, s.order)
+        for (P, Q), k in zip(pairs, e):
+            t = t * series._rational_series(P, Q, s.order).pow(k)
+        out = out + t
+    return [c & (-1 if s.mod is None else s.mod.mask) for c in out.coeffs]
+
+
+def _product_series(s, order):
+    out = series.sum_product(_product_route(s), order)
+    return out if s.prefactor is None else s.prefactor * out
+
+
+@st.composite
+def general_sums(draw):
+    """(GeneralSum, order): x and y each a Power, a fixed series or None, d a
+    Power, a sum of powers or None, over a weight series and its atoms with
+    exact coefficients or under a moment modulus."""
+    order = draw(st.integers(min_value=0, max_value=16))
+    spec = draw(st.sampled_from([ALL, PRIMITIVE, LambdaSpec("odd"), LambdaSpec.parse("1,2,1")]))
+    marker = draw(st.sampled_from([eval_marker(3), moment_marker(6)]))
+    pool = st.sampled_from([families._weight_series(spec, order, marker)] + [
+        lambda_atom(spec, order, marker, kind) for kind in ("size", "size-sq", "twos")])
+    power = st.builds(families.Power, pool, pool)
+    x, y = (draw(st.one_of(st.none(), pool, power)) for _ in "xy")
+    d = draw(st.one_of(st.none(), power, st.tuples(power, st.one_of(pool, power))))
+    alpha = draw(st.integers(min_value=1, max_value=3))
+    prefactor = draw(st.one_of(st.none(), pool))
+    return families.GeneralSum(x, y, d, alpha, prefactor), order
+
+
 class TestGeneralSum:
-    """A running power restarts at j = 1, so one instance builds again."""
+    """A GeneralSum holds no state: its running powers live in one build."""
 
     def test_an_instance_builds_twice(self):
         L = lambda_series(ALL, 10)
@@ -444,6 +506,42 @@ class TestGeneralSum:
     def test_a_statistic_sum_builds_twice(self, family, stat):
         s = families._stat_sum(family, stat, ALL, 12, eval_marker(3))
         assert s.series(12) == s.series(12)
+
+    @given(general_sums())
+    @settings(max_examples=300, deadline=None)
+    def test_the_expansion_equals_the_product_form(self, case):
+        s, order = case
+        got, want = s.series(order), _product_series(s, order)
+        assert got.coeffs == want.coeffs and got.mod == want.mod
+        assert list(map(type, got.coeffs)) == list(map(type, want.coeffs))
+        assert s.series(order) == got
+        # each factor: the same coefficients, reduced alike unless x and y
+        # share their step (their running powers then merge into one, which a
+        # product reduces), and a record that expands to them, as the
+        # reference's does; the records differ only where a product drops the
+        # terms of a power truncated to zero
+        factor, reference = s.factors(order), _product_route(s)
+        mask = -1 if got.mod is None else got.mod.mask
+        shared = isinstance(s.x, families.Power) and isinstance(s.y, families.Power) and (
+            s.x.step is s.y.step)
+        for j in range(1, 5):
+            f, g = factor(j, order), reference(j, order)
+            assert f.coeffs == g.coeffs or shared and [c & mask for c in f.coeffs] == [
+                c & mask for c in g.coeffs]
+            assert (f._record is None) == (g._record is None)
+            assert f._record == g._record or _record_series(f) == [c & mask for c in f.coeffs]
+
+    @pytest.mark.parametrize("family,stat", [(family, None) for family in FAMILY_STATS] + [
+        (family, stat) for family, stats in FAMILY_STATS.items() for stat in stats])
+    def test_parts_read_any_j_first(self, family, stat):
+        marker = eval_marker(3)
+        s = (families._family_sum(family, lambda_series(ALL, 12)) if stat is None
+             else families._stat_sum(family, stat, ALL, 12, marker))
+        d, x, y = s.parts(2, 9)
+        f = series._power(x - y, s.alpha, None)
+        reference = _product_route(s)
+        reference(1, 12)
+        assert (f if d is None else d * f) == reference(2, 9)
 
 
 STAT_CASES = [
@@ -592,24 +690,26 @@ class TestOrderZero:
 # stat_profile entries were recorded when profiles became one build at
 # v = 2^K; a builder that needs more has started to carry a marked running
 # power.  A207386 and A207397 build their base (1+z)/(1+z^k) as one rational
-# series, with no product.
+# series, with no product.  The family, statistic and A207557 entries were
+# lowered when each factor became a sum of running powers, one product per
+# step and j.
 MUL_PRODUCTS = {
     ("family_gf", "row-fishburn", "all"): 119,
     ("family_gf", "row-fishburn", "01"): 119,
     ("family_gf", "row-fishburn", "even+"): 59,
-    ("family_gf", "fishburn", "all"): 120,
-    ("family_gf", "fishburn", "01"): 120,
-    ("family_gf", "fishburn", "even+"): 60,
-    ("family_gf", "self-dual", "all"): 90,
-    ("family_gf", "self-dual", "01"): 90,
-    ("family_gf", "self-dual", "even+"): 45,
+    ("family_gf", "fishburn", "all"): 92,
+    ("family_gf", "fishburn", "01"): 92,
+    ("family_gf", "fishburn", "even+"): 47,
+    ("family_gf", "self-dual", "all"): 61,
+    ("family_gf", "self-dual", "01"): 61,
+    ("family_gf", "self-dual", "even+"): 31,
     ("route", "_variant_A158690_form2"): 30,
     ("route", "_variant_A158690_form3"): 31,
     ("route", "_variant_A158690_form4"): 46,
     ("route", "_variant_A158690_form5"): 31,
     ("route", "_variant_A035378_inverted"): 168,
     ("route", "_variant_A035378_paired"): 168,
-    ("route", "_variant_A207557_rf"): 65,
+    ("route", "_variant_A207557_rf"): 52,
     ("route", "_variant_A079144_completed"): 46,
     ("route", "_r_at_exp_neg"): 31,
     ("route", "_r_at_one_minus"): 61,
@@ -631,17 +731,17 @@ MUL_PRODUCTS = {
     ("named_gf", "A215066"): 30,
     ("named_gf", "A209832"): 31,
     ("named_gf", "A214687"): 30,
-    ("stat_profile", "row-fishburn", "first_row"): 90,
-    ("stat_profile", "row-fishburn", "diagonal"): 89,
+    ("stat_profile", "row-fishburn", "first_row"): 61,
+    ("stat_profile", "row-fishburn", "diagonal"): 59,
     ("stat_profile", "row-fishburn", "ones"): 59,
     ("stat_profile", "row-fishburn", "twos"): 59,
-    ("stat_profile", "fishburn", "first_row"): 76,
-    ("stat_profile", "fishburn", "diagonal"): 75,
-    ("stat_profile", "fishburn", "ones"): 60,
-    ("stat_profile", "fishburn", "twos"): 60,
-    ("stat_profile", "self-dual", "first_row"): 60,
-    ("stat_profile", "self-dual", "diagonal"): 60,
-    ("stat_profile", "self-dual", "ones"): 45,
+    ("stat_profile", "fishburn", "first_row"): 47,
+    ("stat_profile", "fishburn", "diagonal"): 48,
+    ("stat_profile", "fishburn", "ones"): 47,
+    ("stat_profile", "fishburn", "twos"): 47,
+    ("stat_profile", "self-dual", "first_row"): 31,
+    ("stat_profile", "self-dual", "diagonal"): 31,
+    ("stat_profile", "self-dual", "ones"): 31,
 }
 
 
