@@ -347,19 +347,14 @@ class GeneralSum:
             return [(c, u.first, u.step) if isinstance(u, Power) else (c, u, None)
                     for u in (t if isinstance(t, tuple) else (t,))]
 
-        made = {}  # (id(a), id(b)) -> (a, b, a * b): each product of two firsts or steps once
-
         def times(a, b):  # a * b at `order`, None for 1
-            if a is None or b is None:
-                return b if a is None else a
-            if (id(a), id(b)) not in made:
-                made[id(a), id(b)] = a, b, a.truncate(order) * b.truncate(order)
-            return made[id(a), id(b)][2]
+            return b if a is None else a if b is None else a.truncate(order) * b.truncate(order)
 
         def expand(us, vs):  # the terms of us * vs, one per step, the first sign kept
             steps = {}
             for (c, f, s), (e, g, t) in product(us, vs):
-                c, f, s = c * e, times(f, g), times(s, t)
+                fg = times(f, g)  # a power of a Power whose first is its step: one product
+                c, f, s = c * e, fg, fg if f is s and g is t else times(s, t)
                 if id(s) in steps:
                     c0, f0, _ = steps[id(s)]
                     c, f = c0, (add if c == c0 else sub)(f0 or one, f or one)
