@@ -9,9 +9,11 @@ Two commands:
 The first imports ``fishburn`` from the source directory SRC (for example
 ``src`` of a checkout) and pickles, for every builder case, either the value
 with the type of each coefficient or the error's type and message, together
-with the number of ``_mul_into`` calls the case made and the number of
-``_mul_record`` calls, the products that ran as passes, so that a moved
-choice between passes and dot products shows by itself.
+with three counts of the case: its ``_mul_into`` calls, its ``_mul_record``
+calls (the products that ran as passes), so that a moved choice between
+passes and dot products shows by itself, and the record term pairs its
+``_combo_mul`` calls multiplied (sum |x| |y|), so that a product that
+drags a growing record shows even when the product and pass counts stay.
 The builder cases make the same builds in both trees of a comparison: the
 catalog ids go through ``named_gf``, each route of ``IDENTITY_ROUTES`` is
 built from ``fishburn.identities``, and so are the direct forms of the
@@ -56,13 +58,13 @@ in the last bits of a 60-digit evaluation does not count as a difference.
 
 The second loads two snapshots written by this script and prints each case
 whose value, coefficient types or error differ, then each case whose product
-or pass counts differ, then a summary: the number of cases of each kind, the
-number whose ``_mul_into`` count rose, the number whose ``_mul_record``
-count fell, and each side's ``_mul_into`` and
-``_mul_record`` counts summed over its cases.  It exits 1 when a value, a
-type or an error differs (or a case is missing on one side) and 0
-otherwise; product and pass counts are reported but do not change the exit
-status.
+or pass counts differ, then each case whose record term pairs rose, then a
+summary: the number of cases of each kind, the number whose ``_mul_into``
+count rose, the number whose ``_mul_record`` count fell, the number whose
+record term pairs rose, and each side's three counts summed over its cases.
+It exits 1 when a value, a type or an error differs (or a case is missing on
+one side) and 0 otherwise; the counts are reported but do not change the
+exit status.
 """
 
 import argparse
@@ -379,6 +381,13 @@ def snapshot(src: str) -> dict:
             return _kernel(*args)
 
         setattr(series, name, counting)
+    combo_mul = series._combo_mul
+
+    def counting_pairs(x, y):
+        counts["_combo_mul"] += len(x) * len(y)
+        return combo_mul(x, y)
+
+    series._combo_mul = counting_pairs
     caches = [v for v in vars(families).values() if hasattr(v, "cache_clear")]
 
     out = {}
@@ -398,7 +407,8 @@ def snapshot(src: str) -> dict:
                 result = ("error", type(exc).__name__, str(exc))
             if label in out:
                 raise RuntimeError(f"duplicate case label {label!r}")
-            out[label] = (result, counts["_mul_into"], counts["_mul_record"])
+            out[label] = (result, counts["_mul_into"], counts["_mul_record"],
+                          counts["_combo_mul"])
     return out
 
 
@@ -411,20 +421,25 @@ def compare(a: dict, b: dict) -> int:
         elif a[label][0] != b[label][0]:
             print(f"differs: {label}")
             differ += 1
+    both = sorted(set(a) & set(b))
     counts = 0
-    for label in sorted(set(a) & set(b)):
-        if a[label][1:] != b[label][1:]:
-            print(f"products (_mul_into, _mul_record) {a[label][1:]} -> "
-                  f"{b[label][1:]}: {label}")
+    for label in both:
+        if a[label][1:3] != b[label][1:3]:
+            print(f"products (_mul_into, _mul_record) {a[label][1:3]} -> "
+                  f"{b[label][1:3]}: {label}")
             counts += 1
-    rose = sum(b[label][1] > a[label][1] for label in set(a) & set(b))
-    fell = sum(b[label][2] < a[label][2] for label in set(a) & set(b))
-    a_sums, b_sums = (tuple(sum(c[i] for c in snap.values()) for i in (1, 2))
+    for label in both:
+        if b[label][3] > a[label][3]:
+            print(f"record term pairs {a[label][3]} -> {b[label][3]}: {label}")
+    rose = sum(b[label][1] > a[label][1] for label in both)
+    fell = sum(b[label][2] < a[label][2] for label in both)
+    pairs_rose = sum(b[label][3] > a[label][3] for label in both)
+    a_sums, b_sums = (tuple(sum(c[i] for c in snap.values()) for i in (1, 2, 3))
                       for snap in (a, b))
     print(f"{len(set(a) | set(b))} cases: {differ} differ in value, type or error; "
           f"{counts} differ in product or pass counts, {rose} make more products, "
-          f"{fell} take fewer passes; "
-          f"summed (_mul_into, _mul_record) {a_sums} -> {b_sums}")
+          f"{fell} take fewer passes, {pairs_rose} multiply more record term pairs; "
+          f"summed (_mul_into, _mul_record, record term pairs) {a_sums} -> {b_sums}")
     return 1 if differ else 0
 
 

@@ -23,14 +23,14 @@ The same statement gives the first-order asymptotic form
 (``asymptotics.named_form`` and ``family_form`` read it from ``parts`` at
 j = 1, 2), so each catalogued instance, family sum and statistic sum is
 written once, in ``_CATALOG``, ``_family_sum`` or ``_stat_sum``; a marked
-atom B is the first of a running power, B L^{j-1} = ``Power(B, L)``.  Besides
-``GeneralSum.series``, ``_paired_sum`` calls ``sum_product``, for the
-A035378 sum and its two rewritings in ``identities``, where the second
-routes of the identities live.  Every fixed rational factor (a weight
-series, 1 +- z, 1/(1 -+ z^j)) is one ``_rational_series(P, Q, order)``, which
-records that it is (P/Q)^1; the running powers carry that record, so a
-factor reaches ``sum_product`` as a combination of monomials in its weight
-series, and the kernel may multiply by it in passes (see ``series``).
+atom B is the first of a running power, B L^{j-1} = ``Power(B, L)``.  The
+A035378 pairing (``_paired_sum``) and ``labeled_profile`` read each partial
+product of the kernel's one loop, ``series._partial_products``.  Every fixed
+rational factor (a weight series, 1 +- z, 1/(1 -+ z^j)) is one
+``_rational_series(P, Q, order)``, which records that it is (P/Q)^1; the
+running powers carry that record, so a factor reaches the kernel as a
+combination of monomials in its weight series, and the kernel may multiply
+by it in passes (see ``series``).
 
 The statistic sums are the family sums with marked atoms in place of the
 weight series L, in the factors or in the running powers (``_stat_sum``).
@@ -63,7 +63,7 @@ from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce, wraps
-from itertools import accumulate, islice, product, repeat
+from itertools import islice, product
 from math import factorial
 from operator import add, mul, sub
 from typing import Callable, Optional
@@ -72,6 +72,7 @@ from .series import (
     Marker,
     TruncatedSeries,
     _as_int,
+    _partial_products,
     _power,
     _rational_series,
     _stretch,
@@ -705,18 +706,18 @@ def _paired_sum(w: TruncatedSeries, pair, prefactor, order: int) -> TruncatedSer
     truncated at `order`: a sum over k with its terms k = 2K, 2K+1 paired,
     for a weight w whose odd-index factors have a nonzero constant term.
     pair(a, b) takes the powers at the running product's room and must have
-    valuation >= 1; prefactor(p) takes p = w^{2K+1} at `order`."""
-    odd = accumulate(repeat(w * w), mul, initial=w)  # w^{2K+1} for K = 0, 1, ...
-    even = None  # w^{2i-2}, the pair before's
+    valuation >= 1; prefactor(p) takes p = w^{2K+1} at `order`.  Each power
+    of w is made once, at `order`, and the K = 0 term is the bare prefactor."""
+    @lru_cache(maxsize=None)
+    def power(m):  # asked for in increasing m, so each step recurses once
+        return w if m == 1 else power(m - 1) * w
 
     def factor(i, room):
-        nonlocal even
-        wr = w.truncate(room)
-        odd_i = wr if even is None else even.truncate(room) * wr
-        even = odd_i * wr
-        return pair(odd_i, even)
+        return pair(power(2 * i - 1).truncate(room), power(2 * i).truncate(room))
 
-    return sum_product(factor, order, dpart=lambda K: prefactor(next(odd)))
+    terms = (prefactor(power(2 * K + 1)) * p if K else prefactor(w)
+             for K, p in enumerate(_partial_products(factor, order)))
+    return sum(terms, next(terms))
 
 
 def _variant_A035378(order: int) -> TruncatedSeries:
@@ -780,15 +781,13 @@ def labeled_profile(n: int) -> tuple:
     k = 0..n, integers that sum to ``labeled_numbers(n)[n]``.
 
     At x = 1 - e^{-z} the k-th partial product is the row-Fishburn sum's
-    prod_{j<=k} (L^j - 1) over all entry values, so entry k is the dot
-    product of its x-coefficients with the Stirling row t(n, .), as in
-    ``labeled_numbers``.
+    prod_{j<=k} (L^j - 1) over all entry values (``_partial_products``), so
+    entry k is the dot product of its x-coefficients with the Stirling row
+    t(n, .), as in ``labeled_numbers``.
     """
     _check_budget(n)
     t = next(islice(_stirling_rows(), n, None))
-    factor = _row_sum(lambda_series(ALL, n)).factors(n)
-    factors = (factor(k, n) for k in range(1, n + 1))
-    products = accumulate(factors, mul, initial=TruncatedSeries.one(n))
+    products = _partial_products(_row_sum(lambda_series(ALL, n)).factors(n), n)
     return tuple(sum(map(mul, p.coeffs, t)) for p in products)
 
 

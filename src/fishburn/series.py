@@ -49,9 +49,10 @@ L (L^j - 1)^2 = L^{2j+1} - 2 L^{j+1} + L over L; the self-dual factor
 L (L(z^2)^j - 1) over L and L(z^2); and, at v = c, where a marked atom
 such as B = L(cz) is itself a rational series, the statistic factors,
 such as fishburn/first_row's L (B L^{j-1} - 1)(L^j - 1) =
-B L^{2j} - B L^j - L^{j+1} + L over L and B.  ``sum_product``'s running
-product carries no record: its record would grow at every step, and past
-the second step its factor always passes more cheaply.
+B L^{2j} - B L^j - L^{j+1} + L over L and B.  The one loop that makes
+running products, ``_partial_products``, gives them no record: a record
+would grow at every step, and past the second step the factor passes more
+cheaply.
 
 A product by such a series may run as passes: a running copy of the other
 factor is multiplied by P_i and divided by Q_i once per unit step of e_i,
@@ -932,29 +933,23 @@ def moment_marker(bits: int, depth: int = 2) -> Marker:
 # The sum-of-finite-products kernel
 # ---------------------------------------------------------------------------
 
-def sum_product(factor, order: int, dpart=None):
-    """Sum over k >= 0 of dpart(k) * prod_{1<=j<=k} factor(j), truncated.
+def _partial_products(factor, order: int):
+    """prod_{1<=j<=k} factor(j) at `order`, for k = 0 (the 1), 1, 2, ... while
+    it reaches the window; no product carries a record.
 
-    factor(j, m) must return the j-th factor as a series of order m (m shrinks
-    as the running product's valuation climbs -- returning a full-order series
-    is always allowed).  Every factor must have valuation >= 1; that makes the
-    running product's valuation strictly increasing, so the loop provably
-    stops by k = order+1.  dpart(k), when given, is the k-dependent prefactor
-    (think d(z)^{k+omega0}) at full order with nonzero constant term.
-
-    The first factor is always requested, as factor(1, order), even when
-    order is 0; its modulus, if any, is the result's.
+    factor(j, m) returns the j-th factor at order m, which shrinks as the
+    running product's valuation climbs (a full-order series is always
+    allowed), with valuation >= 1, so the loop stops by k = order + 1.
+    factor(1, order) is requested first, even at order 0; its modulus, if
+    any, is every product's.
     """
     first = factor(1, order)
-    one = TruncatedSeries([1], order, first.mod)  # no record: the running product keeps none
-    acc = one if dpart is None else dpart(0)
-    prod = one
-    k = 0
-    while True:
-        k += 1
+    prod = TruncatedSeries([1], order, first.mod)  # not one(order), which has a record
+    yield prod
+    for k in count(1):
         room = order - prod.valuation()
         if room < 1:
-            break
+            return
         f = first if k == 1 else factor(k, room)
         if f.valuation() < 1:
             raise ValueError(
@@ -962,9 +957,13 @@ def sum_product(factor, order: int, dpart=None):
             )
         prod = _mul_into(prod, f, order)
         if prod.valuation() > order:
-            break
-        term = prod if dpart is None else dpart(k) * prod
-        acc = acc + term
+            return
+        yield prod
         if k > order + 1:  # pragma: no cover - guarded by the valuation argument
             raise RuntimeError("sum-of-products failed to terminate")
-    return acc
+
+
+def sum_product(factor, order: int) -> TruncatedSeries:
+    """Sum over k >= 0 of the ``_partial_products`` prod_{1<=j<=k} factor(j)."""
+    products = _partial_products(factor, order)
+    return sum(products, next(products))  # frees each partial sum at once, unlike reduce

@@ -692,7 +692,8 @@ class TestOrderZero:
 # power.  A207386 and A207397 build their base (1+z)/(1+z^k) as one rational
 # series, with no product.  The family, statistic and A207557 entries were
 # lowered when each factor became a sum of running powers, one product per
-# step and j.
+# step and j.  The A035378 entries were lowered when the pairing made each
+# power of its weight once, at full order, and took its K = 0 term bare.
 MUL_PRODUCTS = {
     ("family_gf", "row-fishburn", "all"): 119,
     ("family_gf", "row-fishburn", "01"): 119,
@@ -707,13 +708,13 @@ MUL_PRODUCTS = {
     ("route", "_variant_A158690_form3"): 31,
     ("route", "_variant_A158690_form4"): 46,
     ("route", "_variant_A158690_form5"): 31,
-    ("route", "_variant_A035378_inverted"): 168,
-    ("route", "_variant_A035378_paired"): 168,
+    ("route", "_variant_A035378_inverted"): 153,
+    ("route", "_variant_A035378_paired"): 153,
     ("route", "_variant_A207557_rf"): 52,
     ("route", "_variant_A079144_completed"): 46,
     ("route", "_r_at_exp_neg"): 31,
     ("route", "_r_at_one_minus"): 61,
-    ("named_gf", "A035378"): 180,
+    ("named_gf", "A035378"): 150,
     ("named_gf", "A207557"): 60,
     ("named_gf", "A207651"): 89,
     ("named_gf", "A207652"): 89,
@@ -781,6 +782,24 @@ def test_bivariate_products_do_not_grow(family, stat, monkeypatch):
     calls = _count_products(monkeypatch)
     stat_profile.__wrapped__(family, stat, ALL, 30)  # past the cache
     assert 0 < calls[0] <= MUL_PRODUCTS["stat_profile", family, stat]
+
+
+def test_paired_sum_takes_its_first_term_bare():
+    # w = z, pair(a, b) = a b, prefactor(p) = 1 + p:
+    # sum_K (1 + z^{2K+1}) z^{2K^2+K} = (1 + z) + (1 + z^3) z^3 + O(z^10)
+    z, asked, made = TruncatedSeries.x(8), [], []
+
+    def prefactor(p):
+        asked.append(p)
+        made.append(TruncatedSeries.one(p.order) + p)
+        return made[-1]
+
+    f = families._paired_sum(z, mul, prefactor, 8)
+    assert f.coeffs == (1, 1, 0, 1, 0, 0, 1, 0, 0)
+    assert asked == [z, z * z * z]
+    # at order 0 the sum is its K = 0 term, the prefactor's own result, not
+    # a product of it by the 1
+    assert families._paired_sum(TruncatedSeries.x(0), mul, prefactor, 0) is made[-1]
 
 
 def test_quotient_factors_take_the_rational_shortcut(monkeypatch):
@@ -978,6 +997,28 @@ class TestLabeledFastPath:
         totals, rows = binomial_profile(120)
         assert labeled_numbers.__wrapped__(n) == totals[: n + 1]
         assert labeled_profile.__wrapped__(n) == rows[n]
+
+    def test_running_products_drag_no_record(self, monkeypatch):
+        # A record on the running product would grow with k (one call of
+        # 1,288 term pairs at n = 40); the partial products carry none, so
+        # the record products that build each factor stay small.
+        largest, yielded = [0], [0]
+        combo, partial = series._combo_mul, series._partial_products
+
+        def counting(x, y):
+            largest[0] = max(largest[0], len(x) * len(y))
+            return combo(x, y)
+
+        def checked(factor, order):
+            for p in partial(factor, order):
+                assert p._record is None
+                yielded[0] += 1
+                yield p
+
+        monkeypatch.setattr(series, "_combo_mul", counting)
+        monkeypatch.setattr(families, "_partial_products", checked)
+        labeled_profile.__wrapped__(40)
+        assert yielded[0] == 41 and largest[0] <= 4
 
     def test_totals_build_no_profile(self):
         labeled_numbers.cache_clear()

@@ -829,11 +829,26 @@ class TestSumProduct:
         f = sum_product(lambda j, m: TruncatedSeries([0], m, mod), 0)
         assert f == TruncatedSeries.one(0) and f.mod == mod
 
-    def test_dpart_prefactor(self):
-        # sum_k 2^k z^k = 1/(1-2z) with dpart(k)=2^k, factor z
-        f = sum_product(
-            lambda j, m: TruncatedSeries([0, 1], m),
-            8,
-            dpart=lambda k: TruncatedSeries.constant(2**k, 8),
-        )
-        assert [f.coeff(n) for n in range(9)] == [2**n for n in range(9)]
+    def test_partial_products(self):
+        # prod_{j<=k} 2z/(1-z) = (2z)^k/(1-z)^k: the recordless 1 first, then
+        # one product per k while it reaches the window
+        asked = []
+
+        def factor(j, m):
+            asked.append((j, m))
+            return series._rational_series((0, 2), (1, -1), m)
+
+        products = list(series._partial_products(factor, 4))
+        assert products[0] == TruncatedSeries.one(4)
+        assert all(p._record is None for p in products)
+        assert [p.valuation() for p in products] == [0, 1, 2, 3, 4]
+        assert products[2].coeffs == (0, 0, 4, 8, 12)
+        assert asked == [(1, 4), (2, 3), (3, 2), (4, 1)]  # none past the window
+        # at order 0 the first factor is still requested, at order 0
+        asked.clear()
+        assert list(series._partial_products(factor, 0)) == [TruncatedSeries.one(0)]
+        assert asked == [(1, 0)]
+        # every product carries the first factor's modulus
+        mod = moment_marker(8).mod
+        products = series._partial_products(lambda j, m: TruncatedSeries([0, 1], m, mod), 3)
+        assert [p.mod for p in products] == [mod] * 4
