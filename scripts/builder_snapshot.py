@@ -55,6 +55,13 @@ both ends and the centre of ``_summation_range(n)``, ``log_product`` at
 exactly, ``llt_distance`` and ``profile_rows``.  Those constants and
 function values are recorded as 50-significant-digit strings, so a change
 in the last bits of a 60-digit evaluation does not count as a difference.
+The ``compare`` cases, for every family and statistic over every entry value
+at each n of ``COMPARE_SIZES``, record ``compare``'s four fields and the
+limit column of ``histogram_rows`` exactly, as ``_mpf_`` tuples, so that a
+change in the last bit of a bin mass does count; a cell without a covered
+law records its error.  The five normal-law cells are the ones whose bins
+come from the normal CDF at the bin edges; the CLI's ``distribution`` cases
+stop at n = 14 and print 12 digits.
 
 The second loads two snapshots written by this script and prints each case
 whose value, coefficient types or error differ, then each case whose product
@@ -121,6 +128,9 @@ SADDLE_SIZES = (20, 60, 100, 200, 500)
 SADDLE_FIELDS = ("n", "k", "r", "upsilon", "window", "theta0")
 # Sizes n of the cases that read the exact per-k profile.
 PROFILE_SIZES = (20, 60, 120, 200)
+# Sizes n of the cases that compare each family and statistic over every entry
+# value with its limit law.
+COMPARE_SIZES = (30, 60)
 # (k, r) points of log_product.
 LOG_PRODUCT_POINTS = ((1, 1e-6), (30, 1e-3), (3, 2.9), (499, 1e-4))
 # (function, arguments) of the warm case, made in this order on shared caches.
@@ -320,6 +330,20 @@ def _analysis_cases(fb, saddle):
         yield f"llt_distance {n}", lambda n=n: _record(saddle.llt_distance(n), _digits)
         yield (f"profile_rows {n}",
                lambda n=n: _record(tuple(saddle.profile_rows(n)), _digits))
+    for fam in fb.FAMILIES:
+        for stat in fb.STATS:
+            for n in COMPARE_SIZES:
+                yield (f"compare {fam} {stat} all {n}",
+                       lambda f=fam, s=stat, n=n: _limit_columns(fb, f, s, n))
+
+
+def _limit_columns(fb, family, stat, n):
+    """``compare``'s four fields and the limit column of ``histogram_rows``
+    for (family, stat) over every entry value at size n, each mpf exact."""
+    table = fb.distribution(family, stat, fb.ALL, n)
+    law = fb.limit_law_for(family, stat, fb.ALL, n)
+    limits = tuple(limit for _, _, limit in fb.histogram_rows(table, law))
+    return _record(fb.compare(table, law), _exact), _record(limits, _exact)
 
 
 def _fields(state):

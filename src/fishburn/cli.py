@@ -48,6 +48,7 @@ from .families import (
     canonical_family,
     family_series,
     labeled_numbers,
+    labeled_profile,
 )
 
 _FORMATS = ("table", "csv", "json")
@@ -364,7 +365,9 @@ def _run_saddle(args: argparse.Namespace) -> int:
     digits = args.digits
     with mp.workdps(digits + 20):
         approx = saddle.an_approx(n)  # first: it rejects n below 20 or above the budget
-        exact = Fraction(labeled_numbers(n)[n], factorial(n))
+        # The profile's row sums to the total: its partial products are built once.
+        total = sum(labeled_profile(n)) if args.profile else labeled_numbers(n)[n]
+        exact = Fraction(total, factorial(n))
         rel = approx / _mpf(exact) - 1
     summary = [
         ("n", str(n)),

@@ -379,7 +379,9 @@ def compare(dist: DistributionTable, law: LimitLaw) -> ComparisonReport:
     law's transformation of the statistic.  Normal laws are discretized by
     interval probabilities on unit-width bins around the raw integer
     support -- the lattice analogue of comparing the centered statistic,
-    e.g. (Y_n - log n)/sqrt(log n), against a standard normal.
+    e.g. (Y_n - log n)/sqrt(log n), against a standard normal.  Each bin edge's
+    CDF is evaluated once, shared by the two bins it bounds, and a normal law
+    of zero spread (n = 1) is a point mass at its centre.
     """
     with mp.workdps(_DPS):
         mean_gap = abs(_mpf(law.transform(dist.mean)) - law.mean())
@@ -395,14 +397,28 @@ def compare(dist: DistributionTable, law: LimitLaw) -> ComparisonReport:
 
 def _normal_bins(law):
     """``(mu, sd, bin_prob)`` of a normal law pulled back to the raw lattice
-    s = (x - shift)/slope; ``bin_prob(s)`` is its mass on [s - 1/2, s + 1/2]."""
+    s = (x - shift)/slope; ``bin_prob(s)`` is its mass on [s - 1/2, s + 1/2].
+
+    A bin's mass is the difference of the law's CDF at its two edges, and
+    each edge's CDF is evaluated once per call of this function: the upper
+    edge s + 1/2 of one bin is the lower edge of the next, the same exact
+    mpf.  A law of zero spread (N(log 1, log 1) at n = 1) is a point mass at
+    mu, its CDF the step there.
+    """
     slope = _mpf(law.slope)
     mu = (law.center - _mpf(law.shift)) / slope
     sd = mp.sqrt(law.spread) / abs(slope)
     half = mp.mpf(1) / 2
+    cdf = {}  # k -> the CDF at the edge k - 1/2
+
+    def edge(k):
+        if k not in cdf:
+            x = k - half - mu
+            cdf[k] = mp.ncdf(x / sd) if sd else mp.mpf(x >= 0)
+        return cdf[k]
 
     def bin_prob(s):
-        return mp.ncdf((s + half - mu) / sd) - mp.ncdf((s - half - mu) / sd)
+        return edge(s + 1) - edge(s)
 
     return mu, sd, bin_prob
 
@@ -444,7 +460,9 @@ def histogram_rows(dist: DistributionTable, law: Optional[LimitLaw] = None):
     """(value, exact pmf, limit pmf) triples; limit column None without a law.
 
     A normal law's limit pmf is its mass on the unit-width bin around the
-    value, as in :func:`compare`.
+    value, as in :func:`compare`: the difference of the law's CDF at the two
+    edges, each edge evaluated once, and a point mass at the centre for a law
+    of zero spread.
     """
     if law is None:
         return [(s, p, None) for s, p in zip(dist.support, dist.pmf)]

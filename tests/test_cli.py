@@ -263,6 +263,25 @@ class TestDistribution:
         body = out.splitlines()[1:]
         assert body and all(line.endswith(",") for line in body)
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("family,stat", [
+        ("fishburn", "first_row"),
+        ("fishburn", "diagonal"),
+        ("row-fishburn", "diagonal"),
+        ("self-dual", "first_row"),
+        ("self-dual", "diagonal"),
+    ])
+    def test_zero_spread_law_at_size_one(self, family, stat, fmt, capsys):
+        # Each cell's law is N(log 1, log 1), a point mass at 0.
+        code, out, err = run(
+            ["distribution", "--family", family, "--stat", stat, "--n", "1",
+             "--format", fmt], capsys)
+        assert code == 0, err
+        if fmt == "json":
+            assert json.loads(out)["law"]["variance"] == "0.0"
+        else:
+            assert "-> N(0.0, 0.0)" in out
+
     def test_zero_count_size_is_usage_error(self, capsys):
         code, _, err = run(
             ["distribution", "--lambda", "0,1,0", "--stat", "diagonal",

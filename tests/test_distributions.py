@@ -12,6 +12,7 @@ from fishburn.checks import FIRST_ROW_TRIANGLE, TREND_CELLS
 from fishburn.families import ALL, FAMILY_STATS, PRIMITIVE, LambdaSpec, stat_jet
 from fishburn.oracle import enumerate_matrices, histogram
 from fishburn.distributions import (
+    _DPS,
     ComparisonReport,
     DistributionTable,
     LimitLaw,
@@ -399,6 +400,47 @@ class TestExports:
         table = distribution("fishburn", "first_row", ALL, 4)
         payload = json.loads(report_json(table))
         assert "law" not in payload and "metrics" not in payload
+
+    def test_each_bin_edge_takes_one_cdf(self, monkeypatch):
+        table = distribution("fishburn", "first_row", ALL, 60)
+        law = limit_law_for("fishburn", "first_row", ALL, 60)
+        calls = []
+        ncdf = mp.ncdf
+        monkeypatch.setattr(mp, "ncdf", lambda x: calls.append(x) or ncdf(x))
+        histogram_rows(table, law)
+        edges = {s + d for s in table.support for d in (0, 1)}
+        assert 0 < len(calls) <= len(edges)
+        assert len(set(calls)) == len(calls)
+        calls.clear()
+        compare(table, law)
+        assert calls and len(set(calls)) == len(calls)
+
+    @pytest.mark.parametrize("family,stat,n", [
+        ("fishburn", "first_row", 60),
+        ("fishburn", "diagonal", 30),
+        ("self-dual", "diagonal", 60),
+    ])
+    def test_limit_pmf_is_the_difference_of_two_cdfs(self, family, stat, n):
+        table = distribution(family, stat, ALL, n)
+        law = limit_law_for(family, stat, ALL, n)
+        rows = histogram_rows(table, law)
+        with mp.workdps(_DPS):
+            mu = (law.center - as_mpf(law.shift)) / as_mpf(law.slope)
+            sd = mp.sqrt(law.spread) / abs(as_mpf(law.slope))
+            half = mp.mpf(1) / 2
+            for s, _, limit in rows:
+                assert limit == (mp.ncdf((s + half - mu) / sd)
+                                 - mp.ncdf((s - half - mu) / sd))
+
+    def test_zero_spread_law_is_a_point_mass(self):
+        # N(log 1, log 1) at n = 1: all of its mass sits on the bin of 0,
+        # while the one matrix has first row sum 1.
+        table = distribution("fishburn", "first_row", ALL, 1)
+        law = limit_law_for("fishburn", "first_row", ALL, 1)
+        assert law.spread == 0
+        assert histogram_rows(table, law) == [(1, 1, 0)]
+        report = compare(table, law)
+        assert report.sup_distance == report.total_variation == 1
 
     def test_normal_law_has_no_lattice_pmf(self):
         law = limit_law_for("fishburn", "diagonal", ALL, 12)
