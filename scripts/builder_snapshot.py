@@ -48,8 +48,9 @@ for every family, statistic, size and multiset of ``LAW_SIZES`` and
 ``family_form``, ``named_form``, ``constants_small2`` (whose record holds
 both parity branches, through ``form.parity``), ``dilog`` and
 ``I_func``, and the saddle analysis: ``an_approx`` for every n of
-``SADDLE_SIZES``, the fields ``SADDLE_FIELDS`` of ``solve_saddle(n, k)`` at
-both ends and the centre of ``_summation_range(n)``, ``log_product`` at
+``SADDLE_SIZES``, the fields ``SADDLE_FIELDS`` of ``solve_saddle(n, k)``
+(n, k, the radius r and the cumulants upsilon) at both ends and the
+centre of ``_summation_range(n)``, ``log_product`` at
 ``LOG_PRODUCT_POINTS`` and ``check_bounds(64)``, and for every n of
 ``PROFILE_SIZES`` the readers of the exact per-k profile: ``window_tail``
 exactly, ``llt_distance`` and ``profile_rows``.  Those constants and
@@ -125,7 +126,7 @@ SPECIAL_POINTS = (0, Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(7,
 SADDLE_SIZES = (20, 60, 100, 200, 500)
 # The SaddleState fields recorded, named so that a field added later does not
 # count as a difference.
-SADDLE_FIELDS = ("n", "k", "r", "upsilon", "window", "theta0")
+SADDLE_FIELDS = ("n", "k", "r", "upsilon")
 # Sizes n of the cases that read the exact per-k profile.
 PROFILE_SIZES = (20, 60, 120, 200)
 # Sizes n of the cases that compare each family and statistic over every entry

@@ -81,12 +81,6 @@ class DistributionTable:
     mean: Fraction
     variance: Fraction
 
-    def prob(self, value) -> Fraction:
-        for s, p in zip(self.support, self.pmf):
-            if s == value:
-                return p
-        return Fraction(0)
-
 
 def _require_matrices(total: int, family: str, lam: LambdaSpec, n: int) -> None:
     if total == 0:

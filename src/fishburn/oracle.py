@@ -32,14 +32,6 @@ class OracleMatrix:
     entries: Matrix
     weight: int = 1
 
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    @property
-    def size(self) -> int:
-        return sum(sum(row) for row in self.entries)
-
     def statistic(self, stat: str) -> int:
         m = self.entries
         if stat == "first_row":

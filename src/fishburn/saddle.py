@@ -17,17 +17,17 @@ O(n^(5/8)) with Gaussian profile.  Each summand carries the second-order
 term of the saddle expansion, and a_n is approximated by summing them over
 k in mu*n -+ 3*sigma*n^(5/8), which leaves out a mass that decays faster
 than any power of n; the relative error is ~2e-5 at n = 100 and falls
-monotonically in n.  A narrower window, mu*n -+ sqrt(2)*sigma*n^(5/8),
-bounds the indices at which single summands are reported.  The exposed
-pieces are the saddle solver itself, the per-summand and total
-coefficient approximations, the per-k window profile of exact against
-approximate log a_{n,k} (as rows; the CLI formats them), the constrained
-exponent surface phi(q) whose maximum yields the growth constants, and
-numeric checks of the modulus bounds used to truncate the integrals; the
-``saddle-lemmas`` check of ``fishburn verify --full`` runs the last two.  The
-same scheme ports to the other product families (replace e^{jz} - 1 by the
-corresponding factor); only the prototype channel is wired up here because
-every closed-form constant of the generic regime is calibrated against it.
+monotonically in n.  Single summands are reported only over the narrower
+window mu*n -+ sqrt(2)*sigma*n^(5/8).  The exposed pieces are the saddle
+solver itself, the total coefficient approximation, the per-k window
+profile of exact against approximate log a_{n,k} (as rows; the CLI formats
+them), the constrained exponent surface phi(q) whose maximum yields the
+growth constants, and numeric checks of the modulus bounds used to truncate
+the integrals; the ``saddle-lemmas`` check of ``fishburn verify --full``
+runs the last two.  The same scheme ports to the other product families
+(replace e^{jz} - 1 by the corresponding factor); only the prototype
+channel is wired up here because every closed-form constant of the generic
+regime is calibrated against it.
 
 The saddle radius is located in float64 and then checked, and refined if
 needed, at 60 digits.  Each summand's sums over j <= k, the cumulants and
@@ -62,7 +62,6 @@ __all__ = [
     "PhiEvaluation",
     "SaddleState",
     "an_approx",
-    "ank_approx",
     "bound_margins",
     "check_bounds",
     "dilog",
@@ -327,28 +326,14 @@ def _check_size(n: int) -> None:
     _check_budget(n)
 
 
-def _k_range(n: int, width) -> Tuple[Tuple[mp.mpf, mp.mpf], range]:
-    """((k_-, k_+), ks): the bounds mu*n -+ width*sigma*n^(5/8) and the
-    integer k between them, capped to [1, n - 1]."""
+def _k_range(n: int, width) -> range:
+    """Integer k in mu*n -+ width*sigma*n^(5/8), capped to [1, n - 1]."""
     constants = optimum()
     with mp.workdps(_DPS):
         center = constants.mu * n
         spread = width * constants.sigma * mp.power(n, mp.mpf(5) / 8)
-        lo, hi = center - spread, center + spread
-        ks = range(max(1, int(mp.ceil(lo))), min(n - 1, int(mp.floor(hi))) + 1)
-    return (lo, hi), ks
-
-
-def _window_bounds(n: int) -> Tuple[mp.mpf, mp.mpf]:
-    """Per-summand validity window (k_-, k_+) = mu*n -+ sqrt(2)*sigma*n^(5/8).
-
-    This is the range over which :func:`ank_approx` accepts k and over
-    which :func:`profile_rows` reports rows.  It is only sqrt(2)*n^(1/8)
-    standard deviations wide (about 2.6 at n = 120), so it leaves ~1e-2 of
-    the mass of a_n outside; :func:`an_approx` therefore sums over the wider
-    :func:`_summation_range`.
-    """
-    return _k_range(n, _WINDOW_WIDTH)[0]
+        return range(max(1, int(mp.ceil(center - spread))),
+                     min(n - 1, int(mp.floor(center + spread))) + 1)
 
 
 def _summation_range(n: int) -> range:
@@ -360,7 +345,7 @@ def _summation_range(n: int) -> range:
     decays faster than any power of n while the n^(5/8) scale of the
     analysis is kept.
     """
-    return _k_range(n, _SUMMATION_WIDTH)[1]
+    return _k_range(n, _SUMMATION_WIDTH)
 
 
 # ---------------------------------------------------------------------------
@@ -376,19 +361,15 @@ class SaddleState:
     four Euler-operator cumulants of log A_k at r; upsilon[0] reproduces n,
     upsilon[1] = r^2 L_k''(r) + r L_k'(r) is the Gaussian curvature that
     normalizes the saddle integral, and upsilon[2], upsilon[3] enter its
-    second-order correction.  ``window`` is the per-summand validity window
-    (k_-, k_+) of :func:`_window_bounds`, and ``theta0 = 6*n^(-3/8)`` is
-    the matching cutoff angle of the integration arc.  ``log_product`` is
-    log A_k(r) = log prod_{j<=k} (e^{jr} - 1), from the same pass over j
-    as ``upsilon``, so it equals :func:`log_product` at (k, r).
+    second-order correction.  ``log_product`` is log A_k(r) =
+    log prod_{j<=k} (e^{jr} - 1), from the same pass over j as ``upsilon``,
+    so it equals :func:`log_product` at (k, r).
     """
 
     n: int
     k: int
     r: mp.mpf
     upsilon: Tuple[mp.mpf, mp.mpf, mp.mpf, mp.mpf]
-    window: Tuple[mp.mpf, mp.mpf]
-    theta0: mp.mpf
     log_product: mp.mpf
 
 
@@ -474,10 +455,7 @@ def solve_saddle(n: int, k: int) -> SaddleState:
         else:
             raise RuntimeError(
                 f"saddle equation for n={n}, k={k} did not converge in 200 steps")
-        theta0 = 6 * mp.power(n, -mp.mpf(3) / 8)
-        return SaddleState(n=n, k=k, r=r, upsilon=upsilon,
-                           window=_window_bounds(n), theta0=theta0,
-                           log_product=log_a)
+        return SaddleState(n=n, k=k, r=r, upsilon=upsilon, log_product=log_a)
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +464,18 @@ def solve_saddle(n: int, k: int) -> SaddleState:
 
 @lru_cache(maxsize=1024)
 def _log_ank(n: int, k: int) -> mp.mpf:
+    """Log of the second-order saddle approximation to a_{n,k} = [z^n] A_k(z).
+
+    Evaluates the log of
+
+        r^{-n} A_k(r) / sqrt(2*pi*upsilon_2)
+            * (1 + upsilon_4/(8*upsilon_2^2) - 5*upsilon_3^2/(24*upsilon_2^3))
+
+    at the solved saddle radius.  The factor in parentheses is the next term
+    of the Gaussian expansion of the Cauchy integral; it removes the O(1/n)
+    overshoot of the Gaussian term, leaving an O(n^-2) relative error at the
+    centre of the window.
+    """
     state = solve_saddle(n, k)
     with mp.workdps(_DPS):
         _, ups2, ups3, ups4 = state.upsilon
@@ -496,39 +486,10 @@ def _log_ank(n: int, k: int) -> mp.mpf:
                 + mp.log(correction))
 
 
-def ank_approx(n: int, k: int) -> mp.mpf:
-    """Second-order saddle approximation to a_{n,k} = [z^n] prod_{j<=k}(e^{jz}-1).
-
-    Computes
-
-        r^{-n} A_k(r) / sqrt(2*pi*upsilon_2)
-            * (1 + upsilon_4/(8*upsilon_2^2) - 5*upsilon_3^2/(24*upsilon_2^3))
-
-    in log space at the solved saddle radius.  The factor in parentheses
-    is the next term of the Gaussian expansion of the Cauchy integral; it
-    removes the O(1/n) overshoot of the Gaussian term, leaving an O(n^-2)
-    relative error at the centre of the window.  Only indices inside the
-    per-summand validity window of :func:`_window_bounds` are accepted,
-    the range over which the analysis makes the expansion uniform in k.
-    :func:`an_approx` applies the same formula over its wider summation
-    range, where the summands beyond this window add ~1e-2 of a_n.  n is
-    checked as by :func:`an_approx`: an int from 20 up to the series budget.
-    """
-    _check_size(n)
-    _require_positive_int("k", k)
-    k_minus, k_plus = _window_bounds(n)
-    if not k_minus <= k <= k_plus:
-        raise ValueError(
-            f"k={k} lies outside the central window "
-            f"[{mp.nstr(k_minus, 6)}, {mp.nstr(k_plus, 6)}] for n={n}")
-    with mp.workdps(_DPS):
-        return mp.exp(_log_ank(n, k))
-
-
 def an_approx(n: int) -> mp.mpf:
     """Range-summed saddle approximation to a_n = [z^n] A(z).
 
-    Adds the second-order summand of :func:`ank_approx` over every k of
+    Adds the second-order summand of :func:`_log_ank` over every k of
     :func:`_summation_range`, mu*n -+ 3*sigma*n^(5/8) capped to [1, n-1],
     in increasing k with the largest term factored out, so the reduction
     order is fixed and the result deterministic.  The exact mass outside
@@ -760,11 +721,16 @@ def window_tail(n: int) -> Fraction:
 
 
 def profile_rows(n: int) -> List[Tuple[int, mp.mpf, mp.mpf]]:
-    """Rows ``(k, log_exact, log_approx)`` over the central window.
+    """Rows ``(k, log_exact, log_approx)`` over the per-summand validity window.
 
-    ``log_exact`` is log(a_{n,k}) from the integer profile (scaled back by
-    n!), ``log_approx`` is the log of :func:`ank_approx`; both are natural
-    logs at 60 digits.
+    The window is the integer k in mu*n -+ sqrt(2)*sigma*n^(5/8), capped to
+    [1, n - 1], where the analysis makes the summand expansion uniform in k.
+    It is only sqrt(2)*n^(1/8) standard deviations wide (about 2.6 at
+    n = 120), so it leaves ~1e-2 of the mass of a_n outside; :func:`an_approx`
+    sums over the wider :func:`_summation_range`.  ``log_exact`` is
+    log(a_{n,k}) from the integer profile (scaled back by n!), ``log_approx``
+    the second-order summand of :func:`_log_ank`; both are natural logs at
+    60 digits.  n is an int from 20 up to the series budget.
     """
     _check_size(n)
     row = labeled_profile(n)
@@ -772,5 +738,5 @@ def profile_rows(n: int) -> List[Tuple[int, mp.mpf, mp.mpf]]:
         log_factorial = mp.log(mp.factorial(n))
         return [
             (k, mp.log(mp.mpf(row[k])) - log_factorial, _log_ank(n, k))
-            for k in _k_range(n, _WINDOW_WIDTH)[1]
+            for k in _k_range(n, _WINDOW_WIDTH)
         ]

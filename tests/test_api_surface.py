@@ -5,7 +5,9 @@ command, a check or another library function, not only by its own tests.
 The modules of ``src/fishburn`` (the package's ``__init__`` aside) and the
 scripts are parsed with ``ast``; a name counts as reached when it is
 loaded, as a bare name or as a module attribute, outside its own definition
-and outside type annotations.
+and outside type annotations.  A method counts as reached only when it is
+loaded as an attribute (``x.name``), so a local variable or parameter of the
+same name does not hide it.
 """
 
 import ast
@@ -16,11 +18,7 @@ import fishburn
 ROOT = Path(__file__).resolve().parents[1]
 
 # Public names with no caller by design, each with its reason.
-NO_CALLER = {
-    # The documented per-summand saddle approximation; an_approx and
-    # profile_rows use its formula through the cached _log_ank.
-    "ank_approx",
-}
+NO_CALLER = set()
 
 # Module-level functions and classes with no loader by design, as
 # (module, name), each with its reason.
@@ -36,8 +34,6 @@ NO_LOADER = {
     # Fishburn numbers from ascent sequences, with no generating function:
     # independent evidence for the series.
     ("oracle", "ascent_counts"),
-    # The documented per-summand saddle approximation, as in NO_CALLER.
-    ("saddle", "ank_approx"),
 }
 
 # Methods with no loader by design, as (module, class, method), each with its
@@ -64,6 +60,7 @@ class _Loads(ast.NodeVisitor):
 
     def __init__(self):
         self.names = set()
+        self.attributes = set()
         self._inside = []
 
     def _definition(self, node):
@@ -98,16 +95,21 @@ class _Loads(ast.NodeVisitor):
             self._load(node.id)
 
     def visit_Attribute(self, node):
-        if isinstance(node.ctx, ast.Load):
-            self._load(node.attr)
+        if isinstance(node.ctx, ast.Load) and node.attr not in self._inside:
+            self.names.add(node.attr)
+            self.attributes.add(node.attr)
         self.visit(node.value)
 
 
-def _loaded_names():
+def _loads():
     loads = _Loads()
     for path in _sources():
         loads.visit(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-    return loads.names
+    return loads
+
+
+def _loaded_names():
+    return _loads().names
 
 
 def test_every_public_name_has_a_caller():
@@ -152,11 +154,11 @@ def test_definition_exceptions_exist_and_are_unreached():
 
 
 def test_every_method_has_a_loader():
-    loaded = _loaded_names()
+    loaded = _loads().attributes
     unreached = sorted(m for m in _methods() - NO_METHOD_LOADER if m[2] not in loaded)
     assert unreached == [], f"methods loaded only by tests: {unreached}"
 
 
 def test_method_exceptions_exist_and_are_unreached():
     assert NO_METHOD_LOADER <= _methods()
-    assert not {name for *_, name in NO_METHOD_LOADER} & _loaded_names()
+    assert not {name for *_, name in NO_METHOD_LOADER} & _loads().attributes

@@ -53,9 +53,6 @@ GUARDED = {
     # k < n.
     ("solve_saddle", "k"): (lambda x: fishburn.solve_saddle(500, x), 499),
     ("an_approx", "n"): (fishburn.an_approx, 500),
-    ("ank_approx", "n"): (lambda x: fishburn.ank_approx(x, 1), 500),
-    # k within the central window, which ends below n.
-    ("ank_approx", "k"): (lambda x: fishburn.ank_approx(100, x), 99),
     ("llt_distance", "n"): (fishburn.llt_distance, 500),
     ("window_tail", "n"): (fishburn.window_tail, 500),
     ("profile_rows", "n"): (fishburn.profile_rows, 500),

@@ -80,12 +80,6 @@ class TestExactTables:
         assert table.mean == m1
         assert table.variance == m2 - m1 * m1
 
-    def test_prob_lookup(self):
-        table = distribution("fishburn", "first_row", ALL, 7)
-        assert table.prob(1) == Fraction(217, 1014)
-        assert table.prob(7) == Fraction(1, 1014)
-        assert table.prob(99) == 0
-
     def test_zero_count_size_is_an_error(self):
         with pytest.raises(ValueError, match="no fishburn matrices"):
             distribution("fishburn", "first_row", M2, 3)

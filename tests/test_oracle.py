@@ -43,8 +43,8 @@ class TestEnumeration:
 
     def test_matrices_are_wellformed(self):
         for m in enumerate_matrices("fishburn", ALL, 5):
-            d = m.dim
-            assert m.size == 5
+            d = len(m.entries)
+            assert sum(map(sum, m.entries)) == 5
             assert all(len(row) == d for row in m.entries)
             # upper triangular with no zero row or column
             assert all(
@@ -56,7 +56,7 @@ class TestEnumeration:
     def test_row_family_allows_zero_columns(self):
         mats = enumerate_matrices("row-fishburn", ALL, 3)
         assert any(
-            not all(any(m.entries[i][j] for i in range(j + 1)) for j in range(m.dim))
+            not all(any(m.entries[i][j] for i in range(j + 1)) for j in range(len(m.entries)))
             for m in mats
         )
 
@@ -183,7 +183,7 @@ class TestHistograms:
         mats = enumerate_matrices("fishburn", ALL, n)
         by_last_col = {}
         for m in mats:
-            k = sum(m.entries[i][m.dim - 1] for i in range(m.dim))
+            k = sum(row[-1] for row in m.entries)
             by_last_col[k] = by_last_col.get(k, 0) + m.weight
         assert histogram(mats, "first_row") == by_last_col
 
@@ -192,7 +192,7 @@ class TestHistograms:
         mats = enumerate_matrices("fishburn", ALL, n)
         reflected = {}
         for m in mats:
-            d = m.dim
+            d = len(m.entries)
             r = tuple(
                 tuple(m.entries[d - 1 - j][d - 1 - i] for j in range(d))
                 for i in range(d)
