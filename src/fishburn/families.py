@@ -11,40 +11,32 @@ The general sum.  A ``GeneralSum`` states one instance of the paper's sum
 sum_k d^{k+w0} prod_{j<=k} (e^{j+w} - 1)^alpha by its arguments: it builds
 prefactor * sum_k prod_{j<=k} d_j (x_j - y_j)^alpha, with d^k folded into the
 factors (d^k * prod f_j == prod (d*f_j)), which keeps the kernel's adaptive
-truncation effective.  x_j, y_j and d_j are 1, a fixed series, a running
-power first * step^{j-1} (a ``Power``, a value), a sum of these, or a
-callable (j, room) such as exp(jz) or 1/(1 - z^j).  A build expands
-d (x - y)^alpha once into signed running powers, one per step, their firsts
-and steps multiplied at full order, and each j advances every power by one
-product by its step: the Fishburn factor L (L^j - 1)^2 is
-L^3 (L^2)^{j-1} - 2L^2 L^{j-1} + L, two products per j.  A callable x_j or
-y_j leaves the factor to its products; a callable d_j multiplies the sum.
-The same statement gives the first-order asymptotic form
-(``asymptotics.named_form`` and ``family_form`` read it from ``parts`` at
-j = 1, 2), so each catalogued instance, family sum and statistic sum is
-written once, in ``_CATALOG``, ``_family_sum`` or ``_stat_sum``; a marked
-atom B is the first of a running power, B L^{j-1} = ``Power(B, L)``.  The
-A035378 pairing (``_paired_sum``) and ``labeled_profile`` read each partial
-product of the kernel's one loop, ``series._partial_products``.  Every fixed
-rational factor (a weight series, 1 +- z, 1/(1 -+ z^j)) is one
-``_rational_series(P, Q, order)``, which records that it is (P/Q)^1; the
-running powers carry that record, so a factor reaches the kernel as a
-combination of monomials in its weight series, and the kernel may multiply
-by it in passes (see ``series``).
+truncation effective.  A build expands d (x - y)^alpha once into running
+powers first * step^{j-1} (``Power``), and each j advances every power by
+its step: the Fishburn factor L (L^j - 1)^2 is L^3 (L^2)^{j-1} -
+2 L^2 L^{j-1} + L, two advances per j (``GeneralSum.factors``).  The same
+statement gives the first-order asymptotic form (``asymptotics.named_form``
+and ``family_form`` read it from ``parts`` at j = 1, 2), so each catalogued
+instance, family sum and statistic sum is written once, in ``_CATALOG``,
+``_family_sum`` or ``_stat_sum``; a marked atom B is the first of a running
+power, B L^{j-1} = ``Power(B, L)``.  The A035378 pairing (``_paired_sum``)
+and ``labeled_profile`` read each partial product of the kernel's one loop,
+``series._partial_products``.  Every fixed rational factor (a weight series,
+1 +- z, 1/(1 -+ z^j)) is one ``_rational_series(P, Q, order)``, which
+records that it is (P/Q)^1; the running powers carry that record, so an
+advance by a weight series or its power runs straight in passes
+(``series._advance``), and a factor reaches the kernel as a combination of
+monomials in its weight series, which it may multiply by in passes.
 
 The statistic sums are the family sums with marked atoms in place of the
 weight series L, in the factors or in the running powers (``_stat_sum``).
-The marker passed to ``stat_gf`` sets v = c in the atoms, and their modulus.
-``stat_profile`` gets every full distribution from one evaluation at
-v = 2^K, K the bit length of the largest family count: each z-coefficient
-then holds its v-polynomial as base-2^K digits (Kronecker substitution).
-``stat_jet`` reads the moment rows as the base-2^K digits of one build at
-v = 1 + 2^K modulo 2^{3K}.  Every marked atom is itself a rational series
-(``lambda_atom``), such as B = L(cz) = P(cz)/Q(cz), so the statistic factors
-record combinations of monomials over the pairs of L, L(z^2) and the atoms,
-and the running products of both builds take passes as the family sums do.
-In a moment build an atom marking one entry value t is L + w_t (c - 1) z^t
-over the pairs of L and z^t, and its powers reduce in their records.
+The marker passed to ``stat_gf`` sets v = c in the atoms, and their modulus:
+``stat_profile`` reads full distributions from one build at v = 2^K, and
+``stat_jet`` moment rows from one at v = 1 + 2^K modulo 2^{3K}.  Every
+marked atom is itself a rational series (``lambda_atom``), such as B = L(cz),
+so the statistic builds take passes as the family sums do; in a moment build
+an atom marking one entry value t is L + w_t (c - 1) z^t over the pairs of L
+and z^t, and its powers reduce in their records.
 
 Budget.  Every public builder rejects an order above ``_SERIES_BUDGET``
 before it builds anything, and checks the order it actually builds.
@@ -62,7 +54,7 @@ from __future__ import annotations
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce, wraps
+from functools import cache, lru_cache, reduce, wraps
 from itertools import islice, product
 from math import factorial
 from operator import add, mul, sub
@@ -71,6 +63,7 @@ from typing import Callable, Optional
 from .series import (
     Marker,
     TruncatedSeries,
+    _advance,
     _as_int,
     _partial_products,
     _power,
@@ -109,20 +102,12 @@ _SERIES_BUDGET = 500
 # x86-64 Xeon.
 _FIXED_POINT_BUDGET = 100
 
-_FAMILY_ALIASES = {
-    "row": "row-fishburn",
-    "row-fishburn": "row-fishburn",
-    "row_fishburn": "row-fishburn",
-    "fishburn": "fishburn",
-    "self-dual": "self-dual",
-    "self_dual": "self-dual",
-    "selfdual": "self-dual",
-}
+_FAMILY_ALIASES = {"row": "row-fishburn", "selfdual": "self-dual", **{f: f for f in FAMILIES}}
 
 
 def canonical_family(name: str) -> str:
     try:
-        return _FAMILY_ALIASES[name.strip().lower()]
+        return _FAMILY_ALIASES[name.strip().lower().replace("_", "-")]
     except KeyError:
         raise ValueError(f"unknown family {name!r}; expected one of {FAMILIES}")
 
@@ -306,9 +291,9 @@ class GeneralSum:
 
     x, y and d are each 1 (None), a fixed series, a running power
     (``Power``), a tuple of these read as their sum, or a callable (j, room)
-    -> series; the prefactor is 1 (None) or a series, and alpha >= 1.  The
-    instance holds no state: ``parts`` reads any j, and each ``factors``
-    call starts the running powers of one build.
+    -> series such as exp(jz) or 1/(1 - z^j); the prefactor is 1 (None) or a
+    series, and alpha >= 1.  The instance holds no state: ``parts`` reads any
+    j, and each ``factors`` call starts the running powers of one build.
     """
 
     x: object = None
@@ -333,33 +318,46 @@ class GeneralSum:
 
     def factors(self, order: int):
         """(j, room) -> d_j (x_j - y_j)^alpha at `room`, for j = 1, 2, ... in
-        turn at a room that never grows: one build's running powers.  Under a
-        modulus a sum other than one term minus another is reduced, as a
-        product leaves it, so the kernel reads the product form's widths."""
+        turn at a room that never grows: one build's running powers, an equal
+        term kept as a multiplicity (the Fishburn factor's -2 L^2 L^{j-1}), and
+        their firsts and steps multiplied at `order` when first read, each pair
+        of operands once.  Under a modulus a sum other than one term minus
+        another is reduced, as a product leaves it, so the kernel reads the
+        product form's widths."""
         if callable(self.x) or callable(self.y):
             def factor(j, room):
                 d, x, y = self.parts(j, room)
                 f = _power(x - y, self.alpha, None)  # alpha >= 1 never needs the unit
                 return f if d is None else d * f
             return factor
-        one = TruncatedSeries.one(order)
+        one, made = TruncatedSeries.one(order), {}  # made: the products, by their operands
 
         def terms_of(t, c):  # c t as terms (c, first, step), None for 1; a tuple is a sum
             return [(c, u.first, u.step) if isinstance(u, Power) else (c, u, None)
                     for u in (t if isinstance(t, tuple) else (t,))]
 
-        def times(a, b):  # a * b at `order`, None for 1
-            return b if a is None else a if b is None else a.truncate(order) * b.truncate(order)
+        def read(t):  # a first or step: a series, None for 1, or a node made when first read
+            return t() if callable(t) else t
 
-        def expand(us, vs):  # the terms of us * vs, one per step, the first sign kept
+        def times(a, b):  # a * b at `order`, None for 1; its node holds a and b, so ids stay
+            if a is None or b is None:
+                return b if a is None else a
+            key = (id(a), id(b)) if id(a) < id(b) else (id(b), id(a))
+            return made.setdefault(key, cache(
+                lambda: read(a).truncate(order) * read(b).truncate(order)))
+
+        def expand(us, vs):  # the terms of us * vs, one per step where their firsts allow
             steps = {}
             for (c, f, s), (e, g, t) in product(us, vs):
-                fg = times(f, g)  # a power of a Power whose first is its step: one product
-                c, f, s = c * e, fg, fg if f is s and g is t else times(s, t)
-                if id(s) in steps:
-                    c0, f0, _ = steps[id(s)]
-                    c, f = c0, (add if c == c0 else sub)(f0 or one, f or one)
-                steps[id(s)] = c, f, s
+                c, f, s = c * e, times(f, g), times(s, t)
+                c0, f0, _ = steps.get(id(s), (0, f, s))
+                if f0 is f and c * c0 >= 0:  # a new step, or the same term again
+                    steps[id(s)] = c + c0, f, s
+                elif abs(c) == abs(c0):  # the firsts' sum, the first sign kept
+                    op, a, b = add if c == c0 else sub, f0 or one, f or one
+                    steps[id(s)] = c0, cache(lambda op=op, a=a, b=b: op(read(a), read(b))), s
+                else:  # a multiplicity and another first: a term of its own
+                    steps[id(s), len(steps)] = c, f, s
             return list(steps.values())
 
         u = terms = expand([(1, None, None)], terms_of(self.x, 1) + terms_of(self.y, -1))
@@ -370,9 +368,10 @@ class GeneralSum:
         def factor(j, room):
             f = None  # x's first term comes first, and is positive
             for i, (c, first, step) in enumerate(terms):
-                p = running[i] = (running[i].truncate(room) * step.truncate(room)
-                                  if j > 1 and step is not None else (first or one).truncate(room))
-                f = p if f is None else (f + p if c > 0 else f - p)
+                p = running[i] = (_advance(running[i], read(step), room) if j > 1 and step
+                                  else (read(first) or one).truncate(room))
+                for _ in range(abs(c)):
+                    f = p if f is None else (f + p if c > 0 else f - p)
             if f.mod is not None and (len(terms) > 2 or self.d is not None or self.alpha > 1):
                 out = TruncatedSeries([v & f.mod.mask for v in f.coeffs], room, f.mod)
                 out._record, f = f._record, out

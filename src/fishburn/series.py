@@ -70,8 +70,14 @@ lengths and an addition only with the longer.  A polynomial weight (Q = 1)
 keeps the dot products, which run in C, except under a modulus: there a
 marked build's coefficients are 3K bits wide from z^1 on, and the shifted
 adds of P win.  A square (both factors the same object, as ``_power``
-makes) computes half the cross products.  Every product still goes through
-``_mul_into``.
+makes) computes half the cross products.  Every product goes through
+``_mul_into`` but one: a running power's advance by a step that records one
+monomial prod_i (P_i/Q_i)^e_i with c = 1, as a weight series and its powers
+do, runs straight in passes (``_advance``), for a polynomial weight too,
+without the rule's estimate, and takes the record ``_mul_into`` gives.
+A series keeps what its constructor's type scan found (``_ints``), so the
+sums, differences, cuts, products and passes of all-int operands skip the
+scan (``_series``); a Fraction operand keeps the normalisation.
 
 Series of different truncation orders do not combine silently: combining
 them raises, it never truncates behind your back.
@@ -98,16 +104,19 @@ __all__ = [
 ]
 
 
-class _Modulus(NamedTuple):
-    """Z/M with M = 2^{bits * digits}, read as `digits` base-2^bits digits."""
-
+class _ModulusFields(NamedTuple):
     bits: int
     digits: int
 
-    @property
-    def mask(self) -> int:
-        """M - 1: x & mask is x mod M, negative x included."""
-        return (1 << self.bits * self.digits) - 1
+
+class _Modulus(_ModulusFields):
+    """Z/M with M = 2^{bits * digits}, read as `digits` base-2^bits digits;
+    mask, M - 1, is made once: x & mask is x mod M, negative x included."""
+
+    def __new__(cls, bits: int, digits: int):
+        self = super().__new__(cls, bits, digits)
+        self.mask = (1 << bits * digits) - 1
+        return self
 
 
 def _norm(x: Coeff) -> Coeff:
@@ -172,7 +181,9 @@ class TruncatedSeries:
     # other series; equality and hashing ignore it.
     # mod: the _Modulus of a packed moment build (int coefficients, not
     # always reduced), None for exact coefficients.
-    __slots__ = ("coeffs", "order", "_record", "mod")
+    # _ints: every coefficient was an int when built, so that a result of
+    # int operands skips the type scan (``_series``).
+    __slots__ = ("coeffs", "order", "_record", "mod", "_ints")
 
     def __init__(self, coeffs: Sequence[Coeff], order: int,
                  mod: Optional[_Modulus] = None):
@@ -183,7 +194,8 @@ class TruncatedSeries:
             raise ValueError("more coefficients than the truncation order admits")
         cs.extend([0] * (order + 1 - len(cs)))
         # An all-int list is already normal; only Fractions can collapse.
-        self.coeffs = tuple(cs) if set(map(type, cs)) == {int} else tuple(map(_norm, cs))
+        self._ints = set(map(type, cs)) == {int}
+        self.coeffs = tuple(cs) if self._ints else tuple(map(_norm, cs))
         self.order = order
         self._record = None
         self.mod = mod
@@ -247,14 +259,14 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         _check_same_order(self, other)
-        out = TruncatedSeries(list(map(add, self.coeffs, other.coeffs)), self.order,
-                              _modulus(self, other))
+        out = _series(map(add, self.coeffs, other.coeffs), self.order,
+                      _modulus(self, other), self._ints and other._ints)
         return _tag(out, self, other, _combo_add)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         _check_same_order(self, other)
-        out = TruncatedSeries(list(map(sub, self.coeffs, other.coeffs)), self.order,
-                              _modulus(self, other))
+        out = _series(map(sub, self.coeffs, other.coeffs), self.order,
+                      _modulus(self, other), self._ints and other._ints)
         return _tag(out, self, other, _combo_sub)
 
     def __neg__(self) -> "TruncatedSeries":
@@ -271,7 +283,7 @@ class TruncatedSeries:
         """Restrict to order m <= current order."""
         if m > self.order:
             raise ValueError("cannot extend a truncated series; recompute instead")
-        out = TruncatedSeries(self.coeffs[: m + 1], m, self.mod)
+        out = _series(self.coeffs[: m + 1], m, self.mod, self._ints)
         out._record = self._record
         return out
 
@@ -289,6 +301,11 @@ class TruncatedSeries:
         """Multiplicative inverse; constant term must be invertible (nonzero,
         and +-1 under a modulus)."""
         a0 = self.coeffs[0]
+        if self.mod is not None:
+            a0 = -1 if a0 & self.mod.mask == self.mod.mask else a0 & self.mod.mask
+            if a0 not in (0, 1, -1):
+                raise ValueError(f"constant term {self.coeffs[0]} is not +-1 modulo "
+                                 f"2^{self.mod.bits * self.mod.digits}")
         if a0 == 0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
         if a0 == 1:
@@ -418,17 +435,18 @@ def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSe
     square = a is b
     terms = _dot_terms(la, lb, width) // (2 if square else 1)
     best = None
-    for f, cs, lo, hi in ((b, acs, va, ta), (a, bcs, vb, tb)):
+    for f, x, lo, hi in ((b, a, va, ta), (a, b, vb, tb)):
         plan = _pass_plan(f, order - lo, g, mod)
         if plan is not None and (best is None or plan[0] < best[0][0]):
-            best = plan, cs[lo : hi + 1], lo
+            best = plan, x, lo, hi
     if mod is None:
         bits = min(_bits(acs[ta]), _bits(bcs[tb]))
     else:
         bits = min(max(map(int.bit_length, xs)), max(map(int.bit_length, ys)))
     if best is not None and best[0][0] <= _pass_ratio(bits) * terms:
-        (_, pairs, walk), span, lo = best
-        return _tag(_mul_record(span, pairs, lo, order, walk, mod), a, b, _combo_mul)
+        (_, pairs, walk), x, lo, hi = best
+        out = _mul_record(x.coeffs[lo : hi + 1], pairs, lo, order, walk, mod, x._ints)
+        return _tag(out, a, b, _combo_mul)
     # Output m of the lattice product is sum_i xs[i] * ys[lb - 1 - m + i]
     # over the i with both indices in range.
     dots = []
@@ -445,7 +463,32 @@ def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSe
         dots = list(map(and_, dots, repeat(mod.mask)))
     out: list[Coeff] = [0] * (order + 1)
     out[va + vb : va + vb + g * len(dots) : g] = dots
-    return _tag(TruncatedSeries(out, order, mod), a, b, _combo_mul)
+    return _tag(_series(out, order, mod, a._ints and b._ints), a, b, _combo_mul)
+
+
+def _series(cs, order: int, mod: Optional[_Modulus], ints: bool) -> TruncatedSeries:
+    """TruncatedSeries(cs, order, mod), cs of length order + 1; with `ints`,
+    cs holds only ints, and the constructor's type scan is skipped."""
+    if not ints:
+        return TruncatedSeries(cs, order, mod)
+    out = object.__new__(TruncatedSeries)
+    out.coeffs, out.order, out._record, out.mod, out._ints = tuple(cs), order, None, mod, True
+    return out
+
+
+def _advance(p: TruncatedSeries, step: TruncatedSeries, room: int) -> TruncatedSeries:
+    """p.truncate(room) * step.truncate(room), a running power p advanced by
+    its step: for a step that records one monomial with c = 1, straight in
+    passes (``_mul_record``), with the record ``_mul_into`` gives; else, or
+    for a product past the window, through ``_mul_into``."""
+    record = step._record
+    va = p.valuation()
+    if (record is None or not record[0] or len(record[1]) != 1 or record[1][0][1] != 1
+            or va + step.valuation() > room):
+        return p.truncate(room) * step.truncate(room)
+    out = _mul_record(p.coeffs[va : room + 1], record[0], va, room, record[1],
+                      _modulus(p, step), p._ints)
+    return _tag(out, p, step, _combo_mul)
 
 
 # The rule's ratio of pass additions to dot terms.  A pass addition costs
@@ -619,7 +662,7 @@ def _pair_step(pq: tuple) -> int:
 
 def _mul_record(
     xs: Sequence[Coeff], pairs: tuple, lo: int, order: int, terms: tuple,
-    mod: Optional[_Modulus],
+    mod: Optional[_Modulus], ints: bool = False,
 ) -> TruncatedSeries:
     """x * sum c prod_i (P_i/Q_i)^{e_i} truncated at `order`, for terms
     ((exponents, c), ...) sorted, one exponent per pair of `pairs`, where x
@@ -634,7 +677,7 @@ def _mul_record(
     c times the copy reached joins the result.  When x and every P_i and
     Q_i live on a lattice step g > 1, the passes run on it.  Under a
     modulus the result is reduced once, at the end, besides the reductions
-    inside the passes.
+    inside the passes.  `ints` says that xs holds only ints.
     """
     g = _lattice_step(xs, 0, len(xs) - 1, gcd(*map(_pair_step, pairs))) or 1
     if g > 1:
@@ -667,7 +710,7 @@ def _mul_record(
         out = list(map(and_, out, repeat(mod.mask)))
     result: list[Coeff] = [0] * (order + 1)
     result[lo::g] = out
-    return TruncatedSeries(result, order, mod)
+    return _series(result, order, mod, ints and all(type(c) is int for _, c in terms))
 
 
 def _times_poly(y: list, P: tuple, mod: Optional[_Modulus]) -> list:

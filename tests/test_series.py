@@ -1,5 +1,6 @@
 """Unit and property tests for the truncated-series carriers."""
 
+import pickle
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fishburn.families as families
 import fishburn.series as series
 from fishburn.families import (ALL, _NAMED_RATIONAL, LambdaSpec, _bernoulli_egf,
                                lambda_atom, lambda_series)
@@ -580,6 +582,119 @@ class TestRecords:
         assert calls == [low._record[1]]  # e_max 100 against a window of 61: dot products
 
 
+# (first, step) of running powers, by the step: every step records one monomial.
+def _advance_powers(order: int) -> dict:
+    L = lambda_series(ALL, order)
+    L2 = L * L
+    B = lambda_atom(ALL, order, eval_marker(1 << 8), "size")
+    mod = moment_marker(8).mod
+    Lm = series._rational_series(*ALL.rational(), order, mod)
+    Bm = lambda_atom(ALL, order, moment_marker(8), "size")
+    return {
+        "L": (L, L),
+        "L^2": (L2 * L, L2),
+        "L(z^2)": (lambda_atom(ALL, order, eval_marker(3), "size-sq"), L.substitute_power(2)),
+        "polynomial": (L, lambda_series(LambdaSpec("custom", (1, 2, 1)), order)),
+        "atom at 2^K": (B * L, B),
+        "moment atom": (Lm, Bm),
+        "moment weight": (Bm * Lm, Lm),
+        "valuation": (series._rational_series((0, 0, 3, 1), (1, -1), order), L),
+        "fractions": (L.scalar_mul(Fraction(1, 3)), L),
+    }
+
+
+def _assert_same_product(got: TruncatedSeries, want: TruncatedSeries) -> None:
+    assert _typed(got.coeffs) == _typed(want.coeffs)
+    assert (got.order, got._record, got.mod) == (want.order, want._record, want.mod)
+
+
+class TestAdvance:
+    """A running power's advance equals the plain product of the cut operands."""
+
+    @pytest.mark.parametrize("name", list(_advance_powers(1)))
+    def test_matches_the_product(self, name, monkeypatch):
+        first, step = _advance_powers(24)[name]
+        products = []
+        kernel = series._mul_into
+        monkeypatch.setattr(series, "_mul_into",
+                            lambda *args: products.append(1) or kernel(*args))
+        p = first
+        for room in (24, 24, 19, 11, 4, 1, 0):
+            products.clear()
+            got = series._advance(p, step, room)
+            # straight in passes, unless the product lies past the window
+            assert bool(products) == (p.valuation() + step.valuation() > room)
+            monkeypatch.setattr(series, "_mul_into", kernel)
+            want = p.truncate(room) * step.truncate(room)
+            monkeypatch.setattr(series, "_mul_into",
+                                lambda *args: products.append(1) or kernel(*args))
+            _assert_same_product(got, want)
+            p = got
+
+    def test_other_steps_take_the_product(self):
+        L = lambda_series(ALL, 12)
+        ones = lambda_atom(ALL, 12, moment_marker(8), "ones")  # two monomials
+        z3 = series._rational_series((0, 0, 0, 1), (1,), 12)
+        cases = [(L, ones, 12), (ones, L + L, 12), (L, TruncatedSeries.one(12), 12),
+                 (L, TruncatedSeries(L.coeffs, 12), 12), (z3 * z3, z3, 7)]
+        for p, step, room in cases:
+            _assert_same_product(series._advance(p, step, room),
+                                 p.truncate(room) * step.truncate(room))
+
+    def test_general_sums_advance_in_passes(self, monkeypatch):
+        # the Fishburn factor L (L^j - 1)^2 over {0,1} (Q = 1): two advances per j
+        passes = []
+        walk = series._mul_record
+        monkeypatch.setattr(series, "_mul_record", lambda *args: passes.append(1) or walk(*args))
+        got = families.family_gf("fishburn", LambdaSpec("01"), 30)
+        assert len(passes) >= 2 * 14
+        monkeypatch.setattr(families, "_advance",
+                            lambda p, step, room: p.truncate(room) * step.truncate(room))
+        passes.clear()
+        want = families.family_gf("fishburn", LambdaSpec("01"), 30)
+        assert not passes and _typed(got.coeffs) == _typed(want.coeffs)
+
+
+class TestIntSlot:
+    """A series built from int operands skips the type scan, and only then."""
+
+    def test_an_integral_product_of_fraction_series_holds_ints(self):
+        a = TruncatedSeries([Fraction(1, 2), Fraction(1, 3)], 1)
+        b = TruncatedSeries([2, Fraction(-4, 3)], 1)
+        assert _typed((a * b).coeffs) == _typed([1, 0])
+        n = TruncatedSeries([2, 4], 1)
+        assert _typed((n * a).coeffs) == _typed([1, Fraction(8, 3)])
+        assert _typed((n * TruncatedSeries([Fraction(1, 2), Fraction(1, 4)], 1)).coeffs) == \
+            _typed([1, Fraction(5, 2)])
+        half = TruncatedSeries([Fraction(1, 2)], 1)
+        assert _typed((half * n).coeffs) == _typed([1, 2])
+
+    def test_a_cut_of_a_fraction_series_keeps_its_fractions(self):
+        f = TruncatedSeries([Fraction(1, 2), Fraction(3, 2), 5], 2)
+        cut = f.truncate(1)
+        assert _typed(cut.coeffs) == _typed([Fraction(1, 2), Fraction(3, 2)])
+        assert _typed((cut + cut).coeffs) == _typed([1, 3])
+        assert _typed((cut - cut).coeffs) == _typed([0, 0])
+
+    def test_an_int_series_plus_a_fraction_series_is_normalised(self):
+        n = TruncatedSeries([1, 2, 3], 2)
+        f = TruncatedSeries([Fraction(1, 2), Fraction(1, 3), 0], 2)
+        s = n + f
+        assert _typed(s.coeffs) == _typed([Fraction(3, 2), Fraction(7, 3), 3])
+        assert _typed((s - f).coeffs) == _typed([1, 2, 3])
+        assert _typed((f - s).coeffs) == _typed([-1, -2, -3])
+        assert _typed((s + s).coeffs) == _typed([3, Fraction(14, 3), 6])
+
+    def test_passes_of_an_int_series_by_a_fraction_record(self):
+        # 3/2 (L + L) records 3 L with c = Fraction(3): the passes' sum is normalised
+        L = series._rational_series((1,), (1, -1), 6)
+        f = TruncatedSeries.constant(Fraction(3, 2), 6) * (L + L)
+        assert f._record[1] == (((1,), 3),) and type(f._record[1][0][1]) is Fraction
+        x = TruncatedSeries([2] * 7, 6)
+        out = series._mul_record(x.coeffs, f._record[0], 0, 6, f._record[1], None, True)
+        assert _typed(out.coeffs) == _typed((x * _plain(f)).coeffs)
+
+
 class TestSquare:
     @given(st.integers(min_value=0, max_value=14), st.integers(min_value=0, max_value=15),
            st.sampled_from([1, 2, 3]), st.data())
@@ -768,6 +883,21 @@ class TestJet:
     def test_inverse_needs_invertible_constant(self):
         with pytest.raises(ZeroDivisionError):
             TruncatedSeries([0], 3, moment_marker(8).mod).inv()
+
+    def test_inverse_needs_a_unit_constant_under_a_modulus(self):
+        mod = series._Modulus(4, 3)
+        for a0 in (3, -3, 1 << 12 | 5, 2):
+            with pytest.raises(ValueError, match=r"is not \+-1 modulo 2\^12"):
+                TruncatedSeries([a0, 1], 3, mod).inv()
+        for a0 in (1, -1, mod.mask, 1 << 12 | 1):  # +-1 modulo M, reduced or not
+            f = TruncatedSeries([a0, 1, 7], 3, mod)
+            assert _reduced(f * f.inv()) == (1, 0, 0, 0)
+
+    def test_the_mask_is_made_once(self):
+        mod = moment_marker(300).mod
+        assert mod.mask is mod.mask and mod.mask == (1 << 900) - 1
+        assert mod == series._Modulus(300, 3) and hash(mod) == hash((300, 3))
+        assert pickle.loads(pickle.dumps(mod)).mask == mod.mask
 
     def test_truncate_and_valuation(self):
         mod = moment_marker(8, 1).mod
