@@ -14,10 +14,10 @@ calls (the products that ran as passes), so that a moved choice between
 passes and dot products shows by itself, and the record term pairs its
 ``_combo_mul`` calls multiplied (sum |x| |y|), so that a product that
 drags a growing record shows even when the product and pass counts stay.
-A ``_mul_record`` call made outside ``_mul_into`` is a running power's
-advance by a one-monomial step (``series._advance``), and counts as one
-product and one pass.  Both kernels are patched in ``series``, where every
-product and advance looks them up, so the product counts cover every product.
+Every product, a running power's advance included, enters ``_mul_into``,
+which is patched in ``series`` and in every ``fishburn`` module that
+imported it by name, so the product counts cover every product;
+``_mul_record`` is patched in ``series``, where ``_mul_into`` looks it up.
 The builder cases make the same builds in both trees of a comparison: the
 catalog ids go through ``named_gf``, each route of ``IDENTITY_ROUTES`` is
 built from ``fishburn.identities``, and so are the direct forms of the
@@ -402,24 +402,20 @@ def snapshot(src: str) -> dict:
         raise SystemExit(f"imported {families.__file__}, not the package under {root}")
 
     counts = Counter()
-    depth = [0]  # the _mul_into calls open
     kernel, walk = series._mul_into, series._mul_record
 
     def counting_products(*args):
         counts["_mul_into"] += 1
-        depth[0] += 1
-        try:
-            return kernel(*args)
-        finally:
-            depth[0] -= 1
+        return kernel(*args)
 
     def counting_passes(*args):
         counts["_mul_record"] += 1
-        if not depth[0]:  # a running power's advance, series._advance
-            counts["_mul_into"] += 1
         return walk(*args)
 
-    series._mul_into, series._mul_record = counting_products, counting_passes
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "fishburn" and getattr(module, "_mul_into", None) is kernel:
+            module._mul_into = counting_products
+    series._mul_record = counting_passes
     combo_mul = series._combo_mul
 
     def counting_pairs(x, y):

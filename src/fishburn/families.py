@@ -12,21 +12,23 @@ sum_k d^{k+w0} prod_{j<=k} (e^{j+w} - 1)^alpha by its arguments: it builds
 prefactor * sum_k prod_{j<=k} d_j (x_j - y_j)^alpha, with d^k folded into the
 factors (d^k * prod f_j == prod (d*f_j)), which keeps the kernel's adaptive
 truncation effective.  A build expands d (x - y)^alpha once into running
-powers first * step^{j-1} (``Power``), and each j advances every power by
-its step: the Fishburn factor L (L^j - 1)^2 is L^3 (L^2)^{j-1} -
-2 L^2 L^{j-1} + L, two advances per j (``GeneralSum.factors``).  The same
-statement gives the first-order asymptotic form (``asymptotics.named_form``
-and ``family_form`` read it from ``parts`` at j = 1, 2), so each catalogued
-instance, family sum and statistic sum is written once, in ``_CATALOG``,
-``_family_sum`` or ``_stat_sum``; a marked atom B is the first of a running
-power, B L^{j-1} = ``Power(B, L)``.  The A035378 pairing (``_paired_sum``)
+powers first * step^{j-1} (``Power``), one per step, and each j advances
+every power by its step: the Fishburn factor L (L^j - 1)^2 is
+L^3 (L^2)^{j-1} - 2 L^2 L^{j-1} + L, two advances per j
+(``GeneralSum.factors``).  The same statement gives the first-order
+asymptotic form (``asymptotics.named_form`` and ``family_form`` read it
+from ``parts`` at j = 1, 2), so each catalogued instance, family sum and
+statistic sum is written once, in ``_CATALOG``, ``_family_sum`` or
+``_stat_sum``; a marked atom B is the first of a running power,
+B L^{j-1} = ``Power(B, L)``.  The A035378 pairing (``_paired_sum``)
 and ``labeled_profile`` read each partial product of the kernel's one loop,
 ``series._partial_products``.  Every fixed rational factor (a weight series,
 1 +- z, 1/(1 -+ z^j)) is one ``_rational_series(P, Q, order)``, which
 records that it is (P/Q)^1; the running powers carry that record, so an
-advance by a weight series or its power runs straight in passes
-(``series._advance``), and a factor reaches the kernel as a combination of
-monomials in its weight series, which it may multiply by in passes.
+advance by a weight series or its power runs straight in passes (a factor
+that records one monomial skips ``series._mul_into``'s estimate), and a
+factor reaches the kernel as a combination of monomials in its weight
+series, which it may multiply by in passes.
 
 The statistic sums are the family sums with marked atoms in place of the
 weight series L, in the factors or in the running powers (``_stat_sum``).
@@ -54,7 +56,7 @@ from __future__ import annotations
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, lru_cache, reduce, wraps
+from functools import lru_cache, reduce, wraps
 from itertools import islice, product
 from math import factorial
 from operator import add, mul, sub
@@ -63,8 +65,8 @@ from typing import Callable, Optional
 from .series import (
     Marker,
     TruncatedSeries,
-    _advance,
     _as_int,
+    _mul_into,
     _partial_products,
     _power,
     _rational_series,
@@ -318,9 +320,11 @@ class GeneralSum:
 
     def factors(self, order: int):
         """(j, room) -> d_j (x_j - y_j)^alpha at `room`, for j = 1, 2, ... in
-        turn at a room that never grows: one build's running powers, an equal
-        term kept as a multiplicity (the Fishburn factor's -2 L^2 L^{j-1}), and
-        their firsts and steps multiplied at `order` when first read, each pair
+        turn at a room that never grows: one build's running powers, one per
+        step object of the expansion, whose first is the sum of the firsts of
+        that step's terms, the sign of the first term met factored out (the
+        Fishburn factor's -2 L^2 L^{j-1} is -(L^2 + L^2) L^{j-1}).  The firsts
+        and steps are multiplied at `order` before the first factor, each pair
         of operands once.  Under a modulus a sum other than one term minus
         another is reduced, as a product leaves it, so the kernel reads the
         product form's widths."""
@@ -336,43 +340,34 @@ class GeneralSum:
             return [(c, u.first, u.step) if isinstance(u, Power) else (c, u, None)
                     for u in (t if isinstance(t, tuple) else (t,))]
 
-        def read(t):  # a first or step: a series, None for 1, or a node made when first read
-            return t() if callable(t) else t
-
-        def times(a, b):  # a * b at `order`, None for 1; its node holds a and b, so ids stay
+        def times(a, b):  # a * b at `order`, None for 1; the entry holds a and b, so ids stay
             if a is None or b is None:
                 return b if a is None else a
             key = (id(a), id(b)) if id(a) < id(b) else (id(b), id(a))
-            return made.setdefault(key, cache(
-                lambda: read(a).truncate(order) * read(b).truncate(order)))
+            if key not in made:
+                made[key] = a, b, a.truncate(order) * b.truncate(order)
+            return made[key][2]
 
-        def expand(us, vs):  # the terms of us * vs, one per step where their firsts allow
-            steps = {}
-            for (c, f, s), (e, g, t) in product(us, vs):
-                c, f, s = c * e, times(f, g), times(s, t)
-                c0, f0, _ = steps.get(id(s), (0, f, s))
-                if f0 is f and c * c0 >= 0:  # a new step, or the same term again
-                    steps[id(s)] = c + c0, f, s
-                elif abs(c) == abs(c0):  # the firsts' sum, the first sign kept
-                    op, a, b = add if c == c0 else sub, f0 or one, f or one
-                    steps[id(s)] = c0, cache(lambda op=op, a=a, b=b: op(read(a), read(b))), s
-                else:  # a multiplicity and another first: a term of its own
-                    steps[id(s), len(steps)] = c, f, s
-            return list(steps.values())
-
-        u = terms = expand([(1, None, None)], terms_of(self.x, 1) + terms_of(self.y, -1))
+        u = terms = terms_of(self.x, 1) + terms_of(self.y, -1)
         for v in [u] * (self.alpha - 1) + ([] if callable(self.d) else [terms_of(self.d, 1)]):
-            terms = expand(terms, v)
-        running = [None] * len(terms)
+            terms = [(c * e, times(f, g), times(s, t))
+                     for (c, f, s), (e, g, t) in product(terms, v)]
+        groups = {}  # id(step) -> [sign, firsts' sum, step]
+        for c, f, s in terms:
+            if id(s) not in groups:
+                groups[id(s)] = [c, f, s]
+            else:
+                sign, first, _ = group = groups[id(s)]
+                group[1] = (add if c == sign else sub)(first or one, f or one)
+        running = [None] * len(groups)
 
         def factor(j, room):
             f = None  # x's first term comes first, and is positive
-            for i, (c, first, step) in enumerate(terms):
-                p = running[i] = (_advance(running[i], read(step), room) if j > 1 and step
-                                  else (read(first) or one).truncate(room))
-                for _ in range(abs(c)):
-                    f = p if f is None else (f + p if c > 0 else f - p)
-            if f.mod is not None and (len(terms) > 2 or self.d is not None or self.alpha > 1):
+            for i, (c, first, step) in enumerate(groups.values()):
+                p = running[i] = (_mul_into(running[i], step, room) if j > 1 and step
+                                  else (first or one).truncate(room))
+                f = p if f is None else (f + p if c > 0 else f - p)
+            if f.mod is not None and (len(groups) > 2 or self.d is not None or self.alpha > 1):
                 out = TruncatedSeries([v & f.mod.mask for v in f.coeffs], room, f.mod)
                 out._record, f = f._record, out
             return self.d(j, room) * f if callable(self.d) else f

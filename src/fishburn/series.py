@@ -69,15 +69,15 @@ coefficients are, since a product of two big integers grows with both
 lengths and an addition only with the longer.  A polynomial weight (Q = 1)
 keeps the dot products, which run in C, except under a modulus: there a
 marked build's coefficients are 3K bits wide from z^1 on, and the shifted
-adds of P win.  A square (both factors the same object, as ``_power``
-makes) computes half the cross products.  Every product goes through
-``_mul_into`` but one: a running power's advance by a step that records one
-monomial prod_i (P_i/Q_i)^e_i with c = 1, as a weight series and its powers
-do, runs straight in passes (``_advance``), for a polynomial weight too,
-without the rule's estimate, and takes the record ``_mul_into`` gives.
-A series keeps what its constructor's type scan found (``_ints``), so the
-sums, differences, cuts, products and passes of all-int operands skip the
-scan (``_series``); a Fraction operand keeps the normalisation.
+adds of P win.  A factor that records one monomial prod_i (P_i/Q_i)^e_i
+with c = 1, as a weight series and its powers do, skips the estimate: the
+product runs in passes at once, for a polynomial weight too, so a running
+power's advance by such a step costs e passes and no pricing.  A square
+(both factors the same object, as ``_power`` makes) computes half the cross
+products.  Every product goes through ``_mul_into``.  A series keeps what
+its constructor's type scan found (``_ints``), so the sums, differences,
+cuts, products and passes of all-int operands skip the scan (``_series``);
+a Fraction operand keeps the normalisation.
 
 Series of different truncation orders do not combine silently: combining
 them raises, it never truncates behind your back.
@@ -396,7 +396,10 @@ def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSe
     (a weight series from ``_rational_series``, a marked atom at v = c, and
     the sums and products built from them) may instead multiply the other
     factor x by passes walking the monomials pair by pair (``_mul_record``).
-    The rule: with n the window from x's valuation to `order` on the
+    When f records one monomial with c = 1 (b is tried first, then a), the
+    passes run at once, with no estimate: a running power's advance by its
+    step, a weight series or a power of one, Q = 1 included.  Otherwise the
+    rule decides: with n the window from x's valuation to `order` on the
     lattice, the passes cost (A + number of terms) n additions, A the
     additions per coefficient of the cheapest walk (``_pass_plan``, from
     ``_pass_weight`` of each pair); they run when that is at most
@@ -413,6 +416,8 @@ def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSe
     b may carry a *smaller* order than a when a's valuation guarantees the
     missing top coefficients of b cannot reach the truncation window; this is
     what lets the sum-of-products kernel truncate its factors adaptively.
+    Either factor may carry a larger order, so a running power advances
+    without cutting its step.
     """
     mod = _modulus(a, b)
     va, vb = a.valuation(), b.valuation()
@@ -422,6 +427,11 @@ def _mul_into(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSe
         return out
     if b.order < order and va + b.order < order:
         raise ValueError("factor truncated too short for this product")
+    for f, x, lo in ((b, a, va), (a, b, vb)):
+        r = f._record
+        if r is not None and r[0] and len(r[1]) == 1 and r[1][0][1] == 1:
+            out = _mul_record(x.coeffs[lo : order + 1], r[0], lo, order, r[1], mod, x._ints)
+            return _tag(out, a, b, _combo_mul)
     acs, bcs = a.coeffs, b.coeffs
     ta = _last_nonzero(acs, order - vb)
     tb = _last_nonzero(bcs, order - va)
@@ -474,21 +484,6 @@ def _series(cs, order: int, mod: Optional[_Modulus], ints: bool) -> TruncatedSer
     out = object.__new__(TruncatedSeries)
     out.coeffs, out.order, out._record, out.mod, out._ints = tuple(cs), order, None, mod, True
     return out
-
-
-def _advance(p: TruncatedSeries, step: TruncatedSeries, room: int) -> TruncatedSeries:
-    """p.truncate(room) * step.truncate(room), a running power p advanced by
-    its step: for a step that records one monomial with c = 1, straight in
-    passes (``_mul_record``), with the record ``_mul_into`` gives; else, or
-    for a product past the window, through ``_mul_into``."""
-    record = step._record
-    va = p.valuation()
-    if (record is None or not record[0] or len(record[1]) != 1 or record[1][0][1] != 1
-            or va + step.valuation() > room):
-        return p.truncate(room) * step.truncate(room)
-    out = _mul_record(p.coeffs[va : room + 1], record[0], va, room, record[1],
-                      _modulus(p, step), p._ints)
-    return _tag(out, p, step, _combo_mul)
 
 
 # The rule's ratio of pass additions to dot terms.  A pass addition costs

@@ -531,6 +531,32 @@ class TestGeneralSum:
             assert (f._record is None) == (g._record is None)
             assert f._record == g._record or _record_series(f) == [c & mask for c in f.coeffs]
 
+    def test_one_running_power_per_step(self, monkeypatch):
+        # x and y share the step L, so (x - y)^2 d expands over the steps
+        # L L L, L L, L and 1: three walks per j, where a running power per
+        # first would take five; the Fishburn factor over all takes two
+        N = 16
+        L = lambda_series(ALL, N)
+        B = lambda_atom(ALL, N, eval_marker(3), "size")
+        shared = families.GeneralSum(families.Power(L, L), (families.Power(B, L), L),
+                                     d=(families.Power(B, L), L), alpha=2)
+        walks = [0]
+        walk = series._mul_record
+
+        def counting(*args):
+            walks[0] += 1
+            return walk(*args)
+
+        for s, advances in ((shared, 3), (families._andrews_sum(L), 2)):
+            factor, reference = s.factors(N), _product_route(s)
+            for j, room in zip(range(1, 8), (16, 16, 14, 11, 11, 7, 3)):
+                walks[0] = 0
+                monkeypatch.setattr(series, "_mul_record", counting)
+                f = factor(j, room)
+                assert j == 1 or walks[0] == advances
+                monkeypatch.undo()
+                assert f == reference(j, room)
+
     @pytest.mark.parametrize("family,stat", [(family, None) for family in FAMILY_STATS] + [
         (family, stat) for family, stats in FAMILY_STATS.items() for stat in stats])
     def test_parts_read_any_j_first(self, family, stat):
@@ -604,6 +630,11 @@ class TestMarkedAtoms:
         assert atom._record == ((((1,), (1, -marker.value)),), (((1,), 1),))
 
 
+def _record_free(f: TruncatedSeries) -> TruncatedSeries:
+    """The same coefficients and modulus without the record."""
+    return TruncatedSeries(f.coeffs, f.order, f.mod)
+
+
 # Every statistic on these multisets, built with the passes and without.
 NO_PASS_CASES = [
     (family, stat, text)
@@ -632,16 +663,21 @@ def test_statistic_series_do_not_depend_on_the_passes(family, stat, text, monkey
     monkeypatch.setattr(series, "_mul_record", counting)
     got = build()
     assert passes[0] > 0  # every build advances a running power of a weight series
-    # With the advances as plain products, the kernel's rule alone decides, and
-    # a polynomial weight (Q = 1) keeps the dot products.
-    monkeypatch.setattr(families, "_advance",
-                        lambda p, step, room: p.truncate(room) * step.truncate(room))
-    ruled = build()
-    assert (passes[0] > 0) == (len(spec.rational()[1]) > 1)
+    ruled = passes[0]
+    # With the estimate never choosing passes, the products by one monomial,
+    # the advances among them, still take theirs; under the estimate a
+    # polynomial weight (Q = 1) keeps the dot products.
     monkeypatch.setattr(series, "_PASS_RATIO", 0)
+    monomial = build()
+    assert passes[0] > 0 and (len(spec.rational()[1]) > 1 or passes[0] == ruled)
+    # From record-free weight series and atoms, every product is a dot product.
+    monkeypatch.setattr(families, "_rational_series",
+                        lambda *args: _record_free(series._rational_series(*args)))
+    monkeypatch.setattr(families, "lambda_series",
+                        lambda spec, order: families._rational_series(*spec.rational(), order))
     want = build()
     assert passes[0] == 0
-    for s in (got, ruled):
+    for s in (got, monomial):
         assert list(map(type, s.coeffs)) == list(map(type, want.coeffs)) and s == want
 
 
@@ -757,7 +793,9 @@ MUL_PRODUCTS = {
 
 
 def _count_products(monkeypatch) -> list:
-    """A one-item list counting the _mul_into calls from here on."""
+    """A one-item list counting the _mul_into calls from here on, those of
+    the running powers' advances, which families makes by its imported
+    name, included."""
     calls = [0]
     kernel = series._mul_into
 
@@ -766,6 +804,7 @@ def _count_products(monkeypatch) -> list:
         return kernel(a, b, order)
 
     monkeypatch.setattr(series, "_mul_into", counting)
+    monkeypatch.setattr(families, "_mul_into", counting)
     return calls
 
 

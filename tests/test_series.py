@@ -316,9 +316,13 @@ class TestRationalFactor:
         )
         x = TruncatedSeries(range(1, 12), 10)
         for pq in LAMBDA_PAIRS:
+            r = series._rational_series(*pq, 10)
             calls.clear()
-            x * series._rational_series(*pq, 10)
+            x * (r - TruncatedSeries.one(10))  # two monomials: the estimate decides
             assert len(calls) == (len(pq[1]) > 1), pq
+            calls.clear()
+            x * r  # one monomial with c = 1 skips the estimate, Q = 1 too
+            assert len(calls) == 1, pq
 
     def test_short_factor(self):
         geometric = series._rational_series((1,), (1, -1), 6).truncate(3)
@@ -608,51 +612,68 @@ def _assert_same_product(got: TruncatedSeries, want: TruncatedSeries) -> None:
     assert (got.order, got._record, got.mod) == (want.order, want._record, want.mod)
 
 
+def _free(f: TruncatedSeries) -> TruncatedSeries:
+    """The same coefficients and modulus without the record."""
+    return TruncatedSeries(f.coeffs, f.order, f.mod)
+
+
+def _counting_walks(monkeypatch) -> list:
+    """A list that gets one item per _mul_record walk from here on."""
+    walks = []
+    walk = series._mul_record
+    monkeypatch.setattr(series, "_mul_record", lambda *args: walks.append(1) or walk(*args))
+    return walks
+
+
 class TestAdvance:
-    """A running power's advance equals the plain product of the cut operands."""
+    """A running power's advance is a product by a step that records one
+    monomial with c = 1: one walk of passes, equal to the product of
+    record-free copies."""
 
     @pytest.mark.parametrize("name", list(_advance_powers(1)))
     def test_matches_the_product(self, name, monkeypatch):
         first, step = _advance_powers(24)[name]
-        products = []
-        kernel = series._mul_into
-        monkeypatch.setattr(series, "_mul_into",
-                            lambda *args: products.append(1) or kernel(*args))
+        walks = _counting_walks(monkeypatch)
         p = first
         for room in (24, 24, 19, 11, 4, 1, 0):
-            products.clear()
-            got = series._advance(p, step, room)
-            # straight in passes, unless the product lies past the window
-            assert bool(products) == (p.valuation() + step.valuation() > room)
-            monkeypatch.setattr(series, "_mul_into", kernel)
-            want = p.truncate(room) * step.truncate(room)
-            monkeypatch.setattr(series, "_mul_into",
-                                lambda *args: products.append(1) or kernel(*args))
-            _assert_same_product(got, want)
+            walks.clear()
+            got = series._mul_into(p, step, room)
+            # one walk, unless the product lies past the window
+            assert len(walks) == (p.valuation() + step.valuation() <= room)
+            walks.clear()
+            free = _free(p.truncate(room)) * _free(step.truncate(room))
+            assert not walks
+            assert _typed(got.coeffs) == _typed(free.coeffs)
+            assert (got.order, got.mod) == (free.order, free.mod) == (room, p.mod or step.mod)
+            _assert_same_product(got, p.truncate(room) * step.truncate(room))
+            if got.mod is None:
+                _assert_exact_record(got)
             p = got
 
-    def test_other_steps_take_the_product(self):
+    def test_other_steps_take_the_product(self, monkeypatch):
+        # other operands take the estimate's product: with the estimate never
+        # choosing passes, only a one-monomial factor walks
+        monkeypatch.setattr(series, "_PASS_RATIO", 0)
+        walks = _counting_walks(monkeypatch)
         L = lambda_series(ALL, 12)
         ones = lambda_atom(ALL, 12, moment_marker(8), "ones")  # two monomials
-        z3 = series._rational_series((0, 0, 0, 1), (1,), 12)
-        cases = [(L, ones, 12), (ones, L + L, 12), (L, TruncatedSeries.one(12), 12),
-                 (L, TruncatedSeries(L.coeffs, 12), 12), (z3 * z3, z3, 7)]
-        for p, step, room in cases:
-            _assert_same_product(series._advance(p, step, room),
-                                 p.truncate(room) * step.truncate(room))
+        one = TruncatedSeries.one(12)
+        cases = [(L + L, ones, 0), (ones, L + L, 0), (L + L, one, 0), (_free(L), L + L, 0),
+                 (ones, L, 1), (L, one, 1), (one, L, 1), (_free(L), L, 1), (L, _free(L), 1)]
+        for a, b, want in cases:
+            walks.clear()
+            got = series._mul_into(a, b, 12)
+            assert len(walks) == want
+            assert _typed(got.coeffs) == _typed((_free(a) * _free(b)).coeffs)
 
     def test_general_sums_advance_in_passes(self, monkeypatch):
         # the Fishburn factor L (L^j - 1)^2 over {0,1} (Q = 1): two advances per j
-        passes = []
-        walk = series._mul_record
-        monkeypatch.setattr(series, "_mul_record", lambda *args: passes.append(1) or walk(*args))
+        walks = _counting_walks(monkeypatch)
         got = families.family_gf("fishburn", LambdaSpec("01"), 30)
-        assert len(passes) >= 2 * 14
-        monkeypatch.setattr(families, "_advance",
-                            lambda p, step, room: p.truncate(room) * step.truncate(room))
-        passes.clear()
-        want = families.family_gf("fishburn", LambdaSpec("01"), 30)
-        assert not passes and _typed(got.coeffs) == _typed(want.coeffs)
+        assert len(walks) >= 2 * 14
+        walks.clear()
+        want = families._andrews_sum(_free(lambda_series(LambdaSpec("01"), 30))).series(30)
+        assert not walks and _typed(got.coeffs) == _typed(want.coeffs)
 
 
 class TestIntSlot:
